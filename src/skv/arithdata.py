@@ -16,7 +16,7 @@ from math import gcd
 
 from .characters import CharacterTable, irreducibles_monomial
 from .cyclotomic import Cyclo
-from .errors import FixtureError
+from .errors import FixtureError, SkvError
 from .grouprings import CentralElement, GroupRingElement
 from .groups import FiniteGroup
 from .linalg import mat_det, mat_identity, mat_mul, mat_scale, mat_sub
@@ -30,6 +30,37 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str):
     missing = required - set(obj)
     if missing:
         raise FixtureError(f"missing fields {sorted(missing)} in {where}")
+
+
+THETA_SOURCE_FIELDS = {"schema", "chiIndex", "uElems", "sPrimeLabels",
+                       "tPrimeLabels", "r", "provenance", "values"}
+
+
+def validate_theta_source(src):
+    """Shape check of one imported theta source (schema "skvtheta/1"):
+    everything ``engine.theta_monomial`` reads from it."""
+    if not isinstance(src, dict):
+        raise FixtureError("theta source must be an object")
+    _require_keys(src, THETA_SOURCE_FIELDS, THETA_SOURCE_FIELDS - {"uElems"},
+                  "theta source")
+    if src["schema"] != "skvtheta/1":
+        raise FixtureError(f"unsupported theta source schema {src['schema']!r}")
+    if not (isinstance(src["chiIndex"], int) and isinstance(src["r"], int)):
+        raise FixtureError("theta source chiIndex and r must be integers")
+    for key, kind in (("uElems", int), ("sPrimeLabels", str), ("tPrimeLabels", str)):
+        val = src.get(key, [])
+        if not (isinstance(val, list) and all(isinstance(v, kind) for v in val)):
+            raise FixtureError(f"theta source {key} must be a list of {kind.__name__}")
+    if not isinstance(src["values"], dict):
+        raise FixtureError("theta source values must be an object")
+    for j, v in src["values"].items():
+        if not str(j).isdecimal():
+            raise FixtureError(f"theta source values key {j!r} is not an integer index")
+        try:
+            Cyclo.from_json(v)
+        except (SkvError, KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise FixtureError(
+                f"theta source value {j}: not a cyclotomic number ({exc})") from None
 
 
 def _is_prime(n: int) -> bool:
@@ -183,6 +214,10 @@ class ExtensionFixture:
                         raise FixtureError("cyclotomic map is not a homomorphism")
             self.cyclotomic = {"conductor": f, "map": mp}
         self.subextension_thetas = obj.get("subextensionThetas", [])
+        if not isinstance(self.subextension_thetas, list):
+            raise FixtureError("subextensionThetas must be a list")
+        for src in self.subextension_thetas:
+            validate_theta_source(src)
         self.torsion_free_override = obj.get("torsionFreeOverride")
         self.cl_zeta_p_flag = obj.get("clZetaPFlag")
         self._table = None

@@ -9,26 +9,29 @@ Q(zeta_E) with E the group exponent, stored exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .cyclotomic import Cyclo, root_of_unity_sum
-from .errors import GroupError, NotMonomialError
+from .errors import GroupError, InternalCheckError, NotMonomialError
 from .groups import FiniteGroup
 
 
-def _abelian_linear_exponents(group: FiniteGroup) -> list[list[Fraction]]:
-    """All homomorphisms of an abelian group into Q/Z, as exponent vectors."""
-    if not group.is_abelian():
-        raise GroupError("chain extension requires an abelian group")
-    n = group.order
-    covered = {0}
-    chars: list[dict[int, Fraction]] = [{0: Fraction(0)}]
-    for g in range(1, n):
+def chain_extension(elements, mul) -> list[dict]:
+    """All homomorphisms of a finite abelian group into Q/Z, each a dict
+    from element to exponent in [0, 1), sorted by their values along
+    ``elements``.  ``elements`` lists the group with the identity first and
+    ``mul`` multiplies two of them; each homomorphism is extended from the
+    trivial subgroup one cyclic step at a time."""
+    one = elements[0]
+    covered = {one}
+    chars: list[dict] = [{one: Fraction(0)}]
+    for g in elements[1:]:
         if g in covered:
             continue
         # minimal m with g^m inside the current domain
         m, power = 1, g
         while power not in covered:
-            power = group.mul(power, g)
+            power = mul(power, g)
             m += 1
         extended = []
         for chi in chars:
@@ -37,17 +40,25 @@ def _abelian_linear_exponents(group: FiniteGroup) -> list[list[Fraction]]:
                 t = (base + i) / m
                 new = dict(chi)
                 shift = Fraction(0)
-                gk = 0
+                gk = one
                 for _ in range(m - 1):
-                    gk = group.mul(gk, g)
+                    gk = mul(gk, g)
                     shift += t
                     for h, v in chi.items():
-                        new[group.mul(h, gk)] = (v + shift) % 1
+                        new[mul(h, gk)] = (v + shift) % 1
                 extended.append(new)
         chars = extended
         covered = set(chars[0])
-    chars.sort(key=lambda c: tuple(c[g] for g in range(n)))
-    return [[c[g] for g in range(n)] for c in chars]
+    chars.sort(key=lambda c: tuple(c[g] for g in elements))
+    return chars
+
+
+def _abelian_linear_exponents(group: FiniteGroup) -> list[list[Fraction]]:
+    """All homomorphisms of an abelian group into Q/Z, as exponent vectors."""
+    if not group.is_abelian():
+        raise GroupError("chain extension requires an abelian group")
+    elements = list(range(group.order))
+    return [[c[g] for g in elements] for c in chain_extension(elements, group.mul)]
 
 
 def linear_characters(group: FiniteGroup) -> list[list[Fraction]]:
@@ -105,9 +116,6 @@ class Character:
             total = total + v * w.conjugate() * Fraction(len(cls))
         total = total * Fraction(1, self.group.order)
         return total.to_fraction()
-
-    def is_irreducible(self) -> bool:
-        return self.inner(self) == 1
 
     def contragredient_values(self) -> tuple[Cyclo, ...]:
         """Values of the contragredient: class of g carries the value at g^(-1)."""
@@ -207,6 +215,20 @@ class CharacterTable:
 
     def galois_index(self, i: int, k: int) -> int:
         return self.index_of_values(self.chars[i].galois_values(k))
+
+    def check_galois(self, comps, context: str):
+        """Self-check that per-character components are Galois-equivariant:
+        sigma_k of the component at chi is the component at sigma_k(chi)."""
+        exp = self.exponent
+        for k in range(2, exp):
+            if gcd(k, exp) != 1:
+                continue
+            for i in range(len(self.chars)):
+                if comps[self.galois_index(i, k)] != comps[i].galois(k):
+                    raise InternalCheckError(
+                        f"{context}: components not Galois-equivariant "
+                        f"at character {i}, sigma_{k}"
+                    )
 
     def trivial_index(self) -> int:
         one = Cyclo.one()

@@ -17,7 +17,7 @@ import time
 
 from .arithdata import ExtensionFixture, PlaceSets
 from .cyclotomic import fraction_from_str
-from .engine import sku_prime_generators, theta_abelian, theta_monomial
+from .engine import sku_prime_generators, theta
 from .errors import FixtureError, SkvError
 from .grouprings import GroupRingElement
 from .rednorm import fitting_of_presentation
@@ -99,16 +99,10 @@ def _exit_code(verdicts) -> int:
     return 0
 
 
-def _theta_for(fix: ExtensionFixture, sets: PlaceSets):
-    if fix.group.is_abelian() and fix.cyclotomic is not None:
-        return theta_abelian(fix, sets)
-    return theta_monomial(fix, sets)
-
-
 def cmd_theta(args, fix: ExtensionFixture) -> int:
     S = _split(args.S) or _default_s(fix)
     sets = PlaceSets(S, _split(args.T), args.r)
-    th = _theta_for(fix, sets)
+    th = theta(fix, sets)
     payload = th.to_json()
     text = None
     if args.format == "text":
@@ -286,12 +280,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
+    if args.bound < 0:
+        sys.stderr.write(f"error: --bound must be non-negative, got {args.bound}\n")
+        return 3
     try:
         fix = ExtensionFixture.load(args.fixture)
     except FileNotFoundError:
         sys.stderr.write(f"error: fixture file not found: {args.fixture}\n")
         return 3
-    except (FixtureError, json.JSONDecodeError, KeyError, TypeError,
+    except (SkvError, json.JSONDecodeError, KeyError, TypeError,
             ValueError) as exc:
         sys.stderr.write(f"error: malformed fixture {args.fixture}: {exc}\n")
         return 3

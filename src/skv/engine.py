@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arithdata import (ExtensionFixture, GeneratorSet, PlaceSets,
-                        generate_A_S, local_factor)
+                        generate_A_S, local_factor, validate_theta_source)
 from .characters import Character, linear_characters
 from .cyclotomic import Cyclo
 from .errors import FixtureError, InternalCheckError
@@ -98,18 +98,6 @@ def _validate_parity(fix: ExtensionFixture, comps, r: int, context: str,
             )
 
 
-def _check_galois(table, comps, context: str):
-    exp = table.exponent
-    for k in range(2, exp):
-        if gcd(k, exp) != 1:
-            continue
-        for i in range(len(table)):
-            if comps[table.galois_index(i, k)] != comps[i].galois(k):
-                raise InternalCheckError(
-                    f"{context}: components not Galois-equivariant at ({i}, sigma_{k})"
-                )
-
-
 def theta_abelian(fix: ExtensionFixture, sets: PlaceSets, r: int | None = None) -> ThetaElement:
     """theta_S^T(r) for an abelian fixture over the rationals, computed twice:
     once purely from Dirichlet L-values and once from the fixture's local
@@ -137,7 +125,7 @@ def theta_abelian(fix: ExtensionFixture, sets: PlaceSets, r: int | None = None) 
                 "Dirichlet path and local-factor path disagree"
             )
         comps.append(a)
-    _check_galois(table, comps, "theta_abelian")
+    table.check_galois(comps, "theta_abelian")
     _validate_parity(fix, comps, r, "theta_abelian", table.trivial_index())
     central = CentralElement(table, comps)
     elem = central.to_group_ring()
@@ -174,30 +162,22 @@ def theta_monomial(fix: ExtensionFixture, sets: PlaceSets,
 
     Each source supplies, for one irreducible chi of H with certificate
     (U, psi), the values L_{S'}^{T'}(r, psi^ab * lambda) over lambda in
-    Irr(C), tagged with the translated place sets.  Degenerate case
-    (abelian G with field data) delegates to the computed path.
+    Irr(C), tagged with the translated place sets.  Sources default to the
+    fixture's own (validated on load); caller-supplied ones are validated
+    here.  Use ``theta`` to pick between this and the computed path.
     """
     r = sets.r if r is None else r
-    if fix.group.is_abelian() and fix.cyclotomic is not None:
-        return theta_abelian(fix, sets, r)
-    sources = sources if sources is not None else fix.subextension_thetas
+    if sources is None:
+        sources = fix.subextension_thetas
+    else:
+        for src in sources:
+            validate_theta_source(src)
     h_elems, c_elems = _product_split(fix)
     table = fix.table
     tab_h, tab_c, pairing, back_c, pos_c, _ = _product_pairing(table, h_elems, c_elems)
     sub_h, back_h = fix.group.subgroup_as_group(sorted(h_elems))
     by_chi: dict[int, list] = {}
     for src in sources:
-        allowed = {"schema", "chiIndex", "uElems", "sPrimeLabels", "tPrimeLabels",
-                   "r", "provenance", "values"}
-        missing = {"schema", "chiIndex", "values", "sPrimeLabels", "tPrimeLabels",
-                   "r", "provenance"} - set(src)
-        unknown = set(src) - allowed
-        if unknown or missing:
-            raise FixtureError(
-                f"theta source malformed: unknown {sorted(unknown)}, missing {sorted(missing)}"
-            )
-        if src["schema"] != "skvtheta/1":
-            raise FixtureError(f"unsupported theta source schema {src['schema']!r}")
         by_chi.setdefault(int(src["chiIndex"]), []).append(src)
     comps_sharp = [None] * len(table)
     for i in range(len(tab_h)):
@@ -232,12 +212,28 @@ def theta_monomial(fix: ExtensionFixture, sets: PlaceSets,
             )
         for j in range(len(tab_c)):
             comps_sharp[pairing[(i, j)]] = vals[j]
-    _check_galois(table, comps_sharp, "theta_monomial")
+    table.check_galois(comps_sharp, "theta_monomial")
     sharp = CentralElement(table, comps_sharp)
     central = sharp.sharp()
     _validate_parity(fix, central.components, r, "theta_monomial",
                      table.trivial_index())
     return ThetaElement(central, sets.S, sets.T, r, "fixture:sources")
+
+
+def _computed_path(fix: ExtensionFixture) -> bool:
+    """Abelian G with cyclotomic field data: theta comes from Dirichlet
+    L-values rather than from declared sources."""
+    return fix.group.is_abelian() and fix.cyclotomic is not None
+
+
+def theta(fix: ExtensionFixture, sets: PlaceSets,
+          sources: list[dict] | None = None,
+          r: int | None = None) -> ThetaElement:
+    """theta_S^T(r) by the path the fixture supports: ``theta_abelian``
+    when it can be computed, else ``theta_monomial`` from theta sources."""
+    if _computed_path(fix):
+        return theta_abelian(fix, sets, r)
+    return theta_monomial(fix, sets, sources, r)
 
 
 # -- Sinnott-Kurihara generators --------------------------------------------
@@ -293,9 +289,7 @@ def l_zero_sharp(fix: ExtensionFixture, sources: list[dict] | None = None) -> Ce
     infinite places only, T empty): the sharp is already built into theta.
     L(0) is defined without any Hyp conditions."""
     sets = PlaceSets(fix.infinite_labels(), [], 0)
-    if fix.group.is_abelian() and fix.cyclotomic is not None:
-        return theta_abelian(fix, sets).central
-    return theta_monomial(fix, sets, sources).central
+    return theta(fix, sets, sources).central
 
 
 def sku_prime_generators(fix: ExtensionFixture, S, bound: int = 2,
@@ -305,8 +299,7 @@ def sku_prime_generators(fix: ExtensionFixture, S, bound: int = 2,
     a_s = generate_A_S(fix, S, bound)
     u_p = u_prime_generators(fix, S)
     l0 = l_zero_sharp(fix, sources)
-    prov = "computed" if fix.group.is_abelian() and fix.cyclotomic is not None \
-        else "fixture-sources"
+    prov = "computed" if _computed_path(fix) else "fixture-sources"
     gens = []
     for atag, a in a_s.generators:
         for utag, u in u_p.generators:
@@ -356,12 +349,7 @@ def theta_with_inertia_norms(fix: ExtensionFixture, J, sets: PlaceSets,
                 f"inertia norm product must vanish at character {i} "
                 "(kernel does not contain H_J)"
             )
-    new_sets = PlaceSets(s_j, sets.T, r)
-    if fix.group.is_abelian() and fix.cyclotomic is not None:
-        th = theta_abelian(fix, new_sets, r)
-    else:
-        th = theta_monomial(fix, new_sets, sources, r)
-    return factor * th.central
+    return factor * theta(fix, PlaceSets(s_j, sets.T, r), sources, r).central
 
 
 def omega_L(fix: ExtensionFixture) -> CentralElement:

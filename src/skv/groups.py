@@ -2,7 +2,9 @@
 
 Element 0 is always the identity.  Tables are validated on load
 (associativity, identity, inverses) and capped at order 128; subgroup
-search is exhaustive, which the cap keeps feasible.
+search is exhaustive, which the cap keeps feasible.  The cap also keeps
+closures and conjugacy classes cheap in plain Python: both walk a nested-list
+copy of the table, and class ids are computed once per group.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from math import lcm
 
 import numpy as np
 
-from . import _kernels
 from .errors import GroupError
 
 ORDER_CAP = 128
@@ -51,7 +52,11 @@ class FiniteGroup:
         self.inv = inv
         self.inv.setflags(write=False)
         self.order = n
-        self.labels = list(labels) if labels else [f"g{i}" for i in range(n)]
+        if labels is not None and len(labels) != n:
+            raise GroupError(f"{len(labels)} labels given for a group of order {n}")
+        self.labels = list(labels) if labels is not None else [f"g{i}" for i in range(n)]
+        self._rows = tbl.tolist()
+        self._class_ids = None
         self._subgroups = None
 
     # -- construction ----------------------------------------------------
@@ -123,18 +128,46 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Classes in canonical order (sorted by minimal element, identity first)."""
-        ids = _kernels.conjugacy_class_ids(self.table, self.inv)
-        classes: list[list[int]] = [[] for _ in range(ids.max() + 1)]
+        ids = self.class_index()
+        classes: list[list[int]] = [[] for _ in range(max(ids) + 1)]
         for g, c in enumerate(ids):
             classes[c].append(g)
         return [tuple(c) for c in classes]
 
-    def class_index(self) -> list[int]:
-        return list(_kernels.conjugacy_class_ids(self.table, self.inv))
+    def class_index(self) -> tuple[int, ...]:
+        """Class id per element; ids are assigned in order of minimal member."""
+        if self._class_ids is None:
+            rows, inv = self._rows, self.inv.tolist()
+            ids = [-1] * self.order
+            next_id = 0
+            for g in range(self.order):
+                if ids[g] < 0:
+                    for x in range(self.order):
+                        ids[rows[rows[x][g]][inv[x]]] = next_id
+                    next_id += 1
+            self._class_ids = tuple(ids)
+        return self._class_ids
 
     def subgroup_closure(self, gens) -> tuple[int, ...]:
-        mask = _kernels.closure_mask(self.table, gens)
-        return tuple(int(i) for i in np.flatnonzero(mask))
+        """Subgroup generated by gens, found breadth-first as every product of
+        generators (in a finite group these products already form a subgroup)."""
+        gens = sorted(set(gens))
+        for g in gens:
+            if not 0 <= g < self.order:
+                raise GroupError(f"element {g} out of range for order {self.order}")
+        found = {0}
+        frontier = [0]
+        while frontier:
+            reached = []
+            for x in frontier:
+                row = self._rows[x]
+                for g in gens:
+                    y = row[g]
+                    if y not in found:
+                        found.add(y)
+                        reached.append(y)
+            frontier = reached
+        return tuple(sorted(found))
 
     def is_subgroup(self, elems) -> bool:
         s = set(elems)

@@ -92,7 +92,3 @@ def char_poly(a) -> list[Cyclo]:
         m = mat_add(am, mat_scale(mat_identity(n), ck))
     return coeffs
 
-
-def mat_eval_identity_minus(a) -> list[list[Cyclo]]:
-    """I - A, a small convenience used by local Euler factors."""
-    return mat_sub(mat_identity(len(a)), a)

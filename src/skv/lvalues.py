@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
+from .characters import chain_extension
 from .cyclotomic import Cyclo, root_of_unity_sum
 from .errors import ArithmeticDomainError, FixtureError
 
@@ -162,34 +163,9 @@ class DirichletCharacter:
 
 def characters_mod(f: int) -> list["DirichletCharacter"]:
     """All Dirichlet characters mod f, by chain extension over the unit group."""
-    units = [a for a in range(1, f + 1) if gcd(a, f) == 1] or [1]
     key = (lambda a: a % f) if f > 1 else (lambda a: 1)
-    chars: list[dict[int, Fraction]] = [{key(1): Fraction(0)}]
-    covered = {key(1)}
-    for a in units:
-        a = key(a)
-        if a in covered:
-            continue
-        m, p = 1, a
-        while key(p) not in covered:
-            p = key(p * a)
-            m += 1
-        extended = []
-        for chi in chars:
-            base = chi[key(p)]
-            for i in range(m):
-                t = (base + i) / m
-                new = dict(chi)
-                ak, shift = 1, Fraction(0)
-                for _ in range(m - 1):
-                    ak = key(ak * a)
-                    shift += t
-                    for b, v in chi.items():
-                        new[key(b * ak)] = (v + shift) % 1
-                extended.append(new)
-        chars = extended
-        covered = set(chars[0])
-    chars.sort(key=lambda c: tuple(c[key(a)] for a in units))
+    units = [key(a) for a in range(1, f + 1) if gcd(a, f) == 1] or [1]
+    chars = chain_extension(units, lambda a, b: key(a * b))
     return [DirichletCharacter._unchecked(f, c) for c in chars]
 
 

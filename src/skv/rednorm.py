@@ -9,7 +9,6 @@ defining identity before being returned.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -17,7 +16,7 @@ from .characters import CharacterTable
 from .cyclotomic import Cyclo
 from .errors import FixtureError, GroupError, InternalCheckError
 from .grouprings import CentralElement, GroupRingElement
-from .linalg import char_poly, mat_det, mat_identity, mat_mul
+from .linalg import char_poly, mat_det, mat_mul
 
 # -- monomial representations -------------------------------------------
 
@@ -127,19 +126,6 @@ def apply_representation(mats, a):
 # -- reduced norm and star adjoint ---------------------------------------
 
 
-def _check_galois_consistency(table: CharacterTable, comps):
-    exp = table.exponent
-    for k in range(2, exp):
-        if gcd(k, exp) != 1:
-            continue
-        for i in range(len(table)):
-            j = table.galois_index(i, k)
-            if comps[j] != comps[i].galois(k):
-                raise InternalCheckError(
-                    f"reduced norm not Galois-equivariant at character {i}, sigma_{k}"
-                )
-
-
 def reduced_norm(a, table: CharacterTable) -> CentralElement:
     """Reduced norm of a square matrix over the group ring, as a central
     element (one determinant per irreducible)."""
@@ -151,7 +137,7 @@ def reduced_norm(a, table: CharacterTable) -> CentralElement:
         comps.append(mat_det(apply_representation(mats, a)))
     rational = all(entry.is_rational() for row in a for entry in row)
     if rational:
-        _check_galois_consistency(table, comps)
+        table.check_galois(comps, "reduced norm")
     return CentralElement(table, comps)
 
 
@@ -402,37 +388,6 @@ def certified_h_elements(table: CharacterTable):
     just the scalar |G|."""
     n = table.group.order
     return [("certified:|G|", CentralElement(table, [Cyclo.rational(n)] * len(table)))]
-
-
-def falsify_h_candidate(table: CharacterTable, x: CentralElement,
-                        k: int = 500, seed: int = 0, max_size: int = 3) -> bool:
-    """Randomized falsification: try to find an integral matrix H with
-    x * H_adjoint not integral.  Returns True if the candidate survives
-    (tag it "assumed", never "certified")."""
-    rng = random.Random(seed)
-    group = table.group
-    x_elem = x.to_group_ring()
-    for _ in range(k):
-        b = rng.randint(1, max_size)
-        h = [
-            [
-                GroupRingElement(
-                    group,
-                    {g: rng.randint(-2, 2) for g in rng.sample(range(group.order),
-                                                               min(3, group.order))},
-                )
-                for _ in range(b)
-            ]
-            for _ in range(b)
-        ]
-        res = star_adjoint(h, table)
-        for row in res.adjoint:
-            for entry in row:
-                prod = x_elem * entry
-                for c in prod.coeffs.values():
-                    if not (c.is_rational() and c.to_fraction().denominator == 1):
-                        return False
-    return True
 
 
 def annihilation_check(fitt: FittingInvariant, module: FiniteGModule,

@@ -14,9 +14,8 @@ from fractions import Fraction
 from .arithdata import (ExtensionFixture, PlaceSets, check_admissible,
                         generate_A_S, mu_tate_annihilators)
 from .cyclotomic import Cyclo
-from .engine import (ThetaElement, _nr_of_element, _product_split,
-                     sku_prime_generators, theta_abelian, theta_monomial,
-                     theta_with_inertia_norms)
+from .engine import (_nr_of_element, _product_split, sku_prime_generators,
+                     theta, theta_with_inertia_norms)
 from .errors import FixtureError, SkvError
 from .grouprings import CentralElement, GroupRingElement, max_order_membership
 from .lvalues import characters_mod, generalized_bernoulli
@@ -53,13 +52,6 @@ class Verdict:
         return f"Verdict({self.check_id!r}, {self.status!r})"
 
 
-def _theta(fix: ExtensionFixture, sets: PlaceSets,
-           sources=None) -> ThetaElement:
-    if fix.group.is_abelian() and fix.cyclotomic is not None:
-        return theta_abelian(fix, sets)
-    return theta_monomial(fix, sets, sources)
-
-
 def _is_exact_integral(x: CentralElement) -> bool:
     """Exact group-ring integrality: rational integer coefficients."""
     elem = x.to_group_ring()
@@ -78,7 +70,7 @@ def check_theorem_stickelberger_int(fix: ExtensionFixture, sets: PlaceSets,
         return Verdict(check_id, "inconclusive",
                        notes=["(p,r)-admissibility failed"] + adm.reasons)
     try:
-        th = _theta(fix, sets, sources)
+        th = theta(fix, sets, sources)
     except FixtureError as exc:
         return Verdict(check_id, "inconclusive",
                        notes=[f"fixture gap: {exc}"],
@@ -222,7 +214,7 @@ def check_brumer(fix: ExtensionFixture, S, bound: int = 2,
     notes = []
     witnesses = []
     try:
-        th0 = _theta(fix, PlaceSets(S, [], 0), sources)
+        th0 = theta(fix, PlaceSets(S, [], 0), sources)
         a_s = generate_A_S(fix, S, bound)
     except FixtureError as exc:
         return Verdict(check_id, "inconclusive", notes=[f"fixture gap: {exc}"])
@@ -267,7 +259,7 @@ def check_brumer_stark_necessary(fix: ExtensionFixture, S,
              "are out of scope; only integrality and annihilation are checked"]
     sets = PlaceSets(S, [], 0)
     try:
-        th = _theta(fix, sets, sources)
+        th = theta(fix, sets, sources)
     except FixtureError as exc:
         return Verdict(check_id, "inconclusive",
                        notes=notes + [f"fixture gap: {exc}"])
@@ -311,7 +303,7 @@ def check_negative_r(fix: ExtensionFixture, S, r: int,
                               "places"])
     try:
         data = mu_tate_annihilators(fix, r)
-        th = _theta(fix, sets, sources)
+        th = theta(fix, sets, sources)
     except FixtureError as exc:
         return Verdict(check_id, "inconclusive", notes=[f"fixture gap: {exc}"])
     abelian = fix.group.is_abelian()

@@ -127,9 +127,9 @@ def test_criterion_3_stickelberger_int_suite(fixtures, monkeypatch):
                     th.central = type(th.central)(th.central.table, comps)
                     return th
 
-                monkeypatch.setattr("skv.verify.theta_abelian", tampered)
+                monkeypatch.setattr("skv.engine.theta_abelian", tampered)
                 bad = check_theorem_stickelberger_int(fix, sets)
-                monkeypatch.setattr("skv.verify.theta_abelian", real_theta)
+                monkeypatch.setattr("skv.engine.theta_abelian", real_theta)
             assert bad.status == "falsified", name
             witness = bad.witnesses[0]["membership"]["witness"]
             assert witness["chiIndex"] == 0, (name, witness)

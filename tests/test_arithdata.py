@@ -38,6 +38,23 @@ def test_unknown_and_missing_fields_rejected():
     with pytest.raises(FixtureError, match="schema"):
         ExtensionFixture(_mutated("q", lambda o: o.update(schema="skvfix/9")))
 
+    # theta sources are checked in full on load, not first in theta_monomial
+    def rename_value_key(o):
+        vals = o["subextensionThetas"][0]["values"]
+        vals["x"] = vals.pop("0")
+
+    with pytest.raises(FixtureError, match="values key 'x'"):
+        ExtensionFixture(_mutated("s3c2", rename_value_key))
+
+    def bad_cyclo(o):
+        o["subextensionThetas"][0]["values"]["0"] = {"order": 1, "coeffs": {"0": "1/x"}}
+
+    with pytest.raises(FixtureError, match="cyclotomic"):
+        ExtensionFixture(_mutated("s3c2", bad_cyclo))
+    with pytest.raises(FixtureError, match="chiIndex"):
+        ExtensionFixture(_mutated(
+            "s3c2", lambda o: o["subextensionThetas"][0].update(chiIndex="0")))
+
 
 def test_place_flag_consistency_enforced():
     def flip_wild(o):

@@ -145,10 +145,40 @@ def test_malformed_fixture_exits_3(tmp_path, capsys):
     code2, _, err2 = run_cli(capsys, "check", "all", "--fixture", str(bad2))
     assert code2 == 3 and "schema" in err2
 
+    # inputs that used to escape as tracebacks with exit 1
+    def non_group(o):
+        o["group"] = {"table": [[0, 1], [1, 1]]}
+
+    def short_labels(o):
+        o["group"]["labels"] = o["group"]["labels"][:-1]
+
+    def renamed_value_key(o):
+        vals = o["subextensionThetas"][0]["values"]
+        vals["x"] = vals.pop("0")
+
+    cases = [("q_i", non_group, "inverse"), ("q_i", short_labels, "labels"),
+             ("s3c2", renamed_value_key, "values key")]
+    for name, mutate, what in cases:
+        with open(fixture_path(name)) as fh:
+            obj = json.load(fh)
+        mutate(obj)
+        path = tmp_path / f"{name}_{mutate.__name__}.json"
+        path.write_text(json.dumps(obj))
+        for argv in (["check", "all"], ["fixtures", "validate"]):
+            code, _, err = run_cli(capsys, *argv, "--fixture", str(path))
+            assert code == 3, (mutate.__name__, argv)
+            assert what in err and err.count("\n") == 1, err
+
 
 def test_usage_error_exits_3(capsys):
     assert main(["check", "nonsense",
                  "--fixture", fixture_path("q")]) == 3
+    capsys.readouterr()
+    # a negative budget would quietly make the searched suites inconclusive
+    code, out, err = run_cli(capsys, "check", "all", "--bound", "-1",
+                             "--fixture", fixture_path("q"))
+    assert code == 3 and not out
+    assert "--bound" in err and err.count("\n") == 1
 
 
 def test_falsified_exits_1(tmp_path, capsys):

@@ -1,18 +1,21 @@
 """Finite group machinery: tables, subgroups, quotients, product detection."""
 
-import numpy as np
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skv import _kernels
 from skv.errors import GroupError
 from skv.groups import (FiniteGroup, detect_direct_product, named_group,
                         subgroup_h_r)
 
 
+NAMED_ORDERS = [("C1", 1), ("C2", 2), ("C3", 3), ("C6", 6),
+                ("S3", 6), ("D4", 8), ("Q8", 8), ("S3xC2", 12)]
+
+
 def test_named_group_orders():
-    for name, order in [("C1", 1), ("C2", 2), ("C3", 3), ("C6", 6),
-                        ("S3", 6), ("D4", 8), ("Q8", 8), ("S3xC2", 12)]:
+    for name, order in NAMED_ORDERS:
         g = named_group(name)
         assert g.order == order
         assert g.mul(0, 0) == 0
@@ -23,6 +26,10 @@ def test_invalid_table_rejected():
         FiniteGroup([[0, 1], [1, 1]])  # not a Latin square
     with pytest.raises(GroupError):
         FiniteGroup([[1, 0], [0, 1]])  # identity not at index 0
+    with pytest.raises(GroupError, match="labels"):
+        FiniteGroup([[0, 1], [1, 0]], labels=["e"])
+    with pytest.raises(GroupError, match="out of range"):
+        named_group("C3").subgroup_closure([3])
 
 
 def test_element_orders_and_exponent():
@@ -33,13 +40,38 @@ def test_element_orders_and_exponent():
     assert named_group("S3").exponent() == 6
 
 
+def _closed_span(g, gens):
+    """Smallest set holding the identity and gens that is closed under
+    multiplication, by squaring the set until it stops growing."""
+    span = {0} | set(gens)
+    while True:
+        grown = span | {g.mul(a, b) for a in span for b in span}
+        if grown == span:
+            return tuple(sorted(span))
+        span = grown
+
+
 def test_s3_conjugacy_classes():
     s3 = named_group("S3")
     sizes = sorted(len(c) for c in s3.conjugacy_classes())
     assert sizes == [1, 2, 3]
-    ids = s3.class_index()
-    for cls in s3.conjugacy_classes():
-        assert len({ids[g] for g in cls}) == 1
+    # every named group: class ids and closures against brute force
+    for name, _ in NAMED_ORDERS:
+        g = named_group(name)
+        ids = g.class_index()
+        for x in range(g.order):
+            conj = {g.mul(g.mul(y, x), g.inverse(y)) for y in range(g.order)}
+            assert conj == {z for z in range(g.order) if ids[z] == ids[x]}
+        # ids are numbered in order of each class's minimal member
+        firsts = [min(c) for c in g.conjugacy_classes()]
+        assert firsts == sorted(firsts) and [ids[m] for m in firsts] == \
+            list(range(len(firsts)))
+        for gens in itertools.chain(itertools.combinations(range(g.order), 1),
+                                    itertools.combinations(range(g.order), 2)):
+            closure = g.subgroup_closure(gens)
+            assert closure == _closed_span(g, gens), (name, gens)
+            assert g.is_subgroup(closure)
+        assert g.subgroup_closure([]) == (0,)
 
 
 def test_center_and_commutator():
@@ -98,18 +130,6 @@ def test_subgroup_h_r_parity():
     c2 = named_group("C2")
     assert subgroup_h_r(c2, [1], -1) == (0, 1)  # odd r: generated by j
     assert subgroup_h_r(c2, [1], 0) == (0,)     # even r: pair products
-
-
-def test_kernels_agree_with_fallback():
-    g = named_group("D4")
-    table = np.asarray(g.table)
-    inv = np.asarray(g.inv)
-    mask_fast = _kernels.closure_mask(table, [1, 2])
-    mask_slow = _kernels._closure_numpy(table, np.asarray([1, 2], dtype=np.int64))
-    assert np.array_equal(mask_fast, mask_slow)
-    ids_fast = _kernels.conjugacy_class_ids(table, inv)
-    ids_slow = _kernels._conj_classes_numpy(table, inv)
-    assert np.array_equal(ids_fast, ids_slow)
 
 
 @settings(max_examples=30, deadline=None)
