@@ -134,6 +134,8 @@ class PlaceSets:
         self.T = sorted(set(str(x) for x in T))
         self.r = int(r)
         self.p = int(p) if p is not None else None
+        if self.p is not None and not _is_prime(self.p):
+            raise FixtureError(f"p must be a prime, got {self.p}")
         if self.r > 0:
             raise FixtureError("r must be a non-positive integer")
         if set(self.S) & set(self.T):

@@ -9,7 +9,7 @@ Q(zeta_E) with E the group exponent, stored exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import Cyclo, root_of_unity_sum
 from .errors import GroupError, InternalCheckError, NotMonomialError
@@ -90,7 +90,6 @@ class Character:
         self.degree = int(deg.to_fraction())
 
     def _lift_all(self, values):
-        from math import lcm
         target = lcm(self.exponent, *(v.order for v in values))
         return [v.lift(target) for v in values]
 
@@ -142,9 +141,14 @@ class Character:
 
 
 def _check_multiplicative(group, u_elems, exps):
+    # psi(a) + psi(b) - psi(ab) must be an integer; over the common
+    # denominator D of the exponents that is a numerator divisible by D
+    den = lcm(*(e.denominator for e in exps.values()))
+    num = {a: e.numerator * (den // e.denominator) for a, e in exps.items()}
     for a in u_elems:
+        na = num[a]
         for b in u_elems:
-            if (exps[a] + exps[b] - exps[group.mul(a, b)]) % 1 != 0:
+            if (na + num[b] - num[group.mul(a, b)]) % den:
                 raise GroupError("psi is not multiplicative on the subgroup")
 
 
@@ -157,7 +161,6 @@ def induce_from_linear(group: FiniteGroup, u_elems, exps: dict[int, Fraction]) -
     if set(exps) != set(u):
         raise GroupError("psi must be defined exactly on the subgroup")
     _check_multiplicative(group, u, exps)
-    from math import lcm
     order = lcm(group.exponent(), *(e.denominator for e in exps.values()))
     u_set = set(u)
     vals = []
@@ -194,6 +197,9 @@ class CharacterTable:
         self.certificates = [certificates[i] for i in order]
         self.exponent = group.exponent()
         self._index = {c.values: i for i, c in enumerate(self.chars)}
+        # memoised permutations: (i, k mod exponent) -> j and i -> j
+        self._galois: dict[tuple[int, int], int] = {}
+        self._contragredient: dict[int, int] = {}
 
     def __len__(self):
         return len(self.chars)
@@ -211,10 +217,20 @@ class CharacterTable:
             raise GroupError("values do not match any irreducible") from None
 
     def contragredient_index(self, i: int) -> int:
-        return self.index_of_values(self.chars[i].contragredient_values())
+        j = self._contragredient.get(i)
+        if j is None:
+            j = self.index_of_values(self.chars[i].contragredient_values())
+            self._contragredient[i] = j
+        return j
 
     def galois_index(self, i: int, k: int) -> int:
-        return self.index_of_values(self.chars[i].galois_values(k))
+        # character values lie in Q(zeta_E), where sigma_k depends on k mod E
+        key = (i, k % self.exponent)
+        j = self._galois.get(key)
+        if j is None:
+            j = self.index_of_values(self.chars[i].galois_values(k))
+            self._galois[key] = j
+        return j
 
     def check_galois(self, comps, context: str):
         """Self-check that per-character components are Galois-equivariant:

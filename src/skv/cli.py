@@ -2,9 +2,10 @@
 emit generator sets, and validate fixtures.
 
 Exit codes: 0 all verified, 1 any falsified, 2 inconclusive-only failures,
-3 usage or fixture error.  Reports use the "skvreport/1" schema and are
-byte-identical across runs with the same seed (timings are only included
-on request since they are not deterministic).
+3 usage or fixture error, 4 internal error (an unexpected exception).
+Reports use the "skvreport/1" schema and are byte-identical across runs
+with the same seed (timings are only included on request since they are
+not deterministic).
 """
 
 from __future__ import annotations
@@ -84,8 +85,11 @@ def _emit(payload: dict, fmt: str, out: str | None, text: str | None = None):
     else:
         rendered = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(out, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise SkvError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(rendered)
 
@@ -185,18 +189,50 @@ def cmd_sku(args, fix: ExtensionFixture) -> int:
     return 0
 
 
-def cmd_fitting(args, fix: ExtensionFixture) -> int:
-    with open(args.matrix) as fh:
-        data = json.load(fh)
-    if "rows" not in data:
+def _load_presentation(path: str, group) -> list[list[GroupRingElement]]:
+    """Rows of group-ring elements from a presentation file: a 'rows' list of
+    equally long lists of {element index: rational string} objects."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise FixtureError(f"cannot read presentation file {path}: "
+                           f"{exc.strerror}") from None
+    except ValueError as exc:
+        raise FixtureError(f"presentation file {path} is not JSON: {exc}") from None
+    if not isinstance(data, dict) or "rows" not in data:
         raise FixtureError("presentation file needs a 'rows' field")
-    group = fix.group
-    h = [
-        [GroupRingElement(group, {int(g): fraction_from_str(str(c))
-                                  for g, c in entry.items()})
-         for entry in row]
-        for row in data["rows"]
-    ]
+    rows = data["rows"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise FixtureError("presentation 'rows' must be a list of lists")
+    width = len(rows[0]) if rows else 0
+    h = []
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise FixtureError(f"presentation row {i} has {len(row)} entries, "
+                               f"row 0 has {width}")
+        elems = []
+        for entry in row:
+            if not isinstance(entry, dict):
+                raise FixtureError(f"presentation row {i}: entries must be "
+                                   "objects mapping element indices to rationals")
+            coeffs = {}
+            for key, val in entry.items():
+                if not (key.isascii() and key.isdigit()) or int(key) >= group.order:
+                    raise FixtureError(f"presentation row {i}: element key {key!r} "
+                                       f"is not an index in [0, {group.order})")
+                try:
+                    coeffs[int(key)] = fraction_from_str(str(val))
+                except ValueError:
+                    raise FixtureError(f"presentation row {i}: coefficient {val!r} "
+                                       "is not a rational") from None
+            elems.append(GroupRingElement(group, coeffs))
+        h.append(elems)
+    return h
+
+
+def cmd_fitting(args, fix: ExtensionFixture) -> int:
+    h = _load_presentation(args.matrix, fix.group)
     fitt = fitting_of_presentation(h, fix.table)
     payload = {
         "schema": "skvfitt/1",
@@ -288,10 +324,16 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         sys.stderr.write(f"error: fixture file not found: {args.fixture}\n")
         return 3
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot read fixture {args.fixture}: {exc.strerror}\n")
+        return 3
     except (SkvError, json.JSONDecodeError, KeyError, TypeError,
             ValueError) as exc:
         sys.stderr.write(f"error: malformed fixture {args.fixture}: {exc}\n")
         return 3
+    except Exception as exc:
+        sys.stderr.write(f"error: internal: {exc!r}\n")
+        return 4
     try:
         if args.command == "theta":
             return cmd_theta(args, fix)
@@ -309,6 +351,9 @@ def main(argv=None) -> int:
     except SkvError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except Exception as exc:
+        sys.stderr.write(f"error: internal: {exc!r}\n")
+        return 4
     return 3
 
 

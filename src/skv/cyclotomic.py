@@ -1,8 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n) over the power basis.
 
-Elements are stored as coefficient vectors of length phi(n) over the basis
+Elements are coefficient vectors of length phi(n) over the basis
 1, zeta_n, ..., zeta_n^(phi(n)-1), reduced modulo the n-th cyclotomic
-polynomial.  Coefficients are `fractions.Fraction`.  Values are immutable;
+polynomial.  A vector is stored as integer numerators over one positive
+common denominator, divided through by their gcd, as FLINT's fmpq_poly and
+ANTIC's nf_elem store theirs; addition, multiplication, reduction, lifting
+and the Galois action then do only integer work.  Values are immutable;
 the per-order reduction caches are guarded by a lock so concurrent fills
 stay idempotent.
 """
@@ -10,6 +13,7 @@ stay idempotent.
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,10 +21,6 @@ from .errors import ArithmeticDomainError, DivisionByZero, OrderCapExceeded
 
 #: Largest cyclotomic order allowed when lifting to a common field.
 ORDER_CAP = 10**6
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def euler_phi(n: int) -> int:
     result = n
@@ -53,34 +53,35 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
 
 
 class _OrderData:
-    """Cached data for one cyclotomic order: Phi_n and power rows."""
+    """Cached data for one cyclotomic order: Phi_n and the reduced powers."""
 
     def __init__(self, n: int):
         self.n = n
         self.phi = euler_phi(n)
         self.poly = _cyclotomic_poly(n)  # integer coeffs, monic, len phi+1
-        # rows[k] = coefficients of x^(phi+k) mod Phi_n, filled lazily
-        self._rows: list[tuple[int, ...]] = []
+        # terms[k] = the nonzero (index, coefficient) pairs of x^(phi+k)
+        # mod Phi_n, filled lazily; last = the dense coefficients of the
+        # latest power filled, from which the next one is found
+        self._terms: list[tuple[tuple[int, int], ...]] = []
+        self._last = [-c for c in self.poly[:-1]]
         self._lock = threading.Lock()
 
-    def power_row(self, k: int) -> tuple[int, ...]:
-        """Coefficients of x^k mod Phi_n for k >= phi (as integers)."""
+    def power_terms(self, k: int) -> tuple[tuple[int, int], ...]:
+        """Nonzero (index, coefficient) pairs of x^k mod Phi_n, for k >= phi."""
         idx = k - self.phi
-        if idx < len(self._rows):
-            return self._rows[idx]
-        with self._lock:
-            while len(self._rows) <= idx:
-                if not self._rows:
-                    prev = [-c for c in self.poly[:-1]]
-                else:
-                    last = self._rows[-1]
-                    prev = [0] + list(last[:-1])
-                    top = last[-1]
-                    if top:
-                        for j in range(self.phi):
-                            prev[j] -= top * self.poly[j]
-                self._rows.append(tuple(prev))
-        return self._rows[idx]
+        if idx >= len(self._terms):
+            with self._lock:
+                while len(self._terms) <= idx:
+                    if self._terms:
+                        top = self._last[-1]
+                        row = [0] + self._last[:-1]
+                        if top:
+                            for j in range(self.phi):
+                                row[j] -= top * self.poly[j]
+                        self._last = row
+                    self._terms.append(
+                        tuple((j, r) for j, r in enumerate(self._last) if r))
+        return self._terms[idx]
 
 
 _cyclo_cache: dict[int, _OrderData] = {}
@@ -119,63 +120,128 @@ def order_data(n: int) -> _OrderData:
     return data
 
 
-def _reduce_poly(coeffs: list[Fraction], data: _OrderData) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list of any length modulo Phi_n."""
+def _reduce_poly(num: list[int], data: _OrderData) -> list[int]:
+    """Reduce an integer coefficient list of any length modulo Phi_n."""
     phi = data.phi
-    out = list(coeffs[:phi]) + [_ZERO] * max(0, phi - len(coeffs))
-    for k in range(phi, len(coeffs)):
-        c = coeffs[k]
+    out = num[:phi] + [0] * (phi - len(num))
+    for k in range(phi, len(num)):
+        c = num[k]
         if c:
-            for j, r in enumerate(data.power_row(k)):
-                if r:
-                    out[j] += c * r
-    return tuple(out)
+            for j, r in data.power_terms(k):
+                out[j] += c * r
+    return out
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator
+    (the numerators and the denominator are then coprime)."""
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def _make(order: int, num, den: int) -> "Cyclo":
+    """Cyclo from integer numerators already coprime to ``den > 0``."""
+    x = object.__new__(Cyclo)
+    _set_order(x, order)
+    _set_num(x, tuple(num))
+    _set_den(x, den)
+    return x
+
+
+def _normal(order: int, num, den: int) -> "Cyclo":
+    """Cyclo from integer numerators over ``den > 0``, divided by their gcd."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    return _make(order, num, den)
+
+
+def _scale(x: "Cyclo", num: int, den: int) -> "Cyclo":
+    """x * num / den for integers num and den > 0."""
+    return _normal(x.order, [c * num for c in x.num], x.den * den)
+
+
+def _product(a: "Cyclo", b: "Cyclo") -> "Cyclo":
+    """a * b for operands of one order."""
+    if b.is_rational():
+        a, b = b, a
+    if a.is_rational():
+        return _scale(b, a.num[0], a.den)
+    phi = len(a.num)
+    conv = [0] * (2 * phi - 1)
+    bn = b.num
+    for i, x in enumerate(a.num):
+        if x:
+            conv[i:i + phi] = [c + x * y for c, y in zip(conv[i:i + phi], bn)]
+    return _normal(a.order, _reduce_poly(conv, order_data(a.order)), a.den * b.den)
 
 
 class Cyclo:
-    """Immutable element of Q(zeta_n) in the power basis."""
+    """Immutable element of Q(zeta_n) in the power basis.
 
-    __slots__ = ("order", "coeffs")
+    ``num`` holds phi(n) integer numerators over the common denominator
+    ``den``; ``den > 0`` and gcd(den, *num) == 1, so zero has ``den == 1``
+    and every value has exactly one representation at its order.
+    """
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
-        data = order_data(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != data.phi:
+        if isinstance(coeffs, Mapping):
             raise ArithmeticDomainError(
-                f"order {order} needs {data.phi} coefficients, got {len(coeffs)}"
+                "coefficients must be a sequence in basis order, not a mapping"
             )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        data = order_data(order)
+        num, den = _over_common_denominator(coeffs)
+        if len(num) != data.phi:
+            raise ArithmeticDomainError(
+                f"order {order} needs {data.phi} coefficients, got {len(num)}"
+            )
+        _set_order(self, order)
+        _set_num(self, tuple(num))
+        _set_den(self, den)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Cyclo values are immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def rational(q) -> "Cyclo":
-        return Cyclo(1, (Fraction(q),))
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zero(order: int = 1) -> "Cyclo":
-        return Cyclo(order, (_ZERO,) * order_data(order).phi)
+        return _make(order, (0,) * order_data(order).phi, 1)
 
     @staticmethod
     def one(order: int = 1) -> "Cyclo":
-        c = [_ZERO] * order_data(order).phi
-        c[0] = _ONE
-        return Cyclo(order, c)
+        c = [0] * order_data(order).phi
+        c[0] = 1
+        return _make(order, c, 1)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclo":
         """zeta_n^k."""
         data = order_data(n)
         k %= n
+        c = [0] * data.phi
         if k < data.phi:
-            c = [_ZERO] * data.phi
-            c[k] = _ONE
-            return Cyclo(n, c)
-        return Cyclo(n, [Fraction(r) for r in data.power_row(k)])
+            c[k] = 1
+        else:
+            for j, r in data.power_terms(k):
+                c[j] = r
+        return _make(n, c, 1)
 
     @staticmethod
     def from_root_of_unity(exponent: Fraction) -> "Cyclo":
@@ -187,23 +253,41 @@ class Cyclo:
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ArithmeticDomainError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_algebraic_integer(self) -> bool:
         """True iff the element lies in Z[zeta_n] (the full ring of integers)."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def is_p_integral(self, p: int) -> bool:
-        """True iff no power-basis denominator is divisible by p."""
-        return all(c.denominator % p != 0 for c in self.coeffs)
+        """True iff the prime p divides no power-basis denominator."""
+        return self.den % p != 0
+
+    def _substitute(self, m: int, n: int) -> "Cyclo":
+        """The image under x -> x^m reduced modulo Phi_n: the lift into
+        Q(zeta_n) for m = n / order, sigma_m for n = order.  Both keep an
+        element integral exactly when it was (Z[zeta_n] meets Q(zeta_order)
+        in Z[zeta_order]), so the common denominator is unchanged."""
+        data = order_data(n)
+        phi = data.phi
+        out = [0] * phi
+        for i, c in enumerate(self.num):
+            if c:
+                e = (i * m) % n
+                if e < phi:
+                    out[e] += c
+                else:
+                    for j, r in data.power_terms(e):
+                        out[j] += c * r
+        return _make(n, out, self.den)
 
     def lift(self, n: int) -> "Cyclo":
         """Embed into Q(zeta_n); requires order | n."""
@@ -211,19 +295,7 @@ class Cyclo:
             return self
         if n % self.order != 0:
             raise ArithmeticDomainError(f"cannot lift order {self.order} into {n}")
-        data = order_data(n)
-        step = n // self.order
-        out = [_ZERO] * data.phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = (i * step) % n
-                if e < data.phi:
-                    out[e] += c
-                else:
-                    for j, r in enumerate(data.power_row(e)):
-                        if r:
-                            out[j] += c * r
-        return Cyclo(n, out)
+        return self._substitute(n // self.order, n)
 
     def _common(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
         if self.order == other.order:
@@ -238,12 +310,17 @@ class Cyclo:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return Cyclo(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _normal(a.order, [x + y for x, y in zip(a.num, b.num)], a.den)
+        g = gcd(a.den, b.den)
+        sa, sb = b.den // g, a.den // g
+        return _normal(a.order, [x * sa + y * sb for x, y in zip(a.num, b.num)],
+                       a.den * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.order, tuple(-c for c in self.coeffs))
+        return _make(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -255,24 +332,12 @@ class Cyclo:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _scale(self, other.numerator, other.denominator)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other)
-        if b.is_rational():
-            q = b.coeffs[0]
-            return Cyclo(a.order, tuple(c * q for c in a.coeffs))
-        if a.is_rational():
-            q = a.coeffs[0]
-            return Cyclo(b.order, tuple(c * q for c in b.coeffs))
-        phi = len(a.coeffs)
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
-        return Cyclo(a.order, _reduce_poly(conv, order_data(a.order)))
+        return _product(*self._common(other))
 
     __rmul__ = __mul__
 
@@ -280,29 +345,15 @@ class Cyclo:
         if self.is_zero():
             raise DivisionByZero("inverse of zero cyclotomic number")
         if self.is_rational():
-            return Cyclo.rational(1 / self.coeffs[0]).lift(self.order)
-        data = order_data(self.order)
-        # extended Euclid in Q[x]: s*self + t*Phi = gcd = nonzero rational
-        r0 = [Fraction(c) for c in data.poly]
-        r1 = list(self.coeffs)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [], [_ONE]
-        while True:
-            deg1 = len(r1) - 1
-            if deg1 == 0:
-                break
-            q, rem = _poly_divmod_frac(r0, r1)
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if not r1:
-                raise ArithmeticDomainError("element shares a factor with Phi_n")
-        c = r1[0]
-        inv_coeffs = [s / c for s in s1]
-        return Cyclo(self.order, _reduce_poly(inv_coeffs, data))
+            return Cyclo.rational(1 / self.to_fraction()).lift(self.order)
+        # x^-1 = (product of the other conjugates of x) / N(x)
+        n = self.order
+        others = Cyclo.one(n)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                others = _product(others, self._substitute(k, n))
+        inv_norm = 1 / _product(others, self).to_fraction()
+        return _scale(others, inv_norm.numerator, inv_norm.denominator)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -332,18 +383,7 @@ class Cyclo:
         k %= n
         if gcd(k, n) != 1:
             raise ArithmeticDomainError(f"galois index {k} not coprime to {n}")
-        data = order_data(n)
-        out = [_ZERO] * data.phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = (i * k) % n
-                if e < data.phi:
-                    out[e] += c
-                else:
-                    for j, r in enumerate(data.power_row(e)):
-                        if r:
-                            out[j] += c * r
-        return Cyclo(n, out)
+        return self._substitute(k, n)
 
     def conjugate(self) -> "Cyclo":
         return self.galois(self.order - 1) if self.order > 1 else self
@@ -355,19 +395,23 @@ class Cyclo:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
+        # equal values of one order hash alike, and a rational value hashes
+        # like the Fraction it equals at every order
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            if self.den == 1:
+                return hash(self.num[0])
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.order, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
         if self.is_rational():
-            return f"Cyclo({self.coeffs[0]})"
+            return f"Cyclo({self.to_fraction()})"
         terms = []
         for i, c in enumerate(self.coeffs):
             if c:
@@ -388,7 +432,7 @@ class Cyclo:
     def from_json(obj: dict) -> "Cyclo":
         n = obj["order"]
         phi = order_data(n).phi
-        coeffs = [_ZERO] * phi
+        coeffs = [0] * phi
         for key, val in obj["coeffs"].items():
             i = int(key)
             if not 0 <= i < phi:
@@ -397,54 +441,27 @@ class Cyclo:
         return Cyclo(n, coeffs)
 
 
+# the slot setters bypass the immutability guard in Cyclo.__setattr__
+_set_order = Cyclo.order.__set__
+_set_num = Cyclo.num.__set__
+_set_den = Cyclo.den.__set__
+
+
 def _coerce(value):
     if isinstance(value, Cyclo):
         return value
     if isinstance(value, (int, Fraction)):
-        return Cyclo.rational(value)
+        return _make(1, (value.numerator,), value.denominator)
     return NotImplemented
-
-
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    q = [_ZERO] * max(0, len(num) - dd)
-    inv_lead = 1 / den[-1]
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + dd] * inv_lead
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return q, num[:dd]
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = list(a) + [_ZERO] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 def root_of_unity_sum(order: int, weights) -> Cyclo:
     """Sum of weights[k] * zeta_order^k, accumulated before a single reduction."""
     data = order_data(order)
-    coeffs = [Fraction(w) for w in weights]
-    if len(coeffs) > order:
+    num, den = _over_common_denominator(weights)
+    if len(num) > order:
         raise ArithmeticDomainError("weight vector longer than the order")
-    coeffs += [_ZERO] * (order - len(coeffs))
-    return Cyclo(order, _reduce_poly(coeffs, data))
+    return _normal(order, _reduce_poly(num, data), den)
 
 
 # -- Rational serialization ("+-num/den", den omitted when 1) -----------

@@ -57,6 +57,7 @@ class FiniteGroup:
         self.labels = list(labels) if labels is not None else [f"g{i}" for i in range(n)]
         self._rows = tbl.tolist()
         self._class_ids = None
+        self._exponent = None
         self._subgroups = None
 
     # -- construction ----------------------------------------------------
@@ -124,7 +125,9 @@ class FiniteGroup:
         return k
 
     def exponent(self) -> int:
-        return lcm(*(self.element_order(a) for a in range(self.order)))
+        if self._exponent is None:
+            self._exponent = lcm(*(self.element_order(a) for a in range(self.order)))
+        return self._exponent
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Classes in canonical order (sorted by minimal element, identity first)."""

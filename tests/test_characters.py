@@ -2,12 +2,15 @@
 
 from fractions import Fraction
 
-import pytest
+from math import gcd
 
-from skv.characters import (induce_from_linear, irreducibles_monomial,
-                            linear_characters)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skv.characters import (_check_multiplicative, induce_from_linear,
+                            irreducibles_monomial, linear_characters)
 from skv.cyclotomic import Cyclo
-from skv.errors import GroupError
+from skv.errors import GroupError, InternalCheckError
 from skv.groups import named_group
 
 
@@ -111,3 +114,72 @@ def test_degree_one_characters_are_homomorphisms():
             for b in range(group.order):
                 assert chi.value_at(group.mul(a, b)) == \
                     chi.value_at(a) * chi.value_at(b)
+
+
+def test_memoised_permutations_match_direct_lookup(fixtures):
+    for name in ("q_zeta23", "s3c2"):
+        table = fixtures[name].table
+        exp = table.exponent
+        for _ in range(2):  # cold, then warm
+            for i in range(len(table)):
+                j = table.contragredient_index(i)
+                assert table[j].values == table[i].contragredient_values()
+                for k in range(1, 2 * exp):
+                    if gcd(k, exp) == 1:
+                        j = table.galois_index(i, k)
+                        assert table[j].values == table[i].galois_values(k)
+
+
+def test_check_galois_fires_on_non_equivariant_components(fixtures):
+    for name in ("q_zeta23", "s3c2"):
+        table = fixtures[name].table
+        group = table.group
+        # chi(g)/chi(1) at a fixed g: the components of a central element of
+        # Q[G], hence Galois-equivariant
+        cls = group.class_index()[group.order - 1]
+        comps = [chi.values[cls] * Fraction(1, chi.degree) for chi in table]
+        table.check_galois(comps, name)
+        i = table.trivial_index()
+        orbit = {table.galois_index(i, k) for k in range(1, table.exponent)
+                 if gcd(k, table.exponent) == 1}
+        j = next((j for j in range(len(table))
+                  if j not in orbit and not comps[j].is_rational()), None)
+        swapped = list(comps)
+        if j is None:
+            # every character of S3 x C2 is rational-valued, so a swap of
+            # components is again equivariant; break it with zeta_3 instead
+            assert name == "s3c2"
+            j = next(j for j in range(len(table)) if comps[j] != comps[i])
+            swapped[i], swapped[j] = comps[j], comps[i]
+            table.check_galois(swapped, name)
+            swapped[j] = comps[i] * Cyclo.zeta(3)
+        else:
+            swapped[i], swapped[j] = comps[j], comps[i]
+        with pytest.raises(InternalCheckError):
+            table.check_galois(swapped, name)
+
+
+def _multiplicative(group, u, exps):
+    """Reference: psi(a) + psi(b) - psi(ab) is an integer on the subgroup."""
+    return all((exps[a] + exps[b] - exps[group.mul(a, b)]) % 1 == 0
+               for a in u for b in u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["C6", "S3", "D4", "S3xC2"]), st.data())
+def test_multiplicativity_check_matches_reference(name, data):
+    group = named_group(name)
+    subgroups = group.all_subgroups()
+    u = sorted(data.draw(st.sampled_from(subgroups)))
+    sub, back = group.subgroup_as_group(u)
+    chars = linear_characters(sub)
+    exps = {back[i]: e for i, e in enumerate(data.draw(st.sampled_from(chars)))}
+    # shift some exponents: by an integer keeps psi, by a fraction may not
+    fracs = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+    for g in data.draw(st.lists(st.sampled_from(u), max_size=2)):
+        exps[g] += data.draw(fracs)
+    if _multiplicative(group, u, exps):
+        _check_multiplicative(group, u, exps)
+    else:
+        with pytest.raises(GroupError):
+            _check_multiplicative(group, u, exps)

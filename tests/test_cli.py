@@ -179,6 +179,11 @@ def test_usage_error_exits_3(capsys):
                              "--fixture", fixture_path("q"))
     assert code == 3 and not out
     assert "--bound" in err and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "check", "all",
+                             "--fixture", fixture_path("q"),
+                             "--out", "/nonexistent/dir/report.json")
+    assert code == 3 and not out
+    assert "cannot write" in err and err.count("\n") == 1
 
 
 def test_falsified_exits_1(tmp_path, capsys):
@@ -192,3 +197,49 @@ def test_falsified_exits_1(tmp_path, capsys):
     assert code == 1
     v = json.loads(out)["verdicts"][0]
     assert v["status"] == "falsified" and v["witnesses"]
+
+
+def test_malformed_presentation_exits_3(tmp_path, capsys):
+    fixture = fixture_path("q_zeta3")
+    cases = {
+        "non_integer_key": json.dumps({"rows": [[{"x": "1"}]]}),
+        "key_past_order": json.dumps({"rows": [[{"40": "1"}]]}),
+        # used to wrap around to the last element and exit 0
+        "negative_key": json.dumps({"rows": [[{"-1": "1"}]]}),
+        "truncated": '{"rows": [[{"0": "1"',
+        "ragged": json.dumps({"rows": [[{"0": "1"}, {}], [{"1": "1"}]]}),
+        "row_not_list": json.dumps({"rows": [{"0": "1"}]}),
+        "entry_not_object": json.dumps({"rows": [["1"]]}),
+        "bad_coefficient": json.dumps({"rows": [[{"0": "1.5"}]]}),
+        "no_rows": json.dumps([1]),
+    }
+    for name, text in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "fitting", "--fixture", fixture,
+                                 "--matrix", str(path))
+        assert code == 3 and not out, (name, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+    code, out, err = run_cli(capsys, "fitting", "--fixture", fixture,
+                             "--matrix", str(tmp_path / "missing.json"))
+    assert code == 3 and not out
+    assert "missing.json" in err and err.count("\n") == 1
+
+
+def test_composite_p_exits_3(capsys):
+    code, out, err = run_cli(capsys, "check", "stickelberger",
+                             "--fixture", fixture_path("q_i"),
+                             "--S", "inf,2", "--T", "5", "--p", "6")
+    assert code == 3 and not out
+    assert "prime" in err and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_4(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("skv.cli.run_all", broken)
+    code, out, err = run_cli(capsys, "check", "all",
+                             "--fixture", fixture_path("q"))
+    assert code == 4 and not out
+    assert err == "error: internal: RuntimeError('boom')\n"

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: reduction, Galois action, integrality."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,13 +105,24 @@ def test_fraction_string_roundtrip():
         assert fraction_from_str(fraction_to_str(q)) == q
 
 
+def test_mapping_coefficients_rejected():
+    # a dict would be read through its keys, not its values
+    with pytest.raises(ArithmeticDomainError):
+        Cyclo(3, {0: Fraction(1, 2), 1: Fraction(3)})
+
+
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# zeros often, so rational and sparse elements are drawn too
+coefficients = st.one_of(st.just(Fraction(0)), small_fracs)
+
+
+def coefficient_lists(order):
+    phi = euler_phi(order)
+    return st.lists(coefficients, min_size=phi, max_size=phi)
 
 
 def cyclo_elements(order):
-    phi = euler_phi(order)
-    return st.lists(small_fracs, min_size=phi, max_size=phi).map(
-        lambda cs: Cyclo(order, {i: c for i, c in enumerate(cs)}))
+    return coefficient_lists(order).map(lambda cs: Cyclo(order, cs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,3 +140,139 @@ def test_galois_commutes_with_multiplication(a):
     b = Cyclo.zeta(10) + Cyclo.rational(2)
     assert (a * b).galois(3) == a.galois(3) * b.galois(3)
     assert (a + b).galois(7) == a.galois(7) + b.galois(7)
+
+
+# -- differential model: Fraction polynomials reduced mod Phi_n ----------
+
+
+def _mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] / b[-1]
+        q[i] = c
+        for j, y in enumerate(b):
+            a[i + j] -= c * y
+    return q, a[:len(b) - 1]
+
+
+def _phi_poly(n):
+    """Phi_n as the product of (x^d - 1)^mu(n/d) over the divisors d of n."""
+    top, bottom = [Fraction(1)], [Fraction(1)]
+    for d in range(1, n + 1):
+        if n % d == 0 and _mobius(n // d):
+            factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+            if _mobius(n // d) == 1:
+                top = _poly_mul(top, factor)
+            else:
+                bottom = _poly_mul(bottom, factor)
+    quot, rem = _poly_divmod(top, bottom)
+    assert not any(rem)
+    return quot
+
+
+def _model_reduce(poly, n):
+    phi_n = _phi_poly(n)
+    phi = len(phi_n) - 1
+    poly = list(poly) + [Fraction(0)] * phi
+    return tuple(_poly_divmod(poly, phi_n)[1])
+
+
+def _model_substitute(coeffs, m, n):
+    """sum c_i x^(i m mod n), reduced mod Phi_n."""
+    out = [Fraction(0)] * n
+    for i, c in enumerate(coeffs):
+        out[(i * m) % n] += c
+    return _model_reduce(out, n)
+
+
+def _assert_normal(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert len(x.num) == euler_phi(x.order)
+    assert x.coeffs == tuple(Fraction(a, x.den) for a in x.num)
+    if x.is_zero():
+        assert x.den == 1
+
+
+# (n, d): operands at orders n and d with d | n, so both live in Q(zeta_n)
+order_pairs = st.sampled_from([(11, 11), (22, 11), (22, 2), (46, 23),
+                               (46, 46), (46, 1), (12, 4), (12, 3)])
+
+
+@st.composite
+def mixed_operands(draw):
+    n, d = draw(order_pairs)
+    return n, d, draw(coefficient_lists(n)), draw(coefficient_lists(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_operands(), st.integers(min_value=1, max_value=200))
+def test_arithmetic_matches_fraction_model(operands, k):
+    n, d, ca, cb = operands
+    a, b = Cyclo(n, ca), Cyclo(d, cb)
+    for x, cs in ((a, ca), (b, cb)):
+        _assert_normal(x)
+        assert x.coeffs == tuple(cs)
+    step = n // d
+    b_up = _model_substitute(cb, step, n)
+    lifted = b.lift(n)
+    _assert_normal(lifted)
+    assert lifted.coeffs == b_up and lifted == b
+
+    total = a + b
+    _assert_normal(total)
+    assert total.order == n
+    assert total.coeffs == tuple(x + y for x, y in zip(ca, b_up))
+
+    product = a * b
+    _assert_normal(product)
+    assert product.order == n
+    assert product.coeffs == _model_reduce(_poly_mul(list(ca), list(b_up)), n)
+
+    while gcd(k, n) != 1:
+        k += 1
+    image = a.galois(k)
+    _assert_normal(image)
+    assert image.coeffs == _model_substitute(ca, k, n)
+
+    if not a.is_zero():
+        inv = a.inverse()
+        _assert_normal(inv)
+        one = (Fraction(1),) + (Fraction(0),) * (len(ca) - 1)
+        assert _model_reduce(_poly_mul(list(ca), list(inv.coeffs)), n) == one
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_fracs, st.sampled_from([1, 2, 11, 22, 46]),
+       coefficient_lists(22))
+def test_hash_agrees_with_equality(q, n, cs):
+    r = Cyclo.rational(q)
+    assert r == q and hash(r) == hash(q)
+    up = r.lift(n)
+    _assert_normal(up)
+    assert up == r and up == q and hash(up) == hash(q)
+    x = Cyclo(22, cs)
+    same = Cyclo(22, list(x.coeffs))
+    assert same == x and hash(same) == hash(x)
+    if x.is_rational():
+        assert hash(x) == hash(x.to_fraction())
