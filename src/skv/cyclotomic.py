@@ -15,7 +15,9 @@ from __future__ import annotations
 import threading
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ArithmeticDomainError, DivisionByZero, OrderCapExceeded
 
@@ -35,6 +37,19 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+def _mobius(n: int) -> int:
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
@@ -82,6 +97,19 @@ class _OrderData:
                     self._terms.append(
                         tuple((j, r) for j, r in enumerate(self._last) if r))
         return self._terms[idx]
+
+    @cached_property
+    def traces(self) -> tuple[int, ...]:
+        """Tr(zeta_n^k) over Q for k < phi: the Ramanujan sum
+        mu(m) * phi(n) / phi(m) with m = n / gcd(n, k)."""
+        weight = {}
+        out = []
+        for k in range(self.phi):
+            m = self.n // gcd(self.n, k)
+            if m not in weight:
+                weight[m] = _mobius(m) * (self.phi // euler_phi(m))
+            out.append(weight[m])
+        return tuple(out)
 
 
 _cyclo_cache: dict[int, _OrderData] = {}
@@ -398,13 +426,12 @@ class Cyclo:
         return a.den == b.den and a.num == b.num
 
     def __hash__(self):
-        # equal values of one order hash alike, and a rational value hashes
-        # like the Fraction it equals at every order
-        if self.is_rational():
-            if self.den == 1:
-                return hash(self.num[0])
-            return hash(Fraction(self.num[0], self.den))
-        return hash((self.order, self.num, self.den))
+        # the normalised trace Tr(x) / phi(n) does not change under lifting,
+        # so equal values hash alike at any orders, and for a rational x it
+        # is x itself, so x hashes like the Fraction it equals
+        data = order_data(self.order)
+        trace = sum(map(mul, data.traces, self.num))
+        return hash(Fraction(trace, self.den * data.phi))
 
     def __bool__(self):
         return not self.is_zero()

@@ -1,18 +1,17 @@
 """Finite groups given by explicit multiplication tables.
 
-Element 0 is always the identity.  Tables are validated on load
-(associativity, identity, inverses) and capped at order 128; subgroup
-search is exhaustive, which the cap keeps feasible.  The cap also keeps
-closures and conjugacy classes cheap in plain Python: both walk a nested-list
-copy of the table, and class ids are computed once per group.
+Element 0 is always the identity.  A table is a tuple of row tuples of plain
+ints; every construction checks it in full (square shape, integer entries in
+range, identity, unique two-sided inverses, associativity over all triples)
+and caps the order at 128.  Subgroup search is exhaustive, which the cap keeps
+feasible, and class ids are computed once per group.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-
-import numpy as np
+from operator import itemgetter
 
 from .errors import GroupError
 
@@ -23,39 +22,41 @@ class FiniteGroup:
     """Immutable finite group: full multiplication table, index 0 = identity."""
 
     def __init__(self, table, labels=None):
-        tbl = np.asarray(table, dtype=np.int64)
-        n = tbl.shape[0]
-        if tbl.shape != (n, n):
-            raise GroupError("multiplication table must be square")
+        if not isinstance(table, (list, tuple)) or \
+                not all(isinstance(row, (list, tuple)) for row in table):
+            raise GroupError("multiplication table must be a list of rows")
+        n = len(table)
         if n == 0 or n > ORDER_CAP:
             raise GroupError(f"group order must be in 1..{ORDER_CAP}, got {n}")
-        if tbl.min() < 0 or tbl.max() >= n:
-            raise GroupError("table entries out of range")
-        if not (np.array_equal(tbl[0], np.arange(n)) and np.array_equal(tbl[:, 0], np.arange(n))):
+        if any(len(row) != n for row in table):
+            raise GroupError("multiplication table must be square")
+        # type(v) is int also rejects bool, whose values would pass as 0 and 1
+        if not all(type(v) is int and 0 <= v < n for row in table for v in row):
+            raise GroupError(f"table entries must be integers in 0..{n - 1}")
+        tbl = tuple(map(tuple, table))
+        ident = tuple(range(n))
+        if tbl[0] != ident or tuple(row[0] for row in tbl) != ident:
             raise GroupError("index 0 is not a two-sided identity")
-        # inverses: each row must be a permutation containing 0
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.flatnonzero(tbl[a] == 0)
-            if len(hits) != 1:
+        for a, row in enumerate(tbl):
+            if row.count(0) != 1:
                 raise GroupError(f"element {a} has no unique inverse")
-            inv[a] = hits[0]
-        if not np.array_equal(tbl[inv, np.arange(n)], np.zeros(n, dtype=np.int64)):
+        inv = tuple(row.index(0) for row in tbl)
+        if any(tbl[inv[a]][a] != 0 for a in range(n)):
             raise GroupError("left and right inverses disagree")
-        # associativity, vectorized: (ab)c == a(bc)
-        left = tbl[tbl]              # [a,b,c] -> tbl[tbl[a,b], c]
-        right = np.take(tbl, tbl, axis=1)  # [a,b,c] -> tbl[a, tbl[b,c]]
-        if not np.array_equal(left, right):
-            raise GroupError("multiplication table is not associative")
-        self.table = tbl
-        self.table.setflags(write=False)
-        self.inv = inv
-        self.inv.setflags(write=False)
-        self.order = n
+        # associativity over all (a, b, c): row ab of the table must equal
+        # row b read through row a, i.e. (ab)c == a(bc) for every c; order 1
+        # is skipped, since itemgetter of one index returns a bare int
+        if n > 1:
+            for row_a in tbl:
+                for ab, row_b in zip(row_a, tbl):
+                    if tbl[ab] != itemgetter(*row_b)(row_a):
+                        raise GroupError("multiplication table is not associative")
         if labels is not None and len(labels) != n:
             raise GroupError(f"{len(labels)} labels given for a group of order {n}")
+        self.table = tbl
+        self.inv = inv
+        self.order = n
         self.labels = list(labels) if labels is not None else [f"g{i}" for i in range(n)]
-        self._rows = tbl.tolist()
         self._class_ids = None
         self._exponent = None
         self._subgroups = None
@@ -86,36 +87,28 @@ class FiniteGroup:
                     index[p] = len(elems)
                     elems.append(p)
                     queue.append(p)
-        n = len(elems)
-        tbl = np.zeros((n, n), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                tbl[i, j] = index[tuple(a[b[k]] for k in range(deg))]
-        return FiniteGroup(tbl)
+        return FiniteGroup([[index[tuple(a[k] for k in b)] for b in elems]
+                            for a in elems])
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
-        idx = np.arange(n)
-        return FiniteGroup((idx[:, None] + idx[None, :]) % n)
+        row = list(range(n))
+        return FiniteGroup([row[a:] + row[:a] for a in range(n)])
 
     @staticmethod
     def direct_product(a: "FiniteGroup", b: "FiniteGroup") -> "FiniteGroup":
         """Product group with element (x, y) at index x * |b| + y."""
-        na, nb = a.order, b.order
-        tbl = np.zeros((na * nb, na * nb), dtype=np.int64)
-        for x1 in range(na):
-            for y1 in range(nb):
-                i = x1 * nb + y1
-                tbl[i] = (a.table[x1][:, None] * nb + b.table[y1][None, :]).reshape(-1)
-        return FiniteGroup(tbl)
+        nb = b.order
+        return FiniteGroup([[x * nb + y for x in row_x for y in row_y]
+                            for row_x in a.table for row_y in b.table])
 
     # -- basic operations -------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.table[a][b]
 
     def inverse(self, a: int) -> int:
-        return int(self.inv[a])
+        return self.inv[a]
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -140,7 +133,7 @@ class FiniteGroup:
     def class_index(self) -> tuple[int, ...]:
         """Class id per element; ids are assigned in order of minimal member."""
         if self._class_ids is None:
-            rows, inv = self._rows, self.inv.tolist()
+            rows, inv = self.table, self.inv
             ids = [-1] * self.order
             next_id = 0
             for g in range(self.order):
@@ -163,7 +156,7 @@ class FiniteGroup:
         while frontier:
             reached = []
             for x in frontier:
-                row = self._rows[x]
+                row = self.table[x]
                 for g in gens:
                     y = row[g]
                     if y not in found:
@@ -188,13 +181,11 @@ class FiniteGroup:
         return all(self.mul(a, b) == self.mul(b, a) for a in elems for b in elems)
 
     def is_abelian(self) -> bool:
-        return np.array_equal(self.table, self.table.T)
+        return tuple(zip(*self.table)) == self.table
 
     def center(self) -> tuple[int, ...]:
-        return tuple(
-            g for g in range(self.order)
-            if np.array_equal(self.table[g], self.table[:, g])
-        )
+        columns = tuple(zip(*self.table))
+        return tuple(g for g in range(self.order) if self.table[g] == columns[g])
 
     def commutator_subgroup(self, elems=None) -> tuple[int, ...]:
         elems = list(range(self.order)) if elems is None else list(elems)
@@ -243,11 +234,7 @@ class FiniteGroup:
         if elems[0] != 0 or not self.is_subgroup(elems):
             raise GroupError(f"{elems} is not a subgroup")
         pos = {g: i for i, g in enumerate(elems)}
-        n = len(elems)
-        tbl = np.zeros((n, n), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                tbl[i, j] = pos[self.mul(a, b)]
+        tbl = [[pos[self.mul(a, b)] for b in elems] for a in elems]
         return FiniteGroup(tbl, labels=[self.labels[g] for g in elems]), dict(enumerate(elems))
 
     def quotient(self, normal_elems) -> tuple["FiniteGroup", list[int]]:
@@ -263,11 +250,7 @@ class FiniteGroup:
                 reps.append(g)
                 for h in ns:
                     coset_of[self.mul(g, h)] = idx
-        n = len(reps)
-        tbl = np.zeros((n, n), dtype=np.int64)
-        for i, a in enumerate(reps):
-            for j, b in enumerate(reps):
-                tbl[i, j] = coset_of[self.mul(a, b)]
+        tbl = [[coset_of[self.mul(a, b)] for b in reps] for a in reps]
         return FiniteGroup(tbl), coset_of
 
     def coset_reps(self, elems) -> list[int]:

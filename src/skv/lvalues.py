@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .characters import chain_extension
 from .cyclotomic import Cyclo, root_of_unity_sum
@@ -76,7 +76,6 @@ class DirichletCharacter:
                 raise FixtureError(f"missing character value at residue {a}")
             self.exps[key] = Fraction(exps.get(key, exps.get(a))) % 1
         # multiplicativity over a common order, in integer arithmetic
-        from math import lcm
         order = lcm(*(e.denominator for e in self.exps.values()))
         ints = {a: e.numerator * (order // e.denominator) % order
                 for a, e in self.exps.items()}
@@ -120,7 +119,6 @@ class DirichletCharacter:
 
     @property
     def order(self) -> int:
-        from math import lcm
         return lcm(*(e.denominator for e in self.exps.values()))
 
     def is_trivial(self) -> bool:

@@ -16,7 +16,7 @@ from .characters import CharacterTable
 from .cyclotomic import Cyclo
 from .errors import FixtureError, GroupError, InternalCheckError
 from .grouprings import CentralElement, GroupRingElement
-from .linalg import char_poly, mat_det, mat_mul
+from .linalg import char_poly, mat_add, mat_det, mat_mul, mat_scale
 
 # -- monomial representations -------------------------------------------
 
@@ -70,29 +70,6 @@ def grm_identity(group, n: int):
     one = GroupRingElement.basis(group, 0)
     zero = GroupRingElement(group)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def grm_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def grm_scale(a, c):
-    """Scale a group-ring matrix by a Cyclo (or rational) scalar."""
-    return [[entry * c for entry in row] for row in a]
-
-
-def grm_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def grm_is_integral(a) -> bool:
@@ -180,7 +157,7 @@ def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
 
     def power(j):
         while len(powers) <= j:
-            powers.append(grm_mul(powers[-1], a))
+            powers.append(mat_mul(powers[-1], a))
         return powers[j]
 
     adjoint = [[GroupRingElement(group) for _ in range(b)] for _ in range(b)]
@@ -202,8 +179,8 @@ def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
         sign = Fraction(1 if m % 2 == 1 else -1)
         part = None
         for j in range(1, m + 1):
-            term = grm_scale(power(j - 1), f[j] * sign)
-            part = term if part is None else grm_add(part, term)
+            term = mat_scale(power(j - 1), f[j] * sign)
+            part = term if part is None else mat_add(part, term)
         det = f[0] * Fraction((-1) ** m)
         norm_comps.append(det)
         # represented adjoint block: verify integrality and the identity
@@ -227,9 +204,8 @@ def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
     norm = CentralElement(table, norm_comps)
     # global identity over the group ring
     nr_elem = norm.to_group_ring()
-    target = grm_scale(grm_identity(group, b), Cyclo.one())
-    target = [[nr_elem * entry for entry in row] for row in target]
-    if not (grm_equal(grm_mul(adjoint, a), target) and grm_equal(grm_mul(a, adjoint), target)):
+    target = [[nr_elem * entry for entry in row] for row in grm_identity(group, b)]
+    if not (grm_equal(mat_mul(adjoint, a), target) and grm_equal(mat_mul(a, adjoint), target)):
         raise InternalCheckError("star adjoint identity failed over the group ring")
     return StarAdjointResult(adjoint, norm)
 

@@ -59,6 +59,17 @@ def _is_exact_integral(x: CentralElement) -> bool:
                for c in elem.coeffs.values())
 
 
+def _integrality_failure(x: CentralElement, abelian: bool) -> dict | None:
+    """Witness fields when x leaves the maximal order or, for abelian G,
+    has a non-integral ZG coefficient; None when x passes both."""
+    mv = max_order_membership(x, "full")
+    if not mv.ok:
+        return {"membership": mv.to_json()}
+    if abelian and not _is_exact_integral(x):
+        return {"failure": "abelian exact integrality"}
+    return None
+
+
 def check_theorem_stickelberger_int(fix: ExtensionFixture, sets: PlaceSets,
                                     sources=None) -> Verdict:
     """Integrality of theta_S^T(r) in Z_p(zeta)-span of the product order:
@@ -107,16 +118,10 @@ def check_theorem_sku_maxord(fix: ExtensionFixture, S, bound: int = 2,
                        notes=notes + ["no admissible T in the fixture pool"])
     abelian = fix.group.is_abelian()
     for tag, gen in sku.generators:
-        mv = max_order_membership(gen, "full")
-        if not mv.ok:
+        failure = _integrality_failure(gen, abelian)
+        if failure is not None:
             return Verdict(check_id, "falsified",
-                           witnesses=[{"generator": tag,
-                                       "membership": mv.to_json()}],
-                           notes=notes)
-        if abelian and not _is_exact_integral(gen):
-            return Verdict(check_id, "falsified",
-                           witnesses=[{"generator": tag,
-                                       "failure": "abelian exact integrality"}],
+                           witnesses=[{"generator": tag, **failure}],
                            notes=notes)
     # sweep: prod_{p in J} nr(N_I) * theta_{S_J}^T(r) for every J and T
     a_s = generate_A_S(fix, S, bound)
@@ -135,19 +140,11 @@ def check_theorem_sku_maxord(fix: ExtensionFixture, S, bound: int = 2,
                                  f"T={t_labels}: {exc}")
                     continue
                 swept += 1
-                mv = max_order_membership(elem, "full")
-                if not mv.ok:
+                failure = _integrality_failure(elem, abelian)
+                if failure is not None:
                     return Verdict(check_id, "falsified",
                                    witnesses=[{"J": list(j_combo),
-                                               "T": t_labels,
-                                               "membership": mv.to_json()}],
-                                   notes=notes)
-                if abelian and not _is_exact_integral(elem):
-                    return Verdict(check_id, "falsified",
-                                   witnesses=[{"J": list(j_combo),
-                                               "T": t_labels,
-                                               "failure":
-                                               "abelian exact integrality"}],
+                                               "T": t_labels, **failure}],
                                    notes=notes)
     notes.append(f"swept {swept} (J, T) combinations over "
                  f"{len(ram)} ramified places")
@@ -313,15 +310,10 @@ def check_negative_r(fix: ExtensionFixture, S, r: int,
         y = _nr_of_element(fix, x) * th.central
         tag = " + ".join(f"{c}*{labels[g]}"
                          for g, c in sorted(x.coeffs.items()))
-        mv = max_order_membership(y, "full")
-        if not mv.ok:
+        failure = _integrality_failure(y, abelian)
+        if failure is not None:
             return Verdict(check_id, "falsified",
-                           witnesses=[{"annihilator": tag,
-                                       "membership": mv.to_json()}])
-        if abelian and not _is_exact_integral(y):
-            return Verdict(check_id, "falsified",
-                           witnesses=[{"annihilator": tag,
-                                       "failure": "abelian exact integrality"}])
+                           witnesses=[{"annihilator": tag, **failure}])
         witnesses.append({"annihilator": tag, "integral": True})
     notes = ["abelian: exact ZG integrality checked"] if abelian \
         else ["non-abelian: maximal-order integrality checked"]

@@ -21,10 +21,11 @@ from skv.cyclotomic import Cyclo
 from skv.engine import _nr_of_element, theta_abelian
 from skv.groups import named_group, subgroup_h_r
 from skv.grouprings import GroupRingElement, idempotent_eps
+from skv.linalg import mat_mul
 from skv.lvalues import (DirichletCharacter, L_at_nonpositive, characters_mod,
                          generalized_bernoulli)
 from skv.rednorm import (FittingInvariant, annihilation_check,
-                         certified_h_elements, grm_mul, reduced_norm,
+                         certified_h_elements, reduced_norm,
                          sigma_isomorphism, sigma_inverse, star_adjoint)
 from skv.verify import (check_theorem_sku_maxord,
                         check_theorem_stickelberger_int, default_sets,
@@ -180,7 +181,7 @@ def test_criterion_5_algebra_property_suites():
                 b = 2 if k % 10 == 0 else 1
                 x, y = rand_mat(b), rand_mat(b)
                 nx, ny = reduced_norm(x, table), reduced_norm(y, table)
-                assert reduced_norm(grm_mul(x, y), table) == nx * ny
+                assert reduced_norm(mat_mul(x, y), table) == nx * ny
                 scaled = (nx * group.order).to_group_ring()
                 assert scaled.is_rational() and all(
                     c.to_fraction().denominator == 1
@@ -191,8 +192,8 @@ def test_criterion_5_algebra_property_suites():
                 h = rand_mat(b, span=1)
                 res = star_adjoint(h, table)
                 nr_elem = res.norm.to_group_ring()
-                prod = grm_mul(res.adjoint, h)
-                back = grm_mul(h, res.adjoint)
+                prod = mat_mul(res.adjoint, h)
+                back = mat_mul(h, res.adjoint)
                 for i in range(b):
                     for j in range(b):
                         want = nr_elem if i == j \
@@ -201,8 +202,8 @@ def test_criterion_5_algebra_property_suites():
             # (H Htilde)* = Htilde* H*, 100 instances
             for _ in range(100):
                 h, k = rand_mat(1, span=1), rand_mat(1, span=1)
-                res_hk = star_adjoint(grm_mul(h, k), table)
-                glued = grm_mul(star_adjoint(k, table).adjoint,
+                res_hk = star_adjoint(mat_mul(h, k), table)
+                glued = mat_mul(star_adjoint(k, table).adjoint,
                                 star_adjoint(h, table).adjoint)
                 assert all(a == b for ra, rb in zip(glued, res_hk.adjoint)
                            for a, b in zip(ra, rb))
@@ -221,7 +222,7 @@ def test_criterion_5_algebra_property_suites():
                     cur = prod.setdefault(c, [[Cyclo.zero()]])
                     cur[0][0] = cur[0][0] + m1[0][0] * m2[0][0]
             lhs = sigma_isomorphism(prod, c6, 1)
-            rhs = grm_mul(sigma_isomorphism(x, c6, 1),
+            rhs = mat_mul(sigma_isomorphism(x, c6, 1),
                           sigma_isomorphism(y, c6, 1))
             assert lhs[0][0] == rhs[0][0]
             assert sigma_inverse(lhs, c6, 1).keys() <= set(range(6))

@@ -1,7 +1,11 @@
 """CLI behavior: subcommands, exit codes, determinism, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
 
+import skv
 from skv.cli import main
 
 from conftest import fixture_path
@@ -149,6 +153,12 @@ def test_malformed_fixture_exits_3(tmp_path, capsys):
     def non_group(o):
         o["group"] = {"table": [[0, 1], [1, 1]]}
 
+    def float_entry(o):
+        o["group"]["table"][1][1] = 0.4
+
+    def string_entry(o):
+        o["group"]["table"][1][1] = "0"
+
     def short_labels(o):
         o["group"]["labels"] = o["group"]["labels"][:-1]
 
@@ -156,7 +166,8 @@ def test_malformed_fixture_exits_3(tmp_path, capsys):
         vals = o["subextensionThetas"][0]["values"]
         vals["x"] = vals.pop("0")
 
-    cases = [("q_i", non_group, "inverse"), ("q_i", short_labels, "labels"),
+    cases = [("q_i", non_group, "inverse"), ("q_i", float_entry, "integers"),
+             ("q_i", string_entry, "integers"), ("q_i", short_labels, "labels"),
              ("s3c2", renamed_value_key, "values key")]
     for name, mutate, what in cases:
         with open(fixture_path(name)) as fh:
@@ -243,3 +254,14 @@ def test_unexpected_exception_exits_4(monkeypatch, capsys):
                              "--fixture", fixture_path("q"))
     assert code == 4 and not out
     assert err == "error: internal: RuntimeError('boom')\n"
+
+
+def test_cli_import_needs_no_numpy():
+    # skv has no runtime dependency; a fresh interpreter proves no module
+    # pulls numpy in behind the scenes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, skv.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -264,8 +264,8 @@ def test_arithmetic_matches_fraction_model(operands, k):
 
 @settings(max_examples=60, deadline=None)
 @given(small_fracs, st.sampled_from([1, 2, 11, 22, 46]),
-       coefficient_lists(22))
-def test_hash_agrees_with_equality(q, n, cs):
+       coefficient_lists(22), st.integers(min_value=1, max_value=3))
+def test_hash_agrees_with_equality(q, n, cs, m):
     r = Cyclo.rational(q)
     assert r == q and hash(r) == hash(q)
     up = r.lift(n)
@@ -276,3 +276,8 @@ def test_hash_agrees_with_equality(q, n, cs):
     assert same == x and hash(same) == hash(x)
     if x.is_rational():
         assert hash(x) == hash(x.to_fraction())
+    # equal values given at different orders
+    lifted = x.lift(22 * m)
+    assert lifted == x and hash(lifted) == hash(x)
+    a, b = Cyclo.zeta(4), Cyclo.zeta(12, 3)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1

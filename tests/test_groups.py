@@ -30,6 +30,24 @@ def test_invalid_table_rejected():
         FiniteGroup([[0, 1], [1, 0]], labels=["e"])
     with pytest.raises(GroupError, match="out of range"):
         named_group("C3").subgroup_closure([3])
+    # entries are ints in range, never coerced: "1", 0.4 and True would
+    # otherwise read as 1, 0 and 1
+    with pytest.raises(GroupError, match="square"):
+        FiniteGroup([[0, 1], [1]])
+    with pytest.raises(GroupError, match="list of rows"):
+        FiniteGroup([0, 1])
+    for bad in ("1", 0.4, True, -1, 2):
+        with pytest.raises(GroupError, match="integers in 0..1"):
+            FiniteGroup([[0, 1], [1, bad]])
+    # a loop of order 5: identity 0, every element its own unique two-sided
+    # inverse, but (1*1)*2 = 2 while 1*(1*2) = 4
+    loop = [[0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup(loop)
 
 
 def test_element_orders_and_exponent():

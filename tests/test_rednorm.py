@@ -11,9 +11,10 @@ from skv.cyclotomic import Cyclo
 from skv.errors import FixtureError, GroupError
 from skv.groups import named_group
 from skv.grouprings import CentralElement, GroupRingElement
+from skv.linalg import mat_mul
 from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          certified_h_elements, fitting_of_presentation,
-                         grm_identity, grm_mul, monomial_representation,
+                         grm_identity, monomial_representation,
                          reduced_norm, sigma_inverse, sigma_isomorphism,
                          star_adjoint)
 
@@ -72,7 +73,7 @@ def test_reduced_norm_multiplicative():
         b = _random_matrix(table.group, 2, rng)
         nr_a = reduced_norm(a, table)
         nr_b = reduced_norm(b, table)
-        nr_ab = reduced_norm(grm_mul(a, b), table)
+        nr_ab = reduced_norm(mat_mul(a, b), table)
         assert nr_ab == nr_a * nr_b
 
 
@@ -92,8 +93,8 @@ def test_star_adjoint_defining_identity():
         h = _random_matrix(group, 2, rng, span=1)
         res = star_adjoint(h, table)
         nr_elem = res.norm.to_group_ring()
-        prod = grm_mul(res.adjoint, h)
-        prod2 = grm_mul(h, res.adjoint)
+        prod = mat_mul(res.adjoint, h)
+        prod2 = mat_mul(h, res.adjoint)
         for i in range(2):
             for j in range(2):
                 want = nr_elem if i == j else GroupRingElement(group)
@@ -117,11 +118,11 @@ def test_star_adjoint_contravariant():
     table = TABLES["D4"]
     h = _random_matrix(table.group, 2, rng, span=1)
     k = _random_matrix(table.group, 2, rng, span=1)
-    hk = grm_mul(h, k)
+    hk = mat_mul(h, k)
     res_hk = star_adjoint(hk, table)
     res_h = star_adjoint(h, table)
     res_k = star_adjoint(k, table)
-    glued = grm_mul(res_k.adjoint, res_h.adjoint)
+    glued = mat_mul(res_k.adjoint, res_h.adjoint)
     assert all(x == y for ra, rb in zip(glued, res_hk.adjoint)
                for x, y in zip(ra, rb))
 
@@ -153,7 +154,7 @@ def test_sigma_isomorphism_roundtrip_and_ring_map():
                     acc[i][j] = acc[i][j] + sum(
                         (m1[i][t] * m2[t][j] for t in range(n)), Cyclo.zero())
     lhs = sigma_isomorphism(prod, c6, n)
-    rhs = grm_mul(mx, my)
+    rhs = mat_mul(mx, my)
     assert all(a == b for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
 
 
@@ -252,5 +253,5 @@ def test_reduced_norm_multiplicative_q8_scalars(xs, ys):
     group = table.group
     a = [[GroupRingElement(group, {g: xs[g] for g in range(8)})]]
     b = [[GroupRingElement(group, {g: ys[g] for g in range(8)})]]
-    assert reduced_norm(grm_mul(a, b), table) == \
+    assert reduced_norm(mat_mul(a, b), table) == \
         reduced_norm(a, table) * reduced_norm(b, table)

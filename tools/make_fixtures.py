@@ -179,7 +179,7 @@ def fixture_s3c2():
     base = {
         "schema": "skvfix/1",
         "name": "s3c2",
-        "group": {"table": [[int(v) for v in row] for row in group.table],
+        "group": {"table": group.table,
                   "labels": list(group.labels)},
         "muL": {"order": 1, "action": {str(g): 0 for g in range(group.order)}},
     }
