@@ -348,26 +348,24 @@ def local_factor(fix: ExtensionFixture, place: PlaceData, chi_index: int,
     return mat_det(mat_sub(mat_identity(d), m))
 
 
-def delta_element(fix: ExtensionFixture, t_labels, r: int = 0) -> CentralElement:
-    """delta_T(r) as a central element: product of local delta factors."""
+def _local_product(fix: ExtensionFixture, labels, r: int, kind: str) -> CentralElement:
     table = fix.table
     comps = [Cyclo.one() for _ in range(len(table))]
-    for lab in sorted(set(str(x) for x in t_labels)):
+    for lab in sorted(set(str(x) for x in labels)):
         place = fix.place(lab)
         for i in range(len(table)):
-            comps[i] = comps[i] * local_factor(fix, place, i, r, "delta_T")
+            comps[i] = comps[i] * local_factor(fix, place, i, r, kind)
     return CentralElement(table, comps)
+
+
+def delta_element(fix: ExtensionFixture, t_labels, r: int = 0) -> CentralElement:
+    """delta_T(r) as a central element: product of local delta factors."""
+    return _local_product(fix, t_labels, r, "delta_T")
 
 
 def euler_element(fix: ExtensionFixture, s_labels, r: int = 0) -> CentralElement:
     """Product over places of the S-truncation factors at r."""
-    table = fix.table
-    comps = [Cyclo.one() for _ in range(len(table))]
-    for lab in sorted(set(str(x) for x in s_labels)):
-        place = fix.place(lab)
-        for i in range(len(table)):
-            comps[i] = comps[i] * local_factor(fix, place, i, r, "euler_S")
-    return CentralElement(table, comps)
+    return _local_product(fix, s_labels, r, "euler_S")
 
 
 class GeneratorSet:
@@ -379,21 +377,27 @@ class GeneratorSet:
         self.notes = notes
 
 
+def hyp_t_sets(fix: ExtensionFixture, S, bound: int) -> list[tuple[str, ...]]:
+    """Every T from the fixture's place pool (the finite places outside S)
+    with 1 <= |T| <= bound and Hyp(S, T), smallest first."""
+    s_labels = set(str(x) for x in S)
+    pool = [lab for lab in fix.finite_labels() if lab not in s_labels]
+    return [combo for size in range(1, bound + 1)
+            for combo in itertools.combinations(pool, size)
+            if check_hyp_ST(fix, PlaceSets(S, combo)).ok]
+
+
 def generate_A_S(fix: ExtensionFixture, S, bound: int = 2) -> GeneratorSet:
     """Truncated generating set of the annihilator module: delta_T(0) over
     all T from the fixture's place pool with |T| <= bound and Hyp(S,T)."""
-    s_labels = sorted(set(str(x) for x in S))
+    s_labels = set(str(x) for x in S)
     need = set(fix.ramified_labels()) | set(fix.infinite_labels())
-    if not need <= set(s_labels):
+    if not need <= s_labels:
         raise FixtureError("A_S requires S to contain all ramified and infinite places")
     pool = [lab for lab in fix.finite_labels() if lab not in s_labels]
     notes = [f"truncated at |T| <= {bound} over a pool of {len(pool)} places"]
-    gens = []
-    for size in range(1, bound + 1):
-        for combo in itertools.combinations(pool, size):
-            sets = PlaceSets(s_labels, list(combo), 0)
-            if check_hyp_ST(fix, sets).ok:
-                gens.append(("T=" + ",".join(combo), delta_element(fix, combo, 0)))
+    gens = [("T=" + ",".join(combo), delta_element(fix, combo, 0))
+            for combo in hyp_t_sets(fix, S, bound)]
     if not gens:
         notes.append("warning: no admissible T found in the pool")
     return GeneratorSet(gens, truncated=True, notes=notes)

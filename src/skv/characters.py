@@ -197,9 +197,11 @@ class CharacterTable:
         self.certificates = [certificates[i] for i in order]
         self.exponent = group.exponent()
         self._index = {c.values: i for i, c in enumerate(self.chars)}
-        # memoised permutations: (i, k mod exponent) -> j and i -> j
+        # memoised Galois permutation: (i, k mod exponent) -> j
         self._galois: dict[tuple[int, int], int] = {}
-        self._contragredient: dict[int, int] = {}
+        # chi index -> matrices of its monomial representation, filled by
+        # rednorm.monomial_representation
+        self._rep_cache: dict[int, list] = {}
 
     def __len__(self):
         return len(self.chars)
@@ -217,11 +219,8 @@ class CharacterTable:
             raise GroupError("values do not match any irreducible") from None
 
     def contragredient_index(self, i: int) -> int:
-        j = self._contragredient.get(i)
-        if j is None:
-            j = self.index_of_values(self.chars[i].contragredient_values())
-            self._contragredient[i] = j
-        return j
+        # chi(g^-1) is the complex conjugate of chi(g), i.e. sigma_-1(chi)
+        return self.galois_index(i, -1)
 
     def galois_index(self, i: int, k: int) -> int:
         # character values lie in Q(zeta_E), where sigma_k depends on k mod E

@@ -266,17 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Stickelberger elements and integrality verdicts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_fixture=True):
-        p.add_argument("--fixture", required=need_fixture,
+    def common(p):
+        p.add_argument("--fixture", required=True,
                        help="path to a skvfix/1 JSON fixture")
         p.add_argument("--out", default=None, help="write output to a file")
         p.add_argument("--format", choices=("json", "text"), default="json")
+
+    def bound(p):
         p.add_argument("--bound", type=int, default=2,
                        help="truncation budget for searched sets")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized suites")
-        p.add_argument("--timings", action="store_true",
-                       help="include (non-deterministic) timings in reports")
 
     p_theta = sub.add_parser("theta", help="assemble and print theta_S^T(r)")
     common(p_theta)
@@ -286,6 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a verdict suite")
     common(p_check)
+    bound(p_check)
+    p_check.add_argument("--seed", type=int, default=0,
+                         help="copied into the report's seed field; "
+                              "no suite is random")
+    p_check.add_argument("--timings", action="store_true",
+                         help="include (non-deterministic) timings in reports")
     p_check.add_argument("suite", choices=SUITES)
     p_check.add_argument("--r", type=int, default=None)
     p_check.add_argument("--S", default=None)
@@ -295,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sku = sub.add_parser("sku", help="emit the truncated generator set")
     common(p_sku)
+    bound(p_sku)
     p_sku.add_argument("--S", default=None)
 
     p_fit = sub.add_parser("fitting",
@@ -316,7 +321,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
-    if args.bound < 0:
+    if getattr(args, "bound", 0) < 0:
         sys.stderr.write(f"error: --bound must be non-negative, got {args.bound}\n")
         return 3
     try:

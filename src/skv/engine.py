@@ -12,15 +12,16 @@ from fractions import Fraction
 from math import gcd
 
 from .arithdata import (ExtensionFixture, GeneratorSet, PlaceSets,
-                        generate_A_S, local_factor, validate_theta_source)
+                        delta_element, euler_element, generate_A_S,
+                        validate_theta_source)
 from .characters import Character, linear_characters
 from .cyclotomic import Cyclo
 from .errors import FixtureError, InternalCheckError
-from .grouprings import CentralElement, GroupRingElement, _product_pairing
+from .grouprings import (CentralElement, GroupRingElement, _product_pairing,
+                         idempotent_eps, minus_idempotent)
 from .groups import detect_direct_product
 from .lvalues import DirichletCharacter, L_at_nonpositive, L_ST
-from .rednorm import apply_representation, monomial_representation
-from .linalg import mat_det
+from .rednorm import reduced_norm
 
 
 class ThetaElement:
@@ -84,12 +85,10 @@ def _validate_parity(fix: ExtensionFixture, comps, r: int, context: str,
     """Functional-equation parity: components that must vanish, do."""
     if fix.j is None:
         return
-    table = fix.table
-    ids = fix.group.class_index()
+    odd = minus_idempotent(fix.table, fix.j).components
     n = 1 - r
-    for i, chi in enumerate(table):
-        val = chi.values[ids[fix.j]] * Fraction(1, chi.degree)
-        even = val == Cyclo.one()
+    for i in range(len(comps)):
+        even = odd[i].is_zero()
         forced = (even and n % 2 == 1 and i != trivial_index) or \
                  (not even and n % 2 == 0)
         if forced and not comps[i].is_zero():
@@ -98,27 +97,24 @@ def _validate_parity(fix: ExtensionFixture, comps, r: int, context: str,
             )
 
 
-def theta_abelian(fix: ExtensionFixture, sets: PlaceSets, r: int | None = None) -> ThetaElement:
+def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     """theta_S^T(r) for an abelian fixture over the rationals, computed twice:
     once purely from Dirichlet L-values and once from the fixture's local
     determinant factors.  The two assemblies must agree exactly."""
-    r = sets.r if r is None else r
+    r = sets.r
     table = fix.table
     dirs = _dirichlet_for_table(fix)
     s_fin = [lab for lab in sets.S if not fix.place(lab).infinite]
-    s_primes = sorted(int(lab) for lab in s_fin)
-    t_primes = sorted(int(lab) for lab in sets.T)
+    s_primes = sorted(fix.place(lab).residue_char for lab in s_fin)
+    t_primes = sorted(fix.place(lab).residue_char for lab in sets.T)
+    local = euler_element(fix, s_fin, r) * delta_element(fix, sets.T, r)
     comps = []
     for i in range(len(table)):
         check = dirs[i].conjugate()
         # Dirichlet-side assembly
         a = L_ST(r, check, s_primes, t_primes)
         # fixture-side assembly: primitive value times local determinants
-        b = L_at_nonpositive(r, check.primitive_core())
-        for lab in s_fin:
-            b = b * local_factor(fix, fix.place(lab), i, r, "euler_S")
-        for lab in sets.T:
-            b = b * local_factor(fix, fix.place(lab), i, r, "delta_T")
+        b = L_at_nonpositive(r, check.primitive_core()) * local.components[i]
         if a != b:
             raise InternalCheckError(
                 f"theta assembly mismatch at character {i}: "
@@ -156,8 +152,7 @@ def _product_split(fix: ExtensionFixture):
 
 
 def theta_monomial(fix: ExtensionFixture, sets: PlaceSets,
-                   sources: list[dict] | None = None,
-                   r: int | None = None) -> ThetaElement:
+                   sources: list[dict] | None = None) -> ThetaElement:
     """theta_S^T(r) for G = H x C from per-certificate abelian theta sources.
 
     Each source supplies, for one irreducible chi of H with certificate
@@ -166,7 +161,7 @@ def theta_monomial(fix: ExtensionFixture, sets: PlaceSets,
     fixture's own (validated on load); caller-supplied ones are validated
     here.  Use ``theta`` to pick between this and the computed path.
     """
-    r = sets.r if r is None else r
+    r = sets.r
     if sources is None:
         sources = fix.subextension_thetas
     else:
@@ -174,8 +169,7 @@ def theta_monomial(fix: ExtensionFixture, sets: PlaceSets,
             validate_theta_source(src)
     h_elems, c_elems = _product_split(fix)
     table = fix.table
-    tab_h, tab_c, pairing, back_c, pos_c, _ = _product_pairing(table, h_elems, c_elems)
-    sub_h, back_h = fix.group.subgroup_as_group(sorted(h_elems))
+    tab_h, tab_c, pairing, back_h, _ = _product_pairing(table, h_elems, c_elems)
     by_chi: dict[int, list] = {}
     for src in sources:
         by_chi.setdefault(int(src["chiIndex"]), []).append(src)
@@ -227,25 +221,15 @@ def _computed_path(fix: ExtensionFixture) -> bool:
 
 
 def theta(fix: ExtensionFixture, sets: PlaceSets,
-          sources: list[dict] | None = None,
-          r: int | None = None) -> ThetaElement:
+          sources: list[dict] | None = None) -> ThetaElement:
     """theta_S^T(r) by the path the fixture supports: ``theta_abelian``
     when it can be computed, else ``theta_monomial`` from theta sources."""
     if _computed_path(fix):
-        return theta_abelian(fix, sets, r)
-    return theta_monomial(fix, sets, sources, r)
+        return theta_abelian(fix, sets)
+    return theta_monomial(fix, sets, sources)
 
 
 # -- Sinnott-Kurihara generators --------------------------------------------
-
-
-def _nr_of_element(fix: ExtensionFixture, x: GroupRingElement) -> CentralElement:
-    table = fix.table
-    comps = []
-    for i in range(len(table)):
-        mats = monomial_representation(table, i)
-        comps.append(mat_det(apply_representation(mats, [[x]])))
-    return CentralElement(table, comps)
 
 
 def u_prime_place_generators(fix: ExtensionFixture, label: str):
@@ -261,8 +245,8 @@ def u_prime_place_generators(fix: ExtensionFixture, label: str):
     )
     one = GroupRingElement.basis(group, 0)
     return [
-        (f"{label}:nr(N_I)", _nr_of_element(fix, n_i)),
-        (f"{label}:nr(1-eps*phi^-1)", _nr_of_element(fix, one - eps_phi)),
+        (f"{label}:nr(N_I)", reduced_norm([[n_i]], fix.table)),
+        (f"{label}:nr(1-eps*phi^-1)", reduced_norm([[one - eps_phi]], fix.table)),
     ]
 
 
@@ -316,18 +300,16 @@ def inertia_norm_product(fix: ExtensionFixture, J) -> CentralElement:
     out = CentralElement(table, [Cyclo.one()] * len(table))
     for lab in sorted(set(str(x) for x in J)):
         place = fix.place(lab)
-        out = out * _nr_of_element(
-            fix, GroupRingElement.norm_element(fix.group, place.inertia))
+        out = out * reduced_norm(
+            [[GroupRingElement.norm_element(fix.group, place.inertia)]], table)
     return out
 
 
 def theta_with_inertia_norms(fix: ExtensionFixture, J, sets: PlaceSets,
-                             r: int | None = None,
                              sources: list[dict] | None = None) -> CentralElement:
     """prod_{p in J} nr(N_I) * theta_{S_J}^T(r), with the vanishing pattern
     of the norm product verified against the subgroup generated by the
     inertia groups of J."""
-    r = sets.r if r is None else r
     j_labels = sorted(set(str(x) for x in J))
     ram = set(fix.ramified_labels())
     if not set(j_labels) <= ram:
@@ -339,17 +321,14 @@ def theta_with_inertia_norms(fix: ExtensionFixture, J, sets: PlaceSets,
     for lab in j_labels:
         gens.extend(fix.place(lab).inertia)
     h_j = fix.group.normal_closure(gens) if gens else (0,)
-    ids = fix.group.class_index()
-    table = fix.table
-    for i, chi in enumerate(table):
-        deg = Cyclo.rational(chi.degree)
-        in_kernel = all(chi.values[ids[g]] == deg for g in h_j)
-        if not in_kernel and not factor.components[i].is_zero():
+    eps = idempotent_eps(fix.table, h_j)
+    for i, comp in enumerate(factor.components):
+        if eps.components[i].is_zero() and not comp.is_zero():
             raise InternalCheckError(
                 f"inertia norm product must vanish at character {i} "
                 "(kernel does not contain H_J)"
             )
-    return factor * theta(fix, PlaceSets(s_j, sets.T, r), sources, r).central
+    return factor * theta(fix, PlaceSets(s_j, sets.T, sets.r), sources).central
 
 
 def omega_L(fix: ExtensionFixture) -> CentralElement:

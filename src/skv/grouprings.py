@@ -276,23 +276,21 @@ def _product_pairing(table: CharacterTable, h_elems, c_elems):
             if idx is None:
                 raise GroupError("product character not found in the table")
             pairing[(i, j)] = idx
-    return tab_h, tab_c, pairing, back_c, pos_c, ids
+    return tab_h, tab_c, pairing, back_h, back_c
 
 
 def product_coefficients(x: CentralElement, h_elems, c_elems):
     """Coefficients over the abelian factor: for each chi in Irr(H) and c in C,
-    alpha_chi(c) = |C|^(-1) sum_lambda comp[chi*lambda] lambda(c)^(-1)."""
-    tab_h, tab_c, pairing, back_c, pos_c, _ = _product_pairing(x.table, h_elems, c_elems)
-    sub_c = tab_c.group
-    ids_c = sub_c.class_index()
+    alpha_chi(c) = |C|^(-1) sum_lambda comp[chi*lambda] lambda(c)^(-1), the
+    group-ring coefficient at c of the central element of Q(zeta)[C] with
+    components comp[chi*lambda]."""
+    tab_h, tab_c, pairing, _, back_c = _product_pairing(x.table, h_elems, c_elems)
     out = {}
     for i in range(len(tab_h)):
-        for ci in range(sub_c.order):
-            acc = Cyclo.zero()
-            inv_class = ids_c[sub_c.inverse(ci)]
-            for j, lam in enumerate(tab_c):
-                acc = acc + x.components[pairing[(i, j)]] * lam.values[inv_class]
-            out[(i, back_c[ci])] = acc * Fraction(1, sub_c.order)
+        row = [x.components[pairing[(i, j)]] for j in range(len(tab_c))]
+        alpha = CentralElement(tab_c, row).to_group_ring()
+        for ci, c in back_c.items():
+            out[(i, c)] = alpha.coeff(ci)
     return out
 
 

@@ -24,10 +24,7 @@ from .linalg import char_poly, mat_add, mat_det, mat_mul, mat_scale
 def monomial_representation(table: CharacterTable, chi_index: int):
     """Explicit matrices of the chi_index-th irreducible, one per group
     element, realized from the stored monomial certificate."""
-    cache = getattr(table, "_rep_cache", None)
-    if cache is None:
-        cache = {}
-        table._rep_cache = cache
+    cache = table._rep_cache
     if chi_index in cache:
         return cache[chi_index]
     group = table.group
@@ -126,18 +123,6 @@ class StarAdjointResult:
         self.norm = norm
 
 
-def _epsilon_element(table: CharacterTable, i: int) -> GroupRingElement:
-    group = table.group
-    chi = table.chars[i]
-    ids = group.class_index()
-    coeffs = {}
-    for g in range(group.order):
-        v = chi.values[ids[group.inverse(g)]] * Fraction(chi.degree, group.order)
-        if not v.is_zero():
-            coeffs[g] = v
-    return GroupRingElement(group, coeffs)
-
-
 def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
     """Star adjoint of a square integral matrix over ZG.
 
@@ -197,7 +182,9 @@ def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
                 want = det if r == c else Cyclo.zero()
                 if prod[r][c] != want:
                     raise InternalCheckError("star adjoint identity failed")
-        eps = _epsilon_element(table, i)
+        indicator = [Cyclo.zero()] * len(table)
+        indicator[i] = Cyclo.one()
+        eps = CentralElement(table, indicator).to_group_ring()
         for r in range(b):
             for c in range(b):
                 adjoint[r][c] = adjoint[r][c] + eps * part[r][c]

@@ -12,15 +12,15 @@ import itertools
 from fractions import Fraction
 
 from .arithdata import (ExtensionFixture, PlaceSets, check_admissible,
-                        generate_A_S, mu_tate_annihilators)
+                        generate_A_S, hyp_t_sets, mu_tate_annihilators)
 from .cyclotomic import Cyclo
-from .engine import (_nr_of_element, _product_split, sku_prime_generators,
-                     theta, theta_with_inertia_norms)
+from .engine import (_product_split, sku_prime_generators, theta,
+                     theta_with_inertia_norms)
 from .errors import FixtureError, SkvError
 from .grouprings import CentralElement, GroupRingElement, max_order_membership
 from .lvalues import characters_mod, generalized_bernoulli
 from .rednorm import (FittingInvariant, annihilation_check,
-                      certified_h_elements)
+                      certified_h_elements, reduced_norm)
 
 
 class Verdict:
@@ -102,7 +102,7 @@ def check_theorem_stickelberger_int(fix: ExtensionFixture, sets: PlaceSets,
 
 
 def check_theorem_sku_maxord(fix: ExtensionFixture, S, bound: int = 2,
-                             sources=None, r: int = 0) -> Verdict:
+                             sources=None) -> Verdict:
     """The modified Sinnott-Kurihara generators lie in the maximal order,
     and the inertia-norm twisted theta elements do as well, over every
     subset J of the ramified places and every admissible T in the pool."""
@@ -123,15 +123,14 @@ def check_theorem_sku_maxord(fix: ExtensionFixture, S, bound: int = 2,
             return Verdict(check_id, "falsified",
                            witnesses=[{"generator": tag, **failure}],
                            notes=notes)
-    # sweep: prod_{p in J} nr(N_I) * theta_{S_J}^T(r) for every J and T
-    a_s = generate_A_S(fix, S, bound)
+    # sweep: prod_{p in J} nr(N_I) * theta_{S_J}^T(0) for every J and T
     ram = sorted(fix.ramified_labels())
     swept = 0
-    for atag, _ in a_s.generators:
-        t_labels = atag[len("T="):].split(",")
+    for t_combo in hyp_t_sets(fix, S, bound):
+        t_labels = list(t_combo)
+        sets = PlaceSets(S, t_labels)
         for size in range(len(ram) + 1):
             for j_combo in itertools.combinations(ram, size):
-                sets = PlaceSets(S, t_labels, r)
                 try:
                     elem = theta_with_inertia_norms(fix, list(j_combo), sets,
                                                     sources=sources)
@@ -177,7 +176,7 @@ def _bounded_nr_search(fix: ExtensionFixture, target: CentralElement,
                     if ca and cb:
                         candidates.append({a: Fraction(ca), b: Fraction(cb)})
     for coeffs in candidates:
-        if _nr_of_element(fix, GroupRingElement(group, coeffs)) == target:
+        if reduced_norm([[GroupRingElement(group, coeffs)]], fix.table) == target:
             return {str(g): str(c) for g, c in coeffs.items()}
     return None
 
@@ -307,7 +306,7 @@ def check_negative_r(fix: ExtensionFixture, S, r: int,
     witnesses = [{"w": data["w"]}]
     labels = fix.group.labels
     for x in data["generators"]:
-        y = _nr_of_element(fix, x) * th.central
+        y = reduced_norm([[x]], fix.table) * th.central
         tag = " + ".join(f"{c}*{labels[g]}"
                          for g, c in sorted(x.coeffs.items()))
         failure = _integrality_failure(y, abelian)

@@ -18,7 +18,7 @@ from skv.arithdata import PlaceSets, mu_tate_annihilators
 from skv.characters import irreducibles_monomial
 from skv.cli import main as cli_main
 from skv.cyclotomic import Cyclo
-from skv.engine import _nr_of_element, theta_abelian
+from skv.engine import theta_abelian
 from skv.groups import named_group, subgroup_h_r
 from skv.grouprings import GroupRingElement, idempotent_eps
 from skv.linalg import mat_mul
@@ -121,8 +121,8 @@ def test_criterion_3_stickelberger_int_suite(fixtures, monkeypatch):
             else:
                 real_theta = theta_abelian
 
-                def tampered(f, s, r=None, _real=real_theta):
-                    th = _real(f, s, r)
+                def tampered(f, s, _real=real_theta):
+                    th = _real(f, s)
                     comps = list(th.central.components)
                     comps[0] = comps[0] + Fraction(1, 7)
                     th.central = type(th.central)(th.central.table, comps)
@@ -246,7 +246,7 @@ def test_criterion_7_negative_r_suite(fixtures):
             th = theta_abelian(fix, PlaceSets(S, [], -1))
             data = mu_tate_annihilators(fix, -1)
             for x in data["generators"]:
-                y = (_nr_of_element(fix, x) * th.central).to_group_ring()
+                y = (reduced_norm([[x]], fix.table) * th.central).to_group_ring()
                 assert y.is_rational()
                 assert all(c.to_fraction().denominator == 1
                            for c in y.coeffs.values()), name

@@ -8,7 +8,7 @@ import sys
 import skv
 from skv.cli import main
 
-from conftest import fixture_path
+from conftest import fixture_path, load_fixture_json
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +195,22 @@ def test_usage_error_exits_3(capsys):
                              "--out", "/nonexistent/dir/report.json")
     assert code == 3 and not out
     assert "cannot write" in err and err.count("\n") == 1
+    # flags a command does not read are not accepted
+    fitting = ["--matrix", fixture_path("q")]
+    for command, flag in ((["theta"], ["--bound", "2"]),
+                          (["theta"], ["--seed", "1"]),
+                          (["theta"], ["--timings"]),
+                          (["fitting"] + fitting, ["--bound", "2"]),
+                          (["fitting"] + fitting, ["--seed", "1"]),
+                          (["fitting"] + fitting, ["--timings"]),
+                          (["fixtures", "validate"], ["--bound", "2"]),
+                          (["fixtures", "validate"], ["--seed", "1"]),
+                          (["fixtures", "validate"], ["--timings"]),
+                          (["sku"], ["--seed", "1"]),
+                          (["sku"], ["--timings"])):
+        code, out, _ = run_cli(capsys, *command, "--fixture",
+                               fixture_path("q"), *flag)
+        assert code == 3 and not out, (command, flag)
 
 
 def test_falsified_exits_1(tmp_path, capsys):
@@ -265,3 +281,22 @@ def test_cli_import_needs_no_numpy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_place_labels_need_not_be_primes(tmp_path, capsys):
+    # the computed theta path reads residue characteristics, not labels
+    obj = load_fixture_json("q_zeta3")
+    for place in obj["places"]:
+        if place["label"] == "7":
+            place["label"] = "p7"
+    for cg in obj["classGroups"]:
+        cg["setT"] = ["p7" if lab == "7" else lab for lab in cg["setT"]]
+    path = tmp_path / "q_zeta3_p7.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "check", "all", "--fixture", str(path))
+    assert code == 0, err
+    _, ref, _ = run_cli(capsys, "check", "all",
+                        "--fixture", fixture_path("q_zeta3"))
+    statuses = [(v["checkId"], v["status"]) for v in json.loads(out)["verdicts"]]
+    assert statuses == [(v["checkId"], v["status"])
+                        for v in json.loads(ref)["verdicts"]]

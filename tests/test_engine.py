@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from skv.arithdata import PlaceSets
-from skv.errors import FixtureError
-from skv.engine import (inertia_norm_product, l_zero_sharp, omega_L,
-                        sku_prime_generators, theta_abelian, theta_monomial,
-                        theta_with_inertia_norms, translated_place_labels,
-                        u_prime_generators, u_prime_place_generators)
-from skv.grouprings import GroupRingElement
+from skv.arithdata import ExtensionFixture, PlaceSets
+from skv.cyclotomic import Cyclo
+from skv.errors import FixtureError, InternalCheckError
+from skv.engine import (_validate_parity, inertia_norm_product, l_zero_sharp,
+                        omega_L, sku_prime_generators, theta_abelian,
+                        theta_monomial, theta_with_inertia_norms,
+                        translated_place_labels, u_prime_generators,
+                        u_prime_place_generators)
+from skv.grouprings import CentralElement, GroupRingElement
+
+from conftest import load_fixture_json
 
 
 def _coeffs(fix, theta):
@@ -98,7 +102,7 @@ def test_theta_monomial_source_validation(fixtures):
     fix = fixtures["s3c2"]
     sets = PlaceSets(["inf"], [])
     with pytest.raises(FixtureError, match="no theta source"):
-        theta_monomial(fix, PlaceSets(["inf"], ["q5", "q7"]), r=-1)
+        theta_monomial(fix, PlaceSets(["inf"], ["q5", "q7"], -1))
     srcs = copy.deepcopy(fix.subextension_thetas)
     srcs[0]["schema"] = "skvtheta/9"
     with pytest.raises(FixtureError, match="schema"):
@@ -171,3 +175,42 @@ def test_theta_with_inertia_norms(fixtures):
 def test_omega_l(fixtures):
     fix = fixtures["q_zeta3"]
     assert [c.to_fraction() for c in omega_L(fix).components] == [6, 6]
+
+
+def test_validate_parity_rejects_nonzero_forced_component(fixtures):
+    # at r = 0 the even non-trivial characters of Q(zeta_23) must vanish,
+    # at r = -1 the odd character of Q(i)
+    for name, S, r in (("q_zeta23", ["inf", "23"], 0), ("q_i", ["inf", "2"], -1)):
+        fix = fixtures[name]
+        table = fix.table
+        th = theta_abelian(fix, PlaceSets(S, [], r))
+        _validate_parity(fix, th.central.components, r, "test",
+                         table.trivial_index())
+        ones = [Cyclo.one()] * len(table)
+        with pytest.raises(InternalCheckError, match="parity forces"):
+            _validate_parity(fix, ones, r, "test", table.trivial_index())
+
+
+def test_theta_with_inertia_norms_checks_vanishing(fixtures, monkeypatch):
+    fix = fixtures["q_zeta3"]
+    table = fix.table
+    ones = CentralElement(table, [Cyclo.one()] * len(table))
+    monkeypatch.setattr("skv.engine.inertia_norm_product", lambda f, J: ones)
+    sets = PlaceSets(["inf", "3"], ["7"])
+    # J empty: H_J is trivial and nothing is forced to vanish
+    theta_with_inertia_norms(fix, [], sets)
+    with pytest.raises(InternalCheckError, match="must vanish at character 1"):
+        theta_with_inertia_norms(fix, ["3"], sets)
+
+
+def test_theta_abelian_detects_local_factor_mismatch():
+    # a residue norm of 49 at the split prime 7 changes the local factor at
+    # 7 but not the Dirichlet Euler factor, so the assemblies disagree
+    obj = load_fixture_json("q_zeta3")
+    for place in obj["places"]:
+        if place["label"] == "7":
+            place["residueNorm"] = 49
+    fix = ExtensionFixture(obj)
+    theta_abelian(fix, PlaceSets(["inf", "3"], ["5"]))
+    with pytest.raises(InternalCheckError, match="assembly mismatch"):
+        theta_abelian(fix, PlaceSets(["inf", "3"], ["7"]))

@@ -200,3 +200,22 @@ def test_brumer_uses_every_a_s_generator(fixtures):
     assert v.status == "verified"
     # class group is trivial: vacuous witness
     assert v.witnesses[0].get("vacuous") is True
+
+
+def test_sku_sweep_takes_t_sets_with_commas_in_labels():
+    # the sweep used to recover T by splitting the generator tag on commas
+    obj = load_fixture_json("s3c2")
+
+    def rename(lab):
+        base, _, rest = lab.partition("/")
+        return ("q7,x" if base == "q7" else base) + ("/" + rest if rest else "")
+
+    for place in obj["places"]:
+        place["label"] = rename(place["label"])
+    for src in obj["subextensionThetas"]:
+        src["tPrimeLabels"] = [rename(lab) for lab in src["tPrimeLabels"]]
+    fix = ExtensionFixture(obj)
+    v = check_theorem_sku_maxord(fix, ["inf"])
+    assert v.status == "verified"
+    assert "swept 3 (J, T) combinations over 0 ramified places" in v.notes
+    assert not any("sweep gap" in note for note in v.notes)
