@@ -215,6 +215,13 @@ class ExtensionFixture:
                     if self.group.mul(mp[key(a)], mp[key(b)]) != mp[key(a * b)]:
                         raise FixtureError("cyclotomic map is not a homomorphism")
             self.cyclotomic = {"conductor": f, "map": mp}
+            # the base field is Q, whose residue field at p is F_p
+            for place in self.places:
+                if not place.infinite and place.residue_norm != place.residue_char:
+                    raise FixtureError(
+                        f"place {place.label}: residue norm {place.residue_norm} "
+                        f"must equal the residue characteristic {place.residue_char} "
+                        "over Q")
         self.subextension_thetas = obj.get("subextensionThetas", [])
         if not isinstance(self.subextension_thetas, list):
             raise FixtureError("subextensionThetas must be a list")
@@ -223,6 +230,8 @@ class ExtensionFixture:
         self.torsion_free_override = obj.get("torsionFreeOverride")
         self.cl_zeta_p_flag = obj.get("clZetaPFlag")
         self._table = None
+        # (sorted S, bound) -> GeneratorSet, filled by generate_A_S
+        self._a_s: dict[tuple, GeneratorSet] = {}
 
     @staticmethod
     def load(path: str) -> "ExtensionFixture":
@@ -389,8 +398,13 @@ def hyp_t_sets(fix: ExtensionFixture, S, bound: int) -> list[tuple[str, ...]]:
 
 def generate_A_S(fix: ExtensionFixture, S, bound: int = 2) -> GeneratorSet:
     """Truncated generating set of the annihilator module: delta_T(0) over
-    all T from the fixture's place pool with |T| <= bound and Hyp(S,T)."""
+    all T from the fixture's place pool with |T| <= bound and Hyp(S,T).
+    Built once per fixture, S and bound; callers copy the notes they
+    extend and do not change the set."""
     s_labels = set(str(x) for x in S)
+    key = (tuple(sorted(s_labels)), bound)
+    if key in fix._a_s:
+        return fix._a_s[key]
     need = set(fix.ramified_labels()) | set(fix.infinite_labels())
     if not need <= s_labels:
         raise FixtureError("A_S requires S to contain all ramified and infinite places")
@@ -400,7 +414,8 @@ def generate_A_S(fix: ExtensionFixture, S, bound: int = 2) -> GeneratorSet:
             for combo in hyp_t_sets(fix, S, bound)]
     if not gens:
         notes.append("warning: no admissible T found in the pool")
-    return GeneratorSet(gens, truncated=True, notes=notes)
+    fix._a_s[key] = GeneratorSet(gens, truncated=True, notes=notes)
+    return fix._a_s[key]
 
 
 def _twist_trivial_mod(f: int, mp: dict, n: int, N: int) -> bool:

@@ -2,8 +2,13 @@
 
 Linear characters are found by chain extension over the abelianization;
 general irreducibles come with monomial certificates: a pair (U, psi) of a
-subgroup and a linear character inducing the irreducible.  Values live in
-Q(zeta_E) with E the group exponent, stored exactly.
+subgroup and a linear character inducing the irreducible.  An abelian
+group's table is its linear characters, each certified by (G, psi) and
+checked to be a homomorphism, with no induction.  Values live in
+Q(zeta_E) with E the group exponent, stored exactly.  A table finds
+Galois conjugates from the group's class power maps,
+sigma_k(chi)(g) = chi(g^k), as GAP's character table library does, and
+looks characters up by integer keys of their values.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclotomic import Cyclo, root_of_unity_sum
-from .errors import GroupError, InternalCheckError, NotMonomialError
+from .errors import (ArithmeticDomainError, GroupError, InternalCheckError,
+                     NotMonomialError)
 from .groups import FiniteGroup
 
 
@@ -188,7 +194,14 @@ class MonomialCertificate:
 
 
 class CharacterTable:
-    """Irreducible characters in a deterministic order, with certificates."""
+    """Irreducible characters in a deterministic order, with certificates.
+
+    Each distinct value gets a small id through its canonical key
+    ``(order, num, den)`` at the common order of the table's values, and a
+    character is looked up by the tuple of its value ids.  The Galois
+    action comes from the group's class power maps: sigma_k(chi)(g) =
+    chi(g^k), a permutation of chi's values.
+    """
 
     def __init__(self, group: FiniteGroup, chars, certificates):
         self.group = group
@@ -196,12 +209,29 @@ class CharacterTable:
         self.chars = [chars[i] for i in order]
         self.certificates = [certificates[i] for i in order]
         self.exponent = group.exponent()
-        self._index = {c.values: i for i, c in enumerate(self.chars)}
+        # common order of all character values; value key -> value id; per
+        # character the ids of its values, class by class
+        self.value_order = lcm(*(v.order for c in self.chars for v in c.values))
+        self._value_ids: dict[tuple, int] = {}
+        self._rows = [tuple(self._value_ids.setdefault(key, len(self._value_ids))
+                            for key in self._value_keys(c.values))
+                      for c in self.chars]
+        self._index = {row: i for i, row in enumerate(self._rows)}
         # memoised Galois permutation: (i, k mod exponent) -> j
         self._galois: dict[tuple[int, int], int] = {}
+        self._orbits = None
+        # order -> per character, per class: the nonzero (index, numerator)
+        # pairs of the value lifted to that order; see grouprings
+        self._numerators: dict[int, list] = {}
         # chi index -> matrices of its monomial representation, filled by
         # rednorm.monomial_representation
         self._rep_cache: dict[int, list] = {}
+
+    def _value_keys(self, values):
+        """Canonical ``(order, num, den)`` keys at ``value_order``, for
+        values whose orders divide it."""
+        n = self.value_order
+        return ((n, w.num, w.den) for w in (v.lift(n) for v in values))
 
     def __len__(self):
         return len(self.chars)
@@ -213,10 +243,16 @@ class CharacterTable:
         return self.chars[i]
 
     def index_of_values(self, values) -> int:
-        try:
-            return self._index[tuple(values)]
-        except KeyError:
-            raise GroupError("values do not match any irreducible") from None
+        values = tuple(values)
+        if all(self.value_order % v.order == 0 for v in values):
+            i = self._index.get(tuple(map(self._value_ids.get, self._value_keys(values))))
+        else:
+            # a value stored at an order outside Q(zeta_value_order) can
+            # still lie in that field; compare exactly
+            i = next((i for i, c in enumerate(self.chars) if c.values == values), None)
+        if i is None:
+            raise GroupError("values do not match any irreducible")
+        return i
 
     def contragredient_index(self, i: int) -> int:
         # chi(g^-1) is the complex conjugate of chi(g), i.e. sigma_-1(chi)
@@ -227,9 +263,49 @@ class CharacterTable:
         key = (i, k % self.exponent)
         j = self._galois.get(key)
         if j is None:
-            j = self.index_of_values(self.chars[i].galois_values(k))
+            if gcd(k, self.exponent) != 1:
+                raise ArithmeticDomainError(
+                    f"galois index {k} not coprime to the exponent {self.exponent}")
+            row = self._rows[i]
+            j = self._index.get(tuple(map(row.__getitem__, self.group.power_map(k))))
+            if j is None:
+                raise GroupError("values do not match any irreducible")
             self._galois[key] = j
         return j
+
+    def galois_orbits(self) -> list[tuple[int, ...]]:
+        """The Galois orbits on the characters, each sorted, in order of
+        their smallest member."""
+        if self._orbits is None:
+            exp = self.exponent
+            units = [k for k in range(1, exp + 1) if gcd(k, exp) == 1]
+            seen, orbits = set(), []
+            for i in range(len(self.chars)):
+                if i not in seen:
+                    orbit = tuple(sorted({self.galois_index(i, k) for k in units}))
+                    seen.update(orbit)
+                    orbits.append(orbit)
+            self._orbits = orbits
+        return list(self._orbits)
+
+    def value_numerators(self, n: int) -> list[list[tuple]]:
+        """Per character, per class: the nonzero ``(index, numerator)``
+        pairs of the value lifted to Q(zeta_n), for n a multiple of
+        ``value_order``.  Character values are algebraic integers, so the
+        power-basis denominator is 1."""
+        rows = self._numerators.get(n)
+        if rows is None:
+            rows = []
+            for chi in self.chars:
+                row = []
+                for v in chi.values:
+                    w = v.lift(n)
+                    if w.den != 1:
+                        raise InternalCheckError("character value is not an algebraic integer")
+                    row.append(tuple((j, a) for j, a in enumerate(w.num) if a))
+                rows.append(row)
+            self._numerators[n] = rows
+        return rows
 
     def check_galois(self, comps, context: str):
         """Self-check that per-character components are Galois-equivariant:
@@ -256,15 +332,55 @@ class CharacterTable:
 def _char_sort_key(chi: Character):
     one = Cyclo.one()
     trivial = all(v == one for v in chi.values)
-    return (not trivial, chi.degree, tuple((v.order, v.coeffs) for v in chi.values))
+    # integral numerators order exactly as the Fraction coefficients do
+    return (not trivial, chi.degree,
+            tuple((v.order, v.num if v.den == 1 else v.coeffs) for v in chi.values))
+
+
+def _abelian_table(group: FiniteGroup) -> CharacterTable:
+    """Table of an abelian group straight from its linear characters, each
+    certified by (G, psi).  Certificate: |G| distinct characters, each
+    trivial at the identity and multiplicative on a generating set, which
+    makes each a homomorphism and the list all of Irr(G)."""
+    n, exp = group.order, group.exponent()
+    gens, span = [], (0,)
+    for g in range(n):
+        if g not in span:
+            gens.append(g)
+            span = group.subgroup_closure(gens)
+    elems = tuple(range(n))
+    classes = group.conjugacy_classes()
+    chars, certs = [], []
+    for exps in linear_characters(group):
+        # exponent e in Q/Z as the integer e * exp mod exp
+        a = [e.numerator * (exp // e.denominator) % exp for e in exps]
+        if a[0] or any((a[h] + a[s] - a[group.mul(h, s)]) % exp
+                       for s in gens for h in elems):
+            raise InternalCheckError("abelian table: a linear character is not multiplicative")
+        chars.append(Character(group, [Cyclo.zeta(exp, a[c[0]]) for c in classes]))
+        certs.append(MonomialCertificate(elems, dict(enumerate(exps))))
+    table = CharacterTable(group, chars, certs)
+    if len(chars) != n or len(table._index) != n:
+        raise InternalCheckError(
+            f"abelian table: {len(table._index)} distinct of {len(chars)} "
+            f"linear characters for a group of order {n}")
+    return table
 
 
 def irreducibles_monomial(group: FiniteGroup) -> CharacterTable:
-    """All irreducible characters via monomial certificates.
+    """All irreducible characters with monomial certificates.
 
-    Enumerates subgroups largest first, inducing their linear characters;
-    raises NotMonomialError if the sum of squared degrees never reaches |G|.
+    An abelian group takes its table straight from its linear characters.
+    Otherwise this enumerates subgroups largest first, inducing their
+    linear characters, and raises NotMonomialError if the sum of squared
+    degrees never reaches |G|.
     """
+    if group.is_abelian():
+        return _abelian_table(group)
+    return _induced_table(group)
+
+
+def _induced_table(group: FiniteGroup) -> CharacterTable:
     found: list[Character] = []
     certs: list[MonomialCertificate] = []
     seen = set()

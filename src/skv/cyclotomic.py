@@ -100,11 +100,11 @@ class _OrderData:
 
     @cached_property
     def traces(self) -> tuple[int, ...]:
-        """Tr(zeta_n^k) over Q for k < phi: the Ramanujan sum
+        """Tr(zeta_n^k) over Q for 0 <= k < n: the Ramanujan sum
         mu(m) * phi(n) / phi(m) with m = n / gcd(n, k)."""
         weight = {}
         out = []
-        for k in range(self.phi):
+        for k in range(self.n):
             m = self.n // gcd(self.n, k)
             if m not in weight:
                 weight[m] = _mobius(m) * (self.phi // euler_phi(m))
@@ -247,6 +247,14 @@ class Cyclo:
     def rational(q) -> "Cyclo":
         q = Fraction(q)
         return _make(1, (q.numerator,), q.denominator)
+
+    @staticmethod
+    def from_numerators(order: int, num, den: int) -> "Cyclo":
+        """The element with power-basis coefficients num[i] / den, from
+        phi(order) integer numerators and an integer den > 0."""
+        if len(num) != order_data(order).phi or den <= 0:
+            raise ArithmeticDomainError("need phi(order) numerators over a positive denominator")
+        return _normal(order, num, den)
 
     @staticmethod
     def zero(order: int = 1) -> "Cyclo":

@@ -4,14 +4,23 @@ A central element is stored through its character components: the value of
 each irreducible character (normalized by degree) on the element.  This is
 the form in which integrality in a maximal order is checked, and it makes
 multiplication componentwise.
+
+``CentralElement.to_group_ring`` turns components back into group-ring
+coefficients.  For an element of Q[G] it sums one trace per Galois orbit of
+characters, as integer dot products with the cached traces of roots of
+unity, and then checks the rational result by the forward transform, which
+must give back every component.  Inputs outside Q[G], whose components are
+not Galois-equivariant, fail that check and take the sum over every
+character in Q(zeta).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .characters import CharacterTable, irreducibles_monomial
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, order_data
 from .errors import CentralityError, GroupError
 from .groups import FiniteGroup
 
@@ -136,6 +145,26 @@ class CentralElement:
         return CentralElement(table, comps)
 
     def to_group_ring(self) -> GroupRingElement:
+        """The element as sum_g a_g g, where
+        a_g = |G|^(-1) sum_chi chi(1) x_chi chi(g^(-1)).
+
+        An element of Q[G] has Galois-equivariant components, so each
+        Galois orbit of characters contributes the trace
+        chi(1) (m / phi(N)) Tr(x_chi chi(g^(-1))) of its representative chi,
+        with m the orbit size and N the common order (see ``_trace_form``).
+        That result is checked by the forward transform, which must give
+        back every component exactly; Q[G] maps onto exactly the equivariant
+        tuples, so the check fails precisely for inputs outside Q[G] (such
+        as the idempotent of one non-rational character), which take the
+        sum over all characters instead.
+        """
+        coeffs = self._trace_form()
+        if coeffs is None:
+            coeffs = self._direct_sum()
+        return GroupRingElement(self.group, coeffs)
+
+    def _direct_sum(self) -> dict:
+        """Coefficients from the sum over every character, in Q(zeta)."""
         group = self.group
         ids = group.class_index()
         coeffs = {}
@@ -146,7 +175,66 @@ class CentralElement:
                 acc = acc + comp * chi.values[gi] * Fraction(chi.degree, group.order)
             if not acc.is_zero():
                 coeffs[g] = acc
-        return GroupRingElement(group, coeffs)
+        return coeffs
+
+    def _trace_form(self) -> dict | None:
+        """Rational coefficients from one trace per Galois orbit, or None
+        when their forward transform misses a component."""
+        nums, den = self._orbit_traces()
+        if not self._gives_back(nums, den):
+            return None
+        ids = self.group.class_index()
+        return {g: Fraction(nums[c], den) for g, c in enumerate(ids) if nums[c]}
+
+    def _orbit_traces(self) -> tuple[list[int], int]:
+        """Numerators per class over one denominator of the trace-form
+        coefficients.  Traces are integer dot products: with
+        x = sum_a x_a zeta^a / d at order N and t_k = Tr(zeta_N^k),
+        Tr(x zeta^b) = sum_a x_a t_(a+b) / d, so one vector
+        w_b = sum_a x_a t_(a+b) per orbit serves every class."""
+        table, group = self.table, self.group
+        comps = self.components
+        n = lcm(table.value_order, *(c.order for c in comps))
+        data = order_data(n)
+        traces, phi = data.traces, data.phi
+        classes = group.conjugacy_classes()
+        ids = group.class_index()
+        inverse_class = [ids[group.inverse(c[0])] for c in classes]
+        values = table.value_numerators(n)
+        terms = []
+        for orbit in table.galois_orbits():
+            i = orbit[0]
+            x = comps[i].lift(n)
+            if x.is_zero():
+                continue
+            nonzero = [(a, xa) for a, xa in enumerate(x.num) if xa]
+            w = [sum(xa * traces[(a + b) % n] for a, xa in nonzero) for b in range(phi)]
+            terms.append((table[i].degree * len(orbit), x.den, w, values[i]))
+        common = lcm(*(d for _, d, _, _ in terms))
+        nums = [0] * len(classes)
+        for scale, d, w, row in terms:
+            scale *= common // d
+            for c in range(len(classes)):
+                nums[c] += scale * sum(w[b] * v for b, v in row[inverse_class[c]])
+        return nums, group.order * phi * common
+
+    def _gives_back(self, nums: list[int], den: int) -> bool:
+        """Round trip: does the class function a_C = nums[C] / den have
+        exactly these components?  Each x_chi = chi(1)^(-1) sum_C |C| a_C
+        chi(C) is summed as integer numerators and normalised once."""
+        table = self.table
+        order = table.value_order
+        size = order_data(order).phi
+        classes = self.group.conjugacy_classes()
+        weighted = [(c, len(cls) * nums[c]) for c, cls in enumerate(classes) if nums[c]]
+        for i, (chi, row) in enumerate(zip(table, table.value_numerators(order))):
+            acc = [0] * size
+            for c, a in weighted:
+                for b, v in row[c]:
+                    acc[b] += a * v
+            if Cyclo.from_numerators(order, acc, den * chi.degree) != self.components[i]:
+                return False
+        return True
 
     def __add__(self, other):
         self._compat(other)

@@ -60,6 +60,8 @@ class FiniteGroup:
         self._class_ids = None
         self._exponent = None
         self._subgroups = None
+        self._rep_powers = None
+        self._power_maps: dict[int, tuple[int, ...]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -117,6 +119,16 @@ class FiniteGroup:
             k += 1
         return k
 
+    def _cyclic_powers(self, a: int) -> tuple[int, ...]:
+        """a^0, a^1, ..., a^(m-1) for m the order of a."""
+        row = self.table[a]
+        powers = [0]
+        x = a
+        while x != 0:
+            powers.append(x)
+            x = row[x]
+        return tuple(powers)
+
     def exponent(self) -> int:
         if self._exponent is None:
             self._exponent = lcm(*(self.element_order(a) for a in range(self.order)))
@@ -143,6 +155,20 @@ class FiniteGroup:
                     next_id += 1
             self._class_ids = tuple(ids)
         return self._class_ids
+
+    def power_map(self, k: int) -> tuple[int, ...]:
+        """Class power map: class c -> class of g^k for any g in class c
+        (conjugation commutes with powers), cached per k mod the exponent."""
+        k %= self.exponent()
+        pm = self._power_maps.get(k)
+        if pm is None:
+            if self._rep_powers is None:
+                self._rep_powers = [self._cyclic_powers(c[0])
+                                    for c in self.conjugacy_classes()]
+            ids = self.class_index()
+            pm = tuple(ids[p[k % len(p)]] for p in self._rep_powers)
+            self._power_maps[k] = pm
+        return pm
 
     def subgroup_closure(self, gens) -> tuple[int, ...]:
         """Subgroup generated by gens, found breadth-first as every product of

@@ -96,6 +96,25 @@ def test_mu_and_cyclotomic_validation():
         ExtensionFixture(_mutated("q_i", bad_j))
 
 
+def test_residue_norm_over_q_must_equal_residue_char():
+    def norm_49(o):
+        next(p for p in o["places"] if p["label"] == "7")["residueNorm"] = 49
+
+    with pytest.raises(FixtureError, match="place 7: residue norm 49"):
+        ExtensionFixture(_mutated("q_zeta3", norm_49))
+    # without cyclotomic data the base field need not be Q
+    obj = _mutated("q_zeta3", norm_49)
+    del obj["cyclotomic"]
+    assert ExtensionFixture(obj).place("7").residue_norm == 49
+
+
+def test_generate_a_s_built_once_per_set_and_bound():
+    fix = ExtensionFixture(load_fixture_json("q_zeta3"))
+    first = generate_A_S(fix, ["inf", "3"], 2)
+    assert generate_A_S(fix, ["3", "inf", "3"], 2) is first
+    assert generate_A_S(fix, ["inf", "3"], 1) is not first
+
+
 def test_place_sets_guards():
     with pytest.raises(FixtureError):
         PlaceSets(["a"], ["a"])

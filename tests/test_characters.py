@@ -7,11 +7,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skv.characters import (_check_multiplicative, induce_from_linear,
+from skv.characters import (_abelian_table, _check_multiplicative,
+                            _induced_table, induce_from_linear,
                             irreducibles_monomial, linear_characters)
 from skv.cyclotomic import Cyclo
-from skv.errors import GroupError, InternalCheckError
-from skv.groups import named_group
+from skv.errors import ArithmeticDomainError, GroupError, InternalCheckError
+from skv.groups import FiniteGroup, _named_tables, named_group
 
 
 def test_c6_linear_characters():
@@ -183,3 +184,72 @@ def test_multiplicativity_check_matches_reference(name, data):
     else:
         with pytest.raises(GroupError):
             _check_multiplicative(group, u, exps)
+
+
+def _power_map_groups():
+    """Every named group and three larger cyclic groups."""
+    return [named_group(name) for name in sorted(_named_tables())] + \
+        [FiniteGroup.cyclic(n) for n in (22, 46, 64)]
+
+
+def test_power_map_is_the_class_of_the_kth_power():
+    for group in _power_map_groups():
+        ids = group.class_index()
+        exp = group.exponent()
+        for k in list(range(exp + 2)) + [-1]:
+            pm = group.power_map(k)
+            for c, cls in enumerate(group.conjugacy_classes()):
+                for g in cls:
+                    power = 0
+                    for _ in range(k % exp):
+                        power = group.mul(power, g)
+                    assert pm[c] == ids[power], (group.order, k, g)
+
+
+def test_galois_index_from_power_maps_matches_direct_lookup():
+    for group in _power_map_groups():
+        table = irreducibles_monomial(group)
+        exp = table.exponent
+        for i, chi in enumerate(table):
+            for k in range(1, exp + 1):
+                if gcd(k, exp) != 1:
+                    continue
+                conj = chi.galois_values(k)
+                direct = next(j for j, c in enumerate(table) if c.values == conj)
+                assert table.galois_index(i, k) == direct
+        if exp > 1:
+            with pytest.raises(ArithmeticDomainError):
+                table.galois_index(0, exp)
+
+
+def test_abelian_table_equals_induced_table():
+    groups = [g for g in _power_map_groups() if g.is_abelian()]
+    groups.append(FiniteGroup.direct_product(named_group("C2"), named_group("C6")))
+    for group in groups:
+        fast, induced = _abelian_table(group), _induced_table(group)
+        assert [c.values for c in fast] == [c.values for c in induced]
+        assert [(c.u_elems, c.exps) for c in fast.certificates] == \
+            [(c.u_elems, c.exps) for c in induced.certificates]
+        assert [c.values for c in irreducibles_monomial(group)] == \
+            [c.values for c in fast]
+
+
+def test_abelian_table_certificate_rejects_bad_characters(monkeypatch):
+    group = named_group("C6")
+    good = linear_characters(group)
+    duplicated = good[:-1] + [good[0]]
+    shifted = [list(e) for e in good]
+    shifted[1][2] += Fraction(1, 6)
+    for chars, what in ((good[:-1], "distinct"), (duplicated, "distinct"),
+                        (shifted, "multiplicative")):
+        monkeypatch.setattr("skv.characters.linear_characters",
+                            lambda g, chars=chars: chars)
+        with pytest.raises(InternalCheckError, match=what):
+            _abelian_table(group)
+
+
+def test_index_of_values_at_a_foreign_order():
+    table = irreducibles_monomial(named_group("C2"))
+    # -1 stored at order 3 is not a key at order 2 but is still a value
+    sign = (Cyclo.one(3), -Cyclo.one(3))
+    assert table.index_of_values(sign) == 1

@@ -181,6 +181,17 @@ def test_malformed_fixture_exits_3(tmp_path, capsys):
             assert what in err and err.count("\n") == 1, err
 
 
+def test_bad_residue_norm_over_q_exits_3(tmp_path, capsys):
+    obj = load_fixture_json("q_zeta3")
+    next(p for p in obj["places"] if p["label"] == "7")["residueNorm"] = 49
+    path = tmp_path / "q_zeta3_norm49.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["check", "all"], ["fixtures", "validate"]):
+        code, out, err = run_cli(capsys, *argv, "--fixture", str(path))
+        assert code == 3 and not out, argv
+        assert "residue norm 49" in err and err.count("\n") == 1, err
+
+
 def test_usage_error_exits_3(capsys):
     assert main(["check", "nonsense",
                  "--fixture", fixture_path("q")]) == 3

@@ -1,6 +1,7 @@
 """Group rings, central elements, idempotents, maximal-order membership."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from skv.characters import irreducibles_monomial
 from skv.cyclotomic import Cyclo
 from skv.errors import CentralityError, GroupError
-from skv.groups import detect_direct_product, named_group
+from skv.groups import FiniteGroup, detect_direct_product, named_group
 from skv.grouprings import (CentralElement, GroupRingElement, idempotent_eps,
                             max_order_membership, minus_idempotent,
                             product_coefficients)
@@ -195,3 +196,77 @@ def test_from_group_ring_is_a_ring_map_on_central_elements(xs, ys):
     cy = CentralElement.from_group_ring(table, y)
     assert CentralElement.from_group_ring(table, x * y) == cx * cy
     assert CentralElement.from_group_ring(table, x + y) == cx + cy
+
+
+# -- trace-form transform against the sum over every character -------------
+
+
+@lru_cache(maxsize=None)
+def _cyclic_table(n):
+    return irreducibles_monomial(FiniteGroup.cyclic(n))
+
+
+def _table(fixtures, name):
+    return fixtures[name].table if name in fixtures else _cyclic_table(int(name[1:]))
+
+
+TABLE_NAMES = st.one_of(st.integers(1, 46).map(lambda n: f"C{n}"),
+                        st.sampled_from(["q_zeta23", "s3c2"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(TABLE_NAMES, st.data())
+def test_trace_form_matches_direct_sum_on_equivariant_inputs(fixtures, name, data):
+    table = _table(fixtures, name)
+    group = table.group
+    classes = group.conjugacy_classes()
+    # a rational class function, hence an element of the center of Q[G]
+    values = data.draw(st.dictionaries(
+        st.integers(0, len(classes) - 1),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=6))
+    x = GroupRingElement(group, {g: q for c, q in values.items() for g in classes[c]})
+    cent = CentralElement.from_group_ring(table, x)
+    # the same components stored at a multiple of their order
+    m = data.draw(st.sampled_from([1, 2, 3]))
+    lifted = CentralElement(table, [c.lift(m * table.value_order) for c in cent.components])
+    for elem in (cent, lifted):
+        assert elem._trace_form() is not None
+        assert elem.to_group_ring() == x
+        assert GroupRingElement(group, elem._direct_sum()) == x
+
+
+@settings(max_examples=40, deadline=None)
+@given(TABLE_NAMES, st.data())
+def test_trace_form_falls_back_on_non_equivariant_inputs(fixtures, name, data):
+    table = _table(fixtures, name)
+    i = data.draw(st.integers(0, len(table) - 1))
+    indicator = [Cyclo.zero()] * len(table)
+    indicator[i] = Cyclo.one()
+    cent = CentralElement(table, indicator)
+    orbit = next(o for o in table.galois_orbits() if i in o)
+    # the idempotent of chi lies in Q[G] exactly when chi is rational-valued
+    assert (cent._trace_form() is None) == (len(orbit) > 1)
+    elem = cent.to_group_ring()
+    assert elem == GroupRingElement(table.group, cent._direct_sum())
+    assert CentralElement.from_group_ring(table, elem) == cent
+
+
+def test_round_trip_rejects_a_wrong_trace_form(fixtures, monkeypatch):
+    for name in ("q_zeta23", "s3c2"):
+        table = fixtures[name].table
+        group = table.group
+        cls = group.conjugacy_classes()[1]
+        x = GroupRingElement.norm_element(group, cls) * Fraction(1, 2) \
+            + GroupRingElement.scalar(group, 3)
+        cent = CentralElement.from_group_ring(table, x)
+        nums, den = cent._orbit_traces()
+        assert cent._gives_back(nums, den)
+        for c in range(len(nums)):
+            wrong = list(nums)
+            wrong[c] += 1
+            assert not cent._gives_back(wrong, den)
+        monkeypatch.setattr(CentralElement, "_orbit_traces",
+                            lambda self: (wrong, den))
+        assert cent._trace_form() is None
+        assert cent.to_group_ring() == x
+        monkeypatch.undo()

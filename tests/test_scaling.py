@@ -1,0 +1,37 @@
+"""Scaling gate for the exact core at the group-order cap of 128."""
+
+import time
+from fractions import Fraction
+
+import pytest
+
+from skv.characters import irreducibles_monomial
+from skv.cyclotomic import Cyclo
+from skv.grouprings import CentralElement, GroupRingElement
+from skv.groups import ORDER_CAP, FiniteGroup
+
+#: Seconds allowed for the whole gate.  It took about 0.5 s on a 2-CPU
+#: x86-64 host, against about 18 s when abelian tables were induced,
+#: Galois permutations came from conjugating whole characters and the
+#: transform summed Cyclo products over every character.
+LIMIT_S = 5.0
+
+
+@pytest.mark.slow
+def test_cyclic_128_table_galois_check_and_transform():
+    t0 = time.perf_counter()
+    group = FiniteGroup.cyclic(ORDER_CAP)
+    table = irreducibles_monomial(group)
+    assert len(table) == ORDER_CAP
+    # x = g1 + 2 g5 - g64 / 3 has the components chi(x) of an element of Q[G]
+    x = {1: Fraction(1), 5: Fraction(2), 64: Fraction(-1, 3)}
+    ids = group.class_index()
+    comps = [sum((chi.values[ids[g]] * q for g, q in x.items()), start=Cyclo.zero())
+             for chi in table]
+    table.check_galois(comps, "cyclic 128")  # cold: the memo is empty
+    cent = CentralElement(table, comps)
+    elem = cent.to_group_ring()
+    elapsed = time.perf_counter() - t0
+    assert elem == GroupRingElement(group, x)
+    assert cent._trace_form() is not None
+    assert elapsed < LIMIT_S, f"{elapsed:.2f} s"
