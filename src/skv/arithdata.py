@@ -259,6 +259,11 @@ class ExtensionFixture:
     def finite_labels(self) -> list[str]:
         return [p.label for p in self.places if not p.infinite]
 
+    def minimal_s(self) -> list[str]:
+        """The ramified and infinite places, sorted: the smallest S that
+        the standing hypotheses allow, and every suite's default S."""
+        return sorted(set(self.ramified_labels()) | set(self.infinite_labels()))
+
 
 class SetVerdict:
     def __init__(self, ok: bool, reasons: list[str]):
@@ -294,8 +299,7 @@ def check_hyp_ST(fix: ExtensionFixture, sets: PlaceSets) -> SetVerdict:
     reasons = []
     for lab in sets.S + sets.T:
         fix.place(lab)
-    need = set(fix.ramified_labels()) | set(fix.infinite_labels())
-    missing = need - set(sets.S)
+    missing = set(fix.minimal_s()) - set(sets.S)
     if missing:
         reasons.append(f"S misses ramified/infinite places {sorted(missing)}")
     if set(sets.S) & set(sets.T):
@@ -306,14 +310,12 @@ def check_hyp_ST(fix: ExtensionFixture, sets: PlaceSets) -> SetVerdict:
     return SetVerdict(not reasons, reasons or [f"torsion: {why}"])
 
 
-def check_admissible(fix: ExtensionFixture, sets: PlaceSets,
-                     p: int | None = None, r: int = 0) -> SetVerdict:
-    """(p,r)-admissibility: for r < 0 this is exactly the standing
-    hypotheses; for r = 0 the four local conditions."""
-    if r < 0:
+def check_admissible(fix: ExtensionFixture, sets: PlaceSets) -> SetVerdict:
+    """(p,r)-admissibility at the sets' p and r: for r < 0 this is exactly
+    the standing hypotheses; for r = 0 the four local conditions."""
+    if sets.r < 0:
         return check_hyp_ST(fix, sets)
-    if p is None:
-        p = sets.p
+    p = sets.p
     reasons = []
     for lab in sets.S + sets.T:
         fix.place(lab)
@@ -405,8 +407,7 @@ def generate_A_S(fix: ExtensionFixture, S, bound: int = 2) -> GeneratorSet:
     key = (tuple(sorted(s_labels)), bound)
     if key in fix._a_s:
         return fix._a_s[key]
-    need = set(fix.ramified_labels()) | set(fix.infinite_labels())
-    if not need <= s_labels:
+    if not set(fix.minimal_s()) <= s_labels:
         raise FixtureError("A_S requires S to contain all ramified and infinite places")
     pool = [lab for lab in fix.finite_labels() if lab not in s_labels]
     notes = [f"truncated at |T| <= {bound} over a pool of {len(pool)} places"]

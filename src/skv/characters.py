@@ -99,17 +99,6 @@ class Character:
         target = lcm(self.exponent, *(v.order for v in values))
         return [v.lift(target) for v in values]
 
-    @staticmethod
-    def from_linear(group: FiniteGroup, exps: list[Fraction]) -> "Character":
-        class_ids = group.class_index()
-        classes = group.conjugacy_classes()
-        vals = [None] * len(classes)
-        for g, e in enumerate(exps):
-            c = class_ids[g]
-            if vals[c] is None:
-                vals[c] = Cyclo.from_root_of_unity(e)
-        return Character(group, vals)
-
     def value_at(self, g: int) -> Cyclo:
         return self.values[self.group.class_index()[g]]
 

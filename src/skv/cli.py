@@ -22,12 +22,8 @@ from .engine import sku_prime_generators, theta
 from .errors import FixtureError, SkvError
 from .grouprings import GroupRingElement
 from .rednorm import fitting_of_presentation
-from .verify import (Verdict, check_brumer, check_brumer_stark_necessary,
-                     check_negative_r, check_theorem_sku_maxord,
-                     check_theorem_stickelberger_int, default_sets,
-                     exceptional_prime_screening, run_all)
-
-SUITES = ("stickelberger", "sku", "brumer", "brumer-stark", "negative-r", "all")
+from .verify import (SUITES, CheckOptions, exceptional_prime_screening,
+                     reject_unread_flags)
 
 
 def _digest(path: str) -> str:
@@ -35,14 +31,8 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _split(arg: str | None) -> list[str]:
-    if not arg:
-        return []
+def _split(arg: str) -> list[str]:
     return [part.strip() for part in arg.split(",") if part.strip()]
-
-
-def _default_s(fix: ExtensionFixture) -> list[str]:
-    return sorted(set(fix.ramified_labels()) | set(fix.infinite_labels()))
 
 
 def _report(fix_path: str, fix: ExtensionFixture, seed: int, verdicts,
@@ -104,8 +94,7 @@ def _exit_code(verdicts) -> int:
 
 
 def cmd_theta(args, fix: ExtensionFixture) -> int:
-    S = _split(args.S) or _default_s(fix)
-    sets = PlaceSets(S, _split(args.T), args.r)
+    sets = PlaceSets(args.S or fix.minimal_s(), args.T or [], args.r)
     th = theta(fix, sets)
     payload = th.to_json()
     text = None
@@ -123,42 +112,16 @@ def cmd_theta(args, fix: ExtensionFixture) -> int:
 
 
 def cmd_check(args, fix: ExtensionFixture, fix_path: str) -> int:
-    S = _split(args.S) or _default_s(fix)
-    verdicts: list[Verdict] = []
+    given = {flag: getattr(args, flag) for flag in CheckOptions._fields
+             if getattr(args, flag) is not None}
+    reject_unread_flags(args.suite, given)
+    options = CheckOptions(**given)
+    verdicts = []
     timings: dict[str, float] = {}
-
-    def timed(name, thunk):
+    for name in SUITES if args.suite == "all" else [args.suite]:
         t0 = time.perf_counter()
-        verdicts.append(thunk())
+        verdicts.append(SUITES[name].run(fix, options))
         timings[name] = time.perf_counter() - t0
-
-    if args.suite == "all":
-        t0 = time.perf_counter()
-        verdicts.extend(run_all(fix, bound=args.bound, r_neg=args.r
-                                if args.r is not None and args.r < 0 else -1))
-        timings["all"] = time.perf_counter() - t0
-    elif args.suite == "stickelberger":
-        r = args.r if args.r is not None else 0
-        if args.T is not None:
-            sets = PlaceSets(S, _split(args.T), r, args.p)
-        else:
-            sets = default_sets(fix, args.bound)
-        if sets is None:
-            verdicts.append(Verdict("theorem-stickelberger-int", "inconclusive",
-                                    notes=["no admissible T in the fixture "
-                                           f"pool (bound {args.bound})"]))
-        else:
-            timed("stickelberger",
-                  lambda: check_theorem_stickelberger_int(fix, sets))
-    elif args.suite == "sku":
-        timed("sku", lambda: check_theorem_sku_maxord(fix, S, args.bound))
-    elif args.suite == "brumer":
-        timed("brumer", lambda: check_brumer(fix, S, args.bound))
-    elif args.suite == "brumer-stark":
-        timed("brumer-stark", lambda: check_brumer_stark_necessary(fix, S))
-    elif args.suite == "negative-r":
-        r = args.r if args.r is not None else -1
-        timed("negative-r", lambda: check_negative_r(fix, S, r))
     report = _report(fix_path, fix, args.seed, verdicts,
                      timings if args.timings else None)
     _emit(report, args.format, args.out, _render_text(report))
@@ -166,7 +129,7 @@ def cmd_check(args, fix: ExtensionFixture, fix_path: str) -> int:
 
 
 def cmd_sku(args, fix: ExtensionFixture) -> int:
-    S = _split(args.S) or _default_s(fix)
+    S = args.S or fix.minimal_s()
     gens = sku_prime_generators(fix, S, args.bound)
     payload = {
         "schema": "skvgens/1",
@@ -276,11 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", type=int, default=2,
                        help="truncation budget for searched sets")
 
+    def labels(p, flag):
+        p.add_argument(flag, type=_split, default=None,
+                       help="comma-separated place labels")
+
     p_theta = sub.add_parser("theta", help="assemble and print theta_S^T(r)")
     common(p_theta)
     p_theta.add_argument("--r", type=int, default=0)
-    p_theta.add_argument("--S", default=None, help="comma-separated labels")
-    p_theta.add_argument("--T", default=None, help="comma-separated labels")
+    labels(p_theta, "--S")
+    labels(p_theta, "--T")
 
     p_check = sub.add_parser("check", help="run a verdict suite")
     common(p_check)
@@ -290,17 +257,20 @@ def build_parser() -> argparse.ArgumentParser:
                               "no suite is random")
     p_check.add_argument("--timings", action="store_true",
                          help="include (non-deterministic) timings in reports")
-    p_check.add_argument("suite", choices=SUITES)
+    p_check.add_argument("suite", choices=[*SUITES, "all"])
     p_check.add_argument("--r", type=int, default=None)
-    p_check.add_argument("--S", default=None)
-    p_check.add_argument("--T", default=None)
+    labels(p_check, "--S")
+    labels(p_check, "--T")
     p_check.add_argument("--p", type=int, default=None,
                          help="p-local membership variant")
+    # None tells a given --bound from the default of 2, which a suite
+    # that never reads --bound must not be given
+    p_check.set_defaults(bound=None)
 
     p_sku = sub.add_parser("sku", help="emit the truncated generator set")
     common(p_sku)
     bound(p_sku)
-    p_sku.add_argument("--S", default=None)
+    labels(p_sku, "--S")
 
     p_fit = sub.add_parser("fitting",
                            help="Fitting generators of a presentation matrix")
@@ -321,7 +291,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
-    if getattr(args, "bound", 0) < 0:
+    if (getattr(args, "bound", None) or 0) < 0:
         sys.stderr.write(f"error: --bound must be non-negative, got {args.bound}\n")
         return 3
     try:

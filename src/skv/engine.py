@@ -12,9 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arithdata import (ExtensionFixture, GeneratorSet, PlaceSets,
-                        delta_element, euler_element, generate_A_S,
-                        validate_theta_source)
-from .characters import Character, linear_characters
+                        delta_element, euler_element, generate_A_S)
 from .cyclotomic import Cyclo
 from .errors import FixtureError, InternalCheckError
 from .grouprings import (CentralElement, GroupRingElement, _product_pairing,
@@ -61,23 +59,18 @@ class ThetaElement:
 
 def _dirichlet_for_table(fix: ExtensionFixture):
     """Match each irreducible of an abelian fixture with the Dirichlet
-    character it pulls back to under the fixture's restriction map."""
-    group = fix.group
-    if not group.is_abelian():
+    character it pulls back to under the fixture's restriction map.  An
+    abelian table certifies each character by its exponents on G."""
+    if not fix.group.is_abelian():
         raise FixtureError("the computed theta path needs an abelian group")
     if fix.cyclotomic is None:
         raise FixtureError("the computed theta path needs the cyclotomic field data")
     f = fix.cyclotomic["conductor"]
     mp = fix.cyclotomic["map"]
-    table = fix.table
-    out = [None] * len(table)
-    for exps in linear_characters(group):
-        idx = table.index_of_values(Character.from_linear(group, exps).values)
-        key = (lambda a: a % f) if f > 1 else (lambda a: 1)
-        dir_exps = {key(a): exps[mp[key(a)]]
-                    for a in range(1, f + 1) if gcd(a, f) == 1 or f == 1}
-        out[idx] = DirichletCharacter(f, dir_exps)
-    return out
+    key = (lambda a: a % f) if f > 1 else (lambda a: 1)
+    units = [key(a) for a in range(1, f + 1) if gcd(a, f) == 1 or f == 1]
+    return [DirichletCharacter(f, {a: cert.exps[mp[a]] for a in units})
+            for cert in fix.table.certificates]
 
 
 def _validate_parity(fix: ExtensionFixture, comps, r: int, context: str,
@@ -151,27 +144,21 @@ def _product_split(fix: ExtensionFixture):
     return dp
 
 
-def theta_monomial(fix: ExtensionFixture, sets: PlaceSets,
-                   sources: list[dict] | None = None) -> ThetaElement:
+def theta_monomial(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     """theta_S^T(r) for G = H x C from per-certificate abelian theta sources.
 
     Each source supplies, for one irreducible chi of H with certificate
     (U, psi), the values L_{S'}^{T'}(r, psi^ab * lambda) over lambda in
-    Irr(C), tagged with the translated place sets.  Sources default to the
-    fixture's own (validated on load); caller-supplied ones are validated
-    here.  Use ``theta`` to pick between this and the computed path.
+    Irr(C), tagged with the translated place sets.  The sources are the
+    fixture's own, validated on load.  Use ``theta`` to pick between this
+    and the computed path.
     """
     r = sets.r
-    if sources is None:
-        sources = fix.subextension_thetas
-    else:
-        for src in sources:
-            validate_theta_source(src)
     h_elems, c_elems = _product_split(fix)
     table = fix.table
     tab_h, tab_c, pairing, back_h, _ = _product_pairing(table, h_elems, c_elems)
     by_chi: dict[int, list] = {}
-    for src in sources:
+    for src in fix.subextension_thetas:
         by_chi.setdefault(int(src["chiIndex"]), []).append(src)
     comps_sharp = [None] * len(table)
     for i in range(len(tab_h)):
@@ -220,13 +207,12 @@ def _computed_path(fix: ExtensionFixture) -> bool:
     return fix.group.is_abelian() and fix.cyclotomic is not None
 
 
-def theta(fix: ExtensionFixture, sets: PlaceSets,
-          sources: list[dict] | None = None) -> ThetaElement:
+def theta(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     """theta_S^T(r) by the path the fixture supports: ``theta_abelian``
     when it can be computed, else ``theta_monomial`` from theta sources."""
     if _computed_path(fix):
         return theta_abelian(fix, sets)
-    return theta_monomial(fix, sets, sources)
+    return theta_monomial(fix, sets)
 
 
 # -- Sinnott-Kurihara generators --------------------------------------------
@@ -268,21 +254,19 @@ def u_prime_generators(fix: ExtensionFixture, S) -> GeneratorSet:
                         notes=[f"{len(combos)} products over {len(s_fin)} finite places"])
 
 
-def l_zero_sharp(fix: ExtensionFixture, sources: list[dict] | None = None) -> CentralElement:
+def l_zero_sharp(fix: ExtensionFixture) -> CentralElement:
     """L(0)^sharp, which is exactly the untruncated theta at r = 0 (S =
     infinite places only, T empty): the sharp is already built into theta.
     L(0) is defined without any Hyp conditions."""
-    sets = PlaceSets(fix.infinite_labels(), [], 0)
-    return theta(fix, sets, sources).central
+    return theta(fix, PlaceSets(fix.infinite_labels(), [], 0)).central
 
 
-def sku_prime_generators(fix: ExtensionFixture, S, bound: int = 2,
-                         sources: list[dict] | None = None) -> GeneratorSet:
+def sku_prime_generators(fix: ExtensionFixture, S, bound: int = 2) -> GeneratorSet:
     """Truncated generating set of the modified Sinnott-Kurihara module:
     all products delta_T(0) * u' * L(0)^sharp."""
     a_s = generate_A_S(fix, S, bound)
     u_p = u_prime_generators(fix, S)
-    l0 = l_zero_sharp(fix, sources)
+    l0 = l_zero_sharp(fix)
     prov = "computed" if _computed_path(fix) else "fixture-sources"
     gens = []
     for atag, a in a_s.generators:
@@ -305,8 +289,7 @@ def inertia_norm_product(fix: ExtensionFixture, J) -> CentralElement:
     return out
 
 
-def theta_with_inertia_norms(fix: ExtensionFixture, J, sets: PlaceSets,
-                             sources: list[dict] | None = None) -> CentralElement:
+def theta_with_inertia_norms(fix: ExtensionFixture, J, sets: PlaceSets) -> CentralElement:
     """prod_{p in J} nr(N_I) * theta_{S_J}^T(r), with the vanishing pattern
     of the norm product verified against the subgroup generated by the
     inertia groups of J."""
@@ -328,10 +311,4 @@ def theta_with_inertia_norms(fix: ExtensionFixture, J, sets: PlaceSets,
                 f"inertia norm product must vanish at character {i} "
                 "(kernel does not contain H_J)"
             )
-    return factor * theta(fix, PlaceSets(s_j, sets.T, sets.r), sources).central
-
-
-def omega_L(fix: ExtensionFixture) -> CentralElement:
-    """The scalar |mu_L| as a central element."""
-    table = fix.table
-    return CentralElement(table, [Cyclo.rational(fix.mu_order)] * len(table))
+    return factor * theta(fix, PlaceSets(s_j, sets.T, sets.r)).central

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .arithdata import (ExtensionFixture, PlaceSets, check_admissible,
                         generate_A_S, hyp_t_sets, mu_tate_annihilators)
@@ -70,18 +71,17 @@ def _integrality_failure(x: CentralElement, abelian: bool) -> dict | None:
     return None
 
 
-def check_theorem_stickelberger_int(fix: ExtensionFixture, sets: PlaceSets,
-                                    sources=None) -> Verdict:
+def check_theorem_stickelberger_int(fix: ExtensionFixture, sets: PlaceSets) -> Verdict:
     """Integrality of theta_S^T(r) in Z_p(zeta)-span of the product order:
     for an admissible (S, T) the element lies in zeta(M_p(H))[C] for the
     direct-product splitting G = H x C (full integrality when p is None)."""
     check_id = "theorem-stickelberger-int"
-    adm = check_admissible(fix, sets, sets.p, sets.r)
+    adm = check_admissible(fix, sets)
     if not adm.ok:
         return Verdict(check_id, "inconclusive",
                        notes=["(p,r)-admissibility failed"] + adm.reasons)
     try:
-        th = theta(fix, sets, sources)
+        th = theta(fix, sets)
     except FixtureError as exc:
         return Verdict(check_id, "inconclusive",
                        notes=[f"fixture gap: {exc}"],
@@ -101,15 +101,14 @@ def check_theorem_stickelberger_int(fix: ExtensionFixture, sets: PlaceSets,
     return Verdict(check_id, "verified", witnesses=witnesses, provenance=prov)
 
 
-def check_theorem_sku_maxord(fix: ExtensionFixture, S, bound: int = 2,
-                             sources=None) -> Verdict:
+def check_theorem_sku_maxord(fix: ExtensionFixture, S, bound: int = 2) -> Verdict:
     """The modified Sinnott-Kurihara generators lie in the maximal order,
     and the inertia-norm twisted theta elements do as well, over every
     subset J of the ramified places and every admissible T in the pool."""
     check_id = "theorem-sku-maxord"
     notes = []
     try:
-        sku = sku_prime_generators(fix, S, bound, sources)
+        sku = sku_prime_generators(fix, S, bound)
     except (FixtureError, SkvError) as exc:
         return Verdict(check_id, "inconclusive", notes=[f"fixture gap: {exc}"])
     notes.extend(sku.notes)
@@ -132,8 +131,7 @@ def check_theorem_sku_maxord(fix: ExtensionFixture, S, bound: int = 2,
         for size in range(len(ram) + 1):
             for j_combo in itertools.combinations(ram, size):
                 try:
-                    elem = theta_with_inertia_norms(fix, list(j_combo), sets,
-                                                    sources=sources)
+                    elem = theta_with_inertia_norms(fix, list(j_combo), sets)
                 except FixtureError as exc:
                     notes.append(f"sweep gap at J={list(j_combo)}, "
                                  f"T={t_labels}: {exc}")
@@ -199,8 +197,7 @@ def _integrality_tier(fix: ExtensionFixture, x: CentralElement):
                 "(support <= 2, height <= 1) found no certificate"}
 
 
-def check_brumer(fix: ExtensionFixture, S, bound: int = 2,
-                 sources=None) -> Verdict:
+def check_brumer(fix: ExtensionFixture, S, bound: int = 2) -> Verdict:
     """Annihilation of the fixture class groups by |G| * theta_S^T(0), plus
     the necessary integrality condition on theta_S^T(0) itself."""
     check_id = "conjecture-brumer"
@@ -210,7 +207,7 @@ def check_brumer(fix: ExtensionFixture, S, bound: int = 2,
     notes = []
     witnesses = []
     try:
-        th0 = theta(fix, PlaceSets(S, [], 0), sources)
+        th0 = theta(fix, PlaceSets(S, [], 0))
         a_s = generate_A_S(fix, S, bound)
     except FixtureError as exc:
         return Verdict(check_id, "inconclusive", notes=[f"fixture gap: {exc}"])
@@ -245,17 +242,15 @@ def check_brumer(fix: ExtensionFixture, S, bound: int = 2,
     return Verdict(check_id, "verified", witnesses=witnesses, notes=notes)
 
 
-def check_brumer_stark_necessary(fix: ExtensionFixture, S,
-                                 sources=None) -> Verdict:
+def check_brumer_stark_necessary(fix: ExtensionFixture, S) -> Verdict:
     """Necessary conditions only: |mu_L| * theta_S(0) is integral and kills
     the fixture class groups.  The anti-unit and abelian-extension
     conditions on the conjecture are out of scope and noted as such."""
     check_id = "brumer-stark-necessary"
     notes = ["anti-unit condition and the abelianness of L(alpha^(1/w))/K "
              "are out of scope; only integrality and annihilation are checked"]
-    sets = PlaceSets(S, [], 0)
     try:
-        th = theta(fix, sets, sources)
+        th = theta(fix, PlaceSets(S, [], 0))
     except FixtureError as exc:
         return Verdict(check_id, "inconclusive",
                        notes=notes + [f"fixture gap: {exc}"])
@@ -283,23 +278,24 @@ def check_brumer_stark_necessary(fix: ExtensionFixture, S,
     return Verdict(check_id, "verified", witnesses=witnesses, notes=notes)
 
 
-def check_negative_r(fix: ExtensionFixture, S, r: int,
-                     sources=None) -> Verdict:
+def check_negative_r(fix: ExtensionFixture, S, r: int) -> Verdict:
     """At r < 0: nr(x) * theta_S(r) is integral for every generator x of the
     annihilator of the (1-r)-fold Tate twist of the roots of unity."""
     check_id = "negative-r-int"
     if r >= 0:
         return Verdict(check_id, "inconclusive",
                        notes=["check is defined for r < 0 only"])
+    if fix.cyclotomic is None:
+        return Verdict(check_id, "inconclusive",
+                       notes=["fixture gap: no cyclotomic data"])
     sets = PlaceSets(S, [], r)
-    hyp_need = set(fix.ramified_labels()) | set(fix.infinite_labels())
-    if not hyp_need <= set(sets.S):
+    if not set(fix.minimal_s()) <= set(sets.S):
         return Verdict(check_id, "inconclusive",
                        notes=["S must contain all ramified and infinite "
                               "places"])
     try:
         data = mu_tate_annihilators(fix, r)
-        th = theta(fix, sets, sources)
+        th = theta(fix, sets)
     except FixtureError as exc:
         return Verdict(check_id, "inconclusive", notes=[f"fixture gap: {exc}"])
     abelian = fix.group.is_abelian()
@@ -366,34 +362,89 @@ def relative_class_number_qzeta(p: int) -> Fraction:
 def default_sets(fix: ExtensionFixture, bound: int = 2) -> PlaceSets | None:
     """Smallest admissible (S, T) with S the ramified and infinite places
     and T from the fixture pool, or None."""
-    S = sorted(set(fix.ramified_labels()) | set(fix.infinite_labels()))
+    S = fix.minimal_s()
     pool = [lab for lab in fix.finite_labels() if lab not in S]
     for size in range(1, bound + 1):
         for combo in itertools.combinations(pool, size):
             sets = PlaceSets(S, list(combo), 0)
-            if check_admissible(fix, sets, None, 0).ok:
+            if check_admissible(fix, sets).ok:
                 return sets
     return None
 
 
-def run_all(fix: ExtensionFixture, bound: int = 2, r_neg: int = -1,
-            sources=None) -> list[Verdict]:
-    """All checks with default set choices, in a fixed order."""
-    S = sorted(set(fix.ramified_labels()) | set(fix.infinite_labels()))
-    verdicts = []
-    sets = default_sets(fix, bound)
+# -- suite registry -----------------------------------------------------------
+
+
+class CheckOptions(NamedTuple):
+    """The ``check`` flags as given; None leaves the choice to the suite."""
+
+    S: list[str] | None = None  # None or empty: the ramified and infinite places
+    T: list[str] | None = None  # None: the smallest admissible T of the pool
+    r: int | None = None  # None: 0 for stickelberger, -1 for negative-r
+    p: int | None = None
+    bound: int = 2
+
+
+class Suite(NamedTuple):
+    """A verdict suite: its runner and the ``check`` flags it reads."""
+
+    run: Callable[[ExtensionFixture, CheckOptions], Verdict]
+    reads: frozenset
+    # the flags it reads instead once --T is given; None: it never reads --T
+    reads_with_t: frozenset | None = None
+
+
+def _stickelberger(fix: ExtensionFixture, opts: CheckOptions) -> Verdict:
+    if opts.T is not None:
+        return check_theorem_stickelberger_int(fix, PlaceSets(
+            opts.S or fix.minimal_s(), opts.T,
+            0 if opts.r is None else opts.r, opts.p))
+    sets = default_sets(fix, opts.bound)
     if sets is None:
-        verdicts.append(Verdict("theorem-stickelberger-int", "inconclusive",
-                                notes=["no admissible T in the fixture pool "
-                                       f"(bound {bound})"]))
+        return Verdict("theorem-stickelberger-int", "inconclusive",
+                       notes=["no admissible T in the fixture pool "
+                              f"(bound {opts.bound})"])
+    return check_theorem_stickelberger_int(fix, sets)
+
+
+#: Every suite in report order.  The runners look the checks up by name at
+#: call time, so a patched or wrapped check is the one that runs.
+SUITES: dict[str, Suite] = {
+    "stickelberger": Suite(_stickelberger, frozenset({"bound"}),
+                           frozenset({"T", "S", "r", "p"})),
+    "sku": Suite(lambda fix, o: check_theorem_sku_maxord(
+        fix, o.S or fix.minimal_s(), o.bound), frozenset({"S", "bound"})),
+    "brumer": Suite(lambda fix, o: check_brumer(
+        fix, o.S or fix.minimal_s(), o.bound), frozenset({"S", "bound"})),
+    "brumer-stark": Suite(lambda fix, o: check_brumer_stark_necessary(
+        fix, o.S or fix.minimal_s()), frozenset({"S"})),
+    "negative-r": Suite(lambda fix, o: check_negative_r(
+        fix, o.S or fix.minimal_s(), -1 if o.r is None else o.r),
+        frozenset({"S", "r"})),
+}
+
+#: The flags ``check all`` reads; every suite gets them unchanged.
+ALL_READS = frozenset({"bound", "r"})
+
+
+def reject_unread_flags(suite: str, given) -> None:
+    """Reject the ``check`` flags that the suite, or ``all``, never reads."""
+    entry = SUITES.get(suite)
+    if entry is None:
+        reads, mode = ALL_READS, ""
+    elif entry.reads_with_t is None:
+        reads, mode = entry.reads, ""
+    elif "T" in given:
+        reads, mode = entry.reads_with_t, " with --T"
     else:
-        verdicts.append(check_theorem_stickelberger_int(fix, sets, sources))
-    verdicts.append(check_theorem_sku_maxord(fix, S, bound, sources))
-    verdicts.append(check_brumer(fix, S, bound, sources))
-    verdicts.append(check_brumer_stark_necessary(fix, S, sources))
-    if fix.cyclotomic is not None:
-        verdicts.append(check_negative_r(fix, S, r_neg, sources))
-    else:
-        verdicts.append(Verdict("negative-r-int", "inconclusive",
-                                notes=["fixture gap: no cyclotomic data"]))
-    return verdicts
+        reads, mode = entry.reads, " without --T"
+    unread = sorted(set(given) - reads)
+    if unread:
+        raise SkvError(f"check {suite}{mode} does not read "
+                       + ", ".join(f"--{flag}" for flag in unread))
+
+
+def run_all(fix: ExtensionFixture,
+            options: CheckOptions = CheckOptions()) -> list[Verdict]:
+    """Every suite in registry order."""
+    return [suite.run(fix, options) for suite in SUITES.values()]

@@ -4,7 +4,6 @@ Each test prints a single pass/fail line through the terminal-summary hook
 and enforces its runtime budget.
 """
 
-import copy
 import json
 import random
 import time
@@ -14,7 +13,7 @@ from math import gcd
 
 import mpmath
 
-from skv.arithdata import PlaceSets, mu_tate_annihilators
+from skv.arithdata import ExtensionFixture, PlaceSets, mu_tate_annihilators
 from skv.characters import irreducibles_monomial
 from skv.cli import main as cli_main
 from skv.cyclotomic import Cyclo
@@ -31,7 +30,7 @@ from skv.verify import (check_theorem_sku_maxord,
                         check_theorem_stickelberger_int, default_sets,
                         relative_class_number_qzeta)
 
-from conftest import fixture_path, record_acceptance
+from conftest import fixture_path, load_fixture_json, record_acceptance
 
 
 @contextmanager
@@ -111,13 +110,14 @@ def test_criterion_3_stickelberger_int_suite(fixtures, monkeypatch):
             assert v.status == "verified", (name, v.notes)
             # fault injection: perturb one character component by 1/7
             if name == "s3c2":
-                srcs = copy.deepcopy(fix.subextension_thetas)
-                for src in srcs:
+                obj = load_fixture_json(name)
+                for src in obj["subextensionThetas"]:
                     if src["chiIndex"] == 0 and sorted(
                             lab.split("/")[0]
                             for lab in src["tPrimeLabels"]) == sets.T:
                         src["values"]["0"] = Cyclo.rational(5).to_json()
-                bad = check_theorem_stickelberger_int(fix, sets, srcs)
+                bad = check_theorem_stickelberger_int(ExtensionFixture(obj),
+                                                      sets)
             else:
                 real_theta = theta_abelian
 

@@ -54,6 +54,12 @@ def test_unknown_and_missing_fields_rejected():
     with pytest.raises(FixtureError, match="chiIndex"):
         ExtensionFixture(_mutated(
             "s3c2", lambda o: o["subextensionThetas"][0].update(chiIndex="0")))
+    with pytest.raises(FixtureError, match="schema"):
+        ExtensionFixture(_mutated(
+            "s3c2", lambda o: o["subextensionThetas"][0].update(schema="skvtheta/9")))
+    with pytest.raises(FixtureError, match="missing"):
+        ExtensionFixture(_mutated(
+            "s3c2", lambda o: o["subextensionThetas"][0].pop("values")))
 
 
 def test_place_flag_consistency_enforced():
@@ -139,14 +145,14 @@ def test_check_hyp_st(fixtures):
 def test_check_admissible_r_zero(fixtures):
     fix = fixtures["q_i"]
     # without a local prime the ramified place must sit in S or T
-    v = check_admissible(fix, PlaceSets(["inf"], ["5"]), r=0)
+    v = check_admissible(fix, PlaceSets(["inf"], ["5"], r=0))
     assert not v and any("(i)" in r for r in v.reasons)
     # at p = 2 the wild 2-adic place must lie in S itself
-    v2 = check_admissible(fix, PlaceSets(["inf"], ["5"]), p=2, r=0)
+    v2 = check_admissible(fix, PlaceSets(["inf"], ["5"], r=0, p=2))
     assert not v2 and any("(ii)" in r for r in v2.reasons)
-    assert check_admissible(fix, PlaceSets(["inf", "2"], ["5"]), p=2, r=0)
+    assert check_admissible(fix, PlaceSets(["inf", "2"], ["5"], r=0, p=2))
     # negative r falls back to the standing hypotheses
-    assert check_admissible(fix, PlaceSets(["inf", "2"], ["5"]), r=-1)
+    assert check_admissible(fix, PlaceSets(["inf", "2"], ["5"], r=-1))
 
 
 def test_delta_element_oracles(fixtures):

@@ -7,8 +7,9 @@ import sys
 
 import skv
 from skv.cli import main
+from skv.verify import SUITES
 
-from conftest import fixture_path, load_fixture_json
+from conftest import FIXTURE_NAMES, fixture_path, load_fixture_json
 
 
 def run_cli(capsys, *argv):
@@ -85,7 +86,28 @@ def test_timings_flag(capsys):
     code, out, _ = run_cli(capsys, "check", "brumer",
                            "--fixture", fixture_path("q_i"), "--timings")
     assert code == 0
-    assert json.loads(out)["timings"]
+    assert list(json.loads(out)["timings"]) == ["brumer"]
+    code, out, _ = run_cli(capsys, "check", "all",
+                           "--fixture", fixture_path("q"), "--timings")
+    assert code == 0
+    assert sorted(json.loads(out)["timings"]) == sorted(SUITES)
+
+
+def test_single_suites_match_check_all(capsys):
+    # each suite gives the same verdict alone as inside check all, in
+    # registry order; --r reaches negative-r unchanged either way
+    runs = [(name, []) for name in FIXTURE_NAMES]
+    runs += [("q_i", ["--r", "-2"]), ("q_i", ["--r", "0"])]
+    for name, r in runs:
+        fixture = ["--fixture", fixture_path(name)]
+        _, out, _ = run_cli(capsys, "check", "all", *fixture, *r)
+        together = json.loads(out)["verdicts"]
+        alone = []
+        for suite in SUITES:
+            flags = r if suite == "negative-r" else []
+            _, out, _ = run_cli(capsys, "check", suite, *fixture, *flags)
+            alone.extend(json.loads(out)["verdicts"])
+        assert alone == together, (name, r)
 
 
 def test_report_determinism(tmp_path, capsys):
@@ -222,6 +244,23 @@ def test_usage_error_exits_3(capsys):
         code, out, _ = run_cli(capsys, *command, "--fixture",
                                fixture_path("q"), *flag)
         assert code == 3 and not out, (command, flag)
+    # nor flags a suite does not read
+    for command, flag in ((["check", "stickelberger"], ["--r", "-1"]),
+                          (["check", "stickelberger"], ["--p", "5"]),
+                          (["check", "stickelberger"], ["--S", "inf"]),
+                          (["check", "stickelberger", "--T", "5"],
+                           ["--bound", "1"]),
+                          (["check", "sku"], ["--r", "-1"]),
+                          (["check", "brumer"], ["--T", "5"]),
+                          (["check", "brumer-stark"], ["--bound", "2"]),
+                          (["check", "negative-r"], ["--p", "5"]),
+                          (["check", "all"], ["--S", "inf"]),
+                          (["check", "all"], ["--T", "5"]),
+                          (["check", "all"], ["--p", "5"])):
+        code, out, err = run_cli(capsys, *command, "--fixture",
+                                 fixture_path("q_i"), *flag)
+        assert code == 3 and not out, (command, flag)
+        assert flag[0] in err and err.count("\n") == 1, err
 
 
 def test_falsified_exits_1(tmp_path, capsys):
@@ -276,7 +315,7 @@ def test_unexpected_exception_exits_4(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("skv.cli.run_all", broken)
+    monkeypatch.setitem(SUITES, "sku", SUITES["sku"]._replace(run=broken))
     code, out, err = run_cli(capsys, "check", "all",
                              "--fixture", fixture_path("q"))
     assert code == 4 and not out

@@ -1,6 +1,5 @@
 """Stickelberger element assembly and Sinnott-Kurihara generators."""
 
-import copy
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,7 @@ from skv.arithdata import ExtensionFixture, PlaceSets
 from skv.cyclotomic import Cyclo
 from skv.errors import FixtureError, InternalCheckError
 from skv.engine import (_validate_parity, inertia_norm_product, l_zero_sharp,
-                        omega_L, sku_prime_generators, theta_abelian,
+                        sku_prime_generators, theta_abelian,
                         theta_monomial, theta_with_inertia_norms,
                         translated_place_labels, u_prime_generators,
                         u_prime_place_generators)
@@ -99,26 +98,23 @@ def test_theta_monomial_from_fixture_sources(fixtures):
 
 
 def test_theta_monomial_source_validation(fixtures):
-    fix = fixtures["s3c2"]
     sets = PlaceSets(["inf"], [])
     with pytest.raises(FixtureError, match="no theta source"):
-        theta_monomial(fix, PlaceSets(["inf"], ["q5", "q7"], -1))
-    srcs = copy.deepcopy(fix.subextension_thetas)
-    srcs[0]["schema"] = "skvtheta/9"
-    with pytest.raises(FixtureError, match="schema"):
-        theta_monomial(fix, sets, srcs)
-    srcs = copy.deepcopy(fix.subextension_thetas)
-    del srcs[0]["values"]
-    with pytest.raises(FixtureError, match="missing"):
-        theta_monomial(fix, sets, srcs)
-    srcs = copy.deepcopy(fix.subextension_thetas)
-    srcs[0]["uElems"] = [0]
+        theta_monomial(fixtures["s3c2"], PlaceSets(["inf"], ["q5", "q7"], -1))
+
+    # sources that load but do not fit the table (schema and missing-field
+    # errors are rejected on load, see test_arithdata)
+    def with_first_source(change):
+        obj = load_fixture_json("s3c2")
+        change(obj["subextensionThetas"][0])
+        return ExtensionFixture(obj)
+
     with pytest.raises(FixtureError, match="subgroup"):
-        theta_monomial(fix, sets, srcs)
-    srcs = copy.deepcopy(fix.subextension_thetas)
-    srcs[0]["values"] = {"0": srcs[0]["values"]["0"]}
+        theta_monomial(with_first_source(lambda src: src.update(uElems=[0])),
+                       sets)
     with pytest.raises(FixtureError, match="cover"):
-        theta_monomial(fix, sets, srcs)
+        theta_monomial(with_first_source(
+            lambda src: src.update(values={"0": src["values"]["0"]})), sets)
 
 
 def test_l_zero_sharp_is_untruncated_theta(fixtures):
@@ -170,11 +166,6 @@ def test_theta_with_inertia_norms(fixtures):
     assert out == norm * th_no3.central
     with pytest.raises(FixtureError):
         theta_with_inertia_norms(fix, ["5"], sets)  # 5 is unramified
-
-
-def test_omega_l(fixtures):
-    fix = fixtures["q_zeta3"]
-    assert [c.to_fraction() for c in omega_L(fix).components] == [6, 6]
 
 
 def test_validate_parity_rejects_nonzero_forced_component(fixtures):

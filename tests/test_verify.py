@@ -80,14 +80,15 @@ def test_stickelberger_inconclusive_when_not_admissible(fixtures):
     assert any("admissibility" in n for n in v.notes)
 
 
-def _tampered_sources(fix, t_labels, chi_index, j_key, value):
-    srcs = copy.deepcopy(fix.subextension_thetas)
-    for src in srcs:
+def _tampered_s3c2(t_labels, chi_index, j_key, value):
+    """s3c2 loaded with one theta source value replaced."""
+    obj = load_fixture_json("s3c2")
+    for src in obj["subextensionThetas"]:
         if src["chiIndex"] == chi_index and \
                 sorted(lab.split("/")[0] for lab in src["tPrimeLabels"]) \
                 == sorted(set(t_labels)):
             src["values"][j_key] = value.to_json()
-    return srcs
+    return ExtensionFixture(obj)
 
 
 def test_fault_injection_stickelberger(fixtures):
@@ -95,8 +96,8 @@ def test_fault_injection_stickelberger(fixtures):
     sets = default_sets(fix)
     assert sets is not None and sets.T == ["q5"]
     # an odd numerator breaks the half-integer product coefficients
-    srcs = _tampered_sources(fix, ["q5"], 0, "0", Cyclo.rational(5))
-    v = check_theorem_stickelberger_int(fix, sets, srcs)
+    bad = _tampered_s3c2(["q5"], 0, "0", Cyclo.rational(5))
+    v = check_theorem_stickelberger_int(bad, sets)
     assert v.status == "falsified"
     witness = v.witnesses[0]["membership"]["witness"]
     assert witness["chiIndex"] == 0
@@ -104,11 +105,10 @@ def test_fault_injection_stickelberger(fixtures):
     assert check_theorem_stickelberger_int(fix, sets).status == "verified"
 
 
-def test_fault_injection_sku(fixtures):
-    fix = fixtures["s3c2"]
+def test_fault_injection_sku():
     # poison L(0)# through the untruncated (T empty) source batch
-    srcs = _tampered_sources(fix, [], 1, "0", Cyclo.rational(Fraction(2, 7)))
-    v = check_theorem_sku_maxord(fix, ["inf"], sources=srcs)
+    bad = _tampered_s3c2([], 1, "0", Cyclo.rational(Fraction(2, 7)))
+    v = check_theorem_sku_maxord(bad, ["inf"])
     assert v.status == "falsified"
     assert "membership" in v.witnesses[0] or "failure" in v.witnesses[0]
 
