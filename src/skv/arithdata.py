@@ -232,6 +232,11 @@ class ExtensionFixture:
         self._table = None
         # (sorted S, bound) -> GeneratorSet, filled by generate_A_S
         self._a_s: dict[tuple, GeneratorSet] = {}
+        # the table's conjugated Dirichlet characters, filled by
+        # engine.theta_abelian, and (sorted S, sorted T, r) -> ThetaElement,
+        # filled by engine.theta
+        self._dirichlet = None
+        self._theta: dict[tuple, object] = {}
 
     @staticmethod
     def load(path: str) -> "ExtensionFixture":

@@ -96,14 +96,15 @@ def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     determinant factors.  The two assemblies must agree exactly."""
     r = sets.r
     table = fix.table
-    dirs = _dirichlet_for_table(fix)
+    if fix._dirichlet is None:
+        fix._dirichlet = [chi.conjugate() for chi in _dirichlet_for_table(fix)]
     s_fin = [lab for lab in sets.S if not fix.place(lab).infinite]
     s_primes = sorted(fix.place(lab).residue_char for lab in s_fin)
     t_primes = sorted(fix.place(lab).residue_char for lab in sets.T)
     local = euler_element(fix, s_fin, r) * delta_element(fix, sets.T, r)
     comps = []
     for i in range(len(table)):
-        check = dirs[i].conjugate()
+        check = fix._dirichlet[i]
         # Dirichlet-side assembly
         a = L_ST(r, check, s_primes, t_primes)
         # fixture-side assembly: primitive value times local determinants
@@ -209,10 +210,13 @@ def _computed_path(fix: ExtensionFixture) -> bool:
 
 def theta(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     """theta_S^T(r) by the path the fixture supports: ``theta_abelian``
-    when it can be computed, else ``theta_monomial`` from theta sources."""
-    if _computed_path(fix):
-        return theta_abelian(fix, sets)
-    return theta_monomial(fix, sets)
+    when it can be computed, else ``theta_monomial`` from theta sources.
+    Built once per fixture and (S, T, r); callers do not change it."""
+    key = (tuple(sets.S), tuple(sets.T), sets.r)
+    if key not in fix._theta:
+        build = theta_abelian if _computed_path(fix) else theta_monomial
+        fix._theta[key] = build(fix, sets)
+    return fix._theta[key]
 
 
 # -- Sinnott-Kurihara generators --------------------------------------------

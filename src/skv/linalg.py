@@ -54,7 +54,9 @@ def mat_trace(a) -> Cyclo:
 
 
 def mat_det(a) -> Cyclo:
-    """Determinant by fraction-free-ish Gaussian elimination with pivoting."""
+    """Determinant by Gaussian elimination with row swaps to a nonzero
+    pivot.  A pivot is inverted only when some row below it has a nonzero
+    entry to clear, so a 1x1 matrix and the last pivot take no inverse."""
     n = len(a)
     if n == 0:
         return Cyclo.one()
@@ -68,10 +70,11 @@ def mat_det(a) -> Cyclo:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
         det = det * m[col][col]
+        below = [r for r in range(col + 1, n) if not m[r][col].is_zero()]
+        if not below:
+            continue
         inv = m[col][col].inverse()
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
+        for r in below:
             factor = m[r][col] * inv
             for c in range(col, n):
                 m[r][c] = m[r][c] - factor * m[col][c]

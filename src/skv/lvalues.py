@@ -75,16 +75,16 @@ class DirichletCharacter:
             if key not in exps and a not in exps:
                 raise FixtureError(f"missing character value at residue {a}")
             self.exps[key] = Fraction(exps.get(key, exps.get(a))) % 1
-        # multiplicativity over a common order, in integer arithmetic
+        # multiplicativity over a common order, in integer arithmetic:
+        # chi(1) = 0 and chi(a g) = chi(a) + chi(g) for every unit a and
+        # every g of a generating set, which gives chi(a b) = chi(a) + chi(b)
+        # for every b by induction on a word for b in the generators
         order = lcm(*(e.denominator for e in self.exps.values()))
         ints = {a: e.numerator * (order // e.denominator) % order
                 for a, e in self.exps.items()}
-        for a in units:
-            ka = ints[a]
-            for b in units:
-                ab = (a * b) % modulus if modulus > 1 else 1
-                if (ka + ints[b] - ints[ab]) % order != 0:
-                    raise FixtureError("character values are not multiplicative")
+        if ints[1] or any((ints[a] + ints[g] - ints[a * g % modulus]) % order
+                            for g in _unit_generators(modulus) for a in ints):
+            raise FixtureError("character values are not multiplicative")
         self._conductor = None
 
     @classmethod
@@ -167,6 +167,24 @@ def characters_mod(f: int) -> list["DirichletCharacter"]:
     return [DirichletCharacter._unchecked(f, c) for c in chars]
 
 
+@lru_cache(maxsize=None)
+def _unit_generators(modulus: int) -> tuple[int, ...]:
+    """A generating set of (Z/modulus)^x: each unit, smallest first, that
+    the units taken so far do not generate."""
+    gens, span = [], {1}
+    for a in range(2, modulus):
+        if gcd(a, modulus) != 1 or a in span:
+            continue
+        gens.append(a)
+        # <span, a> is the union of the cosets span * a^k
+        grown, power = set(span), a
+        while power not in span:
+            grown.update(s * power % modulus for s in span)
+            power = power * a % modulus
+        span = grown
+    return tuple(gens)
+
+
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
@@ -203,10 +221,17 @@ def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Cyclo:
 
 
 def L_at_nonpositive(r: int, chi: DirichletCharacter) -> Cyclo:
-    """L(r, chi) for r <= 0 and primitive chi: -B_{1-r,chi}/(1-r)."""
+    """L(r, chi) for r <= 0 and primitive chi: -B_{1-r,chi}/(1-r),
+    evaluated once per (r, modulus, exponents) in a process."""
     if r > 0:
         raise ArithmeticDomainError("only non-positive arguments are supported")
+    return _primitive_L(r, chi.modulus, tuple(sorted(chi.exps.items())))
+
+
+@lru_cache(maxsize=None)
+def _primitive_L(r: int, modulus: int, exps: tuple) -> Cyclo:
     n = 1 - r
+    chi = DirichletCharacter._unchecked(modulus, dict(exps))
     return generalized_bernoulli(n, chi) * Fraction(-1, n)
 
 

@@ -19,7 +19,7 @@ from .engine import (_product_split, sku_prime_generators, theta,
                      theta_with_inertia_norms)
 from .errors import FixtureError, SkvError
 from .grouprings import CentralElement, GroupRingElement, max_order_membership
-from .lvalues import characters_mod, generalized_bernoulli
+from .lvalues import L_at_nonpositive, characters_mod
 from .rednorm import (FittingInvariant, annihilation_check,
                       certified_h_elements, reduced_norm)
 
@@ -350,12 +350,12 @@ def exceptional_prime_screening(fix: ExtensionFixture,
 
 def relative_class_number_qzeta(p: int) -> Fraction:
     """Minus-part class number of the p-th cyclotomic field (p an odd
-    prime): 2p times the product of -B_{1,chi}/2 over the odd characters
-    mod p."""
+    prime): 2p times the product of -B_{1,chi}/2 = L(0, chi)/2 over the odd
+    characters mod p."""
     val = Cyclo.rational(2 * p)
     for chi in characters_mod(p):
         if chi.is_odd():
-            val = val * (generalized_bernoulli(1, chi) * Fraction(-1, 2))
+            val = val * (L_at_nonpositive(0, chi) * Fraction(1, 2))
     return val.to_fraction()
 
 

@@ -128,8 +128,11 @@ def test_criterion_3_stickelberger_int_suite(fixtures, monkeypatch):
                     th.central = type(th.central)(th.central.table, comps)
                     return th
 
+                # theta is built once per fixture, so the tampered one is
+                # built on a fresh load
                 monkeypatch.setattr("skv.engine.theta_abelian", tampered)
-                bad = check_theorem_stickelberger_int(fix, sets)
+                bad = check_theorem_stickelberger_int(
+                    ExtensionFixture(load_fixture_json(name)), sets)
                 monkeypatch.setattr("skv.engine.theta_abelian", real_theta)
             assert bad.status == "falsified", name
             witness = bad.witnesses[0]["membership"]["witness"]

@@ -1,18 +1,24 @@
 """Stickelberger element assembly and Sinnott-Kurihara generators."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+import skv.engine
+import skv.lvalues
 from skv.arithdata import ExtensionFixture, PlaceSets
+from skv.characters import CharacterTable
+from skv.cli import main as cli_main
 from skv.cyclotomic import Cyclo
 from skv.errors import FixtureError, InternalCheckError
 from skv.engine import (_validate_parity, inertia_norm_product, l_zero_sharp,
-                        sku_prime_generators, theta_abelian,
+                        sku_prime_generators, theta, theta_abelian,
                         theta_monomial, theta_with_inertia_norms,
                         translated_place_labels, u_prime_generators,
                         u_prime_place_generators)
 from skv.grouprings import CentralElement, GroupRingElement
+from skv.verify import run_all
 
 from conftest import load_fixture_json
 
@@ -203,3 +209,62 @@ def test_theta_abelian_detects_local_factor_mismatch():
     theta_abelian(fix, PlaceSets(["inf", "3"], ["5"]))
     with pytest.raises(InternalCheckError, match="assembly mismatch"):
         theta_abelian(fix, PlaceSets(["inf", "3"], ["7"]))
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_theta_is_built_once_per_s_t_and_r(monkeypatch):
+    fix = ExtensionFixture(load_fixture_json("q_zeta3"))
+    builds = _counting(monkeypatch, skv.engine, "theta_abelian")
+    galois = _counting(monkeypatch, CharacterTable, "check_galois")
+    th = theta(fix, PlaceSets(["inf", "3"], ["7"]))
+    assert theta(fix, PlaceSets(["3", "inf"], ["7"])) is th
+    assert len(builds) == 1 and len(galois) == 1
+    # another r or T is another theta, with its own self-checks
+    assert theta(fix, PlaceSets(["inf", "3"], ["7"], -1)) is not th
+    assert theta(fix, PlaceSets(["inf", "3"], [])) is not th
+    assert len(builds) == 3 and len(galois) == 3
+    assert th.central == theta_abelian(fix, PlaceSets(["inf", "3"], ["7"])).central
+
+
+def test_check_all_q_zeta23_evaluates_each_l_value_once(monkeypatch):
+    # 22 characters at r = 0 and r = -1
+    skv.lvalues._primitive_L.cache_clear()
+    calls = _counting(monkeypatch, skv.lvalues, "generalized_bernoulli")
+    fix = ExtensionFixture(load_fixture_json("q_zeta23"))
+    assert [v.status for v in run_all(fix)] == ["verified"] * 5
+    assert len(calls) == 44
+    assert len({(n, chi.modulus, tuple(sorted(chi.exps.items())))
+                for n, chi in calls}) == 44
+
+
+def test_non_multiplicative_cyclotomic_map_exits_3(tmp_path, capsys):
+    obj = load_fixture_json("q_zeta23")
+    mp = obj["cyclotomic"]["map"]
+    mp["2"], mp["3"] = mp["3"], mp["2"]
+    path = tmp_path / "q_zeta23_bad_map.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["check", "all", "--fixture", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "homomorphism" in captured.err and captured.err.count("\n") == 1
+    # changed after load, the map reaches the characters, which are built
+    # once per fixture but only once they pass their multiplicativity check
+    fix = ExtensionFixture(load_fixture_json("q_zeta23"))
+    fix.cyclotomic["map"][2], fix.cyclotomic["map"][3] = \
+        fix.cyclotomic["map"][3], fix.cyclotomic["map"][2]
+    for _ in range(2):
+        with pytest.raises(FixtureError, match="not multiplicative"):
+            theta(fix, PlaceSets(["inf", "23"], []))
+    assert fix._dirichlet is None and not fix._theta

@@ -1,6 +1,7 @@
 """Exact dense linear algebra over the cyclotomic coefficient ring."""
 
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -79,3 +80,64 @@ def test_char_poly_evaluates_to_zero_det(xs):
     value = sum((c * Fraction(2) ** k for k, c in enumerate(char_poly(a))),
                 Cyclo.zero())
     assert mat_det(shifted) == value
+
+
+def _leibniz(m):
+    """det as the signed sum over permutations, no division."""
+    n = len(m)
+    total = Cyclo.zero()
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = Cyclo.rational(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term = term * m[i][perm[i]]
+        total = total + term
+    return total
+
+
+@st.composite
+def cyclo_matrices(draw):
+    """n x n matrices, n <= 4, of sums of at most two roots of unity of one
+    order N <= 12, with a zero first pivot or a zero column forced in some."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 12))
+    term = st.tuples(st.integers(-2, 2), st.integers(0, order - 1))
+
+    def entry(terms):
+        return sum((Cyclo.zeta(order, k) * c for c, k in terms), Cyclo.zero())
+
+    m = [[entry(draw(st.lists(term, max_size=2))) for _ in range(n)]
+         for _ in range(n)]
+    if draw(st.booleans()):
+        m[0][0] = Cyclo.zero()
+    if draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        for row in m:
+            row[col] = Cyclo.zero()
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclo_matrices())
+def test_det_matches_leibniz_expansion(m):
+    assert mat_det(m) == _leibniz(m)
+
+
+def test_det_inverts_only_pivots_with_rows_to_clear(monkeypatch):
+    calls = []
+    real = Cyclo.inverse
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Cyclo, "inverse", counted)
+    assert mat_det([[Cyclo.zeta(5, 2)]]) == Cyclo.zeta(5, 2)
+    assert calls == []
+    # upper triangular: no pivot has a nonzero entry below it
+    assert mat_det(_mat([[2, 1, 4], [0, 3, 5], [0, 0, 7]])) == Cyclo.rational(42)
+    assert calls == []
+    # lower triangular: the first two pivots clear rows, the last one none
+    assert mat_det(_mat([[2, 0, 0], [1, 3, 0], [4, 5, 7]])) == Cyclo.rational(42)
+    assert len(calls) == 2

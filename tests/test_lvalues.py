@@ -1,15 +1,18 @@
 """Exact Dirichlet L-values at non-positive integers, with numeric cross-checks."""
 
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skv.cyclotomic import Cyclo
 from skv.errors import ArithmeticDomainError, FixtureError
 from skv.lvalues import (DirichletCharacter, L_at_nonpositive, L_ST,
-                         bernoulli_number, bernoulli_polynomial,
-                         characters_mod, generalized_bernoulli)
+                         _primitive_L, _unit_generators, bernoulli_number,
+                         bernoulli_polynomial, characters_mod,
+                         generalized_bernoulli)
 
 CHI_M4 = DirichletCharacter(4, {1: Fraction(0), 3: Fraction(1, 2)})
 CHI_M3 = DirichletCharacter(3, {1: Fraction(0), 2: Fraction(1, 2)})
@@ -150,3 +153,55 @@ def test_numeric_hurwitz_cross_check():
                 num *= mpmath.mpf(f) ** (-r)
                 want = _cyclo_to_mpc(exact)
                 assert abs(num - want) < mpmath.mpf("1e-20")
+
+
+def _all_pairs_multiplicative(f, exps):
+    """Reference: chi(a) + chi(b) - chi(ab) is an integer for all units."""
+    key = (lambda a: a % f) if f > 1 else (lambda a: 1)
+    return all((exps[a] + exps[b] - exps[key(a * b)]) % 1 == 0
+               for a in exps for b in exps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 60), st.data())
+def test_multiplicativity_check_matches_all_pairs(f, data):
+    chars = characters_mod(f)
+    # a product of two characters is multiplicative
+    x, y = data.draw(st.sampled_from(chars)), data.draw(st.sampled_from(chars))
+    exps = {a: x.exps[a] + y.exps[a] for a in x.exps}
+    # shift some exponents: by an integer keeps chi, by a fraction may not
+    fracs = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+    for a in data.draw(st.lists(st.sampled_from(sorted(exps)), max_size=2)):
+        exps[a] += data.draw(fracs)
+    if _all_pairs_multiplicative(f, exps):
+        DirichletCharacter(f, exps)
+    else:
+        with pytest.raises(FixtureError, match="not multiplicative"):
+            DirichletCharacter(f, exps)
+
+
+def test_unit_generators_generate_the_unit_group():
+    for f in range(1, 61):
+        units = {a % f if f > 1 else 1 for a in range(1, f + 1)
+                 if gcd(a, f) == 1}
+        span = {1 % f if f > 1 else 1}
+        for g in _unit_generators(f):
+            while True:
+                grown = span | {s * g % f for s in span}
+                if grown == span:
+                    break
+                span = grown
+        assert span == units, f
+
+
+def test_memoised_l_values_equal_cold_evaluations():
+    for f in (7, 23):
+        for chi in characters_mod(f):
+            core = chi.primitive_core()
+            for r in (0, -1, -2):
+                warm = L_at_nonpositive(r, core)
+                assert L_at_nonpositive(r, core) is warm
+                _primitive_L.cache_clear()
+                cold = L_at_nonpositive(r, core)
+                assert cold == warm
+                assert cold == generalized_bernoulli(1 - r, core) * Fraction(-1, 1 - r)

@@ -1,4 +1,5 @@
-"""Scaling gate for the exact core at the group-order cap of 128."""
+"""Scaling gates for the exact core at the group-order cap of 128 and for
+the L-value layer at the conductor-ladder's largest field, Q(zeta_107)."""
 
 import time
 from fractions import Fraction
@@ -9,6 +10,8 @@ from skv.characters import irreducibles_monomial
 from skv.cyclotomic import Cyclo
 from skv.grouprings import CentralElement, GroupRingElement
 from skv.groups import ORDER_CAP, FiniteGroup
+from skv.lvalues import (DirichletCharacter, L_at_nonpositive, _primitive_L,
+                         characters_mod)
 
 #: Seconds allowed for the whole gate.  It took about 0.5 s on a 2-CPU
 #: x86-64 host, against about 18 s when abelian tables were induced,
@@ -34,4 +37,27 @@ def test_cyclic_128_table_galois_check_and_transform():
     elapsed = time.perf_counter() - t0
     assert elem == GroupRingElement(group, x)
     assert cent._trace_form() is not None
+    assert elapsed < LIMIT_S, f"{elapsed:.2f} s"
+
+
+@pytest.mark.slow
+def test_checked_characters_and_l_values_mod_107():
+    # as two theta builds on Q(zeta_107) would: check every character,
+    # conjugate it and take L(0) of its primitive core, twice over; this
+    # took about 0.7 s on a 2-CPU x86-64 host, against about 1.6 s with the
+    # all-pairs multiplicativity check and no L-value memo
+    _primitive_L.cache_clear()
+    t0 = time.perf_counter()
+    rounds = []
+    for _ in range(2):
+        values = []
+        for chi in characters_mod(107):
+            check = DirichletCharacter(107, chi.exps).conjugate()
+            values.append(L_at_nonpositive(0, check.primitive_core()))
+        rounds.append(values)
+    elapsed = time.perf_counter() - t0
+    assert len(rounds[0]) == 106 and rounds[0] == rounds[1]
+    # L(0, chi) vanishes exactly at the even characters other than the trivial one
+    assert sum(v.is_zero() for v in rounds[0]) == 52
+    assert _primitive_L.cache_info().misses == 106
     assert elapsed < LIMIT_S, f"{elapsed:.2f} s"
