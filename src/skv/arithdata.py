@@ -232,6 +232,8 @@ class ExtensionFixture:
         self._table = None
         # (sorted S, bound) -> GeneratorSet, filled by generate_A_S
         self._a_s: dict[tuple, GeneratorSet] = {}
+        # place label -> nr(N_I), filled by engine._inertia_norm
+        self._inertia_norm: dict[str, object] = {}
         # the table's conjugated Dirichlet characters, filled by
         # engine.theta_abelian, and (sorted S, sorted T, r) -> ThetaElement,
         # filled by engine.theta

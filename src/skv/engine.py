@@ -222,12 +222,19 @@ def theta(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
 # -- Sinnott-Kurihara generators --------------------------------------------
 
 
+def _inertia_norm(fix: ExtensionFixture, label: str) -> CentralElement:
+    """nr(N_I) at a finite place, kept on the fixture per place label."""
+    if label not in fix._inertia_norm:
+        n_i = GroupRingElement.norm_element(fix.group, fix.place(label).inertia)
+        fix._inertia_norm[label] = reduced_norm([[n_i]], fix.table)
+    return fix._inertia_norm[label]
+
+
 def u_prime_place_generators(fix: ExtensionFixture, label: str):
     """The two generators of the local norm module at a finite place:
     nr(N_I) and nr(1 - eps phi^-1)."""
     place = fix.place(label)
     group = fix.group
-    n_i = GroupRingElement.norm_element(group, place.inertia)
     eps_phi = GroupRingElement(
         group,
         {group.mul(i, group.inverse(place.frobenius)): Fraction(1, len(place.inertia))
@@ -235,7 +242,7 @@ def u_prime_place_generators(fix: ExtensionFixture, label: str):
     )
     one = GroupRingElement.basis(group, 0)
     return [
-        (f"{label}:nr(N_I)", reduced_norm([[n_i]], fix.table)),
+        (f"{label}:nr(N_I)", _inertia_norm(fix, label)),
         (f"{label}:nr(1-eps*phi^-1)", reduced_norm([[one - eps_phi]], fix.table)),
     ]
 
@@ -287,9 +294,7 @@ def inertia_norm_product(fix: ExtensionFixture, J) -> CentralElement:
     table = fix.table
     out = CentralElement(table, [Cyclo.one()] * len(table))
     for lab in sorted(set(str(x) for x in J)):
-        place = fix.place(lab)
-        out = out * reduced_norm(
-            [[GroupRingElement.norm_element(fix.group, place.inertia)]], table)
+        out = out * _inertia_norm(fix, lab)
     return out
 
 

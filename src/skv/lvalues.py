@@ -86,6 +86,7 @@ class DirichletCharacter:
                             for g in _unit_generators(modulus) for a in ints):
             raise FixtureError("character values are not multiplicative")
         self._conductor = None
+        self._primitive = None
 
     @classmethod
     def _unchecked(cls, modulus: int, exps: dict[int, Fraction]) -> "DirichletCharacter":
@@ -94,6 +95,7 @@ class DirichletCharacter:
         obj.modulus = modulus
         obj.exps = exps
         obj._conductor = None
+        obj._primitive = None
         return obj
 
     @staticmethod
@@ -142,15 +144,17 @@ class DirichletCharacter:
         d = self.conductor
         if d == self.modulus:
             return self
-        exps = {}
-        for b in range(1, d + 1):
-            if gcd(b, d) != 1 and d > 1:
-                continue
-            key = b % d if d > 1 else 1
-            # lift to a residue mod f coprime to f in the class of b mod d
-            a = _coprime_lift(b, d, self.modulus)
-            exps[key] = self.exps[a % self.modulus if self.modulus > 1 else 1]
-        return DirichletCharacter(d, exps)
+        if self._primitive is None:
+            exps = {}
+            for b in range(1, d + 1):
+                if gcd(b, d) != 1 and d > 1:
+                    continue
+                key = b % d if d > 1 else 1
+                # lift to a residue mod f coprime to f in the class of b mod d
+                a = _coprime_lift(b, d, self.modulus)
+                exps[key] = self.exps[a % self.modulus if self.modulus > 1 else 1]
+            self._primitive = DirichletCharacter(d, exps)
+        return self._primitive
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.modulus, {a: (-e) % 1 for a, e in self.exps.items()})

@@ -100,15 +100,18 @@ def apply_representation(mats, a):
 # -- reduced norm and star adjoint ---------------------------------------
 
 
+def reduced_norm_component(a, table: CharacterTable, i: int) -> Cyclo:
+    """Component of the reduced norm of a square group-ring matrix at the
+    i-th irreducible: the determinant of its blown-up block."""
+    if any(len(row) != len(a) for row in a):
+        raise GroupError("reduced norm requires a square matrix")
+    return mat_det(apply_representation(monomial_representation(table, i), a))
+
+
 def reduced_norm(a, table: CharacterTable) -> CentralElement:
     """Reduced norm of a square matrix over the group ring, as a central
     element (one determinant per irreducible)."""
-    if any(len(row) != len(a) for row in a):
-        raise GroupError("reduced norm requires a square matrix")
-    comps = []
-    for i in range(len(table)):
-        mats = monomial_representation(table, i)
-        comps.append(mat_det(apply_representation(mats, a)))
+    comps = [reduced_norm_component(a, table, i) for i in range(len(table))]
     rational = all(entry.is_rational() for row in a for entry in row)
     if rational:
         table.check_galois(comps, "reduced norm")

@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 
 from .arithdata import (ExtensionFixture, PlaceSets, check_admissible,
                         generate_A_S, hyp_t_sets, mu_tate_annihilators)
+from .characters import CharacterTable
 from .cyclotomic import Cyclo
 from .engine import (_product_split, sku_prime_generators, theta,
                      theta_with_inertia_norms)
@@ -21,7 +22,8 @@ from .errors import FixtureError, SkvError
 from .grouprings import CentralElement, GroupRingElement, max_order_membership
 from .lvalues import L_at_nonpositive, characters_mod
 from .rednorm import (FittingInvariant, annihilation_check,
-                      certified_h_elements, reduced_norm)
+                      certified_h_elements, reduced_norm,
+                      reduced_norm_component)
 
 
 class Verdict:
@@ -153,28 +155,37 @@ def check_theorem_sku_maxord(fix: ExtensionFixture, S, bound: int = 2) -> Verdic
     return Verdict(check_id, "verified", witnesses=witnesses, notes=notes)
 
 
-def _bounded_nr_search(fix: ExtensionFixture, target: CentralElement,
-                       height: int = 1, support: int = 2):
-    """Try to realize the target as a reduced norm of a single group-ring
-    element with small support and coefficient height.  Returns the witness
-    coefficients or None; the search is truncated, so failure proves nothing."""
-    group = fix.group
-    n = group.order
-    values = list(range(-height, height + 1))
-    singles = []
+def _nr_candidates(n: int, height: int, support: int):
+    """Coefficient maps over a group of order n with nonzero integer
+    coefficients of absolute value at most height: every single term, then,
+    for support >= 2, every pair of terms."""
+    values = [c for c in range(-height, height + 1) if c]
     for g in range(n):
         for c in values:
-            if c != 0:
-                singles.append({g: Fraction(c)})
-    candidates = list(singles)
+            yield {g: Fraction(c)}
     if support >= 2:
         for a, b in itertools.combinations(range(n), 2):
             for ca in values:
                 for cb in values:
-                    if ca and cb:
-                        candidates.append({a: Fraction(ca), b: Fraction(cb)})
-    for coeffs in candidates:
-        if reduced_norm([[GroupRingElement(group, coeffs)]], fix.table) == target:
+                    yield {a: Fraction(ca), b: Fraction(cb)}
+
+
+def _bounded_nr_search(table: CharacterTable, target: CentralElement,
+                       height: int = 1, support: int = 2):
+    """Try to realize the target as a reduced norm of a single group-ring
+    element with small support and coefficient height.  Returns the witness
+    coefficients or None; the search is truncated, so failure proves nothing.
+
+    A candidate is rejected at its first character component (in table
+    order, trivial character first) that differs from the target; one that
+    matches every component is confirmed by its full reduced norm, with
+    that norm's Galois self-check, before it is returned."""
+    group = table.group
+    for coeffs in _nr_candidates(group.order, height, support):
+        cand = [[GroupRingElement(group, coeffs)]]
+        matches = all(reduced_norm_component(cand, table, i) == want
+                      for i, want in enumerate(target.components))
+        if matches and reduced_norm(cand, table) == target:
             return {str(g): str(c) for g, c in coeffs.items()}
     return None
 
@@ -189,7 +200,7 @@ def _integrality_tier(fix: ExtensionFixture, x: CentralElement):
     mv = max_order_membership(x, "full")
     if not mv.ok:
         return "falsified", {"membership": mv.to_json()}
-    witness = _bounded_nr_search(fix, x)
+    witness = _bounded_nr_search(fix.table, x)
     if witness is not None:
         return "certified", {"nrWitness": witness}
     return "necessary-condition-pass", {

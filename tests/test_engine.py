@@ -249,6 +249,21 @@ def test_check_all_q_zeta23_evaluates_each_l_value_once(monkeypatch):
                 for n, chi in calls}) == 44
 
 
+def test_check_all_takes_nr_of_each_inertia_norm_once_per_place(monkeypatch):
+    fix = ExtensionFixture(load_fixture_json("q_sqrt_m5"))
+    calls = _counting(monkeypatch, skv.engine, "reduced_norm")
+    assert [v.status for v in run_all(fix)] == ["verified"] * 5
+    norms = {lab: GroupRingElement.norm_element(fix.group, fix.place(lab).inertia)
+             for lab in fix.ramified_labels()}
+    # the places 2 and 5 share their inertia group, so N_I comes twice
+    taken = [a[0][0] for a, _ in calls if a[0][0] in norms.values()]
+    assert len(norms) == 2 and len(taken) == 2
+    assert sorted(fix._inertia_norm) == sorted(norms)
+    assert inertia_norm_product(fix, sorted(norms)) == \
+        fix._inertia_norm["2"] * fix._inertia_norm["5"]
+    assert len(calls) == 4
+
+
 def test_non_multiplicative_cyclotomic_map_exits_3(tmp_path, capsys):
     obj = load_fixture_json("q_zeta23")
     mp = obj["cyclotomic"]["map"]

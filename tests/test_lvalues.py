@@ -90,6 +90,24 @@ def test_conductor_and_primitive_core():
     assert DirichletCharacter.trivial(6).conductor == 1
 
 
+def test_primitive_core_is_built_once(monkeypatch):
+    lifted = DirichletCharacter(12, {1: Fraction(0), 5: Fraction(1, 2),
+                                     7: Fraction(0), 11: Fraction(1, 2)})
+    builds = []
+    real = DirichletCharacter.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(DirichletCharacter, "__init__", counted)
+    core = lifted.primitive_core()
+    assert lifted.primitive_core() is core and len(builds) == 1
+    assert core.modulus == 3 and core.exps == CHI_M3.exps
+    # a primitive character is its own core and builds nothing
+    assert CHI_M4.primitive_core() is CHI_M4 and len(builds) == 1
+
+
 def test_generalized_bernoulli_guards():
     with pytest.raises(ArithmeticDomainError):
         generalized_bernoulli(0, CHI_M4)

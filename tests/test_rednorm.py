@@ -15,8 +15,8 @@ from skv.linalg import mat_mul
 from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          certified_h_elements, fitting_of_presentation,
                          grm_identity, monomial_representation,
-                         reduced_norm, sigma_inverse, sigma_isomorphism,
-                         star_adjoint)
+                         reduced_norm, reduced_norm_component,
+                         sigma_inverse, sigma_isomorphism, star_adjoint)
 
 
 def _tables():
@@ -83,6 +83,20 @@ def test_reduced_norm_requires_square():
     with pytest.raises(GroupError):
         reduced_norm([[GroupRingElement.basis(group, 0),
                        GroupRingElement.basis(group, 1)]], table)
+
+
+def test_reduced_norm_is_built_from_its_components():
+    rng = random.Random(5)
+    for name in ("S3", "Q8"):
+        table = TABLES[name]
+        a = _random_matrix(table.group, 2, rng)
+        assert reduced_norm(a, table).components == tuple(
+            reduced_norm_component(a, table, i) for i in range(len(table)))
+    group = TABLES["S3"].group
+    with pytest.raises(GroupError, match="square"):
+        reduced_norm_component([[GroupRingElement.basis(group, 0),
+                                 GroupRingElement.basis(group, 1)]],
+                               TABLES["S3"], 0)
 
 
 def test_star_adjoint_defining_identity():

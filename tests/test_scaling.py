@@ -1,5 +1,6 @@
-"""Scaling gates for the exact core at the group-order cap of 128 and for
-the L-value layer at the conductor-ladder's largest field, Q(zeta_107)."""
+"""Scaling gates for the exact core at the group-order cap of 128, for
+the L-value layer at the conductor-ladder's largest field, Q(zeta_107), and
+for the bounded nr-search on a non-abelian group of order 64."""
 
 import time
 from fractions import Fraction
@@ -12,6 +13,8 @@ from skv.grouprings import CentralElement, GroupRingElement
 from skv.groups import ORDER_CAP, FiniteGroup
 from skv.lvalues import (DirichletCharacter, L_at_nonpositive, _primitive_L,
                          characters_mod)
+from skv.rednorm import reduced_norm
+from skv.verify import _bounded_nr_search
 
 #: Seconds allowed for the whole gate.  It took about 0.5 s on a 2-CPU
 #: x86-64 host, against about 18 s when abelian tables were induced,
@@ -60,4 +63,24 @@ def test_checked_characters_and_l_values_mod_107():
     # L(0, chi) vanishes exactly at the even characters other than the trivial one
     assert sum(v.is_zero() for v in rounds[0]) == 52
     assert _primitive_L.cache_info().misses == 106
+    assert elapsed < LIMIT_S, f"{elapsed:.2f} s"
+
+
+@pytest.mark.slow
+def test_bounded_nr_search_on_dihedral_64():
+    # nr(2) has no witness of support <= 2 and height 1; each of the 2016
+    # pairs g + h matches its trivial component 2 and is rejected only at a
+    # later character.  The search over all 8192 candidates took about
+    # 0.6 s on a 2-CPU x86-64 host, against about 29 s with a full reduced
+    # norm per candidate
+    t0 = time.perf_counter()
+    rotation = [(i + 1) % 32 for i in range(32)]
+    reflection = [-i % 32 for i in range(32)]
+    group = FiniteGroup.from_permutations([rotation, reflection])
+    table = irreducibles_monomial(group)
+    target = reduced_norm([[GroupRingElement.scalar(group, 2)]], table)
+    witness = _bounded_nr_search(table, target)
+    elapsed = time.perf_counter() - t0
+    assert group.order == 64 and not group.is_abelian()
+    assert witness is None
     assert elapsed < LIMIT_S, f"{elapsed:.2f} s"

@@ -1,21 +1,28 @@
 """Verdict machinery: default runs, fault injection, screening, oracles."""
 
 import copy
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from skv import rednorm, verify
 from skv.arithdata import ExtensionFixture, PlaceSets
+from skv.characters import CharacterTable, irreducibles_monomial
 from skv.cyclotomic import Cyclo
-from skv.errors import SkvError
-from skv.grouprings import GroupRingElement
-from skv.verify import (Verdict, check_brumer, check_brumer_stark_necessary,
+from skv.errors import InternalCheckError, SkvError
+from skv.grouprings import CentralElement, GroupRingElement
+from skv.groups import named_group
+from skv.rednorm import reduced_norm
+from skv.verify import (Verdict, _bounded_nr_search, _integrality_tier,
+                        check_brumer, check_brumer_stark_necessary,
                         check_negative_r, check_theorem_sku_maxord,
                         check_theorem_stickelberger_int, default_sets,
                         exceptional_prime_screening,
                         relative_class_number_qzeta, run_all)
 
-from conftest import load_fixture_json
+from conftest import fixture_path, load_fixture_json
 
 EXPECTED_STATUS = {
     "q": {"theorem-stickelberger-int": "verified",
@@ -219,3 +226,117 @@ def test_sku_sweep_takes_t_sets_with_commas_in_labels():
     assert v.status == "verified"
     assert "swept 3 (J, T) combinations over 0 ramified places" in v.notes
     assert not any("sweep gap" in note for note in v.notes)
+
+
+# -- bounded nr-search ------------------------------------------------------
+
+SEARCH_TABLES = {name: irreducibles_monomial(named_group(name))
+                 for name in ("S3", "D4", "Q8")}
+SEARCH_TABLES["s3c2"] = ExtensionFixture.load(fixture_path("s3c2")).table
+
+
+def _eager_nr_search(table, target, height=1, support=2):
+    """Reference search: a full reduced norm of every candidate, in the
+    order singles then pairs."""
+    group = table.group
+    values = [c for c in range(-height, height + 1) if c]
+    candidates = [{g: Fraction(c)} for g in range(group.order) for c in values]
+    if support >= 2:
+        candidates += [{a: Fraction(ca), b: Fraction(cb)}
+                       for a, b in itertools.combinations(range(group.order), 2)
+                       for ca in values for cb in values]
+    for coeffs in candidates:
+        if reduced_norm([[GroupRingElement(group, coeffs)]], table) == target:
+            return {str(g): str(c) for g, c in coeffs.items()}
+    return None
+
+
+def _small_element(table, data):
+    """A random group-ring element of support <= 2 and height 1."""
+    n = table.group.order
+    support = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                 max_size=2, unique=True))
+    return GroupRingElement(table.group, {
+        g: Fraction(data.draw(st.sampled_from([-1, 1]))) for g in support})
+
+
+def _witness_norm(table, witness):
+    elem = GroupRingElement(table.group, {int(g): Fraction(c)
+                                          for g, c in witness.items()})
+    return reduced_norm([[elem]], table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SEARCH_TABLES)), st.booleans(), st.data())
+def test_lazy_search_matches_eager_reference(name, perturb, data):
+    table = SEARCH_TABLES[name]
+    target = reduced_norm([[_small_element(table, data)]], table)
+    if perturb:
+        i = data.draw(st.integers(0, len(table) - 1))
+        comps = list(target.components)
+        comps[i] = comps[i] + data.draw(st.sampled_from([Cyclo.one(),
+                                                         Cyclo.zeta(3)]))
+        target = CentralElement(table, comps)
+    got = _bounded_nr_search(table, target)
+    assert got == _eager_nr_search(table, target)
+    if not perturb:
+        # the element itself is a candidate, so a realizable target is found
+        assert got is not None and _witness_norm(table, got) == target
+
+
+def test_integrality_tier_certifies_a_realizable_target():
+    fix = ExtensionFixture.load(fixture_path("s3c2"))
+    assert not fix.group.is_abelian()
+    x = reduced_norm([[GroupRingElement(fix.group, {0: Fraction(1),
+                                                    5: Fraction(-1)})]],
+                     fix.table)
+    tier, detail = _integrality_tier(fix, x)
+    assert tier == "certified"
+    assert _witness_norm(fix.table, detail["nrWitness"]) == x
+
+
+def test_search_confirms_a_witness_with_the_galois_check(monkeypatch):
+    table = SEARCH_TABLES["s3c2"]
+    target = reduced_norm([[GroupRingElement(table.group, {1: Fraction(1),
+                                                           3: Fraction(1)})]],
+                          table)
+
+    def broken(self, comps, context):
+        raise InternalCheckError(f"{context}: injected")
+
+    monkeypatch.setattr(CharacterTable, "check_galois", broken)
+    with pytest.raises(InternalCheckError, match="reduced norm: injected"):
+        _bounded_nr_search(table, target)
+
+
+def test_s3c2_search_rejects_each_candidate_at_a_small_determinant(monkeypatch):
+    # the s3c2 target has no witness; every one of the 288 candidates is
+    # rejected at the trivial character, and 66 of them at the next one
+    fix = ExtensionFixture.load(fixture_path("s3c2"))
+    counts = {"searches": 0, "norms": 0, "dets": 0}
+    active = []
+    real_search, real_norm, real_det = (verify._bounded_nr_search,
+                                        verify.reduced_norm, rednorm.mat_det)
+
+    def search(*args):
+        counts["searches"] += 1
+        active.append(True)
+        try:
+            return real_search(*args)
+        finally:
+            active.pop()
+
+    def norm(*args):
+        counts["norms"] += bool(active)
+        return real_norm(*args)
+
+    def det(m):
+        counts["dets"] += bool(active)
+        return real_det(m)
+
+    monkeypatch.setattr(verify, "_bounded_nr_search", search)
+    monkeypatch.setattr(verify, "reduced_norm", norm)
+    monkeypatch.setattr(rednorm, "mat_det", det)
+    statuses = [v.status for v in run_all(fix)]
+    assert statuses == list(EXPECTED_STATUS["s3c2"].values())
+    assert counts == {"searches": 1, "norms": 0, "dets": 354}
