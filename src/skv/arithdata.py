@@ -353,13 +353,14 @@ def local_factor(fix: ExtensionFixture, place: PlaceData, chi_index: int,
     if kind not in ("delta_T", "euler_S"):
         raise FixtureError(f"unknown local factor kind {kind!r}")
     group = fix.group
-    mats = monomial_representation(fix.table, chi_index)
-    d = len(mats[0])
+    rep = monomial_representation(fix.table, chi_index)
+    d = rep.degree
     proj = [[Cyclo.zero() for _ in range(d)] for _ in range(d)]
     for i in place.inertia:
-        proj = [[proj[a][b] + mats[i][a][b] for b in range(d)] for a in range(d)]
+        rho = rep.matrix(i)
+        proj = [[proj[a][b] + rho[a][b] for b in range(d)] for a in range(d)]
     proj = mat_scale(proj, Fraction(1, len(place.inertia)))
-    phi_inv = mats[group.inverse(place.frobenius)]
+    phi_inv = rep.matrix(group.inverse(place.frobenius))
     scale = Fraction(place.residue_norm) ** ((1 - r) if kind == "delta_T" else (-r))
     m = mat_scale(mat_mul(phi_inv, proj), scale)
     # det restricted to im(proj) equals det(I - M P) since M commutes with P

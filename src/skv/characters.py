@@ -28,9 +28,12 @@ def chain_extension(elements, mul) -> list[dict]:
     ``elements``.  ``elements`` lists the group with the identity first and
     ``mul`` multiplies two of them; each homomorphism is extended from the
     trivial subgroup one cyclic step at a time."""
+    # values are kept as integer numerators over n = |group|, which every
+    # element order divides; Fractions are made only for the output
+    n = len(elements)
     one = elements[0]
     covered = {one}
-    chars: list[dict] = [{one: Fraction(0)}]
+    chars: list[dict] = [{one: 0}]
     for g in elements[1:]:
         if g in covered:
             continue
@@ -43,20 +46,20 @@ def chain_extension(elements, mul) -> list[dict]:
         for chi in chars:
             base = chi[power]  # chi(g^m), must equal m * t mod 1
             for i in range(m):
-                t = (base + i) / m
+                t = (base + i * n) // m
                 new = dict(chi)
-                shift = Fraction(0)
+                shift = 0
                 gk = one
                 for _ in range(m - 1):
                     gk = mul(gk, g)
                     shift += t
                     for h, v in chi.items():
-                        new[mul(h, gk)] = (v + shift) % 1
+                        new[mul(h, gk)] = (v + shift) % n
                 extended.append(new)
         chars = extended
         covered = set(chars[0])
     chars.sort(key=lambda c: tuple(c[g] for g in elements))
-    return chars
+    return [{h: Fraction(v, n) for h, v in c.items()} for c in chars]
 
 
 def _abelian_linear_exponents(group: FiniteGroup) -> list[list[Fraction]]:

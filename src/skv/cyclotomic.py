@@ -12,6 +12,7 @@ stay idempotent.
 
 from __future__ import annotations
 
+import re
 import threading
 from collections.abc import Mapping
 from fractions import Fraction
@@ -163,6 +164,9 @@ def _reduce_poly(num: list[int], data: _OrderData) -> list[int]:
 def _over_common_denominator(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator
     (the numerators and the denominator are then coprime)."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values, 1
     fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
@@ -468,10 +472,16 @@ class Cyclo:
         n = obj["order"]
         phi = order_data(n).phi
         coeffs = [0] * phi
+        seen = set()
         for key, val in obj["coeffs"].items():
+            if not _INDEX.fullmatch(key):
+                raise ArithmeticDomainError(f"coefficient index {key!r} is not a decimal index")
             i = int(key)
             if not 0 <= i < phi:
                 raise ArithmeticDomainError(f"coefficient index {i} out of range")
+            if i in seen:
+                raise ArithmeticDomainError(f"coefficient index {i} given twice")
+            seen.add(i)
             coeffs[i] = fraction_from_str(val)
         return Cyclo(n, coeffs)
 
@@ -501,6 +511,10 @@ def root_of_unity_sum(order: int, weights) -> Cyclo:
 
 # -- Rational serialization ("+-num/den", den omitted when 1) -----------
 
+# [0-9] and not \d, which also matches non-ASCII digits that int() reads
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_INDEX = re.compile(r"[0-9]+")
+
 
 def fraction_to_str(q: Fraction) -> str:
     q = Fraction(q)
@@ -510,11 +524,14 @@ def fraction_to_str(q: Fraction) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        den_i = int(den)
-        if den_i <= 0:
-            raise ArithmeticDomainError(f"denominator must be positive in {s!r}")
-        return Fraction(int(num), den_i)
-    return Fraction(int(s))
+    """Parse "num" or "num/den" in ASCII digits with an optional sign on
+    num; anything else (spaces, underscores, other digits) is a ValueError."""
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise ValueError(f"{s!r} is not a rational of the form num or num/den")
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    if int(den) == 0:
+        raise ArithmeticDomainError(f"denominator must be positive in {s!r}")
+    return Fraction(int(num), int(den))

@@ -1,7 +1,8 @@
 """Small exact matrix helpers over cyclotomic entries.
 
 Matrices are lists of lists of Cyclo.  Sizes stay tiny (degree of an
-irreducible times a presentation rank), so plain Gaussian elimination and
+irreducible times a presentation rank), so plain Gaussian elimination,
+finished by a 2x2 cross product instead of a last pivot inverse, and
 Faddeev-LeVerrier are plenty.
 """
 
@@ -55,14 +56,21 @@ def mat_trace(a) -> Cyclo:
 
 def mat_det(a) -> Cyclo:
     """Determinant by Gaussian elimination with row swaps to a nonzero
-    pivot.  A pivot is inverted only when some row below it has a nonzero
-    entry to clear, so a 1x1 matrix and the last pivot take no inverse."""
+    pivot, down to the last two columns, finished by the 2x2 cross
+    product det * (p*d - c*b) of the remaining block [[p, b], [c, d]].
+    A pivot before that is inverted only when some row below it has a
+    nonzero entry to clear, so a 1x1 or 2x2 matrix takes no inverse.  The
+    cross product multiplies the operands that eliminating with p^-1 would,
+    det * p * (d - c * p^-1 * b), so the result carries the same Cyclo order,
+    and a zero result is Cyclo.zero() at order 1."""
     n = len(a)
     if n == 0:
         return Cyclo.one()
+    if n == 1:
+        return Cyclo.zero() if a[0][0].is_zero() else a[0][0]
     m = [row[:] for row in a]
     det = Cyclo.one()
-    for col in range(n):
+    for col in range(n - 2):
         pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
         if pivot is None:
             return Cyclo.zero()
@@ -78,7 +86,14 @@ def mat_det(a) -> Cyclo:
             factor = m[r][col] * inv
             for c in range(col, n):
                 m[r][c] = m[r][c] - factor * m[col][c]
-    return det
+    (p, b), (c, d) = m[n - 2][n - 2:], m[n - 1][n - 2:]
+    if p.is_zero():
+        if c.is_zero():
+            return Cyclo.zero()
+        (p, b), (c, d) = (c, d), (p, b)
+        det = -det
+    tail = p * d if c.is_zero() else p * d - c * b
+    return Cyclo.zero() if tail.is_zero() else det * tail
 
 
 def char_poly(a) -> list[Cyclo]:

@@ -1,19 +1,22 @@
 """Matrices over group rings: representations, reduced norms, star adjoints,
 Fitting invariants of finite presentations, and annihilation checks.
 
-Reduced norms are computed through explicit monomial representations, one
-per irreducible character; every star adjoint is verified against its
-defining identity before being returned.
+Reduced norms are computed through monomial representations, one per
+irreducible character, each stored as integer data: per group element and
+column, the row of its one nonzero entry and that entry's exponent as a
+root of unity.  A block matrix is built from that data with each entry
+added up in integers and reduced once.  Every star adjoint is verified
+against its defining identity before being returned.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .characters import CharacterTable
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, root_of_unity_sum
 from .errors import FixtureError, GroupError, InternalCheckError
 from .grouprings import CentralElement, GroupRingElement
 from .linalg import char_poly, mat_add, mat_det, mat_mul, mat_scale
@@ -21,43 +24,68 @@ from .linalg import char_poly, mat_add, mat_det, mat_mul, mat_scale
 # -- monomial representations -------------------------------------------
 
 
-def monomial_representation(table: CharacterTable, chi_index: int):
-    """Explicit matrices of the chi_index-th irreducible, one per group
-    element, realized from the stored monomial certificate."""
+class MonomialRepresentation:
+    """An irreducible representation in monomial form: rho(g) sends the
+    j-th basis vector to zeta_N^k times the i-th, for
+    ``(i, k) = columns[g][j]``, where N (``order``) is the lcm of the
+    certificate's exponent denominators."""
+
+    __slots__ = ("degree", "order", "columns")
+
+    def __init__(self, degree: int, order: int, columns):
+        self.degree = degree
+        self.order = order
+        self.columns = columns
+
+    def matrix(self, g: int) -> list[list[Cyclo]]:
+        """rho(g) as a Cyclo matrix: zeta_N^k as Cyclo.zeta(N/q, k/q) with
+        q = gcd(k, N), and Cyclo.zero() off the monomial pattern."""
+        d, n = self.degree, self.order
+        m = [[Cyclo.zero() for _ in range(d)] for _ in range(d)]
+        for j, (i, k) in enumerate(self.columns[g]):
+            q = gcd(k, n)
+            m[i][j] = Cyclo.zeta(n // q, k // q)
+        return m
+
+
+def monomial_representation(table: CharacterTable, chi_index: int) -> MonomialRepresentation:
+    """The chi_index-th irreducible in monomial form, realized from the
+    stored certificate (U, psi) on the left cosets x_i U; its trace is
+    checked against the character at every class."""
     cache = table._rep_cache
     if chi_index in cache:
         return cache[chi_index]
     group = table.group
     cert = table.certificates[chi_index]
     chi = table.chars[chi_index]
-    u = sorted(cert.u_elems)
-    u_set = set(u)
-    reps = group.coset_reps(u)
-    d = len(reps)
-    mats = []
-    for g in range(group.order):
-        m = [[Cyclo.zero() for _ in range(d)] for _ in range(d)]
-        for j, xj in enumerate(reps):
-            gx = group.mul(g, xj)
-            for i, xi in enumerate(reps):
-                y = group.mul(group.inverse(xi), gx)
-                if y in u_set:
-                    m[i][j] = Cyclo.from_root_of_unity(cert.exps[y])
-                    break
-        mats.append(m)
-    # the trace must reproduce the character exactly
+    n = lcm(*(e.denominator for e in cert.exps.values()))
+    power = {y: e.numerator * (n // e.denominator) % n for y, e in cert.exps.items()}
+    reps = group.coset_reps(cert.u_elems)
+    # coset[h] = (i, k) for h = x_i * y with y in U and psi(y) = zeta_N^k
+    coset = [None] * group.order
+    for i, x in enumerate(reps):
+        for y in cert.u_elems:
+            coset[group.mul(x, y)] = (i, power[y])
+    columns = [tuple(coset[group.mul(g, x)] for x in reps) for g in range(group.order)]
+    # the trace must reproduce the character exactly: the fixed points'
+    # sum, in integer numerators at the order the value is stored at
     ids = group.class_index()
     for cls in group.conjugacy_classes():
         g = cls[0]
-        tr = Cyclo.zero()
-        for i in range(d):
-            tr = tr + mats[g][i][i]
-        if tr != chi.values[ids[g]]:
+        value = chi.values[ids[g]]
+        order = value.order
+        weights = [0] * order
+        for j, (i, k) in enumerate(columns[g]):
+            if i == j:
+                weights[k * order // n] += 1
+        trace = root_of_unity_sum(order, weights)
+        if order % n or (trace.num, trace.den) != (value.num, value.den):
             raise InternalCheckError(
                 f"monomial representation trace mismatch at element {g}"
             )
-    cache[chi_index] = mats
-    return mats
+    rep = MonomialRepresentation(len(reps), n, columns)
+    cache[chi_index] = rep
+    return rep
 
 
 # -- group-ring matrices --------------------------------------------------
@@ -77,24 +105,41 @@ def grm_equal(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def apply_representation(mats, a):
+def apply_representation(rep: MonomialRepresentation, a):
     """Apply a representation entrywise to a group-ring matrix, producing
-    the blown-up cyclotomic block matrix."""
-    b = len(a)
-    d = len(mats[0])
-    n = b * d
-    out = [[Cyclo.zero() for _ in range(n)] for _ in range(n)]
-    for s in range(b):
-        for t in range(len(a[0])):
-            for g, c in a[s][t].coeffs.items():
-                rho = mats[g]
-                for i in range(d):
-                    for j in range(d):
-                        if not rho[i][j].is_zero():
-                            out[s * d + i][t * d + j] = (
-                                out[s * d + i][t * d + j] + c * rho[i][j]
-                            )
+    the blown-up cyclotomic block matrix.  A block entry is the sum of
+    c * zeta_N^k over its terms; it is added up as integer weights on the
+    L-th roots of unity, L the lcm of lcm(c.order, N / gcd(k, N)) over the
+    terms, and reduced once, which gives the value and order of the
+    running Cyclo sum.  An entry with no terms is Cyclo.zero()."""
+    d, columns = rep.degree, rep.columns
+    n = len(a) * d
+    zero = Cyclo.zero()
+    out = [[zero] * n for _ in range(n)]
+    for s, row in enumerate(a):
+        for t, entry in enumerate(row):
+            terms = {}  # (i, j) -> [(c, k), ...]
+            for g, c in entry.coeffs.items():
+                for j, (i, k) in enumerate(columns[g]):
+                    terms.setdefault((i, j), []).append((c, k))
+            for (i, j), block_terms in terms.items():
+                out[s * d + i][t * d + j] = _block_entry(block_terms, rep.order)
     return out
+
+
+def _block_entry(terms, n: int) -> Cyclo:
+    """Sum of c * zeta_n^k over the (c, k) in terms, at the lcm of the
+    terms' orders."""
+    order = lcm(*(lcm(c.order, n // gcd(k, n)) for c, k in terms))
+    den = lcm(*(c.den for c, _ in terms))
+    weights = [0] * order
+    for c, k in terms:
+        step, shift, scale = order // c.order, k * order // n, den // c.den
+        for e, x in enumerate(c.num):
+            if x:
+                weights[(e * step + shift) % order] += x * scale
+    total = root_of_unity_sum(order, weights)
+    return total if den == 1 else total * Fraction(1, den)
 
 
 # -- reduced norm and star adjoint ---------------------------------------
@@ -152,8 +197,8 @@ def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
     norm_comps = []
     exp = table.exponent
     for i in range(len(table)):
-        mats = monomial_representation(table, i)
-        block = apply_representation(mats, a)
+        rep = monomial_representation(table, i)
+        block = apply_representation(rep, a)
         m = len(block)
         f = char_poly(block)  # f[0..m], monic
         # coefficients must be invariant under the stabilizer of chi
@@ -172,7 +217,7 @@ def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
         det = f[0] * Fraction((-1) ** m)
         norm_comps.append(det)
         # represented adjoint block: verify integrality and the identity
-        rep_part = apply_representation(mats, part)
+        rep_part = apply_representation(rep, part)
         for row in rep_part:
             for entry in row:
                 if not entry.is_algebraic_integer():

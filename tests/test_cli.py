@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, determinism, error reporting."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -301,6 +302,88 @@ def test_malformed_presentation_exits_3(tmp_path, capsys):
                              "--matrix", str(tmp_path / "missing.json"))
     assert code == 3 and not out
     assert "missing.json" in err and err.count("\n") == 1
+
+
+def test_presentation_coefficients_parse_strictly(tmp_path, capsys):
+    fixture = fixture_path("q_zeta3")
+    # int() reads each of these; only ASCII num or num/den is a rational
+    for bad in ("1_0", " 1 ", "1 ", "\u0663/\u0664", "\u0663", "+", "1/", "/2",
+                "1/-2", "1/+2", "1/0", "1.5", "0x1", ""):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": [[{"0": bad}]]}))
+        code, out, err = run_cli(capsys, "fitting", "--fixture", fixture,
+                                 "--matrix", str(path))
+        assert code == 3 and not out, (bad, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": [[{"0": "+2", "1": "-6/3"}]]}))
+    code, _, err = run_cli(capsys, "fitting", "--fixture", fixture,
+                           "--matrix", str(path))
+    assert code == 0, err
+
+
+def test_fixture_cyclo_parses_strictly(tmp_path, capsys):
+    def with_coeffs(coeffs):
+        obj = load_fixture_json("s3c2")
+        obj["subextensionThetas"][0]["values"]["0"]["coeffs"] = coeffs
+        return obj
+
+    cases = {"spaced_index": with_coeffs({"0": "1", " 0": "2"}),
+             "signed_index": with_coeffs({"+0": "2"}),
+             "arabic_index": with_coeffs({"\u0660": "2"}),
+             "repeated_index": with_coeffs({"0": "2", "00": "2"}),
+             "underscore_value": with_coeffs({"0": "1_0"}),
+             "spaced_value": with_coeffs({"0": " 2"}),
+             "arabic_value": with_coeffs({"0": "\u0662"})}
+    for name, obj in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        for argv in (["check", "all"], ["fixtures", "validate"]):
+            code, out, err = run_cli(capsys, *argv, "--fixture", str(path))
+            assert code == 3 and not out, (name, argv, err)
+            assert "not a cyclotomic number" in err and err.count("\n") == 1, err
+
+
+_A = {"0": "2", "5": "-1"}
+_B = {"3": "1", "7": "1", "11": "-2"}
+_Z = {"1": "1", "12": "2"}
+#: (fixture, presentation rows, sha256 of the `fitting` stdout).  The
+#: digests pin every report byte, the serialized Cyclo orders included,
+#: which depend on the path the exact arithmetic takes.
+PINNED_FITTING = [
+    # a zero 1x1 entry
+    ("s3c2", [[{}]],
+     "0ca550950a2fe0a8360d99357d2c06bab94864516dcc5824243db62282439290"),
+    ("s3c2", [[_A], [{}]],
+     "13d1940907f6043635760d30ca607699aaef3838499591b1f0f97dad80c4ca7f"),
+    # the selection of rows 0 and 1 is rank-deficient
+    ("s3c2", [[_A, _B], [_A, _B], [{"1": "1"}, {"0": "-1", "2": "2"}]],
+     "631fcebe947cf7af6663e54644c1a7d2cda492cc3b52e10b39d7c448818ed0a7"),
+    ("s3c2", [[_A, {"4": "2"}, {}], [{"6": "-1"}, _B, {"0": "1"}],
+              [{"9": "1", "10": "1"}, {}, {"2": "-2", "8": "1"}]],
+     "cac79fab05f4b8de2841e08c40c00c6b1d2b4d67006552e6779dfcdc38e8bc73"),
+    ("q_zeta23", [[{"0": "3", "7": "-1"}]],
+     "18b4626e1b508dd5a6cbb0be7332d6065dd3297ca28ba3e01f009cd7e318365f"),
+    ("q_zeta23", [[_Z, {"5": "-1"}], [_Z, {"5": "-1"}],
+                  [{"0": "2"}, {"21": "1", "3": "-1"}]],
+     "02b4f20d9914dc0213fa9b78cc36b19f8f6263cf17df3c93543ded826f36f863"),
+    ("q_zeta23", [[{"2": "1"}, {}, {"9": "-2"}], [{"0": "1", "11": "1"}, {"4": "1"}, {}],
+                  [{}, {"13": "2", "17": "-1"}, {"6": "1"}]],
+     "a500be7de0aa903666e804784c9d036c2554feae86f495f14712dd7943fb4bcf"),
+    # a zero column
+    ("q_zeta23", [[{"0": "1", "11": "-1"}, {}], [{"3": "2"}, {}]],
+     "219d5abba39e7a7f0cdd929f05d62ebd4b9494387a5d13400becd928b4bdce8c"),
+]
+
+
+def test_fitting_report_bytes_are_pinned(tmp_path, capsys):
+    for k, (fixture, rows, digest) in enumerate(PINNED_FITTING):
+        path = tmp_path / f"m{k}.json"
+        path.write_text(json.dumps({"rows": rows}))
+        code, out, err = run_cli(capsys, "fitting", "--fixture", fixture_path(fixture),
+                                 "--matrix", str(path))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (k, out)
 
 
 def test_composite_p_exits_3(capsys):

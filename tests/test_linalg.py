@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -138,6 +139,101 @@ def test_det_inverts_only_pivots_with_rows_to_clear(monkeypatch):
     # upper triangular: no pivot has a nonzero entry below it
     assert mat_det(_mat([[2, 1, 4], [0, 3, 5], [0, 0, 7]])) == Cyclo.rational(42)
     assert calls == []
-    # lower triangular: the first two pivots clear rows, the last one none
+    # a 2x2 ends in the cross product p*d - c*b, with no inverse
+    assert mat_det(_mat([[2, 1], [3, 4]])) == Cyclo.rational(5)
+    assert calls == []
+    # lower triangular: the first pivot clears rows, the last two columns
+    # end in the cross product
     assert mat_det(_mat([[2, 0, 0], [1, 3, 0], [4, 5, 7]])) == Cyclo.rational(42)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def _det_by_pivot_inverses(a):
+    """Oracle: Gaussian elimination that inverts every pivot with a nonzero
+    entry below it, the last ones included, with no 2x2 finish."""
+    n = len(a)
+    if n == 0:
+        return Cyclo.one()
+    m = [row[:] for row in a]
+    det = Cyclo.one()
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+        if pivot is None:
+            return Cyclo.zero()
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col]
+        below = [r for r in range(col + 1, n) if not m[r][col].is_zero()]
+        if not below:
+            continue
+        inv = m[col][col].inverse()
+        for r in below:
+            factor = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] = m[r][c] - factor * m[col][c]
+    return det
+
+
+def _key(x):
+    return (x.order, x.num, x.den)
+
+
+MIXED_ORDERS = (1, 2, 3, 6, 11, 22)
+
+
+@st.composite
+def mixed_order_entries(draw):
+    """A sum of at most three terms c * zeta_N^k, each at its own order N in
+    MIXED_ORDERS, lifted to the lcm of its order and a drawn one: rational
+    values stored at higher orders, zeros at orders above 1 and terms that
+    cancel all occur."""
+    terms = draw(st.lists(st.tuples(st.sampled_from(MIXED_ORDERS),
+                                    st.integers(0, 21),
+                                    st.sampled_from((-2, -1, Fraction(1, 2), 1, 3))),
+                          max_size=3))
+    if terms and draw(st.booleans()):
+        n, k, c = terms[0]
+        terms.append((n, k, -c))  # cancels the first term
+    value = sum((Cyclo.zeta(n, k) * c for n, k, c in terms), Cyclo.zero())
+    return value.lift(lcm(value.order, draw(st.sampled_from(MIXED_ORDERS))))
+
+
+@st.composite
+def mixed_order_matrices(draw):
+    n = draw(st.integers(1, 4))
+    m = [[draw(mixed_order_entries()) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(("plain", "zero pivot", "equal rows", "zero column")))
+    if shape == "zero pivot":
+        m[0][0] = Cyclo.zero(draw(st.sampled_from(MIXED_ORDERS)))
+    elif shape == "equal rows" and n > 1:
+        m[-1] = m[0][:]
+    elif shape == "zero column":
+        col = draw(st.integers(0, n - 1))
+        for row in m:
+            row[col] = Cyclo.zero()
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_order_matrices())
+def test_det_matches_pivot_inverse_oracle_exactly(m):
+    # same value, and the same order and normal form as before
+    assert _key(mat_det(m)) == _key(_det_by_pivot_inverses(m))
+
+
+def test_det_of_zero_entries_is_the_order_one_zero():
+    for order in MIXED_ORDERS:
+        zero = Cyclo.zero(order)
+        assert _key(mat_det([[zero]])) == _key(Cyclo.zero())
+        assert _key(_det_by_pivot_inverses([[zero]])) == _key(Cyclo.zero())
+        singular = [[Cyclo.zeta(order), Cyclo.one(order)],
+                    [Cyclo.zeta(order) * 2, Cyclo.rational(2)]]
+        assert _key(mat_det(singular)) == _key(Cyclo.zero())
+        # a zero below the last pivot takes no part in the result's order
+        upper = [[Cyclo.rational(2), Cyclo.rational(5)], [zero, Cyclo.rational(3)]]
+        assert _key(mat_det(upper)) == _key(_det_by_pivot_inverses(upper)) \
+            == _key(Cyclo.rational(6))
+        # a rational 1x1 entry keeps the order it is stored at
+        three = Cyclo.rational(3).lift(order)
+        assert _key(mat_det([[three]])) == _key(three)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skv.arithdata import ExtensionFixture
 from skv.characters import irreducibles_monomial
 from skv.cyclotomic import Cyclo
 from skv.errors import FixtureError, GroupError
@@ -13,10 +14,13 @@ from skv.groups import named_group
 from skv.grouprings import CentralElement, GroupRingElement
 from skv.linalg import mat_mul
 from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
-                         certified_h_elements, fitting_of_presentation,
-                         grm_identity, monomial_representation,
-                         reduced_norm, reduced_norm_component,
-                         sigma_inverse, sigma_isomorphism, star_adjoint)
+                         apply_representation, certified_h_elements,
+                         fitting_of_presentation, grm_identity,
+                         monomial_representation, reduced_norm,
+                         reduced_norm_component, sigma_inverse,
+                         sigma_isomorphism, star_adjoint)
+
+from conftest import fixture_path
 
 
 def _tables():
@@ -38,7 +42,8 @@ def test_monomial_representation_is_a_homomorphism():
     table = TABLES["S3"]
     group = table.group
     for i in range(len(table)):
-        mats = monomial_representation(table, i)
+        rep = monomial_representation(table, i)
+        mats = [rep.matrix(g) for g in range(group.order)]
         for a in range(group.order):
             for b in range(group.order):
                 prod = [[sum((mats[a][r][t] * mats[b][t][c]
@@ -269,3 +274,112 @@ def test_reduced_norm_multiplicative_q8_scalars(xs, ys):
     b = [[GroupRingElement(group, {g: ys[g] for g in range(8)})]]
     assert reduced_norm(mat_mul(a, b), table) == \
         reduced_norm(a, table) * reduced_norm(b, table)
+
+
+# -- differential tests against the Cyclo-matrix construction -------------
+
+DIFF_TABLES = {"S3": TABLES["S3"], "Q8": TABLES["Q8"],
+               **{name: ExtensionFixture.load(fixture_path(name)).table
+                  for name in ("s3c2", "q_zeta23")}}
+
+
+def _matrices_from_certificate(table, i):
+    """Oracle: the representation's Cyclo matrices, one per group element,
+    built entry by entry from the certificate as before the monomial data."""
+    group = table.group
+    cert = table.certificates[i]
+    u_set = set(cert.u_elems)
+    reps = group.coset_reps(sorted(u_set))
+    d = len(reps)
+    mats = []
+    for g in range(group.order):
+        m = [[Cyclo.zero() for _ in range(d)] for _ in range(d)]
+        for j, xj in enumerate(reps):
+            gx = group.mul(g, xj)
+            for r, xi in enumerate(reps):
+                y = group.mul(group.inverse(xi), gx)
+                if y in u_set:
+                    m[r][j] = Cyclo.from_root_of_unity(cert.exps[y])
+                    break
+        mats.append(m)
+    return mats
+
+
+def _apply_by_running_sum(mats, a):
+    """Oracle: apply_representation as a running Cyclo sum per entry."""
+    b = len(a)
+    d = len(mats[0])
+    n = b * d
+    out = [[Cyclo.zero() for _ in range(n)] for _ in range(n)]
+    for s in range(b):
+        for t in range(len(a[0])):
+            for g, c in a[s][t].coeffs.items():
+                rho = mats[g]
+                for i in range(d):
+                    for j in range(d):
+                        if not rho[i][j].is_zero():
+                            out[s * d + i][t * d + j] = (
+                                out[s * d + i][t * d + j] + c * rho[i][j]
+                            )
+    return out
+
+
+def _keys(mat):
+    return [[(x.order, x.num, x.den) for x in row] for row in mat]
+
+
+def test_monomial_matrices_match_the_certificate_construction():
+    for table in DIFF_TABLES.values():
+        for i in range(len(table)):
+            rep = monomial_representation(table, i)
+            old = _matrices_from_certificate(table, i)
+            assert [_keys(rep.matrix(g)) for g in range(table.group.order)] \
+                == [_keys(m) for m in old]
+
+
+RATIONAL_COEFFS = st.one_of(
+    st.integers(-3, 3).map(Cyclo.rational),
+    st.sampled_from((Fraction(1, 2), Fraction(-2, 3))).map(Cyclo.rational),
+    # rational values stored at a higher order
+    st.tuples(st.integers(-3, 3), st.sampled_from((2, 6, 22)))
+    .map(lambda cn: Cyclo.rational(cn[0]).lift(cn[1])))
+ROOT_COEFFS = st.tuples(st.sampled_from((1, 2, 3, 6, 11, 22)),
+                        st.integers(0, 21),
+                        st.sampled_from((-1, 1, 2, Fraction(1, 3)))).map(
+    lambda nkc: Cyclo.zeta(nkc[0], nkc[1]) * nkc[2])
+
+
+@st.composite
+def represented_matrices(draw):
+    """A table, a character index and a b x b matrix over the group ring,
+    b <= 2, whose entries have up to three terms.  Some first entries get
+    a pair of terms c * g - c * zeta * h whose images cancel in one block
+    entry."""
+    name = draw(st.sampled_from(sorted(DIFF_TABLES)))
+    table = DIFF_TABLES[name]
+    i = draw(st.integers(0, len(table) - 1))
+    coeff = ROOT_COEFFS if draw(st.booleans()) else RATIONAL_COEFFS
+    b = draw(st.integers(1, 2))
+    elems = st.integers(0, table.group.order - 1)
+    a = [[GroupRingElement(table.group, dict(draw(st.lists(st.tuples(elems, coeff),
+                                                           max_size=3))))
+          for _ in range(b)] for _ in range(b)]
+    g, h = draw(elems), draw(elems)
+    rep = monomial_representation(table, i)
+    shared = [j for j, ((r, k), (r2, k2)) in
+              enumerate(zip(rep.columns[g], rep.columns[h])) if r == r2]
+    if g != h and shared and draw(st.booleans()):
+        k, k2 = rep.columns[g][shared[0]][1], rep.columns[h][shared[0]][1]
+        c = draw(coeff)
+        a[0][0] = GroupRingElement(table.group, {
+            g: c, h: -c * Cyclo.zeta(rep.order, k - k2)})
+    return table, i, a
+
+
+@settings(max_examples=120, deadline=None)
+@given(represented_matrices())
+def test_apply_representation_matches_running_sum_exactly(case):
+    table, i, a = case
+    rep = monomial_representation(table, i)
+    old = _apply_by_running_sum(_matrices_from_certificate(table, i), a)
+    assert _keys(apply_representation(rep, a)) == _keys(old)

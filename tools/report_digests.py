@@ -1,0 +1,77 @@
+"""Print the exit code and stdout sha256 of skv reports, one line each.
+
+Covers `check all` on every shipped fixture and `fitting` on the random
+presentations perfbench generates for each seed in a range.  Run it at two
+commits and diff the outputs to show that a change keeps every report
+byte-identical.  From the repository root:
+
+    python3 tools/report_digests.py --seeds 0-39 > digests.txt
+
+The presentations come from `fitting_matrices` in perfbench/run.py, which
+is imported read-only; the matrix files go to a temporary directory.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from skv.cli import main as skv_main  # noqa: E402
+
+FIXTURES = os.path.join(ROOT, "src", "skv", "fixtures")
+
+
+def fitting_matrices():
+    """perfbench's generator of (group fixture, rows) pairs for a seed."""
+    sys.dont_write_bytecode = True  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.fitting_matrices
+
+
+def digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = skv_main(argv)
+    return f"{rc} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+
+
+def seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("0-39"),
+                        help="perfbench seeds for the fitting calls, as A-B or A")
+    args = parser.parse_args(argv)
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".json"):
+            path = os.path.join(FIXTURES, name)
+            print(f"check {name[:-5]} {digest(['check', 'all', '--fixture', path])}")
+    generate = fitting_matrices()
+    with tempfile.TemporaryDirectory() as work:
+        for seed in args.seeds:
+            for i, (group, rows) in enumerate(generate(seed)):
+                path = os.path.join(work, "m.json")
+                with open(path, "w") as fh:
+                    json.dump({"rows": rows}, fh, sort_keys=True)
+                fixture = os.path.join(FIXTURES, f"{group}.json")
+                argv = ["fitting", "--fixture", fixture, "--matrix", path]
+                print(f"fitting {seed} {i} {group} {digest(argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
