@@ -15,12 +15,12 @@ from fractions import Fraction
 from math import gcd
 
 from .characters import CharacterTable, irreducibles_monomial
-from .cyclotomic import Cyclo
+from .cyclotomic import DECIMAL_INDEX, Cyclo
 from .errors import FixtureError, SkvError
 from .grouprings import CentralElement, GroupRingElement
 from .groups import FiniteGroup
-from .linalg import mat_det, mat_identity, mat_mul, mat_scale, mat_sub
-from .rednorm import FiniteGModule, monomial_representation
+from .rednorm import (FiniteGModule, monomial_representation,
+                      reduced_norm_component)
 
 
 def _require_keys(obj: dict, allowed: set, required: set, where: str):
@@ -53,9 +53,13 @@ def validate_theta_source(src):
             raise FixtureError(f"theta source {key} must be a list of {kind.__name__}")
     if not isinstance(src["values"], dict):
         raise FixtureError("theta source values must be an object")
+    seen = set()
     for j, v in src["values"].items():
-        if not str(j).isdecimal():
+        if not (isinstance(j, str) and DECIMAL_INDEX.fullmatch(j)):
             raise FixtureError(f"theta source values key {j!r} is not an integer index")
+        if int(j) in seen:
+            raise FixtureError(f"theta source values index {int(j)} given twice")
+        seen.add(int(j))
         try:
             Cyclo.from_json(v)
         except (SkvError, KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -347,24 +351,38 @@ def local_factor(fix: ExtensionFixture, place: PlaceData, chi_index: int,
                  r: int, kind: str) -> Cyclo:
     """Local determinant factor at a finite place on inertia invariants:
     det(1 - N^(1-r) rho(phi^-1)) for delta_T, det(1 - N^(-r) rho(phi^-1))
-    for euler_S, both restricted to the image of the inertia projector."""
+    for euler_S, both restricted to the image of the inertia projector
+    e_I = |I|^(-1) sum_{i in I} i.
+
+    The restriction is det(1 - s rho(phi^-1 e_I)), phi commuting with e_I,
+    which is the reduced norm of 1 - s phi^-1 e_I at chi.  A linear chi
+    reads it off the monomial data: 1 - s chi(phi^-1) when chi is trivial
+    on I (Cyclo.zero() if that vanishes), else 1, at the order of the
+    subgroup of roots of unity that chi(phi^-1) and chi(I) generate."""
     if place.infinite:
         raise FixtureError("local factors are defined at finite places only")
     if kind not in ("delta_T", "euler_S"):
         raise FixtureError(f"unknown local factor kind {kind!r}")
     group = fix.group
-    rep = monomial_representation(fix.table, chi_index)
-    d = rep.degree
-    proj = [[Cyclo.zero() for _ in range(d)] for _ in range(d)]
-    for i in place.inertia:
-        rho = rep.matrix(i)
-        proj = [[proj[a][b] + rho[a][b] for b in range(d)] for a in range(d)]
-    proj = mat_scale(proj, Fraction(1, len(place.inertia)))
-    phi_inv = rep.matrix(group.inverse(place.frobenius))
+    phi_inv = group.inverse(place.frobenius)
     scale = Fraction(place.residue_norm) ** ((1 - r) if kind == "delta_T" else (-r))
-    m = mat_scale(mat_mul(phi_inv, proj), scale)
-    # det restricted to im(proj) equals det(I - M P) since M commutes with P
-    return mat_det(mat_sub(mat_identity(d), m))
+    rep = monomial_representation(fix.table, chi_index)
+    if rep.degree > 1:
+        share = scale / len(place.inertia)
+        coeffs = {0: Fraction(1)}
+        for i in place.inertia:
+            g = group.mul(phi_inv, i)
+            coeffs[g] = coeffs.get(g, 0) - share
+        return reduced_norm_component([[GroupRingElement(group, coeffs)]],
+                                      fix.table, chi_index)
+    n, columns = rep.order, rep.columns
+    k = columns[phi_inv][0][1]
+    on_inertia = [columns[i][0][1] for i in place.inertia]
+    if any(on_inertia):
+        return Cyclo.one(n // gcd(n, k, *on_inertia))
+    q = gcd(k, n)
+    value = Cyclo.one() - Cyclo.zeta(n // q, k // q) * scale
+    return Cyclo.zero() if value.is_zero() else value
 
 
 def _local_product(fix: ExtensionFixture, labels, r: int, kind: str) -> CentralElement:
@@ -496,17 +514,3 @@ def mu_tate_annihilators(fix: ExtensionFixture, r: int):
                     - GroupRingElement.scalar(group, Fraction(kappa_pow[g])))
     return {"w": w, "generators": gens, "action": kappa_pow}
 
-
-def mu_tate_annihilates(fix: ExtensionFixture, r: int, x: GroupRingElement) -> bool:
-    """Membership test: does x kill the Tate-twist module?"""
-    data = mu_tate_annihilators(fix, r)
-    w, act = data["w"], data["action"]
-    total = 0
-    for g, c in x.coeffs.items():
-        if not c.is_rational():
-            return False
-        q = c.to_fraction()
-        if q.denominator != 1:
-            return False
-        total = (total + q.numerator * act[g]) % w
-    return total % w == 0

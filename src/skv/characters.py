@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import Cyclo, root_of_unity_sum
+from .cyclotomic import Cyclo, root_of_unity_sum, unit_generators
 from .errors import (ArithmeticDomainError, GroupError, InternalCheckError,
                      NotMonomialError)
 from .groups import FiniteGroup
@@ -301,11 +301,13 @@ class CharacterTable:
 
     def check_galois(self, comps, context: str):
         """Self-check that per-character components are Galois-equivariant:
-        sigma_k of the component at chi is the component at sigma_k(chi)."""
-        exp = self.exponent
-        for k in range(2, exp):
-            if gcd(k, exp) != 1:
-                continue
+        sigma_k of the component at chi is the component at sigma_k(chi),
+        for every unit k modulo L = lcm(exponent, component orders).  It
+        runs k over generators of (Z/L)^x, which is the same check: if it
+        holds for a and b, then sigma_ab = sigma_a sigma_b carries the
+        component at chi to the component at sigma_ab(chi)."""
+        modulus = lcm(self.exponent, *(c.order for c in comps))
+        for k in unit_generators(modulus):
             for i in range(len(self.chars)):
                 if comps[self.galois_index(i, k)] != comps[i].galois(k):
                     raise InternalCheckError(

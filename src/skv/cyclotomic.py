@@ -16,7 +16,7 @@ import re
 import threading
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -66,6 +66,24 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
             num[i + j] -= c * d
     assert all(c == 0 for c in num)
     return q
+
+
+@lru_cache(maxsize=None)
+def unit_generators(modulus: int) -> tuple[int, ...]:
+    """A generating set of (Z/modulus)^x: each unit, smallest first, that
+    the units taken so far do not generate."""
+    gens, span = [], {1}
+    for a in range(2, modulus):
+        if gcd(a, modulus) != 1 or a in span:
+            continue
+        gens.append(a)
+        # <span, a> is the union of the cosets span * a^k
+        grown, power = set(span), a
+        while power not in span:
+            grown.update(s * power % modulus for s in span)
+            power = power * a % modulus
+        span = grown
+    return tuple(gens)
 
 
 class _OrderData:
@@ -474,7 +492,7 @@ class Cyclo:
         coeffs = [0] * phi
         seen = set()
         for key, val in obj["coeffs"].items():
-            if not _INDEX.fullmatch(key):
+            if not DECIMAL_INDEX.fullmatch(key):
                 raise ArithmeticDomainError(f"coefficient index {key!r} is not a decimal index")
             i = int(key)
             if not 0 <= i < phi:
@@ -513,7 +531,8 @@ def root_of_unity_sum(order: int, weights) -> Cyclo:
 
 # [0-9] and not \d, which also matches non-ASCII digits that int() reads
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-_INDEX = re.compile(r"[0-9]+")
+#: A power-basis or theta-source index key: ASCII digits only
+DECIMAL_INDEX = re.compile(r"[0-9]+")
 
 
 def fraction_to_str(q: Fraction) -> str:

@@ -10,11 +10,11 @@ terms at zeros are out of scope.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
 from .characters import chain_extension
-from .cyclotomic import Cyclo, root_of_unity_sum
+from .cyclotomic import Cyclo, root_of_unity_sum, unit_generators
 from .errors import ArithmeticDomainError, FixtureError
 
 
@@ -31,17 +31,15 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 class BernoulliData:
-    """Index n and the coefficients of B_n(x), constant term first."""
+    """Index n and the coefficients of B_n(x), constant term first; also
+    their common denominator D and the integers D * c_j."""
 
     def __init__(self, n: int, coeffs):
         self.n = n
         self.coeffs = tuple(coeffs)
-
-    def eval(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        self.den = lcm(*(c.denominator for c in self.coeffs))
+        self.scaled = tuple(c.numerator * (self.den // c.denominator)
+                            for c in self.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -79,11 +77,9 @@ class DirichletCharacter:
         # chi(1) = 0 and chi(a g) = chi(a) + chi(g) for every unit a and
         # every g of a generating set, which gives chi(a b) = chi(a) + chi(b)
         # for every b by induction on a word for b in the generators
-        order = lcm(*(e.denominator for e in self.exps.values()))
-        ints = {a: e.numerator * (order // e.denominator) % order
-                for a, e in self.exps.items()}
+        order, ints = self.numerators
         if ints[1] or any((ints[a] + ints[g] - ints[a * g % modulus]) % order
-                            for g in _unit_generators(modulus) for a in ints):
+                            for g in unit_generators(modulus) for a in ints):
             raise FixtureError("character values are not multiplicative")
         self._conductor = None
         self._primitive = None
@@ -119,9 +115,24 @@ class DirichletCharacter:
         e = self.exponent_at(a)
         return Cyclo.zero() if e is None else Cyclo.from_root_of_unity(e)
 
+    @cached_property
+    def numerators(self) -> tuple[int, dict[int, int]]:
+        """The order N of the values and each exponent as an integer
+        numerator in [0, N) over N."""
+        order = lcm(*(e.denominator for e in self.exps.values()))
+        return order, {a: e.numerator * (order // e.denominator) % order
+                       for a, e in self.exps.items()}
+
+    @cached_property
+    def key(self) -> tuple:
+        """(modulus, N, sorted (residue, numerator) pairs): a key of the
+        values, shared by equal characters."""
+        order, ints = self.numerators
+        return self.modulus, order, tuple(sorted(ints.items()))
+
     @property
     def order(self) -> int:
-        return lcm(*(e.denominator for e in self.exps.values()))
+        return self.numerators[0]
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exps.values())
@@ -171,24 +182,6 @@ def characters_mod(f: int) -> list["DirichletCharacter"]:
     return [DirichletCharacter._unchecked(f, c) for c in chars]
 
 
-@lru_cache(maxsize=None)
-def _unit_generators(modulus: int) -> tuple[int, ...]:
-    """A generating set of (Z/modulus)^x: each unit, smallest first, that
-    the units taken so far do not generate."""
-    gens, span = [], {1}
-    for a in range(2, modulus):
-        if gcd(a, modulus) != 1 or a in span:
-            continue
-        gens.append(a)
-        # <span, a> is the union of the cosets span * a^k
-        grown, power = set(span), a
-        while power not in span:
-            grown.update(s * power % modulus for s in span)
-            power = power * a % modulus
-        span = grown
-    return tuple(gens)
-
-
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
@@ -213,29 +206,33 @@ def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Cyclo:
         )
     f = chi.modulus
     bn = bernoulli_polynomial(n)
-    order = chi.order
-    weights = [Fraction(0)] * order
-    for a in range(1, f + 1):
-        e = chi.exponent_at(a)
-        if e is None:
-            continue
-        k = (e.numerator * (order // e.denominator)) % order
-        weights[k] += bn.eval(Fraction(a, f))
-    return root_of_unity_sum(order, weights) * Fraction(f) ** (n - 1)
+    order, ints = chi.numerators
+    # f D f^(n-1) B_n(a/f) = sum_j D c_j a^j f^(n-j) is an integer, with D
+    # the common denominator of the coefficients c_j of B_n(x)
+    scaled = [c * f ** (n - j) for j, c in enumerate(bn.scaled)]
+    weights = [0] * order
+    for a, k in ints.items():
+        acc = 0
+        for c in reversed(scaled):
+            acc = acc * a + c
+        weights[k] += acc
+    return root_of_unity_sum(order, weights) * Fraction(1, f * bn.den)
 
 
 def L_at_nonpositive(r: int, chi: DirichletCharacter) -> Cyclo:
     """L(r, chi) for r <= 0 and primitive chi: -B_{1-r,chi}/(1-r),
-    evaluated once per (r, modulus, exponents) in a process."""
+    evaluated once per r and character value key in a process."""
     if r > 0:
         raise ArithmeticDomainError("only non-positive arguments are supported")
-    return _primitive_L(r, chi.modulus, tuple(sorted(chi.exps.items())))
+    return _primitive_L(r, chi.key)
 
 
 @lru_cache(maxsize=None)
-def _primitive_L(r: int, modulus: int, exps: tuple) -> Cyclo:
+def _primitive_L(r: int, key: tuple) -> Cyclo:
+    modulus, order, ints = key
+    chi = DirichletCharacter._unchecked(
+        modulus, {a: Fraction(k, order) for a, k in ints})
     n = 1 - r
-    chi = DirichletCharacter._unchecked(modulus, dict(exps))
     return generalized_bernoulli(n, chi) * Fraction(-1, n)
 
 

@@ -37,16 +37,6 @@ class MonomialRepresentation:
         self.order = order
         self.columns = columns
 
-    def matrix(self, g: int) -> list[list[Cyclo]]:
-        """rho(g) as a Cyclo matrix: zeta_N^k as Cyclo.zeta(N/q, k/q) with
-        q = gcd(k, N), and Cyclo.zero() off the monomial pattern."""
-        d, n = self.degree, self.order
-        m = [[Cyclo.zero() for _ in range(d)] for _ in range(d)]
-        for j, (i, k) in enumerate(self.columns[g]):
-            q = gcd(k, n)
-            m[i][j] = Cyclo.zeta(n // q, k // q)
-        return m
-
 
 def monomial_representation(table: CharacterTable, chi_index: int) -> MonomialRepresentation:
     """The chi_index-th irreducible in monomial form, realized from the
@@ -243,39 +233,6 @@ def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
     if not (grm_equal(mat_mul(adjoint, a), target) and grm_equal(mat_mul(a, adjoint), target)):
         raise InternalCheckError("star adjoint identity failed over the group ring")
     return StarAdjointResult(adjoint, norm)
-
-
-# -- sigma isomorphism ----------------------------------------------------
-
-
-def sigma_isomorphism(elem: dict, c_group, n: int):
-    """Reindex an element of M_n(F)[C] as an n x n matrix over F[C].
-
-    elem maps a C-element to an n x n Cyclo matrix; the result has
-    GroupRingElement entries over C."""
-    if not c_group.is_abelian():
-        raise GroupError("sigma isomorphism requires an abelian group")
-    out = [[GroupRingElement(c_group) for _ in range(n)] for _ in range(n)]
-    for c, mat in elem.items():
-        for i in range(n):
-            for j in range(n):
-                if not mat[i][j].is_zero():
-                    out[i][j] = out[i][j] + GroupRingElement(c_group, {c: mat[i][j]})
-    return out
-
-
-def sigma_inverse(mat, c_group, n: int) -> dict:
-    """Inverse of sigma_isomorphism."""
-    if not c_group.is_abelian():
-        raise GroupError("sigma isomorphism requires an abelian group")
-    out = {}
-    for i in range(n):
-        for j in range(n):
-            for c, v in mat[i][j].coeffs.items():
-                if c not in out:
-                    out[c] = [[Cyclo.zero() for _ in range(n)] for _ in range(n)]
-                out[c][i][j] = v
-    return out
 
 
 # -- Fitting invariants ---------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Callable, NamedTuple
 
 from .arithdata import (ExtensionFixture, PlaceSets, check_admissible,
@@ -62,15 +63,39 @@ def _is_exact_integral(x: CentralElement) -> bool:
                for c in elem.coeffs.values())
 
 
-def _integrality_failure(x: CentralElement, abelian: bool) -> dict | None:
+def _integrality_failure(x: CentralElement, abelian: bool,
+                         in_zg: bool | None = None) -> dict | None:
     """Witness fields when x leaves the maximal order or, for abelian G,
-    has a non-integral ZG coefficient; None when x passes both."""
+    has a non-integral ZG coefficient; None when x passes both.  A caller
+    that has already decided whether x lies in ZG passes that as in_zg."""
     mv = max_order_membership(x, "full")
     if not mv.ok:
         return {"membership": mv.to_json()}
-    if abelian and not _is_exact_integral(x):
+    if abelian and not (_is_exact_integral(x) if in_zg is None else in_zg):
         return {"failure": "abelian exact integrality"}
     return None
+
+
+def _zg_numerators(x: CentralElement) -> tuple[list[int], int]:
+    """The rational ZG coefficients of x, per group element, as integer
+    numerators over one denominator."""
+    elem = x.to_group_ring()
+    coeffs = [elem.coeff(g).to_fraction() for g in range(x.group.order)]
+    den = lcm(*(q.denominator for q in coeffs))
+    return [q.numerator * (den // q.denominator) for q in coeffs], den
+
+
+def _product_in_zg(x: GroupRingElement, nums: list[int], den: int) -> bool:
+    """Does x * (sum_g nums[g] g) / den have integer coefficients?  x has
+    rational coefficients; the coefficient at h is
+    sum_g x_g nums[g^-1 h] / den, summed in integers."""
+    group = x.group
+    terms = [(group.inverse(g), c.to_fraction()) for g, c in x.coeffs.items()]
+    dx = lcm(*(q.denominator for _, q in terms))
+    terms = [(g, q.numerator * (dx // q.denominator)) for g, q in terms]
+    modulus = den * dx
+    return all(sum(c * nums[group.mul(g, h)] for g, c in terms) % modulus == 0
+               for h in range(group.order))
 
 
 def check_theorem_stickelberger_int(fix: ExtensionFixture, sets: PlaceSets) -> Verdict:
@@ -176,15 +201,21 @@ def _bounded_nr_search(table: CharacterTable, target: CentralElement,
     element with small support and coefficient height.  Returns the witness
     coefficients or None; the search is truncated, so failure proves nothing.
 
-    A candidate is rejected at its first character component (in table
-    order, trivial character first) that differs from the target; one that
-    matches every component is confirmed by its full reduced norm, with
-    that norm's Galois self-check, before it is returned."""
+    A candidate is rejected at its first character component that differs
+    from the target: first the trivial one, which is the augmentation sum
+    of its coefficients and needs no block, then the others in table order.
+    One that matches every component is confirmed by its full reduced
+    norm, with that norm's Galois self-check, before it is returned."""
     group = table.group
+    trivial = table.trivial_index()
     for coeffs in _nr_candidates(group.order, height, support):
+        # the trivial component of nr(x) is the augmentation sum c_g
+        if target.components[trivial] != sum(coeffs.values()):
+            continue
         cand = [[GroupRingElement(group, coeffs)]]
         matches = all(reduced_norm_component(cand, table, i) == want
-                      for i, want in enumerate(target.components))
+                      for i, want in enumerate(target.components)
+                      if i != trivial)
         if matches and reduced_norm(cand, table) == target:
             return {str(g): str(c) for g, c in coeffs.items()}
     return None
@@ -310,13 +341,17 @@ def check_negative_r(fix: ExtensionFixture, S, r: int) -> Verdict:
     except FixtureError as exc:
         return Verdict(check_id, "inconclusive", notes=[f"fixture gap: {exc}"])
     abelian = fix.group.is_abelian()
+    # for abelian G, nr(x) = x, so nr(x) * theta lies in ZG exactly when
+    # x * theta does: theta goes to the group ring once, not once per x
+    theta_zg = _zg_numerators(th.central) if abelian else None
     witnesses = [{"w": data["w"]}]
     labels = fix.group.labels
     for x in data["generators"]:
         y = reduced_norm([[x]], fix.table) * th.central
         tag = " + ".join(f"{c}*{labels[g]}"
                          for g, c in sorted(x.coeffs.items()))
-        failure = _integrality_failure(y, abelian)
+        failure = _integrality_failure(
+            y, abelian, _product_in_zg(x, *theta_zg) if abelian else None)
         if failure is not None:
             return Verdict(check_id, "falsified",
                            witnesses=[{"annihilator": tag, **failure}])

@@ -1,0 +1,125 @@
+"""Reference implementations that only tests call.
+
+Each one is a direct, slower form of something skv computes another way,
+or a helper no verdict needs; tests compare against them or exercise them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from skv.arithdata import ExtensionFixture, PlaceData, mu_tate_annihilators
+from skv.characters import CharacterTable
+from skv.cyclotomic import Cyclo, root_of_unity_sum
+from skv.errors import GroupError
+from skv.grouprings import GroupRingElement
+from skv.linalg import mat_det, mat_identity, mat_mul, mat_scale, mat_sub
+from skv.lvalues import BernoulliData, DirichletCharacter, bernoulli_polynomial
+from skv.rednorm import MonomialRepresentation, monomial_representation
+
+
+def monomial_matrix(rep: MonomialRepresentation, g: int) -> list[list[Cyclo]]:
+    """rho(g) as a Cyclo matrix: zeta_N^k as Cyclo.zeta(N/q, k/q) with
+    q = gcd(k, N), and Cyclo.zero() off the monomial pattern."""
+    d, n = rep.degree, rep.order
+    m = [[Cyclo.zero() for _ in range(d)] for _ in range(d)]
+    for j, (i, k) in enumerate(rep.columns[g]):
+        q = gcd(k, n)
+        m[i][j] = Cyclo.zeta(n // q, k // q)
+    return m
+
+
+def local_factor_matrix(fix: ExtensionFixture, place: PlaceData, chi_index: int,
+                        r: int, kind: str) -> Cyclo:
+    """det(1 - s rho(phi^-1) P) with the inertia projector P summed as
+    Cyclo matrices, s = N^(1-r) for delta_T and N^(-r) for euler_S."""
+    group = fix.group
+    rep = monomial_representation(fix.table, chi_index)
+    d = rep.degree
+    proj = [[Cyclo.zero() for _ in range(d)] for _ in range(d)]
+    for i in place.inertia:
+        rho = monomial_matrix(rep, i)
+        proj = [[proj[a][b] + rho[a][b] for b in range(d)] for a in range(d)]
+    proj = mat_scale(proj, Fraction(1, len(place.inertia)))
+    phi_inv = monomial_matrix(rep, group.inverse(place.frobenius))
+    scale = Fraction(place.residue_norm) ** ((1 - r) if kind == "delta_T" else (-r))
+    m = mat_scale(mat_mul(phi_inv, proj), scale)
+    return mat_det(mat_sub(mat_identity(d), m))
+
+
+def bernoulli_eval(bn: BernoulliData, x: Fraction) -> Fraction:
+    """B_n(x) by Horner's rule in Fractions."""
+    acc = Fraction(0)
+    for c in reversed(bn.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def generalized_bernoulli_fractions(n: int, chi: DirichletCharacter) -> Cyclo:
+    """B_{n,chi} = f^(n-1) sum_a chi(a) B_n(a/f) with Fraction weights."""
+    f = chi.modulus
+    bn = bernoulli_polynomial(n)
+    order = chi.order
+    weights = [Fraction(0)] * order
+    for a in range(1, f + 1):
+        e = chi.exponent_at(a)
+        if e is None:
+            continue
+        k = (e.numerator * (order // e.denominator)) % order
+        weights[k] += bernoulli_eval(bn, Fraction(a, f))
+    return root_of_unity_sum(order, weights) * Fraction(f) ** (n - 1)
+
+
+def galois_equivariant_all_units(table: CharacterTable, comps) -> bool:
+    """Is sigma_k of the component at chi the component at sigma_k(chi)
+    for every unit k modulo lcm(exponent, component orders)?"""
+    n = lcm(table.exponent, *(c.order for c in comps))
+    return all(comps[table.galois_index(i, k)] == comps[i].galois(k)
+               for k in range(1, n) if gcd(k, n) == 1
+               for i in range(len(comps)))
+
+
+def mu_tate_annihilates(fix: ExtensionFixture, r: int, x: GroupRingElement) -> bool:
+    """Membership test: does x kill the Tate-twist module?"""
+    data = mu_tate_annihilators(fix, r)
+    w, act = data["w"], data["action"]
+    total = 0
+    for g, c in x.coeffs.items():
+        if not c.is_rational():
+            return False
+        q = c.to_fraction()
+        if q.denominator != 1:
+            return False
+        total = (total + q.numerator * act[g]) % w
+    return total % w == 0
+
+
+def sigma_isomorphism(elem: dict, c_group, n: int):
+    """Reindex an element of M_n(F)[C] as an n x n matrix over F[C].
+
+    elem maps a C-element to an n x n Cyclo matrix; the result has
+    GroupRingElement entries over C."""
+    if not c_group.is_abelian():
+        raise GroupError("sigma isomorphism requires an abelian group")
+    out = [[GroupRingElement(c_group) for _ in range(n)] for _ in range(n)]
+    for c, mat in elem.items():
+        for i in range(n):
+            for j in range(n):
+                if not mat[i][j].is_zero():
+                    out[i][j] = out[i][j] + GroupRingElement(c_group, {c: mat[i][j]})
+    return out
+
+
+def sigma_inverse(mat, c_group, n: int) -> dict:
+    """Inverse of sigma_isomorphism."""
+    if not c_group.is_abelian():
+        raise GroupError("sigma isomorphism requires an abelian group")
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for c, v in mat[i][j].coeffs.items():
+                if c not in out:
+                    out[c] = [[Cyclo.zero() for _ in range(n)] for _ in range(n)]
+                out[c][i][j] = v
+    return out

@@ -24,13 +24,13 @@ from skv.linalg import mat_mul
 from skv.lvalues import (DirichletCharacter, L_at_nonpositive, characters_mod,
                          generalized_bernoulli)
 from skv.rednorm import (FittingInvariant, annihilation_check,
-                         certified_h_elements, reduced_norm,
-                         sigma_isomorphism, sigma_inverse, star_adjoint)
+                         certified_h_elements, reduced_norm, star_adjoint)
 from skv.verify import (check_theorem_sku_maxord,
                         check_theorem_stickelberger_int, default_sets,
                         relative_class_number_qzeta)
 
 from conftest import fixture_path, load_fixture_json, record_acceptance
+from oracles import sigma_inverse, sigma_isomorphism
 
 
 @contextmanager

@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from skv.arithdata import (ExtensionFixture, PlaceSets, check_admissible,
-                           check_hyp_ST, delta_element, euler_element,
-                           generate_A_S, mu_tate_annihilates,
+from skv.arithdata import (ExtensionFixture, PlaceData, PlaceSets,
+                           check_admissible, check_hyp_ST, delta_element,
+                           euler_element, generate_A_S, local_factor,
                            mu_tate_annihilators, mu_tate_order)
 from skv.cyclotomic import Cyclo
 from skv.errors import FixtureError
 from skv.grouprings import GroupRingElement
 
 from conftest import load_fixture_json
+from oracles import local_factor_matrix, mu_tate_annihilates
 
 
 def _mutated(name, mutate):
@@ -167,6 +168,33 @@ def test_delta_element_oracles(fixtures):
     # nontrivial character, so its factor is 1 there
     d3 = delta_element(fix, ["3"], 0)
     assert [c.to_fraction() for c in d3.components] == [-2, 1]
+
+
+def _cyclic_places(group):
+    """For each g != 1, a tame place with D = I = <g> and an unramified one
+    with D = <g> and Frobenius g."""
+    for g in range(1, group.order):
+        for label, inertia, frob in ((f"r{g}", [g], 0), (f"u{g}", [], g)):
+            yield PlaceData(group, {"label": label, "residueChar": 101,
+                                    "residueNorm": 101, "decompositionGens": [g],
+                                    "inertiaGens": inertia, "frobenius": frob})
+
+
+def test_local_factor_matches_the_cyclo_matrix_formula(fixtures):
+    # value and order, over every finite place, character, r and kind,
+    # the degree-2 characters of s3c2 among them; the extra places give
+    # characters whose values on D generate a proper subgroup of their image
+    for name, fix in sorted(fixtures.items()):
+        places = [p for p in fix.places if not p.infinite]
+        for place in places + list(_cyclic_places(fix.group)):
+            for i in range(len(fix.table)):
+                for r in (0, -1, -2):
+                    for kind in ("delta_T", "euler_S"):
+                        got = local_factor(fix, place, i, r, kind)
+                        want = local_factor_matrix(fix, place, i, r, kind)
+                        assert (got.order, got.num, got.den) == \
+                            (want.order, want.num, want.den), \
+                            (name, place.label, i, r, kind)
 
 
 def test_euler_element_oracles(fixtures):

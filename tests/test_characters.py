@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from skv.characters import (_abelian_table, _check_multiplicative,
                             _induced_table, induce_from_linear,
                             irreducibles_monomial, linear_characters)
-from skv.cyclotomic import Cyclo
+from skv.cyclotomic import Cyclo, unit_generators
 from skv.errors import ArithmeticDomainError, GroupError, InternalCheckError
 from skv.groups import FiniteGroup, _named_tables, named_group
+
+from oracles import galois_equivariant_all_units
 
 
 def test_c6_linear_characters():
@@ -158,6 +160,60 @@ def test_check_galois_fires_on_non_equivariant_components(fixtures):
             swapped[i], swapped[j] = comps[j], comps[i]
         with pytest.raises(InternalCheckError):
             table.check_galois(swapped, name)
+
+
+GALOIS_TABLES = {name: irreducibles_monomial(named_group(name))
+                 for name in ("C6", "S3", "D4", "Q8", "S3xC2")}
+GALOIS_TABLES["C22"] = irreducibles_monomial(FiniteGroup.cyclic(22))
+
+
+def _equivariant_components(table, data):
+    """chi(x)/chi(1) for a class function x with small rational values:
+    the components of a central element of Q[G]."""
+    group = table.group
+    classes = group.conjugacy_classes()
+    ids = group.class_index()
+    fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    x = [data.draw(fracs) for _ in classes]
+    return [sum((chi.values[ids[cls[0]]] * (a * len(cls)) for a, cls in zip(x, classes)),
+                start=Cyclo.zero()) * Fraction(1, chi.degree)
+            for chi in table]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(GALOIS_TABLES)),
+       st.sampled_from(["none", "one", "orbit"]), st.data())
+def test_galois_check_on_generators_matches_all_units(name, perturb, data):
+    table = GALOIS_TABLES[name]
+    comps = _equivariant_components(table, data)
+    if perturb != "none":
+        # one component moved by delta, a root of unity inside
+        # Q(zeta_exponent) or in a larger field; "orbit" also moves the
+        # components along the orbit of one sigma_k, which keeps the
+        # vector sigma_k-equivariant, so only another unit can tell.  k is
+        # often one of the generators, the case where a check that skipped
+        # the others would pass
+        i = data.draw(st.integers(0, len(comps) - 1))
+        n = data.draw(st.sampled_from([table.exponent, 2 * table.exponent, 5, 9]))
+        delta = Cyclo.zeta(n, data.draw(st.integers(0, n - 1)))
+        powers = [1]
+        if perturb == "orbit":
+            m = lcm(table.exponent, n, *(c.order for c in comps))
+            units = [u for u in range(1, m) if gcd(u, m) == 1]
+            k = data.draw(st.sampled_from(units) | st.sampled_from(unit_generators(m)))
+            while powers[-1] * k % m != 1:
+                powers.append(powers[-1] * k % m)
+        for power in powers:
+            j = table.galois_index(i, power)
+            comps[j] = comps[j] + delta.galois(power)
+    try:
+        table.check_galois(comps, name)
+        passed = True
+    except InternalCheckError:
+        passed = False
+    assert passed == galois_equivariant_all_units(table, comps)
+    if perturb == "none":
+        assert passed
 
 
 def _multiplicative(group, u, exps):

@@ -433,3 +433,22 @@ def test_place_labels_need_not_be_primes(tmp_path, capsys):
     statuses = [(v["checkId"], v["status"]) for v in json.loads(out)["verdicts"]]
     assert statuses == [(v["checkId"], v["status"])
                         for v in json.loads(ref)["verdicts"]]
+
+
+def test_theta_source_value_keys_parse_strictly(tmp_path, capsys):
+    def arabic_key(vals):
+        vals["\u0661"] = vals.pop("1")  # ARABIC-INDIC DIGIT ONE
+
+    def repeated_index(vals):
+        vals["01"] = dict(vals["1"])
+
+    for mutate, what in ((arabic_key, "not an integer index"),
+                         (repeated_index, "index 1 given twice")):
+        obj = load_fixture_json("s3c2")
+        mutate(obj["subextensionThetas"][0]["values"])
+        path = tmp_path / f"{mutate.__name__}.json"
+        path.write_text(json.dumps(obj))
+        for argv in (["fixtures", "validate"], ["check", "all"]):
+            code, out, err = run_cli(capsys, *argv, "--fixture", str(path))
+            assert code == 3 and not out, (mutate.__name__, argv, err)
+            assert what in err and err.count("\n") == 1, err

@@ -7,12 +7,14 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skv.cyclotomic import Cyclo
+from skv.cyclotomic import Cyclo, unit_generators
 from skv.errors import ArithmeticDomainError, FixtureError
 from skv.lvalues import (DirichletCharacter, L_at_nonpositive, L_ST,
-                         _primitive_L, _unit_generators, bernoulli_number,
+                         _primitive_L, bernoulli_number,
                          bernoulli_polynomial, characters_mod,
                          generalized_bernoulli)
+
+from oracles import bernoulli_eval, generalized_bernoulli_fractions
 
 CHI_M4 = DirichletCharacter(4, {1: Fraction(0), 3: Fraction(1, 2)})
 CHI_M3 = DirichletCharacter(3, {1: Fraction(0), 2: Fraction(1, 2)})
@@ -28,8 +30,8 @@ def test_bernoulli_numbers():
 
 def test_bernoulli_polynomial_values():
     b2 = bernoulli_polynomial(2)
-    assert b2.eval(Fraction(0)) == Fraction(1, 6)
-    assert b2.eval(Fraction(1, 2)) == Fraction(-1, 12)
+    assert bernoulli_eval(b2, Fraction(0)) == Fraction(1, 6)
+    assert bernoulli_eval(b2, Fraction(1, 2)) == Fraction(-1, 12)
     with pytest.raises(ArithmeticDomainError):
         bernoulli_polynomial(-1)
 
@@ -198,12 +200,35 @@ def test_multiplicativity_check_matches_all_pairs(f, data):
             DirichletCharacter(f, exps)
 
 
+def test_integer_bernoulli_sums_match_the_fraction_formula():
+    for f in range(1, 61):
+        for chi in characters_mod(f):
+            if not chi.is_primitive():
+                continue
+            for n in range(1, 5):
+                got = generalized_bernoulli(n, chi)
+                want = generalized_bernoulli_fractions(n, chi)
+                assert (got.order, got.num, got.den) == \
+                    (want.order, want.num, want.den), (f, chi.exps, n)
+
+
+def test_l_value_cache_key_is_built_once_and_shared_by_equal_characters():
+    chi = next(c for c in characters_mod(23) if c.order == 22)
+    twin = DirichletCharacter(23, dict(chi.exps))
+    assert twin is not chi and twin.key == chi.key
+    assert chi.key is chi.key  # built once per character
+    for r in (0, -1):
+        assert L_at_nonpositive(r, twin) is L_at_nonpositive(r, chi)
+    # the key is the values: another character has another key
+    assert all(c.key != chi.key for c in characters_mod(23) if c.exps != chi.exps)
+
+
 def test_unit_generators_generate_the_unit_group():
     for f in range(1, 61):
         units = {a % f if f > 1 else 1 for a in range(1, f + 1)
                  if gcd(a, f) == 1}
         span = {1 % f if f > 1 else 1}
-        for g in _unit_generators(f):
+        for g in unit_generators(f):
             while True:
                 grown = span | {s * g % f for s in span}
                 if grown == span:

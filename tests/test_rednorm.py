@@ -17,10 +17,10 @@ from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          apply_representation, certified_h_elements,
                          fitting_of_presentation, grm_identity,
                          monomial_representation, reduced_norm,
-                         reduced_norm_component, sigma_inverse,
-                         sigma_isomorphism, star_adjoint)
+                         reduced_norm_component, star_adjoint)
 
 from conftest import fixture_path
+from oracles import monomial_matrix, sigma_inverse, sigma_isomorphism
 
 
 def _tables():
@@ -43,7 +43,7 @@ def test_monomial_representation_is_a_homomorphism():
     group = table.group
     for i in range(len(table)):
         rep = monomial_representation(table, i)
-        mats = [rep.matrix(g) for g in range(group.order)]
+        mats = [monomial_matrix(rep, g) for g in range(group.order)]
         for a in range(group.order):
             for b in range(group.order):
                 prod = [[sum((mats[a][r][t] * mats[b][t][c]
@@ -333,7 +333,7 @@ def test_monomial_matrices_match_the_certificate_construction():
         for i in range(len(table)):
             rep = monomial_representation(table, i)
             old = _matrices_from_certificate(table, i)
-            assert [_keys(rep.matrix(g)) for g in range(table.group.order)] \
+            assert [_keys(monomial_matrix(rep, g)) for g in range(table.group.order)] \
                 == [_keys(m) for m in old]
 
 

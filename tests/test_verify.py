@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skv import rednorm, verify
-from skv.arithdata import ExtensionFixture, PlaceSets
+from skv.arithdata import ExtensionFixture, PlaceSets, mu_tate_annihilators
 from skv.characters import CharacterTable, irreducibles_monomial
 from skv.cyclotomic import Cyclo
+from skv.engine import ThetaElement
 from skv.errors import InternalCheckError, SkvError
 from skv.grouprings import CentralElement, GroupRingElement
 from skv.groups import named_group
 from skv.rednorm import reduced_norm
-from skv.verify import (Verdict, _bounded_nr_search, _integrality_tier,
+from skv.verify import (Verdict, _bounded_nr_search, _integrality_failure,
+                        _integrality_tier,
                         check_brumer, check_brumer_stark_necessary,
                         check_negative_r, check_theorem_sku_maxord,
                         check_theorem_stickelberger_int, default_sets,
@@ -149,6 +151,41 @@ def test_fault_injection_negative_r(fixtures, monkeypatch):
     v = check_negative_r(fix, ["inf", "2"], -1)
     assert v.status == "falsified"
     assert "annihilator" in v.witnesses[0]
+
+
+def _first_failure_per_annihilator(fix, th, r):
+    """Reference witness: the first annihilator x whose nr(x) * theta
+    fails, judged by the maximal order and then by the ZG coefficients
+    of the product itself."""
+    labels = fix.group.labels
+    for x in mu_tate_annihilators(fix, r)["generators"]:
+        failure = _integrality_failure(reduced_norm([[x]], fix.table) * th.central,
+                                       fix.group.is_abelian())
+        if failure is not None:
+            tag = " + ".join(f"{c}*{labels[g]}" for g, c in sorted(x.coeffs.items()))
+            return {"annihilator": tag, **failure}
+    return None
+
+
+@pytest.mark.parametrize("fault", ["idempotent", "seventh"])
+def test_negative_r_falsifies_a_non_integral_theta(fault, monkeypatch):
+    fix = ExtensionFixture.load(fixture_path("q_zeta23"))
+    S, r = fix.minimal_s(), -1
+    real = verify.theta(fix, PlaceSets(S, [], r))
+    table = fix.table
+    if fault == "idempotent":
+        # e_1 = N_G / |G|: integral components, ZG coefficients 1/22
+        comps = [Cyclo.one() if i == table.trivial_index() else Cyclo.zero()
+                 for i in range(len(table))]
+        central = CentralElement(table, comps)
+    else:
+        central = real.central * Fraction(1, 7)
+    bad = ThetaElement(central, S, [], r, "patched")
+    monkeypatch.setattr("skv.verify.theta", lambda f, sets: bad)
+    v = check_negative_r(fix, S, r)
+    want = _first_failure_per_annihilator(fix, bad, r)
+    assert v.status == "falsified" and v.witnesses == [want]
+    assert ("failure" in want) == (fault == "idempotent")
 
 
 def test_negative_r_guards(fixtures):
@@ -310,8 +347,9 @@ def test_search_confirms_a_witness_with_the_galois_check(monkeypatch):
 
 
 def test_s3c2_search_rejects_each_candidate_at_a_small_determinant(monkeypatch):
-    # the s3c2 target has no witness; every one of the 288 candidates is
-    # rejected at the trivial character, and 66 of them at the next one
+    # the s3c2 target has no witness; 222 of the 288 candidates are
+    # rejected by their augmentation sum, which settles the trivial
+    # character without a determinant, and the other 66 at the next one
     fix = ExtensionFixture.load(fixture_path("s3c2"))
     counts = {"searches": 0, "norms": 0, "dets": 0}
     active = []
@@ -339,4 +377,4 @@ def test_s3c2_search_rejects_each_candidate_at_a_small_determinant(monkeypatch):
     monkeypatch.setattr(rednorm, "mat_det", det)
     statuses = [v.status for v in run_all(fix)]
     assert statuses == list(EXPECTED_STATUS["s3c2"].values())
-    assert counts == {"searches": 1, "norms": 0, "dets": 354}
+    assert counts == {"searches": 1, "norms": 0, "dets": 66}

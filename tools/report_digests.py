@@ -1,11 +1,13 @@
 """Print the exit code and stdout sha256 of skv reports, one line each.
 
 Covers `check all` on every shipped fixture and `fitting` on the random
-presentations perfbench generates for each seed in a range.  Run it at two
-commits and diff the outputs to show that a change keeps every report
-byte-identical.  From the repository root:
+presentations perfbench generates for each seed in a range; `--extra`
+adds `check all` on further fixture files.  Run it at two commits and
+diff the outputs to show that a change keeps every report byte-identical.
+From the repository root:
 
     python3 tools/report_digests.py --seeds 0-39 > digests.txt
+    python3 tools/report_digests.py --seeds 0 --extra big.json > digests.txt
 
 The presentations come from `fitting_matrices` in perfbench/run.py, which
 is imported read-only; the matrix files go to a temporary directory.
@@ -55,11 +57,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=seed_range, default=seed_range("0-39"),
                         help="perfbench seeds for the fitting calls, as A-B or A")
+    parser.add_argument("--extra", nargs="+", default=[], metavar="FIXTURE",
+                        help="further fixture files to digest `check all` on")
     args = parser.parse_args(argv)
     for name in sorted(os.listdir(FIXTURES)):
         if name.endswith(".json"):
             path = os.path.join(FIXTURES, name)
             print(f"check {name[:-5]} {digest(['check', 'all', '--fixture', path])}")
+    for path in args.extra:
+        print(f"check {path} {digest(['check', 'all', '--fixture', path])}", flush=True)
     generate = fitting_matrices()
     with tempfile.TemporaryDirectory() as work:
         for seed in args.seeds:
