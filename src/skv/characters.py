@@ -102,9 +102,6 @@ class Character:
         target = lcm(self.exponent, *(v.order for v in values))
         return [v.lift(target) for v in values]
 
-    def value_at(self, g: int) -> Cyclo:
-        return self.values[self.group.class_index()[g]]
-
     def inner(self, other: "Character") -> Fraction:
         if other.group is not self.group and other.group.order != self.group.order:
             raise GroupError("characters live on different groups")
@@ -113,17 +110,6 @@ class Character:
             total = total + v * w.conjugate() * Fraction(len(cls))
         total = total * Fraction(1, self.group.order)
         return total.to_fraction()
-
-    def contragredient_values(self) -> tuple[Cyclo, ...]:
-        """Values of the contragredient: class of g carries the value at g^(-1)."""
-        ids = self.group.class_index()
-        out = []
-        for cls in self.classes:
-            out.append(self.values[ids[self.group.inverse(cls[0])]])
-        return tuple(out)
-
-    def galois_values(self, k: int) -> tuple[Cyclo, ...]:
-        return tuple(v.galois(k) for v in self.values)
 
     def __eq__(self, other):
         return isinstance(other, Character) and self.values == other.values
@@ -218,6 +204,9 @@ class CharacterTable:
         # chi index -> matrices of its monomial representation, filled by
         # rednorm.monomial_representation
         self._rep_cache: dict[int, list] = {}
+        # (sorted H, sorted C) -> the Irr(H) x Irr(C) pairing of a direct
+        # product G = H x C, filled by grouprings._product_pairing
+        self._pairings: dict[tuple, tuple] = {}
 
     def _value_keys(self, values):
         """Canonical ``(order, num, den)`` keys at ``value_order``, for

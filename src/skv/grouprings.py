@@ -326,10 +326,15 @@ class MembershipVerdict:
 
 
 def _product_pairing(table: CharacterTable, h_elems, c_elems):
-    """Match Irr(G) with Irr(H) x Irr(C) for an internal direct product."""
+    """Match Irr(G) with Irr(H) x Irr(C) for an internal direct product.
+    Each product character chi * lambda is looked up by the integer key of
+    its values; the result is kept on the table per (sorted H, sorted C)."""
+    h = tuple(sorted(set(h_elems)))
+    c = tuple(sorted(set(c_elems)))
+    cached = table._pairings.get((h, c))
+    if cached is not None:
+        return cached
     group = table.group
-    h = sorted(set(h_elems))
-    c = sorted(set(c_elems))
     sub_h, back_h = group.subgroup_as_group(h)
     sub_c, back_c = group.subgroup_as_group(c)
     pos_h = {v: k for k, v in back_h.items()}
@@ -346,25 +351,22 @@ def _product_pairing(table: CharacterTable, h_elems, c_elems):
         raise GroupError("not a direct product: factorization does not cover the group")
     tab_h = irreducibles_monomial(sub_h)
     tab_c = irreducibles_monomial(sub_c)
-    ids = group.class_index()
     ids_h = sub_h.class_index()
     ids_c = sub_c.class_index()
+    # per class of G: the classes of its H and C factors
+    split = [(ids_h[pos_h[hh]], ids_c[pos_c[cc]])
+             for hh, cc in (factor[cls[0]] for cls in group.conjugacy_classes())]
     pairing = {}
     for i, chi in enumerate(tab_h):
         for j, lam in enumerate(tab_c):
-            vals = []
-            for cls in group.conjugacy_classes():
-                hh, cc = factor[cls[0]]
-                vals.append(chi.values[ids_h[pos_h[hh]]] * lam.values[ids_c[pos_c[cc]]])
-            idx = None
-            for gidx, gchi in enumerate(table):
-                if all(gchi.values[t] == vals[t] for t in range(len(vals))):
-                    idx = gidx
-                    break
-            if idx is None:
-                raise GroupError("product character not found in the table")
-            pairing[(i, j)] = idx
-    return tab_h, tab_c, pairing, back_h, back_c
+            vals = [chi.values[a] * lam.values[b] for a, b in split]
+            try:
+                pairing[(i, j)] = table.index_of_values(vals)
+            except GroupError:
+                raise GroupError("product character not found in the table") from None
+    result = (tab_h, tab_c, pairing, back_h, back_c)
+    table._pairings[(h, c)] = result
+    return result
 
 
 def product_coefficients(x: CentralElement, h_elems, c_elems):

@@ -168,7 +168,9 @@ class DirichletCharacter:
         return self._primitive
 
     def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.modulus, {a: (-e) % 1 for a, e in self.exps.items()})
+        # the conjugate of a multiplicative character is multiplicative
+        return DirichletCharacter._unchecked(
+            self.modulus, {a: (-e) % 1 for a, e in self.exps.items()})
 
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus

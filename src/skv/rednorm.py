@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .characters import CharacterTable
-from .cyclotomic import Cyclo, root_of_unity_sum
+from .cyclotomic import Cyclo, order_data, root_of_unity_sum
 from .errors import FixtureError, GroupError, InternalCheckError
 from .grouprings import CentralElement, GroupRingElement
 from .linalg import char_poly, mat_add, mat_det, mat_mul, mat_scale
@@ -57,25 +57,41 @@ def monomial_representation(table: CharacterTable, chi_index: int) -> MonomialRe
         for y in cert.u_elems:
             coset[group.mul(x, y)] = (i, power[y])
     columns = [tuple(coset[group.mul(g, x)] for x in reps) for g in range(group.order)]
-    # the trace must reproduce the character exactly: the fixed points'
-    # sum, in integer numerators at the order the value is stored at
+    # the trace must reproduce the character exactly at every class, in
+    # (num, den) at the order the value is stored at
     ids = group.class_index()
     for cls in group.conjugacy_classes():
         g = cls[0]
         value = chi.values[ids[g]]
-        order = value.order
-        weights = [0] * order
-        for j, (i, k) in enumerate(columns[g]):
-            if i == j:
-                weights[k * order // n] += 1
-        trace = root_of_unity_sum(order, weights)
-        if order % n or (trace.num, trace.den) != (value.num, value.den):
+        if value.order % n or \
+                (fixed_point_trace(columns[g], n, value.order), 1) != (value.num, value.den):
             raise InternalCheckError(
                 f"monomial representation trace mismatch at element {g}"
             )
     rep = MonomialRepresentation(len(reps), n, columns)
     cache[chi_index] = rep
     return rep
+
+
+def fixed_point_trace(column, n: int, order: int) -> tuple[int, ...]:
+    """Power-basis numerators, over the denominator 1, of the trace of a
+    monomial matrix given by its columns: the sum of zeta_n^k over the
+    columns j whose entry (i, k) sits on the diagonal, i == j, written in
+    Q(zeta_order) for n | order.  Each of these at most ``degree`` roots of
+    unity is added as its reduced power; no vector of length ``order`` is
+    built."""
+    data = order_data(order)
+    num = [0] * data.phi
+    step = order // n
+    for j, (i, k) in enumerate(column):
+        if i == j:
+            e = k * step
+            if e < data.phi:
+                num[e] += 1
+            else:
+                for t, r in data.power_terms(e):
+                    num[t] += r
+    return tuple(num)
 
 
 # -- group-ring matrices --------------------------------------------------

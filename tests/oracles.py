@@ -10,13 +10,70 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from skv.arithdata import ExtensionFixture, PlaceData, mu_tate_annihilators
-from skv.characters import CharacterTable
+from skv.characters import Character, CharacterTable, irreducibles_monomial
 from skv.cyclotomic import Cyclo, root_of_unity_sum
 from skv.errors import GroupError
 from skv.grouprings import GroupRingElement
 from skv.linalg import mat_det, mat_identity, mat_mul, mat_scale, mat_sub
 from skv.lvalues import BernoulliData, DirichletCharacter, bernoulli_polynomial
 from skv.rednorm import MonomialRepresentation, monomial_representation
+
+
+def value_at(chi: Character, g: int) -> Cyclo:
+    """chi(g) for a group element g."""
+    return chi.values[chi.group.class_index()[g]]
+
+
+def contragredient_values(chi: Character) -> tuple[Cyclo, ...]:
+    """Values of the contragredient: class of g carries the value at g^(-1)."""
+    ids = chi.group.class_index()
+    return tuple(chi.values[ids[chi.group.inverse(cls[0])]] for cls in chi.classes)
+
+
+def galois_values(chi: Character, k: int) -> tuple[Cyclo, ...]:
+    """sigma_k applied to every value of chi."""
+    return tuple(v.galois(k) for v in chi.values)
+
+
+def product_pairing_scan(table: CharacterTable, h_elems, c_elems) -> dict:
+    """Irr(H) x Irr(C) -> Irr(G) for G = H x C, each product character
+    matched by a linear scan of exact value comparisons."""
+    group = table.group
+    h = sorted(set(h_elems))
+    c = sorted(set(c_elems))
+    sub_h, back_h = group.subgroup_as_group(h)
+    sub_c, back_c = group.subgroup_as_group(c)
+    pos_h = {v: k for k, v in back_h.items()}
+    pos_c = {v: k for k, v in back_c.items()}
+    factor = {group.mul(hh, cc): (hh, cc) for hh in h for cc in c}
+    ids_h = sub_h.class_index()
+    ids_c = sub_c.class_index()
+    pairing = {}
+    for i, chi in enumerate(irreducibles_monomial(sub_h)):
+        for j, lam in enumerate(irreducibles_monomial(sub_c)):
+            vals = []
+            for cls in group.conjugacy_classes():
+                hh, cc = factor[cls[0]]
+                vals.append(chi.values[ids_h[pos_h[hh]]] * lam.values[ids_c[pos_c[cc]]])
+            idx = None
+            for gidx, gchi in enumerate(table):
+                if all(gchi.values[t] == vals[t] for t in range(len(vals))):
+                    idx = gidx
+                    break
+            if idx is None:
+                raise GroupError("product character not found in the table")
+            pairing[(i, j)] = idx
+    return pairing
+
+
+def dense_trace(column, n: int, order: int) -> Cyclo:
+    """Trace of a monomial matrix with the given columns, as a weight
+    vector of length ``order`` on the roots of unity, reduced once."""
+    weights = [0] * order
+    for j, (i, k) in enumerate(column):
+        if i == j:
+            weights[k * order // n] += 1
+    return root_of_unity_sum(order, weights)
 
 
 def monomial_matrix(rep: MonomialRepresentation, g: int) -> list[list[Cyclo]]:

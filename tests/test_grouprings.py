@@ -6,13 +6,20 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skv import grouprings
+from skv.arithdata import ExtensionFixture
 from skv.characters import irreducibles_monomial
 from skv.cyclotomic import Cyclo
+from skv.engine import _product_split
 from skv.errors import CentralityError, GroupError
 from skv.groups import FiniteGroup, detect_direct_product, named_group
-from skv.grouprings import (CentralElement, GroupRingElement, idempotent_eps,
-                            max_order_membership, minus_idempotent,
-                            product_coefficients)
+from skv.grouprings import (CentralElement, GroupRingElement, _product_pairing,
+                            idempotent_eps, max_order_membership,
+                            minus_idempotent, product_coefficients)
+from skv.verify import run_all
+
+from conftest import fixture_path
+from oracles import product_pairing_scan
 
 
 def test_group_ring_basic_algebra():
@@ -172,6 +179,59 @@ def test_product_coefficients_reconstruct_components():
         total[i] = total[i] + v
     for i in range(3):
         assert total[i] in [Cyclo.rational(k + 1) for k in range(len(table))]
+
+
+def test_keyed_product_pairing_matches_the_linear_scan(fixtures):
+    cases = [(fixtures[name].table, *_product_split(fixtures[name]))
+             for name in ("s3c2", "q_zeta23")]
+    for a, b in (("Q8", "C3"), ("S3", "C6")):
+        group = FiniteGroup.direct_product(named_group(a), named_group(b))
+        cases.append((irreducibles_monomial(group), *detect_direct_product(group)))
+    for table, h, c in cases:
+        pairing = _product_pairing(table, h, c)[2]
+        assert pairing == product_pairing_scan(table, h, c)
+        assert sorted(pairing.values()) == list(range(len(table)))
+
+
+def _count_table_builds(monkeypatch) -> list:
+    builds = []
+    build = grouprings.irreducibles_monomial
+    monkeypatch.setattr("skv.grouprings.irreducibles_monomial",
+                        lambda group: builds.append(group) or build(group))
+    return builds
+
+
+def test_product_pairing_is_built_once_per_table(monkeypatch):
+    group = named_group("S3xC2")
+    table = irreducibles_monomial(group)
+    h, c = detect_direct_product(group)
+    builds = _count_table_builds(monkeypatch)
+    first = _product_pairing(table, h, c)
+    assert len(builds) == 2  # the H and C subgroup tables
+    # the key is (sorted H, sorted C), so the order of the lists is free
+    assert _product_pairing(table, list(reversed(h)), c) is first
+    x = CentralElement(table, [Cyclo.rational(k) for k in range(len(table))])
+    product_coefficients(x, h, c)
+    assert len(builds) == 2
+    # a new table of the same group pairs afresh
+    _product_pairing(irreducibles_monomial(group), h, c)
+    assert len(builds) == 4
+
+
+def test_check_all_on_s3c2_builds_each_subgroup_table_once(monkeypatch):
+    fix = ExtensionFixture.load(fixture_path("s3c2"))
+    builds = _count_table_builds(monkeypatch)
+    run_all(fix)
+    assert sorted(g.order for g in builds) == [2, 6]
+
+
+def test_product_pairing_reports_an_unmatched_product():
+    group = named_group("S3xC2")
+    table = irreducibles_monomial(group)
+    h, c = detect_direct_product(group)
+    del table._index[table._rows[3]]
+    with pytest.raises(GroupError, match="product character not found in the table"):
+        _product_pairing(table, h, c)
 
 
 def test_membership_unknown_mode():

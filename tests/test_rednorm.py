@@ -9,18 +9,19 @@ from hypothesis import given, settings, strategies as st
 from skv.arithdata import ExtensionFixture
 from skv.characters import irreducibles_monomial
 from skv.cyclotomic import Cyclo
-from skv.errors import FixtureError, GroupError
+from skv.errors import FixtureError, GroupError, InternalCheckError
 from skv.groups import named_group
 from skv.grouprings import CentralElement, GroupRingElement
 from skv.linalg import mat_mul
 from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          apply_representation, certified_h_elements,
-                         fitting_of_presentation, grm_identity,
+                         fitting_of_presentation, fixed_point_trace, grm_identity,
                          monomial_representation, reduced_norm,
                          reduced_norm_component, star_adjoint)
 
 from conftest import fixture_path
-from oracles import monomial_matrix, sigma_inverse, sigma_isomorphism
+from oracles import (dense_trace, monomial_matrix, sigma_inverse,
+                     sigma_isomorphism)
 
 
 def _tables():
@@ -383,3 +384,31 @@ def test_apply_representation_matches_running_sum_exactly(case):
     rep = monomial_representation(table, i)
     old = _apply_by_running_sum(_matrices_from_certificate(table, i), a)
     assert _keys(apply_representation(rep, a)) == _keys(old)
+
+
+def test_trace_check_fires_on_any_corrupted_value(fixtures):
+    # an abelian table and a non-abelian one: change one value of one
+    # character, class by class, on a fresh table each time
+    for name in ("q_zeta23", "s3c2"):
+        group, shipped = fixtures[name].group, fixtures[name].table
+        i = max(range(len(shipped)), key=lambda j: (shipped[j].degree, j))
+        for c in range(len(group.conjugacy_classes())):
+            table = irreducibles_monomial(group)
+            chi = table.chars[i]
+            chi.values = tuple(v + 1 if k == c else v for k, v in enumerate(chi.values))
+            with pytest.raises(InternalCheckError, match="trace mismatch"):
+                monomial_representation(table, i)
+
+
+def test_sparse_trace_equals_the_dense_weights(fixtures):
+    for fix in fixtures.values():
+        table = fix.table
+        ids = table.group.class_index()
+        for i, chi in enumerate(table):
+            rep = monomial_representation(table, i)
+            for g, column in enumerate(rep.columns):
+                order = chi.values[ids[g]].order
+                for m in (order, 2 * order):
+                    want = dense_trace(column, rep.order, m)
+                    assert (m, fixed_point_trace(column, rep.order, m), 1) == \
+                        (want.order, want.num, want.den)

@@ -1,13 +1,20 @@
 """Scaling gates for the exact core at the group-order cap of 128, for
-the L-value layer at the conductor-ladder's largest field, Q(zeta_107), and
-for the bounded nr-search on a non-abelian group of order 64."""
+the L-value layer at the conductor-ladder's largest field, Q(zeta_107), for
+the bounded nr-search on a non-abelian group of order 64, and for `check
+all` on the ladder fields Q(zeta_47) and Q(zeta_107)."""
 
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
 import time
 from fractions import Fraction
 
 import pytest
 
 from skv.characters import irreducibles_monomial
+from skv.cli import main
 from skv.cyclotomic import Cyclo
 from skv.grouprings import CentralElement, GroupRingElement
 from skv.groups import ORDER_CAP, FiniteGroup
@@ -16,7 +23,7 @@ from skv.lvalues import (DirichletCharacter, L_at_nonpositive, _primitive_L,
 from skv.rednorm import reduced_norm
 from skv.verify import _bounded_nr_search
 
-#: Seconds allowed for the whole gate.  It took about 0.5 s on a 2-CPU
+#: Seconds allowed for each gate.  It took about 0.5 s on a 2-CPU
 #: x86-64 host, against about 18 s when abelian tables were induced,
 #: Galois permutations came from conjugating whole characters and the
 #: transform summed Cyclo products over every character.
@@ -84,3 +91,37 @@ def test_bounded_nr_search_on_dihedral_64():
     assert group.order == 64 and not group.is_abelian()
     assert witness is None
     assert elapsed < LIMIT_S, f"{elapsed:.2f} s"
+
+
+#: Exit code and stdout sha256 of `check all` on the ladder fixture
+#: Q(zeta_p), as `tools/make_fixtures.py` writes it: every suite verifies
+#: except Brumer, which has no class group and is inconclusive.
+LADDER_REPORTS = {
+    47: (2, "277ca08b1a4a7fce310b022954b732d0e7fb2925049e7b0fd06fdbd55b0ed4ba"),
+    107: (2, "c979c771891ea1c47f2ab14b96df870be8aef57c7e84edba760eced7440ea525"),
+}
+
+
+def _write_ladder_fixture():
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_fixtures.py")
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.write_ladder_fixture
+
+
+@pytest.mark.slow
+def test_check_all_on_the_ladder_fields(tmp_path):
+    # `check all` on Q(zeta_107) took about 1.3 s on a 2-CPU x86-64 host,
+    # against about 2.6 s with a reduced norm per negative-r annihilator,
+    # a linear scan per product character and a dense trace check
+    write = _write_ladder_fixture()
+    for p, want in LADDER_REPORTS.items():
+        path = write(p, str(tmp_path))
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            rc = main(["check", "all", "--fixture", path])
+        elapsed = time.perf_counter() - t0
+        assert (rc, hashlib.sha256(out.getvalue().encode()).hexdigest()) == want
+    assert elapsed < LIMIT_S, f"p = 107: {elapsed:.2f} s"

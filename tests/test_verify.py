@@ -188,6 +188,66 @@ def test_negative_r_falsifies_a_non_integral_theta(fault, monkeypatch):
     assert ("failure" in want) == (fault == "idempotent")
 
 
+def _verdict_per_annihilator(fix, th, r):
+    """Reference verdict: every annihilator x judged by nr(x) * theta
+    itself, by the maximal order and then by its ZG coefficients; the
+    first failure falsifies, and otherwise each x is listed as integral."""
+    labels = fix.group.labels
+    data = mu_tate_annihilators(fix, r)
+    witnesses = [{"w": data["w"]}]
+    for x in data["generators"]:
+        tag = " + ".join(f"{c}*{labels[g]}" for g, c in sorted(x.coeffs.items()))
+        failure = _integrality_failure(reduced_norm([[x]], fix.table) * th.central,
+                                       fix.group.is_abelian())
+        if failure is not None:
+            return "falsified", [{"annihilator": tag, **failure}]
+        witnesses.append({"annihilator": tag, "integral": True})
+    return "verified", witnesses
+
+
+ABELIAN_CYCLOTOMIC = ["q", "q_i", "q_zeta3", "q_sqrt_m5", "q_zeta23"]
+
+
+def test_abelian_negative_r_matches_the_per_annihilator_reference(monkeypatch):
+    kinds = set()
+    for name in ABELIAN_CYCLOTOMIC:
+        fix = ExtensionFixture.load(fixture_path(name))
+        assert fix.group.is_abelian() and fix.cyclotomic is not None
+        S, table = fix.minimal_s(), fix.table
+        e_1 = CentralElement(table, [Cyclo.one() if i == table.trivial_index()
+                                     else Cyclo.zero() for i in range(len(table))])
+        # each of these fixtures admits r = -1, -2, -3
+        for r in (-1, -2, -3):
+            real = verify.theta(fix, PlaceSets(S, [], r))
+            # the real theta; one with non-integral components; and e_1,
+            # whose components are integral but whose ZG coefficients are not
+            for central in (real.central, real.central * Fraction(1, 7), e_1):
+                th = ThetaElement(central, S, [], r, "patched")
+                monkeypatch.setattr("skv.verify.theta", lambda f, sets, th=th: th)
+                v = check_negative_r(fix, S, r)
+                assert (v.status, v.witnesses) == _verdict_per_annihilator(fix, th, r)
+                if central is real.central:
+                    assert v.status == "verified"
+                elif v.status == "falsified":
+                    kinds.update(v.witnesses[0])
+            monkeypatch.undo()
+    # both witness kinds occur: a component outside the maximal order, and
+    # integral components with a non-integral ZG coefficient
+    assert {"membership", "failure"} <= kinds
+
+
+def test_verified_abelian_negative_r_takes_no_per_annihilator_norm(monkeypatch):
+    fix = ExtensionFixture.load(fixture_path("q_zeta23"))
+    calls = []
+    norm = verify.reduced_norm
+    monkeypatch.setattr("skv.verify.reduced_norm",
+                        lambda a, table: calls.append(a) or norm(a, table))
+    for r in (-1, -2, -3):
+        v = check_negative_r(fix, fix.minimal_s(), r)
+        assert v.status == "verified" and len(v.witnesses) > 1
+    assert calls == []
+
+
 def test_negative_r_guards(fixtures):
     assert check_negative_r(fixtures["q_i"], ["inf", "2"], 0).status \
         == "inconclusive"

@@ -1,6 +1,8 @@
 """Regenerate the JSON fixtures shipped under src/skv/fixtures.
 
-The synthetic monomial fixture (s3c2) derives its theta-source metadata
+`fixture_q_zeta(p)` builds the ladder field Q(zeta_p), which is not
+shipped: `write_ladder_fixture` writes it where a caller asks.  The
+synthetic monomial fixture (s3c2) derives its theta-source metadata
 (certificates, translated place labels, character indexing) from the
 library itself so the shipped data can never drift out of sync with the
 table conventions.  Run from the repository root:
@@ -131,47 +133,82 @@ def fixture_q_sqrt_m5():
     }
 
 
-def fixture_q_zeta23():
-    n = 22
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def _q_zeta_fixture(name, p, g, unramified):
+    """Q(zeta_p)/Q for an odd prime p, with its group cyclic of order
+    p - 1 on the labels s{g}^k for a primitive root g mod p, and the
+    places inf, p and the given unramified primes."""
+    n = p - 1
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    labels = [f"s5^{k}" for k in range(n)]
-    # discrete logarithm base 5 mod 23
+    labels = [f"s{g}^{k}" for k in range(n)]
+    # discrete logarithm base g mod p
     dlog = {}
     x = 1
     for k in range(n):
-        x = x * 5 % 23 if k else 1
+        x = x * g % p if k else 1
         dlog[x] = k
-    # mu_L has order 46; sigma_{5^k} acts by the odd residue a mod 46
-    # with a = 5^k mod 23
+    # mu_L has order 2p; sigma_{g^k} acts by the odd residue a mod 2p
+    # with a = g^k mod p
     mu_action = {}
     for a, k in dlog.items():
-        b = a if a % 2 else a + 23
-        mu_action[str(k)] = b % 46
+        b = a if a % 2 else a + p
+        mu_action[str(k)] = b % (2 * p)
+    places = [
+        {"label": "inf", "infinite": True, "complexAtL": True,
+         "decompositionGens": [n // 2]},
+        {"label": str(p), "residueChar": p, "residueNorm": p,
+         "decompositionGens": [1], "inertiaGens": [1], "frobenius": 0,
+         "ramified": True, "wild": False},
+    ]
+    for q in unramified:
+        frob = dlog[q % p]
+        places.append({"label": str(q), "residueChar": q, "residueNorm": q,
+                       "decompositionGens": [frob] if frob else [],
+                       "frobenius": frob})
     return {
         "schema": "skvfix/1",
-        "name": "q_zeta23",
+        "name": name,
         "group": {"table": table, "labels": labels},
-        "complexConjugation": 11,
-        "places": [
-            {"label": "inf", "infinite": True, "complexAtL": True,
-             "decompositionGens": [11]},
-            {"label": "23", "residueChar": 23, "residueNorm": 23,
-             "decompositionGens": [1], "inertiaGens": [1], "frobenius": 0,
-             "ramified": True, "wild": False},
-            {"label": "29", "residueChar": 29, "residueNorm": 29,
-             "decompositionGens": [dlog[6]], "frobenius": dlog[6]},
-            {"label": "47", "residueChar": 47, "residueNorm": 47,
-             "decompositionGens": [], "frobenius": 0},
-        ],
-        "muL": {"order": 46, "action": mu_action},
-        "classGroups": [
-            # Cl is cyclic of order 3; sigma_{5^k} acts by (-1)^k
-            {"setT": ["47"], "p": 3, "factors": [3],
-             "action": {str(k): [[2 if k % 2 else 1]] for k in range(n)}},
-        ],
-        "cyclotomic": {"conductor": 23,
+        "complexConjugation": n // 2,
+        "places": places,
+        "muL": {"order": 2 * p, "action": mu_action},
+        "cyclotomic": {"conductor": p,
                        "map": {str(a): k for a, k in dlog.items()}},
     }
+
+
+def fixture_q_zeta23():
+    out = _q_zeta_fixture("q_zeta23", 23, 5, [29, 47])
+    out["classGroups"] = [
+        # Cl is cyclic of order 3; sigma_{5^k} acts by (-1)^k
+        {"setT": ["47"], "p": 3, "factors": [3],
+         "action": {str(k): [[2 if k % 2 else 1]] for k in range(22)}},
+    ]
+    return out
+
+
+def fixture_q_zeta(p):
+    """The ladder field Q(zeta_p), p an odd prime: the smallest primitive
+    root mod p names the group elements, and the places are inf, p, the
+    least prime q with q != 1 (mod p), which is 2, and the least prime
+    l = 1 (mod p).  It has no class groups, so Brumer is inconclusive on
+    it."""
+    g = next(a for a in range(2, p) if len({pow(a, k, p) for k in range(p - 1)}) == p - 1)
+    ell = next(ell for ell in range(p + 1, p * p, p) if _is_prime(ell))
+    return _q_zeta_fixture(f"q_zeta{p}", p, g, [2, ell])
+
+
+def write_ladder_fixture(p, directory):
+    """Write fixture_q_zeta(p) to directory/q_zeta{p}.json and return the
+    path.  Ladder files are compact JSON in key insertion order; the report
+    digests pinned for them cover these exact bytes."""
+    path = os.path.join(directory, f"q_zeta{p}.json")
+    with open(path, "w") as fh:
+        json.dump(fixture_q_zeta(p), fh)
+    return path
 
 
 def fixture_s3c2():

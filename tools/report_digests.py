@@ -2,11 +2,12 @@
 
 Covers `check all` on every shipped fixture and `fitting` on the random
 presentations perfbench generates for each seed in a range; `--extra`
-adds `check all` on further fixture files.  Run it at two commits and
-diff the outputs to show that a change keeps every report byte-identical.
-From the repository root:
+adds `check all` on further fixture files, and `--ladder` on the ladder
+fields Q(zeta_p) that `tools/make_fixtures.py` writes to a temporary
+directory.  Run it at two commits and diff the outputs to show that a
+change keeps every report byte-identical.  From the repository root:
 
-    python3 tools/report_digests.py --seeds 0-39 > digests.txt
+    python3 tools/report_digests.py --seeds 0-39 --ladder 47,107 > digests.txt
     python3 tools/report_digests.py --seeds 0 --extra big.json > digests.txt
 
 The presentations come from `fitting_matrices` in perfbench/run.py, which
@@ -25,7 +26,9 @@ import tempfile
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
 
+from make_fixtures import write_ladder_fixture  # noqa: E402
 from skv.cli import main as skv_main  # noqa: E402
 
 FIXTURES = os.path.join(ROOT, "src", "skv", "fixtures")
@@ -53,12 +56,19 @@ def seed_range(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
+def prime_list(text: str) -> list[int]:
+    return [int(p) for p in text.split(",") if p]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=seed_range, default=seed_range("0-39"),
                         help="perfbench seeds for the fitting calls, as A-B or A")
     parser.add_argument("--extra", nargs="+", default=[], metavar="FIXTURE",
                         help="further fixture files to digest `check all` on")
+    parser.add_argument("--ladder", type=prime_list, default=[], metavar="P,...",
+                        help="odd primes p whose ladder field Q(zeta_p) to "
+                             "digest `check all` on")
     args = parser.parse_args(argv)
     for name in sorted(os.listdir(FIXTURES)):
         if name.endswith(".json"):
@@ -68,6 +78,9 @@ def main(argv=None) -> int:
         print(f"check {path} {digest(['check', 'all', '--fixture', path])}", flush=True)
     generate = fitting_matrices()
     with tempfile.TemporaryDirectory() as work:
+        for p in args.ladder:
+            path = write_ladder_fixture(p, work)
+            print(f"ladder {p} {digest(['check', 'all', '--fixture', path])}", flush=True)
         for seed in args.seeds:
             for i, (group, rows) in enumerate(generate(seed)):
                 path = os.path.join(work, "m.json")
