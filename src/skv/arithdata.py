@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .characters import CharacterTable, irreducibles_monomial
-from .cyclotomic import DECIMAL_INDEX, Cyclo
+from .cyclotomic import DECIMAL_INDEX, Cyclo, unit_generators, unit_residues
 from .errors import FixtureError, SkvError
 from .grouprings import CentralElement, GroupRingElement
 from .groups import FiniteGroup
@@ -112,22 +112,47 @@ class PlaceData:
         dec, ine = set(self.decomposition), set(self.inertia)
         if not ine <= dec:
             raise FixtureError(f"place {self.label}: inertia not inside decomposition")
-        sub, back = group.subgroup_as_group(sorted(dec))
-        pos = {v: k for k, v in back.items()}
-        if not sub.is_normal([pos[g] for g in self.inertia]):
-            raise FixtureError(f"place {self.label}: inertia not normal in decomposition")
-        if self.frobenius not in dec:
-            raise FixtureError(f"place {self.label}: Frobenius outside decomposition")
-        # order of Frobenius in G_P/I_P must equal [G_P : I_P]
-        quot, proj = sub.quotient([pos[g] for g in self.inertia])
-        if quot.element_order(proj[pos[self.frobenius]]) != len(dec) // len(ine):
-            raise FixtureError(
-                f"place {self.label}: Frobenius order inconsistent with |G_P/I_P|"
-            )
+        self._check_local_groups(group, obj["decompositionGens"], obj.get("inertiaGens", []))
         if self.ramified != (len(ine) > 1):
             raise FixtureError(f"place {self.label}: ramified flag inconsistent")
         if self.wild != (len(ine) % q == 0):
             raise FixtureError(f"place {self.label}: wild flag inconsistent")
+
+    def _check_local_groups(self, group: FiniteGroup, dec_gens, ine_gens):
+        """I_P is normal in G_P, tested on the generators of both (see
+        ``ExtensionFixture.load``), and Frobenius lies in G_P with order
+        [G_P : I_P] modulo I_P."""
+        dec, ine = set(self.decomposition), set(self.inertia)
+        rows, inv = group.table, group.inv
+        if any(rows[rows[d][i]][inv[d]] not in ine
+               for d in set(dec_gens) for i in set(ine_gens)):
+            raise FixtureError(f"place {self.label}: inertia not normal in decomposition")
+        if self.frobenius not in dec:
+            raise FixtureError(f"place {self.label}: Frobenius outside decomposition")
+        # the order of Frobenius in G_P / I_P is the least k with Frob^k in I_P
+        k, power = 1, self.frobenius
+        while power not in ine:
+            power = rows[power][self.frobenius]
+            k += 1
+        if k != len(dec) // len(ine):
+            raise FixtureError(
+                f"place {self.label}: Frobenius order inconsistent with |G_P/I_P|"
+            )
+
+
+def _check_mu_action(group: FiniteGroup, mu: dict, w: int):
+    """mu is a homomorphism G -> (Z/w)^x, checked on ``group.generators()``."""
+    if (mu[0] - 1) % w or any((mu[g] * mu[s] - mu[group.mul(g, s)]) % w
+                              for g in range(group.order) for s in group.generators()):
+        raise FixtureError("muL action is not a homomorphism")
+
+
+def _check_cyclotomic_map(group: FiniteGroup, f: int, mp: dict, units):
+    """mp is a homomorphism (Z/f)^x -> G, checked on ``unit_generators(f)``."""
+    key = (lambda a: a % f) if f > 1 else (lambda a: 1)
+    if mp[key(1)] != 0 or any(group.mul(mp[key(a)], mp[b]) != mp[key(a * b)]
+                              for a in units for b in unit_generators(f)):
+        raise FixtureError("cyclotomic map is not a homomorphism")
 
 
 class PlaceSets:
@@ -185,11 +210,7 @@ class ExtensionFixture:
             if gcd(a, self.mu_order) != 1:
                 raise FixtureError(f"muL action value {a} not a unit mod {self.mu_order}")
             self.mu_action[g] = a
-        for g in range(self.group.order):
-            for h in range(self.group.order):
-                if (self.mu_action[g] * self.mu_action[h]
-                        - self.mu_action[self.group.mul(g, h)]) % self.mu_order != 0:
-                    raise FixtureError("muL action is not a homomorphism")
+        _check_mu_action(self.group, self.mu_action, self.mu_order)
         self.class_groups = []
         for cg in obj.get("classGroups", []):
             _require_keys(cg, {"setT", "p", "factors", "action"},
@@ -206,18 +227,13 @@ class ExtensionFixture:
             _require_keys(cyc, {"conductor", "map"}, {"conductor", "map"}, "cyclotomic")
             f = int(cyc["conductor"])
             mp = {int(a): int(g) for a, g in cyc["map"].items()}
-            units = [a for a in range(1, f + 1) if gcd(a, f) == 1] or [1]
+            units = unit_residues(f)
             for a in units:
-                key = a % f if f > 1 else 1
-                if key not in mp:
+                if a not in mp:
                     raise FixtureError(f"cyclotomic map missing residue {a}")
-            key = (lambda a: a % f) if f > 1 else (lambda a: 1)
-            if set(mp[key(a)] for a in units) != set(range(self.group.order)):
+            if set(mp[a] for a in units) != set(range(self.group.order)):
                 raise FixtureError("cyclotomic map must be surjective")
-            for a in units:
-                for b in units:
-                    if self.group.mul(mp[key(a)], mp[key(b)]) != mp[key(a * b)]:
-                        raise FixtureError("cyclotomic map is not a homomorphism")
+            _check_cyclotomic_map(self.group, f, mp, units)
             self.cyclotomic = {"conductor": f, "map": mp}
             # the base field is Q, whose residue field at p is F_p
             for place in self.places:
@@ -246,6 +262,15 @@ class ExtensionFixture:
 
     @staticmethod
     def load(path: str) -> "ExtensionFixture":
+        """Read and validate a fixture file.  Its homomorphism checks run
+        over generating sets: the muL action and each class-group action
+        on ``group.generators()``, the cyclotomic map on
+        ``unit_generators(conductor)``.  With rho(1) = 1, the check
+        rho(g) rho(s) = rho(gs) for every g and every generator s gives
+        every pair by induction on word length (see groups).  Likewise a
+        place's inertia group I is normal in its decomposition group D when
+        each generator of D conjugates each generator of I into I; no
+        subgroup or quotient group is built."""
         with open(path) as fh:
             return ExtensionFixture(json.load(fh))
 

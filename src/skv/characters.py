@@ -14,6 +14,7 @@ looks characters up by integer keys of their values.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .cyclotomic import Cyclo, root_of_unity_sum, unit_generators
@@ -22,14 +23,14 @@ from .errors import (ArithmeticDomainError, GroupError, InternalCheckError,
 from .groups import FiniteGroup
 
 
-def chain_extension(elements, mul) -> list[dict]:
-    """All homomorphisms of a finite abelian group into Q/Z, each a dict
-    from element to exponent in [0, 1), sorted by their values along
-    ``elements``.  ``elements`` lists the group with the identity first and
-    ``mul`` multiplies two of them; each homomorphism is extended from the
+def chain_extension(elements, mul) -> tuple[int, list[dict]]:
+    """All homomorphisms of a finite abelian group into (1/n)Z/Z, n the
+    group order, which every element order divides: ``(n, chars)`` with
+    each character a dict from element to the integer k in [0, n) of its
+    value zeta_n^k, sorted by their values along ``elements``.
+    ``elements`` lists the group with the identity first and ``mul``
+    multiplies two of them; each homomorphism is extended from the
     trivial subgroup one cyclic step at a time."""
-    # values are kept as integer numerators over n = |group|, which every
-    # element order divides; Fractions are made only for the output
     n = len(elements)
     one = elements[0]
     covered = {one}
@@ -44,7 +45,7 @@ def chain_extension(elements, mul) -> list[dict]:
             m += 1
         extended = []
         for chi in chars:
-            base = chi[power]  # chi(g^m), must equal m * t mod 1
+            base = chi[power]  # chi(g^m), must equal m * t mod n
             for i in range(m):
                 t = (base + i * n) // m
                 new = dict(chi)
@@ -59,28 +60,21 @@ def chain_extension(elements, mul) -> list[dict]:
         chars = extended
         covered = set(chars[0])
     chars.sort(key=lambda c: tuple(c[g] for g in elements))
-    return [{h: Fraction(v, n) for h, v in c.items()} for c in chars]
+    return n, chars
 
 
-def _abelian_linear_exponents(group: FiniteGroup) -> list[list[Fraction]]:
-    """All homomorphisms of an abelian group into Q/Z, as exponent vectors."""
-    if not group.is_abelian():
-        raise GroupError("chain extension requires an abelian group")
+def linear_character_powers(group: FiniteGroup) -> tuple[int, list[list[int]]]:
+    """Linear characters of any finite group, inflated from the
+    abelianization: ``(n, rows)`` with chi(g) = zeta_n^k for
+    k = row[g], n the order of the abelianization.  An abelian group is
+    its own abelianization."""
     elements = list(range(group.order))
-    return [[c[g] for g in elements] for c in chain_extension(elements, group.mul)]
-
-
-def linear_characters(group: FiniteGroup) -> list[list[Fraction]]:
-    """Linear characters of any finite group (inflated from the abelianization),
-    each as a list of Fraction exponents mod 1 indexed by group element."""
-    comm = group.commutator_subgroup()
-    if len(comm) == 1:
-        return _abelian_linear_exponents(group)
-    quot, proj = group.quotient(comm)
-    lifted = []
-    for exps in _abelian_linear_exponents(quot):
-        lifted.append([exps[proj[g]] for g in range(group.order)])
-    return lifted
+    if group.is_abelian():
+        n, chars = chain_extension(elements, group.mul)
+        return n, [[c[g] for g in elements] for c in chars]
+    quot, proj = group.quotient(group.commutator_subgroup())
+    n, rows = linear_character_powers(quot)
+    return n, [[row[proj[g]] for g in elements] for row in rows]
 
 
 class Character:
@@ -124,48 +118,63 @@ class Character:
         return f"Character(deg={self.degree}, values={list(self.values)!r})"
 
 
-def _check_multiplicative(group, u_elems, exps):
-    # psi(a) + psi(b) - psi(ab) must be an integer; over the common
-    # denominator D of the exponents that is a numerator divisible by D
-    den = lcm(*(e.denominator for e in exps.values()))
-    num = {a: e.numerator * (den // e.denominator) for a, e in exps.items()}
+def _powers_over_common_order(exps) -> tuple[int, dict]:
+    """Fraction exponents mod 1 as ``(N, powers)``: each exponent e as the
+    integer e * N mod N, N the common denominator."""
+    order = lcm(*(e.denominator for e in exps.values()))
+    return order, {a: e.numerator * (order // e.denominator) % order
+                   for a, e in exps.items()}
+
+
+def _check_multiplicative(group, u_elems, order, powers):
+    # psi(a) psi(b) = psi(ab): the powers add up modulo the order
     for a in u_elems:
-        na = num[a]
+        pa, row = powers[a], group.table[a]
         for b in u_elems:
-            if (na + num[b] - num[group.mul(a, b)]) % den:
+            if (pa + powers[b] - powers[row[b]]) % order:
                 raise GroupError("psi is not multiplicative on the subgroup")
 
 
-def induce_from_linear(group: FiniteGroup, u_elems, exps: dict[int, Fraction]) -> Character:
-    """Induce a linear character of a subgroup to the whole group
-    (average of psi over conjugators landing in the subgroup)."""
+def induce_powers(group: FiniteGroup, u_elems, order: int, powers: dict[int, int]) -> Character:
+    """Induce the linear character psi(y) = zeta_order^powers[y] of a
+    subgroup to the whole group (average of psi over conjugators landing
+    in the subgroup)."""
     u = sorted(set(u_elems))
     if not group.is_subgroup(u):
         raise GroupError("induction requires a subgroup")
-    if set(exps) != set(u):
+    if set(powers) != set(u):
         raise GroupError("psi must be defined exactly on the subgroup")
-    _check_multiplicative(group, u, exps)
-    order = lcm(group.exponent(), *(e.denominator for e in exps.values()))
-    u_set = set(u)
+    _check_multiplicative(group, u, order, powers)
+    n = lcm(group.exponent(), order)
+    step = n // order
+    rows, inv = group.table, group.inv
     vals = []
     for cls in group.conjugacy_classes():
         g = cls[0]
-        weights = [0] * order
+        weights = [0] * n
         for x in range(group.order):
-            y = group.mul(group.mul(group.inverse(x), g), x)
-            if y in u_set:
-                e = exps[y]
-                weights[(e.numerator * (order // e.denominator)) % order] += 1
-        vals.append(root_of_unity_sum(order, weights) * Fraction(1, len(u)))
+            y = rows[rows[inv[x]][g]][x]
+            if y in powers:
+                weights[powers[y] * step % n] += 1
+        vals.append(root_of_unity_sum(n, weights) * Fraction(1, len(u)))
     return Character(group, vals)
 
 
 class MonomialCertificate:
-    """Witness that an irreducible is induced from a linear character."""
+    """Witness that an irreducible is induced from a linear character psi
+    of a subgroup U: psi(y) = zeta_N^k for each ``(y, k)`` in ``powers``,
+    with 0 <= k < N and N (``order``) the order of psi."""
 
-    def __init__(self, u_elems: tuple[int, ...], exps: dict[int, Fraction]):
+    def __init__(self, u_elems: tuple[int, ...], order: int, powers: dict[int, int]):
+        q = gcd(order, *powers.values())
         self.u_elems = tuple(u_elems)
-        self.exps = dict(exps)
+        self.order = order // q
+        self.powers = {y: k // q for y, k in powers.items()}
+
+    @cached_property
+    def exps(self) -> dict[int, Fraction]:
+        """psi as Fraction exponents mod 1."""
+        return {y: Fraction(k, self.order) for y, k in self.powers.items()}
 
     def __repr__(self):
         return f"MonomialCertificate(U={self.u_elems})"
@@ -323,25 +332,25 @@ def _char_sort_key(chi: Character):
 def _abelian_table(group: FiniteGroup) -> CharacterTable:
     """Table of an abelian group straight from its linear characters, each
     certified by (G, psi).  Certificate: |G| distinct characters, each
-    trivial at the identity and multiplicative on a generating set, which
-    makes each a homomorphism and the list all of Irr(G)."""
+    trivial at the identity and multiplicative on ``group.generators()``,
+    which makes each a homomorphism and the list all of Irr(G)."""
     n, exp = group.order, group.exponent()
-    gens, span = [], (0,)
-    for g in range(n):
-        if g not in span:
-            gens.append(g)
-            span = group.subgroup_closure(gens)
     elems = tuple(range(n))
+    # per generator s, the column h -> hs of the table
+    columns = [(s, [row[s] for row in group.table]) for s in group.generators()]
     classes = group.conjugacy_classes()
+    order, rows = linear_character_powers(group)
+    # a homomorphism into (1/order)Z/Z takes values of order dividing the
+    # exponent, so each of its powers is a multiple of order / exp
+    step = order // exp
+    roots = [Cyclo.zeta(exp, j) for j in range(exp)]
     chars, certs = [], []
-    for exps in linear_characters(group):
-        # exponent e in Q/Z as the integer e * exp mod exp
-        a = [e.numerator * (exp // e.denominator) % exp for e in exps]
-        if a[0] or any((a[h] + a[s] - a[group.mul(h, s)]) % exp
-                       for s in gens for h in elems):
+    for a in rows:
+        if a[0] or any((ah + a[s] - a[hs]) % order
+                       for s, column in columns for ah, hs in zip(a, column)):
             raise InternalCheckError("abelian table: a linear character is not multiplicative")
-        chars.append(Character(group, [Cyclo.zeta(exp, a[c[0]]) for c in classes]))
-        certs.append(MonomialCertificate(elems, dict(enumerate(exps))))
+        chars.append(Character(group, [roots[a[c[0]] // step] for c in classes]))
+        certs.append(MonomialCertificate(elems, order, dict(zip(elems, a))))
     table = CharacterTable(group, chars, certs)
     if len(chars) != n or len(table._index) != n:
         raise InternalCheckError(
@@ -370,14 +379,15 @@ def _induced_table(group: FiniteGroup) -> CharacterTable:
     total = 0
     for u in group.all_subgroups():
         sub, back = group.subgroup_as_group(u)
-        for sub_exps in linear_characters(sub):
-            exps = {back[i]: sub_exps[i] for i in range(sub.order)}
-            chi = induce_from_linear(group, u, exps)
+        order, rows = linear_character_powers(sub)
+        for row in rows:
+            powers = {back[i]: k for i, k in enumerate(row)}
+            chi = induce_powers(group, u, order, powers)
             if chi.inner(chi) != 1 or chi.values in seen:
                 continue
             seen.add(chi.values)
             found.append(chi)
-            certs.append(MonomialCertificate(u, exps))
+            certs.append(MonomialCertificate(u, order, powers))
             total += chi.degree ** 2
             if total == group.order:
                 return CharacterTable(group, found, certs)

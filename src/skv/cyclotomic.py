@@ -69,6 +69,13 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def unit_residues(modulus: int) -> tuple[int, ...]:
+    """The units mod f as residues: those in [1, f) coprime to f, and 1
+    alone for f = 1."""
+    return tuple(a for a in range(1, modulus) if gcd(a, modulus) == 1) or (1,)
+
+
+@lru_cache(maxsize=None)
 def unit_generators(modulus: int) -> tuple[int, ...]:
     """A generating set of (Z/modulus)^x: each unit, smallest first, that
     the units taken so far do not generate."""
@@ -99,6 +106,8 @@ class _OrderData:
         self._terms: list[tuple[tuple[int, int], ...]] = []
         self._last = [-c for c in self.poly[:-1]]
         self._lock = threading.Lock()
+        # k -> zeta_n^k, filled by Cyclo.zeta; values are immutable
+        self.zetas: dict[int, Cyclo] = {}
 
     def power_terms(self, k: int) -> tuple[tuple[int, int], ...]:
         """Nonzero (index, coefficient) pairs of x^k mod Phi_n, for k >= phi."""
@@ -290,16 +299,19 @@ class Cyclo:
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclo":
-        """zeta_n^k."""
+        """zeta_n^k, built once per n and k mod n and then shared."""
         data = order_data(n)
         k %= n
-        c = [0] * data.phi
-        if k < data.phi:
-            c[k] = 1
-        else:
-            for j, r in data.power_terms(k):
-                c[j] = r
-        return _make(n, c, 1)
+        z = data.zetas.get(k)
+        if z is None:
+            c = [0] * data.phi
+            if k < data.phi:
+                c[k] = 1
+            else:
+                for j, r in data.power_terms(k):
+                    c[j] = r
+            z = data.zetas.setdefault(k, _make(n, c, 1))
+        return z
 
     @staticmethod
     def from_root_of_unity(exponent: Fraction) -> "Cyclo":

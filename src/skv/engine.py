@@ -9,11 +9,10 @@ theta has chi-component L_S^T(r, chi).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .arithdata import (ExtensionFixture, GeneratorSet, PlaceSets,
                         delta_element, euler_element, generate_A_S)
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, unit_residues
 from .errors import FixtureError, InternalCheckError
 from .grouprings import (CentralElement, GroupRingElement, _product_pairing,
                          idempotent_eps, minus_idempotent)
@@ -60,16 +59,15 @@ class ThetaElement:
 def _dirichlet_for_table(fix: ExtensionFixture):
     """Match each irreducible of an abelian fixture with the Dirichlet
     character it pulls back to under the fixture's restriction map.  An
-    abelian table certifies each character by its exponents on G."""
+    abelian table certifies each character by its integer powers on G."""
     if not fix.group.is_abelian():
         raise FixtureError("the computed theta path needs an abelian group")
     if fix.cyclotomic is None:
         raise FixtureError("the computed theta path needs the cyclotomic field data")
     f = fix.cyclotomic["conductor"]
     mp = fix.cyclotomic["map"]
-    key = (lambda a: a % f) if f > 1 else (lambda a: 1)
-    units = [key(a) for a in range(1, f + 1) if gcd(a, f) == 1 or f == 1]
-    return [DirichletCharacter(f, {a: cert.exps[mp[a]] for a in units})
+    return [DirichletCharacter.from_powers(
+                f, cert.order, {a: cert.powers[mp[a]] for a in unit_residues(f)})
             for cert in fix.table.certificates]
 
 

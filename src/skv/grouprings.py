@@ -328,13 +328,20 @@ class MembershipVerdict:
 def _product_pairing(table: CharacterTable, h_elems, c_elems):
     """Match Irr(G) with Irr(H) x Irr(C) for an internal direct product.
     Each product character chi * lambda is looked up by the integer key of
-    its values; the result is kept on the table per (sorted H, sorted C)."""
+    its values; the result is kept on the table per (sorted H, sorted C).
+    The trivial split G = {1} x G pairs the table with itself, (0, j) -> j,
+    with no second table of G."""
     h = tuple(sorted(set(h_elems)))
     c = tuple(sorted(set(c_elems)))
     cached = table._pairings.get((h, c))
     if cached is not None:
         return cached
     group = table.group
+    if h == (0,) and c == tuple(range(group.order)):
+        result = (irreducibles_monomial(FiniteGroup([[0]])), table,
+                  {(0, j): j for j in range(len(table))}, {0: 0}, dict(enumerate(c)))
+        table._pairings[(h, c)] = result
+        return result
     sub_h, back_h = group.subgroup_as_group(h)
     sub_c, back_c = group.subgroup_as_group(c)
     pos_h = {v: k for k, v in back_h.items()}

@@ -5,6 +5,18 @@ ints; every construction checks it in full (square shape, integer entries in
 range, identity, unique two-sided inverses, associativity over all triples)
 and caps the order at 128.  Subgroup search is exhaustive, which the cap keeps
 feasible, and class ids are computed once per group.
+
+``FiniteGroup.generators`` is a greedy generating set S, and the checks
+that a map rho out of G is multiplicative run over it: rho(1) = 1 and
+rho(g) rho(s) = rho(gs) for every g and every s in S give
+rho(g) rho(h) = rho(gh) for every h, by induction on the length of h as a
+word in S (an inverse is a positive power, so every h is such a word):
+rho(g) rho(h's) = rho(g) rho(h') rho(s) = rho(gh') rho(s) = rho(gh's),
+where the first step is the check at (h', s) and the second is induction.
+The first step multiplies an equation by rho(g), which needs values that
+multiply associatively and respect the equality tested: group elements,
+units mod w, or module matrices that are endomorphisms (see
+rednorm.FiniteGModule, which checks every pair otherwise).
 """
 
 from __future__ import annotations
@@ -58,6 +70,8 @@ class FiniteGroup:
         self.order = n
         self.labels = list(labels) if labels is not None else [f"g{i}" for i in range(n)]
         self._class_ids = None
+        self._classes = None
+        self._generators = None
         self._exponent = None
         self._subgroups = None
         self._rep_powers = None
@@ -136,11 +150,25 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Classes in canonical order (sorted by minimal element, identity first)."""
-        ids = self.class_index()
-        classes: list[list[int]] = [[] for _ in range(max(ids) + 1)]
-        for g, c in enumerate(ids):
-            classes[c].append(g)
-        return [tuple(c) for c in classes]
+        if self._classes is None:
+            ids = self.class_index()
+            classes: list[list[int]] = [[] for _ in range(max(ids) + 1)]
+            for g, c in enumerate(ids):
+                classes[c].append(g)
+            self._classes = tuple(map(tuple, classes))
+        return list(self._classes)
+
+    def generators(self) -> tuple[int, ...]:
+        """A generating set: each element, smallest first, that the
+        elements taken so far do not generate (empty for the trivial group)."""
+        if self._generators is None:
+            gens, span = [], {0}
+            for g in range(self.order):
+                if g not in span:
+                    gens.append(g)
+                    span = set(self.subgroup_closure(gens))
+            self._generators = tuple(gens)
+        return self._generators
 
     def class_index(self) -> tuple[int, ...]:
         """Class id per element; ids are assigned in order of minimal member."""
@@ -311,8 +339,11 @@ def detect_direct_product(group: FiniteGroup):
     """Internal direct-product decomposition G = H x C with C abelian maximal.
 
     Returns (H_elems, C_elems) maximizing |C|, or None when only C = {1}
-    works (callers then use the trivial C).
+    works (callers then use the trivial C).  An abelian G is its own C,
+    with H = {1}, and needs no subgroup search.
     """
+    if group.is_abelian():
+        return ((0,), tuple(range(group.order))) if group.order > 1 else None
     subs = group.all_subgroups()
     normal = [s for s in subs if group.is_normal(s)]
     best = None
@@ -332,25 +363,6 @@ def detect_direct_product(group: FiniteGroup):
     if best is None or len(best[1]) == 1:
         return None
     return best
-
-
-def subgroup_h_r(group: FiniteGroup, involutions, r: int) -> tuple[int, ...]:
-    """Subgroup cutting out the reduction step at r: pair products for even r,
-    the involutions themselves for odd r.  Result must be normal."""
-    invs = sorted(set(involutions))
-    for j in invs:
-        if group.mul(j, j) != 0:
-            raise GroupError(f"element {j} is not an involution")
-    if r > 0:
-        raise GroupError("r must be a non-positive integer")
-    if r % 2 == 0:
-        gens = {group.mul(a, b) for a in invs for b in invs}
-    else:
-        gens = set(invs)
-    sub = group.subgroup_closure(gens) if gens else (0,)
-    if not group.is_normal(sub):
-        raise GroupError("generated subgroup is not normal (inconsistent fixture)")
-    return sub
 
 
 @lru_cache(maxsize=None)

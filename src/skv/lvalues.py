@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
-from .characters import chain_extension
-from .cyclotomic import Cyclo, root_of_unity_sum, unit_generators
+from .characters import _powers_over_common_order, chain_extension
+from .cyclotomic import Cyclo, root_of_unity_sum, unit_generators, unit_residues
 from .errors import ArithmeticDomainError, FixtureError
 
 
@@ -56,97 +56,100 @@ def bernoulli_polynomial(n: int) -> BernoulliData:
 class DirichletCharacter:
     """Character of (Z/f)^x with exact root-of-unity values.
 
-    Values are stored as Fraction exponents mod 1; non-coprime residues
-    take the value 0 implicitly.
+    A value is stored as an integer k with chi(a) = zeta_N^k, 0 <= k < N,
+    where N (``order``) is the order of chi; ``powers`` maps each unit
+    residue to its k.  Non-coprime residues take the value 0 implicitly.
     """
 
     def __init__(self, modulus: int, exps: dict[int, Fraction]):
+        """Checked constructor from Fraction exponents mod 1."""
         if modulus < 1:
             raise FixtureError("modulus must be positive")
+        values = {}
+        for key in unit_residues(modulus):
+            if key not in exps:
+                raise FixtureError(f"missing character value at residue {key}")
+            values[key] = Fraction(exps[key])
+        self._set(modulus, *_powers_over_common_order(values))
+        self._check()
+
+    @classmethod
+    def from_powers(cls, modulus: int, order: int, powers: dict[int, int]) -> "DirichletCharacter":
+        """Checked constructor from integer powers of zeta_order, one per
+        unit residue."""
+        missing = [a for a in unit_residues(modulus) if a not in powers]
+        if missing:
+            raise FixtureError(f"missing character value at residue {missing[0]}")
+        obj = cls.__new__(cls)
+        obj._set(modulus, order, {a: powers[a] % order for a in unit_residues(modulus)})
+        obj._check()
+        return obj
+
+    @classmethod
+    def _unchecked(cls, modulus: int, order: int, powers: dict[int, int]) -> "DirichletCharacter":
+        """Fast path for internally generated (already multiplicative) data."""
+        obj = cls.__new__(cls)
+        obj._set(modulus, order, powers)
+        return obj
+
+    def _set(self, modulus: int, order: int, powers: dict[int, int]):
+        # divide N and every k by their gcd, so that N is the order of chi
+        q = gcd(order, *powers.values())
         self.modulus = modulus
-        units = [a for a in range(1, modulus + 1) if gcd(a, modulus) == 1]
-        if modulus == 1:
-            units = [1]
-        self.exps = {}
-        for a in units:
-            key = a % modulus if modulus > 1 else 1
-            if key not in exps and a not in exps:
-                raise FixtureError(f"missing character value at residue {a}")
-            self.exps[key] = Fraction(exps.get(key, exps.get(a))) % 1
-        # multiplicativity over a common order, in integer arithmetic:
-        # chi(1) = 0 and chi(a g) = chi(a) + chi(g) for every unit a and
-        # every g of a generating set, which gives chi(a b) = chi(a) + chi(b)
-        # for every b by induction on a word for b in the generators
-        order, ints = self.numerators
-        if ints[1] or any((ints[a] + ints[g] - ints[a * g % modulus]) % order
-                            for g in unit_generators(modulus) for a in ints):
-            raise FixtureError("character values are not multiplicative")
+        self.order = order // q
+        self.powers = powers if q == 1 else {a: k // q for a, k in powers.items()}
         self._conductor = None
         self._primitive = None
 
-    @classmethod
-    def _unchecked(cls, modulus: int, exps: dict[int, Fraction]) -> "DirichletCharacter":
-        """Fast path for internally generated (already multiplicative) data."""
-        obj = cls.__new__(cls)
-        obj.modulus = modulus
-        obj.exps = exps
-        obj._conductor = None
-        obj._primitive = None
-        return obj
+    def _check(self):
+        # multiplicativity in integer arithmetic: chi(1) = 0 and
+        # chi(a g) = chi(a) + chi(g) for every unit a and every g of a
+        # generating set, which gives chi(a b) = chi(a) + chi(b) for every b
+        # by induction on a word for b in the generators
+        order, ints, modulus = self.order, self.powers, self.modulus
+        if ints[1] or any((ints[a] + ints[g] - ints[a * g % modulus]) % order
+                          for g in unit_generators(modulus) for a in ints):
+            raise FixtureError("character values are not multiplicative")
 
     @staticmethod
     def trivial(modulus: int = 1) -> "DirichletCharacter":
-        units = [a for a in range(1, modulus + 1) if gcd(a, modulus) == 1] or [1]
-        return DirichletCharacter(modulus, {a % modulus if modulus > 1 else 1: Fraction(0)
-                                            for a in units})
-
-    @staticmethod
-    def from_json(obj: dict) -> "DirichletCharacter":
-        f = int(obj["modulus"])
-        order = int(obj["order"])
-        exps = {int(a): Fraction(int(k), order) for a, k in obj["values"].items()}
-        return DirichletCharacter(f, exps)
-
-    def exponent_at(self, a: int) -> Fraction | None:
-        key = a % self.modulus if self.modulus > 1 else 1
-        return self.exps.get(key)
-
-    def __call__(self, a: int) -> Cyclo:
-        e = self.exponent_at(a)
-        return Cyclo.zero() if e is None else Cyclo.from_root_of_unity(e)
+        return DirichletCharacter(modulus, dict.fromkeys(unit_residues(modulus), Fraction(0)))
 
     @cached_property
-    def numerators(self) -> tuple[int, dict[int, int]]:
-        """The order N of the values and each exponent as an integer
-        numerator in [0, N) over N."""
-        order = lcm(*(e.denominator for e in self.exps.values()))
-        return order, {a: e.numerator * (order // e.denominator) % order
-                       for a, e in self.exps.items()}
+    def exps(self) -> dict[int, Fraction]:
+        """The values as Fraction exponents mod 1."""
+        return {a: Fraction(k, self.order) for a, k in self.powers.items()}
+
+    def exponent_at(self, a: int) -> Fraction | None:
+        k = self.powers.get(a % self.modulus if self.modulus > 1 else 1)
+        return None if k is None else Fraction(k, self.order)
+
+    def __call__(self, a: int) -> Cyclo:
+        k = self.powers.get(a % self.modulus if self.modulus > 1 else 1)
+        if k is None:
+            return Cyclo.zero()
+        q = gcd(k, self.order)
+        return Cyclo.zeta(self.order // q, k // q)
 
     @cached_property
     def key(self) -> tuple:
-        """(modulus, N, sorted (residue, numerator) pairs): a key of the
-        values, shared by equal characters."""
-        order, ints = self.numerators
-        return self.modulus, order, tuple(sorted(ints.items()))
-
-    @property
-    def order(self) -> int:
-        return self.numerators[0]
+        """(modulus, N, sorted (residue, k) pairs): a key of the values,
+        shared by equal characters."""
+        return self.modulus, self.order, tuple(sorted(self.powers.items()))
 
     def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exps.values())
+        return not any(self.powers.values())
 
     def is_odd(self) -> bool:
         if self.modulus <= 2:
             return False
-        return self.exps[self.modulus - 1] == Fraction(1, 2)
+        return 2 * self.powers[self.modulus - 1] == self.order
 
     @property
     def conductor(self) -> int:
         if self._conductor is None:
             for d in sorted(_divisors(self.modulus)):
-                if all(e == 0 for a, e in self.exps.items() if a % d == 1 % max(d, 1)):
+                if all(k == 0 for a, k in self.powers.items() if a % d == 1 % max(d, 1)):
                     self._conductor = d
                     break
         return self._conductor
@@ -169,8 +172,9 @@ class DirichletCharacter:
 
     def conjugate(self) -> "DirichletCharacter":
         # the conjugate of a multiplicative character is multiplicative
+        order = self.order
         return DirichletCharacter._unchecked(
-            self.modulus, {a: (-e) % 1 for a, e in self.exps.items()})
+            self.modulus, order, {a: -k % order for a, k in self.powers.items()})
 
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
@@ -179,9 +183,8 @@ class DirichletCharacter:
 def characters_mod(f: int) -> list["DirichletCharacter"]:
     """All Dirichlet characters mod f, by chain extension over the unit group."""
     key = (lambda a: a % f) if f > 1 else (lambda a: 1)
-    units = [key(a) for a in range(1, f + 1) if gcd(a, f) == 1] or [1]
-    chars = chain_extension(units, lambda a, b: key(a * b))
-    return [DirichletCharacter._unchecked(f, c) for c in chars]
+    n, chars = chain_extension(list(unit_residues(f)), lambda a, b: key(a * b))
+    return [DirichletCharacter._unchecked(f, n, c) for c in chars]
 
 
 def _divisors(n: int) -> list[int]:
@@ -206,14 +209,18 @@ def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Cyclo:
         raise ArithmeticDomainError(
             "imprimitive character: evaluate the primitive core and add Euler factors"
         )
-    f = chi.modulus
+    return _bernoulli_sum(n, chi.modulus, chi.order, chi.powers.items())
+
+
+def _bernoulli_sum(n: int, f: int, order: int, powers) -> Cyclo:
+    """B_{n,chi} for the character mod f with chi(a) = zeta_order^k for
+    each ``(a, k)`` in powers, in integer arithmetic."""
     bn = bernoulli_polynomial(n)
-    order, ints = chi.numerators
     # f D f^(n-1) B_n(a/f) = sum_j D c_j a^j f^(n-j) is an integer, with D
     # the common denominator of the coefficients c_j of B_n(x)
     scaled = [c * f ** (n - j) for j, c in enumerate(bn.scaled)]
     weights = [0] * order
-    for a, k in ints.items():
+    for a, k in powers:
         acc = 0
         for c in reversed(scaled):
             acc = acc * a + c
@@ -231,11 +238,9 @@ def L_at_nonpositive(r: int, chi: DirichletCharacter) -> Cyclo:
 
 @lru_cache(maxsize=None)
 def _primitive_L(r: int, key: tuple) -> Cyclo:
-    modulus, order, ints = key
-    chi = DirichletCharacter._unchecked(
-        modulus, {a: Fraction(k, order) for a, k in ints})
+    modulus, order, powers = key
     n = 1 - r
-    return generalized_bernoulli(n, chi) * Fraction(-1, n)
+    return _bernoulli_sum(n, modulus, order, powers) * Fraction(-1, n)
 
 
 def L_ST(r: int, chi: DirichletCharacter, S, T) -> Cyclo:

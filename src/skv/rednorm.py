@@ -27,8 +27,8 @@ from .linalg import char_poly, mat_add, mat_det, mat_mul, mat_scale
 class MonomialRepresentation:
     """An irreducible representation in monomial form: rho(g) sends the
     j-th basis vector to zeta_N^k times the i-th, for
-    ``(i, k) = columns[g][j]``, where N (``order``) is the lcm of the
-    certificate's exponent denominators."""
+    ``(i, k) = columns[g][j]``, where N (``order``) is the order of the
+    certificate's linear character."""
 
     __slots__ = ("degree", "order", "columns")
 
@@ -48,8 +48,7 @@ def monomial_representation(table: CharacterTable, chi_index: int) -> MonomialRe
     group = table.group
     cert = table.certificates[chi_index]
     chi = table.chars[chi_index]
-    n = lcm(*(e.denominator for e in cert.exps.values()))
-    power = {y: e.numerator * (n // e.denominator) % n for y, e in cert.exps.items()}
+    n, power = cert.order, cert.powers
     reps = group.coset_reps(cert.u_elems)
     # coset[h] = (i, k) for h = x_i * y with y in U and psi(y) = zeta_N^k
     coset = [None] * group.order
@@ -307,13 +306,25 @@ class FiniteGModule:
             for j in range(k):
                 if (ident[i][j] - (1 if i == j else 0)) % self.factors[i] != 0:
                     raise FixtureError("identity must act trivially")
+        self._check_homomorphism(group)
+
+    def _check_homomorphism(self, group):
+        """rho(g) rho(h) = rho(gh) row-wise modulo the factors, for every g
+        and every h in ``group.generators()`` (see groups).  That covers
+        every pair only when each matrix is an endomorphism, d_i dividing
+        entry (i, t) times d_t, so that multiplying by it keeps row-wise
+        congruences; otherwise h runs over the whole group."""
+        k, d = len(self.factors), self.factors
+        endomorphisms = all(m[i][t] * d[t] % d[i] == 0
+                            for m in self.action.values()
+                            for i in range(k) for t in range(k))
         for g in range(group.order):
-            for h in range(group.order):
+            for h in group.generators() if endomorphisms else range(group.order):
                 prod = self._mat_mul(self.action[g], self.action[h])
                 target = self.action[group.mul(g, h)]
                 for i in range(k):
                     for j in range(k):
-                        if (prod[i][j] - target[i][j]) % self.factors[i] != 0:
+                        if (prod[i][j] - target[i][j]) % d[i] != 0:
                             raise FixtureError(
                                 f"action is not a homomorphism at ({g}, {h})"
                             )

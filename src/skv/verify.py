@@ -21,7 +21,6 @@ from .engine import (_product_split, sku_prime_generators, theta,
                      theta_with_inertia_norms)
 from .errors import FixtureError, SkvError
 from .grouprings import CentralElement, GroupRingElement, max_order_membership
-from .lvalues import L_at_nonpositive, characters_mod
 from .rednorm import (FittingInvariant, annihilation_check,
                       certified_h_elements, reduced_norm,
                       reduced_norm_component)
@@ -394,17 +393,6 @@ def exceptional_prime_screening(fix: ExtensionFixture,
                          f"{q}-th cyclotomic field")
         out.append({"p": q, "exceptional": bool(flags), "flags": flags})
     return {"screened": out}
-
-
-def relative_class_number_qzeta(p: int) -> Fraction:
-    """Minus-part class number of the p-th cyclotomic field (p an odd
-    prime): 2p times the product of -B_{1,chi}/2 = L(0, chi)/2 over the odd
-    characters mod p."""
-    val = Cyclo.rational(2 * p)
-    for chi in characters_mod(p):
-        if chi.is_odd():
-            val = val * (L_at_nonpositive(0, chi) * Fraction(1, 2))
-    return val.to_fraction()
 
 
 def default_sets(fix: ExtensionFixture, bound: int = 2) -> PlaceSets | None:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 
@@ -19,6 +20,16 @@ def fixture_path(name: str) -> str:
 def load_fixture_json(name: str) -> dict:
     with open(fixture_path(name)) as fh:
         return json.load(fh)
+
+
+def ladder_fixture_writer():
+    """``write_ladder_fixture(p, directory)`` from tools/make_fixtures.py,
+    which writes the ladder field Q(zeta_p) and returns its path."""
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_fixtures.py")
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.write_ladder_fixture
 
 
 @pytest.fixture(scope="session")

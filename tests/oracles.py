@@ -10,13 +10,18 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from skv.arithdata import ExtensionFixture, PlaceData, mu_tate_annihilators
-from skv.characters import Character, CharacterTable, irreducibles_monomial
+from skv.characters import (Character, CharacterTable, _powers_over_common_order,
+                            induce_powers, irreducibles_monomial,
+                            linear_character_powers)
 from skv.cyclotomic import Cyclo, root_of_unity_sum
-from skv.errors import GroupError
+from skv.errors import FixtureError, GroupError
 from skv.grouprings import GroupRingElement
+from skv.groups import FiniteGroup
 from skv.linalg import mat_det, mat_identity, mat_mul, mat_scale, mat_sub
-from skv.lvalues import BernoulliData, DirichletCharacter, bernoulli_polynomial
-from skv.rednorm import MonomialRepresentation, monomial_representation
+from skv.lvalues import (BernoulliData, DirichletCharacter, L_at_nonpositive,
+                         bernoulli_polynomial, characters_mod)
+from skv.rednorm import (FiniteGModule, MonomialRepresentation,
+                         monomial_representation)
 
 
 def value_at(chi: Character, g: int) -> Cyclo:
@@ -33,6 +38,32 @@ def contragredient_values(chi: Character) -> tuple[Cyclo, ...]:
 def galois_values(chi: Character, k: int) -> tuple[Cyclo, ...]:
     """sigma_k applied to every value of chi."""
     return tuple(v.galois(k) for v in chi.values)
+
+
+def induce_from_linear(group: FiniteGroup, u_elems, exps: dict[int, Fraction]) -> Character:
+    """Induce a linear character of a subgroup, given by its Fraction
+    exponents mod 1, to the whole group."""
+    return induce_powers(group, u_elems, *_powers_over_common_order(exps))
+
+
+def fraction_certificate_exps(table: CharacterTable, i: int) -> dict[int, Fraction]:
+    """The Fraction exponents of the i-th certificate's psi, found from the
+    character: for an abelian group the exponent e in [0, 1) of each value
+    chi(g) = zeta^e; otherwise the first linear character of U's own group,
+    in chain-extension order, whose induction is chi."""
+    group, chi = table.group, table[i]
+    u = table.certificates[i].u_elems
+    if group.is_abelian():
+        exp, ids = group.exponent(), group.class_index()
+        powers = {Cyclo.zeta(exp, k).num: k for k in range(exp)}
+        return {g: Fraction(powers[chi.values[ids[g]].lift(exp).num], exp)
+                for g in range(group.order)}
+    sub, back = group.subgroup_as_group(u)
+    for exps in linear_characters(sub):
+        psi = {back[j]: e for j, e in enumerate(exps)}
+        if induce_from_linear(group, u, psi).values == chi.values:
+            return psi
+    raise GroupError("no linear character of U induces the character")
 
 
 def product_pairing_scan(table: CharacterTable, h_elems, c_elems) -> dict:
@@ -180,3 +211,91 @@ def sigma_inverse(mat, c_group, n: int) -> dict:
                     out[c] = [[Cyclo.zero() for _ in range(n)] for _ in range(n)]
                 out[c][i][j] = v
     return out
+
+
+def subgroup_h_r(group: FiniteGroup, involutions, r: int) -> tuple[int, ...]:
+    """Subgroup cutting out the reduction step at r: pair products for even r,
+    the involutions themselves for odd r.  Result must be normal."""
+    invs = sorted(set(involutions))
+    for j in invs:
+        if group.mul(j, j) != 0:
+            raise GroupError(f"element {j} is not an involution")
+    if r > 0:
+        raise GroupError("r must be a non-positive integer")
+    if r % 2 == 0:
+        gens = {group.mul(a, b) for a in invs for b in invs}
+    else:
+        gens = set(invs)
+    sub = group.subgroup_closure(gens) if gens else (0,)
+    if not group.is_normal(sub):
+        raise GroupError("generated subgroup is not normal (inconsistent fixture)")
+    return sub
+
+
+def relative_class_number_qzeta(p: int) -> Fraction:
+    """Minus-part class number of the p-th cyclotomic field (p an odd
+    prime): 2p times the product of -B_{1,chi}/2 = L(0, chi)/2 over the odd
+    characters mod p."""
+    val = Cyclo.rational(2 * p)
+    for chi in characters_mod(p):
+        if chi.is_odd():
+            val = val * (L_at_nonpositive(0, chi) * Fraction(1, 2))
+    return val.to_fraction()
+
+
+def linear_characters(group: FiniteGroup) -> list[list[Fraction]]:
+    """Linear characters of any finite group, each as a list of Fraction
+    exponents mod 1 indexed by group element."""
+    n, rows = linear_character_powers(group)
+    return [[Fraction(k, n) for k in row] for row in rows]
+
+
+# -- fixture checks over every pair, as they ran before the generating-set
+#    checks; each has the signature of the check it replaces, so a test can
+#    swap it in
+
+
+def mu_action_all_pairs(group: FiniteGroup, mu: dict, w: int):
+    """mu(g) mu(h) = mu(gh) mod w for every pair (g, h)."""
+    for g in range(group.order):
+        for h in range(group.order):
+            if (mu[g] * mu[h] - mu[group.mul(g, h)]) % w != 0:
+                raise FixtureError("muL action is not a homomorphism")
+
+
+def cyclotomic_map_all_pairs(group: FiniteGroup, f: int, mp: dict, units):
+    """mp(a) mp(b) = mp(ab) for every pair of units mod f."""
+    key = (lambda a: a % f) if f > 1 else (lambda a: 1)
+    for a in units:
+        for b in units:
+            if group.mul(mp[key(a)], mp[key(b)]) != mp[key(a * b)]:
+                raise FixtureError("cyclotomic map is not a homomorphism")
+
+
+def local_groups_by_subgroups(place: PlaceData, group: FiniteGroup, dec_gens, ine_gens):
+    """The place checks on G_P and G_P / I_P built as groups: I_P normal
+    in G_P, Frobenius in G_P, and its order in the quotient [G_P : I_P]."""
+    dec = set(place.decomposition)
+    sub, back = group.subgroup_as_group(sorted(dec))
+    pos = {v: k for k, v in back.items()}
+    if not sub.is_normal([pos[g] for g in place.inertia]):
+        raise FixtureError(f"place {place.label}: inertia not normal in decomposition")
+    if place.frobenius not in dec:
+        raise FixtureError(f"place {place.label}: Frobenius outside decomposition")
+    quot, proj = sub.quotient([pos[g] for g in place.inertia])
+    if quot.element_order(proj[pos[place.frobenius]]) != len(dec) // len(place.inertia):
+        raise FixtureError(
+            f"place {place.label}: Frobenius order inconsistent with |G_P/I_P|")
+
+
+def module_action_all_pairs(module: FiniteGModule, group: FiniteGroup):
+    """rho(g) rho(h) = rho(gh), row i modulo the i-th factor, for every pair."""
+    k = len(module.factors)
+    for g in range(group.order):
+        for h in range(group.order):
+            prod = module._mat_mul(module.action[g], module.action[h])
+            target = module.action[group.mul(g, h)]
+            for i in range(k):
+                for j in range(k):
+                    if (prod[i][j] - target[i][j]) % module.factors[i] != 0:
+                        raise FixtureError(f"action is not a homomorphism at ({g}, {h})")

@@ -18,7 +18,7 @@ from skv.characters import irreducibles_monomial
 from skv.cli import main as cli_main
 from skv.cyclotomic import Cyclo
 from skv.engine import theta_abelian
-from skv.groups import named_group, subgroup_h_r
+from skv.groups import named_group
 from skv.grouprings import GroupRingElement, idempotent_eps
 from skv.linalg import mat_mul
 from skv.lvalues import (DirichletCharacter, L_at_nonpositive, characters_mod,
@@ -26,11 +26,11 @@ from skv.lvalues import (DirichletCharacter, L_at_nonpositive, characters_mod,
 from skv.rednorm import (FittingInvariant, annihilation_check,
                          certified_h_elements, reduced_norm, star_adjoint)
 from skv.verify import (check_theorem_sku_maxord,
-                        check_theorem_stickelberger_int, default_sets,
-                        relative_class_number_qzeta)
+                        check_theorem_stickelberger_int, default_sets)
 
 from conftest import fixture_path, load_fixture_json, record_acceptance
-from oracles import sigma_inverse, sigma_isomorphism
+from oracles import (relative_class_number_qzeta, sigma_inverse,
+                     sigma_isomorphism, subgroup_h_r)
 
 
 @contextmanager

@@ -1,19 +1,25 @@
 """Fixture validation, set hypotheses, local factors, twisted torsion data."""
 
 import copy
+import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import oracles
+from skv import arithdata
 from skv.arithdata import (ExtensionFixture, PlaceData, PlaceSets,
                            check_admissible, check_hyp_ST, delta_element,
                            euler_element, generate_A_S, local_factor,
                            mu_tate_annihilators, mu_tate_order)
 from skv.cyclotomic import Cyclo
-from skv.errors import FixtureError
+from skv.errors import FixtureError, SkvError
 from skv.grouprings import GroupRingElement
+from skv.groups import FiniteGroup
+from skv.rednorm import FiniteGModule
 
-from conftest import load_fixture_json
+from conftest import FIXTURE_NAMES, ladder_fixture_writer, load_fixture_json
 from oracles import local_factor_matrix, mu_tate_annihilates
 
 
@@ -273,3 +279,234 @@ def test_mu_tate_annihilates_negatives(fixtures):
     assert not mu_tate_annihilates(fix, -1, one * Fraction(49, 2))
     assert mu_tate_annihilates(fix, -1, one * 24)
     assert not mu_tate_annihilates(fix, -1, one * Fraction(1, 5))
+
+
+# -- generating-set validation against the all-pairs checks --------------
+
+
+def _validation_outcome(obj, monkeypatch, all_pairs: bool):
+    """(error class, message up to any " at (") of loading obj, or None if
+    it loads; with all_pairs, the checks run as they did over every pair."""
+    with monkeypatch.context() as m:
+        if all_pairs:
+            m.setattr(arithdata, "_check_mu_action", oracles.mu_action_all_pairs)
+            m.setattr(arithdata, "_check_cyclotomic_map", oracles.cyclotomic_map_all_pairs)
+            m.setattr(PlaceData, "_check_local_groups", oracles.local_groups_by_subgroups)
+            m.setattr(FiniteGModule, "_check_homomorphism", oracles.module_action_all_pairs)
+        try:
+            ExtensionFixture(obj)
+        except SkvError as exc:
+            return type(exc).__name__, str(exc).split(" at (")[0]
+    return None
+
+
+def _outcomes(monkeypatch, objs) -> set:
+    """The outcomes of loading each object, which must not depend on the
+    checks used."""
+    seen = set()
+    for obj in objs:
+        new = _validation_outcome(obj, monkeypatch, all_pairs=False)
+        assert new == _validation_outcome(obj, monkeypatch, all_pairs=True)
+        seen.add(new)
+    return seen
+
+
+def _corruptions(name, paths_and_values):
+    """One copy of the named fixture per (path, value): the entry at the
+    path of keys and indices set to the value."""
+    for path, value in paths_and_values:
+        obj = load_fixture_json(name)
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        yield obj
+
+
+def test_generating_set_checks_accept_what_all_pairs_accept(monkeypatch, tmp_path):
+    objs = [load_fixture_json(name) for name in FIXTURE_NAMES]
+    with open(ladder_fixture_writer()(47, str(tmp_path))) as fh:
+        objs.append(json.load(fh))
+    assert _outcomes(monkeypatch, objs) == {None}
+
+
+def test_generating_set_checks_reject_the_mu_corruptions_all_pairs_reject(monkeypatch):
+    outcomes = set()
+    for name in ("s3c2", "q_zeta23"):
+        mu = load_fixture_json(name)["muL"]
+        # every unit, and one non-unit, in place of each value; s3c2 has
+        # w = 1, where every value is the unit 0
+        w = mu["order"]
+        values = [v for v in range(max(w, 3)) if gcd(v, w) == 1] + [w]
+        cases = [(("muL", "action", g), v) for g in mu["action"]
+                 for v in values if v != mu["action"][g]]
+        outcomes |= _outcomes(monkeypatch, _corruptions(name, cases))
+    assert ("FixtureError", "muL action is not a homomorphism") in outcomes
+    assert None in outcomes
+
+
+def test_generating_set_checks_reject_the_cyclotomic_corruptions(monkeypatch):
+    outcomes = set()
+    for name in ("q_i", "q_sqrt_m5", "q_zeta23"):
+        obj = load_fixture_json(name)
+        mp, order = obj["cyclotomic"]["map"], len(obj["group"]["table"])
+        cases = [(("cyclotomic", "map", a), g) for a in mp for g in range(order)
+                 if g != mp[a]]
+        outcomes |= _outcomes(monkeypatch, _corruptions(name, cases))
+        # q_zeta23's map is a bijection, so a single entry breaks
+        # surjectivity first; swapping two entries keeps it onto
+        residues = sorted(mp, key=int)
+        swaps = []
+        for i, a in enumerate(residues):
+            for b in residues[i + 1:]:
+                swapped = copy.deepcopy(obj)
+                swapped["cyclotomic"]["map"].update({a: mp[b], b: mp[a]})
+                swaps.append(swapped)
+        outcomes |= _outcomes(monkeypatch, swaps)
+    assert ("FixtureError", "cyclotomic map is not a homomorphism") in outcomes
+    assert ("FixtureError", "cyclotomic map must be surjective") in outcomes
+
+
+def test_generating_set_checks_reject_the_place_corruptions(monkeypatch):
+    outcomes = set()
+    for name in FIXTURE_NAMES:
+        obj = load_fixture_json(name)
+        order = len(obj["group"]["table"])
+        cases = []
+        for i, place in enumerate(obj["places"]):
+            if place.get("infinite"):
+                continue
+            for g in range(order):
+                cases.append((("places", i, "inertiaGens"), [g]))
+                cases.append((("places", i, "frobenius"), g))
+        outcomes |= _outcomes(monkeypatch, _corruptions(name, cases))
+    # a non-abelian decomposition group: all of S3 x C2 at q5, with each
+    # one-generator inertia group and each Frobenius
+    group = FiniteGroup(load_fixture_json("s3c2")["group"]["table"])
+    objs = []
+    for g in range(group.order):
+        for frob in range(group.order):
+            obj = copy.deepcopy(load_fixture_json("s3c2"))
+            obj["places"][1].update(decompositionGens=list(group.generators()),
+                                    inertiaGens=[g], frobenius=frob)
+            objs.append(obj)
+    outcomes |= _outcomes(monkeypatch, objs)
+    messages = {m for _, m in filter(None, outcomes)}
+    assert {"place q5: inertia not normal in decomposition",
+            "place q5: Frobenius outside decomposition",
+            "place q5: Frobenius order inconsistent with |G_P/I_P|"} <= messages
+
+
+def test_generating_set_checks_reject_the_module_corruptions(monkeypatch):
+    outcomes = set()
+    for name in ("q_sqrt_m5", "q_zeta23"):
+        cg = load_fixture_json(name)["classGroups"][0]
+        d = cg["factors"][0]
+        cases = [(("classGroups", 0, "action", g, 0), [v])
+                 for g in cg["action"] for v in range(d + 1)]
+        outcomes |= _outcomes(monkeypatch, _corruptions(name, cases))
+    assert ("FixtureError", "action is not a homomorphism") in outcomes
+
+
+def _module_outcome(group, factors, action, monkeypatch, all_pairs: bool):
+    with monkeypatch.context() as m:
+        if all_pairs:
+            m.setattr(FiniteGModule, "_check_homomorphism", oracles.module_action_all_pairs)
+        try:
+            FiniteGModule(group, factors, action)
+        except FixtureError as exc:
+            return str(exc).split(" at (")[0]
+    return None
+
+
+def test_module_check_falls_back_to_every_pair_off_endomorphisms(monkeypatch):
+    # Z/2 x Z/4 with C4 acting through A = [[1, 1], [2, 1]] of order 4; a
+    # single entry can make a matrix that is no endomorphism (entry (1, 0)
+    # odd), where the generating-set argument does not apply
+    group = FiniteGroup.cyclic(4)
+    factors = [2, 4]
+    powers = [[[1, 0], [0, 1]]]
+    for _ in range(3):
+        m = powers[-1]
+        powers.append([[(m[i][0] * 1 + m[i][1] * 2) % factors[i],
+                        (m[i][0] * 1 + m[i][1] * 1) % factors[i]] for i in range(2)])
+    action = dict(enumerate(powers))
+    products = []
+    mat_mul = FiniteGModule._mat_mul
+    with monkeypatch.context() as m:
+        m.setattr(FiniteGModule, "_mat_mul",
+                  lambda self, a, b: products.append(1) or mat_mul(self, a, b))
+        assert _module_outcome(group, factors, action, monkeypatch, False) is None
+    # endomorphisms: one product per element and generator, not per pair
+    assert len(products) == 4 * len(group.generators()) == 4
+    outcomes = set()
+    for g in range(4):
+        for i in range(2):
+            for j in range(2):
+                for v in range(factors[i]):
+                    bad = copy.deepcopy(action)
+                    bad[g][i][j] = v
+                    new = _module_outcome(group, factors, bad, monkeypatch, False)
+                    assert new == _module_outcome(group, factors, bad, monkeypatch, True)
+                    outcomes.add(new)
+    assert outcomes == {None, "identity must act trivially",
+                        "action is not a homomorphism"}
+    # the all-pairs check accepts this involution of Z/2 x Z/4 although
+    # [[1, 0], [1, 3]] is no endomorphism; so does the fallback
+    c2 = FiniteGroup.cyclic(2)
+    loose = {0: [[1, 0], [0, 1]], 1: [[1, 0], [1, 3]]}
+    assert _module_outcome(c2, factors, loose, monkeypatch, True) is None
+    assert _module_outcome(c2, factors, loose, monkeypatch, False) is None
+    # and it rejects this C3 action, which passes rho(g) rho(s) = rho(gs)
+    # for the one generator s = 1: without endomorphisms, the induction
+    # over words in the generators does not go through
+    c3 = FiniteGroup.cyclic(3)
+    loose = {0: [[1, 0], [0, 1]], 1: [[1, 1], [1, 2]], 2: [[0, 1], [3, 1]]}
+    assert _module_outcome(c3, factors, loose, monkeypatch, True) == \
+        "action is not a homomorphism"
+    assert _module_outcome(c3, factors, loose, monkeypatch, False) == \
+        "action is not a homomorphism"
+
+
+def _raises(check, *args):
+    try:
+        check(*args)
+    except FixtureError as exc:
+        return str(exc).split(" at (")[0]
+    return None
+
+
+def test_mu_and_cyclotomic_checks_use_every_generator():
+    # non-cyclic domains, and maps that respect the first generator's
+    # cosets but are homomorphisms only up to a twist on the others
+    c2xc6 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(6))
+    assert len(c2xc6.generators()) == 2
+    first = set(c2xc6.subgroup_closure(c2xc6.generators()[:1]))
+    hom = {g: pow(3, g % 6, 7) for g in range(12)}  # (x, y) -> 3^y mod 7
+    twisted = {g: hom[g] * (1 if g in first else 3) % 7 for g in range(12)}
+    cases = [hom, twisted] + [{**m, g: v} for m in (hom, twisted)
+                              for g in range(12) for v in range(1, 7)]
+    outcomes = set()
+    for mu in cases:
+        new = _raises(arithdata._check_mu_action, c2xc6, mu, 7)
+        assert new == _raises(oracles.mu_action_all_pairs, c2xc6, mu, 7)
+        outcomes.add(new)
+    assert _raises(arithdata._check_mu_action, c2xc6, twisted, 7) is not None
+    assert outcomes == {None, "muL action is not a homomorphism"}
+
+    # (Z/15)^x = <2> x <7> onto C4 through the discrete log of a mod 5
+    c4, f = FiniteGroup.cyclic(4), 15
+    units = [a for a in range(1, f) if gcd(a, f) == 1]
+    log = {pow(2, k, 5): k for k in range(4)}
+    hom = {a: log[a % 5] for a in units}
+    span = {pow(2, k, f) for k in range(4)}
+    twisted = {a: (hom[a] + (a not in span)) % 4 for a in units}
+    cases = [hom, twisted] + [{**m, a: g} for m in (hom, twisted)
+                              for a in units for g in range(4)]
+    outcomes = set()
+    for mp in cases:
+        new = _raises(arithdata._check_cyclotomic_map, c4, f, mp, units)
+        assert new == _raises(oracles.cyclotomic_map_all_pairs, c4, f, mp, units)
+        outcomes.add(new)
+    assert _raises(arithdata._check_cyclotomic_map, c4, f, twisted, units) is not None
+    assert outcomes == {None, "cyclotomic map is not a homomorphism"}

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skv.characters import (_abelian_table, _check_multiplicative,
-                            _induced_table, induce_from_linear,
-                            irreducibles_monomial, linear_characters)
+                            _induced_table, _powers_over_common_order,
+                            irreducibles_monomial, linear_character_powers)
 from skv.cyclotomic import Cyclo, unit_generators
 from skv.errors import ArithmeticDomainError, GroupError, InternalCheckError
 from skv.groups import FiniteGroup, _named_tables, named_group
 
-from oracles import (contragredient_values, galois_equivariant_all_units,
-                     galois_values, value_at)
+from oracles import (contragredient_values, fraction_certificate_exps,
+                     galois_equivariant_all_units, galois_values,
+                     induce_from_linear, linear_characters, value_at)
 
 
 def test_c6_linear_characters():
@@ -236,11 +237,12 @@ def test_multiplicativity_check_matches_reference(name, data):
     fracs = st.fractions(min_value=-2, max_value=2, max_denominator=12)
     for g in data.draw(st.lists(st.sampled_from(u), max_size=2)):
         exps[g] += data.draw(fracs)
+    order, powers = _powers_over_common_order(exps)
     if _multiplicative(group, u, exps):
-        _check_multiplicative(group, u, exps)
+        _check_multiplicative(group, u, order, powers)
     else:
         with pytest.raises(GroupError):
-            _check_multiplicative(group, u, exps)
+            _check_multiplicative(group, u, order, powers)
 
 
 def _power_map_groups():
@@ -293,16 +295,30 @@ def test_abelian_table_equals_induced_table():
 
 def test_abelian_table_certificate_rejects_bad_characters(monkeypatch):
     group = named_group("C6")
-    good = linear_characters(group)
+    order, good = linear_character_powers(group)
     duplicated = good[:-1] + [good[0]]
     shifted = [list(e) for e in good]
-    shifted[1][2] += Fraction(1, 6)
-    for chars, what in ((good[:-1], "distinct"), (duplicated, "distinct"),
-                        (shifted, "multiplicative")):
-        monkeypatch.setattr("skv.characters.linear_characters",
-                            lambda g, chars=chars: chars)
+    shifted[1][2] += 1  # chi(g2) times zeta_6
+    for rows, what in ((good[:-1], "distinct"), (duplicated, "distinct"),
+                       (shifted, "multiplicative")):
+        monkeypatch.setattr("skv.characters.linear_character_powers",
+                            lambda g, rows=rows: (order, rows))
         with pytest.raises(InternalCheckError, match=what):
             _abelian_table(group)
+
+
+def test_integer_certificates_give_the_fraction_exponents(fixtures):
+    tables = [fix.table for fix in fixtures.values()]
+    tables += [irreducibles_monomial(named_group(name)) for name in sorted(_named_tables())]
+    tables.append(irreducibles_monomial(FiniteGroup.cyclic(128)))
+    for table in tables:
+        for i, cert in enumerate(table.certificates):
+            exps = fraction_certificate_exps(table, i)
+            assert cert.exps == exps and cert.exps is cert.exps
+            # N is the order of psi, as the lcm of the denominators was
+            assert cert.order == lcm(*(e.denominator for e in exps.values()))
+            assert cert.powers == {y: e.numerator * cert.order // e.denominator
+                                   for y, e in exps.items()}
 
 
 def test_index_of_values_at_a_foreign_order():

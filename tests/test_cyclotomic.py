@@ -281,3 +281,13 @@ def test_hash_agrees_with_equality(q, n, cs, m):
     assert lifted == x and hash(lifted) == hash(x)
     a, b = Cyclo.zeta(4), Cyclo.zeta(12, 3)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_cached_zeta_equals_a_freshly_reduced_power():
+    for n in (1, 2, 3, 4, 12, 22, 46, 105, 128):
+        for k in range(-n, 2 * n):
+            z = Cyclo.zeta(n, k)
+            fresh = root_of_unity_sum(n, [0] * (k % n) + [1])
+            assert (z.order, z.num, z.den) == (fresh.order, fresh.num, fresh.den)
+            # one shared value per n and k mod n
+            assert Cyclo.zeta(n, k % n) is z

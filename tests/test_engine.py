@@ -241,12 +241,12 @@ def test_theta_is_built_once_per_s_t_and_r(monkeypatch):
 def test_check_all_q_zeta23_evaluates_each_l_value_once(monkeypatch):
     # 22 characters at r = 0 and r = -1
     skv.lvalues._primitive_L.cache_clear()
-    calls = _counting(monkeypatch, skv.lvalues, "generalized_bernoulli")
+    calls = _counting(monkeypatch, skv.lvalues, "_bernoulli_sum")
     fix = ExtensionFixture(load_fixture_json("q_zeta23"))
     assert [v.status for v in run_all(fix)] == ["verified"] * 5
     assert len(calls) == 44
-    assert len({(n, chi.modulus, tuple(sorted(chi.exps.items())))
-                for n, chi in calls}) == 44
+    assert len({(n, f, order, tuple(sorted(powers)))
+                for n, f, order, powers in calls}) == 44
 
 
 def test_check_all_takes_nr_of_each_inertia_norm_once_per_place(monkeypatch):

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skv import grouprings
+from skv import characters, grouprings
 from skv.arithdata import ExtensionFixture
 from skv.characters import irreducibles_monomial
 from skv.cyclotomic import Cyclo
@@ -18,7 +18,7 @@ from skv.grouprings import (CentralElement, GroupRingElement, _product_pairing,
                             minus_idempotent, product_coefficients)
 from skv.verify import run_all
 
-from conftest import fixture_path
+from conftest import FIXTURE_NAMES, fixture_path
 from oracles import product_pairing_scan
 
 
@@ -223,6 +223,36 @@ def test_check_all_on_s3c2_builds_each_subgroup_table_once(monkeypatch):
     builds = _count_table_builds(monkeypatch)
     run_all(fix)
     assert sorted(g.order for g in builds) == [2, 6]
+
+
+def test_trivial_split_pairs_the_table_with_itself(monkeypatch):
+    # fresh tables, with no pairing kept on them yet
+    groups = [ExtensionFixture.load(fixture_path(name)).group for name in FIXTURE_NAMES]
+    groups += [FiniteGroup.cyclic(n) for n in (22, 128)]
+    tables = [irreducibles_monomial(g) for g in groups if g.is_abelian()]
+    for table in tables:
+        n = table.group.order
+        h, c = (0,), tuple(range(n))
+        builds = _count_table_builds(monkeypatch)
+        tab_h, tab_c, pairing, back_h, back_c = _product_pairing(table, h, c)
+        # no table of order |G| besides the fixture's own
+        assert [g.order for g in builds] == [1]
+        assert tab_c is table and len(tab_h) == 1
+        assert back_h == {0: 0} and back_c == {g: g for g in range(n)}
+        if n <= 22:
+            assert pairing == product_pairing_scan(table, h, c)
+        else:
+            assert pairing == {(0, j): j for j in range(n)}
+
+
+def test_check_all_on_q_zeta23_builds_one_table_of_order_22(monkeypatch):
+    fix = ExtensionFixture.load(fixture_path("q_zeta23"))
+    builds = []
+    build = characters._abelian_table
+    monkeypatch.setattr("skv.characters._abelian_table",
+                        lambda group: builds.append(group.order) or build(group))
+    assert [v.status for v in run_all(fix)] == ["verified"] * 5
+    assert builds.count(22) == 1
 
 
 def test_product_pairing_reports_an_unmatched_product():

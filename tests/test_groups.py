@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skv.errors import GroupError
-from skv.groups import (FiniteGroup, detect_direct_product, named_group,
-                        subgroup_h_r)
+from skv.groups import FiniteGroup, detect_direct_product, named_group
+
+from oracles import subgroup_h_r
 
 
 NAMED_ORDERS = [("C1", 1), ("C2", 2), ("C3", 3), ("C6", 6),
@@ -142,6 +143,31 @@ def test_detect_direct_product():
     assert len(h) * len(c) == 12 and len(c) == 2
     assert detect_direct_product(named_group("Q8")) is None
     assert detect_direct_product(named_group("S3")) is None
+
+
+def test_abelian_direct_product_is_the_one_the_search_finds():
+    c2, c6 = named_group("C2"), named_group("C6")
+    groups = [named_group(name) for name in ("C1", "C2", "C3", "C6")]
+    groups += [FiniteGroup.direct_product(c2, c6), FiniteGroup.cyclic(22),
+               FiniteGroup.direct_product(c2, FiniteGroup.direct_product(c2, c2))]
+    for group in groups:
+        searched = FiniteGroup(group.table)
+        searched.is_abelian = lambda: False  # take the subgroup search
+        assert detect_direct_product(group) == detect_direct_product(searched)
+
+
+def test_generators_generate_and_each_is_needed():
+    groups = [named_group(name) for name in ("C1", "C2", "C6", "S3", "D4", "Q8", "S3xC2")]
+    groups += [FiniteGroup.cyclic(22), FiniteGroup.cyclic(128)]
+    for group in groups:
+        gens = group.generators()
+        assert group.generators() is gens
+        assert group.subgroup_closure(gens) == tuple(range(group.order))
+        # greedy: each generator lies outside the span of the ones before it
+        for i, g in enumerate(gens):
+            assert g not in group.subgroup_closure(gens[:i])
+    assert named_group("C1").generators() == ()
+    assert FiniteGroup.cyclic(128).generators() == (1,)
 
 
 def test_subgroup_h_r_parity():

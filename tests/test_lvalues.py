@@ -248,3 +248,19 @@ def test_memoised_l_values_equal_cold_evaluations():
                 cold = L_at_nonpositive(r, core)
                 assert cold == warm
                 assert cold == generalized_bernoulli(1 - r, core) * Fraction(-1, 1 - r)
+
+
+def test_primitive_l_from_the_key_matches_the_character_route():
+    # _primitive_L evaluates B_{1-r} from the integer key alone; the
+    # character route builds the checked character and its Bernoulli sum
+    chars = [chi for f in range(1, 61) for chi in characters_mod(f)
+             if chi.is_primitive()]
+    chars += [chi for chi in characters_mod(107) if chi.is_primitive()]
+    assert len(chars) > 105
+    _primitive_L.cache_clear()
+    for chi in chars:
+        rebuilt = DirichletCharacter(chi.modulus, chi.exps)
+        for r in (0, -1, -2, -3):
+            got = _primitive_L(r, chi.key)
+            want = generalized_bernoulli(1 - r, rebuilt) * Fraction(-1, 1 - r)
+            assert (got.order, got.num, got.den) == (want.order, want.num, want.den)

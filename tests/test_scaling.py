@@ -1,13 +1,11 @@
 """Scaling gates for the exact core at the group-order cap of 128, for
 the L-value layer at the conductor-ladder's largest field, Q(zeta_107), for
 the bounded nr-search on a non-abelian group of order 64, and for `check
-all` on the ladder fields Q(zeta_47) and Q(zeta_107)."""
+all` on the ladder fields Q(zeta_p) for p = 31, 47, 71 and 107."""
 
 import contextlib
 import hashlib
-import importlib.util
 import io
-import os
 import time
 from fractions import Fraction
 
@@ -22,6 +20,8 @@ from skv.lvalues import (DirichletCharacter, L_at_nonpositive, _primitive_L,
                          characters_mod)
 from skv.rednorm import reduced_norm
 from skv.verify import _bounded_nr_search
+
+from conftest import ladder_fixture_writer
 
 #: Seconds allowed for each gate.  It took about 0.5 s on a 2-CPU
 #: x86-64 host, against about 18 s when abelian tables were induced,
@@ -97,25 +97,20 @@ def test_bounded_nr_search_on_dihedral_64():
 #: Q(zeta_p), as `tools/make_fixtures.py` writes it: every suite verifies
 #: except Brumer, which has no class group and is inconclusive.
 LADDER_REPORTS = {
+    31: (2, "1653a3d3b8c479232bf157baf34c68a806716cf59c879255677e82c23501a54e"),
     47: (2, "277ca08b1a4a7fce310b022954b732d0e7fb2925049e7b0fd06fdbd55b0ed4ba"),
+    71: (2, "9a02ceb1ed315d2dbb155c946cdc71effa7d5cb563bdcca5bb4c726a2fcfef52"),
     107: (2, "c979c771891ea1c47f2ab14b96df870be8aef57c7e84edba760eced7440ea525"),
 }
 
 
-def _write_ladder_fixture():
-    path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_fixtures.py")
-    spec = importlib.util.spec_from_file_location("make_fixtures", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.write_ladder_fixture
-
-
 @pytest.mark.slow
 def test_check_all_on_the_ladder_fields(tmp_path):
-    # `check all` on Q(zeta_107) took about 1.3 s on a 2-CPU x86-64 host,
-    # against about 2.6 s with a reduced norm per negative-r annihilator,
-    # a linear scan per product character and a dense trace check
-    write = _write_ladder_fixture()
+    # `check all` on Q(zeta_107) took about 0.6 s on a 2-CPU x86-64 host,
+    # against about 1.3 s when the fixture load built subgroup and quotient
+    # groups, the trivial product split searched every subgroup and built
+    # a second table, and characters kept Fraction exponents
+    write = ladder_fixture_writer()
     for p, want in LADDER_REPORTS.items():
         path = write(p, str(tmp_path))
         out = io.StringIO()

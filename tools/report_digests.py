@@ -7,7 +7,7 @@ fields Q(zeta_p) that `tools/make_fixtures.py` writes to a temporary
 directory.  Run it at two commits and diff the outputs to show that a
 change keeps every report byte-identical.  From the repository root:
 
-    python3 tools/report_digests.py --seeds 0-39 --ladder 47,107 > digests.txt
+    python3 tools/report_digests.py --seeds 0-39 --ladder 31,47,71,107 > digests.txt
     python3 tools/report_digests.py --seeds 0 --extra big.json > digests.txt
 
 The presentations come from `fitting_matrices` in perfbench/run.py, which
