@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .cyclotomic import Cyclo, root_of_unity_sum, unit_generators
+from .cyclotomic import Cyclo, order_data, root_of_unity_sum, unit_generators
 from .errors import (ArithmeticDomainError, GroupError, InternalCheckError,
                      NotMonomialError)
 from .groups import FiniteGroup
@@ -63,18 +63,30 @@ def chain_extension(elements, mul) -> tuple[int, list[dict]]:
     return n, chars
 
 
-def linear_character_powers(group: FiniteGroup) -> tuple[int, list[list[int]]]:
-    """Linear characters of any finite group, inflated from the
-    abelianization: ``(n, rows)`` with chi(g) = zeta_n^k for
-    k = row[g], n the order of the abelianization.  An abelian group is
-    its own abelianization."""
-    elements = list(range(group.order))
-    if group.is_abelian():
-        n, chars = chain_extension(elements, group.mul)
-        return n, [[c[g] for g in elements] for c in chars]
-    quot, proj = group.quotient(group.commutator_subgroup())
-    n, rows = linear_character_powers(quot)
-    return n, [[row[proj[g]] for g in elements] for row in rows]
+def linear_character_powers(group: FiniteGroup, u_elems=None) -> tuple[int, list[list[int]]]:
+    """Linear characters of a subgroup U of ``group``, all of it by
+    default: ``(n, rows)`` with psi(y) = zeta_n^k for k = row[j] and y the
+    j-th element of sorted U, n the order of U's abelianization.  They
+    come from chain extension over sorted U on the group's own table when
+    U is abelian, and otherwise over the cosets of U' in U, each named by
+    its smallest element, and are inflated back to U."""
+    if u_elems is None:
+        u, abelian = list(range(group.order)), group.is_abelian()
+    else:
+        u = sorted(set(u_elems))
+        abelian = group.is_abelian_subset(u)
+    if abelian:
+        n, chars = chain_extension(u, group.mul)
+        return n, [[c[y] for y in u] for c in chars]
+    rows, derived = group.table, group.commutator_subgroup(u)
+    coset: dict[int, int] = {}  # element of U -> smallest element of its coset
+    for y in u:
+        if y not in coset:
+            for z in derived:
+                coset[rows[y][z]] = y
+    reps = sorted(set(coset.values()))
+    n, chars = chain_extension(reps, lambda x, y: coset[rows[x][y]])
+    return n, [[c[coset[y]] for y in u] for c in chars]
 
 
 class Character:
@@ -95,15 +107,6 @@ class Character:
     def _lift_all(self, values):
         target = lcm(self.exponent, *(v.order for v in values))
         return [v.lift(target) for v in values]
-
-    def inner(self, other: "Character") -> Fraction:
-        if other.group is not self.group and other.group.order != self.group.order:
-            raise GroupError("characters live on different groups")
-        total = Cyclo.zero()
-        for cls, v, w in zip(self.classes, self.values, other.values):
-            total = total + v * w.conjugate() * Fraction(len(cls))
-        total = total * Fraction(1, self.group.order)
-        return total.to_fraction()
 
     def __eq__(self, other):
         return isinstance(other, Character) and self.values == other.values
@@ -133,31 +136,6 @@ def _check_multiplicative(group, u_elems, order, powers):
         for b in u_elems:
             if (pa + powers[b] - powers[row[b]]) % order:
                 raise GroupError("psi is not multiplicative on the subgroup")
-
-
-def induce_powers(group: FiniteGroup, u_elems, order: int, powers: dict[int, int]) -> Character:
-    """Induce the linear character psi(y) = zeta_order^powers[y] of a
-    subgroup to the whole group (average of psi over conjugators landing
-    in the subgroup)."""
-    u = sorted(set(u_elems))
-    if not group.is_subgroup(u):
-        raise GroupError("induction requires a subgroup")
-    if set(powers) != set(u):
-        raise GroupError("psi must be defined exactly on the subgroup")
-    _check_multiplicative(group, u, order, powers)
-    n = lcm(group.exponent(), order)
-    step = n // order
-    rows, inv = group.table, group.inv
-    vals = []
-    for cls in group.conjugacy_classes():
-        g = cls[0]
-        weights = [0] * n
-        for x in range(group.order):
-            y = rows[rows[inv[x]][g]][x]
-            if y in powers:
-                weights[powers[y] * step % n] += 1
-        vals.append(root_of_unity_sum(n, weights) * Fraction(1, len(u)))
-    return Character(group, vals)
 
 
 class MonomialCertificate:
@@ -373,23 +351,51 @@ def irreducibles_monomial(group: FiniteGroup) -> CharacterTable:
 
 
 def _induced_table(group: FiniteGroup) -> CharacterTable:
+    """Induce the linear characters of every subgroup U, largest first,
+    each in chain-extension order, keeping each induced character that is
+    irreducible and new.  Ind psi at the class of g is (|C_G(g)| / |U|)
+    times the sum of psi over the class members in U, kept as integer
+    weights w_k on the powers of zeta_n, n = lcm(exponent, order of psi);
+    it is irreducible exactly when <chi, chi> = 1, which in traces over Q
+    is sum_cls |cls| sum_{k,l} w_k w_l Tr(zeta_n^(k-l)) = |G| |U|^2 phi(n)."""
     found: list[Character] = []
     certs: list[MonomialCertificate] = []
     seen = set()
     total = 0
+    size, exp, ids = group.order, group.exponent(), group.class_index()
+    classes = group.conjugacy_classes()
     for u in group.all_subgroups():
-        sub, back = group.subgroup_as_group(u)
-        order, rows = linear_character_powers(sub)
+        if not group.is_subgroup(u):
+            raise GroupError("induction requires a subgroup")
+        inside = [[] for _ in classes]  # per class, its members in U
+        for y in u:
+            inside[ids[y]].append(y)
+        order, rows = linear_character_powers(group, u)
+        n = lcm(exp, order)
+        step, data = n // order, order_data(n)
         for row in rows:
-            powers = {back[i]: k for i, k in enumerate(row)}
-            chi = induce_powers(group, u, order, powers)
-            if chi.inner(chi) != 1 or chi.values in seen:
+            powers = dict(zip(u, row))
+            _check_multiplicative(group, u, order, powers)
+            weights, norm = [], 0
+            for cls, members in zip(classes, inside):
+                w = [0] * n
+                for y in members:
+                    w[powers[y] * step] += size // len(cls)
+                terms = [(k, c) for k, c in enumerate(w) if c]
+                norm += len(cls) * sum(a * c * data.traces[(k - l) % n]
+                                       for k, a in terms for l, c in terms)
+                weights.append(w)
+            if norm != size * len(u) ** 2 * data.phi:
+                continue
+            chi = Character(group, [root_of_unity_sum(n, w) * Fraction(1, len(u))
+                                    for w in weights])
+            if chi.values in seen:
                 continue
             seen.add(chi.values)
             found.append(chi)
             certs.append(MonomialCertificate(u, order, powers))
             total += chi.degree ** 2
-            if total == group.order:
+            if total == size:
                 return CharacterTable(group, found, certs)
     raise NotMonomialError(
         f"only {total} of {group.order} in the degree-square count; "

@@ -223,70 +223,98 @@ def cmd_fixtures_validate(args, fix: ExtensionFixture) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(p):
+    p.add_argument("--fixture", required=True,
+                   help="path to a skvfix/1 JSON fixture")
+    p.add_argument("--out", default=None, help="write output to a file")
+    p.add_argument("--format", choices=("json", "text"), default="json")
+
+
+def _bound(p):
+    p.add_argument("--bound", type=int, default=2,
+                   help="truncation budget for searched sets")
+
+
+def _labels(p, flag):
+    p.add_argument(flag, type=_split, default=None,
+                   help="comma-separated place labels")
+
+
+def _add_theta(sub):
+    p = sub.add_parser("theta", help="assemble and print theta_S^T(r)")
+    _common(p)
+    p.add_argument("--r", type=int, default=0)
+    _labels(p, "--S")
+    _labels(p, "--T")
+
+
+def _add_check(sub):
+    p = sub.add_parser("check", help="run a verdict suite")
+    _common(p)
+    _bound(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="copied into the report's seed field; "
+                        "no suite is random")
+    p.add_argument("--timings", action="store_true",
+                   help="include (non-deterministic) timings in reports")
+    p.add_argument("suite", choices=[*SUITES, "all"])
+    p.add_argument("--r", type=int, default=None)
+    _labels(p, "--S")
+    _labels(p, "--T")
+    p.add_argument("--p", type=int, default=None,
+                   help="p-local membership variant")
+    # None tells a given --bound from the default of 2, which a suite
+    # that never reads --bound must not be given
+    p.set_defaults(bound=None)
+
+
+def _add_sku(sub):
+    p = sub.add_parser("sku", help="emit the truncated generator set")
+    _common(p)
+    _bound(p)
+    _labels(p, "--S")
+
+
+def _add_fitting(sub):
+    p = sub.add_parser("fitting",
+                       help="Fitting generators of a presentation matrix")
+    _common(p)
+    p.add_argument("--matrix", required=True,
+                   help="JSON file with a 'rows' presentation matrix")
+
+
+def _add_fixtures(sub):
+    p = sub.add_parser("fixtures", help="fixture tools")
+    fx_sub = p.add_subparsers(dest="fixtures_command", required=True)
+    _common(fx_sub.add_parser("validate", help="validate a fixture file"))
+
+
+#: Each command and the function that adds its subparser, in help order.
+COMMANDS = {"theta": _add_theta, "check": _add_check, "sku": _add_sku,
+            "fitting": _add_fitting, "fixtures": _add_fixtures}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every command's subparser, or with only
+    the subparser of ``command``.  Both print the same usage line, so a
+    parse of arguments that start with ``command`` gives the same output
+    and exit code either way."""
     parser = argparse.ArgumentParser(
         prog="skv",
         description="Exact Stickelberger elements and integrality verdicts.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--fixture", required=True,
-                       help="path to a skvfix/1 JSON fixture")
-        p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-
-    def bound(p):
-        p.add_argument("--bound", type=int, default=2,
-                       help="truncation budget for searched sets")
-
-    def labels(p, flag):
-        p.add_argument(flag, type=_split, default=None,
-                       help="comma-separated place labels")
-
-    p_theta = sub.add_parser("theta", help="assemble and print theta_S^T(r)")
-    common(p_theta)
-    p_theta.add_argument("--r", type=int, default=0)
-    labels(p_theta, "--S")
-    labels(p_theta, "--T")
-
-    p_check = sub.add_parser("check", help="run a verdict suite")
-    common(p_check)
-    bound(p_check)
-    p_check.add_argument("--seed", type=int, default=0,
-                         help="copied into the report's seed field; "
-                              "no suite is random")
-    p_check.add_argument("--timings", action="store_true",
-                         help="include (non-deterministic) timings in reports")
-    p_check.add_argument("suite", choices=[*SUITES, "all"])
-    p_check.add_argument("--r", type=int, default=None)
-    labels(p_check, "--S")
-    labels(p_check, "--T")
-    p_check.add_argument("--p", type=int, default=None,
-                         help="p-local membership variant")
-    # None tells a given --bound from the default of 2, which a suite
-    # that never reads --bound must not be given
-    p_check.set_defaults(bound=None)
-
-    p_sku = sub.add_parser("sku", help="emit the truncated generator set")
-    common(p_sku)
-    bound(p_sku)
-    labels(p_sku, "--S")
-
-    p_fit = sub.add_parser("fitting",
-                           help="Fitting generators of a presentation matrix")
-    common(p_fit)
-    p_fit.add_argument("--matrix", required=True,
-                       help="JSON file with a 'rows' presentation matrix")
-
-    p_fx = sub.add_parser("fixtures", help="fixture tools")
-    fx_sub = p_fx.add_subparsers(dest="fixtures_command", required=True)
-    p_val = fx_sub.add_parser("validate", help="validate a fixture file")
-    common(p_val)
+    # the choices as the full parser lists them in its usage line
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in COMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a parse that starts with a command only ever reads its subparser
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

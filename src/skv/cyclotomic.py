@@ -76,21 +76,31 @@ def unit_residues(modulus: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def unit_generators(modulus: int) -> tuple[int, ...]:
-    """A generating set of (Z/modulus)^x: each unit, smallest first, that
-    the units taken so far do not generate."""
-    gens, span = [], {1}
+def unit_tower(modulus: int) -> tuple[tuple[int, int], ...]:
+    """Greedy generators of (Z/modulus)^x with their relative orders: each
+    unit a, smallest first, that the units taken so far do not generate,
+    paired with the least m >= 2 such that a^m lies in the span of the
+    earlier ones.  Every unit is then a_1^e_1 ... a_r^e_r for exactly one
+    choice of exponents 0 <= e_i < m_i."""
+    tower, span = [], {1}
     for a in range(2, modulus):
         if gcd(a, modulus) != 1 or a in span:
             continue
-        gens.append(a)
-        # <span, a> is the union of the cosets span * a^k
-        grown, power = set(span), a
+        # <span, a> is the union of the cosets span * a^k, 0 <= k < m
+        grown, power, m = set(span), a, 1
         while power not in span:
             grown.update(s * power % modulus for s in span)
             power = power * a % modulus
+            m += 1
+        tower.append((a, m))
         span = grown
-    return tuple(gens)
+    return tuple(tower)
+
+
+@lru_cache(maxsize=None)
+def unit_generators(modulus: int) -> tuple[int, ...]:
+    """A generating set of (Z/modulus)^x: the generators of ``unit_tower``."""
+    return tuple(a for a, _ in unit_tower(modulus))
 
 
 class _OrderData:
@@ -238,6 +248,21 @@ def _product(a: "Cyclo", b: "Cyclo") -> "Cyclo":
     return _normal(a.order, _reduce_poly(conv, order_data(a.order)), a.den * b.den)
 
 
+def _conjugate_product(y: "Cyclo", a: int, k: int) -> "Cyclo":
+    """prod_{e=0}^{k-1} sigma_a^e(y) for k >= 1, by doubling: with
+    P(j) that product over e < j, P(2j) = P(j) * sigma_a^j(P(j)) and
+    P(j + 1) = y * sigma_a(P(j))."""
+    n = y.order
+    p, j = y, 1
+    for bit in bin(k)[3:]:
+        p = _product(p, p._substitute(pow(a, j, n), n))
+        j *= 2
+        if bit == "1":
+            p = _product(y, p._substitute(a, n))
+            j += 1
+    return p
+
+
 class Cyclo:
     """Immutable element of Q(zeta_n) in the power basis.
 
@@ -312,13 +337,6 @@ class Cyclo:
                     c[j] = r
             z = data.zetas.setdefault(k, _make(n, c, 1))
         return z
-
-    @staticmethod
-    def from_root_of_unity(exponent: Fraction) -> "Cyclo":
-        """e^(2*pi*i*exponent) for a rational exponent."""
-        e = Fraction(exponent)
-        num = e.numerator % e.denominator
-        return Cyclo.zeta(e.denominator, num)
 
     # -- structure ----------------------------------------------------
 
@@ -416,13 +434,18 @@ class Cyclo:
             raise DivisionByZero("inverse of zero cyclotomic number")
         if self.is_rational():
             return Cyclo.rational(1 / self.to_fraction()).lift(self.order)
-        # x^-1 = (product of the other conjugates of x) / N(x)
+        # x^-1 = (product of the other conjugates of x) / N(x), the product
+        # taken one step of the unit tower at a time: with y_0 = x and
+        # Q_i = prod_{e=1}^{m_i-1} sigma_{a_i}^e(y_{i-1}), y_i = y_{i-1} Q_i
+        # is the product of sigma(x) over <a_1, ..., a_i>, so y_r = N(x)
+        # and x * Q_1 ... Q_r = N(x)
         n = self.order
-        others = Cyclo.one(n)
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                others = _product(others, self._substitute(k, n))
-        inv_norm = 1 / _product(others, self).to_fraction()
+        y, others = self, None
+        for a, m in unit_tower(n):
+            q = _conjugate_product(y, a, m - 1)._substitute(a, n)
+            others = q if others is None else _product(others, q)
+            y = _product(y, q)
+        inv_norm = 1 / y.to_fraction()
         return _scale(others, inv_norm.numerator, inv_norm.denominator)
 
     def __truediv__(self, other):

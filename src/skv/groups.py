@@ -269,9 +269,12 @@ class FiniteGroup:
             while frontier:
                 nxt = set()
                 for sub in frontier:
-                    inside = set(sub)
+                    # <sub, g> = <sub, gh> for h in sub: one g per coset g sub
+                    done = set(sub)
                     for g in range(1, self.order):
-                        if g not in inside:
+                        if g not in done:
+                            row = self.table[g]
+                            done.update(row[h] for h in sub)
                             ext = self.subgroup_closure(set(sub) | {g})
                             if ext not in found:
                                 found.add(ext)
@@ -280,7 +283,7 @@ class FiniteGroup:
             self._subgroups = sorted(found, key=lambda s: (-len(s), s))
         return list(self._subgroups)
 
-    # -- quotients and subgroup-as-group -----------------------------------
+    # -- subgroups as groups, cosets -----------------------------------------
 
     def subgroup_as_group(self, elems) -> tuple["FiniteGroup", dict[int, int]]:
         """Standalone group on the subgroup, plus map subgroup-index -> parent element."""
@@ -290,22 +293,6 @@ class FiniteGroup:
         pos = {g: i for i, g in enumerate(elems)}
         tbl = [[pos[self.mul(a, b)] for b in elems] for a in elems]
         return FiniteGroup(tbl, labels=[self.labels[g] for g in elems]), dict(enumerate(elems))
-
-    def quotient(self, normal_elems) -> tuple["FiniteGroup", list[int]]:
-        """Quotient by a normal subgroup; returns (G/N, projection element -> coset index)."""
-        ns = sorted(set(normal_elems))
-        if not self.is_subgroup(ns) or not self.is_normal(ns):
-            raise GroupError("quotient requires a normal subgroup")
-        coset_of = [-1] * self.order
-        reps = []
-        for g in range(self.order):
-            if coset_of[g] == -1:
-                idx = len(reps)
-                reps.append(g)
-                for h in ns:
-                    coset_of[self.mul(g, h)] = idx
-        tbl = [[coset_of[self.mul(a, b)] for b in reps] for a in reps]
-        return FiniteGroup(tbl), coset_of
 
     def coset_reps(self, elems) -> list[int]:
         """Left coset representatives of a subgroup, minimal element first."""

@@ -111,18 +111,10 @@ class DirichletCharacter:
                           for g in unit_generators(modulus) for a in ints):
             raise FixtureError("character values are not multiplicative")
 
-    @staticmethod
-    def trivial(modulus: int = 1) -> "DirichletCharacter":
-        return DirichletCharacter(modulus, dict.fromkeys(unit_residues(modulus), Fraction(0)))
-
     @cached_property
     def exps(self) -> dict[int, Fraction]:
         """The values as Fraction exponents mod 1."""
         return {a: Fraction(k, self.order) for a, k in self.powers.items()}
-
-    def exponent_at(self, a: int) -> Fraction | None:
-        k = self.powers.get(a % self.modulus if self.modulus > 1 else 1)
-        return None if k is None else Fraction(k, self.order)
 
     def __call__(self, a: int) -> Cyclo:
         k = self.powers.get(a % self.modulus if self.modulus > 1 else 1)
@@ -139,11 +131,6 @@ class DirichletCharacter:
 
     def is_trivial(self) -> bool:
         return not any(self.powers.values())
-
-    def is_odd(self) -> bool:
-        if self.modulus <= 2:
-            return False
-        return 2 * self.powers[self.modulus - 1] == self.order
 
     @property
     def conductor(self) -> int:

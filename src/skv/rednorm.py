@@ -111,16 +111,18 @@ def grm_equal(a, b) -> bool:
 
 
 def apply_representation(rep: MonomialRepresentation, a):
-    """Apply a representation entrywise to a group-ring matrix, producing
-    the blown-up cyclotomic block matrix.  A block entry is the sum of
+    """Apply a representation of degree d entrywise to a group-ring matrix
+    of r rows, the longest with c entries, producing the blown-up (r d) x
+    (c d) cyclotomic block matrix; row s of ``a`` becomes the d rows from
+    s * d on.  A block entry is the sum of
     c * zeta_N^k over its terms; it is added up as integer weights on the
     L-th roots of unity, L the lcm of lcm(c.order, N / gcd(k, N)) over the
     terms, and reduced once, which gives the value and order of the
     running Cyclo sum.  An entry with no terms is Cyclo.zero()."""
     d, columns = rep.degree, rep.columns
-    n = len(a) * d
+    width = max(map(len, a), default=0) * d
     zero = Cyclo.zero()
-    out = [[zero] * n for _ in range(n)]
+    out = [[zero] * width for _ in range(len(a) * d)]
     for s, row in enumerate(a):
         for t, entry in enumerate(row):
             terms = {}  # (i, j) -> [(c, k), ...]
@@ -161,9 +163,28 @@ def reduced_norm_component(a, table: CharacterTable, i: int) -> Cyclo:
 def reduced_norm(a, table: CharacterTable) -> CentralElement:
     """Reduced norm of a square matrix over the group ring, as a central
     element (one determinant per irreducible)."""
-    comps = [reduced_norm_component(a, table, i) for i in range(len(table))]
-    rational = all(entry.is_rational() for row in a for entry in row)
-    if rational:
+    return _rows_norm(a, range(len(a)), _represented(a, table), table)
+
+
+def _represented(a, table: CharacterTable) -> list[tuple[int, list]]:
+    """Per irreducible, its degree and the block matrix of ``a`` under
+    its monomial representation."""
+    reps = (monomial_representation(table, i) for i in range(len(table)))
+    return [(rep.degree, apply_representation(rep, a)) for rep in reps]
+
+
+def _rows_norm(a, rows, blocks, table: CharacterTable) -> CentralElement:
+    """Reduced norm of the matrix made of the given rows of the group-ring
+    matrix ``a``, with ``blocks`` the ``_represented`` blocks of all of
+    ``a``: its component at an irreducible of degree d is the determinant
+    of the d rows from r * d on of that block, for each selected row r.
+    The selection must be square, and the components of a rational one
+    must pass the Galois self-check."""
+    if any(len(a[r]) != len(rows) for r in rows):
+        raise GroupError("reduced norm requires a square matrix")
+    comps = [mat_det([block[r * d + i] for r in rows for i in range(d)])
+             for d, block in blocks]
+    if all(entry.is_rational() for r in rows for entry in a[r]):
         table.check_galois(comps, "reduced norm")
     return CentralElement(table, comps)
 
@@ -266,7 +287,8 @@ class FittingInvariant:
 
 def fitting_of_presentation(h, table: CharacterTable) -> FittingInvariant:
     """Fitting invariant of the presentation matrix h (a rows, b columns,
-    rows are relations): reduced norms of all b x b row selections."""
+    rows are relations): reduced norms of all b x b row selections, each
+    read off the blocks of the whole of h under every irreducible."""
     a = len(h)
     b = len(h[0]) if a else 0
     if not grm_is_integral(h):
@@ -274,10 +296,9 @@ def fitting_of_presentation(h, table: CharacterTable) -> FittingInvariant:
     if a < b:
         zero = CentralElement(table, [Cyclo.zero()] * len(table))
         return FittingInvariant([zero], quadratic=False, zero=True)
-    gens = []
-    for rows in itertools.combinations(range(a), b):
-        sub = [h[r] for r in rows]
-        gens.append(reduced_norm(sub, table))
+    blocks = _represented(h, table)
+    gens = [_rows_norm(h, rows, blocks, table)
+            for rows in itertools.combinations(range(a), b)]
     return FittingInvariant(gens, quadratic=(a == b), zero=False)
 
 
@@ -297,10 +318,14 @@ class FiniteGModule:
         for g in range(group.order):
             if g not in action:
                 raise FixtureError(f"no action matrix for group element {g}")
-            m = [[int(x) % self.factors[i] for x in row] for i, row in enumerate(action[g])]
-            if len(m) != k or any(len(r) != k for r in m):
+            m = action[g]
+            if not isinstance(m, list) or len(m) != k or \
+                    any(not isinstance(r, list) or len(r) != k for r in m):
                 raise FixtureError("action matrix has wrong shape")
-            self.action[g] = m
+            # type(x) is int also rejects bool, and a float is not truncated
+            if not all(type(x) is int for r in m for x in r):
+                raise FixtureError(f"action matrix of element {g} has a non-integer entry")
+            self.action[g] = [[x % d for x in r] for r, d in zip(m, self.factors)]
         ident = self.action[0]
         for i in range(k):
             for j in range(k):

@@ -6,15 +6,17 @@ or a helper no verdict needs; tests compare against them or exercise them.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from math import gcd, lcm
 
 from skv.arithdata import ExtensionFixture, PlaceData, mu_tate_annihilators
-from skv.characters import (Character, CharacterTable, _powers_over_common_order,
-                            induce_powers, irreducibles_monomial,
+from skv.characters import (Character, CharacterTable, MonomialCertificate,
+                            _check_multiplicative, _powers_over_common_order,
+                            chain_extension, irreducibles_monomial,
                             linear_character_powers)
-from skv.cyclotomic import Cyclo, root_of_unity_sum
-from skv.errors import FixtureError, GroupError
+from skv.cyclotomic import Cyclo, _product, _scale, root_of_unity_sum, unit_residues
+from skv.errors import FixtureError, GroupError, NotMonomialError
 from skv.grouprings import GroupRingElement
 from skv.groups import FiniteGroup
 from skv.linalg import mat_det, mat_identity, mat_mul, mat_scale, mat_sub
@@ -38,6 +40,166 @@ def contragredient_values(chi: Character) -> tuple[Cyclo, ...]:
 def galois_values(chi: Character, k: int) -> tuple[Cyclo, ...]:
     """sigma_k applied to every value of chi."""
     return tuple(v.galois(k) for v in chi.values)
+
+
+def from_root_of_unity(exponent: Fraction) -> Cyclo:
+    """e^(2*pi*i*exponent) for a rational exponent."""
+    e = Fraction(exponent)
+    return Cyclo.zeta(e.denominator, e.numerator % e.denominator)
+
+
+def inverse_by_conjugates(x: Cyclo) -> Cyclo:
+    """x^-1 for a non-rational x of order n, as the product of sigma_k(x)
+    over every unit k != 1 mod n, divided by the norm N(x)."""
+    n = x.order
+    others = Cyclo.one(n)
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            others = _product(others, x._substitute(k, n))
+    inv_norm = 1 / _product(others, x).to_fraction()
+    return _scale(others, inv_norm.numerator, inv_norm.denominator)
+
+
+def inner(chi: Character, psi: Character) -> Fraction:
+    """<chi, psi> = (1/|G|) sum over classes of |cls| chi(g) conj(psi(g)),
+    in Cyclo arithmetic."""
+    if psi.group is not chi.group and psi.group.order != chi.group.order:
+        raise GroupError("characters live on different groups")
+    total = Cyclo.zero()
+    for cls, v, w in zip(chi.classes, chi.values, psi.values):
+        total = total + v * w.conjugate() * Fraction(len(cls))
+    total = total * Fraction(1, chi.group.order)
+    return total.to_fraction()
+
+
+def quotient(group: FiniteGroup, normal_elems) -> tuple[FiniteGroup, list[int]]:
+    """Quotient by a normal subgroup; returns (G/N, projection element ->
+    coset index)."""
+    ns = sorted(set(normal_elems))
+    if not group.is_subgroup(ns) or not group.is_normal(ns):
+        raise GroupError("quotient requires a normal subgroup")
+    coset_of = [-1] * group.order
+    reps = []
+    for g in range(group.order):
+        if coset_of[g] == -1:
+            idx = len(reps)
+            reps.append(g)
+            for h in ns:
+                coset_of[group.mul(g, h)] = idx
+    tbl = [[coset_of[group.mul(a, b)] for b in reps] for a in reps]
+    return FiniteGroup(tbl), coset_of
+
+
+def linear_character_powers_by_quotient(group: FiniteGroup) -> tuple[int, list[list[int]]]:
+    """Linear characters of a finite group as ``(n, rows)``, by chain
+    extension on the group itself or on its abelianization, built as a
+    quotient group."""
+    elements = list(range(group.order))
+    if group.is_abelian():
+        n, chars = chain_extension(elements, group.mul)
+        return n, [[c[g] for g in elements] for c in chars]
+    quot, proj = quotient(group, group.commutator_subgroup())
+    n, rows = linear_character_powers_by_quotient(quot)
+    return n, [[row[proj[g]] for g in elements] for row in rows]
+
+
+def induce_powers(group: FiniteGroup, u_elems, order: int, powers: dict[int, int]) -> Character:
+    """Induce the linear character psi(y) = zeta_order^powers[y] of a
+    subgroup to the whole group (average of psi over conjugators landing
+    in the subgroup)."""
+    u = sorted(set(u_elems))
+    if not group.is_subgroup(u):
+        raise GroupError("induction requires a subgroup")
+    if set(powers) != set(u):
+        raise GroupError("psi must be defined exactly on the subgroup")
+    _check_multiplicative(group, u, order, powers)
+    n = lcm(group.exponent(), order)
+    step = n // order
+    rows, inv = group.table, group.inv
+    vals = []
+    for cls in group.conjugacy_classes():
+        g = cls[0]
+        weights = [0] * n
+        for x in range(group.order):
+            y = rows[rows[inv[x]][g]][x]
+            if y in powers:
+                weights[powers[y] * step % n] += 1
+        vals.append(root_of_unity_sum(n, weights) * Fraction(1, len(u)))
+    return Character(group, vals)
+
+
+def induced_table_by_groups(group: FiniteGroup) -> CharacterTable:
+    """The table of induced characters as built before the integer path:
+    each candidate U as its own group, its linear characters through a
+    quotient group, each induced in Cyclo values and tested with inner
+    products."""
+    found, certs, seen, total = [], [], set(), 0
+    for u in group.all_subgroups():
+        sub, back = group.subgroup_as_group(u)
+        order, rows = linear_character_powers_by_quotient(sub)
+        for row in rows:
+            powers = {back[i]: k for i, k in enumerate(row)}
+            chi = induce_powers(group, u, order, powers)
+            if inner(chi, chi) != 1 or chi.values in seen:
+                continue
+            seen.add(chi.values)
+            found.append(chi)
+            certs.append(MonomialCertificate(u, order, powers))
+            total += chi.degree ** 2
+            if total == group.order:
+                return CharacterTable(group, found, certs)
+    raise NotMonomialError(
+        f"only {total} of {group.order} in the degree-square count; "
+        "group admits non-monomial irreducibles"
+    )
+
+
+def all_subgroups_by_closures(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every subgroup, sorted by decreasing order then lexicographically,
+    found by extending each subgroup found by every element outside it."""
+    found = {(0,)} | {group.subgroup_closure([g]) for g in range(group.order)}
+    frontier = set(found)
+    while frontier:
+        nxt = set()
+        for sub in frontier:
+            for g in range(1, group.order):
+                if g not in sub:
+                    ext = group.subgroup_closure(set(sub) | {g})
+                    if ext not in found:
+                        found.add(ext)
+                        nxt.add(ext)
+        frontier = nxt
+    return sorted(found, key=lambda s: (-len(s), s))
+
+
+def monomial_test_groups() -> dict[str, FiniteGroup]:
+    """Non-abelian groups to test the induced table on: monomial ones of
+    orders 6 to 36, and SL(2,3), which is not monomial."""
+    perms = {"S3": [[1, 2, 0], [1, 0, 2]], "D4": [[1, 2, 3, 0], [0, 3, 2, 1]],
+             "A4": [[1, 2, 0, 3], [0, 2, 3, 1]], "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
+             "D5": [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]],
+             "D6": [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]],
+             # x -> x + 1 and x -> 2x on Z/5: the Frobenius group of order 20
+             "F20": [[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]],
+             "Q8": [[1, 4, 7, 2, 5, 0, 3, 6], [2, 3, 4, 5, 6, 7, 0, 1]]}
+    groups = {name: FiniteGroup.from_permutations(p) for name, p in perms.items()}
+    product = FiniteGroup.direct_product
+    groups["S3xC2"] = product(groups["S3"], FiniteGroup.cyclic(2))
+    groups["s3c2"] = ExtensionFixture.load(os.path.join(
+        os.path.dirname(__file__), "..", "src", "skv", "fixtures", "s3c2.json")).group
+    groups["Q8xC3"] = product(groups["Q8"], FiniteGroup.cyclic(3))
+    groups["S3xC6"] = product(groups["S3"], FiniteGroup.cyclic(6))
+    groups["D4xC2"] = product(groups["D4"], FiniteGroup.cyclic(2))
+    # SL(2,3) on the eight nonzero vectors of F_3^2
+    vecs = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
+
+    def acting(m):
+        return [vecs.index(((m[0][0] * x + m[0][1] * y) % 3,
+                            (m[1][0] * x + m[1][1] * y) % 3)) for x, y in vecs]
+
+    groups["SL(2,3)"] = FiniteGroup.from_permutations(
+        [acting([[1, 1], [0, 1]]), acting([[1, 0], [1, 1]])])
+    return groups
 
 
 def induce_from_linear(group: FiniteGroup, u_elems, exps: dict[int, Fraction]) -> Character:
@@ -136,6 +298,24 @@ def local_factor_matrix(fix: ExtensionFixture, place: PlaceData, chi_index: int,
     return mat_det(mat_sub(mat_identity(d), m))
 
 
+def exponent_at(chi: DirichletCharacter, a: int) -> Fraction | None:
+    """chi(a) as a Fraction exponent mod 1, or None where chi(a) = 0."""
+    k = chi.powers.get(a % chi.modulus if chi.modulus > 1 else 1)
+    return None if k is None else Fraction(k, chi.order)
+
+
+def is_odd(chi: DirichletCharacter) -> bool:
+    """chi(-1) = -1."""
+    if chi.modulus <= 2:
+        return False
+    return 2 * chi.powers[chi.modulus - 1] == chi.order
+
+
+def trivial_character(modulus: int = 1) -> DirichletCharacter:
+    """The trivial character mod ``modulus``, through the checked constructor."""
+    return DirichletCharacter(modulus, dict.fromkeys(unit_residues(modulus), Fraction(0)))
+
+
 def bernoulli_eval(bn: BernoulliData, x: Fraction) -> Fraction:
     """B_n(x) by Horner's rule in Fractions."""
     acc = Fraction(0)
@@ -151,7 +331,7 @@ def generalized_bernoulli_fractions(n: int, chi: DirichletCharacter) -> Cyclo:
     order = chi.order
     weights = [Fraction(0)] * order
     for a in range(1, f + 1):
-        e = chi.exponent_at(a)
+        e = exponent_at(chi, a)
         if e is None:
             continue
         k = (e.numerator * (order // e.denominator)) % order
@@ -238,7 +418,7 @@ def relative_class_number_qzeta(p: int) -> Fraction:
     characters mod p."""
     val = Cyclo.rational(2 * p)
     for chi in characters_mod(p):
-        if chi.is_odd():
+        if is_odd(chi):
             val = val * (L_at_nonpositive(0, chi) * Fraction(1, 2))
     return val.to_fraction()
 
@@ -282,7 +462,7 @@ def local_groups_by_subgroups(place: PlaceData, group: FiniteGroup, dec_gens, in
         raise FixtureError(f"place {place.label}: inertia not normal in decomposition")
     if place.frobenius not in dec:
         raise FixtureError(f"place {place.label}: Frobenius outside decomposition")
-    quot, proj = sub.quotient([pos[g] for g in place.inertia])
+    quot, proj = quotient(sub, [pos[g] for g in place.inertia])
     if quot.element_order(proj[pos[place.frobenius]]) != len(dec) // len(place.inertia):
         raise FixtureError(
             f"place {place.label}: Frobenius order inconsistent with |G_P/I_P|")

@@ -11,12 +11,15 @@ from skv.characters import (_abelian_table, _check_multiplicative,
                             _induced_table, _powers_over_common_order,
                             irreducibles_monomial, linear_character_powers)
 from skv.cyclotomic import Cyclo, unit_generators
-from skv.errors import ArithmeticDomainError, GroupError, InternalCheckError
+from skv.errors import (ArithmeticDomainError, GroupError, InternalCheckError,
+                        NotMonomialError)
 from skv.groups import FiniteGroup, _named_tables, named_group
 
 from oracles import (contragredient_values, fraction_certificate_exps,
                      galois_equivariant_all_units, galois_values,
-                     induce_from_linear, linear_characters, value_at)
+                     induce_from_linear, induced_table_by_groups, inner,
+                     linear_character_powers_by_quotient, linear_characters,
+                     monomial_test_groups, value_at)
 
 
 def test_c6_linear_characters():
@@ -56,7 +59,7 @@ def test_orthogonality_relations():
         table = irreducibles_monomial(named_group(name))
         for i, a in enumerate(table):
             for j, b in enumerate(table):
-                assert a.inner(b) == (1 if i == j else 0)
+                assert inner(a, b) == (1 if i == j else 0)
 
 
 def test_certificates_induce_back():
@@ -326,3 +329,39 @@ def test_index_of_values_at_a_foreign_order():
     # -1 stored at order 3 is not a key at order 2 but is still a value
     sign = (Cyclo.one(3), -Cyclo.one(3))
     assert table.index_of_values(sign) == 1
+
+
+MONOMIAL_GROUPS = monomial_test_groups()
+
+
+@pytest.mark.parametrize("name", [n for n in MONOMIAL_GROUPS if n != "SL(2,3)"])
+def test_integer_induced_table_matches_the_group_building_path(name):
+    group = MONOMIAL_GROUPS[name]
+    new, old = _induced_table(group), induced_table_by_groups(group)
+    assert [(c.u_elems, c.order, c.powers) for c in new.certificates] == \
+        [(c.u_elems, c.order, c.powers) for c in old.certificates]
+    assert [[(v.order, v.num, v.den) for v in c.values] for c in new] == \
+        [[(v.order, v.num, v.den) for v in c.values] for c in old]
+
+
+def test_non_monomial_group_fails_alike_on_both_paths():
+    group = MONOMIAL_GROUPS["SL(2,3)"]
+    messages = []
+    for build in (_induced_table, induced_table_by_groups):
+        with pytest.raises(NotMonomialError) as info:
+            build(group)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("only 12 of 24")
+
+
+@pytest.mark.parametrize("name", ["S4", "F20", "S3xC6", "D4xC2"])
+def test_subgroup_linear_characters_match_their_own_groups(name):
+    # chain extension on the parent's table, over U or over U / U', gives
+    # the characters of U built as a group, in the same order
+    group = MONOMIAL_GROUPS[name]
+    for u in group.all_subgroups():
+        sub, back = group.subgroup_as_group(u)
+        order, rows = linear_character_powers_by_quotient(sub)
+        assert linear_character_powers(group, u) == (order, rows), u
+

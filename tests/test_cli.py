@@ -1,13 +1,16 @@
 """CLI behavior: subcommands, exit codes, determinism, error reporting."""
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 
 import skv
-from skv.cli import main
+from skv.cli import COMMANDS, build_parser, main
 from skv.verify import SUITES
 
 from conftest import FIXTURE_NAMES, fixture_path, load_fixture_json
@@ -452,3 +455,51 @@ def test_theta_source_value_keys_parse_strictly(tmp_path, capsys):
             code, out, err = run_cli(capsys, *argv, "--fixture", str(path))
             assert code == 3 and not out, (mutate.__name__, argv, err)
             assert what in err and err.count("\n") == 1, err
+
+
+def test_class_group_action_shape_and_entries_exit_3(tmp_path, capsys):
+    # rows are checked for shape before any entry is reduced by its factor
+    cases = [([[1], [2]], "wrong shape"), ([5], "wrong shape"),
+             ([[1, 2]], "wrong shape"), ([[1.5]], "non-integer entry"),
+             ([["1"]], "non-integer entry"), ([[True]], "non-integer entry")]
+    for matrix, what in cases:
+        obj = load_fixture_json("q_zeta23")
+        obj["classGroups"][0]["action"]["1"] = matrix
+        path = tmp_path / "q_zeta23_action.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "fixtures", "validate",
+                                 "--fixture", str(path))
+        assert code == 3 and not out, matrix
+        assert what in err and err.count("\n") == 1, (matrix, err)
+
+
+def _cli_invocations():
+    """``CLI_INVOCATIONS`` from tools/report_digests.py."""
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "report_digests.py")
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CLI_INVOCATIONS
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_command_parser_prints_what_the_full_parser_does(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    invocations = _cli_invocations()
+    for command in COMMANDS:
+        own = [argv for argv in invocations if argv and argv[0] == command]
+        assert own, command  # the help screen at least
+        for argv in own:
+            full = _parse(build_parser(), argv)
+            assert _parse(build_parser(command), argv) == full, argv
+            assert full[0] is not None, argv  # each one ends in help or an error

@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: reduction, Galois action, integrality."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skv.cyclotomic import (Cyclo, euler_phi, fraction_from_str,
-                            fraction_to_str, root_of_unity_sum)
+                            fraction_to_str, root_of_unity_sum, unit_generators,
+                            unit_residues, unit_tower)
 from skv.errors import ArithmeticDomainError
+
+from oracles import from_root_of_unity, inverse_by_conjugates
 
 
 def test_euler_phi_small_values():
@@ -44,9 +48,9 @@ def test_cross_order_comparison():
 
 
 def test_from_root_of_unity():
-    assert Cyclo.from_root_of_unity(Fraction(1, 2)) == Cyclo.rational(-1)
-    assert Cyclo.from_root_of_unity(Fraction(1, 4)) == Cyclo.zeta(4)
-    assert Cyclo.from_root_of_unity(Fraction(0)) == Cyclo.one()
+    assert from_root_of_unity(Fraction(1, 2)) == Cyclo.rational(-1)
+    assert from_root_of_unity(Fraction(1, 4)) == Cyclo.zeta(4)
+    assert from_root_of_unity(Fraction(0)) == Cyclo.one()
 
 
 def test_inverse_and_division():
@@ -291,3 +295,32 @@ def test_cached_zeta_equals_a_freshly_reduced_power():
             assert (z.order, z.num, z.den) == (fresh.order, fresh.num, fresh.den)
             # one shared value per n and k mod n
             assert Cyclo.zeta(n, k % n) is z
+
+
+def test_unit_tower_writes_each_unit_once():
+    for n in range(1, 129):
+        tower = unit_tower(n)
+        assert tuple(a for a, _ in tower) == unit_generators(n)
+        words = {1}
+        for a, m in tower:
+            # a^m lies in the span so far, and no smaller power of a does
+            assert pow(a, m, n) in words
+            assert all(pow(a, e, n) not in words for e in range(1, m))
+            words = {w * pow(a, e, n) % n for w in words for e in range(m)}
+        assert words == set(unit_residues(n)) and len(words) == euler_phi(n)
+
+
+def test_inverse_matches_the_conjugate_product_at_every_order():
+    rng = random.Random(11)
+    for n in range(1, 129):
+        phi = euler_phi(n)
+        for density in (1, 3):
+            num = [0] * phi
+            for i in rng.sample(range(phi), min(density, phi)):
+                num[i] = rng.choice((-3, -2, -1, 1, 2, 3))
+            x = Cyclo.from_numerators(n, num, rng.randint(1, 5))
+            if x.is_zero():
+                continue
+            inv, want = x.inverse(), inverse_by_conjugates(x)
+            assert (inv.order, inv.num, inv.den) == (want.order, want.num, want.den), n
+            assert x * inv == Cyclo.one()

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from skv.errors import GroupError
 from skv.groups import FiniteGroup, detect_direct_product, named_group
 
-from oracles import subgroup_h_r
+from oracles import (all_subgroups_by_closures, monomial_test_groups, quotient,
+                     subgroup_h_r)
 
 
 NAMED_ORDERS = [("C1", 1), ("C2", 2), ("C3", 3), ("C6", 6),
@@ -115,7 +116,7 @@ def test_subgroup_quotient_roundtrip():
     sub, back = s3.subgroup_as_group(a3)
     assert sub.order == 3 and sub.is_abelian()
     assert sorted(back.values()) == sorted(a3)
-    quot, proj = s3.quotient(a3)
+    quot, proj = quotient(s3, a3)
     assert quot.order == 2
     assert len(set(proj)) == 2
 
@@ -185,3 +186,10 @@ def test_group_axioms_random_triples(name, data):
     assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
     assert g.mul(a, g.inverse(a)) == 0
     assert g.mul(0, a) == a
+
+
+def test_all_subgroups_matches_extension_by_every_element():
+    groups = [*monomial_test_groups().values(), FiniteGroup.cyclic(24),
+              FiniteGroup.direct_product(named_group("C2"), named_group("C6"))]
+    for group in groups:
+        assert group.all_subgroups() == all_subgroups_by_closures(group)

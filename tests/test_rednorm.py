@@ -1,5 +1,6 @@
 """Reduced norms, star adjoints, Fitting invariants, annihilation checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from skv.cyclotomic import Cyclo
 from skv.errors import FixtureError, GroupError, InternalCheckError
 from skv.groups import named_group
 from skv.grouprings import CentralElement, GroupRingElement
-from skv.linalg import mat_mul
+from skv.linalg import mat_det, mat_mul
 from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          apply_representation, certified_h_elements,
                          fitting_of_presentation, fixed_point_trace, grm_identity,
@@ -20,8 +21,8 @@ from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          reduced_norm_component, star_adjoint)
 
 from conftest import fixture_path
-from oracles import (dense_trace, monomial_matrix, sigma_inverse,
-                     sigma_isomorphism)
+from oracles import (dense_trace, from_root_of_unity, monomial_matrix,
+                     sigma_inverse, sigma_isomorphism)
 
 
 def _tables():
@@ -300,7 +301,7 @@ def _matrices_from_certificate(table, i):
             for r, xi in enumerate(reps):
                 y = group.mul(group.inverse(xi), gx)
                 if y in u_set:
-                    m[r][j] = Cyclo.from_root_of_unity(cert.exps[y])
+                    m[r][j] = from_root_of_unity(cert.exps[y])
                     break
         mats.append(m)
     return mats
@@ -412,3 +413,67 @@ def test_sparse_trace_equals_the_dense_weights(fixtures):
                     want = dense_trace(column, rep.order, m)
                     assert (m, fixed_point_trace(column, rep.order, m), 1) == \
                         (want.order, want.num, want.den)
+
+
+# -- Fitting invariants from the blocks of the whole presentation ----------
+
+FITTING_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3)]
+
+
+def _sparse_presentation(group, a, b, rng):
+    """An a x b integral presentation with zero to two terms per entry."""
+    return [[GroupRingElement(group, {g: rng.choice((-2, -1, 1, 2))
+                                      for g in rng.sample(range(group.order),
+                                                          rng.choice((0, 1, 1, 2)))})
+             for _ in range(b)] for _ in range(a)]
+
+
+def _components(x):
+    return [(c.order, c.num, c.den) for c in x.components]
+
+
+@pytest.mark.parametrize("name", ["s3c2", "q_zeta23"])
+def test_fitting_equals_the_reduced_norm_of_each_minor(name):
+    table = DIFF_TABLES[name]
+    rng = random.Random(7)
+    for a, b in FITTING_SHAPES * 2:
+        h = _sparse_presentation(table.group, a, b, rng)
+        fitt = fitting_of_presentation(h, table)
+        minors = list(itertools.combinations(range(a), b))
+        assert len(fitt.generators) == len(minors)
+        for rows, gen in zip(minors, fitt.generators):
+            sub = [h[r] for r in rows]
+            assert _components(gen) == _components(reduced_norm(sub, table))
+            # each component straight from the minor's own block
+            assert _components(gen) == [
+                (c.order, c.num, c.den)
+                for c in (reduced_norm_component(sub, table, i)
+                          for i in range(len(table)))]
+
+
+@pytest.mark.parametrize("name", ["s3c2", "q_zeta23"])
+def test_fitting_galois_check_catches_one_corrupted_minor_component(name, monkeypatch):
+    import skv.rednorm as rednorm
+    table = DIFF_TABLES[name]
+    h = _sparse_presentation(table.group, 3, 2, random.Random(3))
+    fitting_of_presentation(h, table)  # passes uncorrupted
+    calls = 3 * len(table)  # one determinant per minor and character
+    for target in sorted({0, len(table) - 1, len(table), calls // 2, calls - 1}):
+        count = iter(range(calls))
+
+        def corrupted(m, target=target, count=count):
+            det = mat_det(m)
+            return det + Cyclo.zeta(4) if next(count) == target else det
+
+        monkeypatch.setattr(rednorm, "mat_det", corrupted)
+        with pytest.raises(InternalCheckError, match="Galois"):
+            fitting_of_presentation(h, table)
+        monkeypatch.undo()
+
+
+def test_fitting_rejects_a_ragged_presentation():
+    table = DIFF_TABLES["s3c2"]
+    one = GroupRingElement.basis(table.group, 0)
+    for h in ([[one, one], [one]], [[one, one], [one, one, one], [one, one]]):
+        with pytest.raises(GroupError, match="square"):
+            fitting_of_presentation(h, table)

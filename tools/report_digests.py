@@ -4,10 +4,14 @@ Covers `check all` on every shipped fixture and `fitting` on the random
 presentations perfbench generates for each seed in a range; `--extra`
 adds `check all` on further fixture files, and `--ladder` on the ladder
 fields Q(zeta_p) that `tools/make_fixtures.py` writes to a temporary
-directory.  Run it at two commits and diff the outputs to show that a
-change keeps every report byte-identical.  From the repository root:
+directory.  `--cli` adds the command line itself: `skv --help`, each
+command's `--help` and a fixed list of bad invocations (`CLI_INVOCATIONS`),
+each with its exit code and the sha256 of its stdout and of its stderr,
+at a fixed help width of 80 columns.  Run it at two commits and diff the
+outputs to show that a change keeps every report byte-identical.  From the
+repository root:
 
-    python3 tools/report_digests.py --seeds 0-39 --ladder 31,47,71,107 > digests.txt
+    python3 tools/report_digests.py --seeds 0-39 --ladder 31,47,71,107 --cli > digests.txt
     python3 tools/report_digests.py --seeds 0 --extra big.json > digests.txt
 
 The presentations come from `fitting_matrices` in perfbench/run.py, which
@@ -33,6 +37,39 @@ from skv.cli import main as skv_main  # noqa: E402
 
 FIXTURES = os.path.join(ROOT, "src", "skv", "fixtures")
 
+#: Help screens and bad invocations for --cli.  None of them gets as far as
+#: reading a file, so the file names need not exist.
+CLI_INVOCATIONS = [
+    ["--help"],
+    *([*command, "--help"] for command in (
+        ["theta"], ["check"], ["sku"], ["fitting"], ["fixtures"],
+        ["fixtures", "validate"])),
+    # an unknown command, and none at all
+    ["nonsense", "--fixture", "q.json"],
+    [],
+    # an unknown flag
+    ["theta", "--fixture", "q.json", "--bogus"],
+    ["check", "all", "--fixture", "q.json", "--bogus"],
+    ["sku", "--fixture", "q.json", "--bogus", "1"],
+    ["fitting", "--fixture", "q.json", "--matrix", "m.json", "--bogus"],
+    ["fixtures", "validate", "--fixture", "q.json", "--bogus"],
+    # a missing --fixture
+    ["theta"],
+    ["check", "all"],
+    ["sku", "--bound", "1"],
+    ["fitting", "--matrix", "m.json"],
+    ["fixtures", "validate"],
+    # options before the command
+    ["--fixture", "q.json", "check", "all"],
+    ["--format", "text", "theta", "--fixture", "q.json"],
+    # a missing or unknown subcommand, suite or choice
+    ["check", "--fixture", "q.json"],
+    ["check", "nonsense", "--fixture", "q.json"],
+    ["fixtures", "--fixture", "q.json"],
+    ["theta", "--fixture", "q.json", "--format", "yaml"],
+    ["sku", "--fixture", "q.json", "--bound", "two"],
+]
+
 
 def fitting_matrices():
     """perfbench's generator of (group fixture, rows) pairs for a seed."""
@@ -49,6 +86,15 @@ def digest(argv) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = skv_main(argv)
     return f"{rc} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+
+
+def cli_digest(argv) -> str:
+    """Exit code and the sha256 of stdout and of stderr of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = skv_main(argv)
+    return " ".join([str(rc), *(hashlib.sha256(s.getvalue().encode()).hexdigest()
+                                for s in (out, err))])
 
 
 def seed_range(text: str) -> range:
@@ -69,7 +115,15 @@ def main(argv=None) -> int:
     parser.add_argument("--ladder", type=prime_list, default=[], metavar="P,...",
                         help="odd primes p whose ladder field Q(zeta_p) to "
                              "digest `check all` on")
+    parser.add_argument("--cli", action="store_true",
+                        help="also digest skv's help screens and the bad "
+                             "invocations in CLI_INVOCATIONS")
     args = parser.parse_args(argv)
+    if args.cli:
+        # argparse wraps help to the terminal width, which it reads here
+        os.environ["COLUMNS"] = "80"
+        for cli_argv in CLI_INVOCATIONS:
+            print(f"cli [{' '.join(cli_argv)}] {cli_digest(cli_argv)}")
     for name in sorted(os.listdir(FIXTURES)):
         if name.endswith(".json"):
             path = os.path.join(FIXTURES, name)
