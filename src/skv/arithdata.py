@@ -252,6 +252,9 @@ class ExtensionFixture:
         self._table = None
         # (sorted S, bound) -> GeneratorSet, filled by generate_A_S
         self._a_s: dict[tuple, GeneratorSet] = {}
+        # (sorted labels, r, kind) -> product of local factors, filled by
+        # _local_product
+        self._local_products: dict[tuple, CentralElement] = {}
         # place label -> nr(N_I), filled by engine._inertia_norm
         self._inertia_norm: dict[str, object] = {}
         # the table's conjugated Dirichlet characters, filled by
@@ -411,13 +414,20 @@ def local_factor(fix: ExtensionFixture, place: PlaceData, chi_index: int,
 
 
 def _local_product(fix: ExtensionFixture, labels, r: int, kind: str) -> CentralElement:
+    """Product of the local factors over the given places, built once per
+    fixture and (sorted labels, r, kind); callers do not change it."""
+    labels = tuple(sorted(set(str(x) for x in labels)))
+    key = (labels, r, kind)
+    if key in fix._local_products:
+        return fix._local_products[key]
     table = fix.table
     comps = [Cyclo.one() for _ in range(len(table))]
-    for lab in sorted(set(str(x) for x in labels)):
+    for lab in labels:
         place = fix.place(lab)
         for i in range(len(table)):
             comps[i] = comps[i] * local_factor(fix, place, i, r, kind)
-    return CentralElement(table, comps)
+    fix._local_products[key] = CentralElement(table, comps)
+    return fix._local_products[key]
 
 
 def delta_element(fix: ExtensionFixture, t_labels, r: int = 0) -> CentralElement:

@@ -114,9 +114,6 @@ class Character:
     def __hash__(self):
         return hash(self.values)
 
-    def __add__(self, other):
-        return Character(self.group, [a + b for a, b in zip(self.values, other.values)])
-
     def __repr__(self):
         return f"Character(deg={self.degree}, values={list(self.values)!r})"
 
@@ -194,6 +191,12 @@ class CharacterTable:
         # (sorted H, sorted C) -> the Irr(H) x Irr(C) pairing of a direct
         # product G = H x C, filled by grouprings._product_pairing
         self._pairings: dict[tuple, tuple] = {}
+        # per component tuple, each component's (order, num, den) -> the
+        # group-ring coefficients, filled by CentralElement.to_group_ring
+        self._group_ring: dict[tuple, dict] = {}
+        # ("minus", j) or ("eps", sorted H) -> the central idempotent, filled
+        # by grouprings.minus_idempotent and idempotent_eps
+        self._idempotents: dict[tuple, object] = {}
 
     def _value_keys(self, values):
         """Canonical ``(order, num, den)`` keys at ``value_order``, for

@@ -157,10 +157,19 @@ class CentralElement:
         tuples, so the check fails precisely for inputs outside Q[G] (such
         as the idempotent of one non-rational character), which take the
         sum over all characters instead.
+
+        The coefficients are kept on the table per component tuple, keyed by
+        each component's exact ``(order, num, den)``, so each distinct input
+        runs the transform and its check once; every call returns a new
+        element.
         """
-        coeffs = self._trace_form()
+        key = tuple((c.order, c.num, c.den) for c in self.components)
+        coeffs = self.table._group_ring.get(key)
         if coeffs is None:
-            coeffs = self._direct_sum()
+            coeffs = self._trace_form()
+            if coeffs is None:
+                coeffs = self._direct_sum()
+            coeffs = self.table._group_ring[key] = GroupRingElement(self.group, coeffs).coeffs
         return GroupRingElement(self.group, coeffs)
 
     def _direct_sum(self) -> dict:
@@ -277,9 +286,13 @@ class CentralElement:
 
 def idempotent_eps(table: CharacterTable, h_elems) -> CentralElement:
     """Central idempotent |H|^(-1) N_H for a normal subgroup H: component 1
-    exactly at characters trivial on H."""
+    exactly at characters trivial on H.  Built once per table and sorted
+    H; callers do not change it."""
     group = table.group
-    h = sorted(set(h_elems))
+    h = tuple(sorted(set(h_elems)))
+    key = ("eps", h)
+    if key in table._idempotents:
+        return table._idempotents[key]
     if not group.is_subgroup(h) or not group.is_normal(h):
         raise GroupError("epsilon idempotent needs a normal subgroup")
     ids = group.class_index()
@@ -288,12 +301,17 @@ def idempotent_eps(table: CharacterTable, h_elems) -> CentralElement:
         deg = Cyclo.rational(chi.degree)
         trivial_on_h = all(chi.values[ids[g]] == deg for g in h)
         comps.append(Cyclo.one() if trivial_on_h else Cyclo.zero())
-    return CentralElement(table, comps)
+    table._idempotents[key] = CentralElement(table, comps)
+    return table._idempotents[key]
 
 
 def minus_idempotent(table: CharacterTable, j: int) -> CentralElement:
-    """(1 - j)/2 for a central involution j; component 1 at odd characters."""
+    """(1 - j)/2 for a central involution j; component 1 at odd characters.
+    Built once per table and j; callers do not change it."""
     group = table.group
+    key = ("minus", j)
+    if key in table._idempotents:
+        return table._idempotents[key]
     if j == 0 or group.mul(j, j) != 0 or j not in group.center():
         raise GroupError("minus projection needs a central involution")
     ids = group.class_index()
@@ -304,7 +322,8 @@ def minus_idempotent(table: CharacterTable, j: int) -> CentralElement:
         if q not in (1, -1):
             raise GroupError("character value at a central involution must be +-1")
         comps.append(Cyclo.one() if q == -1 else Cyclo.zero())
-    return CentralElement(table, comps)
+    table._idempotents[key] = CentralElement(table, comps)
+    return table._idempotents[key]
 
 
 class MembershipVerdict:

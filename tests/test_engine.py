@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import skv.arithdata
 import skv.engine
 import skv.lvalues
 from skv.arithdata import ExtensionFixture, PlaceSets
@@ -20,7 +21,7 @@ from skv.engine import (_validate_parity, inertia_norm_product, l_zero_sharp,
 from skv.grouprings import CentralElement, GroupRingElement
 from skv.verify import run_all
 
-from conftest import load_fixture_json
+from conftest import fixture_path, load_fixture_json
 
 
 def _coeffs(fix, theta):
@@ -247,6 +248,37 @@ def test_check_all_q_zeta23_evaluates_each_l_value_once(monkeypatch):
     assert len(calls) == 44
     assert len({(n, f, order, tuple(sorted(powers)))
                 for n, f, order, powers in calls}) == 44
+
+
+def test_check_all_q_zeta23_builds_each_local_product_and_transform_once(monkeypatch):
+    fix = ExtensionFixture(load_fixture_json("q_zeta23"))
+    requests = _counting(monkeypatch, skv.arithdata, "_local_product")
+    factors = _counting(monkeypatch, skv.arithdata, "local_factor")
+    transforms = _counting(monkeypatch, CentralElement, "to_group_ring")
+    trips = _counting(monkeypatch, CentralElement, "_gives_back")
+    fallbacks = _counting(monkeypatch, CentralElement, "_direct_sum")
+    assert [v.status for v in run_all(fix)] == ["verified"] * 5
+    assert len(requests) == 21 and len(fix._local_products) == 8
+    # each product is built once: one factor per place and character
+    assert len(factors) == len(fix.table) * sum(
+        len(labels) for labels, _, _ in fix._local_products) == 132
+    assert len(transforms) == 32 and len(trips) == 16 and not fallbacks
+    keys = {tuple((c.order, c.num, c.den) for c in x.components)
+            for (x,) in transforms}
+    assert len(keys) == 16 == len(fix.table._group_ring)
+
+
+def test_each_main_call_builds_its_own_memos(monkeypatch, capsys):
+    factors = _counting(monkeypatch, skv.arithdata, "local_factor")
+    trips = _counting(monkeypatch, CentralElement, "_gives_back")
+    path = fixture_path("q_zeta23")
+    counts, reports = [], []
+    for _ in range(2):
+        assert cli_main(["check", "all", "--fixture", path]) == 0
+        counts.append((len(factors), len(trips)))
+        reports.append(capsys.readouterr().out)
+    assert counts == [(132, 16), (264, 32)]
+    assert reports[0] == reports[1]
 
 
 def test_check_all_takes_nr_of_each_inertia_norm_once_per_place(monkeypatch):

@@ -343,8 +343,10 @@ def test_trace_form_falls_back_on_non_equivariant_inputs(fixtures, name, data):
 
 def test_round_trip_rejects_a_wrong_trace_form(fixtures, monkeypatch):
     for name in ("q_zeta23", "s3c2"):
-        table = fixtures[name].table
-        group = table.group
+        # a fresh table, so that no transform kept on the shared one answers
+        # in place of the fallback
+        group = fixtures[name].group
+        table = irreducibles_monomial(group)
         cls = group.conjugacy_classes()[1]
         x = GroupRingElement.norm_element(group, cls) * Fraction(1, 2) \
             + GroupRingElement.scalar(group, 3)
@@ -357,6 +359,90 @@ def test_round_trip_rejects_a_wrong_trace_form(fixtures, monkeypatch):
             assert not cent._gives_back(wrong, den)
         monkeypatch.setattr(CentralElement, "_orbit_traces",
                             lambda self: (wrong, den))
+        fallbacks = []
+        direct_sum = CentralElement._direct_sum
+        monkeypatch.setattr(CentralElement, "_direct_sum",
+                            lambda self: fallbacks.append(self) or direct_sum(self))
         assert cent._trace_form() is None
         assert cent.to_group_ring() == x
+        assert fallbacks == [cent]
         monkeypatch.undo()
+
+
+def _exact(elem: GroupRingElement) -> dict:
+    return {g: (c.order, c.num, c.den) for g, c in elem.coeffs.items()}
+
+
+def _rational_central(table) -> CentralElement:
+    group = table.group
+    x = GroupRingElement.scalar(group, 3)
+    for k, cls in enumerate(group.conjugacy_classes()[1:], 1):
+        x = x + GroupRingElement.norm_element(group, cls) * Fraction(k, 2)
+    return CentralElement.from_group_ring(table, x)
+
+
+def test_to_group_ring_returns_a_new_element_on_every_call(fixtures):
+    for name in ("q_zeta23", "s3c2"):
+        x = _rational_central(irreducibles_monomial(fixtures[name].group))
+        first = x.to_group_ring()
+        want = _exact(first)
+        first.coeffs[0] = Cyclo.rational(99)
+        del first.coeffs[max(first.coeffs)]
+        second = x.to_group_ring()
+        assert second is not first and second.coeffs is not first.coeffs
+        assert _exact(second) == want
+        second.coeffs.clear()
+        assert _exact(x.to_group_ring()) == want
+
+
+def test_to_group_ring_misses_on_one_changed_component_or_order(fixtures, monkeypatch):
+    trips = []
+    gives_back = CentralElement._gives_back
+    monkeypatch.setattr(CentralElement, "_gives_back",
+                        lambda self, *a: trips.append(self) or gives_back(self, *a))
+    for name in ("q_zeta23", "s3c2"):
+        table = irreducibles_monomial(fixtures[name].group)
+        group, t = table.group, table.trivial_index()
+        x = _rational_central(table)
+        base = x.to_group_ring()
+        assert _exact(x.to_group_ring()) == _exact(base) and trips == [x]
+        # one more at the trivial character adds its idempotent |G|^-1 N_G
+        comps = list(x.components)
+        comps[t] = comps[t] + 1
+        y = CentralElement(table, comps)
+        norm = GroupRingElement.norm_element(group, range(group.order))
+        assert y.to_group_ring() == base + norm * Fraction(1, group.order)
+        assert trips == [x, y]
+        # the same value at another order is another key
+        comps = list(x.components)
+        comps[t] = comps[t].lift(2 * comps[t].order)
+        z = CentralElement(table, comps)
+        assert z.components[t] == x.components[t]
+        assert z.components[t].order != x.components[t].order
+        assert _exact(z.to_group_ring()) == _exact(base)
+        assert trips == [x, y, z]
+        trips.clear()
+
+
+def test_idempotents_are_kept_per_table_and_bad_input_raises_every_time(fixtures):
+    group = fixtures["s3c2"].group
+    table = irreducibles_monomial(group)
+    h = next(u for u in group.all_subgroups() if not group.is_normal(u))
+    g = next(g for g in range(group.order) if group.mul(g, g) != 0)
+    for _ in range(2):
+        with pytest.raises(GroupError, match="normal subgroup"):
+            idempotent_eps(table, h)
+        with pytest.raises(GroupError, match="central involution"):
+            minus_idempotent(table, g)
+    assert not table._idempotents
+    derived = group.commutator_subgroup()
+    eps = idempotent_eps(table, derived)
+    assert idempotent_eps(table, list(reversed(derived))) is eps
+    fresh = idempotent_eps(irreducibles_monomial(group), derived)
+    assert [(c.order, c.num, c.den) for c in eps.components] == \
+        [(c.order, c.num, c.den) for c in fresh.components]
+    fix = fixtures["q_zeta23"]
+    table = irreducibles_monomial(fix.group)
+    minus = minus_idempotent(table, fix.j)
+    assert minus_idempotent(table, fix.j) is minus
+    assert minus == minus_idempotent(irreducibles_monomial(fix.group), fix.j)
