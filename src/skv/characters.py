@@ -194,9 +194,6 @@ class CharacterTable:
         # per component tuple, each component's (order, num, den) -> the
         # group-ring coefficients, filled by CentralElement.to_group_ring
         self._group_ring: dict[tuple, dict] = {}
-        # ("minus", j) or ("eps", sorted H) -> the central idempotent, filled
-        # by grouprings.minus_idempotent and idempotent_eps
-        self._idempotents: dict[tuple, object] = {}
 
     def _value_keys(self, values):
         """Canonical ``(order, num, den)`` keys at ``value_order``, for

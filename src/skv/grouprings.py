@@ -161,7 +161,10 @@ class CentralElement:
         The coefficients are kept on the table per component tuple, keyed by
         each component's exact ``(order, num, den)``, so each distinct input
         runs the transform and its check once; every call returns a new
-        element.
+        element.  The repeats come from ``check all``, whose suites transform
+        the same thetas and sku elements again: in the theta report, the
+        integrality checks, the annihilation check and the product
+        coefficients.
         """
         key = tuple((c.order, c.num, c.den) for c in self.components)
         coeffs = self.table._group_ring.get(key)
@@ -286,13 +289,9 @@ class CentralElement:
 
 def idempotent_eps(table: CharacterTable, h_elems) -> CentralElement:
     """Central idempotent |H|^(-1) N_H for a normal subgroup H: component 1
-    exactly at characters trivial on H.  Built once per table and sorted
-    H; callers do not change it."""
+    exactly at characters trivial on H."""
     group = table.group
-    h = tuple(sorted(set(h_elems)))
-    key = ("eps", h)
-    if key in table._idempotents:
-        return table._idempotents[key]
+    h = sorted(set(h_elems))
     if not group.is_subgroup(h) or not group.is_normal(h):
         raise GroupError("epsilon idempotent needs a normal subgroup")
     ids = group.class_index()
@@ -301,17 +300,12 @@ def idempotent_eps(table: CharacterTable, h_elems) -> CentralElement:
         deg = Cyclo.rational(chi.degree)
         trivial_on_h = all(chi.values[ids[g]] == deg for g in h)
         comps.append(Cyclo.one() if trivial_on_h else Cyclo.zero())
-    table._idempotents[key] = CentralElement(table, comps)
-    return table._idempotents[key]
+    return CentralElement(table, comps)
 
 
 def minus_idempotent(table: CharacterTable, j: int) -> CentralElement:
-    """(1 - j)/2 for a central involution j; component 1 at odd characters.
-    Built once per table and j; callers do not change it."""
+    """(1 - j)/2 for a central involution j; component 1 at odd characters."""
     group = table.group
-    key = ("minus", j)
-    if key in table._idempotents:
-        return table._idempotents[key]
     if j == 0 or group.mul(j, j) != 0 or j not in group.center():
         raise GroupError("minus projection needs a central involution")
     ids = group.class_index()
@@ -322,8 +316,7 @@ def minus_idempotent(table: CharacterTable, j: int) -> CentralElement:
         if q not in (1, -1):
             raise GroupError("character value at a central involution must be +-1")
         comps.append(Cyclo.one() if q == -1 else Cyclo.zero())
-    table._idempotents[key] = CentralElement(table, comps)
-    return table._idempotents[key]
+    return CentralElement(table, comps)
 
 
 class MembershipVerdict:

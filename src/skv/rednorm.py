@@ -57,20 +57,13 @@ def monomial_representation(table: CharacterTable, chi_index: int) -> MonomialRe
             coset[group.mul(x, y)] = (i, power[y])
     columns = [tuple(coset[group.mul(g, x)] for x in reps) for g in range(group.order)]
     # the trace must reproduce the character exactly at every class, in
-    # (num, den) at the order the value is stored at; in degree 1 the trace
-    # is the one entry zeta_n^k, written at that order as Cyclo.zeta does
+    # (num, den) at the order the value is stored at
     ids = group.class_index()
     for cls in group.conjugacy_classes():
         g = cls[0]
         value = chi.values[ids[g]]
-        if value.order % n:
-            trace = None
-        elif len(reps) == 1:
-            k = columns[g][0][1]
-            trace = Cyclo.zeta(value.order, k * (value.order // n)).num
-        else:
-            trace = fixed_point_trace(columns[g], n, value.order)
-        if (trace, 1) != (value.num, value.den):
+        if value.order % n or \
+                (fixed_point_trace(columns[g], n, value.order), 1) != (value.num, value.den):
             raise InternalCheckError(
                 f"monomial representation trace mismatch at element {g}"
             )

@@ -423,26 +423,3 @@ def test_to_group_ring_misses_on_one_changed_component_or_order(fixtures, monkey
         assert trips == [x, y, z]
         trips.clear()
 
-
-def test_idempotents_are_kept_per_table_and_bad_input_raises_every_time(fixtures):
-    group = fixtures["s3c2"].group
-    table = irreducibles_monomial(group)
-    h = next(u for u in group.all_subgroups() if not group.is_normal(u))
-    g = next(g for g in range(group.order) if group.mul(g, g) != 0)
-    for _ in range(2):
-        with pytest.raises(GroupError, match="normal subgroup"):
-            idempotent_eps(table, h)
-        with pytest.raises(GroupError, match="central involution"):
-            minus_idempotent(table, g)
-    assert not table._idempotents
-    derived = group.commutator_subgroup()
-    eps = idempotent_eps(table, derived)
-    assert idempotent_eps(table, list(reversed(derived))) is eps
-    fresh = idempotent_eps(irreducibles_monomial(group), derived)
-    assert [(c.order, c.num, c.den) for c in eps.components] == \
-        [(c.order, c.num, c.den) for c in fresh.components]
-    fix = fixtures["q_zeta23"]
-    table = irreducibles_monomial(fix.group)
-    minus = minus_idempotent(table, fix.j)
-    assert minus_idempotent(table, fix.j) is minus
-    assert minus == minus_idempotent(irreducibles_monomial(fix.group), fix.j)

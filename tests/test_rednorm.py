@@ -11,7 +11,7 @@ from skv.arithdata import ExtensionFixture
 from skv.characters import irreducibles_monomial
 from skv.cyclotomic import Cyclo
 from skv.errors import FixtureError, GroupError, InternalCheckError
-from skv.groups import FiniteGroup, named_group
+from skv.groups import named_group
 from skv.grouprings import CentralElement, GroupRingElement
 from skv.linalg import mat_det, mat_mul
 from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
@@ -399,31 +399,6 @@ def test_trace_check_fires_on_any_corrupted_value(fixtures):
             chi.values = tuple(v + 1 if k == c else v for k, v in enumerate(chi.values))
             with pytest.raises(InternalCheckError, match="trace mismatch"):
                 monomial_representation(table, i)
-
-
-def test_degree_one_trace_check_agrees_with_the_fixed_point_trace(fixtures):
-    # the check in degree 1 compares the value with the shared zeta_n^k
-    # written at the value's order; it must accept and reject exactly what
-    # the fixed-point trace does, on every shipped table and on C1..C128
-    tables = [fix.table for fix in fixtures.values()]
-    tables += [irreducibles_monomial(FiniteGroup.cyclic(n)) for n in range(1, 129)]
-    seen = set()
-    for table in tables:
-        ids = table.group.class_index()
-        for i, chi in enumerate(table):
-            rep = monomial_representation(table, i)
-            if rep.degree == 1:
-                for cls in table.group.conjugacy_classes():
-                    value = chi.values[ids[cls[0]]]
-                    seen.add((rep.order, rep.columns[cls[0]], value.order,
-                              value.num, value.den))
-    assert any(order > 1 for order, *_ in seen)
-    for n, column, order, num, den in seen:
-        assert order % n == 0
-        (_, k), = column
-        shared = Cyclo.zeta(order, k * (order // n))
-        assert shared.den == 1 and shared.num == fixed_point_trace(column, n, order)
-        assert (shared.num, 1) == (num, den)
 
 
 def test_sparse_trace_equals_the_dense_weights(fixtures):
