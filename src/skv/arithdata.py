@@ -104,10 +104,13 @@ class PlaceData:
         q, n = self.residue_char, self.residue_norm
         if not _is_prime(q):
             raise FixtureError(f"place {self.label}: residue characteristic not prime")
+        # before the loop, which never ends at 0
+        if n < q:
+            raise FixtureError(f"place {self.label}: residue norm not a power of {q}")
         m = n
         while m % q == 0:
             m //= q
-        if m != 1 or n < q:
+        if m != 1:
             raise FixtureError(f"place {self.label}: residue norm not a power of {q}")
         dec, ine = set(self.decomposition), set(self.inertia)
         if not ine <= dec:
@@ -215,6 +218,8 @@ class ExtensionFixture:
         for cg in obj.get("classGroups", []):
             _require_keys(cg, {"setT", "p", "factors", "action"},
                           {"setT", "factors", "action"}, "classGroup")
+            if not isinstance(cg["action"], dict):
+                raise FixtureError("classGroup action must be an object")
             action = {int(g): m for g, m in cg["action"].items()}
             self.class_groups.append({
                 "setT": [str(x) for x in cg["setT"]],
@@ -226,6 +231,8 @@ class ExtensionFixture:
         if cyc is not None:
             _require_keys(cyc, {"conductor", "map"}, {"conductor", "map"}, "cyclotomic")
             f = int(cyc["conductor"])
+            if not isinstance(cyc["map"], dict):
+                raise FixtureError("cyclotomic map must be an object")
             mp = {int(a): int(g) for a, g in cyc["map"].items()}
             units = unit_residues(f)
             for a in units:

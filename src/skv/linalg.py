@@ -26,10 +26,6 @@ def mat_add(a, b) -> list[list[Cyclo]]:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b) -> list[list[Cyclo]]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mul(a, b) -> list[list[Cyclo]]:
     n, k = len(a), len(b)
     m = len(b[0]) if k else 0

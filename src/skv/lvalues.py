@@ -129,9 +129,6 @@ class DirichletCharacter:
         shared by equal characters."""
         return self.modulus, self.order, tuple(sorted(self.powers.items()))
 
-    def is_trivial(self) -> bool:
-        return not any(self.powers.values())
-
     @property
     def conductor(self) -> int:
         if self._conductor is None:

@@ -7,6 +7,17 @@ column, the row of its one nonzero entry and that entry's exponent as a
 root of unity.  A block matrix is built from that data with each entry
 added up in integers and reduced once.  Every star adjoint is verified
 against its defining identity before being returned.
+
+The reduced norm of a rational matrix is Galois-equivariant: its component
+at sigma_k(chi) is sigma_k of its component at chi.  So in each Galois
+orbit of characters only the first member and one conjugate of it get a
+representation and a determinant; every other member whose certificate is
+the sigma_k-image of the first one's takes sigma_k of that component,
+which is the value, at the order, its own determinant would give.  The
+Galois self-check then runs over all components as before, and it
+compares the two members computed independently, so a wrong determinant
+anywhere still fails it.  A matrix with a non-rational entry gets one
+determinant per character.
 """
 
 from __future__ import annotations
@@ -16,7 +27,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .characters import CharacterTable
-from .cyclotomic import Cyclo, order_data, root_of_unity_sum
+from .cyclotomic import (Cyclo, order_data, root_of_unity_sum, unit_generators,
+                         unit_residues)
 from .errors import FixtureError, GroupError, InternalCheckError
 from .grouprings import CentralElement, GroupRingElement
 from .linalg import char_poly, mat_add, mat_det, mat_mul, mat_scale
@@ -162,29 +174,84 @@ def reduced_norm_component(a, table: CharacterTable, i: int) -> Cyclo:
 
 def reduced_norm(a, table: CharacterTable) -> CentralElement:
     """Reduced norm of a square matrix over the group ring, as a central
-    element (one determinant per irreducible)."""
+    element (one component per irreducible; see ``_represented``)."""
     return _rows_norm(a, range(len(a)), _represented(a, table), table)
 
 
-def _represented(a, table: CharacterTable) -> list[tuple[int, list]]:
-    """Per irreducible, its degree and the block matrix of ``a`` under
+def _is_rational(rows) -> bool:
+    return all(entry.is_rational() for row in rows for entry in row)
+
+
+def _represented(a, table: CharacterTable):
+    """``(blocks, fills)`` for the group-ring matrix ``a``: ``fills`` maps
+    each character j whose components are sigma_k of those at r to (r, k)
+    (see ``_galois_fills``); ``blocks[i]`` is None for those and otherwise
+    the degree of the i-th irreducible and the block matrix of ``a`` under
     its monomial representation."""
-    reps = (monomial_representation(table, i) for i in range(len(table)))
-    return [(rep.degree, apply_representation(rep, a)) for rep in reps]
+    fills = _galois_fills(a, table) if _is_rational(a) else {}
+    blocks = []
+    for i in range(len(table)):
+        if i in fills:
+            blocks.append(None)
+        else:
+            rep = monomial_representation(table, i)
+            blocks.append((rep.degree, apply_representation(rep, a)))
+    return blocks, fills
 
 
-def _rows_norm(a, rows, blocks, table: CharacterTable) -> CentralElement:
+def _galois_fills(a, table: CharacterTable) -> dict[int, tuple[int, int]]:
+    """For a rational matrix ``a``: j -> (r, k) for each character j whose
+    reduced-norm components are sigma_k of those at r.  In each Galois
+    orbit of three or more characters, the first member r and its image
+    under the first generator of (Z/M)^x that moves it are computed
+    directly (M the lcm of the exponent and the orders of the
+    coefficients of ``a``), so the Galois self-check compares two
+    independent determinants.  Another member j = sigma_k(r) is filled
+    only when its certificate is sigma_k of r's (the same subgroup and
+    order, powers k * p mod N): its block is then sigma_k of r's block
+    with the same orders, so sigma_k of a component at r is the very
+    value, at the very order, that a determinant at j would give."""
+    modulus = lcm(table.exponent,
+                  *(c.order for row in a for entry in row for c in entry.coeffs.values()))
+    certs = table.certificates
+    fills = {}
+    for orbit in table.galois_orbits():
+        if len(orbit) < 3:  # nothing beyond r and its partner
+            continue
+        r = orbit[0]
+        partner = next(j for j in (table.galois_index(r, g) for g in unit_generators(modulus))
+                       if j != r)
+        cert = certs[r]
+        for k in unit_residues(modulus):
+            j = table.galois_index(r, k)
+            if j in (r, partner) or j in fills:
+                continue
+            image = certs[j]
+            if image.u_elems == cert.u_elems and image.order == cert.order and \
+                    image.powers == {y: k * p % cert.order for y, p in cert.powers.items()}:
+                fills[j] = (r, k)
+    return fills
+
+
+def _rows_norm(a, rows, represented, table: CharacterTable) -> CentralElement:
     """Reduced norm of the matrix made of the given rows of the group-ring
-    matrix ``a``, with ``blocks`` the ``_represented`` blocks of all of
+    matrix ``a``, with ``represented`` the ``_represented`` data of all of
     ``a``: its component at an irreducible of degree d is the determinant
-    of the d rows from r * d on of that block, for each selected row r.
-    The selection must be square, and the components of a rational one
-    must pass the Galois self-check."""
+    of the d rows from r * d on of that block, for each selected row r,
+    or sigma_k of the component at r for a filled character.  The
+    selection must be square, and the components of a rational one must
+    pass the Galois self-check."""
     if any(len(a[r]) != len(rows) for r in rows):
         raise GroupError("reduced norm requires a square matrix")
-    comps = [mat_det([block[r * d + i] for r in rows for i in range(d)])
-             for d, block in blocks]
-    if all(entry.is_rational() for r in rows for entry in a[r]):
+    blocks, fills = represented
+
+    def det(d, block):
+        return mat_det([block[r * d + i] for r in rows for i in range(d)])
+
+    comps = [None if entry is None else det(*entry) for entry in blocks]
+    for j, (r, k) in fills.items():
+        comps[j] = comps[r].galois(k)
+    if _is_rational(a[r] for r in rows):
         table.check_galois(comps, "reduced norm")
     return CentralElement(table, comps)
 

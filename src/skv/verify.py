@@ -478,9 +478,3 @@ def reject_unread_flags(suite: str, given) -> None:
     if unread:
         raise SkvError(f"check {suite}{mode} does not read "
                        + ", ".join(f"--{flag}" for flag in unread))
-
-
-def run_all(fix: ExtensionFixture,
-            options: CheckOptions = CheckOptions()) -> list[Verdict]:
-    """Every suite in registry order."""
-    return [suite.run(fix, options) for suite in SUITES.values()]

@@ -19,11 +19,12 @@ from skv.cyclotomic import Cyclo, _product, _scale, root_of_unity_sum, unit_resi
 from skv.errors import FixtureError, GroupError, NotMonomialError
 from skv.grouprings import GroupRingElement
 from skv.groups import FiniteGroup
-from skv.linalg import mat_det, mat_identity, mat_mul, mat_scale, mat_sub
+from skv.linalg import mat_det, mat_identity, mat_mul, mat_scale
 from skv.lvalues import (BernoulliData, DirichletCharacter, L_at_nonpositive,
                          bernoulli_polynomial, characters_mod)
 from skv.rednorm import (FiniteGModule, MonomialRepresentation,
                          monomial_representation)
+from skv.verify import SUITES, CheckOptions, Verdict
 
 
 def value_at(chi: Character, g: int) -> Cyclo:
@@ -296,6 +297,20 @@ def local_factor_matrix(fix: ExtensionFixture, place: PlaceData, chi_index: int,
     scale = Fraction(place.residue_norm) ** ((1 - r) if kind == "delta_T" else (-r))
     m = mat_scale(mat_mul(phi_inv, proj), scale)
     return mat_det(mat_sub(mat_identity(d), m))
+
+
+def mat_sub(a, b) -> list[list[Cyclo]]:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def run_all(fix: ExtensionFixture,
+            options: CheckOptions = CheckOptions()) -> list[Verdict]:
+    """Every suite in registry order, as ``check all`` runs them."""
+    return [suite.run(fix, options) for suite in SUITES.values()]
+
+
+def is_trivial(chi: DirichletCharacter) -> bool:
+    return not any(chi.powers.values())
 
 
 def exponent_at(chi: DirichletCharacter, a: int) -> Fraction | None:

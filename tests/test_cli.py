@@ -218,6 +218,40 @@ def test_bad_residue_norm_over_q_exits_3(tmp_path, capsys):
         assert "residue norm 49" in err and err.count("\n") == 1, err
 
 
+def test_zero_residue_norm_exits_3_without_hanging(tmp_path):
+    # 0 is divisible by q, so the power-of-q test once looped forever
+    obj = load_fixture_json("q")
+    next(p for p in obj["places"] if p["label"] == "3")["residueNorm"] = 0
+    path = tmp_path / "q_norm0.json"
+    path.write_text(json.dumps(obj))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skv.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skv.cli", "fixtures", "validate", "--fixture", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3 and not proc.stdout
+    assert "residue norm not a power of 3" in proc.stderr, proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+def test_null_cyclotomic_map_or_class_group_action_exits_3(tmp_path, capsys):
+    def null_map(o):
+        o["cyclotomic"]["map"] = None
+
+    def null_action(o):
+        o["classGroups"][0]["action"] = None
+
+    for name, mutate, what in [("q_zeta23", null_map, "cyclotomic map"),
+                               ("q_sqrt_m5", null_action, "classGroup action")]:
+        obj = load_fixture_json(name)
+        mutate(obj)
+        path = tmp_path / f"{name}_{mutate.__name__}.json"
+        path.write_text(json.dumps(obj))
+        for argv in (["check", "all"], ["fixtures", "validate"]):
+            code, out, err = run_cli(capsys, *argv, "--fixture", str(path))
+            assert code == 3 and not out, (mutate.__name__, argv, err)
+            assert what in err and err.count("\n") == 1, err
+
+
 def test_usage_error_exits_3(capsys):
     assert main(["check", "nonsense",
                  "--fixture", fixture_path("q")]) == 3

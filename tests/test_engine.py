@@ -19,9 +19,9 @@ from skv.engine import (_validate_parity, inertia_norm_product, l_zero_sharp,
                         translated_place_labels, u_prime_generators,
                         u_prime_place_generators)
 from skv.grouprings import CentralElement, GroupRingElement
-from skv.verify import run_all
 
 from conftest import fixture_path, load_fixture_json
+from oracles import run_all
 
 
 def _coeffs(fix, theta):

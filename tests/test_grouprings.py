@@ -16,10 +16,9 @@ from skv.groups import FiniteGroup, detect_direct_product, named_group
 from skv.grouprings import (CentralElement, GroupRingElement, _product_pairing,
                             idempotent_eps, max_order_membership,
                             minus_idempotent, product_coefficients)
-from skv.verify import run_all
 
 from conftest import FIXTURE_NAMES, fixture_path
-from oracles import product_pairing_scan
+from oracles import product_pairing_scan, run_all
 
 
 def test_group_ring_basic_algebra():

@@ -20,7 +20,7 @@ from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          monomial_representation, reduced_norm,
                          reduced_norm_component, star_adjoint)
 
-from conftest import fixture_path
+from conftest import fixture_path, ladder_fixture_writer
 from oracles import (dense_trace, from_root_of_unity, monomial_matrix,
                      sigma_inverse, sigma_isomorphism)
 
@@ -451,24 +451,90 @@ def test_fitting_equals_the_reduced_norm_of_each_minor(name):
                           for i in range(len(table)))]
 
 
+def _det_calls(monkeypatch, h, table):
+    """The matrices that ``fitting_of_presentation(h, table)`` hands to
+    mat_det, in call order."""
+    import skv.rednorm as rednorm
+    calls = []
+    monkeypatch.setattr(rednorm, "mat_det", lambda m: calls.append(m) or mat_det(m))
+    fitting_of_presentation(h, table)
+    monkeypatch.undo()
+    return calls
+
+
 @pytest.mark.parametrize("name", ["s3c2", "q_zeta23"])
 def test_fitting_galois_check_catches_one_corrupted_minor_component(name, monkeypatch):
     import skv.rednorm as rednorm
     table = DIFF_TABLES[name]
+    for seed in range(3, 8):
+        h = _sparse_presentation(table.group, 3, 2, random.Random(seed))
+        calls = len(_det_calls(monkeypatch, h, table))  # passes uncorrupted
+        assert calls == 18  # one determinant per minor and computed character
+        for target in range(calls):
+            count = itertools.count()
+
+            def corrupted(m, target=target, count=count):
+                det = mat_det(m)
+                return det + Cyclo.zeta(4) if next(count) == target else det
+
+            monkeypatch.setattr(rednorm, "mat_det", corrupted)
+            with pytest.raises(InternalCheckError, match="Galois"):
+                fitting_of_presentation(h, table)
+            monkeypatch.undo()
+
+
+def test_fitting_computes_one_pair_per_galois_orbit(monkeypatch):
+    # C22 has Galois orbits of sizes 1, 1, 10 and 10: each orbit's first
+    # member and one conjugate are computed, the other 16 are filled
+    import skv.rednorm as rednorm
+    table = DIFF_TABLES["q_zeta23"]
+    assert sorted(map(len, table.galois_orbits())) == [1, 1, 10, 10]
     h = _sparse_presentation(table.group, 3, 2, random.Random(3))
-    fitting_of_presentation(h, table)  # passes uncorrupted
-    calls = 3 * len(table)  # one determinant per minor and character
-    for target in sorted({0, len(table) - 1, len(table), calls // 2, calls - 1}):
-        count = iter(range(calls))
+    assert len(_det_calls(monkeypatch, h, table)) == 3 * 6
+    used = []
+    monkeypatch.setattr(rednorm, "monomial_representation",
+                        lambda t, i: used.append(i) or monomial_representation(t, i))
+    fitting_of_presentation(h, table)
+    orbit_starts = [orbit[0] for orbit in table.galois_orbits()]
+    assert len(used) == 6 and set(orbit_starts) <= set(used)
+    # a presentation with a non-rational entry computes every character
+    h[0][0] = h[0][0] + GroupRingElement(table.group, {0: Cyclo.zeta(4)})
+    assert len(_det_calls(monkeypatch, h, table)) == 3 * len(table)
 
-        def corrupted(m, target=target, count=count):
-            det = mat_det(m)
-            return det + Cyclo.zeta(4) if next(count) == target else det
 
-        monkeypatch.setattr(rednorm, "mat_det", corrupted)
-        with pytest.raises(InternalCheckError, match="Galois"):
-            fitting_of_presentation(h, table)
-        monkeypatch.undo()
+def _assert_fitting_matches_each_component(h, table):
+    fitt = fitting_of_presentation(h, table)
+    minors = list(itertools.combinations(range(len(h)), len(h[0])))
+    assert len(fitt.generators) == len(minors)
+    for rows, gen in zip(minors, fitt.generators):
+        sub = [h[r] for r in rows]
+        assert _components(gen) == [
+            (c.order, c.num, c.den)
+            for c in (reduced_norm_component(sub, table, i) for i in range(len(table)))]
+
+
+def test_fitting_computes_a_conjugate_whose_certificate_is_no_galois_image(monkeypatch):
+    import skv.rednorm as rednorm
+    from skv.characters import MonomialCertificate
+    table = ExtensionFixture.load(fixture_path("q_zeta23")).table  # not shared
+    h = _sparse_presentation(table.group, 3, 2, random.Random(5))
+    j = max(rednorm._galois_fills(h, table))
+    cert = table.certificates[j]
+    # the same subgroup and character, listed in another order
+    table.certificates[j] = MonomialCertificate(cert.u_elems[::-1], cert.order, cert.powers)
+    assert j not in rednorm._galois_fills(h, table)
+    assert len(_det_calls(monkeypatch, h, table)) == 3 * 7
+    _assert_fitting_matches_each_component(h, table)
+
+
+def test_fitting_matches_each_component_on_a_ladder_group(tmp_path):
+    # C46, the group of Q(zeta_47): Galois orbits of sizes 1, 1, 22 and 22
+    table = ExtensionFixture.load(ladder_fixture_writer()(47, str(tmp_path))).table
+    assert sorted(map(len, table.galois_orbits())) == [1, 1, 22, 22]
+    rng = random.Random(11)
+    for a, b in ((1, 1), (2, 1), (3, 2)):
+        _assert_fitting_matches_each_component(
+            _sparse_presentation(table.group, a, b, rng), table)
 
 
 def test_fitting_rejects_a_ragged_presentation():

@@ -21,10 +21,10 @@ from skv.verify import (Verdict, _bounded_nr_search, _integrality_failure,
                         check_brumer, check_brumer_stark_necessary,
                         check_negative_r, check_theorem_sku_maxord,
                         check_theorem_stickelberger_int, default_sets,
-                        exceptional_prime_screening, run_all)
+                        exceptional_prime_screening)
 
 from conftest import fixture_path, load_fixture_json
-from oracles import relative_class_number_qzeta
+from oracles import relative_class_number_qzeta, run_all
 
 EXPECTED_STATUS = {
     "q": {"theorem-stickelberger-int": "verified",

@@ -4,18 +4,22 @@ Covers `check all` on every shipped fixture and `fitting` on the random
 presentations perfbench generates for each seed in a range; `--extra`
 adds `check all` on further fixture files, and `--ladder` on the ladder
 fields Q(zeta_p) that `tools/make_fixtures.py` writes to a temporary
-directory.  `--cli` adds the command line itself: `skv --help`, each
-command's `--help` and a fixed list of bad invocations (`CLI_INVOCATIONS`),
-each with its exit code and the sha256 of its stdout and of its stderr,
-at a fixed help width of 80 columns.  Run it at two commits and diff the
-outputs to show that a change keeps every report byte-identical.  From the
-repository root:
+directory.  `--fitting-ladder` adds `fitting` on the group of such a
+field, C_(p-1), with perfbench's six presentation shapes (a x b for b in
+1..3 and a in {b, b + 1}) drawn by its generator for each seed.  `--cli`
+adds the command line itself: `skv --help`, each command's `--help` and a
+fixed list of bad invocations (`CLI_INVOCATIONS`), each with its exit code
+and the sha256 of its stdout and of its stderr, at a fixed help width of 80
+columns.  Run it at two commits and diff the outputs to show that a change
+keeps every report byte-identical.  From the repository root:
 
     python3 tools/report_digests.py --seeds 0-39 --ladder 31,47,71,107 --cli > digests.txt
     python3 tools/report_digests.py --seeds 0 --extra big.json > digests.txt
+    python3 tools/report_digests.py --seeds 0-3 --fitting-ladder 31,47 > digests.txt
 
-The presentations come from `fitting_matrices` in perfbench/run.py, which
-is imported read-only; the matrix files go to a temporary directory.
+The presentations come from `fitting_matrices` and `random_presentation`
+in perfbench/run.py, which is imported read-only; the matrix files go to a
+temporary directory.
 """
 
 import argparse
@@ -25,6 +29,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -71,14 +76,29 @@ CLI_INVOCATIONS = [
 ]
 
 
-def fitting_matrices():
-    """perfbench's generator of (group fixture, rows) pairs for a seed."""
+def perfbench_run():
+    """perfbench/run.py as a module, for its presentation generators."""
     sys.dont_write_bytecode = True  # leave perfbench/ untouched
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.fitting_matrices
+    return module
+
+
+def ladder_presentations(perfbench, p: int, seed: int):
+    """perfbench's six presentation shapes on C_(p-1), drawn as
+    ``fitting_matrices`` draws them for one group."""
+    rng = random.Random(seed)
+    return [perfbench.random_presentation(rng, p - 1, a, b)
+            for b in (1, 2, 3) for a in (b, b + 1)]
+
+
+def digest_fitting(work: str, fixture: str, rows) -> str:
+    path = os.path.join(work, "m.json")
+    with open(path, "w") as fh:
+        json.dump({"rows": rows}, fh, sort_keys=True)
+    return digest(["fitting", "--fixture", fixture, "--matrix", path])
 
 
 def digest(argv) -> str:
@@ -115,6 +135,9 @@ def main(argv=None) -> int:
     parser.add_argument("--ladder", type=prime_list, default=[], metavar="P,...",
                         help="odd primes p whose ladder field Q(zeta_p) to "
                              "digest `check all` on")
+    parser.add_argument("--fitting-ladder", type=prime_list, default=[], metavar="P,...",
+                        help="odd primes p on whose ladder group C_(p-1) to "
+                             "digest `fitting` for each seed")
     parser.add_argument("--cli", action="store_true",
                         help="also digest skv's help screens and the bad "
                              "invocations in CLI_INVOCATIONS")
@@ -130,19 +153,22 @@ def main(argv=None) -> int:
             print(f"check {name[:-5]} {digest(['check', 'all', '--fixture', path])}")
     for path in args.extra:
         print(f"check {path} {digest(['check', 'all', '--fixture', path])}", flush=True)
-    generate = fitting_matrices()
+    perfbench = perfbench_run()
     with tempfile.TemporaryDirectory() as work:
         for p in args.ladder:
             path = write_ladder_fixture(p, work)
             print(f"ladder {p} {digest(['check', 'all', '--fixture', path])}", flush=True)
         for seed in args.seeds:
-            for i, (group, rows) in enumerate(generate(seed)):
-                path = os.path.join(work, "m.json")
-                with open(path, "w") as fh:
-                    json.dump({"rows": rows}, fh, sort_keys=True)
+            for i, (group, rows) in enumerate(perfbench.fitting_matrices(seed)):
                 fixture = os.path.join(FIXTURES, f"{group}.json")
-                argv = ["fitting", "--fixture", fixture, "--matrix", path]
-                print(f"fitting {seed} {i} {group} {digest(argv)}", flush=True)
+                print(f"fitting {seed} {i} {group} {digest_fitting(work, fixture, rows)}",
+                      flush=True)
+        for p in args.fitting_ladder:
+            fixture = write_ladder_fixture(p, work)
+            for seed in args.seeds:
+                for i, rows in enumerate(ladder_presentations(perfbench, p, seed)):
+                    print(f"fitting-ladder {p} {seed} {i} "
+                          f"{digest_fitting(work, fixture, rows)}", flush=True)
     return 0
 
 
