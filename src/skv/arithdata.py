@@ -192,7 +192,10 @@ class ExtensionFixture:
         self.group = FiniteGroup(gobj["table"], labels=gobj.get("labels"))
         self.j = obj.get("complexConjugation")
         if self.j is not None:
-            self.j = int(self.j)
+            # type(j) is int also rejects bool, as FiniteGroup's entries do
+            if type(self.j) is not int or not 0 <= self.j < self.group.order:
+                raise FixtureError("complex conjugation must be an element index "
+                                   f"in 0..{self.group.order - 1}")
             if self.j == 0 or self.group.mul(self.j, self.j) != 0 \
                     or self.j not in self.group.center():
                 raise FixtureError("complex conjugation must be a central involution")
@@ -255,7 +258,13 @@ class ExtensionFixture:
         for src in self.subextension_thetas:
             validate_theta_source(src)
         self.torsion_free_override = obj.get("torsionFreeOverride")
-        self.cl_zeta_p_flag = obj.get("clZetaPFlag")
+        # the primes p declared to divide the class number of Q(zeta_p): one
+        # integer or a list of them; type(k) is int also rejects bool
+        flags = obj.get("clZetaPFlag")
+        flags = [] if flags is None else flags if isinstance(flags, list) else [flags]
+        if not all(type(k) is int for k in flags):
+            raise FixtureError("clZetaPFlag must be an integer or a list of integers")
+        self.cl_zeta_p_flags = flags
         self._table = None
         # (sorted S, bound) -> GeneratorSet, filled by generate_A_S
         self._a_s: dict[tuple, GeneratorSet] = {}

@@ -4,9 +4,10 @@ Linear characters are found by chain extension over the abelianization;
 general irreducibles come with monomial certificates: a pair (U, psi) of a
 subgroup and a linear character inducing the irreducible.  An abelian
 group's table is its linear characters, each certified by (G, psi) and
-checked to be a homomorphism, with no induction.  Values live in
-Q(zeta_E) with E the group exponent, stored exactly.  A table finds
-Galois conjugates from the group's class power maps,
+checked to be a homomorphism, with no induction.  A linear character
+takes each value as an integer power k of zeta_N, N its order; the values
+of irreducibles live in Q(zeta_E), E the group exponent, stored exactly.
+A table finds Galois conjugates from the group's class power maps,
 sigma_k(chi)(g) = chi(g^k), as GAP's character table library does, and
 looks characters up by integer keys of their values.
 """
@@ -14,7 +15,6 @@ looks characters up by integer keys of their values.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .cyclotomic import Cyclo, order_data, root_of_unity_sum, unit_generators
@@ -118,14 +118,6 @@ class Character:
         return f"Character(deg={self.degree}, values={list(self.values)!r})"
 
 
-def _powers_over_common_order(exps) -> tuple[int, dict]:
-    """Fraction exponents mod 1 as ``(N, powers)``: each exponent e as the
-    integer e * N mod N, N the common denominator."""
-    order = lcm(*(e.denominator for e in exps.values()))
-    return order, {a: e.numerator * (order // e.denominator) % order
-                   for a, e in exps.items()}
-
-
 def _check_multiplicative(group, u_elems, order, powers):
     # psi(a) psi(b) = psi(ab): the powers add up modulo the order
     for a in u_elems:
@@ -145,11 +137,6 @@ class MonomialCertificate:
         self.u_elems = tuple(u_elems)
         self.order = order // q
         self.powers = {y: k // q for y, k in powers.items()}
-
-    @cached_property
-    def exps(self) -> dict[int, Fraction]:
-        """psi as Fraction exponents mod 1."""
-        return {y: Fraction(k, self.order) for y, k in self.powers.items()}
 
     def __repr__(self):
         return f"MonomialCertificate(U={self.u_elems})"
@@ -302,9 +289,10 @@ class CharacterTable:
 def _char_sort_key(chi: Character):
     one = Cyclo.one()
     trivial = all(v == one for v in chi.values)
-    # integral numerators order exactly as the Fraction coefficients do
+    # character values are algebraic integers, so den is 1 and the
+    # numerators order as the coefficients do
     return (not trivial, chi.degree,
-            tuple((v.order, v.num if v.den == 1 else v.coeffs) for v in chi.values))
+            tuple((v.order, v.num, v.den) for v in chi.values))
 
 
 def _abelian_table(group: FiniteGroup) -> CharacterTable:

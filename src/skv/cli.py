@@ -69,9 +69,8 @@ def _render_text(report: dict) -> str:
 
 
 def _emit(payload: dict, fmt: str, out: str | None, text: str | None = None):
-    if fmt == "text":
-        rendered = text if text is not None else \
-            json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    if fmt == "text" and text is not None:
+        rendered = text
     else:
         rendered = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     if out:
@@ -111,7 +110,7 @@ def cmd_theta(args, fix: ExtensionFixture) -> int:
     return 0
 
 
-def cmd_check(args, fix: ExtensionFixture, fix_path: str) -> int:
+def cmd_check(args, fix: ExtensionFixture) -> int:
     given = {flag: getattr(args, flag) for flag in CheckOptions._fields
              if getattr(args, flag) is not None}
     reject_unread_flags(args.suite, given)
@@ -122,7 +121,7 @@ def cmd_check(args, fix: ExtensionFixture, fix_path: str) -> int:
         t0 = time.perf_counter()
         verdicts.append(SUITES[name].run(fix, options))
         timings[name] = time.perf_counter() - t0
-    report = _report(fix_path, fix, args.seed, verdicts,
+    report = _report(args.fixture, fix, args.seed, verdicts,
                      timings if args.timings else None)
     _emit(report, args.format, args.out, _render_text(report))
     return _exit_code(verdicts)
@@ -289,9 +288,11 @@ def _add_fixtures(sub):
     _common(fx_sub.add_parser("validate", help="validate a fixture file"))
 
 
-#: Each command and the function that adds its subparser, in help order.
-COMMANDS = {"theta": _add_theta, "check": _add_check, "sku": _add_sku,
-            "fitting": _add_fitting, "fixtures": _add_fixtures}
+#: Each command, in help order, with the function that adds its subparser
+#: and the handler that runs it on the parsed arguments and the fixture.
+COMMANDS = {"theta": (_add_theta, cmd_theta), "check": (_add_check, cmd_check),
+            "sku": (_add_sku, cmd_sku), "fitting": (_add_fitting, cmd_fitting),
+            "fixtures": (_add_fixtures, cmd_fixtures_validate)}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -305,7 +306,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # the choices as the full parser lists them in its usage line
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, add in COMMANDS.items():
+    for name, (add, _) in COMMANDS.items():
         if command in (None, name):
             add(sub)
     return parser
@@ -338,16 +339,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: internal: {exc!r}\n")
         return 4
     try:
-        if args.command == "theta":
-            return cmd_theta(args, fix)
-        if args.command == "check":
-            return cmd_check(args, fix, args.fixture)
-        if args.command == "sku":
-            return cmd_sku(args, fix)
-        if args.command == "fitting":
-            return cmd_fitting(args, fix)
-        if args.command == "fixtures":
-            return cmd_fixtures_validate(args, fix)
+        return COMMANDS[args.command][1](args, fix)
     except FixtureError as exc:
         sys.stderr.write(f"error: fixture: {exc}\n")
         return 3
@@ -357,7 +349,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         sys.stderr.write(f"error: internal: {exc!r}\n")
         return 4
-    return 3
 
 
 if __name__ == "__main__":

@@ -513,11 +513,10 @@ class Cyclo:
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
+        den = self.den
         return {
             "order": self.order,
-            "coeffs": {
-                str(i): fraction_to_str(c) for i, c in enumerate(self.coeffs) if c
-            },
+            "coeffs": {str(i): rational_str(a, den) for i, a in enumerate(self.num) if a},
         }
 
     @staticmethod
@@ -570,11 +569,10 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 DECIMAL_INDEX = re.compile(r"[0-9]+")
 
 
-def fraction_to_str(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def rational_str(num: int, den: int) -> str:
+    """num / den in lowest terms, for integers num and den > 0."""
+    q = gcd(num, den)
+    return str(num // q) if q == den else f"{num // q}/{den // q}"
 
 
 def fraction_from_str(s: str) -> Fraction:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .arithdata import (ExtensionFixture, GeneratorSet, PlaceSets,
                         delta_element, euler_element, generate_A_S)
-from .cyclotomic import Cyclo, unit_residues
+from .cyclotomic import Cyclo, rational_str, unit_residues
 from .errors import FixtureError, InternalCheckError
 from .grouprings import (CentralElement, GroupRingElement, _product_pairing,
                          idempotent_eps, minus_idempotent)
@@ -48,26 +48,25 @@ class ThetaElement:
         }
         elem = self.central.to_group_ring()
         if elem.is_rational():
-            from .cyclotomic import fraction_to_str
             out["coefficients"] = {
-                self.central.group.labels[g]: fraction_to_str(c.to_fraction())
+                self.central.group.labels[g]: rational_str(c.num[0], c.den)
                 for g, c in sorted(elem.coeffs.items())
             }
         return out
 
 
 def _dirichlet_for_table(fix: ExtensionFixture):
-    """Match each irreducible of an abelian fixture with the Dirichlet
-    character it pulls back to under the fixture's restriction map.  An
-    abelian table certifies each character by its integer powers on G."""
+    """Match each irreducible of an abelian fixture with the conjugate of
+    the Dirichlet character it pulls back to under the fixture's
+    restriction map.  An abelian table certifies each character by its
+    integer powers on G, which this negates."""
     if not fix.group.is_abelian():
         raise FixtureError("the computed theta path needs an abelian group")
     if fix.cyclotomic is None:
         raise FixtureError("the computed theta path needs the cyclotomic field data")
     f = fix.cyclotomic["conductor"]
     mp = fix.cyclotomic["map"]
-    return [DirichletCharacter.from_powers(
-                f, cert.order, {a: cert.powers[mp[a]] for a in unit_residues(f)})
+    return [DirichletCharacter(f, cert.order, {a: -cert.powers[mp[a]] for a in unit_residues(f)})
             for cert in fix.table.certificates]
 
 
@@ -95,7 +94,7 @@ def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     r = sets.r
     table = fix.table
     if fix._dirichlet is None:
-        fix._dirichlet = [chi.conjugate() for chi in _dirichlet_for_table(fix)]
+        fix._dirichlet = _dirichlet_for_table(fix)
     s_fin = [lab for lab in sets.S if not fix.place(lab).infinite]
     s_primes = sorted(fix.place(lab).residue_char for lab in s_fin)
     t_primes = sorted(fix.place(lab).residue_char for lab in sets.T)

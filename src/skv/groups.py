@@ -65,6 +65,9 @@ class FiniteGroup:
                         raise GroupError("multiplication table is not associative")
         if labels is not None and len(labels) != n:
             raise GroupError(f"{len(labels)} labels given for a group of order {n}")
+        if labels is not None and (not all(isinstance(x, str) for x in labels)
+                                   or len(set(labels)) != n):
+            raise GroupError("group labels must be distinct strings")
         self.table = tbl
         self.inv = inv
         self.order = n

@@ -1,10 +1,11 @@
 """Exact Dirichlet L-values at non-positive integers.
 
-L(1-n, chi) = -B_{n,chi}/n with generalized Bernoulli numbers evaluated
-through Bernoulli polynomials.  Only primitive characters are evaluated
-directly; S-truncation and T-modification happen through explicit Euler
-factors on top of the primitive value.  Values at r <= 0 only; leading
-terms at zeros are out of scope.
+A character's value chi(a) is the integer power k of zeta_N, N the order
+of chi.  L(1-n, chi) = -B_{n,chi}/n with generalized Bernoulli numbers
+evaluated through Bernoulli polynomials.  Only primitive characters are
+evaluated directly; S-truncation and T-modification happen through
+explicit Euler factors on top of the primitive value.  Values at r <= 0
+only; leading terms at zeros are out of scope.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
-from .characters import _powers_over_common_order, chain_extension
+from .characters import chain_extension
 from .cyclotomic import Cyclo, root_of_unity_sum, unit_generators, unit_residues
 from .errors import ArithmeticDomainError, FixtureError
 
@@ -61,38 +62,16 @@ class DirichletCharacter:
     residue to its k.  Non-coprime residues take the value 0 implicitly.
     """
 
-    def __init__(self, modulus: int, exps: dict[int, Fraction]):
-        """Checked constructor from Fraction exponents mod 1."""
-        if modulus < 1:
-            raise FixtureError("modulus must be positive")
-        values = {}
-        for key in unit_residues(modulus):
-            if key not in exps:
-                raise FixtureError(f"missing character value at residue {key}")
-            values[key] = Fraction(exps[key])
-        self._set(modulus, *_powers_over_common_order(values))
-        self._check()
-
-    @classmethod
-    def from_powers(cls, modulus: int, order: int, powers: dict[int, int]) -> "DirichletCharacter":
+    def __init__(self, modulus: int, order: int, powers: dict[int, int]):
         """Checked constructor from integer powers of zeta_order, one per
         unit residue."""
-        missing = [a for a in unit_residues(modulus) if a not in powers]
+        if modulus < 1:
+            raise FixtureError("modulus must be positive")
+        units = unit_residues(modulus)
+        missing = [a for a in units if a not in powers]
         if missing:
             raise FixtureError(f"missing character value at residue {missing[0]}")
-        obj = cls.__new__(cls)
-        obj._set(modulus, order, {a: powers[a] % order for a in unit_residues(modulus)})
-        obj._check()
-        return obj
-
-    @classmethod
-    def _unchecked(cls, modulus: int, order: int, powers: dict[int, int]) -> "DirichletCharacter":
-        """Fast path for internally generated (already multiplicative) data."""
-        obj = cls.__new__(cls)
-        obj._set(modulus, order, powers)
-        return obj
-
-    def _set(self, modulus: int, order: int, powers: dict[int, int]):
+        powers = {a: powers[a] % order for a in units}
         # divide N and every k by their gcd, so that N is the order of chi
         q = gcd(order, *powers.values())
         self.modulus = modulus
@@ -100,6 +79,7 @@ class DirichletCharacter:
         self.powers = powers if q == 1 else {a: k // q for a, k in powers.items()}
         self._conductor = None
         self._primitive = None
+        self._check()
 
     def _check(self):
         # multiplicativity in integer arithmetic: chi(1) = 0 and
@@ -110,11 +90,6 @@ class DirichletCharacter:
         if ints[1] or any((ints[a] + ints[g] - ints[a * g % modulus]) % order
                           for g in unit_generators(modulus) for a in ints):
             raise FixtureError("character values are not multiplicative")
-
-    @cached_property
-    def exps(self) -> dict[int, Fraction]:
-        """The values as Fraction exponents mod 1."""
-        return {a: Fraction(k, self.order) for a, k in self.powers.items()}
 
     def __call__(self, a: int) -> Cyclo:
         k = self.powers.get(a % self.modulus if self.modulus > 1 else 1)
@@ -139,50 +114,32 @@ class DirichletCharacter:
         return self._conductor
 
     def primitive_core(self) -> "DirichletCharacter":
+        """The character mod the conductor d that induces chi: chi is
+        constant on each class mod d, and every unit mod d is the class of
+        a unit mod f, so each unit a mod f gives the value at a mod d."""
         d = self.conductor
         if d == self.modulus:
             return self
         if self._primitive is None:
-            exps = {}
-            for b in range(1, d + 1):
-                if gcd(b, d) != 1 and d > 1:
-                    continue
-                key = b % d if d > 1 else 1
-                # lift to a residue mod f coprime to f in the class of b mod d
-                a = _coprime_lift(b, d, self.modulus)
-                exps[key] = self.exps[a % self.modulus if self.modulus > 1 else 1]
-            self._primitive = DirichletCharacter(d, exps)
+            self._primitive = DirichletCharacter(
+                d, self.order, {a % d if d > 1 else 1: k for a, k in self.powers.items()})
         return self._primitive
-
-    def conjugate(self) -> "DirichletCharacter":
-        # the conjugate of a multiplicative character is multiplicative
-        order = self.order
-        return DirichletCharacter._unchecked(
-            self.modulus, order, {a: -k % order for a, k in self.powers.items()})
 
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
 
 def characters_mod(f: int) -> list["DirichletCharacter"]:
-    """All Dirichlet characters mod f, by chain extension over the unit group."""
+    """All Dirichlet characters mod f, by chain extension over the unit
+    group, each through the checked constructor."""
     key = (lambda a: a % f) if f > 1 else (lambda a: 1)
     n, chars = chain_extension(list(unit_residues(f)), lambda a, b: key(a * b))
-    return [DirichletCharacter._unchecked(f, n, c) for c in chars]
+    return [DirichletCharacter(f, n, c) for c in chars]
 
 
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
-
-
-def _coprime_lift(b: int, d: int, f: int) -> int:
-    """Residue mod f, coprime to f, congruent to b mod d (d | f)."""
-    for t in range(f // d):
-        a = b + t * d
-        if gcd(a, f) == 1:
-            return a
-    raise ArithmeticDomainError(f"no coprime lift of {b} mod {d} to modulus {f}")
 
 
 def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Cyclo:

@@ -385,10 +385,7 @@ def exceptional_prime_screening(fix: ExtensionFixture,
             elif fix.j not in pl.decomposition:
                 flags.append(f"wild place {pl.label}: not almost tame "
                              "(conjugation outside the decomposition group)")
-        declared = fix.cl_zeta_p_flag or []
-        if not isinstance(declared, list):
-            declared = [declared]
-        if q in [int(k) for k in declared]:
+        if q in fix.cl_zeta_p_flags:
             flags.append(f"declared: p divides the class number of the "
                          f"{q}-th cyclotomic field")
         out.append({"p": q, "exceptional": bool(flags), "flags": flags})

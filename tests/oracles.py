@@ -12,8 +12,7 @@ from math import gcd, lcm
 
 from skv.arithdata import ExtensionFixture, PlaceData, mu_tate_annihilators
 from skv.characters import (Character, CharacterTable, MonomialCertificate,
-                            _check_multiplicative, _powers_over_common_order,
-                            chain_extension, irreducibles_monomial,
+                            _check_multiplicative, chain_extension, irreducibles_monomial,
                             linear_character_powers)
 from skv.cyclotomic import Cyclo, _product, _scale, root_of_unity_sum, unit_residues
 from skv.errors import FixtureError, GroupError, NotMonomialError
@@ -206,7 +205,21 @@ def monomial_test_groups() -> dict[str, FiniteGroup]:
 def induce_from_linear(group: FiniteGroup, u_elems, exps: dict[int, Fraction]) -> Character:
     """Induce a linear character of a subgroup, given by its Fraction
     exponents mod 1, to the whole group."""
-    return induce_powers(group, u_elems, *_powers_over_common_order(exps))
+    return induce_powers(group, u_elems, *powers_over_common_order(exps))
+
+
+def powers_over_common_order(exps) -> tuple[int, dict]:
+    """Fraction exponents mod 1 as ``(N, powers)``: each exponent e as the
+    integer e * N mod N, N the common denominator."""
+    order = lcm(*(e.denominator for e in exps.values()))
+    return order, {a: e.numerator * (order // e.denominator) % order
+                   for a, e in exps.items()}
+
+
+def fraction_exps(chi) -> dict[int, Fraction]:
+    """The values of a certificate's psi or of a Dirichlet character as
+    Fraction exponents mod 1: k / N for each integer power k of zeta_N."""
+    return {a: Fraction(k, chi.order) for a, k in chi.powers.items()}
 
 
 def fraction_certificate_exps(table: CharacterTable, i: int) -> dict[int, Fraction]:
@@ -328,7 +341,27 @@ def is_odd(chi: DirichletCharacter) -> bool:
 
 def trivial_character(modulus: int = 1) -> DirichletCharacter:
     """The trivial character mod ``modulus``, through the checked constructor."""
-    return DirichletCharacter(modulus, dict.fromkeys(unit_residues(modulus), Fraction(0)))
+    return DirichletCharacter(modulus, 1, dict.fromkeys(unit_residues(modulus), 0))
+
+
+def dirichlet_from_exps(modulus: int, exps) -> DirichletCharacter:
+    """The checked character mod ``modulus`` with chi(a) = exp(2 pi i e)
+    for the Fraction exponent e = exps[a] mod 1 of each unit residue a."""
+    return DirichletCharacter(modulus, *powers_over_common_order(
+        {a: Fraction(e) for a, e in exps.items()}))
+
+
+def primitive_core_by_fractions(chi: DirichletCharacter) -> DirichletCharacter:
+    """The primitive core through Fraction exponents: the value at each unit
+    b mod the conductor d read at a lift of b to a unit mod f."""
+    d, f = chi.conductor, chi.modulus
+    exps = fraction_exps(chi)
+    core = {}
+    for b in unit_residues(d):
+        # the smallest a = b mod d coprime to f
+        a = next(b + t * d for t in range(f // d) if gcd(b + t * d, f) == 1)
+        core[b] = exps[a % f if f > 1 else 1]
+    return dirichlet_from_exps(d, core)
 
 
 def bernoulli_eval(bn: BernoulliData, x: Fraction) -> Fraction:

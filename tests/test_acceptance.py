@@ -50,8 +50,8 @@ def criterion(number: int, budget: float):
 
 def test_criterion_1_exact_l_values():
     with criterion(1, 5.0):
-        chi_m3 = DirichletCharacter(3, {1: Fraction(0), 2: Fraction(1, 2)})
-        chi_m4 = DirichletCharacter(4, {1: Fraction(0), 3: Fraction(1, 2)})
+        chi_m3 = DirichletCharacter(3, 2, {1: 0, 2: 1})
+        chi_m4 = DirichletCharacter(4, 2, {1: 0, 3: 1})
         triv = trivial_character(1)
         assert L_at_nonpositive(0, chi_m3).to_fraction() == Fraction(1, 3)
         assert L_at_nonpositive(0, chi_m4).to_fraction() == Fraction(1, 2)

@@ -252,6 +252,48 @@ def test_null_cyclotomic_map_or_class_group_action_exits_3(tmp_path, capsys):
             assert what in err and err.count("\n") == 1, err
 
 
+def test_labels_conjugation_and_class_number_flag_are_checked_on_load(tmp_path, capsys):
+    # duplicate labels once merged two theta coefficients into one, and the
+    # other cases passed validation and exited 4 in a later command
+    def duplicate_labels(o):
+        o["group"]["labels"] = ["a", "a"]
+
+    def integer_label(o):
+        o["group"]["labels"][1] = 1
+
+    def conjugation_out_of_range(o):
+        o["complexConjugation"] = 99
+
+    def conjugation_bool(o):
+        o["complexConjugation"] = True
+
+    def conjugation_identity(o):
+        o["complexConjugation"] = 0
+
+    def string_flag(o):
+        o["clZetaPFlag"] = "x"
+
+    def string_in_flag_list(o):
+        o["clZetaPFlag"] = [2, "3"]
+
+    cases = [(duplicate_labels, "labels must be distinct strings"),
+             (integer_label, "labels must be distinct strings"),
+             (conjugation_out_of_range, "element index in 0..1"),
+             (conjugation_bool, "element index in 0..1"),
+             (conjugation_identity, "central involution"),
+             (string_flag, "clZetaPFlag must be an integer"),
+             (string_in_flag_list, "clZetaPFlag must be an integer")]
+    for mutate, what in cases:
+        obj = load_fixture_json("q_zeta3")
+        mutate(obj)
+        path = tmp_path / f"{mutate.__name__}.json"
+        path.write_text(json.dumps(obj))
+        for argv in (["check", "all"], ["fixtures", "validate"], ["theta"]):
+            code, out, err = run_cli(capsys, *argv, "--fixture", str(path))
+            assert code == 3 and not out, (mutate.__name__, argv, err)
+            assert what in err and err.count("\n") == 1, err
+
+
 def test_usage_error_exits_3(capsys):
     assert main(["check", "nonsense",
                  "--fixture", fixture_path("q")]) == 3

@@ -7,8 +7,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skv.cyclotomic import (Cyclo, euler_phi, fraction_from_str,
-                            fraction_to_str, root_of_unity_sum, unit_generators,
+from skv.cyclotomic import (Cyclo, euler_phi, fraction_from_str, order_data,
+                            rational_str, root_of_unity_sum, unit_generators,
                             unit_residues, unit_tower)
 from skv.errors import ArithmeticDomainError
 
@@ -106,7 +106,19 @@ def test_root_of_unity_sum_matches_direct_sum():
 
 def test_fraction_string_roundtrip():
     for q in (Fraction(0), Fraction(-3), Fraction(22, 7)):
-        assert fraction_from_str(fraction_to_str(q)) == q
+        assert fraction_from_str(rational_str(q.numerator, q.denominator)) == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 36), st.data())
+def test_to_json_writes_each_coefficient_as_its_fraction(order, den, data):
+    # negative, zero and positive numerators over a den that may share
+    # factors with them; each nonzero coefficient is written as str(Fraction)
+    phi = order_data(order).phi
+    num = data.draw(st.lists(st.integers(-40, 40), min_size=phi, max_size=phi))
+    x = Cyclo.from_numerators(order, num, den)
+    assert x.to_json() == {"order": order, "coeffs": {
+        str(i): str(Fraction(a, den)) for i, a in enumerate(num) if a}}
 
 
 def test_mapping_coefficients_rejected():

@@ -7,18 +7,19 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skv.cyclotomic import Cyclo, unit_generators
+from skv.cyclotomic import Cyclo, unit_generators, unit_residues
 from skv.errors import ArithmeticDomainError, FixtureError
 from skv.lvalues import (DirichletCharacter, L_at_nonpositive, L_ST,
                          _primitive_L, bernoulli_number,
                          bernoulli_polynomial, characters_mod,
                          generalized_bernoulli)
 
-from oracles import (bernoulli_eval, exponent_at, generalized_bernoulli_fractions,
-                     is_odd, is_trivial, trivial_character)
+from oracles import (bernoulli_eval, dirichlet_from_exps, exponent_at, fraction_exps,
+                     generalized_bernoulli_fractions, is_odd, is_trivial,
+                     primitive_core_by_fractions, trivial_character)
 
-CHI_M4 = DirichletCharacter(4, {1: Fraction(0), 3: Fraction(1, 2)})
-CHI_M3 = DirichletCharacter(3, {1: Fraction(0), 2: Fraction(1, 2)})
+CHI_M4 = DirichletCharacter(4, 2, {1: 0, 3: 1})
+CHI_M3 = DirichletCharacter(3, 2, {1: 0, 2: 1})
 
 
 def test_bernoulli_numbers():
@@ -63,11 +64,10 @@ def test_even_nontrivial_b1_vanishes():
 
 def test_character_validation():
     with pytest.raises(FixtureError):
-        DirichletCharacter(4, {1: Fraction(0)})  # missing residue 3
+        DirichletCharacter(4, 2, {1: 0})  # missing residue 3
     with pytest.raises(FixtureError):
         # not multiplicative: chi(3)^2 should be chi(9)=chi(4)
-        DirichletCharacter(5, {1: Fraction(0), 2: Fraction(1, 4),
-                               3: Fraction(1, 4), 4: Fraction(1, 2)})
+        DirichletCharacter(5, 4, {1: 0, 2: 1, 3: 1, 4: 2})
 
 
 def test_characters_mod_counts_and_orthogonality():
@@ -84,18 +84,26 @@ def test_characters_mod_counts_and_orthogonality():
 
 def test_conductor_and_primitive_core():
     # lift chi mod 3 to modulus 12
-    lifted = DirichletCharacter(12, {1: Fraction(0), 5: Fraction(1, 2),
-                                     7: Fraction(0), 11: Fraction(1, 2)})
+    lifted = DirichletCharacter(12, 2, {1: 0, 5: 1, 7: 0, 11: 1})
     assert lifted.conductor == 3
     core = lifted.primitive_core()
-    assert core.modulus == 3 and core.exps == CHI_M3.exps
+    assert core.modulus == 3 and fraction_exps(core) == fraction_exps(CHI_M3)
     assert CHI_M4.is_primitive() and CHI_M4.conductor == 4
     assert trivial_character(6).conductor == 1
 
 
+def test_primitive_core_matches_the_fraction_route():
+    # the core from the integer powers read at a mod d against the core from
+    # Fraction exponents read at a coprime lift of each unit mod d
+    chars = [chi for f in range(1, 101) for chi in characters_mod(f)]
+    assert len(chars) == sum(len(unit_residues(f)) for f in range(1, 101)) == 3044
+    assert sum(not chi.is_primitive() for chi in chars) > 1000
+    for chi in chars:
+        assert chi.primitive_core().key == primitive_core_by_fractions(chi).key, chi.key
+
+
 def test_primitive_core_is_built_once(monkeypatch):
-    lifted = DirichletCharacter(12, {1: Fraction(0), 5: Fraction(1, 2),
-                                     7: Fraction(0), 11: Fraction(1, 2)})
+    lifted = DirichletCharacter(12, 2, {1: 0, 5: 1, 7: 0, 11: 1})
     builds = []
     real = DirichletCharacter.__init__
 
@@ -106,7 +114,7 @@ def test_primitive_core_is_built_once(monkeypatch):
     monkeypatch.setattr(DirichletCharacter, "__init__", counted)
     core = lifted.primitive_core()
     assert lifted.primitive_core() is core and len(builds) == 1
-    assert core.modulus == 3 and core.exps == CHI_M3.exps
+    assert core.modulus == 3 and fraction_exps(core) == fraction_exps(CHI_M3)
     # a primitive character is its own core and builds nothing
     assert CHI_M4.primitive_core() is CHI_M4 and len(builds) == 1
 
@@ -114,8 +122,7 @@ def test_primitive_core_is_built_once(monkeypatch):
 def test_generalized_bernoulli_guards():
     with pytest.raises(ArithmeticDomainError):
         generalized_bernoulli(0, CHI_M4)
-    lifted = DirichletCharacter(12, {1: Fraction(0), 5: Fraction(1, 2),
-                                     7: Fraction(0), 11: Fraction(1, 2)})
+    lifted = DirichletCharacter(12, 2, {1: 0, 5: 1, 7: 0, 11: 1})
     with pytest.raises(ArithmeticDomainError):
         generalized_bernoulli(1, lifted)
     with pytest.raises(ArithmeticDomainError):
@@ -138,8 +145,7 @@ def test_L_ST_euler_and_delta_factors():
 
 def test_L_ST_complex_character_convention():
     # order-4 character mod 5 with chi(2) = i
-    chi = DirichletCharacter(5, {1: Fraction(0), 2: Fraction(1, 4),
-                                 3: Fraction(3, 4), 4: Fraction(1, 2)})
+    chi = DirichletCharacter(5, 4, {1: 0, 2: 1, 3: 3, 4: 2})
     base = L_at_nonpositive(0, chi)
     i = Cyclo.zeta(4)
     # T-factor uses the character's own value: 1 - chi(7) * 7, chi(7) = i
@@ -189,16 +195,17 @@ def test_multiplicativity_check_matches_all_pairs(f, data):
     chars = characters_mod(f)
     # a product of two characters is multiplicative
     x, y = data.draw(st.sampled_from(chars)), data.draw(st.sampled_from(chars))
-    exps = {a: x.exps[a] + y.exps[a] for a in x.exps}
+    x_exps, y_exps = fraction_exps(x), fraction_exps(y)
+    exps = {a: x_exps[a] + y_exps[a] for a in x_exps}
     # shift some exponents: by an integer keeps chi, by a fraction may not
     fracs = st.fractions(min_value=-2, max_value=2, max_denominator=12)
     for a in data.draw(st.lists(st.sampled_from(sorted(exps)), max_size=2)):
         exps[a] += data.draw(fracs)
     if _all_pairs_multiplicative(f, exps):
-        DirichletCharacter(f, exps)
+        dirichlet_from_exps(f, exps)
     else:
         with pytest.raises(FixtureError, match="not multiplicative"):
-            DirichletCharacter(f, exps)
+            dirichlet_from_exps(f, exps)
 
 
 def test_integer_bernoulli_sums_match_the_fraction_formula():
@@ -210,18 +217,18 @@ def test_integer_bernoulli_sums_match_the_fraction_formula():
                 got = generalized_bernoulli(n, chi)
                 want = generalized_bernoulli_fractions(n, chi)
                 assert (got.order, got.num, got.den) == \
-                    (want.order, want.num, want.den), (f, chi.exps, n)
+                    (want.order, want.num, want.den), (f, fraction_exps(chi), n)
 
 
 def test_l_value_cache_key_is_built_once_and_shared_by_equal_characters():
     chi = next(c for c in characters_mod(23) if c.order == 22)
-    twin = DirichletCharacter(23, dict(chi.exps))
+    twin = DirichletCharacter(23, chi.order, dict(chi.powers))
     assert twin is not chi and twin.key == chi.key
     assert chi.key is chi.key  # built once per character
     for r in (0, -1):
         assert L_at_nonpositive(r, twin) is L_at_nonpositive(r, chi)
     # the key is the values: another character has another key
-    assert all(c.key != chi.key for c in characters_mod(23) if c.exps != chi.exps)
+    assert all(c.key != chi.key for c in characters_mod(23) if fraction_exps(c) != fraction_exps(chi))
 
 
 def test_unit_generators_generate_the_unit_group():
@@ -260,7 +267,7 @@ def test_primitive_l_from_the_key_matches_the_character_route():
     assert len(chars) > 105
     _primitive_L.cache_clear()
     for chi in chars:
-        rebuilt = DirichletCharacter(chi.modulus, chi.exps)
+        rebuilt = DirichletCharacter(chi.modulus, chi.order, chi.powers)
         for r in (0, -1, -2, -3):
             got = _primitive_L(r, chi.key)
             want = generalized_bernoulli(1 - r, rebuilt) * Fraction(-1, 1 - r)

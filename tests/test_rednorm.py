@@ -21,7 +21,7 @@ from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          reduced_norm_component, star_adjoint)
 
 from conftest import fixture_path, ladder_fixture_writer
-from oracles import (dense_trace, from_root_of_unity, monomial_matrix,
+from oracles import (dense_trace, fraction_exps, from_root_of_unity, monomial_matrix,
                      sigma_inverse, sigma_isomorphism)
 
 
@@ -290,6 +290,7 @@ def _matrices_from_certificate(table, i):
     built entry by entry from the certificate as before the monomial data."""
     group = table.group
     cert = table.certificates[i]
+    exps = fraction_exps(cert)
     u_set = set(cert.u_elems)
     reps = group.coset_reps(sorted(u_set))
     d = len(reps)
@@ -301,7 +302,7 @@ def _matrices_from_certificate(table, i):
             for r, xi in enumerate(reps):
                 y = group.mul(group.inverse(xi), gx)
                 if y in u_set:
-                    m[r][j] = from_root_of_unity(cert.exps[y])
+                    m[r][j] = from_root_of_unity(exps[y])
                     break
         mats.append(m)
     return mats

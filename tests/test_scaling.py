@@ -62,7 +62,7 @@ def test_checked_characters_and_l_values_mod_107():
     for _ in range(2):
         values = []
         for chi in characters_mod(107):
-            check = DirichletCharacter(107, chi.exps).conjugate()
+            check = DirichletCharacter(107, chi.order, {a: -k for a, k in chi.powers.items()})
             values.append(L_at_nonpositive(0, check.primitive_core()))
         rounds.append(values)
     elapsed = time.perf_counter() - t0

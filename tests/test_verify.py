@@ -293,6 +293,14 @@ def test_screening_declared_flag():
     assert any("class number" in f for f in rep["screened"][0]["flags"])
 
 
+def test_screening_reads_a_single_integer_flag():
+    obj = copy.deepcopy(load_fixture_json("q_i"))
+    for flag, declared in ((2, True), (3, False), ([], False)):
+        obj["clZetaPFlag"] = flag
+        rep = exceptional_prime_screening(ExtensionFixture(obj), p=2)
+        assert any("class number" in f for f in rep["screened"][0]["flags"]) == declared
+
+
 def test_relative_class_number_oracles():
     assert relative_class_number_qzeta(3) == 1
     assert relative_class_number_qzeta(5) == 1

@@ -10,10 +10,15 @@ field, C_(p-1), with perfbench's six presentation shapes (a x b for b in
 adds the command line itself: `skv --help`, each command's `--help` and a
 fixed list of bad invocations (`CLI_INVOCATIONS`), each with its exit code
 and the sha256 of its stdout and of its stderr, at a fixed help width of 80
-columns.  Run it at two commits and diff the outputs to show that a change
-keeps every report byte-identical.  From the repository root:
+columns.  `--commands` adds, on every shipped fixture, `theta` at r = 0,
+-1, -2 and -3 and `sku`, each in json and in text, `fixtures validate` and
+`check all --format text` (`COMMAND_INVOCATIONS`), each with its exit code
+and the sha256 of its stdout and of its stderr.  Run it at two commits and
+diff the outputs to show that a change keeps every report byte-identical.
+From the repository root:
 
     python3 tools/report_digests.py --seeds 0-39 --ladder 31,47,71,107 --cli > digests.txt
+    python3 tools/report_digests.py --seeds 0 --commands > digests.txt
     python3 tools/report_digests.py --seeds 0 --extra big.json > digests.txt
     python3 tools/report_digests.py --seeds 0-3 --fitting-ladder 31,47 > digests.txt
 
@@ -73,6 +78,16 @@ CLI_INVOCATIONS = [
     ["fixtures", "--fixture", "q.json"],
     ["theta", "--fixture", "q.json", "--format", "yaml"],
     ["sku", "--fixture", "q.json", "--bound", "two"],
+]
+
+
+#: Per-fixture invocations for --commands, without the --fixture argument.
+COMMAND_INVOCATIONS = [
+    *([*command, "--format", fmt]
+      for command in [*(["theta", f"--r={r}"] for r in (0, -1, -2, -3)), ["sku"]]
+      for fmt in ("json", "text")),
+    ["fixtures", "validate"],
+    ["check", "all", "--format", "text"],
 ]
 
 
@@ -138,6 +153,9 @@ def main(argv=None) -> int:
     parser.add_argument("--fitting-ladder", type=prime_list, default=[], metavar="P,...",
                         help="odd primes p on whose ladder group C_(p-1) to "
                              "digest `fitting` for each seed")
+    parser.add_argument("--commands", action="store_true",
+                        help="also digest theta, sku, fixtures validate and "
+                             "text check on every shipped fixture")
     parser.add_argument("--cli", action="store_true",
                         help="also digest skv's help screens and the bad "
                              "invocations in CLI_INVOCATIONS")
@@ -147,10 +165,16 @@ def main(argv=None) -> int:
         os.environ["COLUMNS"] = "80"
         for cli_argv in CLI_INVOCATIONS:
             print(f"cli [{' '.join(cli_argv)}] {cli_digest(cli_argv)}")
-    for name in sorted(os.listdir(FIXTURES)):
-        if name.endswith(".json"):
+    fixtures = sorted(name for name in os.listdir(FIXTURES) if name.endswith(".json"))
+    for name in fixtures:
+        path = os.path.join(FIXTURES, name)
+        print(f"check {name[:-5]} {digest(['check', 'all', '--fixture', path])}")
+    if args.commands:
+        for name in fixtures:
             path = os.path.join(FIXTURES, name)
-            print(f"check {name[:-5]} {digest(['check', 'all', '--fixture', path])}")
+            for command in COMMAND_INVOCATIONS:
+                print(f"command {name[:-5]} [{' '.join(command)}] "
+                      f"{cli_digest([*command, '--fixture', path])}", flush=True)
     for path in args.extra:
         print(f"check {path} {digest(['check', 'all', '--fixture', path])}", flush=True)
     perfbench = perfbench_run()
