@@ -158,6 +158,47 @@ def _check_cyclotomic_map(group: FiniteGroup, f: int, mp: dict, units):
         raise FixtureError("cyclotomic map is not a homomorphism")
 
 
+def _check_places_against_map(fix: "ExtensionFixture", f: int, mp: dict):
+    """Over K = Q every place's local data comes from the cyclotomic map.
+    At a prime q with f = q^v f', q prime to f': the inertia group is the
+    image of the units = 1 mod f', and the Frobenius lift lies in map(a) I
+    for the unit a = q mod f', a = 1 mod q^v.  The decomposition group is
+    then <I, map(a)>, because the local-group checks of PlaceData make it
+    <I, Frobenius>.  A prime of f with nontrivial inertia must be a place.
+    Complex conjugation, when given, is map(-1), which also generates the
+    decomposition group of an infinite place."""
+    group = fix.group
+    key = (lambda a: a % f) if f > 1 else (lambda a: 1)
+    units = unit_residues(f)
+    finite = [pl for pl in fix.places if not pl.infinite]
+    primes = {q for q in range(2, f + 1) if f % q == 0 and _is_prime(q)}
+    for q in sorted(primes | {pl.residue_char for pl in finite}):
+        part = 1
+        while f % (part * q) == 0:
+            part *= q
+        rest = f // part
+        inertia = {mp[key(b)] for b in units if (b - 1) % rest == 0}
+        frob = mp[key(q + rest * ((1 - q) * pow(rest, -1, part) % part))]
+        places = [pl for pl in finite if pl.residue_char == q]
+        if not places and len(inertia) > 1:
+            raise FixtureError(f"cyclotomic map: the prime {q} ramifies but is not a place")
+        coset = {group.mul(frob, i) for i in inertia}
+        for pl in places:
+            for what, ok in (("inertia group", set(pl.inertia) == inertia),
+                             ("Frobenius", pl.frobenius in coset)):
+                if not ok:
+                    raise FixtureError(
+                        f"place {pl.label}: {what} does not match the cyclotomic map")
+    conj = mp[key(-1)]
+    if fix.j is not None and fix.j != conj:
+        raise FixtureError("complex conjugation does not match the cyclotomic map")
+    real = set(group.subgroup_closure([conj]))
+    for pl in fix.places:
+        if pl.infinite and set(pl.decomposition) != real:
+            raise FixtureError(f"place {pl.label}: decomposition group does not match "
+                               "complex conjugation of the cyclotomic map")
+
+
 class PlaceSets:
     """S/T selection with the evaluation point and optional local prime."""
 
@@ -178,8 +219,7 @@ class ExtensionFixture:
     """A Galois extension presented through explicit local and module data."""
 
     FIELDS = {"schema", "name", "group", "complexConjugation", "places", "muL",
-              "classGroups", "cyclotomic", "subextensionThetas",
-              "torsionFreeOverride", "clZetaPFlag"}
+              "classGroups", "cyclotomic", "subextensionThetas", "clZetaPFlag"}
 
     def __init__(self, obj: dict):
         _require_keys(obj, self.FIELDS, {"schema", "name", "group", "places", "muL"},
@@ -233,7 +273,10 @@ class ExtensionFixture:
         cyc = obj.get("cyclotomic")
         if cyc is not None:
             _require_keys(cyc, {"conductor", "map"}, {"conductor", "map"}, "cyclotomic")
-            f = int(cyc["conductor"])
+            f = cyc["conductor"]
+            # type(f) is int also rejects bool; below 1 there are no residues
+            if type(f) is not int or f < 1:
+                raise FixtureError("cyclotomic conductor must be a positive integer")
             if not isinstance(cyc["map"], dict):
                 raise FixtureError("cyclotomic map must be an object")
             mp = {int(a): int(g) for a, g in cyc["map"].items()}
@@ -252,12 +295,12 @@ class ExtensionFixture:
                         f"place {place.label}: residue norm {place.residue_norm} "
                         f"must equal the residue characteristic {place.residue_char} "
                         "over Q")
+            _check_places_against_map(self, f, mp)
         self.subextension_thetas = obj.get("subextensionThetas", [])
         if not isinstance(self.subextension_thetas, list):
             raise FixtureError("subextensionThetas must be a list")
         for src in self.subextension_thetas:
             validate_theta_source(src)
-        self.torsion_free_override = obj.get("torsionFreeOverride")
         # the primes p declared to divide the class number of Q(zeta_p): one
         # integer or a list of them; type(k) is int also rejects bool
         flags = obj.get("clZetaPFlag")
@@ -342,8 +385,6 @@ def _torsion_criterion(fix: ExtensionFixture, t_labels) -> tuple[bool, str]:
         p = fix.place(lab)
         if not p.infinite and w % p.residue_char != 0:
             return True, f"place {lab} has residue characteristic prime to w={w}"
-    if fix.torsion_free_override:
-        return True, f"fixture override: {fix.torsion_free_override}"
     return False, f"no place in T with residue characteristic prime to w={w}"
 
 

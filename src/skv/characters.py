@@ -198,13 +198,9 @@ class CharacterTable:
         return self.chars[i]
 
     def index_of_values(self, values) -> int:
-        values = tuple(values)
-        if all(self.value_order % v.order == 0 for v in values):
-            i = self._index.get(tuple(map(self._value_ids.get, self._value_keys(values))))
-        else:
-            # a value stored at an order outside Q(zeta_value_order) can
-            # still lie in that field; compare exactly
-            i = next((i for i, c in enumerate(self.chars) if c.values == values), None)
+        """The character with these values, each stored at an order that
+        divides ``value_order``, looked up by their keys."""
+        i = self._index.get(tuple(map(self._value_ids.get, self._value_keys(values))))
         if i is None:
             raise GroupError("values do not match any irreducible")
         return i

@@ -403,30 +403,25 @@ def product_coefficients(x: CentralElement, h_elems, c_elems):
     return out
 
 
-def max_order_membership(x: CentralElement, mode: str = "full",
-                         product=None, p: int | None = None) -> MembershipVerdict:
+def max_order_membership(x: CentralElement, product=None,
+                         p: int | None = None) -> MembershipVerdict:
     """Integrality of a central element in the maximal order.
 
-    mode "full": every character component must be an algebraic integer.
-    mode "p-local": components only need to be p-integral.
-    mode "product": for a direct product G = H x C, the coefficients over C
-    (per irreducible of H) must be algebraic integers.
+    Without ``product`` (mode "full"): every character component must be
+    an algebraic integer.  With ``product = (H, C)`` for a direct product
+    G = H x C (mode "product"): the coefficients over C, per irreducible
+    of H, must be algebraic integers, or p-integral when p is given.
     """
-    if mode == "full" or mode == "p-local":
+    if product is None:
         for i, comp in enumerate(x.components):
-            ok = comp.is_p_integral(p) if mode == "p-local" else comp.is_algebraic_integer()
-            if not ok:
-                return MembershipVerdict(False, mode, {"chiIndex": i, "value": comp.to_json()})
-        return MembershipVerdict(True, mode)
-    if mode == "product":
-        if product is None:
-            raise GroupError("product mode needs the (H, C) decomposition")
-        coeffs = product_coefficients(x, product[0], product[1])
-        for (i, c), val in sorted(coeffs.items()):
-            ok = val.is_p_integral(p) if p is not None else val.is_algebraic_integer()
-            if not ok:
-                return MembershipVerdict(
-                    False, mode, {"chiIndex": i, "cElement": c, "value": val.to_json()}
-                )
-        return MembershipVerdict(True, mode)
-    raise GroupError(f"unknown membership mode {mode!r}")
+            if not comp.is_algebraic_integer():
+                return MembershipVerdict(False, "full", {"chiIndex": i, "value": comp.to_json()})
+        return MembershipVerdict(True, "full")
+    coeffs = product_coefficients(x, product[0], product[1])
+    for (i, c), val in sorted(coeffs.items()):
+        ok = val.is_p_integral(p) if p is not None else val.is_algebraic_integer()
+        if not ok:
+            return MembershipVerdict(
+                False, "product", {"chiIndex": i, "cElement": c, "value": val.to_json()}
+            )
+    return MembershipVerdict(True, "product")

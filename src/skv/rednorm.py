@@ -8,16 +8,16 @@ root of unity.  A block matrix is built from that data with each entry
 added up in integers and reduced once.  Every star adjoint is verified
 against its defining identity before being returned.
 
-The reduced norm of a rational matrix is Galois-equivariant: its component
-at sigma_k(chi) is sigma_k of its component at chi.  So in each Galois
-orbit of characters only the first member and one conjugate of it get a
-representation and a determinant; every other member whose certificate is
-the sigma_k-image of the first one's takes sigma_k of that component,
-which is the value, at the order, its own determinant would give.  The
-Galois self-check then runs over all components as before, and it
-compares the two members computed independently, so a wrong determinant
-anywhere still fails it.  A matrix with a non-rational entry gets one
-determinant per character.
+Reduced norms and Fitting invariants are taken of matrices over QG only;
+a matrix with a non-rational entry is rejected.  The reduced norm of a
+rational matrix is Galois-equivariant: its component at sigma_k(chi) is
+sigma_k of its component at chi.  So in each Galois orbit of characters
+only the first member and one conjugate of it get a representation and a
+determinant; every other member whose certificate is the sigma_k-image of
+the first one's takes sigma_k of that component, which is the value, at
+the order, its own determinant would give.  The Galois self-check then
+runs over all components, and it compares the two members computed
+independently, so a wrong determinant anywhere still fails it.
 """
 
 from __future__ import annotations
@@ -173,22 +173,24 @@ def reduced_norm_component(a, table: CharacterTable, i: int) -> Cyclo:
 
 
 def reduced_norm(a, table: CharacterTable) -> CentralElement:
-    """Reduced norm of a square matrix over the group ring, as a central
-    element (one component per irreducible; see ``_represented``)."""
+    """Reduced norm of a square matrix over QG, as a central element (one
+    component per irreducible; see ``_represented``)."""
+    _require_qg(a)
     return _rows_norm(a, range(len(a)), _represented(a, table), table)
 
 
-def _is_rational(rows) -> bool:
-    return all(entry.is_rational() for row in rows for entry in row)
+def _require_qg(a):
+    if not all(entry.is_rational() for row in a for entry in row):
+        raise GroupError("reduced norm requires a matrix over QG")
 
 
 def _represented(a, table: CharacterTable):
-    """``(blocks, fills)`` for the group-ring matrix ``a``: ``fills`` maps
+    """``(blocks, fills)`` for the matrix ``a`` over QG: ``fills`` maps
     each character j whose components are sigma_k of those at r to (r, k)
     (see ``_galois_fills``); ``blocks[i]`` is None for those and otherwise
     the degree of the i-th irreducible and the block matrix of ``a`` under
     its monomial representation."""
-    fills = _galois_fills(a, table) if _is_rational(a) else {}
+    fills = _galois_fills(a, table)
     blocks = []
     for i in range(len(table)):
         if i in fills:
@@ -200,7 +202,7 @@ def _represented(a, table: CharacterTable):
 
 
 def _galois_fills(a, table: CharacterTable) -> dict[int, tuple[int, int]]:
-    """For a rational matrix ``a``: j -> (r, k) for each character j whose
+    """For a matrix ``a`` over QG: j -> (r, k) for each character j whose
     reduced-norm components are sigma_k of those at r.  In each Galois
     orbit of three or more characters, the first member r and its image
     under the first generator of (Z/M)^x that moves it are computed
@@ -234,13 +236,13 @@ def _galois_fills(a, table: CharacterTable) -> dict[int, tuple[int, int]]:
 
 
 def _rows_norm(a, rows, represented, table: CharacterTable) -> CentralElement:
-    """Reduced norm of the matrix made of the given rows of the group-ring
-    matrix ``a``, with ``represented`` the ``_represented`` data of all of
+    """Reduced norm of the matrix made of the given rows of the matrix
+    ``a`` over QG, with ``represented`` the ``_represented`` data of all of
     ``a``: its component at an irreducible of degree d is the determinant
     of the d rows from r * d on of that block, for each selected row r,
     or sigma_k of the component at r for a filled character.  The
-    selection must be square, and the components of a rational one must
-    pass the Galois self-check."""
+    selection must be square, and its components must pass the Galois
+    self-check."""
     if any(len(a[r]) != len(rows) for r in rows):
         raise GroupError("reduced norm requires a square matrix")
     blocks, fills = represented
@@ -251,8 +253,7 @@ def _rows_norm(a, rows, represented, table: CharacterTable) -> CentralElement:
     comps = [None if entry is None else det(*entry) for entry in blocks]
     for j, (r, k) in fills.items():
         comps[j] = comps[r].galois(k)
-    if _is_rational(a[r] for r in rows):
-        table.check_galois(comps, "reduced norm")
+    table.check_galois(comps, "reduced norm")
     return CentralElement(table, comps)
 
 
@@ -353,11 +354,13 @@ class FittingInvariant:
 
 
 def fitting_of_presentation(h, table: CharacterTable) -> FittingInvariant:
-    """Fitting invariant of the presentation matrix h (a rows, b columns,
-    rows are relations): reduced norms of all b x b row selections, each
-    read off the blocks of the whole of h under every irreducible."""
+    """Fitting invariant of the presentation matrix h over ZG (a rows, b
+    columns, rows are relations): reduced norms of all b x b row
+    selections, each read off the blocks of the whole of h under every
+    irreducible."""
     a = len(h)
     b = len(h[0]) if a else 0
+    _require_qg(h)
     if not grm_is_integral(h):
         raise GroupError("presentation matrices must be integral")
     if a < b:
@@ -393,6 +396,11 @@ class FiniteGModule:
             if not all(type(x) is int for r in m for x in r):
                 raise FixtureError(f"action matrix of element {g} has a non-integer entry")
             self.action[g] = [[x % d for x in r] for r, d in zip(m, self.factors)]
+            # d_i | m[i][t] * d_t makes m well defined on the product of the Z/d_t
+            if any(x * d_t % d_i for r, d_i in zip(m, self.factors)
+                   for x, d_t in zip(r, self.factors)):
+                raise FixtureError(
+                    f"action matrix of element {g} is not an endomorphism of the module")
         ident = self.action[0]
         for i in range(k):
             for j in range(k):
@@ -403,15 +411,11 @@ class FiniteGModule:
     def _check_homomorphism(self, group):
         """rho(g) rho(h) = rho(gh) row-wise modulo the factors, for every g
         and every h in ``group.generators()`` (see groups).  That covers
-        every pair only when each matrix is an endomorphism, d_i dividing
-        entry (i, t) times d_t, so that multiplying by it keeps row-wise
-        congruences; otherwise h runs over the whole group."""
+        every pair because each matrix is an endomorphism, so multiplying
+        by it keeps row-wise congruences."""
         k, d = len(self.factors), self.factors
-        endomorphisms = all(m[i][t] * d[t] % d[i] == 0
-                            for m in self.action.values()
-                            for i in range(k) for t in range(k))
         for g in range(group.order):
-            for h in group.generators() if endomorphisms else range(group.order):
+            for h in group.generators():
                 prod = self._mat_mul(self.action[g], self.action[h])
                 target = self.action[group.mul(g, h)]
                 for i in range(k):
@@ -487,9 +491,6 @@ def annihilation_check(fitt: FittingInvariant, module: FiniteGModule,
         notes.append("module is trivial; annihilation holds vacuously")
     gens = module.generators()
     for tag, h in h_elements:
-        if not tag.startswith("certified"):
-            notes.append(f"skipping uncertified element {tag}")
-            continue
         for fi, f in enumerate(fitt.generators):
             y = (h * f).to_group_ring()
             for gi, vec in enumerate(gens):

@@ -67,7 +67,7 @@ def _integrality_failure(x: CentralElement, abelian: bool,
     """Witness fields when x leaves the maximal order or, for abelian G,
     has a non-integral ZG coefficient; None when x passes both.  A caller
     that has already decided whether x lies in ZG passes that as in_zg."""
-    mv = max_order_membership(x, "full")
+    mv = max_order_membership(x)
     if not mv.ok:
         return {"membership": mv.to_json()}
     if abelian and not (_is_exact_integral(x) if in_zg is None else in_zg):
@@ -113,8 +113,7 @@ def check_theorem_stickelberger_int(fix: ExtensionFixture, sets: PlaceSets) -> V
                        notes=[f"fixture gap: {exc}"],
                        provenance=[f"admissibility: {adm.reasons}"])
     h_elems, c_elems = _product_split(fix)
-    mv = max_order_membership(th.central, "product",
-                              product=(h_elems, c_elems), p=sets.p)
+    mv = max_order_membership(th.central, product=(h_elems, c_elems), p=sets.p)
     prov = [f"theta: {th.provenance}",
             f"product splitting |H|={len(h_elems)}, |C|={len(c_elems)}",
             "membership mode: product" + (f", p={sets.p}" if sets.p else "")]
@@ -179,26 +178,24 @@ def check_theorem_sku_maxord(fix: ExtensionFixture, S, bound: int = 2) -> Verdic
     return Verdict(check_id, "verified", witnesses=witnesses, notes=notes)
 
 
-def _nr_candidates(n: int, height: int, support: int):
-    """Coefficient maps over a group of order n with nonzero integer
-    coefficients of absolute value at most height: every single term, then,
-    for support >= 2, every pair of terms."""
-    values = [c for c in range(-height, height + 1) if c]
+def _nr_candidates(n: int):
+    """Coefficient maps over a group of order n with coefficients +-1 and
+    support at most 2: every single term, then every pair of terms."""
+    values = (-1, 1)
     for g in range(n):
         for c in values:
             yield {g: Fraction(c)}
-    if support >= 2:
-        for a, b in itertools.combinations(range(n), 2):
-            for ca in values:
-                for cb in values:
-                    yield {a: Fraction(ca), b: Fraction(cb)}
+    for a, b in itertools.combinations(range(n), 2):
+        for ca in values:
+            for cb in values:
+                yield {a: Fraction(ca), b: Fraction(cb)}
 
 
-def _bounded_nr_search(table: CharacterTable, target: CentralElement,
-                       height: int = 1, support: int = 2):
+def _bounded_nr_search(table: CharacterTable, target: CentralElement):
     """Try to realize the target as a reduced norm of a single group-ring
-    element with small support and coefficient height.  Returns the witness
-    coefficients or None; the search is truncated, so failure proves nothing.
+    element of support at most 2 and coefficient height 1.  Returns the
+    witness coefficients or None; the search is truncated, so failure
+    proves nothing.
 
     A candidate is rejected at its first character component that differs
     from the target: first the trivial one, which is the augmentation sum
@@ -207,7 +204,7 @@ def _bounded_nr_search(table: CharacterTable, target: CentralElement,
     norm, with that norm's Galois self-check, before it is returned."""
     group = table.group
     trivial = table.trivial_index()
-    for coeffs in _nr_candidates(group.order, height, support):
+    for coeffs in _nr_candidates(group.order):
         # the trivial component of nr(x) is the augmentation sum c_g
         if target.components[trivial] != sum(coeffs.values()):
             continue
@@ -227,7 +224,7 @@ def _integrality_tier(fix: ExtensionFixture, x: CentralElement):
         if _is_exact_integral(x):
             return "certified", {"reason": "abelian: exact ZG coefficients"}
         return "falsified", {"reason": "abelian: non-integral ZG coefficient"}
-    mv = max_order_membership(x, "full")
+    mv = max_order_membership(x)
     if not mv.ok:
         return "falsified", {"membership": mv.to_json()}
     witness = _bounded_nr_search(fix.table, x)
@@ -362,15 +359,14 @@ def check_negative_r(fix: ExtensionFixture, S, r: int) -> Verdict:
     return Verdict(check_id, "verified", witnesses=witnesses, notes=notes)
 
 
-def exceptional_prime_screening(fix: ExtensionFixture,
-                                p: int | None = None) -> dict:
-    """Screen for the hypotheses that make p exceptional: p = 2, a wildly
-    ramified p-adic place that is not almost tame (complex conjugation
-    outside the decomposition group), or a declared nontrivial p-part of
-    the class group of the p-th cyclotomic field."""
-    primes = {p} if p is not None else \
-        {2} | {pl.residue_char for pl in fix.places
-               if not pl.infinite and pl.ramified}
+def exceptional_prime_screening(fix: ExtensionFixture) -> dict:
+    """Screen 2 and each ramified residue characteristic p for the
+    hypotheses that make p exceptional: p = 2, a wildly ramified p-adic
+    place that is not almost tame (complex conjugation outside the
+    decomposition group), or a declared nontrivial p-part of the class
+    group of the p-th cyclotomic field."""
+    primes = {2} | {pl.residue_char for pl in fix.places
+                    if not pl.infinite and pl.ramified}
     out = []
     for q in sorted(primes):
         flags = []

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -119,6 +120,72 @@ def test_residue_norm_over_q_must_equal_residue_char():
     obj = _mutated("q_zeta3", norm_49)
     del obj["cyclotomic"]
     assert ExtensionFixture(obj).place("7").residue_norm == 49
+
+
+def _place(obj, label):
+    return next(p for p in obj["places"] if p["label"] == label)
+
+
+def _q_sqrt_5(**fields):
+    """The real field Q(sqrt 5) inside Q(zeta_5), fixed by 1 and 4 = -1."""
+    obj = {"schema": "skvfix/1", "name": "q_sqrt_5",
+           "group": {"table": [[0, 1], [1, 0]], "labels": ["e", "s"]},
+           "places": [{"label": "inf", "infinite": True, "decompositionGens": []},
+                      {"label": "5", "residueChar": 5, "residueNorm": 5, "frobenius": 0,
+                       "decompositionGens": [1], "inertiaGens": [1]},
+                      {"label": "2", "residueChar": 2, "residueNorm": 2, "frobenius": 1,
+                       "decompositionGens": [1]},
+                      {"label": "11", "residueChar": 11, "residueNorm": 11, "frobenius": 0,
+                       "decompositionGens": []}],
+           "muL": {"order": 2, "action": {"0": 1, "1": 1}},
+           "cyclotomic": {"conductor": 5, "map": {"1": 0, "2": 1, "3": 1, "4": 0}}}
+    obj.update(fields)
+    return obj
+
+
+def test_places_must_match_the_cyclotomic_map(tmp_path):
+    write = ladder_fixture_writer()
+    for p in (31, 47, 71, 107):
+        ExtensionFixture.load(write(p, str(tmp_path)))
+    ExtensionFixture(_q_sqrt_5())
+    # a prime that does not ramify may be left out
+    ExtensionFixture(_mutated("q_zeta23", lambda o: o["places"].remove(_place(o, "29"))))
+
+    def drop(label):
+        return lambda o: o["places"].remove(_place(o, label))
+
+    cases = [
+        # inertia at 29, which is unramified in Q(zeta_23)
+        ("q_zeta23", lambda o: _place(o, "29").update(inertiaGens=[18]),
+         "place 29: inertia group does not match the cyclotomic map"),
+        # 29 = 6 mod 23 and map(6) = 18: Frobenius 2 generates the same
+        # decomposition group as 18 but is map(2), the Frobenius at 2
+        ("q_zeta23", lambda o: _place(o, "29").update(frobenius=2, decompositionGens=[2]),
+         "place 29: Frobenius does not match the cyclotomic map"),
+        # a decomposition group off <I, map(a)> fails the local-group checks
+        ("q_zeta23", lambda o: _place(o, "29").update(decompositionGens=[1]),
+         "place 29: Frobenius order inconsistent"),
+        ("q_i", drop("2"), "cyclotomic map: the prime 2 ramifies but is not a place"),
+        ("q_sqrt_m5", drop("5"), "cyclotomic map: the prime 5 ramifies but is not a place"),
+        ("q_i", lambda o: _place(o, "inf").update(decompositionGens=[]),
+         "place inf: decomposition group does not match complex conjugation"),
+    ]
+    for name, mutate, what in cases:
+        with pytest.raises(FixtureError, match=re.escape(what)):
+            ExtensionFixture(_mutated(name, mutate))
+    with pytest.raises(FixtureError, match="complex conjugation does not match"):
+        ExtensionFixture(_q_sqrt_5(complexConjugation=1))
+    real = _q_sqrt_5()
+    _place(real, "inf")["decompositionGens"] = [1]
+    with pytest.raises(FixtureError, match="place inf: decomposition group does not match"):
+        ExtensionFixture(real)
+
+
+def test_cyclotomic_conductor_must_be_a_positive_integer():
+    for conductor in (0, -1, True, "1", 1.0, None):
+        obj = _mutated("q", lambda o: o["cyclotomic"].update(conductor=conductor))
+        with pytest.raises(FixtureError, match="conductor must be a positive integer"):
+            ExtensionFixture(obj)
 
 
 def test_generate_a_s_built_once_per_set_and_bound():
@@ -422,7 +489,8 @@ def _module_outcome(group, factors, action, monkeypatch, all_pairs: bool):
 def test_module_check_falls_back_to_every_pair_off_endomorphisms(monkeypatch):
     # Z/2 x Z/4 with C4 acting through A = [[1, 1], [2, 1]] of order 4; a
     # single entry can make a matrix that is no endomorphism (entry (1, 0)
-    # odd), where the generating-set argument does not apply
+    # odd), where the generating-set argument would not apply: the module
+    # rejects it on load, before either homomorphism check
     group = FiniteGroup.cyclic(4)
     factors = [2, 4]
     powers = [[[1, 0], [0, 1]]]
@@ -449,23 +517,24 @@ def test_module_check_falls_back_to_every_pair_off_endomorphisms(monkeypatch):
                     new = _module_outcome(group, factors, bad, monkeypatch, False)
                     assert new == _module_outcome(group, factors, bad, monkeypatch, True)
                     outcomes.add(new)
+    endomorphism = "action matrix of element {} is not an endomorphism of the module"
     assert outcomes == {None, "identity must act trivially",
-                        "action is not a homomorphism"}
-    # the all-pairs check accepts this involution of Z/2 x Z/4 although
-    # [[1, 0], [1, 3]] is no endomorphism; so does the fallback
+                        "action is not a homomorphism",
+                        *(endomorphism.format(g) for g in range(4))}
+    # [[1, 0], [1, 3]] is no endomorphism of Z/2 x Z/4: the all-pairs check
+    # alone accepted this involution, on an action that is not well defined
     c2 = FiniteGroup.cyclic(2)
     loose = {0: [[1, 0], [0, 1]], 1: [[1, 0], [1, 3]]}
-    assert _module_outcome(c2, factors, loose, monkeypatch, True) is None
-    assert _module_outcome(c2, factors, loose, monkeypatch, False) is None
-    # and it rejects this C3 action, which passes rho(g) rho(s) = rho(gs)
-    # for the one generator s = 1: without endomorphisms, the induction
-    # over words in the generators does not go through
+    for all_pairs in (True, False):
+        assert _module_outcome(c2, factors, loose, monkeypatch, all_pairs) == \
+            endomorphism.format(1)
+    # this C3 action passes rho(g) rho(s) = rho(gs) for the one generator
+    # s = 1, and fails the all-pairs check; it is no endomorphism either
     c3 = FiniteGroup.cyclic(3)
     loose = {0: [[1, 0], [0, 1]], 1: [[1, 1], [1, 2]], 2: [[0, 1], [3, 1]]}
-    assert _module_outcome(c3, factors, loose, monkeypatch, True) == \
-        "action is not a homomorphism"
-    assert _module_outcome(c3, factors, loose, monkeypatch, False) == \
-        "action is not a homomorphism"
+    for all_pairs in (True, False):
+        assert _module_outcome(c3, factors, loose, monkeypatch, all_pairs) == \
+            endomorphism.format(1)
 
 
 def _raises(check, *args):

@@ -326,9 +326,11 @@ def test_integer_certificates_give_the_fraction_exponents(fixtures):
 
 def test_index_of_values_at_a_foreign_order():
     table = irreducibles_monomial(named_group("C2"))
-    # -1 stored at order 3 is not a key at order 2 but is still a value
-    sign = (Cyclo.one(3), -Cyclo.one(3))
-    assert table.index_of_values(sign) == 1
+    # values are looked up by their keys at the table's value order, 2:
+    # -1 stored at order 3 has none
+    assert table.index_of_values((Cyclo.one(2), -Cyclo.one(2))) == 1
+    with pytest.raises(ArithmeticDomainError, match="cannot lift order 3 into 2"):
+        table.index_of_values((Cyclo.one(3), -Cyclo.one(3)))
 
 
 MONOMIAL_GROUPS = monomial_test_groups()

@@ -192,9 +192,32 @@ def test_malformed_fixture_exits_3(tmp_path, capsys):
         vals = o["subextensionThetas"][0]["values"]
         vals["x"] = vals.pop("0")
 
+    # a ramified prime of the conductor left out (check all exited 1 with
+    # stickelberger and sku falsified) and a Frobenius off the cyclotomic
+    # map (check all exited 3 from the theta assembly self-check)
+    def no_place_2(o):
+        o["places"] = [p for p in o["places"] if p["label"] != "2"]
+
+    def frobenius_29_is_2(o):
+        place = next(p for p in o["places"] if p["label"] == "29")
+        place["frobenius"] = place["decompositionGens"][0] = 2
+
+    # [[1, 0], [1, 3]] is no endomorphism of Z/2 x Z/4, which the all-pairs
+    # homomorphism check accepted
+    def loose_action(o):
+        o["classGroups"] = [{"setT": ["5"], "factors": [2, 4],
+                             "action": {"0": [[1, 0], [0, 1]], "1": [[1, 0], [1, 3]]}}]
+
+    def torsion_free_override(o):
+        o["torsionFreeOverride"] = True
+
     cases = [("q_i", non_group, "inverse"), ("q_i", float_entry, "integers"),
              ("q_i", string_entry, "integers"), ("q_i", short_labels, "labels"),
-             ("s3c2", renamed_value_key, "values key")]
+             ("s3c2", renamed_value_key, "values key"),
+             ("q_i", no_place_2, "the prime 2 ramifies but is not a place"),
+             ("q_zeta23", frobenius_29_is_2, "place 29: Frobenius does not match"),
+             ("q_i", loose_action, "element 1 is not an endomorphism of the module"),
+             ("q_zeta3", torsion_free_override, "unknown fields ['torsionFreeOverride']")]
     for name, mutate, what in cases:
         with open(fixture_path(name)) as fh:
             obj = json.load(fh)

@@ -133,12 +133,17 @@ def test_membership_full_and_p_local():
     c2 = named_group("C2")
     table = irreducibles_monomial(c2)
     good = CentralElement(table, [Cyclo.rational(3), Cyclo.rational(-1)])
-    assert max_order_membership(good, "full")
+    assert max_order_membership(good)
     bad = CentralElement(table, [Cyclo.rational(Fraction(1, 2)), Cyclo.one()])
-    verdict = max_order_membership(bad, "full")
+    verdict = max_order_membership(bad)
     assert not verdict and verdict.witness["chiIndex"] == 0
-    assert max_order_membership(bad, "p-local", p=3)
-    assert not max_order_membership(bad, "p-local", p=2)
+    assert verdict.mode == "full"
+    # p-local integrality is read in product mode: over the trivial split
+    # the coefficients of bad are 3/4 and -1/4
+    trivial = ((0,), (0, 1))
+    assert max_order_membership(bad, product=trivial, p=3)
+    verdict = max_order_membership(bad, product=trivial, p=2)
+    assert not verdict and verdict.mode == "product"
 
 
 def test_membership_product_mode():
@@ -148,7 +153,7 @@ def test_membership_product_mode():
     # an honest group-ring integer passes product mode
     x = CentralElement.from_group_ring(
         table, GroupRingElement.norm_element(g, list(c)))
-    assert max_order_membership(x, "product", product=(h, c))
+    assert max_order_membership(x, product=(h, c))
     # components can be integral while the product coefficients are not:
     # split an odd value across the two characters of C
     comps = []
@@ -162,7 +167,7 @@ def test_membership_product_mode():
     y = CentralElement(table, comps)
     coeffs = product_coefficients(y, h, c)
     assert any(not v.is_algebraic_integer() for v in coeffs.values())
-    verdict = max_order_membership(y, "product", product=(h, c))
+    verdict = max_order_membership(y, product=(h, c))
     assert not verdict and "cElement" in verdict.witness
 
 
@@ -261,13 +266,6 @@ def test_product_pairing_reports_an_unmatched_product():
     del table._index[table._rows[3]]
     with pytest.raises(GroupError, match="product character not found in the table"):
         _product_pairing(table, h, c)
-
-
-def test_membership_unknown_mode():
-    table = irreducibles_monomial(named_group("C2"))
-    x = CentralElement(table, [Cyclo.one(), Cyclo.one()])
-    with pytest.raises(GroupError):
-        max_order_membership(x, "nonsense")
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -253,16 +253,6 @@ def test_certified_h_elements_and_annihilation():
     assert not verdict5.ok and verdict5.violations
 
 
-def test_annihilation_skips_uncertified():
-    c2 = named_group("C2")
-    table = irreducibles_monomial(c2)
-    m5 = FiniteGModule(c2, [5], {0: [[1]], 1: [[1]]})
-    one = CentralElement(table, [Cyclo.one(), Cyclo.one()])
-    fitt = FittingInvariant([one], quadratic=True, zero=False)
-    verdict = annihilation_check(fitt, m5, [("assumed:unit", one)])
-    assert verdict.ok and any("uncertified" in n for n in verdict.notes)
-
-
 small_ints = st.integers(min_value=-2, max_value=2)
 
 
@@ -498,9 +488,12 @@ def test_fitting_computes_one_pair_per_galois_orbit(monkeypatch):
     fitting_of_presentation(h, table)
     orbit_starts = [orbit[0] for orbit in table.galois_orbits()]
     assert len(used) == 6 and set(orbit_starts) <= set(used)
-    # a presentation with a non-rational entry computes every character
+    # a presentation with a non-rational entry is not over QG
     h[0][0] = h[0][0] + GroupRingElement(table.group, {0: Cyclo.zeta(4)})
-    assert len(_det_calls(monkeypatch, h, table)) == 3 * len(table)
+    with pytest.raises(GroupError, match="over QG"):
+        fitting_of_presentation(h, table)
+    with pytest.raises(GroupError, match="over QG"):
+        reduced_norm([[h[0][0]]], table)
 
 
 def _assert_fitting_matches_each_component(h, table):

@@ -270,8 +270,8 @@ def test_exceptional_prime_screening(fixtures):
     # the wild place at 2 is almost tame (conjugation in decomposition),
     # so no wild flag appears
     assert not any("wild" in f for f in by_p[2]["flags"])
-    rep23 = exceptional_prime_screening(fixtures["q_zeta23"], p=23)
-    entry = rep23["screened"][0]
+    rep23 = exceptional_prime_screening(fixtures["q_zeta23"])
+    entry = rep23["screened"][1]
     assert entry["p"] == 23 and not entry["exceptional"]
 
 
@@ -281,7 +281,8 @@ def test_screening_wild_not_almost_tame():
     # G), so instead drop conjugation data entirely
     del obj["complexConjugation"]
     fix = ExtensionFixture(obj)
-    rep = exceptional_prime_screening(fix, p=2)
+    rep = exceptional_prime_screening(fix)
+    assert rep["screened"][0]["p"] == 2
     assert any("almost-tameness unknown" in f
                for f in rep["screened"][0]["flags"])
 
@@ -289,7 +290,7 @@ def test_screening_wild_not_almost_tame():
 def test_screening_declared_flag():
     obj = copy.deepcopy(load_fixture_json("q_i"))
     obj["clZetaPFlag"] = [2]
-    rep = exceptional_prime_screening(ExtensionFixture(obj), p=2)
+    rep = exceptional_prime_screening(ExtensionFixture(obj))
     assert any("class number" in f for f in rep["screened"][0]["flags"])
 
 
@@ -297,7 +298,7 @@ def test_screening_reads_a_single_integer_flag():
     obj = copy.deepcopy(load_fixture_json("q_i"))
     for flag, declared in ((2, True), (3, False), ([], False)):
         obj["clZetaPFlag"] = flag
-        rep = exceptional_prime_screening(ExtensionFixture(obj), p=2)
+        rep = exceptional_prime_screening(ExtensionFixture(obj))
         assert any("class number" in f for f in rep["screened"][0]["flags"]) == declared
 
 
