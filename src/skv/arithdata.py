@@ -18,41 +18,55 @@ from .characters import CharacterTable, irreducibles_monomial
 from .cyclotomic import DECIMAL_INDEX, Cyclo, unit_generators, unit_residues
 from .errors import FixtureError, SkvError
 from .grouprings import CentralElement, GroupRingElement
-from .groups import FiniteGroup
+from .groups import FiniteGroup, memo
 from .rednorm import (FiniteGModule, monomial_representation,
                       reduced_norm_component)
 
 
-def _require_keys(obj: dict, allowed: set, required: set, where: str):
-    unknown = set(obj) - allowed
+def _has_type(value, kind) -> bool:
+    """``type(value) is kind``, so int admits no bool and no float;
+    ``list[t]`` and ``dict[str, t]`` check every element, ``a | b``
+    either type, and ``object`` is anything (its reader checks it)."""
+    if type(kind) is type:
+        return kind is object or type(value) is kind
+    origin, args = getattr(kind, "__origin__", None), kind.__args__
+    if origin is list:
+        return type(value) is list and all(_has_type(v, args[0]) for v in value)
+    if origin is dict:
+        return type(value) is dict and all(_has_type(v, args[1]) for v in value.values())
+    return any(_has_type(value, a) for a in args)
+
+
+def _require_keys(obj: dict, fields: dict, required: set, where: str):
+    """obj is an object with only the given fields, each of its exact
+    type in ``fields``, and every required one."""
+    if type(obj) is not dict:
+        raise FixtureError(f"{where} must be an object")
+    unknown = set(obj) - set(fields)
     if unknown:
         raise FixtureError(f"unknown fields {sorted(unknown)} in {where}")
     missing = required - set(obj)
     if missing:
         raise FixtureError(f"missing fields {sorted(missing)} in {where}")
+    for key, value in obj.items():
+        if not _has_type(value, fields[key]):
+            kind = fields[key]
+            raise FixtureError(f"{where} {key} must be "
+                               f"{kind.__name__ if isinstance(kind, type) else kind}")
 
 
-THETA_SOURCE_FIELDS = {"schema", "chiIndex", "uElems", "sPrimeLabels",
-                       "tPrimeLabels", "r", "provenance", "values"}
+THETA_SOURCE_FIELDS = {"schema": str, "chiIndex": int, "uElems": list[int],
+                       "sPrimeLabels": list[str], "tPrimeLabels": list[str],
+                       "r": int, "provenance": str, "values": dict}
 
 
 def validate_theta_source(src):
     """Shape check of one imported theta source (schema "skvtheta/1"):
     everything ``engine.theta_monomial`` reads from it."""
-    if not isinstance(src, dict):
-        raise FixtureError("theta source must be an object")
-    _require_keys(src, THETA_SOURCE_FIELDS, THETA_SOURCE_FIELDS - {"uElems"},
+    _require_keys(src, THETA_SOURCE_FIELDS, set(THETA_SOURCE_FIELDS) - {"uElems"},
                   "theta source")
     if src["schema"] != "skvtheta/1":
         raise FixtureError(f"unsupported theta source schema {src['schema']!r}")
-    if not (isinstance(src["chiIndex"], int) and isinstance(src["r"], int)):
-        raise FixtureError("theta source chiIndex and r must be integers")
-    for key, kind in (("uElems", int), ("sPrimeLabels", str), ("tPrimeLabels", str)):
-        val = src.get(key, [])
-        if not (isinstance(val, list) and all(isinstance(v, kind) for v in val)):
-            raise FixtureError(f"theta source {key} must be a list of {kind.__name__}")
-    if not isinstance(src["values"], dict):
-        raise FixtureError("theta source values must be an object")
     seen = set()
     for j, v in src["values"].items():
         if not (isinstance(j, str) and DECIMAL_INDEX.fullmatch(j)):
@@ -81,26 +95,27 @@ def _is_prime(n: int) -> bool:
 class PlaceData:
     """One place of the base field with its local Galois data."""
 
-    FIELDS = {"label", "residueChar", "residueNorm", "decompositionGens",
-              "inertiaGens", "frobenius", "ramified", "wild", "infinite",
-              "complexAtL"}
+    FIELDS = {"label": str, "residueChar": int, "residueNorm": int,
+              "decompositionGens": list[int], "inertiaGens": list[int],
+              "frobenius": int, "ramified": bool, "wild": bool, "infinite": bool,
+              "complexAtL": bool}
 
     def __init__(self, group: FiniteGroup, obj: dict):
         _require_keys(obj, self.FIELDS, {"label", "decompositionGens"}, "place")
-        self.label = str(obj["label"])
-        self.infinite = bool(obj.get("infinite", False))
-        self.complex_at_l = bool(obj.get("complexAtL", False))
+        self.label = obj["label"]
+        self.infinite = obj.get("infinite", False)
+        self.complex_at_l = obj.get("complexAtL", False)
         self.decomposition = group.subgroup_closure(obj["decompositionGens"])
         self.inertia = group.subgroup_closure(obj.get("inertiaGens", []))
-        self.frobenius = int(obj.get("frobenius", 0))
-        self.ramified = bool(obj.get("ramified", len(self.inertia) > 1))
-        self.wild = bool(obj.get("wild", False))
+        self.frobenius = obj.get("frobenius", 0)
+        self.ramified = obj.get("ramified", len(self.inertia) > 1)
+        self.wild = obj.get("wild", False)
         if self.infinite:
             self.residue_char = 0
             self.residue_norm = 0
             return
-        self.residue_char = int(obj["residueChar"])
-        self.residue_norm = int(obj["residueNorm"])
+        self.residue_char = obj["residueChar"]
+        self.residue_norm = obj["residueNorm"]
         q, n = self.residue_char, self.residue_norm
         if not _is_prime(q):
             raise FixtureError(f"place {self.label}: residue characteristic not prime")
@@ -145,8 +160,9 @@ class PlaceData:
 
 def _check_mu_action(group: FiniteGroup, mu: dict, w: int):
     """mu is a homomorphism G -> (Z/w)^x, checked on ``group.generators()``."""
+    gens = group.generators()
     if (mu[0] - 1) % w or any((mu[g] * mu[s] - mu[group.mul(g, s)]) % w
-                              for g in range(group.order) for s in group.generators()):
+                              for g in range(group.order) for s in gens):
         raise FixtureError("muL action is not a homomorphism")
 
 
@@ -199,6 +215,24 @@ def _check_places_against_map(fix: "ExtensionFixture", f: int, mp: dict):
                                "complex conjugation of the cyclotomic map")
 
 
+def _check_mu_against_map(fix: "ExtensionFixture", f: int, mp: dict):
+    """Over K = Q the cyclotomic map fixes the roots of unity of L: their
+    order is w = ``mu_tate_order(fix, 0)``, and g acts on them as a mod w
+    for every unit a mod f that maps to g, lifted to be coprime to w as in
+    ``mu_tate_annihilators``."""
+    w = mu_tate_order(fix, 0)
+    if fix.mu_order != w:
+        raise FixtureError(f"muL order {fix.mu_order} does not match the cyclotomic map, "
+                           f"whose field has {w} roots of unity")
+    for a in unit_residues(f):
+        b = a
+        while gcd(b, w) != 1:
+            b += f
+        if fix.mu_action[mp[a]] != b % w:
+            raise FixtureError(f"muL action of element {mp[a]} does not match "
+                               "the cyclotomic map")
+
+
 class PlaceSets:
     """S/T selection with the evaluation point and optional local prime."""
 
@@ -218,17 +252,21 @@ class PlaceSets:
 class ExtensionFixture:
     """A Galois extension presented through explicit local and module data."""
 
-    FIELDS = {"schema", "name", "group", "complexConjugation", "places", "muL",
-              "classGroups", "cyclotomic", "subextensionThetas", "clZetaPFlag"}
+    # complexConjugation, the group fields, cyclotomic conductor and
+    # clZetaPFlag are checked where they are read
+    FIELDS = {"schema": str, "name": str, "group": dict, "complexConjugation": object,
+              "places": list, "muL": dict, "classGroups": list,
+              "cyclotomic": dict | None, "subextensionThetas": list,
+              "clZetaPFlag": object}
 
     def __init__(self, obj: dict):
         _require_keys(obj, self.FIELDS, {"schema", "name", "group", "places", "muL"},
                       "fixture")
         if obj["schema"] != "skvfix/1":
             raise FixtureError(f"unsupported schema {obj['schema']!r}")
-        self.name = str(obj["name"])
+        self.name = obj["name"]
         gobj = obj["group"]
-        _require_keys(gobj, {"table", "labels"}, {"table"}, "group")
+        _require_keys(gobj, {"table": object, "labels": object}, {"table"}, "group")
         self.group = FiniteGroup(gobj["table"], labels=gobj.get("labels"))
         self.j = obj.get("complexConjugation")
         if self.j is not None:
@@ -244,46 +282,47 @@ class ExtensionFixture:
         if len(set(labels)) != len(labels):
             raise FixtureError("duplicate place labels")
         mu = obj["muL"]
-        _require_keys(mu, {"order", "action"}, {"order", "action"}, "muL")
-        self.mu_order = int(mu["order"])
+        _require_keys(mu, {"order": int, "action": dict[str, int]}, {"order", "action"},
+                      "muL")
+        self.mu_order = mu["order"]
         if self.mu_order < 1:
             raise FixtureError("muL order must be positive")
         self.mu_action = {}
         for g in range(self.group.order):
             if str(g) not in mu["action"]:
                 raise FixtureError(f"muL action missing element {g}")
-            a = int(mu["action"][str(g)]) % self.mu_order
+            a = mu["action"][str(g)] % self.mu_order
             if gcd(a, self.mu_order) != 1:
                 raise FixtureError(f"muL action value {a} not a unit mod {self.mu_order}")
             self.mu_action[g] = a
         _check_mu_action(self.group, self.mu_action, self.mu_order)
         self.class_groups = []
         for cg in obj.get("classGroups", []):
-            _require_keys(cg, {"setT", "p", "factors", "action"},
-                          {"setT", "factors", "action"}, "classGroup")
-            if not isinstance(cg["action"], dict):
-                raise FixtureError("classGroup action must be an object")
+            _require_keys(cg, {"setT": list[str], "p": int | None, "factors": list[int],
+                               "action": dict}, {"setT", "factors", "action"}, "classGroup")
             action = {int(g): m for g, m in cg["action"].items()}
             self.class_groups.append({
-                "setT": [str(x) for x in cg["setT"]],
-                "p": int(cg["p"]) if cg.get("p") is not None else None,
+                "setT": cg["setT"],
+                "p": cg.get("p"),
                 "module": FiniteGModule(self.group, cg["factors"], action),
             })
         self.cyclotomic = None
         cyc = obj.get("cyclotomic")
         if cyc is not None:
-            _require_keys(cyc, {"conductor", "map"}, {"conductor", "map"}, "cyclotomic")
+            _require_keys(cyc, {"conductor": object, "map": dict[str, int]},
+                          {"conductor", "map"}, "cyclotomic")
             f = cyc["conductor"]
             # type(f) is int also rejects bool; below 1 there are no residues
             if type(f) is not int or f < 1:
                 raise FixtureError("cyclotomic conductor must be a positive integer")
-            if not isinstance(cyc["map"], dict):
-                raise FixtureError("cyclotomic map must be an object")
-            mp = {int(a): int(g) for a, g in cyc["map"].items()}
+            mp = {int(a): g for a, g in cyc["map"].items()}
             units = unit_residues(f)
             for a in units:
                 if a not in mp:
                     raise FixtureError(f"cyclotomic map missing residue {a}")
+            # mu_tate_annihilators lifts every key to a unit, which a non-unit never becomes
+            if len(mp) != len(units):
+                raise FixtureError(f"cyclotomic map keys must be the units mod {f}")
             if set(mp[a] for a in units) != set(range(self.group.order)):
                 raise FixtureError("cyclotomic map must be surjective")
             _check_cyclotomic_map(self.group, f, mp, units)
@@ -296,9 +335,8 @@ class ExtensionFixture:
                         f"must equal the residue characteristic {place.residue_char} "
                         "over Q")
             _check_places_against_map(self, f, mp)
+            _check_mu_against_map(self, f, mp)
         self.subextension_thetas = obj.get("subextensionThetas", [])
-        if not isinstance(self.subextension_thetas, list):
-            raise FixtureError("subextensionThetas must be a list")
         for src in self.subextension_thetas:
             validate_theta_source(src)
         # the primes p declared to divide the class number of Q(zeta_p): one
@@ -308,19 +346,7 @@ class ExtensionFixture:
         if not all(type(k) is int for k in flags):
             raise FixtureError("clZetaPFlag must be an integer or a list of integers")
         self.cl_zeta_p_flags = flags
-        self._table = None
-        # (sorted S, bound) -> GeneratorSet, filled by generate_A_S
-        self._a_s: dict[tuple, GeneratorSet] = {}
-        # (sorted labels, r, kind) -> product of local factors, filled by
-        # _local_product
-        self._local_products: dict[tuple, CentralElement] = {}
-        # place label -> nr(N_I), filled by engine._inertia_norm
-        self._inertia_norm: dict[str, object] = {}
-        # the table's conjugated Dirichlet characters, filled by
-        # engine.theta_abelian, and (sorted S, sorted T, r) -> ThetaElement,
-        # filled by engine.theta
-        self._dirichlet = None
-        self._theta: dict[tuple, object] = {}
+        self._memo = {}
 
     @staticmethod
     def load(path: str) -> "ExtensionFixture":
@@ -338,9 +364,7 @@ class ExtensionFixture:
 
     @property
     def table(self) -> CharacterTable:
-        if self._table is None:
-            self._table = irreducibles_monomial(self.group)
-        return self._table
+        return memo(self, "table", lambda: irreducibles_monomial(self.group))
 
     def place(self, label: str) -> PlaceData:
         for p in self.places:
@@ -474,17 +498,15 @@ def _local_product(fix: ExtensionFixture, labels, r: int, kind: str) -> CentralE
     """Product of the local factors over the given places, built once per
     fixture and (sorted labels, r, kind); callers do not change it."""
     labels = tuple(sorted(set(str(x) for x in labels)))
-    key = (labels, r, kind)
-    if key in fix._local_products:
-        return fix._local_products[key]
-    table = fix.table
-    comps = [Cyclo.one() for _ in range(len(table))]
-    for lab in labels:
-        place = fix.place(lab)
-        for i in range(len(table)):
-            comps[i] = comps[i] * local_factor(fix, place, i, r, kind)
-    fix._local_products[key] = CentralElement(table, comps)
-    return fix._local_products[key]
+    def build():
+        table = fix.table
+        comps = [Cyclo.one() for _ in range(len(table))]
+        for lab in labels:
+            place = fix.place(lab)
+            for i in range(len(table)):
+                comps[i] = comps[i] * local_factor(fix, place, i, r, kind)
+        return CentralElement(table, comps)
+    return memo(fix, ("_local_product", labels, r, kind), build)
 
 
 def delta_element(fix: ExtensionFixture, t_labels, r: int = 0) -> CentralElement:
@@ -518,13 +540,8 @@ def hyp_t_sets(fix: ExtensionFixture, S, bound: int) -> list[tuple[str, ...]]:
 
 def generate_A_S(fix: ExtensionFixture, S, bound: int = 2) -> GeneratorSet:
     """Truncated generating set of the annihilator module: delta_T(0) over
-    all T from the fixture's place pool with |T| <= bound and Hyp(S,T).
-    Built once per fixture, S and bound; callers copy the notes they
-    extend and do not change the set."""
+    all T from the fixture's place pool with |T| <= bound and Hyp(S,T)."""
     s_labels = set(str(x) for x in S)
-    key = (tuple(sorted(s_labels)), bound)
-    if key in fix._a_s:
-        return fix._a_s[key]
     if not set(fix.minimal_s()) <= s_labels:
         raise FixtureError("A_S requires S to contain all ramified and infinite places")
     pool = [lab for lab in fix.finite_labels() if lab not in s_labels]
@@ -533,22 +550,16 @@ def generate_A_S(fix: ExtensionFixture, S, bound: int = 2) -> GeneratorSet:
             for combo in hyp_t_sets(fix, S, bound)]
     if not gens:
         notes.append("warning: no admissible T found in the pool")
-    fix._a_s[key] = GeneratorSet(gens, truncated=True, notes=notes)
-    return fix._a_s[key]
+    return GeneratorSet(gens, truncated=True, notes=notes)
 
 
 def _twist_trivial_mod(f: int, mp: dict, n: int, N: int) -> bool:
-    """Is b^n = 1 mod N for every residue b that fixes the field?"""
-    m = N * f
-    for b in range(1, m + 1):
-        if gcd(b, m) != 1:
-            continue
-        key = b % f if f > 1 else 1
-        if mp[key] != 0:
-            continue  # does not fix the field
-        if pow(b, n, N) != 1 % N:
-            return False
-    return True
+    """Is b^n = 1 mod N for every unit b mod N*f that fixes the field?
+    Those b are a + j*f, 0 <= j < N, prime to N, for the units a mod f
+    (the keys of the map) in the kernel of the map."""
+    return all(pow(b, n, N) == 1 % N
+               for a, g in mp.items() if g == 0
+               for b in range(a, N * f + 1, f) if gcd(b, N) == 1)
 
 
 def mu_tate_order(fix: ExtensionFixture, r: int) -> int:

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from .cyclotomic import Cyclo, order_data, root_of_unity_sum, unit_generators
 from .errors import (ArithmeticDomainError, GroupError, InternalCheckError,
                      NotMonomialError)
-from .groups import FiniteGroup
+from .groups import FiniteGroup, memo
 
 
 def chain_extension(elements, mul) -> tuple[int, list[dict]]:
@@ -166,21 +166,7 @@ class CharacterTable:
                             for key in self._value_keys(c.values))
                       for c in self.chars]
         self._index = {row: i for i, row in enumerate(self._rows)}
-        # memoised Galois permutation: (i, k mod exponent) -> j
-        self._galois: dict[tuple[int, int], int] = {}
-        self._orbits = None
-        # order -> per character, per class: the nonzero (index, numerator)
-        # pairs of the value lifted to that order; see grouprings
-        self._numerators: dict[int, list] = {}
-        # chi index -> matrices of its monomial representation, filled by
-        # rednorm.monomial_representation
-        self._rep_cache: dict[int, list] = {}
-        # (sorted H, sorted C) -> the Irr(H) x Irr(C) pairing of a direct
-        # product G = H x C, filled by grouprings._product_pairing
-        self._pairings: dict[tuple, tuple] = {}
-        # per component tuple, each component's (order, num, den) -> the
-        # group-ring coefficients, filled by CentralElement.to_group_ring
-        self._group_ring: dict[tuple, dict] = {}
+        self._memo = {}
 
     def _value_keys(self, values):
         """Canonical ``(order, num, den)`` keys at ``value_order``, for
@@ -210,10 +196,7 @@ class CharacterTable:
         return self.galois_index(i, -1)
 
     def galois_index(self, i: int, k: int) -> int:
-        # character values lie in Q(zeta_E), where sigma_k depends on k mod E
-        key = (i, k % self.exponent)
-        j = self._galois.get(key)
-        if j is None:
+        def build():
             if gcd(k, self.exponent) != 1:
                 raise ArithmeticDomainError(
                     f"galois index {k} not coprime to the exponent {self.exponent}")
@@ -221,13 +204,14 @@ class CharacterTable:
             j = self._index.get(tuple(map(row.__getitem__, self.group.power_map(k))))
             if j is None:
                 raise GroupError("values do not match any irreducible")
-            self._galois[key] = j
-        return j
+            return j
+        # character values lie in Q(zeta_E), where sigma_k depends on k mod E
+        return memo(self, ("galois_index", i, k % self.exponent), build)
 
     def galois_orbits(self) -> list[tuple[int, ...]]:
         """The Galois orbits on the characters, each sorted, in order of
         their smallest member."""
-        if self._orbits is None:
+        def build():
             exp = self.exponent
             units = [k for k in range(1, exp + 1) if gcd(k, exp) == 1]
             seen, orbits = set(), []
@@ -236,16 +220,15 @@ class CharacterTable:
                     orbit = tuple(sorted({self.galois_index(i, k) for k in units}))
                     seen.update(orbit)
                     orbits.append(orbit)
-            self._orbits = orbits
-        return list(self._orbits)
+            return orbits
+        return list(memo(self, "galois_orbits", build))
 
     def value_numerators(self, n: int) -> list[list[tuple]]:
         """Per character, per class: the nonzero ``(index, numerator)``
         pairs of the value lifted to Q(zeta_n), for n a multiple of
         ``value_order``.  Character values are algebraic integers, so the
         power-basis denominator is 1."""
-        rows = self._numerators.get(n)
-        if rows is None:
+        def build():
             rows = []
             for chi in self.chars:
                 row = []
@@ -255,8 +238,8 @@ class CharacterTable:
                         raise InternalCheckError("character value is not an algebraic integer")
                     row.append(tuple((j, a) for j, a in enumerate(w.num) if a))
                 rows.append(row)
-            self._numerators[n] = rows
-        return rows
+            return rows
+        return memo(self, ("value_numerators", n), build)
 
     def check_galois(self, comps, context: str):
         """Self-check that per-character components are Galois-equivariant:

@@ -448,28 +448,6 @@ class Cyclo:
         inv_norm = 1 / y.to_fraction()
         return _scale(others, inv_norm.numerator, inv_norm.denominator)
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(other)
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Cyclo.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def galois(self, k: int) -> "Cyclo":
         """Apply zeta_n -> zeta_n^k; requires gcd(k, n) = 1."""
         n = self.order

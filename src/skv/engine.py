@@ -16,7 +16,7 @@ from .cyclotomic import Cyclo, rational_str, unit_residues
 from .errors import FixtureError, InternalCheckError
 from .grouprings import (CentralElement, GroupRingElement, _product_pairing,
                          idempotent_eps, minus_idempotent)
-from .groups import detect_direct_product
+from .groups import detect_direct_product, memo
 from .lvalues import DirichletCharacter, L_at_nonpositive, L_ST
 from .rednorm import reduced_norm
 
@@ -93,15 +93,14 @@ def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     determinant factors.  The two assemblies must agree exactly."""
     r = sets.r
     table = fix.table
-    if fix._dirichlet is None:
-        fix._dirichlet = _dirichlet_for_table(fix)
+    dirichlet = memo(fix, "_dirichlet_for_table", lambda: _dirichlet_for_table(fix))
     s_fin = [lab for lab in sets.S if not fix.place(lab).infinite]
     s_primes = sorted(fix.place(lab).residue_char for lab in s_fin)
     t_primes = sorted(fix.place(lab).residue_char for lab in sets.T)
     local = euler_element(fix, s_fin, r) * delta_element(fix, sets.T, r)
     comps = []
     for i in range(len(table)):
-        check = fix._dirichlet[i]
+        check = dirichlet[i]
         # Dirichlet-side assembly
         a = L_ST(r, check, s_primes, t_primes)
         # fixture-side assembly: primitive value times local determinants
@@ -209,11 +208,9 @@ def theta(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     """theta_S^T(r) by the path the fixture supports: ``theta_abelian``
     when it can be computed, else ``theta_monomial`` from theta sources.
     Built once per fixture and (S, T, r); callers do not change it."""
-    key = (tuple(sets.S), tuple(sets.T), sets.r)
-    if key not in fix._theta:
-        build = theta_abelian if _computed_path(fix) else theta_monomial
-        fix._theta[key] = build(fix, sets)
-    return fix._theta[key]
+    def build():
+        return (theta_abelian if _computed_path(fix) else theta_monomial)(fix, sets)
+    return memo(fix, ("theta", tuple(sets.S), tuple(sets.T), sets.r), build)
 
 
 # -- Sinnott-Kurihara generators --------------------------------------------
@@ -221,10 +218,10 @@ def theta(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
 
 def _inertia_norm(fix: ExtensionFixture, label: str) -> CentralElement:
     """nr(N_I) at a finite place, kept on the fixture per place label."""
-    if label not in fix._inertia_norm:
+    def build():
         n_i = GroupRingElement.norm_element(fix.group, fix.place(label).inertia)
-        fix._inertia_norm[label] = reduced_norm([[n_i]], fix.table)
-    return fix._inertia_norm[label]
+        return reduced_norm([[n_i]], fix.table)
+    return memo(fix, ("_inertia_norm", label), build)
 
 
 def u_prime_place_generators(fix: ExtensionFixture, label: str):

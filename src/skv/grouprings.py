@@ -22,7 +22,7 @@ from math import lcm
 from .characters import CharacterTable, irreducibles_monomial
 from .cyclotomic import Cyclo, order_data
 from .errors import CentralityError, GroupError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, memo
 
 
 class GroupRingElement:
@@ -166,14 +166,13 @@ class CentralElement:
         integrality checks, the annihilation check and the product
         coefficients.
         """
-        key = tuple((c.order, c.num, c.den) for c in self.components)
-        coeffs = self.table._group_ring.get(key)
-        if coeffs is None:
+        def build():
             coeffs = self._trace_form()
             if coeffs is None:
                 coeffs = self._direct_sum()
-            coeffs = self.table._group_ring[key] = GroupRingElement(self.group, coeffs).coeffs
-        return GroupRingElement(self.group, coeffs)
+            return GroupRingElement(self.group, coeffs).coeffs
+        key = tuple((c.order, c.num, c.den) for c in self.components)
+        return GroupRingElement(self.group, memo(self.table, ("to_group_ring", key), build))
 
     def _direct_sum(self) -> dict:
         """Coefficients from the sum over every character, in Q(zeta)."""
@@ -345,47 +344,42 @@ def _product_pairing(table: CharacterTable, h_elems, c_elems):
     with no second table of G."""
     h = tuple(sorted(set(h_elems)))
     c = tuple(sorted(set(c_elems)))
-    cached = table._pairings.get((h, c))
-    if cached is not None:
-        return cached
-    group = table.group
-    if h == (0,) and c == tuple(range(group.order)):
-        result = (irreducibles_monomial(FiniteGroup([[0]])), table,
-                  {(0, j): j for j in range(len(table))}, {0: 0}, dict(enumerate(c)))
-        table._pairings[(h, c)] = result
-        return result
-    sub_h, back_h = group.subgroup_as_group(h)
-    sub_c, back_c = group.subgroup_as_group(c)
-    pos_h = {v: k for k, v in back_h.items()}
-    pos_c = {v: k for k, v in back_c.items()}
-    # unique factorization g = h*c
-    factor = {}
-    for hh in h:
-        for cc in c:
-            g = group.mul(hh, cc)
-            if g in factor:
-                raise GroupError("not a direct product: non-unique factorization")
-            factor[g] = (hh, cc)
-    if len(factor) != group.order:
-        raise GroupError("not a direct product: factorization does not cover the group")
-    tab_h = irreducibles_monomial(sub_h)
-    tab_c = irreducibles_monomial(sub_c)
-    ids_h = sub_h.class_index()
-    ids_c = sub_c.class_index()
-    # per class of G: the classes of its H and C factors
-    split = [(ids_h[pos_h[hh]], ids_c[pos_c[cc]])
-             for hh, cc in (factor[cls[0]] for cls in group.conjugacy_classes())]
-    pairing = {}
-    for i, chi in enumerate(tab_h):
-        for j, lam in enumerate(tab_c):
-            vals = [chi.values[a] * lam.values[b] for a, b in split]
-            try:
-                pairing[(i, j)] = table.index_of_values(vals)
-            except GroupError:
-                raise GroupError("product character not found in the table") from None
-    result = (tab_h, tab_c, pairing, back_h, back_c)
-    table._pairings[(h, c)] = result
-    return result
+    def build():
+        group = table.group
+        if h == (0,) and c == tuple(range(group.order)):
+            return (irreducibles_monomial(FiniteGroup([[0]])), table,
+                    {(0, j): j for j in range(len(table))}, {0: 0}, dict(enumerate(c)))
+        sub_h, back_h = group.subgroup_as_group(h)
+        sub_c, back_c = group.subgroup_as_group(c)
+        pos_h = {v: k for k, v in back_h.items()}
+        pos_c = {v: k for k, v in back_c.items()}
+        # unique factorization g = h*c
+        factor = {}
+        for hh in h:
+            for cc in c:
+                g = group.mul(hh, cc)
+                if g in factor:
+                    raise GroupError("not a direct product: non-unique factorization")
+                factor[g] = (hh, cc)
+        if len(factor) != group.order:
+            raise GroupError("not a direct product: factorization does not cover the group")
+        tab_h = irreducibles_monomial(sub_h)
+        tab_c = irreducibles_monomial(sub_c)
+        ids_h = sub_h.class_index()
+        ids_c = sub_c.class_index()
+        # per class of G: the classes of its H and C factors
+        split = [(ids_h[pos_h[hh]], ids_c[pos_c[cc]])
+                 for hh, cc in (factor[cls[0]] for cls in group.conjugacy_classes())]
+        pairing = {}
+        for i, chi in enumerate(tab_h):
+            for j, lam in enumerate(tab_c):
+                vals = [chi.values[a] * lam.values[b] for a, b in split]
+                try:
+                    pairing[(i, j)] = table.index_of_values(vals)
+                except GroupError:
+                    raise GroupError("product character not found in the table") from None
+        return tab_h, tab_c, pairing, back_h, back_c
+    return memo(table, ("_product_pairing", h, c), build)
 
 
 def product_coefficients(x: CentralElement, h_elems, c_elems):

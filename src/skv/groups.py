@@ -30,6 +30,21 @@ from .errors import GroupError
 ORDER_CAP = 128
 
 
+def memo(owner, key, build):
+    """``owner._memo[key]``, from ``build()`` on the first call with that
+    key.  Every cache on an object goes through here: its owner declares
+    ``self._memo = {}`` in ``__init__``, and each key starts with the name
+    of the function that builds the value.  A build that raises stores
+    nothing, so input that fails a check raises again on every call."""
+    cache = owner._memo
+    try:
+        return cache[key]
+    except KeyError:
+        pass
+    value = cache[key] = build()
+    return value
+
+
 class FiniteGroup:
     """Immutable finite group: full multiplication table, index 0 = identity."""
 
@@ -72,13 +87,7 @@ class FiniteGroup:
         self.inv = inv
         self.order = n
         self.labels = list(labels) if labels is not None else [f"g{i}" for i in range(n)]
-        self._class_ids = None
-        self._classes = None
-        self._generators = None
-        self._exponent = None
-        self._subgroups = None
-        self._rep_powers = None
-        self._power_maps: dict[int, tuple[int, ...]] = {}
+        self._memo = {}
 
     # -- construction ----------------------------------------------------
 
@@ -147,35 +156,34 @@ class FiniteGroup:
         return tuple(powers)
 
     def exponent(self) -> int:
-        if self._exponent is None:
-            self._exponent = lcm(*(self.element_order(a) for a in range(self.order)))
-        return self._exponent
+        return memo(self, "exponent",
+                    lambda: lcm(*(self.element_order(a) for a in range(self.order))))
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Classes in canonical order (sorted by minimal element, identity first)."""
-        if self._classes is None:
+        def build():
             ids = self.class_index()
             classes: list[list[int]] = [[] for _ in range(max(ids) + 1)]
             for g, c in enumerate(ids):
                 classes[c].append(g)
-            self._classes = tuple(map(tuple, classes))
-        return list(self._classes)
+            return tuple(map(tuple, classes))
+        return list(memo(self, "conjugacy_classes", build))
 
     def generators(self) -> tuple[int, ...]:
         """A generating set: each element, smallest first, that the
         elements taken so far do not generate (empty for the trivial group)."""
-        if self._generators is None:
+        def build():
             gens, span = [], {0}
             for g in range(self.order):
                 if g not in span:
                     gens.append(g)
                     span = set(self.subgroup_closure(gens))
-            self._generators = tuple(gens)
-        return self._generators
+            return tuple(gens)
+        return memo(self, "generators", build)
 
     def class_index(self) -> tuple[int, ...]:
         """Class id per element; ids are assigned in order of minimal member."""
-        if self._class_ids is None:
+        def build():
             rows, inv = self.table, self.inv
             ids = [-1] * self.order
             next_id = 0
@@ -184,22 +192,19 @@ class FiniteGroup:
                     for x in range(self.order):
                         ids[rows[rows[x][g]][inv[x]]] = next_id
                     next_id += 1
-            self._class_ids = tuple(ids)
-        return self._class_ids
+            return tuple(ids)
+        return memo(self, "class_index", build)
 
     def power_map(self, k: int) -> tuple[int, ...]:
         """Class power map: class c -> class of g^k for any g in class c
-        (conjugation commutes with powers), cached per k mod the exponent."""
-        k %= self.exponent()
-        pm = self._power_maps.get(k)
-        if pm is None:
-            if self._rep_powers is None:
-                self._rep_powers = [self._cyclic_powers(c[0])
-                                    for c in self.conjugacy_classes()]
+        (conjugation commutes with powers), kept per k mod the exponent."""
+        def build():
             ids = self.class_index()
-            pm = tuple(ids[p[k % len(p)]] for p in self._rep_powers)
-            self._power_maps[k] = pm
-        return pm
+            reps = memo(self, "_cyclic_powers",
+                        lambda: [self._cyclic_powers(c[0]) for c in self.conjugacy_classes()])
+            return tuple(ids[p[k % len(p)]] for p in reps)
+        k %= self.exponent()
+        return memo(self, ("power_map", k), build)
 
     def subgroup_closure(self, gens) -> tuple[int, ...]:
         """Subgroup generated by gens, found breadth-first as every product of
@@ -263,7 +268,7 @@ class FiniteGroup:
 
     def all_subgroups(self) -> list[tuple[int, ...]]:
         """Every subgroup, sorted by decreasing order then lexicographically."""
-        if self._subgroups is None:
+        def build():
             found = {(0,)}
             frontier = {(0,)}
             cyclic = {self.subgroup_closure([g]) for g in range(self.order)}
@@ -283,8 +288,8 @@ class FiniteGroup:
                                 found.add(ext)
                                 nxt.add(ext)
                 frontier = nxt
-            self._subgroups = sorted(found, key=lambda s: (-len(s), s))
-        return list(self._subgroups)
+            return sorted(found, key=lambda s: (-len(s), s))
+        return list(memo(self, "all_subgroups", build))
 
     # -- subgroups as groups, cosets -----------------------------------------
 

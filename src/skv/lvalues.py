@@ -17,6 +17,7 @@ from math import comb, gcd, lcm
 from .characters import chain_extension
 from .cyclotomic import Cyclo, root_of_unity_sum, unit_generators, unit_residues
 from .errors import ArithmeticDomainError, FixtureError
+from .groups import memo
 
 
 @lru_cache(maxsize=None)
@@ -77,8 +78,7 @@ class DirichletCharacter:
         self.modulus = modulus
         self.order = order // q
         self.powers = powers if q == 1 else {a: k // q for a, k in powers.items()}
-        self._conductor = None
-        self._primitive = None
+        self._memo = {}
         self._check()
 
     def _check(self):
@@ -106,12 +106,11 @@ class DirichletCharacter:
 
     @property
     def conductor(self) -> int:
-        if self._conductor is None:
+        def build():
             for d in sorted(_divisors(self.modulus)):
                 if all(k == 0 for a, k in self.powers.items() if a % d == 1 % max(d, 1)):
-                    self._conductor = d
-                    break
-        return self._conductor
+                    return d
+        return memo(self, "conductor", build)
 
     def primitive_core(self) -> "DirichletCharacter":
         """The character mod the conductor d that induces chi: chi is
@@ -120,10 +119,8 @@ class DirichletCharacter:
         d = self.conductor
         if d == self.modulus:
             return self
-        if self._primitive is None:
-            self._primitive = DirichletCharacter(
-                d, self.order, {a % d if d > 1 else 1: k for a, k in self.powers.items()})
-        return self._primitive
+        return memo(self, "primitive_core", lambda: DirichletCharacter(
+            d, self.order, {a % d if d > 1 else 1: k for a, k in self.powers.items()}))
 
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus

@@ -31,6 +31,7 @@ from .cyclotomic import (Cyclo, order_data, root_of_unity_sum, unit_generators,
                          unit_residues)
 from .errors import FixtureError, GroupError, InternalCheckError
 from .grouprings import CentralElement, GroupRingElement
+from .groups import memo
 from .linalg import char_poly, mat_add, mat_det, mat_mul, mat_scale
 
 # -- monomial representations -------------------------------------------
@@ -54,34 +55,31 @@ def monomial_representation(table: CharacterTable, chi_index: int) -> MonomialRe
     """The chi_index-th irreducible in monomial form, realized from the
     stored certificate (U, psi) on the left cosets x_i U; its trace is
     checked against the character at every class."""
-    cache = table._rep_cache
-    if chi_index in cache:
-        return cache[chi_index]
-    group = table.group
-    cert = table.certificates[chi_index]
-    chi = table.chars[chi_index]
-    n, power = cert.order, cert.powers
-    reps = group.coset_reps(cert.u_elems)
-    # coset[h] = (i, k) for h = x_i * y with y in U and psi(y) = zeta_N^k
-    coset = [None] * group.order
-    for i, x in enumerate(reps):
-        for y in cert.u_elems:
-            coset[group.mul(x, y)] = (i, power[y])
-    columns = [tuple(coset[group.mul(g, x)] for x in reps) for g in range(group.order)]
-    # the trace must reproduce the character exactly at every class, in
-    # (num, den) at the order the value is stored at
-    ids = group.class_index()
-    for cls in group.conjugacy_classes():
-        g = cls[0]
-        value = chi.values[ids[g]]
-        if value.order % n or \
-                (fixed_point_trace(columns[g], n, value.order), 1) != (value.num, value.den):
-            raise InternalCheckError(
-                f"monomial representation trace mismatch at element {g}"
-            )
-    rep = MonomialRepresentation(len(reps), n, columns)
-    cache[chi_index] = rep
-    return rep
+    def build():
+        group = table.group
+        cert = table.certificates[chi_index]
+        chi = table.chars[chi_index]
+        n, power = cert.order, cert.powers
+        reps = group.coset_reps(cert.u_elems)
+        # coset[h] = (i, k) for h = x_i * y with y in U and psi(y) = zeta_N^k
+        coset = [None] * group.order
+        for i, x in enumerate(reps):
+            for y in cert.u_elems:
+                coset[group.mul(x, y)] = (i, power[y])
+        columns = [tuple(coset[group.mul(g, x)] for x in reps) for g in range(group.order)]
+        # the trace must reproduce the character exactly at every class, in
+        # (num, den) at the order the value is stored at
+        ids = group.class_index()
+        for cls in group.conjugacy_classes():
+            g = cls[0]
+            value = chi.values[ids[g]]
+            if value.order % n or \
+                    (fixed_point_trace(columns[g], n, value.order), 1) != (value.num, value.den):
+                raise InternalCheckError(
+                    f"monomial representation trace mismatch at element {g}"
+                )
+        return MonomialRepresentation(len(reps), n, columns)
+    return memo(table, ("monomial_representation", chi_index), build)
 
 
 def fixed_point_trace(column, n: int, order: int) -> tuple[int, ...]:
@@ -380,9 +378,10 @@ class FiniteGModule:
 
     def __init__(self, group, factors, action):
         self.group = group
-        self.factors = [int(d) for d in factors]
-        if any(d <= 0 for d in self.factors):
-            raise FixtureError("cyclic factor orders must be positive")
+        # type(d) is int also rejects bool, and a float or string is not read as one
+        if not all(type(d) is int and d > 0 for d in factors):
+            raise FixtureError("cyclic factor orders must be positive integers")
+        self.factors = list(factors)
         k = len(self.factors)
         self.action = {}
         for g in range(group.order):
@@ -413,9 +412,9 @@ class FiniteGModule:
         and every h in ``group.generators()`` (see groups).  That covers
         every pair because each matrix is an endomorphism, so multiplying
         by it keeps row-wise congruences."""
-        k, d = len(self.factors), self.factors
+        k, d, gens = len(self.factors), self.factors, group.generators()
         for g in range(group.order):
-            for h in group.generators():
+            for h in gens:
                 prod = self._mat_mul(self.action[g], self.action[h])
                 target = self.action[group.mul(g, h)]
                 for i in range(k):

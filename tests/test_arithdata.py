@@ -188,11 +188,14 @@ def test_cyclotomic_conductor_must_be_a_positive_integer():
             ExtensionFixture(obj)
 
 
-def test_generate_a_s_built_once_per_set_and_bound():
+def test_generate_a_s_reuses_each_delta_element():
+    # the set is built on every call, but each delta_T(0) once per fixture
     fix = ExtensionFixture(load_fixture_json("q_zeta3"))
     first = generate_A_S(fix, ["inf", "3"], 2)
-    assert generate_A_S(fix, ["3", "inf", "3"], 2) is first
-    assert generate_A_S(fix, ["inf", "3"], 1) is not first
+    again = generate_A_S(fix, ["3", "inf", "3"], 2)
+    assert first.generators and again is not first
+    assert [tag for tag, _ in again.generators] == [tag for tag, _ in first.generators]
+    assert all(a is b for (_, a), (_, b) in zip(first.generators, again.generators))
 
 
 def test_place_sets_guards():

@@ -211,7 +211,57 @@ def test_malformed_fixture_exits_3(tmp_path, capsys):
     def torsion_free_override(o):
         o["torsionFreeOverride"] = True
 
-    cases = [("q_i", non_group, "inverse"), ("q_i", float_entry, "integers"),
+    # a field of the wrong type was read as something else (check all
+    # exited 0 or 2), and muL data off the cyclotomic map gave falsified
+    def set_field(get, key, value):
+        def mutate(o):
+            get(o)[key] = value
+        mutate.__name__ = f"set_{key}_{type(value).__name__}"
+        return mutate
+
+    def place(label):
+        return lambda o: next(p for p in o["places"] if p["label"] == label)
+
+    def class_group(o):
+        return o["classGroups"][0]
+
+    def cyclotomic_map(o):
+        return o["cyclotomic"]["map"]
+
+    def mu(o):
+        return o["muL"]
+
+    def mu_action(o):
+        return o["muL"]["action"]
+
+    def mu_order_2_trivial(o):
+        o["muL"] = {"order": 2, "action": {"0": 1, "1": 1}}
+
+    # check all looped forever on a key that is not a unit, when it came first
+    def non_unit_key(o):
+        o["cyclotomic"]["map"] = {"0": 0, "1": 0, "2": 1}
+
+    retyped = [
+        ("q_sqrt_m5", set_field(class_group, "factors", ["2"]), "factors must be list[int]"),
+        ("q_sqrt_m5", set_field(class_group, "factors", [2.7]), "factors must be list[int]"),
+        ("q_sqrt_m5", set_field(class_group, "setT", [3]), "setT must be list[str]"),
+        ("q_i", set_field(cyclotomic_map, "3", "1"), "map must be dict[str, int]"),
+        ("q_i", set_field(cyclotomic_map, "3", 1.5), "map must be dict[str, int]"),
+        ("q_i", set_field(place("inf"), "infinite", 1), "place infinite must be bool"),
+        ("s3c2", set_field(place("q5"), "residueChar", 5.5), "residueChar must be int"),
+        ("s3c2", set_field(place("q5"), "frobenius", 3.0), "frobenius must be int"),
+        ("s3c2", set_field(place("inf"), "complexAtL", "no"), "complexAtL must be bool"),
+        ("s3c2", set_field(place("q5"), "label", 7), "place label must be str"),
+        ("s3c2", set_field(lambda o: o, "name", 5), "fixture name must be str"),
+        ("s3c2", set_field(mu_action, "5", "5"), "muL action must be dict[str, int]"),
+        ("s3c2", set_field(mu_action, "5", 5.5), "muL action must be dict[str, int]"),
+        ("q", set_field(mu, "order", True), "muL order must be int"),
+        ("q", set_field(mu, "order", 1.5), "muL order must be int"),
+        ("q", set_field(mu, "order", 3), "muL order 3 does not match the cyclotomic map"),
+        ("q_i", mu_order_2_trivial, "muL order 2 does not match the cyclotomic map"),
+        ("q_i", set_field(mu_action, "1", 1), "muL action of element 1 does not match"),
+        ("q_zeta3", non_unit_key, "cyclotomic map keys must be the units mod 3")]
+    cases = retyped + [("q_i", non_group, "inverse"), ("q_i", float_entry, "integers"),
              ("q_i", string_entry, "integers"), ("q_i", short_labels, "labels"),
              ("s3c2", renamed_value_key, "values key"),
              ("q_i", no_place_2, "the prime 2 ramifies but is not a place"),

@@ -258,14 +258,17 @@ def test_check_all_q_zeta23_builds_each_local_product_and_transform_once(monkeyp
     trips = _counting(monkeypatch, CentralElement, "_gives_back")
     fallbacks = _counting(monkeypatch, CentralElement, "_direct_sum")
     assert [v.status for v in run_all(fix)] == ["verified"] * 5
-    assert len(requests) == 21 and len(fix._local_products) == 8
+    products = [key[1:] for key in fix._memo if key[0] == "_local_product"]
+    # sku and brumer each build A_S, and so each request its three delta_T(0)
+    assert len(requests) == 24 and len(products) == 8
     # each product is built once: one factor per place and character
     assert len(factors) == len(fix.table) * sum(
-        len(labels) for labels, _, _ in fix._local_products) == 132
+        len(labels) for labels, _, _ in products) == 132
     assert len(transforms) == 32 and len(trips) == 16 and not fallbacks
     keys = {tuple((c.order, c.num, c.den) for c in x.components)
             for (x,) in transforms}
-    assert len(keys) == 16 == len(fix.table._group_ring)
+    assert keys == {key[1] for key in fix.table._memo if key[0] == "to_group_ring"}
+    assert len(keys) == 16
 
 
 def test_each_main_call_builds_its_own_memos(monkeypatch, capsys):
@@ -290,9 +293,9 @@ def test_check_all_takes_nr_of_each_inertia_norm_once_per_place(monkeypatch):
     # the places 2 and 5 share their inertia group, so N_I comes twice
     taken = [a[0][0] for a, _ in calls if a[0][0] in norms.values()]
     assert len(norms) == 2 and len(taken) == 2
-    assert sorted(fix._inertia_norm) == sorted(norms)
+    assert sorted(key[1] for key in fix._memo if key[0] == "_inertia_norm") == sorted(norms)
     assert inertia_norm_product(fix, sorted(norms)) == \
-        fix._inertia_norm["2"] * fix._inertia_norm["5"]
+        fix._memo["_inertia_norm", "2"] * fix._memo["_inertia_norm", "5"]
     assert len(calls) == 4
 
 
@@ -314,4 +317,5 @@ def test_non_multiplicative_cyclotomic_map_exits_3(tmp_path, capsys):
     for _ in range(2):
         with pytest.raises(FixtureError, match="not multiplicative"):
             theta(fix, PlaceSets(["inf", "23"], []))
-    assert fix._dirichlet is None and not fix._theta
+    assert not [key for key in fix._memo
+                if key == "_dirichlet_for_table" or key[0] == "theta"]

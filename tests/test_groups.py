@@ -1,12 +1,15 @@
 """Finite group machinery: tables, subgroups, quotients, product detection."""
 
+import ast
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skv.errors import GroupError
-from skv.groups import FiniteGroup, detect_direct_product, named_group
+import skv
+from skv.groups import FiniteGroup, detect_direct_product, memo, named_group
 
 from oracles import (all_subgroups_by_closures, monomial_test_groups, quotient,
                      subgroup_h_r)
@@ -193,3 +196,70 @@ def test_all_subgroups_matches_extension_by_every_element():
               FiniteGroup.direct_product(named_group("C2"), named_group("C6"))]
     for group in groups:
         assert group.all_subgroups() == all_subgroups_by_closures(group)
+
+
+def test_memo_builds_once_per_owner_and_key():
+    group, other = FiniteGroup.cyclic(3), FiniteGroup.cyclic(3)
+    builds = []
+
+    def build(value):
+        return lambda: builds.append(value) or value
+
+    assert memo(group, ("k", 1), build("a")) == "a"
+    assert memo(group, ("k", 1), build("b")) == "a"
+    assert memo(group, ("k", 2), build("c")) == "c"
+    assert memo(other, ("k", 1), build("d")) == "d"
+    assert builds == ["a", "c", "d"]
+    assert group._memo[("k", 1)] == "a" and other._memo == {("k", 1): "d"}
+
+
+def test_memo_stores_nothing_when_the_build_raises():
+    group = FiniteGroup.cyclic(2)
+    calls = []
+
+    def failing():
+        calls.append(1)
+        raise GroupError("bad input")
+
+    for _ in range(2):
+        with pytest.raises(GroupError, match="bad input"):
+            memo(group, "failing", failing)
+    assert len(calls) == 2 and "failing" not in group._memo
+
+
+def _private_attribute_writes(tree):
+    """(line, target) of each assignment to X._attr or X._attr[...] with X
+    anything but the bare name ``self``."""
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+        stack = list(targets)
+        while stack:
+            target = stack.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                stack.extend(target.elts)
+                continue
+            if isinstance(target, ast.Starred):
+                stack.append(target.value)
+                continue
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Attribute) and target.attr.startswith("_") and \
+                    not (isinstance(target.value, ast.Name) and target.value.id == "self"):
+                yield node.lineno, ast.unparse(target)
+
+
+def test_caches_on_other_objects_go_through_memo():
+    # a module that fills another object's private slot keeps a cache that
+    # memo does not see; every per-object cache is owner._memo, via memo
+    src = os.path.dirname(skv.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            found += [(name, *hit) for hit in _private_attribute_writes(tree)]
+    assert not found
+    sample = ast.parse("fix._theta[key] = t\nself.table._group_ring[k] = c\n"
+                       "self._memo = {}\nx, y._z = 1, 2\n")
+    assert [line for line, _ in _private_attribute_writes(sample)] == [1, 2, 4]
