@@ -215,22 +215,18 @@ def _check_places_against_map(fix: "ExtensionFixture", f: int, mp: dict):
                                "complex conjugation of the cyclotomic map")
 
 
-def _check_mu_against_map(fix: "ExtensionFixture", f: int, mp: dict):
+def _check_mu_against_map(fix: "ExtensionFixture"):
     """Over K = Q the cyclotomic map fixes the roots of unity of L: their
-    order is w = ``mu_tate_order(fix, 0)``, and g acts on them as a mod w
-    for every unit a mod f that maps to g, lifted to be coprime to w as in
-    ``mu_tate_annihilators``."""
+    order is w = ``mu_tate_order(fix, 0)``, and g acts on them as kappa(g)
+    mod w (see ``_kappa_powers``); every unit mod f that maps to g gives
+    that value, because w is the order of the untwisted action."""
     w = mu_tate_order(fix, 0)
     if fix.mu_order != w:
         raise FixtureError(f"muL order {fix.mu_order} does not match the cyclotomic map, "
                            f"whose field has {w} roots of unity")
-    for a in unit_residues(f):
-        b = a
-        while gcd(b, w) != 1:
-            b += f
-        if fix.mu_action[mp[a]] != b % w:
-            raise FixtureError(f"muL action of element {mp[a]} does not match "
-                               "the cyclotomic map")
+    for g, a in _kappa_powers(fix, 1, w).items():
+        if fix.mu_action[g] != a:
+            raise FixtureError(f"muL action of element {g} does not match the cyclotomic map")
 
 
 class PlaceSets:
@@ -252,8 +248,6 @@ class PlaceSets:
 class ExtensionFixture:
     """A Galois extension presented through explicit local and module data."""
 
-    # complexConjugation, the group fields, cyclotomic conductor and
-    # clZetaPFlag are checked where they are read
     FIELDS = {"schema": str, "name": str, "group": dict, "complexConjugation": object,
               "places": list, "muL": dict, "classGroups": list,
               "cyclotomic": dict | None, "subextensionThetas": list,
@@ -335,7 +329,7 @@ class ExtensionFixture:
                         f"must equal the residue characteristic {place.residue_char} "
                         "over Q")
             _check_places_against_map(self, f, mp)
-            _check_mu_against_map(self, f, mp)
+            _check_mu_against_map(self)
         self.subextension_thetas = obj.get("subextensionThetas", [])
         for src in self.subextension_thetas:
             validate_theta_source(src)
@@ -591,26 +585,28 @@ def mu_tate_order(fix: ExtensionFixture, r: int) -> int:
     return w
 
 
+def _kappa_powers(fix: ExtensionFixture, n: int, w: int) -> dict:
+    """g -> kappa(g)^n mod w, for w = ``mu_tate_order(fix, 1 - n)``: any
+    residue mapping to g works once it is lifted to be coprime to w*f (well
+    defined by the choice of w, since a unit fixing the field is 1 mod w)."""
+    f, mp = fix.cyclotomic["conductor"], fix.cyclotomic["map"]
+    kappa_pow = {}
+    for b, g in mp.items():
+        if g not in kappa_pow:
+            while gcd(b, w * f) != 1:
+                b += f
+            kappa_pow[g] = pow(b, n, w) if w > 1 else 0
+    return kappa_pow
+
+
 def mu_tate_annihilators(fix: ExtensionFixture, r: int):
     """Annihilator of the Tate twist: order w and generators of the kernel
     of the evaluation map ZG -> Z/w, g -> kappa(g)^(1-r)."""
     if r >= 0:
         raise FixtureError("Tate-twist annihilators are for negative r only")
     w = mu_tate_order(fix, r)
-    f = fix.cyclotomic["conductor"]
-    mp = fix.cyclotomic["map"]
-    n = 1 - r
     group = fix.group
-    # kappa(g)^(1-r) mod w: any residue mapping to g works once it is
-    # lifted to be coprime to w*f (well defined by the choice of w)
-    kappa_pow = {}
-    for b, g in mp.items():
-        if g in kappa_pow:
-            continue
-        bb = b
-        while gcd(bb, w * f) != 1:
-            bb += f
-        kappa_pow[g] = pow(bb, n, w) if w > 1 else 0
+    kappa_pow = _kappa_powers(fix, 1 - r, w)
     gens = [GroupRingElement.scalar(group, Fraction(w))]
     for g in range(1, group.order):
         gens.append(GroupRingElement.basis(group, g)
