@@ -241,7 +241,7 @@ def test_malformed_fixture_exits_3(tmp_path, capsys):
     def non_unit_key(o):
         o["cyclotomic"]["map"] = {"0": 0, "1": 0, "2": 1}
 
-    retyped = [
+    type_and_mu_cases = [
         ("q_sqrt_m5", set_field(class_group, "factors", ["2"]), "factors must be list[int]"),
         ("q_sqrt_m5", set_field(class_group, "factors", [2.7]), "factors must be list[int]"),
         ("q_sqrt_m5", set_field(class_group, "setT", [3]), "setT must be list[str]"),
@@ -261,7 +261,7 @@ def test_malformed_fixture_exits_3(tmp_path, capsys):
         ("q_i", mu_order_2_trivial, "muL order 2 does not match the cyclotomic map"),
         ("q_i", set_field(mu_action, "1", 1), "muL action of element 1 does not match"),
         ("q_zeta3", non_unit_key, "cyclotomic map keys must be the units mod 3")]
-    cases = retyped + [("q_i", non_group, "inverse"), ("q_i", float_entry, "integers"),
+    cases = type_and_mu_cases + [("q_i", non_group, "inverse"), ("q_i", float_entry, "integers"),
              ("q_i", string_entry, "integers"), ("q_i", short_labels, "labels"),
              ("s3c2", renamed_value_key, "values key"),
              ("q_i", no_place_2, "the prime 2 ramifies but is not a place"),

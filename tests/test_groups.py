@@ -7,8 +7,8 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skv.errors import GroupError
 import skv
+from skv.errors import GroupError
 from skv.groups import FiniteGroup, detect_direct_product, memo, named_group
 
 from oracles import (all_subgroups_by_closures, monomial_test_groups, quotient,
