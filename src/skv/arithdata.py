@@ -393,12 +393,13 @@ class SetVerdict:
         return {"ok": self.ok, "reasons": self.reasons}
 
 
-def _torsion_criterion(fix: ExtensionFixture, t_labels) -> tuple[bool, str]:
-    """Sufficient criterion for E_S^T torsionfree: T contains a place whose
-    residue characteristic does not divide |mu_L|."""
-    w = fix.mu_order
+def _torsion_criterion(fix: ExtensionFixture, t_labels, w: int,
+                       name: str = "mu_L") -> tuple[bool, str]:
+    """Sufficient criterion for the torsion of order w (|mu_L| for E_S^T)
+    to die: T contains a place whose residue characteristic does not
+    divide w."""
     if w == 1:
-        return True, "mu_L trivial"
+        return True, f"{name} trivial"
     for lab in t_labels:
         p = fix.place(lab)
         if not p.infinite and w % p.residue_char != 0:
@@ -410,29 +411,39 @@ def check_hyp_ST(fix: ExtensionFixture, sets: PlaceSets) -> SetVerdict:
     """The standing hypotheses on (S, T): S covers ramified and infinite
     places, S and T are disjoint, and the S-units congruent to 1 at T are
     torsionfree (sufficient criterion)."""
-    reasons = []
     for lab in sets.S + sets.T:
         fix.place(lab)
+    return _hyp_ST(fix, sets, fix.mu_order, "mu_L")
+
+
+def _hyp_ST(fix: ExtensionFixture, sets: PlaceSets, w: int, name: str) -> SetVerdict:
+    """``check_hyp_ST`` with the torsion criterion against w, on place
+    labels already checked."""
+    reasons = []
     missing = set(fix.minimal_s()) - set(sets.S)
     if missing:
         reasons.append(f"S misses ramified/infinite places {sorted(missing)}")
     if set(sets.S) & set(sets.T):
         reasons.append("S and T intersect")
-    ok3, why = _torsion_criterion(fix, sets.T)
+    ok3, why = _torsion_criterion(fix, sets.T, w, name)
     if not ok3:
         reasons.append(f"torsion criterion failed: {why}")
     return SetVerdict(not reasons, reasons or [f"torsion: {why}"])
 
 
 def check_admissible(fix: ExtensionFixture, sets: PlaceSets) -> SetVerdict:
-    """(p,r)-admissibility at the sets' p and r: for r < 0 this is exactly
-    the standing hypotheses; for r = 0 the four local conditions."""
-    if sets.r < 0:
-        return check_hyp_ST(fix, sets)
-    p = sets.p
-    reasons = []
+    """(p,r)-admissibility at the sets' p and r: for r < 0 the standing
+    conditions on S and T with the torsion criterion taken against
+    w_(1-r) = ``mu_tate_order(fix, r)`` in place of |mu_L|, which needs
+    the cyclotomic data; for r = 0 the four local conditions."""
     for lab in sets.S + sets.T:
         fix.place(lab)
+    if sets.r < 0:
+        if fix.cyclotomic is None:
+            return SetVerdict(False, ["w_(1-r) for r < 0 needs the fixture's cyclotomic data"])
+        return _hyp_ST(fix, sets, mu_tate_order(fix, sets.r), "w_(1-r)")
+    p = sets.p
+    reasons = []
     st = set(sets.S) | set(sets.T)
     for lab in fix.ramified_labels():
         pl = fix.place(lab)
@@ -444,7 +455,7 @@ def check_admissible(fix: ExtensionFixture, sets: PlaceSets) -> SetVerdict:
     if set(sets.S) & set(sets.T):
         reasons.append("(iii) S and T intersect")
     t_nr = [lab for lab in sets.T if not fix.place(lab).ramified]
-    ok4, why = _torsion_criterion(fix, t_nr)
+    ok4, why = _torsion_criterion(fix, t_nr, fix.mu_order)
     if not ok4:
         reasons.append(f"(iv) torsion criterion on T_nr failed: {why}")
     return SetVerdict(not reasons, reasons or ["admissible"])

@@ -17,7 +17,7 @@ from .errors import FixtureError, InternalCheckError
 from .grouprings import (CentralElement, GroupRingElement, _product_pairing,
                          idempotent_eps, minus_idempotent)
 from .groups import detect_direct_product, memo
-from .lvalues import DirichletCharacter, L_at_nonpositive, L_ST
+from .lvalues import DirichletCharacter, L_at_nonpositive, euler_delta_factor
 from .rednorm import reduced_norm
 
 
@@ -88,9 +88,12 @@ def _validate_parity(fix: ExtensionFixture, comps, r: int, context: str,
 
 
 def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
-    """theta_S^T(r) for an abelian fixture over the rationals, computed twice:
-    once purely from Dirichlet L-values and once from the fixture's local
-    determinant factors.  The two assemblies must agree exactly."""
+    """theta_S^T(r) for an abelian fixture over the rationals.  At each
+    character the Euler and delta factors are computed twice: once from
+    the Dirichlet character (``euler_delta_factor``) and once as the
+    fixture's local determinants.  The two must agree exactly, also where
+    L(r, chi) vanishes; the component is the primitive L-value times that
+    factor."""
     r = sets.r
     table = fix.table
     dirichlet = memo(fix, "_dirichlet_for_table", lambda: _dirichlet_for_table(fix))
@@ -100,17 +103,14 @@ def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     local = euler_element(fix, s_fin, r) * delta_element(fix, sets.T, r)
     comps = []
     for i in range(len(table)):
-        check = dirichlet[i]
-        # Dirichlet-side assembly
-        a = L_ST(r, check, s_primes, t_primes)
-        # fixture-side assembly: primitive value times local determinants
-        b = L_at_nonpositive(r, check.primitive_core()) * local.components[i]
-        if a != b:
+        prim = dirichlet[i].primitive_core()
+        factor = euler_delta_factor(r, prim, s_primes, t_primes)
+        if factor != local.components[i]:
             raise InternalCheckError(
                 f"theta assembly mismatch at character {i}: "
                 "Dirichlet path and local-factor path disagree"
             )
-        comps.append(a)
+        comps.append(L_at_nonpositive(r, prim) * factor)
     table.check_galois(comps, "theta_abelian")
     _validate_parity(fix, comps, r, "theta_abelian", table.trivial_index())
     central = CentralElement(table, comps)

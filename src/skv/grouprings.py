@@ -288,34 +288,40 @@ class CentralElement:
 
 def idempotent_eps(table: CharacterTable, h_elems) -> CentralElement:
     """Central idempotent |H|^(-1) N_H for a normal subgroup H: component 1
-    exactly at characters trivial on H."""
-    group = table.group
-    h = sorted(set(h_elems))
-    if not group.is_subgroup(h) or not group.is_normal(h):
-        raise GroupError("epsilon idempotent needs a normal subgroup")
-    ids = group.class_index()
-    comps = []
-    for chi in table:
-        deg = Cyclo.rational(chi.degree)
-        trivial_on_h = all(chi.values[ids[g]] == deg for g in h)
-        comps.append(Cyclo.one() if trivial_on_h else Cyclo.zero())
-    return CentralElement(table, comps)
+    exactly at characters trivial on H.  Kept on the table per H."""
+    h = tuple(sorted(set(h_elems)))
+
+    def build():
+        group = table.group
+        if not group.is_subgroup(h) or not group.is_normal(h):
+            raise GroupError("epsilon idempotent needs a normal subgroup")
+        ids = group.class_index()
+        comps = []
+        for chi in table:
+            deg = Cyclo.rational(chi.degree)
+            trivial_on_h = all(chi.values[ids[g]] == deg for g in h)
+            comps.append(Cyclo.one() if trivial_on_h else Cyclo.zero())
+        return CentralElement(table, comps)
+    return memo(table, ("idempotent_eps", h), build)
 
 
 def minus_idempotent(table: CharacterTable, j: int) -> CentralElement:
-    """(1 - j)/2 for a central involution j; component 1 at odd characters."""
-    group = table.group
-    if j == 0 or group.mul(j, j) != 0 or j not in group.center():
-        raise GroupError("minus projection needs a central involution")
-    ids = group.class_index()
-    comps = []
-    for chi in table:
-        val = chi.values[ids[j]] * Fraction(1, chi.degree)
-        q = val.to_fraction()
-        if q not in (1, -1):
-            raise GroupError("character value at a central involution must be +-1")
-        comps.append(Cyclo.one() if q == -1 else Cyclo.zero())
-    return CentralElement(table, comps)
+    """(1 - j)/2 for a central involution j; component 1 at odd characters.
+    Kept on the table per j."""
+    def build():
+        group = table.group
+        if j == 0 or group.mul(j, j) != 0 or j not in group.center():
+            raise GroupError("minus projection needs a central involution")
+        ids = group.class_index()
+        comps = []
+        for chi in table:
+            val = chi.values[ids[j]] * Fraction(1, chi.degree)
+            q = val.to_fraction()
+            if q not in (1, -1):
+                raise GroupError("character value at a central involution must be +-1")
+            comps.append(Cyclo.one() if q == -1 else Cyclo.zero())
+        return CentralElement(table, comps)
+    return memo(table, ("minus_idempotent", j), build)
 
 
 class MembershipVerdict:

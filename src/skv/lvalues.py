@@ -3,9 +3,10 @@
 A character's value chi(a) is the integer power k of zeta_N, N the order
 of chi.  L(1-n, chi) = -B_{n,chi}/n with generalized Bernoulli numbers
 evaluated through Bernoulli polynomials.  Only primitive characters are
-evaluated directly; S-truncation and T-modification happen through
-explicit Euler factors on top of the primitive value.  Values at r <= 0
-only; leading terms at zeros are out of scope.
+evaluated directly; S-truncation and T-modification multiply the
+primitive value by the product of its Euler and delta factors, one
+integer-weighted sum of powers of zeta_N (``euler_delta_factor``).
+Values at r <= 0 only; leading terms at zeros are out of scope.
 """
 
 from __future__ import annotations
@@ -181,23 +182,38 @@ def _primitive_L(r: int, key: tuple) -> Cyclo:
     return _bernoulli_sum(n, modulus, order, powers) * Fraction(-1, n)
 
 
+def euler_delta_factor(r: int, chi: DirichletCharacter, S, T) -> Cyclo:
+    """prod_{q in S} (1 - chi(q) q^(-r)) * prod_{q in T} (1 - chi(q) q^(1-r))
+    for r <= 0 and disjoint sets S and T of rational primes, at the order N
+    of chi.  With chi(q) = zeta_N^k, each factor shifts integer weights on
+    the powers of zeta_N by k, so the product is one ``root_of_unity_sum``;
+    a prime dividing the modulus has chi(q) = 0 and the factor 1.  For
+    the primitive core of chi, S gives the Euler factors of L_S(r, chi)
+    and T the delta factors of delta_T(r, conjugate chi), whose
+    contragredient lands back on chi's own value."""
+    if r > 0:
+        raise ArithmeticDomainError("only non-positive arguments are supported")
+    S, T = set(S), set(T)
+    if S & T:
+        raise ArithmeticDomainError("S and T must be disjoint")
+    n, f, powers = chi.order, chi.modulus, chi.powers
+    weights = [1] + [0] * (n - 1)
+    for primes, e in ((S, -r), (T, 1 - r)):
+        for q in primes:
+            k = powers.get(q % f if f > 1 else 1)
+            if k is not None:
+                c = q ** e
+                # weights[j - k] wraps round to weights[j - k + n]
+                weights = [w - c * weights[j - k] for j, w in enumerate(weights)]
+    return root_of_unity_sum(n, weights)
+
+
 def L_ST(r: int, chi: DirichletCharacter, S, T) -> Cyclo:
-    """(S,T)-modified value: delta_T(r, conjugate chi) * L_S(r, chi).
+    """(S,T)-modified value: delta_T(r, conjugate chi) * L_S(r, chi), the
+    primitive value times ``euler_delta_factor`` of the primitive core.
 
     S and T are disjoint sets of rational primes; factors at primes
     dividing the conductor are 1 (the primitive value already omits them).
     """
-    S = sorted(set(S))
-    T = sorted(set(T))
-    if set(S) & set(T):
-        raise ArithmeticDomainError("S and T must be disjoint")
     prim = chi.primitive_core()
-    val = L_at_nonpositive(r, prim)
-    for q in S:
-        # Euler factor 1 - chi(q) q^(-r)
-        val = val * (Cyclo.one() - prim(q) * Fraction(q) ** (-r))
-    for q in T:
-        # delta factor 1 - chi(q) q^(1-r): the contragredient in
-        # delta_T(r, conjugate chi) lands back on chi's own value
-        val = val * (Cyclo.one() - prim(q) * Fraction(q) ** (1 - r))
-    return val
+    return L_at_nonpositive(r, prim) * euler_delta_factor(r, prim, S, T)

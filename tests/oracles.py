@@ -364,6 +364,17 @@ def primitive_core_by_fractions(chi: DirichletCharacter) -> DirichletCharacter:
     return dirichlet_from_exps(d, core)
 
 
+def euler_delta_by_primes(r: int, chi: DirichletCharacter, S, T) -> Cyclo:
+    """prod_{q in S} (1 - chi(q) q^(-r)) * prod_{q in T} (1 - chi(q) q^(1-r))
+    as one Cyclo factor per prime, starting from 1 at the order of chi."""
+    val = Cyclo.one(chi.order)
+    for q in sorted(set(S)):
+        val = val * (Cyclo.one() - chi(q) * Fraction(q) ** (-r))
+    for q in sorted(set(T)):
+        val = val * (Cyclo.one() - chi(q) * Fraction(q) ** (1 - r))
+    return val
+
+
 def bernoulli_eval(bn: BernoulliData, x: Fraction) -> Fraction:
     """B_n(x) by Horner's rule in Fractions."""
     acc = Fraction(0)

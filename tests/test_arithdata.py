@@ -228,8 +228,12 @@ def test_check_admissible_r_zero(fixtures):
     v2 = check_admissible(fix, PlaceSets(["inf"], ["5"], r=0, p=2))
     assert not v2 and any("(ii)" in r for r in v2.reasons)
     assert check_admissible(fix, PlaceSets(["inf", "2"], ["5"], r=0, p=2))
-    # negative r falls back to the standing hypotheses
+    # negative r takes the standing hypotheses with the torsion criterion
+    # against w_2 = 24 in place of |mu_L| = 4: 5 passes, 3 does not
     assert check_admissible(fix, PlaceSets(["inf", "2"], ["5"], r=-1))
+    v3 = check_admissible(fix, PlaceSets(["inf", "2"], ["3"], r=-1))
+    assert not v3 and v3.reasons == [
+        "torsion criterion failed: no place in T with residue characteristic prime to w=24"]
 
 
 def test_delta_element_oracles(fixtures):

@@ -77,6 +77,28 @@ def test_check_explicit_sets_and_p(capsys):
     assert any("p=2" in p for p in v["provenance"])
 
 
+def test_stickelberger_below_zero_tests_torsion_against_w_1_minus_r(capsys):
+    # w_2 = 24 over Q, Q(i) and Q(sqrt -5), so a T at 3 does not meet the
+    # torsion criterion at r = -1: inconclusive, where 5 stays verified
+    for name in ("q", "q_i", "q_sqrt_m5"):
+        code, out, err = run_cli(capsys, "check", "stickelberger", "--fixture",
+                                 fixture_path(name), "--T", "3", "--r", "-1")
+        v = json.loads(out)["verdicts"][0]
+        assert code == 2 and not err and v["status"] == "inconclusive", (name, out)
+        assert v["notes"] == ["(p,r)-admissibility failed", "torsion criterion failed: "
+                              "no place in T with residue characteristic prime to w=24"]
+    for name in ("q", "q_i"):
+        code, out, _ = run_cli(capsys, "check", "stickelberger", "--fixture",
+                               fixture_path(name), "--T", "5", "--r", "-1")
+        assert code == 0 and json.loads(out)["verdicts"][0]["status"] == "verified"
+    # without cyclotomic data there is no w_2 to test against
+    code, out, err = run_cli(capsys, "check", "stickelberger", "--fixture",
+                             fixture_path("s3c2"), "--T", "q5", "--r", "-1")
+    v = json.loads(out)["verdicts"][0]
+    assert code == 2 and not err and v["status"] == "inconclusive"
+    assert v["notes"][1] == "w_(1-r) for r < 0 needs the fixture's cyclotomic data"
+
+
 def test_check_text_rendering(capsys):
     code, out, _ = run_cli(capsys, "check", "all",
                            "--fixture", fixture_path("q"),

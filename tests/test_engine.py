@@ -7,6 +7,7 @@ import pytest
 
 import skv.arithdata
 import skv.engine
+import skv.grouprings
 import skv.lvalues
 from skv.arithdata import ExtensionFixture, PlaceSets
 from skv.characters import CharacterTable
@@ -19,6 +20,7 @@ from skv.engine import (_validate_parity, inertia_norm_product, l_zero_sharp,
                         translated_place_labels, u_prime_generators,
                         u_prime_place_generators)
 from skv.grouprings import CentralElement, GroupRingElement
+from skv.verify import default_sets
 
 from conftest import fixture_path, load_fixture_json
 from oracles import run_all
@@ -212,6 +214,31 @@ def test_theta_abelian_detects_local_factor_mismatch():
         theta_abelian(fix, PlaceSets(["inf", "3"], ["7"]))
 
 
+def test_theta_abelian_checks_the_factor_where_the_l_value_vanishes(monkeypatch):
+    # at r = 0, L(0, chi) = 0 at every even non-trivial chi, so the two
+    # products L * factor agree there whatever the local factor is; the
+    # check compares the factors themselves, and a doubled delta factor at
+    # one such character of q_zeta23 must fail it
+    fix = ExtensionFixture(load_fixture_json("q_zeta23"))
+    table = fix.table
+    odd = skv.grouprings.minus_idempotent(table, fix.j).components
+    even = [i for i in range(len(table))
+            if odd[i].is_zero() and i != table.trivial_index()]
+    target = even[0]
+    real = skv.arithdata.local_factor
+
+    def perturbed(fix_, place, chi_index, r, kind):
+        value = real(fix_, place, chi_index, r, kind)
+        return value * 2 if chi_index == target and kind == "delta_T" else value
+
+    monkeypatch.setattr(skv.arithdata, "local_factor", perturbed)
+    sets = default_sets(fix)
+    assert sets.r == 0 and sets.T
+    with pytest.raises(InternalCheckError,
+                       match=f"theta assembly mismatch at character {target}:"):
+        theta_abelian(fix, sets)
+
+
 def _counting(monkeypatch, owner, name):
     """Replace owner.name by a wrapper that records each call's arguments."""
     calls = []
@@ -257,7 +284,26 @@ def test_check_all_q_zeta23_builds_each_local_product_and_transform_once(monkeyp
     transforms = _counting(monkeypatch, CentralElement, "to_group_ring")
     trips = _counting(monkeypatch, CentralElement, "_gives_back")
     fallbacks = _counting(monkeypatch, CentralElement, "_direct_sum")
+    minus = _counting(monkeypatch, skv.engine, "minus_idempotent")
+    eps = _counting(monkeypatch, skv.engine, "idempotent_eps")
+    built = []
+    real_memo = skv.grouprings.memo
+
+    def counting_memo(owner, key, build):
+        def counted():
+            built.append(key)
+            return build()
+        return real_memo(owner, key, counted)
+
+    monkeypatch.setattr(skv.grouprings, "memo", counting_memo)
     assert [v.status for v in run_all(fix)] == ["verified"] * 5
+    # the parity check asks for (1 - j)/2 at each theta, and the sweep for
+    # epsilon of H_J at each (J, T); the table builds each key once
+    names = ("minus_idempotent", "idempotent_eps")
+    idempotents = [key for key in built if key[0] in names]
+    kept = {key for key in fix.table._memo if key[0] in names}
+    assert len(idempotents) == len(kept) == 3 and set(idempotents) == kept
+    assert len(minus) == 9 and len(eps) == 6
     products = [key[1:] for key in fix._memo if key[0] == "_local_product"]
     # sku and brumer each build A_S, and so each request its three delta_T(0)
     assert len(requests) == 24 and len(products) == 8

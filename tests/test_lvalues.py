@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from skv.cyclotomic import Cyclo, unit_generators, unit_residues
 from skv.errors import ArithmeticDomainError, FixtureError
 from skv.lvalues import (DirichletCharacter, L_at_nonpositive, L_ST,
-                         _primitive_L, bernoulli_number,
+                         _primitive_L, bernoulli_number, euler_delta_factor,
                          bernoulli_polynomial, characters_mod,
                          generalized_bernoulli)
 
-from oracles import (bernoulli_eval, dirichlet_from_exps, exponent_at, fraction_exps,
+from oracles import (bernoulli_eval, dirichlet_from_exps, euler_delta_by_primes,
+                     exponent_at, fraction_exps,
                      generalized_bernoulli_fractions, is_odd, is_trivial,
                      primitive_core_by_fractions, trivial_character)
 
@@ -152,6 +153,30 @@ def test_L_ST_complex_character_convention():
     assert L_ST(0, chi, [], [7]) == base * (Cyclo.one() - i * Fraction(7))
     # S-factor likewise: 1 - chi(3), chi(3) = -i
     assert L_ST(0, chi, [3], []) == base * (Cyclo.one() + i)
+
+
+@pytest.mark.parametrize("f", [3, 4, 5, 7, 15, 23, 24])
+def test_euler_delta_factor_matches_the_per_prime_product(f):
+    # disjoint S and T, with primes dividing f and primes prime to it
+    sets = [([], []), ([2], []), ([], [7]), ([2, 3], [5]), ([3, 5, 7], [2, 11]),
+            ([13], [17, 19, 23])]
+    for chi in characters_mod(f):
+        prim = chi.primitive_core()
+        for r in range(0, -4, -1):
+            for S, T in sets:
+                for c in (chi, prim):
+                    got, want = euler_delta_factor(r, c, S, T), euler_delta_by_primes(r, c, S, T)
+                    assert got == want and got.order == want.order == c.order
+                got = L_ST(r, chi, S, T)
+                want = L_at_nonpositive(r, prim) * euler_delta_by_primes(r, prim, S, T)
+                assert got == want and got.order == want.order
+
+
+def test_euler_delta_factor_guards():
+    with pytest.raises(ArithmeticDomainError):
+        euler_delta_factor(1, CHI_M3, [5], [])
+    with pytest.raises(ArithmeticDomainError):
+        euler_delta_factor(0, CHI_M3, [5], [5])
 
 
 def _cyclo_to_mpc(x):

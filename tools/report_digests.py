@@ -11,8 +11,9 @@ adds the command line itself: `skv --help`, each command's `--help` and a
 fixed list of bad invocations (`CLI_INVOCATIONS`), each with its exit code
 and the sha256 of its stdout and of its stderr, at a fixed help width of 80
 columns.  `--commands` adds, on every shipped fixture, `theta` at r = 0,
--1, -2 and -3 and `sku`, each in json and in text, `fixtures validate` and
-`check all --format text` (`COMMAND_INVOCATIONS`), each with its exit code
+-1, -2 and -3 and `sku`, each in json and in text, `fixtures validate`,
+`check all --format text` and `check stickelberger --T 3|5 --r -1`
+(`COMMAND_INVOCATIONS`), each with its exit code
 and the sha256 of its stdout and of its stderr.  Run it at two commits and
 diff the outputs to show that a change keeps every report byte-identical.
 From the repository root:
@@ -88,6 +89,8 @@ COMMAND_INVOCATIONS = [
       for fmt in ("json", "text")),
     ["fixtures", "validate"],
     ["check", "all", "--format", "text"],
+    # the r < 0 admissibility: 3 divides w_2(Q) = 24 and 5 does not
+    *(["check", "stickelberger", "--T", t, "--r", "-1"] for t in ("3", "5")),
 ]
 
 
