@@ -142,6 +142,8 @@ def test_L_ST_euler_and_delta_factors():
     assert L_ST(0, CHI_M3, [3], []).to_fraction() == base
     with pytest.raises(ArithmeticDomainError):
         L_ST(0, CHI_M3, [5], [5])
+    with pytest.raises(ArithmeticDomainError):
+        euler_delta_factor(1, CHI_M3, [5], [])
 
 
 def test_L_ST_complex_character_convention():
@@ -170,13 +172,6 @@ def test_euler_delta_factor_matches_the_per_prime_product(f):
                 got = L_ST(r, chi, S, T)
                 want = L_at_nonpositive(r, prim) * euler_delta_by_primes(r, prim, S, T)
                 assert got == want and got.order == want.order
-
-
-def test_euler_delta_factor_guards():
-    with pytest.raises(ArithmeticDomainError):
-        euler_delta_factor(1, CHI_M3, [5], [])
-    with pytest.raises(ArithmeticDomainError):
-        euler_delta_factor(0, CHI_M3, [5], [5])
 
 
 def _cyclo_to_mpc(x):
