@@ -501,16 +501,20 @@ def local_factor(fix: ExtensionFixture, place: PlaceData, chi_index: int,
 
 def _local_product(fix: ExtensionFixture, labels, r: int, kind: str) -> CentralElement:
     """Product of the local factors over the given places, built once per
-    fixture and (sorted labels, r, kind); callers do not change it."""
+    fixture and (sorted labels, r, kind) by ``CentralElement.from_orbits``:
+    the factors are taken at the characters that the table's fill map
+    leaves out, and the Galois self-check runs over every component.
+    Callers do not change it."""
     labels = tuple(sorted(set(str(x) for x in labels)))
     def build():
-        table = fix.table
-        comps = [Cyclo.one() for _ in range(len(table))]
-        for lab in labels:
-            place = fix.place(lab)
-            for i in range(len(table)):
-                comps[i] = comps[i] * local_factor(fix, place, i, r, kind)
-        return CentralElement(table, comps)
+        places = [fix.place(lab) for lab in labels]
+
+        def component(i):
+            comp = Cyclo.one()
+            for place in places:
+                comp = comp * local_factor(fix, place, i, r, kind)
+            return comp
+        return CentralElement.from_orbits(fix.table, component, kind)
     return memo(fix, ("_local_product", labels, r, kind), build)
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import Cyclo, order_data, root_of_unity_sum, unit_generators
+from .cyclotomic import (Cyclo, order_data, root_of_unity_sum, unit_generators,
+                         unit_residues)
 from .errors import (ArithmeticDomainError, GroupError, InternalCheckError,
                      NotMonomialError)
 from .groups import FiniteGroup, memo
@@ -149,12 +150,16 @@ class CharacterTable:
     ``(order, num, den)`` at the common order of the table's values, and a
     character is looked up by the tuple of its value ids.  The Galois
     action comes from the group's class power maps: sigma_k(chi)(g) =
-    chi(g^k), a permutation of chi's values.
+    chi(g^k), a permutation of chi's values.  The trivial character sorts
+    first, which is checked once here.
     """
 
     def __init__(self, group: FiniteGroup, chars, certificates):
         self.group = group
-        order = sorted(range(len(chars)), key=lambda i: _char_sort_key(chars[i]))
+        keys = [_char_sort_key(chi) for chi in chars]
+        order = sorted(range(len(chars)), key=keys.__getitem__)
+        if not chars or keys[order[0]][0]:  # the first key's "not trivial"
+            raise GroupError("no trivial character found")
         self.chars = [chars[i] for i in order]
         self.certificates = [certificates[i] for i in order]
         self.exponent = group.exponent()
@@ -208,6 +213,13 @@ class CharacterTable:
         # character values lie in Q(zeta_E), where sigma_k depends on k mod E
         return memo(self, ("galois_index", i, k % self.exponent), build)
 
+    def galois_permutation(self, k: int) -> tuple[int, ...]:
+        """``galois_index(i, k)`` for every character i, kept for the
+        Galois self-check, which reads it once per generator k on every
+        central element it checks."""
+        return memo(self, ("galois_permutation", k % self.exponent),
+                    lambda: tuple(self.galois_index(i, k) for i in range(len(self.chars))))
+
     def galois_orbits(self) -> list[tuple[int, ...]]:
         """The Galois orbits on the characters, each sorted, in order of
         their smallest member."""
@@ -250,19 +262,54 @@ class CharacterTable:
         component at chi to the component at sigma_ab(chi)."""
         modulus = lcm(self.exponent, *(c.order for c in comps))
         for k in unit_generators(modulus):
-            for i in range(len(self.chars)):
-                if comps[self.galois_index(i, k)] != comps[i].galois(k):
+            for i, j in enumerate(self.galois_permutation(k)):
+                if comps[j] != comps[i].galois(k):
                     raise InternalCheckError(
                         f"{context}: components not Galois-equivariant "
                         f"at character {i}, sigma_{k}"
                     )
 
     def trivial_index(self) -> int:
-        one = Cyclo.one()
-        for i, c in enumerate(self.chars):
-            if all(v == one for v in c.values):
-                return i
-        raise GroupError("no trivial character found")  # pragma: no cover
+        # the constructor checks that the trivial character sorts first
+        return 0
+
+    def galois_fills(self) -> dict[int, tuple[int, int]]:
+        """j -> (r, k) for each character j whose certificate is the
+        sigma_k image of the certificate at r, the first member of j's
+        Galois orbit: the same subgroup and order, powers k * p mod N.
+        k runs over the units modulo M = lcm(exponent, certificate
+        orders).  In each orbit of three or more, r and its image under
+        the first generator of (Z/M)^x that moves it are never filled, so
+        a self-check over a filled element compares two components
+        computed independently.  Built once per table; callers do not
+        change it.
+
+        For a rational central element built from the certificates (a
+        theta, a local product, a reduced norm), sigma_k of the component
+        at r is then the very value, at the very order, that computing
+        the component at j would give (see ``CentralElement.from_orbits``)."""
+        def build():
+            certs = self.certificates
+            modulus = lcm(self.exponent, *(c.order for c in certs))
+            fills = {}
+            for orbit in self.galois_orbits():
+                if len(orbit) < 3:  # nothing beyond r and its partner
+                    continue
+                r = orbit[0]
+                partner = next(j for j in (self.galois_index(r, g)
+                                           for g in unit_generators(modulus)) if j != r)
+                cert = certs[r]
+                for k in unit_residues(modulus):
+                    j = self.galois_index(r, k)
+                    if j in (r, partner) or j in fills:
+                        continue
+                    image = certs[j]
+                    if image.u_elems == cert.u_elems and image.order == cert.order and \
+                            image.powers == {y: k * p % cert.order
+                                             for y, p in cert.powers.items()}:
+                        fills[j] = (r, k)
+            return fills
+        return memo(self, "galois_fills", build)
 
 
 def _char_sort_key(chi: Character):

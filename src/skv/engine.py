@@ -15,7 +15,7 @@ from .arithdata import (ExtensionFixture, GeneratorSet, PlaceSets,
 from .cyclotomic import Cyclo, rational_str, unit_residues
 from .errors import FixtureError, InternalCheckError
 from .grouprings import (CentralElement, GroupRingElement, _product_pairing,
-                         idempotent_eps, minus_idempotent)
+                         central_unit, idempotent_eps, minus_idempotent)
 from .groups import detect_direct_product, memo
 from .lvalues import DirichletCharacter, L_at_nonpositive, euler_delta_factor
 from .rednorm import reduced_norm
@@ -88,12 +88,17 @@ def _validate_parity(fix: ExtensionFixture, comps, r: int, context: str,
 
 
 def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
-    """theta_S^T(r) for an abelian fixture over the rationals.  At each
-    character the Euler and delta factors are computed twice: once from
-    the Dirichlet character (``euler_delta_factor``) and once as the
-    fixture's local determinants.  The two must agree exactly, also where
-    L(r, chi) vanishes; the component is the primitive L-value times that
-    factor."""
+    """theta_S^T(r) for an abelian fixture over the rationals, built by
+    ``CentralElement.from_orbits``: only the characters that the table's
+    fill map leaves out (each Galois orbit's first member and one partner)
+    are computed, and every other component is sigma_k of its orbit's
+    first one.  At each computed character the Euler and delta factors are
+    computed twice: once from the Dirichlet character
+    (``euler_delta_factor``) and once as the fixture's local determinants,
+    whose product is filled the same way.  The two must agree exactly,
+    also where L(r, chi) vanishes; the component is the primitive L-value
+    times that factor.  The Galois self-check over every component then
+    compares each orbit's two computed members."""
     r = sets.r
     table = fix.table
     dirichlet = memo(fix, "_dirichlet_for_table", lambda: _dirichlet_for_table(fix))
@@ -101,8 +106,8 @@ def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     s_primes = sorted(fix.place(lab).residue_char for lab in s_fin)
     t_primes = sorted(fix.place(lab).residue_char for lab in sets.T)
     local = euler_element(fix, s_fin, r) * delta_element(fix, sets.T, r)
-    comps = []
-    for i in range(len(table)):
+
+    def component(i):
         prim = dirichlet[i].primitive_core()
         factor = euler_delta_factor(r, prim, s_primes, t_primes)
         if factor != local.components[i]:
@@ -110,10 +115,10 @@ def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
                 f"theta assembly mismatch at character {i}: "
                 "Dirichlet path and local-factor path disagree"
             )
-        comps.append(L_at_nonpositive(r, prim) * factor)
-    table.check_galois(comps, "theta_abelian")
-    _validate_parity(fix, comps, r, "theta_abelian", table.trivial_index())
-    central = CentralElement(table, comps)
+        return L_at_nonpositive(r, prim) * factor
+
+    central = CentralElement.from_orbits(table, component, "theta_abelian")
+    _validate_parity(fix, central.components, r, "theta_abelian", table.trivial_index())
     elem = central.to_group_ring()
     if not elem.is_rational():
         raise InternalCheckError("theta has non-rational group-ring coefficients")
@@ -249,8 +254,7 @@ def u_prime_generators(fix: ExtensionFixture, S) -> GeneratorSet:
     need = set(fix.ramified_labels())
     if not need <= set(str(x) for x in S):
         raise FixtureError("U' requires S to contain all ramified places")
-    table = fix.table
-    combos = [("1", CentralElement(table, [Cyclo.one()] * len(table)))]
+    combos = [("1", central_unit(fix.table))]
     for lab in s_fin:
         local = u_prime_place_generators(fix, lab)
         combos = [(f"{tag}*{ltag}" if tag != "1" else ltag, elem * lelem)
@@ -285,8 +289,7 @@ def sku_prime_generators(fix: ExtensionFixture, S, bound: int = 2) -> GeneratorS
 
 def inertia_norm_product(fix: ExtensionFixture, J) -> CentralElement:
     """prod_{p in J} nr(N_I) as a central element."""
-    table = fix.table
-    out = CentralElement(table, [Cyclo.one()] * len(table))
+    out = central_unit(fix.table)
     for lab in sorted(set(str(x) for x in J)):
         out = out * _inertia_norm(fix, lab)
     return out

@@ -5,19 +5,30 @@ each irreducible character (normalized by degree) on the element.  This is
 the form in which integrality in a maximal order is checked, and it makes
 multiplication componentwise.
 
+A rational central element is fixed by one component per Galois orbit of
+characters, since the centre of Q[G] is the sum of the fields Q(chi) over
+Irr(G)/Gal (Curtis-Reiner, Methods of Representation Theory I, section 7).
+``CentralElement.from_orbits`` builds such an element from the characters
+that the table's ``galois_fills`` does not fill, sets every other
+component to the sigma_k image of its orbit's first member, and runs the
+Galois self-check over all of them.  The element keeps the fill map:
+products of two such elements multiply only the computed components.
+
 ``CentralElement.to_group_ring`` turns components back into group-ring
 coefficients.  For an element of Q[G] it sums one trace per Galois orbit of
 characters, as integer dot products with the cached traces of roots of
 unity, and then checks the rational result by the forward transform, which
-must give back every component.  Inputs outside Q[G], whose components are
-not Galois-equivariant, fail that check and take the sum over every
-character in Q(zeta).
+must give back every component: every computed one, for an element that
+keeps the fill map, whose filled components then follow by Galois
+equivariance.  Inputs outside Q[G], whose components are not
+Galois-equivariant, fail that check and take the sum over every character
+in Q(zeta).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .characters import CharacterTable, irreducibles_monomial
 from .cyclotomic import Cyclo, order_data
@@ -115,6 +126,9 @@ class CentralElement:
 
     components[i] = chi_i(x) / chi_i(1) for the i-th irreducible of the
     table; multiplication is componentwise in this coordinate system.
+    ``fills`` is the table's ``galois_fills`` map for an element built by
+    ``from_orbits`` (or a product or rational multiple of such elements),
+    whose filled components are sigma_k images; it is None otherwise.
     """
 
     def __init__(self, table: CharacterTable, components):
@@ -124,6 +138,35 @@ class CentralElement:
         if len(comps) != len(table):
             raise GroupError("one component per irreducible expected")
         self.components = tuple(comps)
+        self.fills = None
+
+    @staticmethod
+    def from_orbits(table: CharacterTable, compute, context: str) -> "CentralElement":
+        """The rational central element with component ``compute(i)`` at
+        each character i that ``table.galois_fills()`` does not fill, and
+        sigma_k of the component at r at each filled j -> (r, k).  The
+        Galois self-check then runs over every component, so the two
+        members computed in each orbit of three or more are compared."""
+        elem = CentralElement._filled(table, compute, table.galois_fills())
+        table.check_galois(elem.components, context)
+        return elem
+
+    @staticmethod
+    def _filled(table: CharacterTable, compute, fills) -> "CentralElement":
+        """The element with component ``compute(i)`` at each character i
+        that ``fills`` leaves out and sigma_k images at the others, keeping
+        ``fills``.  A rational element's components lie in Q(zeta_E), E
+        the exponent, so k only matters modulo E; it is moved by multiples
+        of E to a unit at the order the component is stored at."""
+        comps = [None if i in fills else compute(i) for i in range(len(table))]
+        for j, (r, k) in fills.items():
+            comp = comps[r]
+            while gcd(k, comp.order) != 1:
+                k += table.exponent
+            comps[j] = comp.galois(k)
+        elem = CentralElement(table, comps)
+        elem.fills = fills
+        return elem
 
     @staticmethod
     def from_group_ring(table: CharacterTable, x: GroupRingElement) -> "CentralElement":
@@ -156,7 +199,11 @@ class CentralElement:
         back every component exactly; Q[G] maps onto exactly the equivariant
         tuples, so the check fails precisely for inputs outside Q[G] (such
         as the idempotent of one non-rational character), which take the
-        sum over all characters instead.
+        sum over all characters instead.  An element that keeps the fill
+        map compares its computed components only: the forward transform
+        of a rational class function is Galois-equivariant, so once it
+        gives back the component at r it gives back sigma_k of it at each
+        filled j, which is the component there (see ``_gives_back``).
 
         The coefficients are kept on the table per component tuple, keyed by
         each component's exact ``(order, num, den)``, so each distinct input
@@ -232,13 +279,20 @@ class CentralElement:
     def _gives_back(self, nums: list[int], den: int) -> bool:
         """Round trip: does the class function a_C = nums[C] / den have
         exactly these components?  Each x_chi = chi(1)^(-1) sum_C |C| a_C
-        chi(C) is summed as integer numerators and normalised once."""
+        chi(C) is summed as integer numerators and normalised once.  The
+        filled characters of an element that keeps the fill map are
+        skipped: a_C is rational, so x_j = sigma_k(x_r) for j -> (r, k),
+        and the component at j is sigma_k of the one at r; this accepts
+        exactly what the comparison at every character accepts."""
         table = self.table
         order = table.value_order
         size = order_data(order).phi
         classes = self.group.conjugacy_classes()
         weighted = [(c, len(cls) * nums[c]) for c, cls in enumerate(classes) if nums[c]]
+        fills = self.fills or {}
         for i, (chi, row) in enumerate(zip(table, table.value_numerators(order))):
+            if i in fills:
+                continue
             acc = [0] * size
             for c, a in weighted:
                 for b, v in row[c]:
@@ -257,9 +311,17 @@ class CentralElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
-            return CentralElement(self.table, [a * other for a in self.components])
-        self._compat(other)
-        return CentralElement(self.table, [a * b for a, b in zip(self.components, other.components)])
+            factors = [other] * len(self.components)
+            # sigma_k fixes a rational factor
+            fills = None if isinstance(other, Cyclo) else self.fills
+        else:
+            self._compat(other)
+            factors = other.components
+            fills = self.fills if other.fills is self.fills else None
+        if fills is None:
+            return CentralElement(self.table, [a * b for a, b in zip(self.components, factors)])
+        # a product of elements with the fill map keeps it
+        return CentralElement._filled(self.table, lambda i: self.components[i] * factors[i], fills)
 
     __rmul__ = __mul__
 
@@ -284,6 +346,16 @@ class CentralElement:
 
     def __repr__(self):
         return f"CentralElement({list(self.components)!r})"
+
+
+def central_unit(table: CharacterTable) -> CentralElement:
+    """The unit of the centre, built per Galois orbit with the table's
+    fill map, so that its products keep the map.  Kept on the table;
+    callers do not change it."""
+    def build():
+        one = Cyclo.one()
+        return CentralElement.from_orbits(table, lambda i: one, "unit")
+    return memo(table, "central_unit", build)
 
 
 def idempotent_eps(table: CharacterTable, h_elems) -> CentralElement:

@@ -11,8 +11,10 @@ against its defining identity before being returned.
 Reduced norms and Fitting invariants are taken of matrices over QG only;
 a matrix with a non-rational entry is rejected.  The reduced norm of a
 rational matrix is Galois-equivariant: its component at sigma_k(chi) is
-sigma_k of its component at chi.  So in each Galois orbit of characters
-only the first member and one conjugate of it get a representation and a
+sigma_k of its component at chi.  So it is built by
+``CentralElement.from_orbits`` on the table's fill map
+(``CharacterTable.galois_fills``): in each Galois orbit of characters only
+the first member and one conjugate of it get a representation and a
 determinant; every other member whose certificate is the sigma_k-image of
 the first one's takes sigma_k of that component, which is the value, at
 the order, its own determinant would give.  The Galois self-check then
@@ -27,8 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .characters import CharacterTable
-from .cyclotomic import (Cyclo, order_data, root_of_unity_sum, unit_generators,
-                         unit_residues)
+from .cyclotomic import Cyclo, order_data, root_of_unity_sum
 from .errors import FixtureError, GroupError, InternalCheckError
 from .grouprings import CentralElement, GroupRingElement
 from .groups import memo
@@ -183,12 +184,13 @@ def _require_qg(a):
 
 
 def _represented(a, table: CharacterTable):
-    """``(blocks, fills)`` for the matrix ``a`` over QG: ``fills`` maps
-    each character j whose components are sigma_k of those at r to (r, k)
-    (see ``_galois_fills``); ``blocks[i]`` is None for those and otherwise
-    the degree of the i-th irreducible and the block matrix of ``a`` under
-    its monomial representation."""
-    fills = _galois_fills(a, table)
+    """Per character, the degree of the irreducible and the block matrix
+    of ``a`` under its monomial representation, or None for a character
+    that the table's ``galois_fills`` fills: its reduced-norm components
+    are sigma_k images, because its block is sigma_k of the block at its
+    orbit's first member with the same orders (the fill map matches the
+    certificates, and ``a`` is over QG)."""
+    fills = table.galois_fills()
     blocks = []
     for i in range(len(table)):
         if i in fills:
@@ -196,46 +198,12 @@ def _represented(a, table: CharacterTable):
         else:
             rep = monomial_representation(table, i)
             blocks.append((rep.degree, apply_representation(rep, a)))
-    return blocks, fills
+    return blocks
 
 
-def _galois_fills(a, table: CharacterTable) -> dict[int, tuple[int, int]]:
-    """For a matrix ``a`` over QG: j -> (r, k) for each character j whose
-    reduced-norm components are sigma_k of those at r.  In each Galois
-    orbit of three or more characters, the first member r and its image
-    under the first generator of (Z/M)^x that moves it are computed
-    directly (M the lcm of the exponent and the orders of the
-    coefficients of ``a``), so the Galois self-check compares two
-    independent determinants.  Another member j = sigma_k(r) is filled
-    only when its certificate is sigma_k of r's (the same subgroup and
-    order, powers k * p mod N): its block is then sigma_k of r's block
-    with the same orders, so sigma_k of a component at r is the very
-    value, at the very order, that a determinant at j would give."""
-    modulus = lcm(table.exponent,
-                  *(c.order for row in a for entry in row for c in entry.coeffs.values()))
-    certs = table.certificates
-    fills = {}
-    for orbit in table.galois_orbits():
-        if len(orbit) < 3:  # nothing beyond r and its partner
-            continue
-        r = orbit[0]
-        partner = next(j for j in (table.galois_index(r, g) for g in unit_generators(modulus))
-                       if j != r)
-        cert = certs[r]
-        for k in unit_residues(modulus):
-            j = table.galois_index(r, k)
-            if j in (r, partner) or j in fills:
-                continue
-            image = certs[j]
-            if image.u_elems == cert.u_elems and image.order == cert.order and \
-                    image.powers == {y: k * p % cert.order for y, p in cert.powers.items()}:
-                fills[j] = (r, k)
-    return fills
-
-
-def _rows_norm(a, rows, represented, table: CharacterTable) -> CentralElement:
+def _rows_norm(a, rows, blocks, table: CharacterTable) -> CentralElement:
     """Reduced norm of the matrix made of the given rows of the matrix
-    ``a`` over QG, with ``represented`` the ``_represented`` data of all of
+    ``a`` over QG, with ``blocks`` the ``_represented`` data of all of
     ``a``: its component at an irreducible of degree d is the determinant
     of the d rows from r * d on of that block, for each selected row r,
     or sigma_k of the component at r for a filled character.  The
@@ -243,16 +211,12 @@ def _rows_norm(a, rows, represented, table: CharacterTable) -> CentralElement:
     self-check."""
     if any(len(a[r]) != len(rows) for r in rows):
         raise GroupError("reduced norm requires a square matrix")
-    blocks, fills = represented
 
-    def det(d, block):
-        return mat_det([block[r * d + i] for r in rows for i in range(d)])
+    def det(i):
+        d, block = blocks[i]
+        return mat_det([block[r * d + j] for r in rows for j in range(d)])
 
-    comps = [None if entry is None else det(*entry) for entry in blocks]
-    for j, (r, k) in fills.items():
-        comps[j] = comps[r].galois(k)
-    table.check_galois(comps, "reduced norm")
-    return CentralElement(table, comps)
+    return CentralElement.from_orbits(table, det, "reduced norm")
 
 
 class StarAdjointResult:
@@ -476,8 +440,8 @@ class AnnihilationVerdict:
 def certified_h_elements(table: CharacterTable):
     """Members of the annihilator-friendly central set that we can certify:
     just the scalar |G|."""
-    n = table.group.order
-    return [("certified:|G|", CentralElement(table, [Cyclo.rational(n)] * len(table)))]
+    n = Cyclo.rational(table.group.order)
+    return [("certified:|G|", CentralElement.from_orbits(table, lambda i: n, "scalar |G|"))]
 
 
 def annihilation_check(fitt: FittingInvariant, module: FiniteGModule,

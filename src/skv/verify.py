@@ -16,11 +16,11 @@ from typing import Callable, NamedTuple
 from .arithdata import (ExtensionFixture, PlaceSets, check_admissible,
                         generate_A_S, hyp_t_sets, mu_tate_annihilators)
 from .characters import CharacterTable
-from .cyclotomic import Cyclo
 from .engine import (_product_split, sku_prime_generators, theta,
                      theta_with_inertia_norms)
 from .errors import FixtureError, SkvError
-from .grouprings import CentralElement, GroupRingElement, max_order_membership
+from .grouprings import (CentralElement, GroupRingElement, central_unit,
+                         max_order_membership)
 from .rednorm import (FittingInvariant, annihilation_check,
                       certified_h_elements, reduced_norm,
                       reduced_norm_component)
@@ -302,8 +302,7 @@ def check_brumer_stark_necessary(fix: ExtensionFixture, S) -> Verdict:
     if not fix.class_groups:
         notes.append("no class-group data; annihilation part skipped")
         return Verdict(check_id, "verified", witnesses=witnesses, notes=notes)
-    one = [("certified:1",
-            CentralElement(fix.table, [Cyclo.one()] * len(fix.table)))]
+    one = [("certified:1", central_unit(fix.table))]
     for k, entry in enumerate(fix.class_groups):
         ann = annihilation_check(FittingInvariant([x], False, False),
                                  entry["module"], one)

@@ -10,17 +10,19 @@ import os
 from fractions import Fraction
 from math import gcd, lcm
 
-from skv.arithdata import ExtensionFixture, PlaceData, mu_tate_annihilators
+from skv.arithdata import (ExtensionFixture, PlaceData, PlaceSets, local_factor,
+                           mu_tate_annihilators)
 from skv.characters import (Character, CharacterTable, MonomialCertificate,
                             _check_multiplicative, chain_extension, irreducibles_monomial,
                             linear_character_powers)
 from skv.cyclotomic import Cyclo, _product, _scale, root_of_unity_sum, unit_residues
+from skv.engine import _dirichlet_for_table
 from skv.errors import FixtureError, GroupError, NotMonomialError
 from skv.grouprings import GroupRingElement
 from skv.groups import FiniteGroup
 from skv.linalg import mat_det, mat_identity, mat_mul, mat_scale
 from skv.lvalues import (BernoulliData, DirichletCharacter, L_at_nonpositive,
-                         bernoulli_polynomial, characters_mod)
+                         bernoulli_polynomial, characters_mod, euler_delta_factor)
 from skv.rednorm import (FiniteGModule, MonomialRepresentation,
                          monomial_representation)
 from skv.verify import SUITES, CheckOptions, Verdict
@@ -538,3 +540,34 @@ def module_action_all_pairs(module: FiniteGModule, group: FiniteGroup):
                 for j in range(k):
                     if (prod[i][j] - target[i][j]) % module.factors[i] != 0:
                         raise FixtureError(f"action is not a homomorphism at ({g}, {h})")
+
+
+def local_product_per_character(fix: ExtensionFixture, labels, r: int, kind: str) -> list[Cyclo]:
+    """The local-factor product at every character, each factor computed
+    on its own: no component is a Galois image of another."""
+    table = fix.table
+    comps = [Cyclo.one() for _ in range(len(table))]
+    for lab in sorted(set(str(x) for x in labels)):
+        place = fix.place(lab)
+        for i in range(len(table)):
+            comps[i] = comps[i] * local_factor(fix, place, i, r, kind)
+    return comps
+
+
+def theta_per_character(fix: ExtensionFixture, sets: PlaceSets) -> list[Cyclo]:
+    """The components of the abelian theta_S^T(r), each computed on its
+    own as L(r, chi_prim) times the Euler-delta factor of chi_prim, which
+    must equal the per-character local product."""
+    r = sets.r
+    s_fin = [lab for lab in sets.S if not fix.place(lab).infinite]
+    s_primes = sorted(fix.place(lab).residue_char for lab in s_fin)
+    t_primes = sorted(fix.place(lab).residue_char for lab in sets.T)
+    euler = local_product_per_character(fix, s_fin, r, "euler_S")
+    delta = local_product_per_character(fix, sets.T, r, "delta_T")
+    comps = []
+    for i, chi in enumerate(_dirichlet_for_table(fix)):
+        prim = chi.primitive_core()
+        factor = euler_delta_factor(r, prim, s_primes, t_primes)
+        assert factor == euler[i] * delta[i]
+        comps.append(L_at_nonpositive(r, prim) * factor)
+    return comps

@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skv.characters import (_abelian_table, _check_multiplicative,
+from skv.characters import (CharacterTable, _abelian_table, _check_multiplicative,
                             _induced_table, irreducibles_monomial,
                             linear_character_powers)
 from skv.cyclotomic import Cyclo, unit_generators
@@ -37,6 +37,18 @@ def test_s3_table_shape():
     assert sorted(chi.degree for chi in table) == [1, 1, 2]
     assert table.trivial_index() == 0
     assert sum(chi.degree ** 2 for chi in table) == 6
+
+
+def test_a_table_checks_once_that_the_trivial_character_sorts_first():
+    table = irreducibles_monomial(named_group("S3"))
+    one = Cyclo.one()
+    assert all(v == one for v in table[0].values)
+    assert not any(all(v == one for v in chi.values) for chi in table.chars[1:])
+    # listed last, the trivial character still sorts first
+    again = CharacterTable(table.group, table.chars[::-1], table.certificates[::-1])
+    assert again.chars == table.chars and again.trivial_index() == 0
+    with pytest.raises(GroupError, match="no trivial character"):
+        CharacterTable(table.group, table.chars[1:], table.certificates[1:])
 
 
 def test_q8_table_shape():

@@ -70,6 +70,16 @@ def test_galois_action_permutes_roots():
     assert orbit.is_rational() and orbit.to_fraction() == -1
 
 
+def test_identity_galois_action_returns_the_value_itself():
+    z, q = Cyclo.zeta(7, 2), Cyclo.rational(Fraction(3, 5))
+    assert z.galois(8) is z and q.galois(4) is q
+    assert z.galois(3) == Cyclo.zeta(7, 6)
+    with pytest.raises(ArithmeticDomainError):
+        z.galois(14)
+    # values at different orders still compare by value
+    assert q == q.lift(6) and z != z.lift(14) * 2
+
+
 def test_conjugate_is_inverse_on_roots():
     z = Cyclo.zeta(9, 2)
     assert z.conjugate() == z.inverse()

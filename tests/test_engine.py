@@ -22,8 +22,8 @@ from skv.engine import (_validate_parity, inertia_norm_product, l_zero_sharp,
 from skv.grouprings import CentralElement, GroupRingElement
 from skv.verify import default_sets
 
-from conftest import fixture_path, load_fixture_json
-from oracles import run_all
+from conftest import fixture_path, ladder_fixture_writer, load_fixture_json
+from oracles import local_product_per_character, run_all, theta_per_character
 
 
 def _coeffs(fix, theta):
@@ -214,22 +214,30 @@ def test_theta_abelian_detects_local_factor_mismatch():
         theta_abelian(fix, PlaceSets(["inf", "3"], ["7"]))
 
 
+def _computed_characters(table) -> list[int]:
+    return [i for i in range(len(table)) if i not in table.galois_fills()]
+
+
 def test_theta_abelian_checks_the_factor_where_the_l_value_vanishes(monkeypatch):
     # at r = 0, L(0, chi) = 0 at every even non-trivial chi, so the two
     # products L * factor agree there whatever the local factor is; the
     # check compares the factors themselves, and a doubled delta factor at
-    # one such character of q_zeta23 must fail it
+    # one computed such character of q_zeta23 must fail it.  The factor is
+    # doubled on the character's whole Galois orbit, so that the delta
+    # product stays Galois-equivariant and only the factor check can fail
     fix = ExtensionFixture(load_fixture_json("q_zeta23"))
     table = fix.table
     odd = skv.grouprings.minus_idempotent(table, fix.j).components
-    even = [i for i in range(len(table))
+    even = [i for i in _computed_characters(table)
             if odd[i].is_zero() and i != table.trivial_index()]
     target = even[0]
+    orbit = next(o for o in table.galois_orbits() if target in o)
+    assert len(orbit) > 2 and target == orbit[0]
     real = skv.arithdata.local_factor
 
     def perturbed(fix_, place, chi_index, r, kind):
         value = real(fix_, place, chi_index, r, kind)
-        return value * 2 if chi_index == target and kind == "delta_T" else value
+        return value * 2 if chi_index in orbit and kind == "delta_T" else value
 
     monkeypatch.setattr(skv.arithdata, "local_factor", perturbed)
     sets = default_sets(fix)
@@ -237,6 +245,76 @@ def test_theta_abelian_checks_the_factor_where_the_l_value_vanishes(monkeypatch)
     with pytest.raises(InternalCheckError,
                        match=f"theta assembly mismatch at character {target}:"):
         theta_abelian(fix, sets)
+
+
+@pytest.mark.parametrize("where, check", [("L_at_nonpositive", "not Galois-equivariant"),
+                                          ("euler_delta_factor", "assembly mismatch"),
+                                          ("local_factor", "not Galois-equivariant")])
+def test_theta_abelian_rejects_each_corrupted_computed_component(where, check, monkeypatch):
+    # q_zeta23 has Galois orbits of sizes 1, 1, 10 and 10: six characters
+    # are computed, each orbit's first member and one partner.  A value
+    # outside Q(chi), added at any one of them in any of the three
+    # ingredients, must fail a self-check: the Galois check of theta or of
+    # the local product, or the comparison of the Dirichlet factor with
+    # the local product.  At r = -1 no Euler-delta factor
+    # vanishes (at r = 0 the Euler factor at 23 kills the trivial
+    # component, whatever its L-value), so each corruption changes theta
+    fix = ExtensionFixture(load_fixture_json("q_zeta23"))
+    default = default_sets(fix)
+    theta_abelian(fix, PlaceSets(default.S, default.T, -1))  # passes uncorrupted
+    computed = _computed_characters(fix.table)
+    assert len(computed) == 6
+    owner = skv.arithdata if where == "local_factor" else skv.engine
+    real = getattr(owner, where)
+    for target in computed:
+        fix = ExtensionFixture(load_fixture_json("q_zeta23"))  # no memo of theta
+        default = default_sets(fix)
+        sets = PlaceSets(default.S, default.T, -1)
+        s_fin = [lab for lab in sets.S if not fix.place(lab).infinite]
+        assert all(not (e * d).is_zero() for e, d in zip(
+            local_product_per_character(fix, s_fin, -1, "euler_S"),
+            local_product_per_character(fix, sets.T, -1, "delta_T")))
+        if where == "local_factor":
+            def corrupted(fix_, place, chi_index, r, kind, target=target):
+                value = real(fix_, place, chi_index, r, kind)
+                return value + Cyclo.zeta(4) if chi_index == target else value
+        else:
+            # called once per computed character, in table order
+            count = iter(range(len(computed)))
+
+            def corrupted(*args, target=computed.index(target), count=count):
+                value = real(*args)
+                return value + Cyclo.zeta(4) if next(count) == target else value
+        monkeypatch.setattr(owner, where, corrupted)
+        with pytest.raises(InternalCheckError, match=check):
+            theta_abelian(fix, sets)
+        monkeypatch.undo()
+
+
+def test_theta_and_local_products_match_the_per_character_assembly(fixtures, tmp_path):
+    # every theta and local product that check all builds, on every shipped
+    # abelian fixture with cyclotomic data and on two ladder fields, equals
+    # the per-character assembly component by component, order included
+    write = ladder_fixture_writer()
+    fields = [ExtensionFixture.load(fixture_path(name))
+              for name, fix in fixtures.items() if skv.engine._computed_path(fix)]
+    fields += [ExtensionFixture.load(write(p, str(tmp_path))) for p in (31, 47)]
+    assert len(fields) == 7
+    for fix in fields:
+        run_all(fix)
+        thetas = [key for key in fix._memo if key[0] == "theta"]
+        products = [key for key in fix._memo if key[0] == "_local_product"]
+        assert thetas and products
+        for _, s, t, r in thetas:
+            assert _exact(fix._memo["theta", s, t, r].central) == \
+                _exact(theta_per_character(fix, PlaceSets(s, t, r)))
+        for key in products:
+            assert _exact(fix._memo[key]) == _exact(local_product_per_character(fix, *key[1:]))
+
+
+def _exact(x) -> list[tuple]:
+    comps = x.components if isinstance(x, CentralElement) else x
+    return [(c.order, c.num, c.den) for c in comps]
 
 
 def _counting(monkeypatch, owner, name):
@@ -255,26 +333,30 @@ def _counting(monkeypatch, owner, name):
 def test_theta_is_built_once_per_s_t_and_r(monkeypatch):
     fix = ExtensionFixture(load_fixture_json("q_zeta3"))
     builds = _counting(monkeypatch, skv.engine, "theta_abelian")
-    galois = _counting(monkeypatch, CharacterTable, "check_galois")
+    checks = _counting(monkeypatch, CharacterTable, "check_galois")
+
+    def galois():
+        return [args for args in checks if args[2] == "theta_abelian"]
     th = theta(fix, PlaceSets(["inf", "3"], ["7"]))
     assert theta(fix, PlaceSets(["3", "inf"], ["7"])) is th
-    assert len(builds) == 1 and len(galois) == 1
+    assert len(builds) == 1 and len(galois()) == 1
     # another r or T is another theta, with its own self-checks
     assert theta(fix, PlaceSets(["inf", "3"], ["7"], -1)) is not th
     assert theta(fix, PlaceSets(["inf", "3"], [])) is not th
-    assert len(builds) == 3 and len(galois) == 3
+    assert len(builds) == 3 and len(galois()) == 3
     assert th.central == theta_abelian(fix, PlaceSets(["inf", "3"], ["7"])).central
 
 
 def test_check_all_q_zeta23_evaluates_each_l_value_once(monkeypatch):
-    # 22 characters at r = 0 and r = -1
+    # the 6 computed of the 22 characters, at r = 0 and r = -1
     skv.lvalues._primitive_L.cache_clear()
     calls = _counting(monkeypatch, skv.lvalues, "_bernoulli_sum")
     fix = ExtensionFixture(load_fixture_json("q_zeta23"))
     assert [v.status for v in run_all(fix)] == ["verified"] * 5
-    assert len(calls) == 44
+    assert len(_computed_characters(fix.table)) == 6
+    assert len(calls) == 12
     assert len({(n, f, order, tuple(sorted(powers)))
-                for n, f, order, powers in calls}) == 44
+                for n, f, order, powers in calls}) == 12
 
 
 def test_check_all_q_zeta23_builds_each_local_product_and_transform_once(monkeypatch):
@@ -307,9 +389,9 @@ def test_check_all_q_zeta23_builds_each_local_product_and_transform_once(monkeyp
     products = [key[1:] for key in fix._memo if key[0] == "_local_product"]
     # sku and brumer each build A_S, and so each request its three delta_T(0)
     assert len(requests) == 24 and len(products) == 8
-    # each product is built once: one factor per place and character
-    assert len(factors) == len(fix.table) * sum(
-        len(labels) for labels, _, _ in products) == 132
+    # each product is built once: one factor per place and computed character
+    assert len(factors) == len(_computed_characters(fix.table)) * sum(
+        len(labels) for labels, _, _ in products) == 36
     assert len(transforms) == 32 and len(trips) == 16 and not fallbacks
     keys = {tuple((c.order, c.num, c.den) for c in x.components)
             for (x,) in transforms}
@@ -326,7 +408,7 @@ def test_each_main_call_builds_its_own_memos(monkeypatch, capsys):
         assert cli_main(["check", "all", "--fixture", path]) == 0
         counts.append((len(factors), len(trips)))
         reports.append(capsys.readouterr().out)
-    assert counts == [(132, 16), (264, 32)]
+    assert counts == [(36, 16), (72, 32)]
     assert reports[0] == reports[1]
 
 

@@ -16,8 +16,9 @@ from skv.groups import FiniteGroup, detect_direct_product, named_group
 from skv.grouprings import (CentralElement, GroupRingElement, _product_pairing,
                             idempotent_eps, max_order_membership,
                             minus_idempotent, product_coefficients)
+from skv.rednorm import star_adjoint
 
-from conftest import FIXTURE_NAMES, fixture_path
+from conftest import FIXTURE_NAMES, fixture_path, ladder_fixture_writer
 from oracles import product_pairing_scan, run_all
 
 
@@ -420,3 +421,57 @@ def test_to_group_ring_misses_on_one_changed_component_or_order(fixtures, monkey
         assert trips == [x, y, z]
         trips.clear()
 
+
+
+def _transformed_by_check_all(fix, monkeypatch) -> list[CentralElement]:
+    """Every central element that ``check all`` hands to to_group_ring."""
+    seen = []
+    to_group_ring = CentralElement.to_group_ring
+    monkeypatch.setattr(CentralElement, "to_group_ring",
+                        lambda self: seen.append(self) or to_group_ring(self))
+    run_all(fix)
+    monkeypatch.undo()
+    return seen
+
+
+def test_orbit_round_trip_answers_as_the_full_round_trip(tmp_path, monkeypatch):
+    # on every element that check all transforms, the round trip over the
+    # computed characters of an element with the fill map accepts the
+    # forward transform exactly when the comparison at every character
+    # does, also for the class functions one numerator off
+    fields = [ExtensionFixture.load(fixture_path(name)) for name in FIXTURE_NAMES]
+    fields.append(ExtensionFixture.load(ladder_fixture_writer()(31, str(tmp_path))))
+    filled = 0
+    for fix in fields:
+        for x in _transformed_by_check_all(fix, monkeypatch):
+            full = CentralElement(x.table, x.components)
+            assert full.fills is None
+            nums, den = x._orbit_traces()
+            assert x._gives_back(nums, den) == full._gives_back(nums, den)
+            for c in range(len(nums)):
+                wrong = list(nums)
+                wrong[c] += 1
+                assert x._gives_back(wrong, den) == full._gives_back(wrong, den)
+            if x.fills:
+                filled += 1
+    assert filled
+
+
+def test_a_star_adjoint_indicator_of_a_non_rational_character_takes_the_direct_sum(
+        fixtures, monkeypatch):
+    # the idempotent of one character lies in Q[G] exactly when the
+    # character is rational-valued; the others fail the round trip
+    table = irreducibles_monomial(fixtures["q_zeta23"].group)  # no kept transforms
+    group = table.group
+    fallbacks = []
+    direct_sum = CentralElement._direct_sum
+    monkeypatch.setattr(CentralElement, "_direct_sum",
+                        lambda self: fallbacks.append(self) or direct_sum(self))
+    h = [[GroupRingElement(group, {0: 2, 1: 1})]]
+    star_adjoint(h, table)
+    rational = [o[0] for o in table.galois_orbits() if len(o) == 1]
+    assert len(fallbacks) == len(table) - len(rational) == 20
+    for x in fallbacks:
+        assert x.fills is None
+        (i,) = [i for i, c in enumerate(x.components) if not c.is_zero()]
+        assert i not in rational

@@ -508,17 +508,33 @@ def _assert_fitting_matches_each_component(h, table):
 
 
 def test_fitting_computes_a_conjugate_whose_certificate_is_no_galois_image(monkeypatch):
-    import skv.rednorm as rednorm
-    from skv.characters import MonomialCertificate
-    table = ExtensionFixture.load(fixture_path("q_zeta23")).table  # not shared
-    h = _sparse_presentation(table.group, 3, 2, random.Random(5))
-    j = max(rednorm._galois_fills(h, table))
-    cert = table.certificates[j]
-    # the same subgroup and character, listed in another order
-    table.certificates[j] = MonomialCertificate(cert.u_elems[::-1], cert.order, cert.powers)
-    assert j not in rednorm._galois_fills(h, table)
+    from skv.characters import CharacterTable, MonomialCertificate
+    shared = DIFF_TABLES["q_zeta23"]
+    h = _sparse_presentation(shared.group, 3, 2, random.Random(5))
+    j = max(shared.galois_fills())
+    certs = list(shared.certificates)
+    cert = certs[j]
+    # the same subgroup and character, listed in another order, in a fresh
+    # table, since each table builds its fill map once
+    certs[j] = MonomialCertificate(cert.u_elems[::-1], cert.order, cert.powers)
+    table = CharacterTable(shared.group, shared.chars, certs)
+    assert j in shared.galois_fills() and j not in table.galois_fills()
     assert len(_det_calls(monkeypatch, h, table)) == 3 * 7
     _assert_fitting_matches_each_component(h, table)
+
+
+def test_reduced_norm_fills_components_of_entries_stored_at_a_foreign_order():
+    # rationals stored at order 3 give components at orders 3, 33 and 66
+    # on C22, where a unit k modulo 22 need not be one modulo 66: the fill
+    # moves k by multiples of the exponent, and each filled component is
+    # the value, at the order, that its own determinant gives
+    table = DIFF_TABLES["q_zeta23"]
+    x = GroupRingElement(table.group, {0: Cyclo.rational(2).lift(3), 1: Cyclo.one(),
+                                       3: Cyclo.rational(1).lift(3)})
+    assert table.galois_fills()
+    assert _components(reduced_norm([[x]], table)) == [
+        (c.order, c.num, c.den)
+        for c in (reduced_norm_component([[x]], table, i) for i in range(len(table)))]
 
 
 def test_fitting_matches_each_component_on_a_ladder_group(tmp_path):
