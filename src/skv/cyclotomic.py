@@ -452,8 +452,6 @@ class Cyclo:
         """Apply zeta_n -> zeta_n^k; requires gcd(k, n) = 1."""
         n = self.order
         k %= n
-        if k == 1 or n == 1:  # the identity; values are immutable
-            return self
         if gcd(k, n) != 1:
             raise ArithmeticDomainError(f"galois index {k} not coprime to {n}")
         return self._substitute(k, n)
@@ -467,8 +465,6 @@ class Cyclo:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.order == other.order:
-            return self.den == other.den and self.num == other.num
         a, b = self._common(other)
         return a.den == b.den and a.num == b.num
 

@@ -31,7 +31,7 @@ from math import gcd, lcm
 from .characters import CharacterTable
 from .cyclotomic import Cyclo, order_data, root_of_unity_sum
 from .errors import FixtureError, GroupError, InternalCheckError
-from .grouprings import CentralElement, GroupRingElement
+from .grouprings import CentralElement, GroupRingElement, central_unit
 from .groups import memo
 from .linalg import char_poly, mat_add, mat_det, mat_mul, mat_scale
 
@@ -440,8 +440,7 @@ class AnnihilationVerdict:
 def certified_h_elements(table: CharacterTable):
     """Members of the annihilator-friendly central set that we can certify:
     just the scalar |G|."""
-    n = Cyclo.rational(table.group.order)
-    return [("certified:|G|", CentralElement.from_orbits(table, lambda i: n, "scalar |G|"))]
+    return [("certified:|G|", central_unit(table) * table.group.order)]
 
 
 def annihilation_check(fitt: FittingInvariant, module: FiniteGModule,
