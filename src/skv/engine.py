@@ -33,9 +33,6 @@ class ThetaElement:
         self.r = int(r)
         self.provenance = provenance
 
-    def sharp(self) -> CentralElement:
-        return self.central.sharp()
-
     def to_json(self) -> dict:
         out = {
             "schema": "skvtheta/1",

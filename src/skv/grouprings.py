@@ -22,7 +22,9 @@ must give back every component: every computed one, for an element that
 keeps the fill map, whose filled components then follow by Galois
 equivariance.  Inputs outside Q[G], whose components are not
 Galois-equivariant, fail that check and take the sum over every character
-in Q(zeta).
+in Q(zeta).  Of skv's callers only ``product_coefficients`` passes such
+inputs: for G = H x C and a non-rational chi in Irr(H), the components
+at chi * lambda over Irr(C) make an element of Q(chi)[C], not of Q[C].
 """
 
 from __future__ import annotations
@@ -198,12 +200,13 @@ class CentralElement:
         That result is checked by the forward transform, which must give
         back every component exactly; Q[G] maps onto exactly the equivariant
         tuples, so the check fails precisely for inputs outside Q[G] (such
-        as the idempotent of one non-rational character), which take the
-        sum over all characters instead.  An element that keeps the fill
-        map compares its computed components only: the forward transform
-        of a rational class function is Galois-equivariant, so once it
-        gives back the component at r it gives back sigma_k of it at each
-        filled j, which is the component there (see ``_gives_back``).
+        as the row of a non-rational H-character in
+        ``product_coefficients``), which take the sum over all characters
+        instead.  An element that keeps the fill map compares its computed
+        components only: the forward transform of a rational class function
+        is Galois-equivariant, so once it gives back the component at r it
+        gives back sigma_k of it at each filled j, which is the component
+        there (see ``_gives_back``).
 
         The coefficients are kept on the table per component tuple, keyed by
         each component's exact ``(order, num, den)``, so each distinct input

@@ -33,7 +33,7 @@ from .cyclotomic import Cyclo, order_data, root_of_unity_sum
 from .errors import FixtureError, GroupError, InternalCheckError
 from .grouprings import CentralElement, GroupRingElement, central_unit
 from .groups import memo
-from .linalg import char_poly, mat_add, mat_det, mat_mul, mat_scale
+from .linalg import char_poly, mat_add, mat_det, mat_mul
 
 # -- monomial representations -------------------------------------------
 
@@ -228,71 +228,57 @@ class StarAdjointResult:
 
 
 def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
-    """Star adjoint of a square integral matrix over ZG.
+    """Star adjoint of a square integral matrix A over ZG.
 
-    Built per simple component from the reduced characteristic polynomial
-    (the characteristic polynomial of the represented matrix), then glued
-    with the central primitive idempotents.  The defining identity and the
-    integrality of the represented adjoint blocks are verified exactly.
+    At a character chi whose block rho(A) is m x m with characteristic
+    polynomial f, Cayley-Hamilton gives the block of the adjoint as
+    sum_(j >= 1) c_j rho(A)^(j - 1), with c_j = (-1)^(m - 1) f[j].  Since
+    A is over QG, f at sigma_k(chi) is sigma_k of f at chi, so each c_j is
+    a rational central element, built by ``CentralElement.from_orbits``
+    (characteristic polynomials only at the characters the table's
+    ``galois_fills`` leaves out, and the Galois self-check over every
+    component), and H* = sum_j c_j A^(j - 1) over QG.  The norm is
+    ``reduced_norm``.  Checked exactly: every represented block of H* is
+    integral and times rho(A) gives nr I, and H* A = A H* = nr I over QG.
     """
     b = len(a)
     if any(len(row) != b for row in a):
         raise GroupError("star adjoint requires a square matrix")
+    _require_qg(a)
     if not grm_is_integral(a):
         raise GroupError("star adjoint requires integral entries")
     group = table.group
-    # powers of A over the group ring, grown on demand
-    powers = [grm_identity(group, b)]
+    norm = reduced_norm(a, table)
+    reps = [monomial_representation(table, i) for i in range(len(table))]
+    blocks = [apply_representation(rep, a) for rep in reps]
+    fills = table.galois_fills()
+    polys = {i: char_poly(block) for i, block in enumerate(blocks) if i not in fills}
 
-    def power(j):
-        while len(powers) <= j:
-            powers.append(mat_mul(powers[-1], a))
-        return powers[j]
+    def coefficient(j):
+        def compute(i):
+            f = polys[i]
+            m = len(f) - 1
+            if j > m:
+                return Cyclo.zero()
+            return f[j] if m % 2 else -f[j]
+        return CentralElement.from_orbits(table, compute, "star adjoint").to_group_ring()
 
-    adjoint = [[GroupRingElement(group) for _ in range(b)] for _ in range(b)]
-    norm_comps = []
-    exp = table.exponent
-    for i in range(len(table)):
-        rep = monomial_representation(table, i)
-        block = apply_representation(rep, a)
-        m = len(block)
-        f = char_poly(block)  # f[0..m], monic
-        # coefficients must be invariant under the stabilizer of chi
-        for k in range(2, exp):
-            if gcd(k, exp) == 1 and table.galois_index(i, k) == i:
-                for c in f:
-                    if c.galois(k) != c:
-                        raise InternalCheckError(
-                            f"reduced characteristic polynomial leaves Q(chi) at character {i}"
-                        )
-        sign = Fraction(1 if m % 2 == 1 else -1)
-        part = None
-        for j in range(1, m + 1):
-            term = mat_scale(power(j - 1), f[j] * sign)
-            part = term if part is None else mat_add(part, term)
-        det = f[0] * Fraction((-1) ** m)
-        norm_comps.append(det)
-        # represented adjoint block: verify integrality and the identity
-        rep_part = apply_representation(rep, part)
-        for row in rep_part:
-            for entry in row:
-                if not entry.is_algebraic_integer():
-                    raise InternalCheckError(
-                        f"star adjoint block not integral at character {i}"
-                    )
-        prod = mat_mul(rep_part, block)
-        for r in range(m):
-            for c in range(m):
-                want = det if r == c else Cyclo.zero()
-                if prod[r][c] != want:
-                    raise InternalCheckError("star adjoint identity failed")
-        indicator = [Cyclo.zero()] * len(table)
-        indicator[i] = Cyclo.one()
-        eps = CentralElement(table, indicator).to_group_ring()
-        for r in range(b):
-            for c in range(b):
-                adjoint[r][c] = adjoint[r][c] + eps * part[r][c]
-    norm = CentralElement(table, norm_comps)
+    # Horner: H* = (...(c_M A + c_(M-1)) A + ...) A + c_1, M the largest block size
+    zero = GroupRingElement(group)
+    adjoint = None
+    for j in range(max(map(len, polys.values())) - 1, 0, -1):
+        c = coefficient(j)
+        scalar = [[c if r == s else zero for s in range(b)] for r in range(b)]
+        adjoint = scalar if adjoint is None else mat_add(mat_mul(adjoint, a), scalar)
+    # represented adjoint blocks: integral, and inverse to rho(A) up to nr
+    for i, (rep, block) in enumerate(zip(reps, blocks)):
+        rep_adjoint = apply_representation(rep, adjoint)
+        if not all(x.is_algebraic_integer() for row in rep_adjoint for x in row):
+            raise InternalCheckError(f"star adjoint block not integral at character {i}")
+        det = norm.components[i]
+        if any(x != (det if r == s else Cyclo.zero())
+               for r, row in enumerate(mat_mul(rep_adjoint, block)) for s, x in enumerate(row)):
+            raise InternalCheckError(f"star adjoint identity failed at character {i}")
     # global identity over the group ring
     nr_elem = norm.to_group_ring()
     target = [[nr_elem * entry for entry in row] for row in grm_identity(group, b)]

@@ -20,11 +20,11 @@ from skv.engine import _dirichlet_for_table
 from skv.errors import FixtureError, GroupError, NotMonomialError
 from skv.grouprings import GroupRingElement
 from skv.groups import FiniteGroup
-from skv.linalg import mat_det, mat_identity, mat_mul, mat_scale
+from skv.linalg import char_poly, mat_add, mat_det, mat_identity, mat_mul, mat_scale
 from skv.lvalues import (BernoulliData, DirichletCharacter, L_at_nonpositive,
                          bernoulli_polynomial, characters_mod, euler_delta_factor)
-from skv.rednorm import (FiniteGModule, MonomialRepresentation,
-                         monomial_representation)
+from skv.rednorm import (FiniteGModule, MonomialRepresentation, apply_representation,
+                         grm_identity, monomial_representation)
 from skv.verify import SUITES, CheckOptions, Verdict
 
 
@@ -571,3 +571,28 @@ def theta_per_character(fix: ExtensionFixture, sets: PlaceSets) -> list[Cyclo]:
         assert factor == euler[i] * delta[i]
         comps.append(L_at_nonpositive(r, prim) * factor)
     return comps
+
+
+def star_adjoint_per_character(a, table: CharacterTable):
+    """The star adjoint of a square matrix over ZG glued per character:
+    at each chi, (-1)^(m - 1) sum_(j >= 1) f[j] A^(j - 1) with f the
+    characteristic polynomial of its m x m block, times the idempotent
+    e_chi = chi(1) |G|^(-1) sum_g chi(g^(-1)) g, summed over every chi."""
+    group = table.group
+    ids = group.class_index()
+    b = len(a)
+    adjoint = [[GroupRingElement(group) for _ in range(b)] for _ in range(b)]
+    for i, chi in enumerate(table):
+        block = apply_representation(monomial_representation(table, i), a)
+        f = char_poly(block)
+        m = len(block)
+        power, part = grm_identity(group, b), None
+        for j in range(1, m + 1):
+            term = mat_scale(power, f[j] * (-1) ** (m - 1))
+            part = term if part is None else mat_add(part, term)
+            power = mat_mul(power, a)
+        eps = GroupRingElement(group, {
+            g: chi.values[ids[group.inverse(g)]] * Fraction(chi.degree, group.order)
+            for g in range(group.order)})
+        adjoint = mat_add(adjoint, [[eps * x for x in row] for row in part])
+    return adjoint

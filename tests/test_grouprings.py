@@ -16,7 +16,6 @@ from skv.groups import FiniteGroup, detect_direct_product, named_group
 from skv.grouprings import (CentralElement, GroupRingElement, _product_pairing,
                             idempotent_eps, max_order_membership,
                             minus_idempotent, product_coefficients)
-from skv.rednorm import star_adjoint
 
 from conftest import FIXTURE_NAMES, fixture_path, ladder_fixture_writer
 from oracles import product_pairing_scan, run_all
@@ -457,21 +456,33 @@ def test_orbit_round_trip_answers_as_the_full_round_trip(tmp_path, monkeypatch):
     assert filled
 
 
-def test_a_star_adjoint_indicator_of_a_non_rational_character_takes_the_direct_sum(
-        fixtures, monkeypatch):
-    # the idempotent of one character lies in Q[G] exactly when the
-    # character is rational-valued; the others fail the round trip
-    table = irreducibles_monomial(fixtures["q_zeta23"].group)  # no kept transforms
-    group = table.group
+def test_product_coefficients_of_a_non_rational_row_take_the_direct_sum(monkeypatch):
+    # on A4 x C2, the row of each of the two non-rational linear characters
+    # of A4 lies in Q(zeta_3)[C2], outside Q[C2], so its transform falls back
+    a4 = FiniteGroup.from_permutations([[1, 2, 0, 3], [1, 0, 3, 2]])
+    group = FiniteGroup.direct_product(a4, named_group("C2"))
+    table = irreducibles_monomial(group)
+    h, c = detect_direct_product(group)
+    assert len(h) == 12 and len(c) == 2
+    ids = group.class_index()
+    cls = next(cls for cls in group.conjugacy_classes() if group.element_order(cls[0]) == 3)
+    x = CentralElement.from_group_ring(table, GroupRingElement.norm_element(group, cls))
     fallbacks = []
     direct_sum = CentralElement._direct_sum
     monkeypatch.setattr(CentralElement, "_direct_sum",
                         lambda self: fallbacks.append(self) or direct_sum(self))
-    h = [[GroupRingElement(group, {0: 2, 1: 1})]]
-    star_adjoint(h, table)
-    rational = [o[0] for o in table.galois_orbits() if len(o) == 1]
-    assert len(fallbacks) == len(table) - len(rational) == 20
-    for x in fallbacks:
-        assert x.fills is None
-        (i,) = [i for i, c in enumerate(x.components) if not c.is_zero()]
-        assert i not in rational
+    coeffs = product_coefficients(x, h, c)
+    assert len(fallbacks) == 2
+    # alpha_chi(c) = |C|^-1 sum_lambda x_(chi lambda) lambda(c)^-1, with
+    # x_psi = |class| psi(class) / psi(1) from the character values
+    tab_h, tab_c, pairing, _, back_c = _product_pairing(table, h, c)
+    sub = tab_c.group
+    sub_ids = sub.class_index()
+    for i in range(len(tab_h)):
+        for ci, g in back_c.items():
+            want = Cyclo.zero()
+            for j, lam in enumerate(tab_c):
+                psi = table[pairing[(i, j)]]
+                comp = psi.values[ids[cls[0]]] * Fraction(len(cls), psi.degree)
+                want = want + comp * lam.values[sub_ids[sub.inverse(ci)]] * Fraction(1, len(tab_c))
+            assert coeffs[(i, g)] == want

@@ -13,7 +13,7 @@ from skv.cyclotomic import Cyclo
 from skv.errors import FixtureError, GroupError, InternalCheckError
 from skv.groups import named_group
 from skv.grouprings import CentralElement, GroupRingElement
-from skv.linalg import mat_det, mat_mul
+from skv.linalg import char_poly, mat_det, mat_mul
 from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          apply_representation, certified_h_elements,
                          fitting_of_presentation, fixed_point_trace, grm_identity,
@@ -22,7 +22,7 @@ from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
 
 from conftest import fixture_path, ladder_fixture_writer
 from oracles import (dense_trace, fraction_exps, from_root_of_unity, monomial_matrix,
-                     sigma_inverse, sigma_isomorphism)
+                     sigma_inverse, sigma_isomorphism, star_adjoint_per_character)
 
 
 def _tables():
@@ -553,3 +553,86 @@ def test_fitting_rejects_a_ragged_presentation():
     for h in ([[one, one], [one]], [[one, one], [one, one, one], [one, one]]):
         with pytest.raises(GroupError, match="square"):
             fitting_of_presentation(h, table)
+
+
+# -- the star adjoint as a polynomial in A with rational coefficients ------
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "C6", "q_zeta23"])
+def test_star_adjoint_matches_the_per_character_gluing(name):
+    table = {**TABLES, **DIFF_TABLES}[name]
+    group = table.group
+    rng = random.Random(13)
+    matrices = [_sparse_presentation(group, b, b, rng) for b in (1, 2, 2)]
+    # times 1 - g on the left, the first row vanishes under every character
+    # trivial at g, and so does the reduced norm
+    one_minus_g = GroupRingElement(group, {0: 1, 1: -1})
+    matrices += [[[one_minus_g * x for x in h[0]], *h[1:]] for h in matrices]
+    singular = 0
+    for h in matrices:
+        res = star_adjoint(h, table)
+        assert res.adjoint == star_adjoint_per_character(h, table)
+        singular += any(c.is_zero() for c in res.norm.components)
+    assert singular >= 3
+
+
+def test_star_adjoint_takes_no_direct_sum_and_six_char_polys(fixtures, monkeypatch):
+    # every coefficient is a rational central element, so its transform
+    # takes the trace form; characteristic polynomials are taken only at
+    # the 6 of 22 characters that the fill map leaves out
+    import skv.rednorm as rednorm
+    table = irreducibles_monomial(fixtures["q_zeta23"].group)  # no kept transforms
+    fallbacks, polys = [], []
+    direct_sum = CentralElement._direct_sum
+    monkeypatch.setattr(CentralElement, "_direct_sum",
+                        lambda self: fallbacks.append(self) or direct_sum(self))
+    monkeypatch.setattr(rednorm, "char_poly", lambda m: polys.append(m) or char_poly(m))
+    star_adjoint([[GroupRingElement(table.group, {0: 2, 1: 1})]], table)
+    assert fallbacks == []
+    assert len(polys) == len(table) - len(table.galois_fills()) == 6
+
+
+def _corrupt_char_poly(monkeypatch, block, j, delta):
+    """Add delta to f[j] of the characteristic polynomial of ``block``."""
+    import skv.rednorm as rednorm
+
+    def corrupted(m):
+        f = char_poly(m)
+        if m == block:
+            f[j] = f[j] + delta
+        return f
+    monkeypatch.setattr(rednorm, "char_poly", corrupted)
+
+
+def test_star_adjoint_catches_a_corrupted_char_poly_coefficient(monkeypatch):
+    # on C22: a non-rational coefficient at a rational character fails the
+    # Galois check (sigma_k must fix it), a rational one the identity, and
+    # any change at the computed partner of an orbit of size 10 fails the
+    # Galois check, which compares it with sigma_k of the orbit's first
+    table = DIFF_TABLES["q_zeta23"]
+    group = table.group
+    h = [[GroupRingElement(group, {0: 2, 1: 1}), GroupRingElement(group, {3: 1})],
+         [GroupRingElement(group, {5: -1}), GroupRingElement(group, {0: 3, 2: 1})]]
+    star_adjoint(h, table)  # passes uncorrupted
+    fills = table.galois_fills()
+    rational = next(o[0] for o in table.galois_orbits() if len(o) == 1 and o[0] != 0)
+    orbit = next(o for o in table.galois_orbits() if len(o) == 10)
+    partner = next(i for i in orbit[1:] if i not in fills)
+    cases = [(rational, Cyclo.zeta(4), "star adjoint: components not Galois-equivariant"),
+             (rational, Cyclo.one(), "star adjoint identity failed at character"),
+             (partner, Cyclo.one(), "star adjoint: components not Galois-equivariant"),
+             (partner, Cyclo.zeta(4), "star adjoint: components not Galois-equivariant")]
+    for i, delta, message in cases:
+        block = apply_representation(monomial_representation(table, i), h)
+        for j in (1, 2):
+            _corrupt_char_poly(monkeypatch, block, j, delta)
+            with pytest.raises(InternalCheckError, match=message):
+                star_adjoint(h, table)
+            monkeypatch.undo()
+
+
+def test_star_adjoint_rejects_a_non_rational_entry():
+    table = TABLES["C6"]
+    h = [[GroupRingElement(table.group, {0: Cyclo.zeta(3), 1: 1})]]
+    with pytest.raises(GroupError, match="over QG"):
+        star_adjoint(h, table)

@@ -20,8 +20,11 @@ values that a function returned, or that one of its local variables held
 when it returned, over every call.  From the repository root:
 
     python3 tools/traffic.py
-    python3 tools/traffic.py --watch rednorm._is_rational \\
+    python3 tools/traffic.py --watch grouprings.CentralElement._direct_sum \\
         grouprings.max_order_membership:mode
+
+A watched name that is no function of src/skv (nested ones are named by
+their `__qualname__`, as `module.f.<locals>.g`) exits 2 before any call.
 
 Ladder fixtures and presentation files go to a temporary directory, and
 perfbench/run.py is imported read-only for its presentation generators.
@@ -48,19 +51,36 @@ CHECK_VARIANTS = ([], ["--T", "{t}"], ["--T", "{t}", "--p", "{p}"],
                   ["--T", "{t}", "--r", "-1"], ["--r", "-2"], ["--p", "{p}"])
 
 
+def code_objects(path: str):
+    """Every code object compiled from a source file, each with whether
+    it is the module's own."""
+    with open(path) as fh:
+        stack = [(compile(fh.read(), path, "exec"), True)]
+    while stack:
+        co, top = stack.pop()
+        yield co, top
+        stack.extend((c, False) for c in co.co_consts if hasattr(c, "co_lines"))
+
+
 def executable_lines(path: str) -> set[int]:
     """The lines of a source file that hold bytecode, without line 0 and
     the first line of each function and class body, which its enclosing
     code runs."""
-    with open(path) as fh:
-        code = compile(fh.read(), path, "exec")
-    lines, stack = set(), [(code, True)]
-    while stack:
-        co, top = stack.pop()
-        lines.update(line for _, _, line in co.co_lines() if line
-                     and (top or line != co.co_firstlineno))
-        stack.extend((c, False) for c in co.co_consts if hasattr(c, "co_lines"))
-    return lines
+    return {line for co, top in code_objects(path) for _, _, line in co.co_lines()
+            if line and (top or line != co.co_firstlineno)}
+
+
+def unknown_watches(watches) -> list[str]:
+    """The watched labels whose module.qualname names no function or
+    class body of src/skv."""
+    unknown = []
+    for label in watches:
+        module, _, qualname = label.partition(":")[0].partition(".")
+        path = os.path.join(SRC, f"{module}.py")
+        if not (os.path.isfile(path)
+                and any(co.co_qualname == qualname for co, _ in code_objects(path))):
+            unknown.append(label)
+    return unknown
 
 
 def missed_ranges(lines, ran) -> list[str]:
@@ -155,6 +175,9 @@ def main(argv=None) -> int:
                         help="print the distinct return values of a function, "
                              "or of one of its local variables at return")
     args = parser.parse_args(argv)
+    unknown = unknown_watches(args.watch)
+    if unknown:
+        parser.error(f"--watch: no such function in src/skv: {', '.join(unknown)}")
     tracer = Tracer(args.watch)
     codes = Counter()
     with tempfile.TemporaryDirectory() as work:
