@@ -99,12 +99,7 @@ def cmd_theta(args, fix: ExtensionFixture) -> int:
     text = None
     if args.format == "text":
         lines = [f"theta S={','.join(th.S)} T={','.join(th.T)} r={th.r}"]
-        if "coefficients" in payload:
-            for lab, c in sorted(payload["coefficients"].items()):
-                lines.append(f"  {lab}: {c}")
-        else:
-            for i, comp in enumerate(payload["components"]):
-                lines.append(f"  chi_{i}: {json.dumps(comp, sort_keys=True)}")
+        lines.extend(f"  {lab}: {c}" for lab, c in sorted(payload["coefficients"].items()))
         text = "\n".join(lines) + "\n"
     _emit(payload, args.format, args.out, text)
     return 0

@@ -456,9 +456,6 @@ class Cyclo:
             raise ArithmeticDomainError(f"galois index {k} not coprime to {n}")
         return self._substitute(k, n)
 
-    def conjugate(self) -> "Cyclo":
-        return self.galois(self.order - 1) if self.order > 1 else self
-
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .arithdata import (ExtensionFixture, GeneratorSet, PlaceSets,
                         delta_element, euler_element, generate_A_S)
-from .cyclotomic import Cyclo, rational_str, unit_residues
+from .cyclotomic import Cyclo, unit_residues
 from .errors import FixtureError, InternalCheckError
 from .grouprings import (CentralElement, GroupRingElement, _product_pairing,
                          central_unit, idempotent_eps, minus_idempotent)
@@ -43,12 +43,10 @@ class ThetaElement:
             "provenance": self.provenance,
             "components": [c.to_json() for c in self.central.components],
         }
-        elem = self.central.to_group_ring()
-        if elem.is_rational():
-            out["coefficients"] = {
-                self.central.group.labels[g]: rational_str(c.num[0], c.den)
-                for g, c in sorted(elem.coeffs.items())
-            }
+        out["coefficients"] = {
+            self.central.group.labels[g]: str(c)
+            for g, c in sorted(self.central.to_group_ring().coeffs.items())
+        }
         return out
 
 
@@ -116,9 +114,8 @@ def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
 
     central = CentralElement.from_orbits(table, component, "theta_abelian")
     _validate_parity(fix, central.components, r, "theta_abelian", table.trivial_index())
-    elem = central.to_group_ring()
-    if not elem.is_rational():
-        raise InternalCheckError("theta has non-rational group-ring coefficients")
+    # the round trip of to_group_ring checks that theta lies in QG
+    central.to_group_ring()
     return ThetaElement(central, sets.S, sets.T, r, "computed:dirichlet")
 
 

@@ -1,8 +1,10 @@
-"""Group rings and their centers, with exact cyclotomic coefficients.
+"""Group rings over Q and their centres, with exact cyclotomic components.
 
-A central element is stored through its character components: the value of
-each irreducible character (normalized by degree) on the element.  This is
-the form in which integrality in a maximal order is checked, and it makes
+Every group-ring element lives in Q[G]: ``GroupRingElement`` stores
+``Fraction`` coefficients and rejects any other.  A central element is
+stored through its character components: the value of each irreducible
+character (normalized by degree) on the element.  This is the form in
+which integrality in a maximal order is checked, and it makes
 multiplication componentwise.
 
 A rational central element is fixed by one component per Galois orbit of
@@ -15,43 +17,44 @@ Galois self-check over all of them.  The element keeps the fill map:
 products of two such elements multiply only the computed components.
 
 ``CentralElement.to_group_ring`` turns components back into group-ring
-coefficients.  For an element of Q[G] it sums one trace per Galois orbit of
-characters, as integer dot products with the cached traces of roots of
-unity, and then checks the rational result by the forward transform, which
-must give back every component: every computed one, for an element that
-keeps the fill map, whose filled components then follow by Galois
-equivariance.  Inputs outside Q[G], whose components are not
-Galois-equivariant, fail that check and take the sum over every character
-in Q(zeta).  Of skv's callers only ``product_coefficients`` passes such
-inputs: for G = H x C and a non-rational chi in Irr(H), the components
-at chi * lambda over Irr(C) make an element of Q(chi)[C], not of Q[C].
+coefficients.  It sums one trace per Galois orbit of characters, as
+integer dot products with the cached traces of roots of unity, and then
+checks the rational result by the forward transform, which must give back
+every component: every computed one, for an element that keeps the fill
+map, whose filled components then follow by Galois equivariance.  A tuple
+that is not Galois-equivariant is no element of the centre of Q[G], and
+fails that check with ``InternalCheckError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .characters import CharacterTable, irreducibles_monomial
 from .cyclotomic import Cyclo, order_data
-from .errors import CentralityError, GroupError
+from .errors import CentralityError, GroupError, InternalCheckError
 from .groups import FiniteGroup, memo
+
+_ZERO = Fraction(0)
 
 
 class GroupRingElement:
-    """Sparse element of Q(zeta)[G]: dict element index -> Cyclo coefficient."""
+    """Sparse element of Q[G]: dict element index -> nonzero Fraction."""
 
     def __init__(self, group: FiniteGroup, coeffs=None):
         self.group = group
         self.coeffs = {}
         for g, c in (coeffs or {}).items():
-            c = c if isinstance(c, Cyclo) else Cyclo.rational(c)
-            if not c.is_zero():
-                self.coeffs[int(g)] = c
+            if not isinstance(c, (int, Fraction)):
+                raise GroupError(f"group-ring coefficient {c!r} is not rational: "
+                                 "elements live over QG")
+            if c:
+                self.coeffs[int(g)] = Fraction(c)
 
     @staticmethod
     def basis(group: FiniteGroup, g: int) -> "GroupRingElement":
-        return GroupRingElement(group, {g: Cyclo.one()})
+        return GroupRingElement(group, {g: 1})
 
     @staticmethod
     def scalar(group: FiniteGroup, c) -> "GroupRingElement":
@@ -60,15 +63,15 @@ class GroupRingElement:
     @staticmethod
     def norm_element(group: FiniteGroup, elems) -> "GroupRingElement":
         """Sum of the listed group elements (N_H for a subgroup H)."""
-        return GroupRingElement(group, {g: Cyclo.one() for g in elems})
+        return GroupRingElement(group, {g: 1 for g in elems})
 
-    def coeff(self, g: int) -> Cyclo:
-        return self.coeffs.get(g, Cyclo.zero())
+    def coeff(self, g: int) -> Fraction:
+        return self.coeffs.get(g, _ZERO)
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
-            out[g] = out.get(g, Cyclo.zero()) + c
+            out[g] = out.get(g, 0) + c
         return GroupRingElement(self.group, out)
 
     def __neg__(self):
@@ -78,37 +81,24 @@ class GroupRingElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
+        if not isinstance(other, GroupRingElement):
             return GroupRingElement(self.group, {g: c * other for g, c in self.coeffs.items()})
         if other.group is not self.group and other.group.order != self.group.order:
             raise GroupError("elements live over different groups")
-        out: dict[int, Cyclo] = {}
+        out: dict[int, Fraction] = {}
         for a, ca in self.coeffs.items():
             for b, cb in other.coeffs.items():
                 g = self.group.mul(a, b)
-                prod = ca * cb
-                out[g] = out.get(g, Cyclo.zero()) + prod
+                out[g] = out.get(g, 0) + ca * cb
         return GroupRingElement(self.group, out)
 
     __rmul__ = __mul__
-
-    def sharp(self) -> "GroupRingElement":
-        """The anti-involution g -> g^(-1), extended linearly."""
-        return GroupRingElement(
-            self.group, {self.group.inverse(g): c for g, c in self.coeffs.items()}
-        )
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_integral(self) -> bool:
-        return all(c.is_algebraic_integer() for c in self.coeffs.values())
-
-    def is_p_integral(self, p: int) -> bool:
-        return all(c.is_p_integral(p) for c in self.coeffs.values())
-
-    def is_rational(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs.values())
+        return all(c.denominator == 1 for c in self.coeffs.values())
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
@@ -119,7 +109,7 @@ class GroupRingElement:
         return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
-        parts = [f"({c!r})*{self.group.labels[g]}" for g, c in sorted(self.coeffs.items())]
+        parts = [f"({c})*{self.group.labels[g]}" for g, c in sorted(self.coeffs.items())]
         return " + ".join(parts) if parts else "0"
 
 
@@ -128,6 +118,7 @@ class CentralElement:
 
     components[i] = chi_i(x) / chi_i(1) for the i-th irreducible of the
     table; multiplication is componentwise in this coordinate system.
+    ``to_group_ring`` needs an element of the centre of Q[G].
     ``fills`` is the table's ``galois_fills`` map for an element built by
     ``from_orbits`` (or a product or rational multiple of such elements),
     whose filled components are sigma_k images; it is None otherwise.
@@ -157,15 +148,10 @@ class CentralElement:
     def _filled(table: CharacterTable, compute, fills) -> "CentralElement":
         """The element with component ``compute(i)`` at each character i
         that ``fills`` leaves out and sigma_k images at the others, keeping
-        ``fills``.  A rational element's components lie in Q(zeta_E), E
-        the exponent, so k only matters modulo E; it is moved by multiples
-        of E to a unit at the order the component is stored at."""
+        ``fills``."""
         comps = [None if i in fills else compute(i) for i in range(len(table))]
         for j, (r, k) in fills.items():
-            comp = comps[r]
-            while gcd(k, comp.order) != 1:
-                k += table.exponent
-            comps[j] = comp.galois(k)
+            comps[j] = comps[r].galois(k)
         elem = CentralElement(table, comps)
         elem.fills = fills
         return elem
@@ -185,7 +171,7 @@ class CentralElement:
         for chi in table:
             acc = Cyclo.zero()
             for g, c in x.coeffs.items():
-                acc = acc + c * chi.values[ids[g]]
+                acc = acc + chi.values[ids[g]] * c
             comps.append(acc * Fraction(1, chi.degree))
         return CentralElement(table, comps)
 
@@ -196,17 +182,16 @@ class CentralElement:
         An element of Q[G] has Galois-equivariant components, so each
         Galois orbit of characters contributes the trace
         chi(1) (m / phi(N)) Tr(x_chi chi(g^(-1))) of its representative chi,
-        with m the orbit size and N the common order (see ``_trace_form``).
-        That result is checked by the forward transform, which must give
-        back every component exactly; Q[G] maps onto exactly the equivariant
-        tuples, so the check fails precisely for inputs outside Q[G] (such
-        as the row of a non-rational H-character in
-        ``product_coefficients``), which take the sum over all characters
-        instead.  An element that keeps the fill map compares its computed
-        components only: the forward transform of a rational class function
-        is Galois-equivariant, so once it gives back the component at r it
-        gives back sigma_k of it at each filled j, which is the component
-        there (see ``_gives_back``).
+        with m the orbit size and N the common order (see
+        ``_orbit_traces``).  That result is checked by the forward
+        transform, which must give back every component exactly; Q[G] maps
+        onto exactly the equivariant tuples, so the check fails precisely
+        for a tuple that is no element of the centre of Q[G], and raises
+        ``InternalCheckError``.  An element that keeps the fill map
+        compares its computed components only: the forward transform of a
+        rational class function is Galois-equivariant, so once it gives
+        back the component at r it gives back sigma_k of it at each filled
+        j, which is the component there (see ``_gives_back``).
 
         The coefficients are kept on the table per component tuple, keyed by
         each component's exact ``(order, num, den)``, so each distinct input
@@ -217,35 +202,15 @@ class CentralElement:
         coefficients.
         """
         def build():
-            coeffs = self._trace_form()
-            if coeffs is None:
-                coeffs = self._direct_sum()
-            return GroupRingElement(self.group, coeffs).coeffs
+            nums, den = self._orbit_traces()
+            if not self._gives_back(nums, den):
+                raise InternalCheckError(
+                    "group-ring coefficients do not give back the components: "
+                    "the element is not in the centre of QG")
+            ids = self.group.class_index()
+            return {g: Fraction(nums[c], den) for g, c in enumerate(ids) if nums[c]}
         key = tuple((c.order, c.num, c.den) for c in self.components)
         return GroupRingElement(self.group, memo(self.table, ("to_group_ring", key), build))
-
-    def _direct_sum(self) -> dict:
-        """Coefficients from the sum over every character, in Q(zeta)."""
-        group = self.group
-        ids = group.class_index()
-        coeffs = {}
-        for g in range(group.order):
-            acc = Cyclo.zero()
-            gi = ids[group.inverse(g)]
-            for chi, comp in zip(self.table, self.components):
-                acc = acc + comp * chi.values[gi] * Fraction(chi.degree, group.order)
-            if not acc.is_zero():
-                coeffs[g] = acc
-        return coeffs
-
-    def _trace_form(self) -> dict | None:
-        """Rational coefficients from one trace per Galois orbit, or None
-        when their forward transform misses a component."""
-        nums, den = self._orbit_traces()
-        if not self._gives_back(nums, den):
-            return None
-        ids = self.group.class_index()
-        return {g: Fraction(nums[c], den) for g, c in enumerate(ids) if nums[c]}
 
     def _orbit_traces(self) -> tuple[list[int], int]:
         """Numerators per class over one denominator of the trace-form
@@ -464,17 +429,28 @@ def _product_pairing(table: CharacterTable, h_elems, c_elems):
 
 
 def product_coefficients(x: CentralElement, h_elems, c_elems):
-    """Coefficients over the abelian factor: for each chi in Irr(H) and c in C,
-    alpha_chi(c) = |C|^(-1) sum_lambda comp[chi*lambda] lambda(c)^(-1), the
-    group-ring coefficient at c of the central element of Q(zeta)[C] with
-    components comp[chi*lambda]."""
-    tab_h, tab_c, pairing, _, back_c = _product_pairing(x.table, h_elems, c_elems)
+    """Coefficients over the abelian factor: for each chi in Irr(H) and c in
+    C, alpha_chi(c) = chi(1)^(-1) sum_(h in H) a_(hc) chi(h), where
+    x = sum_g a_g g in Q[G].  By orthogonality over C this is the row
+    formula |C|^(-1) sum_lambda x_(chi lambda) lambda(c)^(-1), the
+    coefficient at c of the element of Q(chi)[C] with components
+    x_(chi lambda).  A rational alpha is stored at order 1."""
+    tab_h, _, _, back_h, back_c = _product_pairing(x.table, h_elems, c_elems)
+    a = x.to_group_ring()
+    group = x.group
+    sub_classes = [[back_h[h] for h in cls] for cls in tab_h.group.conjugacy_classes()]
     out = {}
-    for i in range(len(tab_h)):
-        row = [x.components[pairing[(i, j)]] for j in range(len(tab_c))]
-        alpha = CentralElement(tab_c, row).to_group_ring()
-        for ci, c in back_c.items():
-            out[(i, c)] = alpha.coeff(ci)
+    for c in back_c.values():
+        # per class of H: the sum of the coefficients at h * c over its h
+        sums = [(k, sum(a.coeff(group.mul(h, c)) for h in cls))
+                for k, cls in enumerate(sub_classes)]
+        for i, chi in enumerate(tab_h):
+            alpha = Cyclo.zero()
+            for k, s in sums:
+                if s:
+                    alpha = alpha + chi.values[k] * s
+            alpha = alpha * Fraction(1, chi.degree)
+            out[(i, c)] = Cyclo.rational(alpha.to_fraction()) if alpha.is_rational() else alpha
     return out
 
 

@@ -8,9 +8,9 @@ root of unity.  A block matrix is built from that data with each entry
 added up in integers and reduced once.  Every star adjoint is verified
 against its defining identity before being returned.
 
-Reduced norms and Fitting invariants are taken of matrices over QG only;
-a matrix with a non-rational entry is rejected.  The reduced norm of a
-rational matrix is Galois-equivariant: its component at sigma_k(chi) is
+Every matrix is over QG, since a ``GroupRingElement`` holds rational
+coefficients only.  The reduced norm of such a matrix is
+Galois-equivariant: its component at sigma_k(chi) is
 sigma_k of its component at chi.  So it is built by
 ``CentralElement.from_orbits`` on the table's fill map
 (``CharacterTable.galois_fills``): in each Galois orbit of characters only
@@ -122,14 +122,14 @@ def grm_equal(a, b) -> bool:
 
 
 def apply_representation(rep: MonomialRepresentation, a):
-    """Apply a representation of degree d entrywise to a group-ring matrix
-    of r rows, the longest with c entries, producing the blown-up (r d) x
+    """Apply a representation of degree d entrywise to a matrix over QG of
+    r rows, the longest with c entries, producing the blown-up (r d) x
     (c d) cyclotomic block matrix; row s of ``a`` becomes the d rows from
-    s * d on.  A block entry is the sum of
-    c * zeta_N^k over its terms; it is added up as integer weights on the
-    L-th roots of unity, L the lcm of lcm(c.order, N / gcd(k, N)) over the
-    terms, and reduced once, which gives the value and order of the
-    running Cyclo sum.  An entry with no terms is Cyclo.zero()."""
+    s * d on.  A block entry is the sum of q * zeta_N^k over its terms,
+    q a rational coefficient; it is added up as integer weights on the
+    L-th roots of unity, L the lcm of N / gcd(k, N) over the terms, and
+    reduced once, which gives the value and order of the running Cyclo
+    sum.  An entry with no terms is Cyclo.zero()."""
     d, columns = rep.degree, rep.columns
     width = max(map(len, a), default=0) * d
     zero = Cyclo.zero()
@@ -146,16 +146,13 @@ def apply_representation(rep: MonomialRepresentation, a):
 
 
 def _block_entry(terms, n: int) -> Cyclo:
-    """Sum of c * zeta_n^k over the (c, k) in terms, at the lcm of the
-    terms' orders."""
-    order = lcm(*(lcm(c.order, n // gcd(k, n)) for c, k in terms))
-    den = lcm(*(c.den for c, _ in terms))
+    """Sum of q * zeta_n^k over the (q, k) in terms, q rational, at the
+    lcm of the orders of the roots of unity."""
+    order = lcm(*(n // gcd(k, n) for _, k in terms))
+    den = lcm(*(q.denominator for q, _ in terms))
     weights = [0] * order
-    for c, k in terms:
-        step, shift, scale = order // c.order, k * order // n, den // c.den
-        for e, x in enumerate(c.num):
-            if x:
-                weights[(e * step + shift) % order] += x * scale
+    for q, k in terms:
+        weights[k * order // n % order] += q.numerator * (den // q.denominator)
     total = root_of_unity_sum(order, weights)
     return total if den == 1 else total * Fraction(1, den)
 
@@ -174,13 +171,7 @@ def reduced_norm_component(a, table: CharacterTable, i: int) -> Cyclo:
 def reduced_norm(a, table: CharacterTable) -> CentralElement:
     """Reduced norm of a square matrix over QG, as a central element (one
     component per irreducible; see ``_represented``)."""
-    _require_qg(a)
     return _rows_norm(a, range(len(a)), _represented(a, table), table)
-
-
-def _require_qg(a):
-    if not all(entry.is_rational() for row in a for entry in row):
-        raise GroupError("reduced norm requires a matrix over QG")
 
 
 def _represented(a, table: CharacterTable):
@@ -240,15 +231,17 @@ def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
     component), and H* = sum_j c_j A^(j - 1) over QG.  The norm is
     ``reduced_norm``.  Checked exactly: every represented block of H* is
     integral and times rho(A) gives nr I, and H* A = A H* = nr I over QG.
+    The 0 x 0 matrix has the empty adjoint and the unit as its norm.
     """
     b = len(a)
     if any(len(row) != b for row in a):
         raise GroupError("star adjoint requires a square matrix")
-    _require_qg(a)
     if not grm_is_integral(a):
         raise GroupError("star adjoint requires integral entries")
     group = table.group
     norm = reduced_norm(a, table)
+    if not b:
+        return StarAdjointResult([], norm)
     reps = [monomial_representation(table, i) for i in range(len(table))]
     blocks = [apply_representation(rep, a) for rep in reps]
     fills = table.galois_fills()
@@ -308,7 +301,6 @@ def fitting_of_presentation(h, table: CharacterTable) -> FittingInvariant:
     irreducible."""
     a = len(h)
     b = len(h[0]) if a else 0
-    _require_qg(h)
     if not grm_is_integral(h):
         raise GroupError("presentation matrices must be integral")
     if a < b:
@@ -391,13 +383,10 @@ class FiniteGModule:
         ]
 
     def act_group_ring(self, x: GroupRingElement, vec):
-        """Apply a group-ring element with rational coefficients to a vector."""
+        """Apply a group-ring element to a vector."""
         k = len(self.factors)
         out = [0] * k
-        for g, c in x.coeffs.items():
-            if not c.is_rational():
-                raise FixtureError("module action needs rational coefficients")
-            q = c.to_fraction()
+        for g, q in x.coeffs.items():
             m = self.action[g]
             for i in range(k):
                 d = self.factors[i]

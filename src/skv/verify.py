@@ -57,9 +57,7 @@ class Verdict:
 
 def _is_exact_integral(x: CentralElement) -> bool:
     """Exact group-ring integrality: rational integer coefficients."""
-    elem = x.to_group_ring()
-    return all(c.is_rational() and c.to_fraction().denominator == 1
-               for c in elem.coeffs.values())
+    return x.to_group_ring().is_integral()
 
 
 def _integrality_failure(x: CentralElement, abelian: bool,
@@ -79,7 +77,7 @@ def _zg_numerators(x: CentralElement) -> tuple[list[int], int]:
     """The rational ZG coefficients of x, per group element, as integer
     numerators over one denominator."""
     elem = x.to_group_ring()
-    coeffs = [elem.coeff(g).to_fraction() for g in range(x.group.order)]
+    coeffs = [elem.coeff(g) for g in range(x.group.order)]
     den = lcm(*(q.denominator for q in coeffs))
     return [q.numerator * (den // q.denominator) for q in coeffs], den
 
@@ -89,7 +87,7 @@ def _product_in_zg(x: GroupRingElement, nums: list[int], den: int) -> bool:
     rational coefficients; the coefficient at h is
     sum_g x_g nums[g^-1 h] / den, summed in integers."""
     group = x.group
-    terms = [(group.inverse(g), c.to_fraction()) for g, c in x.coeffs.items()]
+    terms = [(group.inverse(g), q) for g, q in x.coeffs.items()]
     dx = lcm(*(q.denominator for _, q in terms))
     terms = [(g, q.numerator * (dx // q.denominator)) for g, q in terms]
     modulus = den * dx
@@ -344,7 +342,8 @@ def check_negative_r(fix: ExtensionFixture, S, r: int) -> Verdict:
     witnesses = [{"w": data["w"]}]
     labels = fix.group.labels
     for x in data["generators"]:
-        tag = " + ".join(f"{c}*{labels[g]}"
+        # report format: each coefficient written as "Cyclo(q)"
+        tag = " + ".join(f"Cyclo({c})*{labels[g]}"
                          for g, c in sorted(x.coeffs.items()))
         in_zg = _product_in_zg(x, *theta_zg) if abelian else None
         failure = None if in_zg else _integrality_failure(

@@ -18,7 +18,7 @@ from skv.characters import (Character, CharacterTable, MonomialCertificate,
 from skv.cyclotomic import Cyclo, _product, _scale, root_of_unity_sum, unit_residues
 from skv.engine import _dirichlet_for_table
 from skv.errors import FixtureError, GroupError, NotMonomialError
-from skv.grouprings import GroupRingElement
+from skv.grouprings import CentralElement, GroupRingElement, _product_pairing
 from skv.groups import FiniteGroup
 from skv.linalg import char_poly, mat_add, mat_det, mat_identity, mat_mul, mat_scale
 from skv.lvalues import (BernoulliData, DirichletCharacter, L_at_nonpositive,
@@ -69,7 +69,7 @@ def inner(chi: Character, psi: Character) -> Fraction:
         raise GroupError("characters live on different groups")
     total = Cyclo.zero()
     for cls, v, w in zip(chi.classes, chi.values, psi.values):
-        total = total + v * w.conjugate() * Fraction(len(cls))
+        total = total + v * conjugate(w) * Fraction(len(cls))
     total = total * Fraction(1, chi.group.order)
     return total.to_fraction()
 
@@ -275,6 +275,24 @@ def product_pairing_scan(table: CharacterTable, h_elems, c_elems) -> dict:
     return pairing
 
 
+def product_coefficients_by_rows(x: CentralElement, h_elems, c_elems) -> dict:
+    """``product_coefficients`` by the row formula: for chi in Irr(H) and
+    c in C, alpha_chi(c) = |C|^(-1) sum_lambda x_(chi lambda) lambda(c)^(-1),
+    summed over Irr(C) in Q(zeta); a rational alpha is stored at order 1."""
+    tab_h, tab_c, pairing, _, back_c = _product_pairing(x.table, h_elems, c_elems)
+    sub = tab_c.group
+    ids = sub.class_index()
+    out = {}
+    for i in range(len(tab_h)):
+        for ci, c in back_c.items():
+            acc = Cyclo.zero()
+            for j, lam in enumerate(tab_c):
+                acc = acc + x.components[pairing[(i, j)]] * lam.values[ids[sub.inverse(ci)]]
+            acc = acc * Fraction(1, len(tab_c))
+            out[(i, c)] = Cyclo.rational(acc.to_fraction()) if acc.is_rational() else acc
+    return out
+
+
 def dense_trace(column, n: int, order: int) -> Cyclo:
     """Trace of a monomial matrix with the given columns, as a weight
     vector of length ``order`` on the roots of unity, reduced once."""
@@ -414,10 +432,7 @@ def mu_tate_annihilates(fix: ExtensionFixture, r: int, x: GroupRingElement) -> b
     data = mu_tate_annihilators(fix, r)
     w, act = data["w"], data["action"]
     total = 0
-    for g, c in x.coeffs.items():
-        if not c.is_rational():
-            return False
-        q = c.to_fraction()
+    for g, q in x.coeffs.items():
         if q.denominator != 1:
             return False
         total = (total + q.numerator * act[g]) % w
@@ -428,15 +443,14 @@ def sigma_isomorphism(elem: dict, c_group, n: int):
     """Reindex an element of M_n(F)[C] as an n x n matrix over F[C].
 
     elem maps a C-element to an n x n Cyclo matrix; the result has
-    GroupRingElement entries over C."""
+    CycloGroupRingElement entries over C."""
     if not c_group.is_abelian():
         raise GroupError("sigma isomorphism requires an abelian group")
-    out = [[GroupRingElement(c_group) for _ in range(n)] for _ in range(n)]
+    out = [[CycloGroupRingElement(c_group) for _ in range(n)] for _ in range(n)]
     for c, mat in elem.items():
         for i in range(n):
             for j in range(n):
-                if not mat[i][j].is_zero():
-                    out[i][j] = out[i][j] + GroupRingElement(c_group, {c: mat[i][j]})
+                out[i][j] = out[i][j] + CycloGroupRingElement(c_group, {c: mat[i][j]})
     return out
 
 
@@ -577,22 +591,102 @@ def star_adjoint_per_character(a, table: CharacterTable):
     """The star adjoint of a square matrix over ZG glued per character:
     at each chi, (-1)^(m - 1) sum_(j >= 1) f[j] A^(j - 1) with f the
     characteristic polynomial of its m x m block, times the idempotent
-    e_chi = chi(1) |G|^(-1) sum_g chi(g^(-1)) g, summed over every chi."""
+    e_chi = chi(1) |G|^(-1) sum_g chi(g^(-1)) g, summed over every chi in
+    Q(zeta)[G].  The sum must lie in Q[G]; it is returned over QG."""
     group = table.group
     ids = group.class_index()
     b = len(a)
-    adjoint = [[GroupRingElement(group) for _ in range(b)] for _ in range(b)]
+    adjoint = [[CycloGroupRingElement(group) for _ in range(b)] for _ in range(b)]
     for i, chi in enumerate(table):
         block = apply_representation(monomial_representation(table, i), a)
         f = char_poly(block)
         m = len(block)
         power, part = grm_identity(group, b), None
         for j in range(1, m + 1):
-            term = mat_scale(power, f[j] * (-1) ** (m - 1))
+            term = [[CycloGroupRingElement.lift(x) * (f[j] * (-1) ** (m - 1)) for x in row]
+                    for row in power]
             part = term if part is None else mat_add(part, term)
             power = mat_mul(power, a)
-        eps = GroupRingElement(group, {
+        eps = CycloGroupRingElement(group, {
             g: chi.values[ids[group.inverse(g)]] * Fraction(chi.degree, group.order)
             for g in range(group.order)})
         adjoint = mat_add(adjoint, [[eps * x for x in row] for row in part])
-    return adjoint
+    return [[x.to_rational() for x in row] for row in adjoint]
+
+
+# -- test-only algebra --------------------------------------------------------
+
+
+class CycloGroupRingElement:
+    """Sparse element of Q(zeta)[G], as {g: Cyclo}: the group ring over a
+    cyclotomic field, which skv's GroupRingElement (over Q) does not hold.
+    A rational coefficient is read as a Cyclo."""
+
+    def __init__(self, group: FiniteGroup, coeffs=None):
+        self.group = group
+        self.coeffs = {}
+        for g, c in (coeffs or {}).items():
+            c = c if isinstance(c, Cyclo) else Cyclo.rational(c)
+            if not c.is_zero():
+                self.coeffs[g] = c
+
+    @staticmethod
+    def lift(x: GroupRingElement) -> "CycloGroupRingElement":
+        return CycloGroupRingElement(x.group, x.coeffs)
+
+    def to_rational(self) -> GroupRingElement:
+        """The element of Q[G]; fails on a non-rational coefficient."""
+        return GroupRingElement(self.group, {g: c.to_fraction() for g, c in self.coeffs.items()})
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for g, c in other.coeffs.items():
+            out[g] = out[g] + c if g in out else c
+        return CycloGroupRingElement(self.group, out)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Cyclo)):
+            return CycloGroupRingElement(self.group,
+                                         {g: c * other for g, c in self.coeffs.items()})
+        out = {}
+        for a, ca in self.coeffs.items():
+            for b, cb in other.coeffs.items():
+                g = self.group.mul(a, b)
+                out[g] = out[g] + ca * cb if g in out else ca * cb
+        return CycloGroupRingElement(self.group, out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, CycloGroupRingElement):
+            return NotImplemented
+        keys = self.coeffs.keys() | other.coeffs.keys()
+        zero = Cyclo.zero()
+        return all(self.coeffs.get(g, zero) == other.coeffs.get(g, zero) for g in keys)
+
+
+def sharp(x: GroupRingElement) -> GroupRingElement:
+    """The anti-involution g -> g^(-1) of Q[G], extended linearly."""
+    return GroupRingElement(x.group, {x.group.inverse(g): c for g, c in x.coeffs.items()})
+
+
+def conjugate(x: Cyclo) -> Cyclo:
+    """Complex conjugate: sigma_(-1)."""
+    return x.galois(x.order - 1) if x.order > 1 else x
+
+
+def direct_sum(x: CentralElement) -> dict:
+    """Group-ring coefficients of a central element from the sum over every
+    character in Q(zeta): {g: a_g} with
+    a_g = |G|^(-1) sum_chi chi(1) x_chi chi(g^(-1)), zeros left out."""
+    group, table = x.group, x.table
+    ids = group.class_index()
+    coeffs = {}
+    for g in range(group.order):
+        acc = Cyclo.zero()
+        gi = ids[group.inverse(g)]
+        for chi, comp in zip(table, x.components):
+            acc = acc + comp * chi.values[gi] * Fraction(chi.degree, group.order)
+        if not acc.is_zero():
+            coeffs[g] = acc
+    return coeffs

@@ -86,8 +86,7 @@ def test_criterion_2_stickelberger_shadow(fixtures):
         fix = fixtures["q_zeta23"]
         th = theta_abelian(fix, PlaceSets(["inf", "23"], ["47"]))
         elem = th.central.to_group_ring()
-        assert all(c.is_rational() and c.to_fraction().denominator == 1
-                   for c in elem.coeffs.values())
+        assert elem.is_integral()
         module = fix.class_groups[0]["module"]
         assert module.factors == [3]
         ann = annihilation_check(
@@ -187,9 +186,7 @@ def test_criterion_5_algebra_property_suites():
                 nx, ny = reduced_norm(x, table), reduced_norm(y, table)
                 assert reduced_norm(mat_mul(x, y), table) == nx * ny
                 scaled = (nx * group.order).to_group_ring()
-                assert scaled.is_rational() and all(
-                    c.to_fraction().denominator == 1
-                    for c in scaled.coeffs.values())
+                assert scaled.is_integral()
             # star-adjoint identity, 100 instances
             for k in range(100):
                 b = 2 if k % 20 == 0 else 1
@@ -251,9 +248,7 @@ def test_criterion_7_negative_r_suite(fixtures):
             data = mu_tate_annihilators(fix, -1)
             for x in data["generators"]:
                 y = (reduced_norm([[x]], fix.table) * th.central).to_group_ring()
-                assert y.is_rational()
-                assert all(c.to_fraction().denominator == 1
-                           for c in y.coeffs.values()), name
+                assert y.is_integral(), name
         # direct-search oracle for w_2(Q)
         best = 1
         for n in range(1, 100):

@@ -28,8 +28,7 @@ from oracles import local_product_per_character, run_all, theta_per_character
 
 def _coeffs(fix, theta):
     elem = theta.central.to_group_ring()
-    return {fix.group.labels[g]: c.to_fraction()
-            for g, c in elem.coeffs.items()}
+    return {fix.group.labels[g]: c for g, c in elem.coeffs.items()}
 
 
 def test_theta_q_zeta3_oracle(fixtures):
@@ -71,8 +70,7 @@ def test_theta_q_zeta23_against_classical_formula(fixtures):
     th = theta_abelian(fix, PlaceSets(["inf", "23"], ["29"]))
     assert th.central.to_group_ring() == want
     # and these coefficients are integers (checked again downstream)
-    assert all(c.to_fraction().denominator == 1
-               for c in want.coeffs.values())
+    assert want.is_integral()
 
 
 def test_theta_rejects_bad_sets(fixtures):
@@ -101,7 +99,7 @@ def test_theta_monomial_from_fixture_sources(fixtures):
     th = theta_monomial(fix, PlaceSets(["inf"], []))
     assert th.provenance == "fixture:sources"
     elem = th.central.to_group_ring()
-    assert elem.is_rational() and not elem.is_zero()
+    assert all(type(c) is Fraction for c in elem.coeffs.values()) and not elem.is_zero()
     th5 = theta_monomial(fix, PlaceSets(["inf"], ["q5"]))
     assert th5.central != th.central
 
@@ -155,9 +153,8 @@ def test_sku_prime_generators_abelian_integral(fixtures):
     assert gs.generators and gs.truncated
     for tag, gen in gs.generators:
         elem = gen.to_group_ring()
-        assert elem.is_rational()
-        assert all(c.to_fraction().denominator == 1
-                   for c in elem.coeffs.values()), tag
+        assert all(type(c) is Fraction for c in elem.coeffs.values())
+        assert elem.is_integral(), tag
 
 
 def test_theta_with_inertia_norms(fixtures):
@@ -365,7 +362,6 @@ def test_check_all_q_zeta23_builds_each_local_product_and_transform_once(monkeyp
     factors = _counting(monkeypatch, skv.arithdata, "local_factor")
     transforms = _counting(monkeypatch, CentralElement, "to_group_ring")
     trips = _counting(monkeypatch, CentralElement, "_gives_back")
-    fallbacks = _counting(monkeypatch, CentralElement, "_direct_sum")
     minus = _counting(monkeypatch, skv.engine, "minus_idempotent")
     eps = _counting(monkeypatch, skv.engine, "idempotent_eps")
     built = []
@@ -392,7 +388,7 @@ def test_check_all_q_zeta23_builds_each_local_product_and_transform_once(monkeyp
     # each product is built once: one factor per place and computed character
     assert len(factors) == len(_computed_characters(fix.table)) * sum(
         len(labels) for labels, _, _ in products) == 36
-    assert len(transforms) == 32 and len(trips) == 16 and not fallbacks
+    assert len(transforms) == 32 and len(trips) == 16
     keys = {tuple((c.order, c.num, c.den) for c in x.components)
             for (x,) in transforms}
     assert keys == {key[1] for key in fix.table._memo if key[0] == "to_group_ring"}

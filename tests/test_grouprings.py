@@ -11,14 +11,15 @@ from skv.arithdata import ExtensionFixture
 from skv.characters import irreducibles_monomial
 from skv.cyclotomic import Cyclo
 from skv.engine import _product_split
-from skv.errors import CentralityError, GroupError
+from skv.errors import CentralityError, GroupError, InternalCheckError
 from skv.groups import FiniteGroup, detect_direct_product, named_group
 from skv.grouprings import (CentralElement, GroupRingElement, _product_pairing,
                             idempotent_eps, max_order_membership,
                             minus_idempotent, product_coefficients)
 
 from conftest import FIXTURE_NAMES, fixture_path, ladder_fixture_writer
-from oracles import product_pairing_scan, run_all
+from oracles import (direct_sum, product_coefficients_by_rows, product_pairing_scan,
+                     run_all, sharp)
 
 
 def test_group_ring_basic_algebra():
@@ -42,25 +43,35 @@ def test_norm_element_is_idempotent_up_to_order():
 
 def test_sharp_is_an_anti_involution():
     d4 = named_group("D4")
-    x = GroupRingElement(d4, {1: Cyclo.zeta(4), 3: Cyclo.rational(2)})
-    y = GroupRingElement(d4, {2: Cyclo.one(), 5: Cyclo.rational(Fraction(1, 3))})
-    assert x.sharp().sharp() == x
-    assert (x * y).sharp() == y.sharp() * x.sharp()
+    x = GroupRingElement(d4, {1: -1, 3: 2})
+    y = GroupRingElement(d4, {2: 1, 5: Fraction(1, 3)})
+    assert sharp(sharp(x)) == x
+    assert sharp(x * y) == sharp(y) * sharp(x)
 
 
 def test_group_ring_hash_consistent_with_eq():
     c2 = named_group("C2")
-    a = GroupRingElement(c2, {0: Cyclo.one(), 1: Cyclo.rational(0)})
+    a = GroupRingElement(c2, {0: 1, 1: Fraction(0)})
     b = GroupRingElement.basis(c2, 0)
     assert a == b and hash(a) == hash(b)
 
 
 def test_integrality_predicates():
     c2 = named_group("C2")
-    x = GroupRingElement(c2, {0: Cyclo.rational(Fraction(1, 2))})
+    x = GroupRingElement(c2, {0: Fraction(1, 2)})
     assert not x.is_integral()
-    assert x.is_p_integral(3) and not x.is_p_integral(2)
-    assert GroupRingElement(c2, {1: Cyclo.zeta(4)}).is_integral()
+    assert GroupRingElement(c2, {1: Fraction(-3)}).is_integral()
+
+
+def test_group_ring_coefficients_are_rational():
+    c2 = named_group("C2")
+    assert all(type(c) is Fraction
+               for c in GroupRingElement(c2, {0: 2, 1: Fraction(1, 2)}).coeffs.values())
+    for bad in (Cyclo.zeta(4), Cyclo.rational(2), 0.5, "1"):
+        with pytest.raises(GroupError, match="over QG"):
+            GroupRingElement(c2, {1: bad})
+    with pytest.raises(GroupError, match="over QG"):
+        GroupRingElement.basis(c2, 1) * Cyclo.zeta(4)
 
 
 def test_central_element_roundtrip():
@@ -99,9 +110,9 @@ def test_central_multiplication_is_componentwise():
 def test_central_sharp_matches_group_ring_sharp():
     c6 = named_group("C6")
     table = irreducibles_monomial(c6)
-    x = GroupRingElement(c6, {1: Cyclo.rational(3), 4: Cyclo.zeta(3)})
+    x = GroupRingElement(c6, {1: 3, 4: Fraction(-1, 2)})
     cent = CentralElement.from_group_ring(table, x)
-    assert cent.sharp().to_group_ring() == x.sharp()
+    assert cent.sharp().to_group_ring() == sharp(x)
 
 
 def test_idempotent_eps():
@@ -277,8 +288,8 @@ small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 def test_from_group_ring_is_a_ring_map_on_central_elements(xs, ys):
     c6 = named_group("C6")
     table = irreducibles_monomial(c6)
-    x = GroupRingElement(c6, {g: Cyclo.rational(q) for g, q in enumerate(xs)})
-    y = GroupRingElement(c6, {g: Cyclo.rational(q) for g, q in enumerate(ys)})
+    x = GroupRingElement(c6, dict(enumerate(xs)))
+    y = GroupRingElement(c6, dict(enumerate(ys)))
     cx = CentralElement.from_group_ring(table, x)
     cy = CentralElement.from_group_ring(table, y)
     assert CentralElement.from_group_ring(table, x * y) == cx * cy
@@ -317,14 +328,13 @@ def test_trace_form_matches_direct_sum_on_equivariant_inputs(fixtures, name, dat
     m = data.draw(st.sampled_from([1, 2, 3]))
     lifted = CentralElement(table, [c.lift(m * table.value_order) for c in cent.components])
     for elem in (cent, lifted):
-        assert elem._trace_form() is not None
         assert elem.to_group_ring() == x
-        assert GroupRingElement(group, elem._direct_sum()) == x
+        assert direct_sum(elem) == {g: Cyclo.rational(q) for g, q in x.coeffs.items()}
 
 
 @settings(max_examples=40, deadline=None)
 @given(TABLE_NAMES, st.data())
-def test_trace_form_falls_back_on_non_equivariant_inputs(fixtures, name, data):
+def test_to_group_ring_raises_on_non_equivariant_inputs(fixtures, name, data):
     table = _table(fixtures, name)
     i = data.draw(st.integers(0, len(table) - 1))
     indicator = [Cyclo.zero()] * len(table)
@@ -332,16 +342,20 @@ def test_trace_form_falls_back_on_non_equivariant_inputs(fixtures, name, data):
     cent = CentralElement(table, indicator)
     orbit = next(o for o in table.galois_orbits() if i in o)
     # the idempotent of chi lies in Q[G] exactly when chi is rational-valued
-    assert (cent._trace_form() is None) == (len(orbit) > 1)
+    if len(orbit) > 1:
+        with pytest.raises(InternalCheckError, match="not in the centre of QG"):
+            cent.to_group_ring()
+        assert any(not c.is_rational() for c in direct_sum(cent).values())
+        return
     elem = cent.to_group_ring()
-    assert elem == GroupRingElement(table.group, cent._direct_sum())
+    assert direct_sum(cent) == {g: Cyclo.rational(q) for g, q in elem.coeffs.items()}
     assert CentralElement.from_group_ring(table, elem) == cent
 
 
 def test_round_trip_rejects_a_wrong_trace_form(fixtures, monkeypatch):
     for name in ("q_zeta23", "s3c2"):
         # a fresh table, so that no transform kept on the shared one answers
-        # in place of the fallback
+        # in place of the round trip
         group = fixtures[name].group
         table = irreducibles_monomial(group)
         cls = group.conjugacy_classes()[1]
@@ -356,18 +370,14 @@ def test_round_trip_rejects_a_wrong_trace_form(fixtures, monkeypatch):
             assert not cent._gives_back(wrong, den)
         monkeypatch.setattr(CentralElement, "_orbit_traces",
                             lambda self: (wrong, den))
-        fallbacks = []
-        direct_sum = CentralElement._direct_sum
-        monkeypatch.setattr(CentralElement, "_direct_sum",
-                            lambda self: fallbacks.append(self) or direct_sum(self))
-        assert cent._trace_form() is None
-        assert cent.to_group_ring() == x
-        assert fallbacks == [cent]
+        with pytest.raises(InternalCheckError, match="do not give back the components"):
+            cent.to_group_ring()
         monkeypatch.undo()
+        assert cent.to_group_ring() == x
 
 
 def _exact(elem: GroupRingElement) -> dict:
-    return {g: (c.order, c.num, c.den) for g, c in elem.coeffs.items()}
+    return {g: (c.numerator, c.denominator) for g, c in elem.coeffs.items()}
 
 
 def _rational_central(table) -> CentralElement:
@@ -383,7 +393,7 @@ def test_to_group_ring_returns_a_new_element_on_every_call(fixtures):
         x = _rational_central(irreducibles_monomial(fixtures[name].group))
         first = x.to_group_ring()
         want = _exact(first)
-        first.coeffs[0] = Cyclo.rational(99)
+        first.coeffs[0] = Fraction(99)
         del first.coeffs[max(first.coeffs)]
         second = x.to_group_ring()
         assert second is not first and second.coeffs is not first.coeffs
@@ -456,33 +466,38 @@ def test_orbit_round_trip_answers_as_the_full_round_trip(tmp_path, monkeypatch):
     assert filled
 
 
-def test_product_coefficients_of_a_non_rational_row_take_the_direct_sum(monkeypatch):
-    # on A4 x C2, the row of each of the two non-rational linear characters
-    # of A4 lies in Q(zeta_3)[C2], outside Q[C2], so its transform falls back
+def test_product_coefficients_match_the_row_formula(monkeypatch):
+    # alpha_chi(c) = chi(1)^-1 sum_h a_(hc) chi(h) against
+    # |C|^-1 sum_lambda x_(chi lambda) lambda(c)^-1: on A4 x C2, the rows
+    # of the two non-rational linear characters of A4 lie in Q(zeta_3)[C2]
     a4 = FiniteGroup.from_permutations([[1, 2, 0, 3], [1, 0, 3, 2]])
     group = FiniteGroup.direct_product(a4, named_group("C2"))
     table = irreducibles_monomial(group)
     h, c = detect_direct_product(group)
     assert len(h) == 12 and len(c) == 2
-    ids = group.class_index()
-    cls = next(cls for cls in group.conjugacy_classes() if group.element_order(cls[0]) == 3)
-    x = CentralElement.from_group_ring(table, GroupRingElement.norm_element(group, cls))
-    fallbacks = []
-    direct_sum = CentralElement._direct_sum
-    monkeypatch.setattr(CentralElement, "_direct_sum",
-                        lambda self: fallbacks.append(self) or direct_sum(self))
-    coeffs = product_coefficients(x, h, c)
-    assert len(fallbacks) == 2
-    # alpha_chi(c) = |C|^-1 sum_lambda x_(chi lambda) lambda(c)^-1, with
-    # x_psi = |class| psi(class) / psi(1) from the character values
-    tab_h, tab_c, pairing, _, back_c = _product_pairing(table, h, c)
-    sub = tab_c.group
-    sub_ids = sub.class_index()
-    for i in range(len(tab_h)):
-        for ci, g in back_c.items():
-            want = Cyclo.zero()
-            for j, lam in enumerate(tab_c):
-                psi = table[pairing[(i, j)]]
-                comp = psi.values[ids[cls[0]]] * Fraction(len(cls), psi.degree)
-                want = want + comp * lam.values[sub_ids[sub.inverse(ci)]] * Fraction(1, len(tab_c))
-            assert coeffs[(i, g)] == want
+    classes = group.conjugacy_classes()
+    assert len(classes) == 8
+    irrational = 0
+    for cls in classes:
+        x = CentralElement.from_group_ring(table, GroupRingElement.norm_element(group, cls))
+        coeffs = product_coefficients(x, h, c)
+        want = product_coefficients_by_rows(x, h, c)
+        assert coeffs.keys() == want.keys() and len(coeffs) == 8
+        assert all(coeffs[k] == want[k] for k in want)
+        irrational += sum(not v.is_rational() for v in coeffs.values())
+    assert irrational
+    # every theta that check all reads in product mode: values and orders
+    for name in ("s3c2", "q_zeta23"):
+        seen = []
+        monkeypatch.setattr(grouprings, "product_coefficients",
+                            lambda x, h, c: seen.append((x, h, c)) or product_coefficients(x, h, c))
+        run_all(ExtensionFixture.load(fixture_path(name)))
+        monkeypatch.undo()
+        assert seen
+        for x, h, c in seen:
+            assert _orders(product_coefficients(x, h, c)) == \
+                _orders(product_coefficients_by_rows(x, h, c))
+
+
+def _orders(coeffs: dict) -> dict:
+    return {k: (v.order, v.num, v.den) for k, v in coeffs.items()}

@@ -12,7 +12,7 @@ from skv.characters import irreducibles_monomial
 from skv.cyclotomic import Cyclo
 from skv.errors import FixtureError, GroupError, InternalCheckError
 from skv.groups import named_group
-from skv.grouprings import CentralElement, GroupRingElement
+from skv.grouprings import CentralElement, GroupRingElement, central_unit
 from skv.linalg import char_poly, mat_det, mat_mul
 from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          apply_representation, certified_h_elements,
@@ -196,7 +196,7 @@ def test_fitting_of_wide_presentation_is_zero():
 def test_fitting_of_one_by_one_is_reduced_norm():
     table = TABLES["C6"]
     group = table.group
-    x = GroupRingElement(group, {0: Cyclo.rational(2), 3: Cyclo.one()})
+    x = GroupRingElement(group, {0: 2, 3: 1})
     fitt = fitting_of_presentation([[x]], table)
     assert fitt.quadratic and len(fitt.generators) == 1
     assert fitt.generators[0] == reduced_norm([[x]], table)
@@ -227,7 +227,7 @@ def test_finite_module_validation():
 def test_module_group_ring_action():
     c2 = named_group("C2")
     m = FiniteGModule(c2, [5], {0: [[1]], 1: [[4]]})
-    x = GroupRingElement(c2, {0: Cyclo.rational(2), 1: Cyclo.rational(3)})
+    x = GroupRingElement(c2, {0: 2, 1: 3})
     # (2 + 3j) . 1 = 2 + 3*4 = 14 = 4 mod 5
     assert m.act_group_ring(x, [1]) == [4]
     half = GroupRingElement.scalar(c2, Fraction(1, 2))
@@ -331,41 +331,35 @@ def test_monomial_matrices_match_the_certificate_construction():
 
 
 RATIONAL_COEFFS = st.one_of(
-    st.integers(-3, 3).map(Cyclo.rational),
-    st.sampled_from((Fraction(1, 2), Fraction(-2, 3))).map(Cyclo.rational),
-    # rational values stored at a higher order
-    st.tuples(st.integers(-3, 3), st.sampled_from((2, 6, 22)))
-    .map(lambda cn: Cyclo.rational(cn[0]).lift(cn[1])))
-ROOT_COEFFS = st.tuples(st.sampled_from((1, 2, 3, 6, 11, 22)),
-                        st.integers(0, 21),
-                        st.sampled_from((-1, 1, 2, Fraction(1, 3)))).map(
-    lambda nkc: Cyclo.zeta(nkc[0], nkc[1]) * nkc[2])
+    st.integers(-3, 3).map(Fraction),
+    st.sampled_from((Fraction(1, 2), Fraction(-2, 3))))
 
 
 @st.composite
 def represented_matrices(draw):
     """A table, a character index and a b x b matrix over the group ring,
     b <= 2, whose entries have up to three terms.  Some first entries get
-    a pair of terms c * g - c * zeta * h whose images cancel in one block
-    entry."""
+    a pair of terms c * g - c * zeta * h, zeta = +-1, whose images cancel
+    in one block entry."""
     name = draw(st.sampled_from(sorted(DIFF_TABLES)))
     table = DIFF_TABLES[name]
     i = draw(st.integers(0, len(table) - 1))
-    coeff = ROOT_COEFFS if draw(st.booleans()) else RATIONAL_COEFFS
     b = draw(st.integers(1, 2))
     elems = st.integers(0, table.group.order - 1)
-    a = [[GroupRingElement(table.group, dict(draw(st.lists(st.tuples(elems, coeff),
+    a = [[GroupRingElement(table.group, dict(draw(st.lists(st.tuples(elems, RATIONAL_COEFFS),
                                                            max_size=3))))
           for _ in range(b)] for _ in range(b)]
-    g, h = draw(elems), draw(elems)
+    g = draw(elems)
     rep = monomial_representation(table, i)
-    shared = [j for j, ((r, k), (r2, k2)) in
-              enumerate(zip(rep.columns[g], rep.columns[h])) if r == r2]
-    if g != h and shared and draw(st.booleans()):
-        k, k2 = rep.columns[g][shared[0]][1], rep.columns[h][shared[0]][1]
-        c = draw(coeff)
-        a[0][0] = GroupRingElement(table.group, {
-            g: c, h: -c * Cyclo.zeta(rep.order, k - k2)})
+    # h whose image has an entry in a row of g's at zeta = +-1 times g's
+    partners = {h: 1 if (k - k2) % rep.order == 0 else -1
+                for h in range(table.group.order) if h != g
+                for (r, k), (r2, k2) in zip(rep.columns[g], rep.columns[h])
+                if r == r2 and 2 * (k - k2) % rep.order == 0}
+    if partners and draw(st.booleans()):
+        h = draw(st.sampled_from(sorted(partners)))
+        c = draw(RATIONAL_COEFFS)
+        a[0][0] = GroupRingElement(table.group, {g: c, h: -c * partners[h]})
     return table, i, a
 
 
@@ -488,12 +482,12 @@ def test_fitting_computes_one_pair_per_galois_orbit(monkeypatch):
     fitting_of_presentation(h, table)
     orbit_starts = [orbit[0] for orbit in table.galois_orbits()]
     assert len(used) == 6 and set(orbit_starts) <= set(used)
-    # a presentation with a non-rational entry is not over QG
-    h[0][0] = h[0][0] + GroupRingElement(table.group, {0: Cyclo.zeta(4)})
+    # no presentation has a non-rational entry: it is not over QG
     with pytest.raises(GroupError, match="over QG"):
+        h[0][0] = h[0][0] + GroupRingElement(table.group, {0: Cyclo.zeta(4)})
         fitting_of_presentation(h, table)
     with pytest.raises(GroupError, match="over QG"):
-        reduced_norm([[h[0][0]]], table)
+        reduced_norm([[h[0][0] * Cyclo.zeta(4)]], table)
 
 
 def _assert_fitting_matches_each_component(h, table):
@@ -521,20 +515,6 @@ def test_fitting_computes_a_conjugate_whose_certificate_is_no_galois_image(monke
     assert j in shared.galois_fills() and j not in table.galois_fills()
     assert len(_det_calls(monkeypatch, h, table)) == 3 * 7
     _assert_fitting_matches_each_component(h, table)
-
-
-def test_reduced_norm_fills_components_of_entries_stored_at_a_foreign_order():
-    # rationals stored at order 3 give components at orders 3, 33 and 66
-    # on C22, where a unit k modulo 22 need not be one modulo 66: the fill
-    # moves k by multiples of the exponent, and each filled component is
-    # the value, at the order, that its own determinant gives
-    table = DIFF_TABLES["q_zeta23"]
-    x = GroupRingElement(table.group, {0: Cyclo.rational(2).lift(3), 1: Cyclo.one(),
-                                       3: Cyclo.rational(1).lift(3)})
-    assert table.galois_fills()
-    assert _components(reduced_norm([[x]], table)) == [
-        (c.order, c.num, c.den)
-        for c in (reduced_norm_component([[x]], table, i) for i in range(len(table)))]
 
 
 def test_fitting_matches_each_component_on_a_ladder_group(tmp_path):
@@ -576,19 +556,14 @@ def test_star_adjoint_matches_the_per_character_gluing(name):
     assert singular >= 3
 
 
-def test_star_adjoint_takes_no_direct_sum_and_six_char_polys(fixtures, monkeypatch):
-    # every coefficient is a rational central element, so its transform
-    # takes the trace form; characteristic polynomials are taken only at
-    # the 6 of 22 characters that the fill map leaves out
+def test_star_adjoint_takes_six_char_polys(fixtures, monkeypatch):
+    # characteristic polynomials are taken only at the 6 of 22 characters
+    # that the fill map leaves out
     import skv.rednorm as rednorm
     table = irreducibles_monomial(fixtures["q_zeta23"].group)  # no kept transforms
-    fallbacks, polys = [], []
-    direct_sum = CentralElement._direct_sum
-    monkeypatch.setattr(CentralElement, "_direct_sum",
-                        lambda self: fallbacks.append(self) or direct_sum(self))
+    polys = []
     monkeypatch.setattr(rednorm, "char_poly", lambda m: polys.append(m) or char_poly(m))
     star_adjoint([[GroupRingElement(table.group, {0: 2, 1: 1})]], table)
-    assert fallbacks == []
     assert len(polys) == len(table) - len(table.galois_fills()) == 6
 
 
@@ -633,6 +608,14 @@ def test_star_adjoint_catches_a_corrupted_char_poly_coefficient(monkeypatch):
 
 def test_star_adjoint_rejects_a_non_rational_entry():
     table = TABLES["C6"]
-    h = [[GroupRingElement(table.group, {0: Cyclo.zeta(3), 1: 1})]]
     with pytest.raises(GroupError, match="over QG"):
-        star_adjoint(h, table)
+        star_adjoint([[GroupRingElement(table.group, {0: Cyclo.zeta(3), 1: 1})]], table)
+
+
+def test_star_adjoint_of_the_empty_matrix():
+    # the empty product: no adjoint entries, and the unit as the norm, as
+    # for the reduced norm of the 0 x 0 matrix
+    table = TABLES["S3"]
+    res = star_adjoint([], table)
+    assert res.adjoint == []
+    assert res.norm == central_unit(table) == reduced_norm([], table)

@@ -162,9 +162,15 @@ def _first_failure_per_annihilator(fix, th, r):
         failure = _integrality_failure(reduced_norm([[x]], fix.table) * th.central,
                                        fix.group.is_abelian())
         if failure is not None:
-            tag = " + ".join(f"{c}*{labels[g]}" for g, c in sorted(x.coeffs.items()))
+            tag = _annihilator_tag(x, labels)
             return {"annihilator": tag, **failure}
     return None
+
+
+def _annihilator_tag(x, labels) -> str:
+    """The report's name of an annihilator, each coefficient written as
+    "Cyclo(q)", e.g. "Cyclo(24)*e"."""
+    return " + ".join(f"Cyclo({c})*{labels[g]}" for g, c in sorted(x.coeffs.items()))
 
 
 @pytest.mark.parametrize("fault", ["idempotent", "seventh"])
@@ -196,7 +202,7 @@ def _verdict_per_annihilator(fix, th, r):
     data = mu_tate_annihilators(fix, r)
     witnesses = [{"w": data["w"]}]
     for x in data["generators"]:
-        tag = " + ".join(f"{c}*{labels[g]}" for g, c in sorted(x.coeffs.items()))
+        tag = _annihilator_tag(x, labels)
         failure = _integrality_failure(reduced_norm([[x]], fix.table) * th.central,
                                        fix.group.is_abelian())
         if failure is not None:
@@ -246,6 +252,15 @@ def test_verified_abelian_negative_r_takes_no_per_annihilator_norm(monkeypatch):
         v = check_negative_r(fix, fix.minimal_s(), r)
         assert v.status == "verified" and len(v.witnesses) > 1
     assert calls == []
+
+
+def test_negative_r_annihilator_tags_keep_the_cyclo_form(fixtures):
+    # the report names each coefficient as "Cyclo(q)", as when group-ring
+    # coefficients were stored as Cyclo values
+    v = check_negative_r(fixtures["q_i"], ["inf", "2"], -1)
+    assert v.status == "verified"
+    assert v.witnesses == [{"w": 24}, {"annihilator": "Cyclo(24)*e", "integral": True},
+                           {"annihilator": "Cyclo(-1)*e + Cyclo(1)*j", "integral": True}]
 
 
 def test_negative_r_guards(fixtures):

@@ -20,8 +20,8 @@ values that a function returned, or that one of its local variables held
 when it returned, over every call.  From the repository root:
 
     python3 tools/traffic.py
-    python3 tools/traffic.py --watch grouprings.CentralElement._direct_sum \\
-        grouprings.max_order_membership:mode
+    python3 tools/traffic.py --watch grouprings.product_coefficients \\
+        grouprings.max_order_membership:product
 
 A watched name that is no function of src/skv (nested ones are named by
 their `__qualname__`, as `module.f.<locals>.g`) exits 2 before any call.
