@@ -294,7 +294,13 @@ class ExtensionFixture:
         for cg in obj.get("classGroups", []):
             _require_keys(cg, {"setT": list[str], "p": int | None, "factors": list[int],
                                "action": dict}, {"setT", "factors", "action"}, "classGroup")
-            action = {int(g): m for g, m in cg["action"].items()}
+            # only the key str(g) names element g, as in the muL action
+            elements = {str(g): g for g in range(self.group.order)}
+            for key in cg["action"]:
+                if key not in elements:
+                    raise FixtureError(f"classGroup action key {key!r} is not an element "
+                                       f"index in [0, {self.group.order})")
+            action = {elements[key]: m for key, m in cg["action"].items()}
             self.class_groups.append({
                 "setT": cg["setT"],
                 "p": cg.get("p"),
@@ -503,7 +509,7 @@ def _local_product(fix: ExtensionFixture, labels, r: int, kind: str) -> CentralE
     """Product of the local factors over the given places, built once per
     fixture and (sorted labels, r, kind) by ``CentralElement.from_orbits``:
     the factors are taken at the characters that the table's fill map
-    leaves out, and the Galois self-check runs over every component.
+    leaves out, and the Galois self-check runs once per orbit on them.
     Callers do not change it."""
     labels = tuple(sorted(set(str(x) for x in labels)))
     def build():

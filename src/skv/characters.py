@@ -213,13 +213,6 @@ class CharacterTable:
         # character values lie in Q(zeta_E), where sigma_k depends on k mod E
         return memo(self, ("galois_index", i, k % self.exponent), build)
 
-    def galois_permutation(self, k: int) -> tuple[int, ...]:
-        """``galois_index(i, k)`` for every character i, kept for the
-        Galois self-check, which reads it once per generator k on every
-        central element it checks."""
-        return memo(self, ("galois_permutation", k % self.exponent),
-                    lambda: tuple(self.galois_index(i, k) for i in range(len(self.chars))))
-
     def galois_orbits(self) -> list[tuple[int, ...]]:
         """The Galois orbits on the characters, each sorted, in order of
         their smallest member."""
@@ -253,17 +246,76 @@ class CharacterTable:
             return rows
         return memo(self, ("value_numerators", n), build)
 
-    def check_galois(self, comps, context: str):
+    def galois_transversal(self, modulus: int) -> list[tuple]:
+        """Per Galois orbit, ``(r, stabiliser, members)`` for the action of
+        (Z/modulus)^x, modulus a multiple of the exponent: r is the
+        orbit's first member, ``stabiliser`` generates the units k with
+        sigma_k(r) = r, and ``members`` pairs every other member i with
+        one unit k such that sigma_k(r) = i.  The members are reached
+        from r along ``unit_generators(modulus)``; each step s from i that
+        reaches an already reached j gives the Schreier generator
+        k_i s / k_j of the stabiliser, and those are thinned to the ones
+        that the earlier ones do not generate.  Kept on the table per
+        modulus."""
+        def build():
+            gens = unit_generators(modulus)
+            out = []
+            for orbit in self.galois_orbits():
+                r = orbit[0]
+                reach, schreier = {r: 1}, set()
+                queue = [r]
+                for i in queue:
+                    for s in gens:
+                        j, k = self.galois_index(i, s), reach[i] * s % modulus
+                        if j not in reach:
+                            reach[j] = k
+                            queue.append(j)
+                        else:
+                            schreier.add(k * pow(reach[j], -1, modulus) % modulus)
+                if len(reach) != len(orbit):
+                    raise InternalCheckError("Galois orbit not reached by the unit generators")
+                stabiliser, span = [], {1}
+                for g in sorted(schreier):
+                    if g in span:
+                        continue
+                    stabiliser.append(g)
+                    # <span, g> is the union of the cosets span * g^e
+                    grown, power = set(span), g
+                    while power not in span:
+                        grown.update(h * power % modulus for h in span)
+                        power = power * g % modulus
+                    span = grown
+                out.append((r, tuple(stabiliser),
+                            tuple((i, reach[i]) for i in orbit if i != r)))
+            return out
+        return memo(self, ("galois_transversal", modulus), build)
+
+    def check_galois(self, comps, context: str, fills=None):
         """Self-check that per-character components are Galois-equivariant:
         sigma_k of the component at chi is the component at sigma_k(chi),
-        for every unit k modulo L = lcm(exponent, component orders).  It
-        runs k over generators of (Z/L)^x, which is the same check: if it
-        holds for a and b, then sigma_ab = sigma_a sigma_b carries the
-        component at chi to the component at sigma_ab(chi)."""
-        modulus = lcm(self.exponent, *(c.order for c in comps))
-        for k in unit_generators(modulus):
-            for i, j in enumerate(self.galois_permutation(k)):
-                if comps[j] != comps[i].galois(k):
+        for every unit k modulo L = lcm(exponent, component orders).
+
+        It runs once per Galois orbit, on ``galois_transversal(L)``: each
+        stabiliser generator must fix the component x_r at the orbit's
+        first member r, and each other member i must hold sigma_k(x_r) for
+        its one k with sigma_k(r) = i.  That is the same check.  An
+        equivariant tuple passes it.  Conversely, the units fixing x_r form
+        a group, so all of Stab(r) fixes it; for any unit k and member i,
+        with j = sigma_k(i), the unit k_j^(-1) k k_i lies in Stab(r), so
+        sigma_k(x_i) = sigma_k sigma_(k_i)(x_r) = sigma_(k_j)(x_r) = x_j.
+
+        ``fills`` is the table's ``galois_fills`` map for components built
+        by ``CentralElement.from_orbits``, which leave each filled j ->
+        (r, k) as None: the component there is sigma_k(x_r) by
+        construction, which the stabiliser check makes the one
+        equivariant value, so it is skipped."""
+        fills = fills or {}
+        modulus = lcm(self.exponent, *(c.order for c in comps if c is not None))
+        for r, stabiliser, members in self.galois_transversal(modulus):
+            x = comps[r]
+            pairs = [(r, k) for k in stabiliser] + [m for m in members if m[0] not in fills]
+            for i, k in pairs:
+                if x.galois(k) != comps[i]:
                     raise InternalCheckError(
                         f"{context}: components not Galois-equivariant "
                         f"at character {i}, sigma_{k}"
@@ -287,7 +339,9 @@ class CharacterTable:
         For a rational central element built from the certificates (a
         theta, a local product, a reduced norm), sigma_k of the component
         at r is then the very value, at the very order, that computing
-        the component at j would give (see ``CentralElement.from_orbits``)."""
+        the component at j would give.  ``CentralElement.from_orbits``
+        stores None at j and makes that image only when every component
+        is read, and ``check_galois`` skips j."""
         def build():
             certs = self.certificates
             modulus = lcm(self.exponent, *(c.order for c in certs))

@@ -178,6 +178,9 @@ def _load_presentation(path: str, group) -> list[list[GroupRingElement]]:
                 if not (key.isascii() and key.isdigit()) or int(key) >= group.order:
                     raise FixtureError(f"presentation row {i}: element key {key!r} "
                                        f"is not an index in [0, {group.order})")
+                if int(key) in coeffs:
+                    raise FixtureError(f"presentation row {i}: element {int(key)} "
+                                       "given twice")
                 try:
                     coeffs[int(key)] = fraction_from_str(str(val))
                 except ValueError:

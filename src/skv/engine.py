@@ -67,16 +67,22 @@ def _dirichlet_for_table(fix: ExtensionFixture):
 
 def _validate_parity(fix: ExtensionFixture, comps, r: int, context: str,
                      trivial_index: int):
-    """Functional-equation parity: components that must vanish, do."""
+    """Functional-equation parity: components that must vanish, do.  A
+    component left None is a filled sigma_k(x_r) of an element's
+    ``computed``: it vanishes exactly when x_r does, and Galois conjugate
+    characters share their parity, so it is tested at its orbit's first
+    member r."""
     if fix.j is None:
         return
     odd = minus_idempotent(fix.table, fix.j).components
     n = 1 - r
-    for i in range(len(comps)):
+    for i, comp in enumerate(comps):
+        if comp is None:
+            continue
         even = odd[i].is_zero()
         forced = (even and n % 2 == 1 and i != trivial_index) or \
                  (not even and n % 2 == 0)
-        if forced and not comps[i].is_zero():
+        if forced and not comp.is_zero():
             raise InternalCheckError(
                 f"{context}: parity forces component {i} to vanish but it does not"
             )
@@ -92,7 +98,7 @@ def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     (``euler_delta_factor``) and once as the fixture's local determinants,
     whose product is filled the same way.  The two must agree exactly,
     also where L(r, chi) vanishes; the component is the primitive L-value
-    times that factor.  The Galois self-check over every component then
+    times that factor.  The Galois self-check, run once per orbit, then
     compares each orbit's two computed members."""
     r = sets.r
     table = fix.table
@@ -105,7 +111,7 @@ def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     def component(i):
         prim = dirichlet[i].primitive_core()
         factor = euler_delta_factor(r, prim, s_primes, t_primes)
-        if factor != local.components[i]:
+        if factor != local.computed[i]:
             raise InternalCheckError(
                 f"theta assembly mismatch at character {i}: "
                 "Dirichlet path and local-factor path disagree"
@@ -113,7 +119,7 @@ def theta_abelian(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
         return L_at_nonpositive(r, prim) * factor
 
     central = CentralElement.from_orbits(table, component, "theta_abelian")
-    _validate_parity(fix, central.components, r, "theta_abelian", table.trivial_index())
+    _validate_parity(fix, central.computed, r, "theta_abelian", table.trivial_index())
     # the round trip of to_group_ring checks that theta lies in QG
     central.to_group_ring()
     return ThetaElement(central, sets.S, sets.T, r, "computed:dirichlet")
@@ -192,8 +198,7 @@ def theta_monomial(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     table.check_galois(comps_sharp, "theta_monomial")
     sharp = CentralElement(table, comps_sharp)
     central = sharp.sharp()
-    _validate_parity(fix, central.components, r, "theta_monomial",
-                     table.trivial_index())
+    _validate_parity(fix, central.computed, r, "theta_monomial", table.trivial_index())
     return ThetaElement(central, sets.S, sets.T, r, "fixture:sources")
 
 
@@ -305,8 +310,11 @@ def theta_with_inertia_norms(fix: ExtensionFixture, J, sets: PlaceSets) -> Centr
         gens.extend(fix.place(lab).inertia)
     h_j = fix.group.normal_closure(gens) if gens else (0,)
     eps = idempotent_eps(fix.table, h_j)
-    for i, comp in enumerate(factor.components):
-        if eps.components[i].is_zero() and not comp.is_zero():
+    # sigma_k(x) vanishes exactly when x does, and Galois conjugate
+    # characters have one kernel, so a filled component is tested at its
+    # orbit's first member
+    for i, comp in enumerate(factor.computed):
+        if comp is not None and eps.components[i].is_zero() and not comp.is_zero():
             raise InternalCheckError(
                 f"inertia norm product must vanish at character {i} "
                 "(kernel does not contain H_J)"

@@ -11,10 +11,12 @@ A rational central element is fixed by one component per Galois orbit of
 characters, since the centre of Q[G] is the sum of the fields Q(chi) over
 Irr(G)/Gal (Curtis-Reiner, Methods of Representation Theory I, section 7).
 ``CentralElement.from_orbits`` builds such an element from the characters
-that the table's ``galois_fills`` does not fill, sets every other
-component to the sigma_k image of its orbit's first member, and runs the
-Galois self-check over all of them.  The element keeps the fill map:
-products of two such elements multiply only the computed components.
+that the table's ``galois_fills`` does not fill and runs the Galois
+self-check, once per orbit, on them.  The element keeps these computed
+components and the fill map; every other component is the sigma_k image
+of its orbit's first member, made only when a caller reads every
+component (a report).  Products of two such elements multiply only the
+computed components.
 
 ``CentralElement.to_group_ring`` turns components back into group-ring
 coefficients.  It sums one trace per Galois orbit of characters, as
@@ -29,6 +31,7 @@ fails that check with ``InternalCheckError``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .characters import CharacterTable, irreducibles_monomial
@@ -121,7 +124,11 @@ class CentralElement:
     ``to_group_ring`` needs an element of the centre of Q[G].
     ``fills`` is the table's ``galois_fills`` map for an element built by
     ``from_orbits`` (or a product or rational multiple of such elements),
-    whose filled components are sigma_k images; it is None otherwise.
+    and None otherwise.  ``computed`` holds the components, with None at
+    each filled character of an element that keeps the map; its
+    ``components`` are then made on first read, each filled j -> (r, k)
+    taking sigma_k of the component at r.  An element without the map
+    stores ``components`` as given, and ``computed`` is that tuple.
     """
 
     def __init__(self, table: CharacterTable, components):
@@ -130,29 +137,41 @@ class CentralElement:
         comps = [c if isinstance(c, Cyclo) else Cyclo.rational(c) for c in components]
         if len(comps) != len(table):
             raise GroupError("one component per irreducible expected")
-        self.components = tuple(comps)
+        self.components = self.computed = tuple(comps)
         self.fills = None
+
+    @cached_property
+    def components(self) -> tuple:
+        # made on first read for an element that keeps the fill map; an
+        # element without it stores the tuple in __init__, which this
+        # non-data descriptor then never sees
+        comps = list(self.computed)
+        for j, (r, k) in self.fills.items():
+            comps[j] = comps[r].galois(k)
+        return tuple(comps)
 
     @staticmethod
     def from_orbits(table: CharacterTable, compute, context: str) -> "CentralElement":
         """The rational central element with component ``compute(i)`` at
         each character i that ``table.galois_fills()`` does not fill, and
-        sigma_k of the component at r at each filled j -> (r, k).  The
-        Galois self-check then runs over every component, so the two
-        members computed in each orbit of three or more are compared."""
-        elem = CentralElement._filled(table, compute, table.galois_fills())
-        table.check_galois(elem.components, context)
+        sigma_k of the component at r at each filled j -> (r, k), made
+        only when ``components`` is read.  The Galois self-check runs over
+        the computed components, once per orbit, so the two members
+        computed in each orbit of three or more are compared."""
+        fills = table.galois_fills()
+        elem = CentralElement._filled(
+            table, [None if i in fills else compute(i) for i in range(len(table))], fills)
+        table.check_galois(elem.computed, context, fills)
         return elem
 
     @staticmethod
-    def _filled(table: CharacterTable, compute, fills) -> "CentralElement":
-        """The element with component ``compute(i)`` at each character i
-        that ``fills`` leaves out and sigma_k images at the others, keeping
-        ``fills``."""
-        comps = [None if i in fills else compute(i) for i in range(len(table))]
-        for j, (r, k) in fills.items():
-            comps[j] = comps[r].galois(k)
-        elem = CentralElement(table, comps)
+    def _filled(table: CharacterTable, computed, fills) -> "CentralElement":
+        """The element with these components at the characters that
+        ``fills`` leaves out, None at the others, keeping ``fills``."""
+        elem = object.__new__(CentralElement)
+        elem.table = table
+        elem.group = table.group
+        elem.computed = tuple(computed)
         elem.fills = fills
         return elem
 
@@ -193,8 +212,8 @@ class CentralElement:
         back the component at r it gives back sigma_k of it at each filled
         j, which is the component there (see ``_gives_back``).
 
-        The coefficients are kept on the table per component tuple, keyed by
-        each component's exact ``(order, num, den)``, so each distinct input
+        The coefficients are kept on the table per ``_key()``, each computed
+        component's exact ``(order, num, den)``, so each distinct input
         runs the transform and its check once; every call returns a new
         element.  The repeats come from ``check all``, whose suites transform
         the same thetas and sku elements again: in the theta report, the
@@ -209,8 +228,14 @@ class CentralElement:
                     "the element is not in the centre of QG")
             ids = self.group.class_index()
             return {g: Fraction(nums[c], den) for g, c in enumerate(ids) if nums[c]}
-        key = tuple((c.order, c.num, c.den) for c in self.components)
-        return GroupRingElement(self.group, memo(self.table, ("to_group_ring", key), build))
+        key = ("to_group_ring", self._key())
+        return GroupRingElement(self.group, memo(self.table, key, build))
+
+    def _key(self) -> tuple:
+        """Each computed component's exact ``(order, num, den)``, and None
+        at each filled character: the table has one fill map, so this
+        tells apart every element that keeps it from every other."""
+        return tuple(None if c is None else (c.order, c.num, c.den) for c in self.computed)
 
     def _orbit_traces(self) -> tuple[list[int], int]:
         """Numerators per class over one denominator of the trace-form
@@ -219,8 +244,8 @@ class CentralElement:
         Tr(x zeta^b) = sum_a x_a t_(a+b) / d, so one vector
         w_b = sum_a x_a t_(a+b) per orbit serves every class."""
         table, group = self.table, self.group
-        comps = self.components
-        n = lcm(table.value_order, *(c.order for c in comps))
+        comps = self.computed
+        n = lcm(table.value_order, *(c.order for c in comps if c is not None))
         data = order_data(n)
         traces, phi = data.traces, data.phi
         classes = group.conjugacy_classes()
@@ -248,24 +273,24 @@ class CentralElement:
         """Round trip: does the class function a_C = nums[C] / den have
         exactly these components?  Each x_chi = chi(1)^(-1) sum_C |C| a_C
         chi(C) is summed as integer numerators and normalised once.  The
-        filled characters of an element that keeps the fill map are
-        skipped: a_C is rational, so x_j = sigma_k(x_r) for j -> (r, k),
-        and the component at j is sigma_k of the one at r; this accepts
-        exactly what the comparison at every character accepts."""
+        filled characters of an element that keeps the fill map (None in
+        ``computed``) are skipped: a_C is rational, so x_j = sigma_k(x_r)
+        for j -> (r, k), and the component at j is sigma_k of the one at
+        r; this accepts exactly what the comparison at every character
+        accepts."""
         table = self.table
         order = table.value_order
         size = order_data(order).phi
         classes = self.group.conjugacy_classes()
         weighted = [(c, len(cls) * nums[c]) for c, cls in enumerate(classes) if nums[c]]
-        fills = self.fills or {}
-        for i, (chi, row) in enumerate(zip(table, table.value_numerators(order))):
-            if i in fills:
+        for chi, row, want in zip(table, table.value_numerators(order), self.computed):
+            if want is None:
                 continue
             acc = [0] * size
             for c, a in weighted:
                 for b, v in row[c]:
                     acc[b] += a * v
-            if Cyclo.from_numerators(order, acc, den * chi.degree) != self.components[i]:
+            if Cyclo.from_numerators(order, acc, den * chi.degree) != want:
                 return False
         return True
 
@@ -279,17 +304,18 @@ class CentralElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
-            factors = [other] * len(self.components)
+            factors = [other] * len(self.computed)
             # sigma_k fixes a rational factor
             fills = None if isinstance(other, Cyclo) else self.fills
         else:
             self._compat(other)
-            factors = other.components
             fills = self.fills if other.fills is self.fills else None
+            factors = other.components if fills is None else other.computed
         if fills is None:
             return CentralElement(self.table, [a * b for a, b in zip(self.components, factors)])
         # a product of elements with the fill map keeps it
-        return CentralElement._filled(self.table, lambda i: self.components[i] * factors[i], fills)
+        products = [None if a is None else a * b for a, b in zip(self.computed, factors)]
+        return CentralElement._filled(self.table, products, fills)
 
     __rmul__ = __mul__
 
@@ -464,8 +490,10 @@ def max_order_membership(x: CentralElement, product=None,
     of H, must be algebraic integers, or p-integral when p is given.
     """
     if product is None:
-        for i, comp in enumerate(x.components):
-            if not comp.is_algebraic_integer():
+        # a filled component sigma_k(x_r) keeps the power-basis denominator
+        # of x_r, and r comes first in its orbit, so it is tested there
+        for i, comp in enumerate(x.computed):
+            if comp is not None and not comp.is_algebraic_integer():
                 return MembershipVerdict(False, "full", {"chiIndex": i, "value": comp.to_json()})
         return MembershipVerdict(True, "full")
     coeffs = product_coefficients(x, product[0], product[1])

@@ -16,10 +16,12 @@ sigma_k of its component at chi.  So it is built by
 (``CharacterTable.galois_fills``): in each Galois orbit of characters only
 the first member and one conjugate of it get a representation and a
 determinant; every other member whose certificate is the sigma_k-image of
-the first one's takes sigma_k of that component, which is the value, at
-the order, its own determinant would give.  The Galois self-check then
-runs over all components, and it compares the two members computed
-independently, so a wrong determinant anywhere still fails it.
+the first one's is filled: its component is sigma_k of that component,
+which is the value, at the order, its own determinant would give, and it
+is made only when every component is read (the ``fitting`` output).  The
+Galois self-check runs once per orbit on the computed components, and it
+compares the two members computed independently, so a wrong determinant
+anywhere still fails it.
 """
 
 from __future__ import annotations
@@ -197,9 +199,9 @@ def _rows_norm(a, rows, blocks, table: CharacterTable) -> CentralElement:
     ``a`` over QG, with ``blocks`` the ``_represented`` data of all of
     ``a``: its component at an irreducible of degree d is the determinant
     of the d rows from r * d on of that block, for each selected row r,
-    or sigma_k of the component at r for a filled character.  The
-    selection must be square, and its components must pass the Galois
-    self-check."""
+    or sigma_k of the component at r for a filled character, made when
+    read.  The selection must be square, and its computed components must
+    pass the Galois self-check."""
     if any(len(a[r]) != len(rows) for r in rows):
         raise GroupError("reduced norm requires a square matrix")
 
@@ -227,8 +229,8 @@ def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
     A is over QG, f at sigma_k(chi) is sigma_k of f at chi, so each c_j is
     a rational central element, built by ``CentralElement.from_orbits``
     (characteristic polynomials only at the characters the table's
-    ``galois_fills`` leaves out, and the Galois self-check over every
-    component), and H* = sum_j c_j A^(j - 1) over QG.  The norm is
+    ``galois_fills`` leaves out, and the Galois self-check once per
+    orbit), and H* = sum_j c_j A^(j - 1) over QG.  The norm is
     ``reduced_norm``.  Checked exactly: every represented block of H* is
     integral and times rho(A) gives nr I, and H* A = A H* = nr I over QG.
     The 0 x 0 matrix has the empty adjoint and the unit as its norm.

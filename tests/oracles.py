@@ -15,7 +15,8 @@ from skv.arithdata import (ExtensionFixture, PlaceData, PlaceSets, local_factor,
 from skv.characters import (Character, CharacterTable, MonomialCertificate,
                             _check_multiplicative, chain_extension, irreducibles_monomial,
                             linear_character_powers)
-from skv.cyclotomic import Cyclo, _product, _scale, root_of_unity_sum, unit_residues
+from skv.cyclotomic import (Cyclo, _product, _scale, root_of_unity_sum, unit_generators,
+                            unit_residues)
 from skv.engine import _dirichlet_for_table
 from skv.errors import FixtureError, GroupError, NotMonomialError
 from skv.grouprings import CentralElement, GroupRingElement, _product_pairing
@@ -425,6 +426,16 @@ def galois_equivariant_all_units(table: CharacterTable, comps) -> bool:
     return all(comps[table.galois_index(i, k)] == comps[i].galois(k)
                for k in range(1, n) if gcd(k, n) == 1
                for i in range(len(comps)))
+
+
+def galois_equivariant_every_component(table: CharacterTable, comps) -> bool:
+    """The Galois self-check over every component: sigma_k of the
+    component at chi is the component at sigma_k(chi), for every character
+    chi and every k in ``unit_generators(L)``, L = lcm(exponent, component
+    orders)."""
+    n = lcm(table.exponent, *(c.order for c in comps))
+    return all(comps[table.galois_index(i, k)] == comps[i].galois(k)
+               for k in unit_generators(n) for i in range(len(comps)))
 
 
 def mu_tate_annihilates(fix: ExtensionFixture, r: int, x: GroupRingElement) -> bool:

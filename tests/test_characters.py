@@ -1,5 +1,6 @@
 """Irreducible characters via induction from linear characters."""
 
+import random
 from fractions import Fraction
 
 from math import gcd, lcm
@@ -16,7 +17,8 @@ from skv.errors import (ArithmeticDomainError, GroupError, InternalCheckError,
 from skv.groups import FiniteGroup, _named_tables, named_group
 
 from oracles import (contragredient_values, fraction_certificate_exps, fraction_exps,
-                     galois_equivariant_all_units, galois_values,
+                     galois_equivariant_all_units, galois_equivariant_every_component,
+                     galois_values,
                      induce_from_linear, induced_table_by_groups, inner,
                      linear_character_powers_by_quotient, linear_characters,
                      monomial_test_groups, powers_over_common_order, value_at)
@@ -231,6 +233,73 @@ def test_galois_check_on_generators_matches_all_units(name, perturb, data):
     assert passed == galois_equivariant_all_units(table, comps)
     if perturb == "none":
         assert passed
+
+
+def _passes_check_galois(table, comps, fills=None) -> bool:
+    try:
+        table.check_galois(comps, "test", fills)
+    except InternalCheckError:
+        return False
+    return True
+
+
+def _class_function_components(table, rng):
+    """chi(x)/chi(1) for a class function x with small random rational
+    values: the components of a central element of Q[G]."""
+    group = table.group
+    ids = group.class_index()
+    values = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in group.conjugacy_classes()]
+    return [sum((chi.values[ids[cls[0]]] * (a * len(cls))
+                 for a, cls in zip(values, group.conjugacy_classes())), start=Cyclo.zero())
+            * Fraction(1, chi.degree) for chi in table]
+
+
+def test_orbit_galois_check_answers_as_the_check_over_every_component(fixtures):
+    # on every shipped table and on C30 and C46: equivariant tuples, each
+    # single-component corruption, and tuples with the fill map whose
+    # orbit representative is corrupted are accepted by the per-orbit
+    # check exactly when the check over every component accepts them
+    tables = [fix.table for fix in fixtures.values()]
+    tables += [irreducibles_monomial(FiniteGroup.cyclic(n)) for n in (30, 46)]
+    rng = random.Random(0)
+    counts = {}
+
+    def agree(comps, fills=None, full=None):
+        passed = _passes_check_galois(table, comps, fills)
+        assert passed == galois_equivariant_every_component(table, full or comps)
+        counts[fills is not None, passed] = counts.get((fills is not None, passed), 0) + 1
+
+    for table in tables:
+        fills = table.galois_fills()
+        deltas = [Cyclo.one(), Cyclo.zeta(table.exponent), Cyclo.zeta(4)]
+        for _ in range(2):
+            comps = _class_function_components(table, rng)
+            agree(comps)
+            for i in range(len(comps)):
+                for delta in deltas:
+                    wrong = list(comps)
+                    wrong[i] = comps[i] + delta
+                    agree(wrong)
+                # the component moved to its image under each generator
+                n = lcm(table.exponent, *(c.order for c in comps))
+                for k in unit_generators(n):
+                    j = table.galois_index(i, k)
+                    wrong = list(comps)
+                    wrong[i], wrong[j] = comps[j], comps[i]
+                    agree(wrong)
+            # the fill map: None at each filled j -> (r, k), which takes
+            # sigma_k of the component at r, corrupted or not
+            for r in {r for r, _ in fills.values()}:
+                for delta in [None] + deltas:
+                    computed = [None if i in fills else c for i, c in enumerate(comps)]
+                    if delta is not None:
+                        computed[r] = comps[r] + delta
+                    full = list(computed)
+                    for j, (r_j, k) in fills.items():
+                        full[j] = computed[r_j].galois(k)
+                    agree(computed, fills, full)
+    # both answers come up, with and without the fill map
+    assert len(counts) == 4, counts
 
 
 def _multiplicative(group, u, exps):

@@ -478,6 +478,18 @@ def test_malformed_presentation_exits_3(tmp_path, capsys):
     assert "missing.json" in err and err.count("\n") == 1
 
 
+def test_presentation_element_given_twice_exits_3(tmp_path, capsys):
+    # "01" names element 1 too; it used to overwrite the coefficient at "1"
+    fixture = fixture_path("q_zeta3")
+    path = tmp_path / "m.json"
+    for entry in ({"1": "1", "01": "1"}, {"01": "2", "1": "1"}):
+        path.write_text(json.dumps({"rows": [[entry]]}))
+        code, out, err = run_cli(capsys, "fitting", "--fixture", fixture,
+                                 "--matrix", str(path))
+        assert code == 3 and not out, err
+        assert "element 1 given twice" in err and err.count("\n") == 1, err
+
+
 def test_presentation_coefficients_parse_strictly(tmp_path, capsys):
     fixture = fixture_path("q_zeta3")
     # int() reads each of these; only ASCII num or num/den is a rational

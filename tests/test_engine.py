@@ -389,10 +389,26 @@ def test_check_all_q_zeta23_builds_each_local_product_and_transform_once(monkeyp
     assert len(factors) == len(_computed_characters(fix.table)) * sum(
         len(labels) for labels, _, _ in products) == 36
     assert len(transforms) == 32 and len(trips) == 16
-    keys = {tuple((c.order, c.num, c.den) for c in x.components)
-            for (x,) in transforms}
+    # the memo key is the computed components, None at each filled one
+    keys = {x._key() for (x,) in transforms}
     assert keys == {key[1] for key in fix.table._memo if key[0] == "to_group_ring"}
     assert len(keys) == 16
+
+
+def test_check_all_q_zeta23_makes_galois_images_only_for_the_reported_theta(monkeypatch):
+    # the only element whose filled components are read is the theta
+    # witness of theorem-stickelberger-int: 16 images, one per filled
+    # character; the other 120 calls are the self-checks, once per orbit
+    # (1856 calls when every element made its images and every check ran
+    # over every component)
+    fix = ExtensionFixture(load_fixture_json("q_zeta23"))
+    images = _counting(monkeypatch, Cyclo, "galois")
+    assert [v.status for v in run_all(fix)] == ["verified"] * 5
+    assert len(fix.table.galois_fills()) == 16
+    assert len(images) == 136
+    thetas = [fix._memo[key].central for key in fix._memo if key[0] == "theta"]
+    read = [x for x in thetas if "components" in vars(x)]
+    assert len(thetas) > 1 and len(read) == 1 and read[0].fills
 
 
 def test_each_main_call_builds_its_own_memos(monkeypatch, capsys):

@@ -128,3 +128,19 @@ def test_conductor_below_one_exits_3_without_hanging(tmp_path, conductor):
         assert proc.returncode == 3 and not proc.stdout, (command, proc.stderr)
         assert "conductor must be a positive integer" in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "-0", "1.0", "22"])
+def test_class_group_action_key_other_than_an_element_index_exits_3(tmp_path, key):
+    # int() read each of these, so "01" or " 1" beside "1" silently
+    # replaced the action of element 1 (the later key won), and "-0" that
+    # of the identity; only str(g) for g in [0, |G|) names an element
+    obj = load_fixture_json("q_zeta23")
+    action = obj["classGroups"][0]["action"]
+    action[key] = action["1"] if key != "-0" else action["0"]
+    fixture = tmp_path / "q_zeta23.json"
+    fixture.write_text(json.dumps(obj))
+    for command in COMMANDS:
+        code, out, err = _run_capped([*command, "--fixture", str(fixture)])
+        assert code == 3 and not out, (command, code, err)
+        assert repr(key) in err and err.count("\n") == 1, (command, err)

@@ -422,7 +422,7 @@ def test_search_confirms_a_witness_with_the_galois_check(monkeypatch):
                                                            3: Fraction(1)})]],
                           table)
 
-    def broken(self, comps, context):
+    def broken(self, comps, context, fills=None):
         raise InternalCheckError(f"{context}: injected")
 
     monkeypatch.setattr(CharacterTable, "check_galois", broken)
