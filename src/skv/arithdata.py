@@ -55,6 +55,16 @@ def _require_keys(obj: dict, fields: dict, required: set, where: str):
                                f"{kind.__name__ if isinstance(kind, type) else kind}")
 
 
+def _check_element_keys(action: dict, elements: dict, where: str):
+    """Every key of an action names a group element as ``elements`` does:
+    str(g) for g in [0, |G|), so that no "01", " 1" or "-0" stands beside
+    the key it would be read as."""
+    for key in action:
+        if key not in elements:
+            raise FixtureError(f"{where} key {key!r} is not an element index "
+                               f"in [0, {len(elements)})")
+
+
 THETA_SOURCE_FIELDS = {"schema": str, "chiIndex": int, "uElems": list[int],
                        "sPrimeLabels": list[str], "tPrimeLabels": list[str],
                        "r": int, "provenance": str, "values": dict}
@@ -281,6 +291,9 @@ class ExtensionFixture:
         self.mu_order = mu["order"]
         if self.mu_order < 1:
             raise FixtureError("muL order must be positive")
+        # only the key str(g) names element g
+        elements = {str(g): g for g in range(self.group.order)}
+        _check_element_keys(mu["action"], elements, "muL action")
         self.mu_action = {}
         for g in range(self.group.order):
             if str(g) not in mu["action"]:
@@ -294,12 +307,7 @@ class ExtensionFixture:
         for cg in obj.get("classGroups", []):
             _require_keys(cg, {"setT": list[str], "p": int | None, "factors": list[int],
                                "action": dict}, {"setT", "factors", "action"}, "classGroup")
-            # only the key str(g) names element g, as in the muL action
-            elements = {str(g): g for g in range(self.group.order)}
-            for key in cg["action"]:
-                if key not in elements:
-                    raise FixtureError(f"classGroup action key {key!r} is not an element "
-                                       f"index in [0, {self.group.order})")
+            _check_element_keys(cg["action"], elements, "classGroup action")
             action = {elements[key]: m for key, m in cg["action"].items()}
             self.class_groups.append({
                 "setT": cg["setT"],
@@ -315,14 +323,18 @@ class ExtensionFixture:
             # type(f) is int also rejects bool; below 1 there are no residues
             if type(f) is not int or f < 1:
                 raise FixtureError("cyclotomic conductor must be a positive integer")
-            mp = {int(a): g for a, g in cyc["map"].items()}
             units = unit_residues(f)
+            # only the key str(a) names the unit a; mu_tate_annihilators
+            # lifts every key to a unit, which a non-unit never becomes
+            residues = {str(a): a for a in units}
+            for key in cyc["map"]:
+                if key not in residues:
+                    raise FixtureError(f"cyclotomic map keys must be the units mod {f} "
+                                       f"in decimal, not {key!r}")
+            mp = {residues[key]: g for key, g in cyc["map"].items()}
             for a in units:
                 if a not in mp:
                     raise FixtureError(f"cyclotomic map missing residue {a}")
-            # mu_tate_annihilators lifts every key to a unit, which a non-unit never becomes
-            if len(mp) != len(units):
-                raise FixtureError(f"cyclotomic map keys must be the units mod {f}")
             if set(mp[a] for a in units) != set(range(self.group.order)):
                 raise FixtureError("cyclotomic map must be surjective")
             _check_cyclotomic_map(self.group, f, mp, units)

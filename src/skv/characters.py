@@ -4,17 +4,21 @@ Linear characters are found by chain extension over the abelianization;
 general irreducibles come with monomial certificates: a pair (U, psi) of a
 subgroup and a linear character inducing the irreducible.  An abelian
 group's table is its linear characters, each certified by (G, psi) and
-checked to be a homomorphism, with no induction.  A linear character
-takes each value as an integer power k of zeta_N, N its order; the values
-of irreducibles live in Q(zeta_E), E the group exponent, stored exactly.
-A table finds Galois conjugates from the group's class power maps,
-sigma_k(chi)(g) = chi(g^k), as GAP's character table library does, and
-looks characters up by integer keys of their values.
+checked to be a homomorphism, with no induction.  Every linear character
+of a table, abelian or not, is kept as integers: an order n and, per
+class, the power k of its value zeta_n^k; its ``Cyclo`` values are made
+only when read.  The table takes its sort keys, value ids and value
+numerators for such a character from those integers.  The values of the
+other irreducibles live in Q(zeta_E), E the group exponent, stored
+exactly.  A table finds Galois conjugates from the group's class power
+maps, sigma_k(chi)(g) = chi(g^k), as GAP's character table library does,
+and looks characters up by integer keys of their values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .cyclotomic import (Cyclo, order_data, root_of_unity_sum, unit_generators,
@@ -91,7 +95,15 @@ def linear_character_powers(group: FiniteGroup, u_elems=None) -> tuple[int, list
 
 
 class Character:
-    """Class function with exact cyclotomic values, one per conjugacy class."""
+    """Class function with exact cyclotomic values, one per conjugacy class,
+    all stored at one ``order``.
+
+    A linear character built by ``Character.linear`` keeps ``powers``:
+    its value at each class is zeta_order^k for k the class's power, and
+    ``values`` is made from them on first read.  Any other character has
+    its values from the start, and ``powers`` None."""
+
+    powers = None
 
     def __init__(self, group: FiniteGroup, values):
         self.group = group
@@ -99,15 +111,34 @@ class Character:
         if len(values) != len(self.classes):
             raise GroupError("one value per conjugacy class expected")
         self.exponent = group.exponent()
-        self.values = tuple(self._lift_all(values))
+        self.order = lcm(self.exponent, *(v.order for v in values))
+        self.values = tuple(v.lift(self.order) for v in values)
         deg = self.values[0]
         if not deg.is_rational() or deg.to_fraction().denominator != 1 or deg.to_fraction() <= 0:
             raise GroupError("character degree must be a positive integer")
         self.degree = int(deg.to_fraction())
 
-    def _lift_all(self, values):
-        target = lcm(self.exponent, *(v.order for v in values))
-        return [v.lift(target) for v in values]
+    @staticmethod
+    def linear(group: FiniteGroup, order: int, powers) -> "Character":
+        """The class function zeta_order^k, k = powers[c] at the c-th class,
+        for ``order`` a multiple of the group exponent."""
+        chi = object.__new__(Character)
+        chi.group = group
+        chi.classes = group.conjugacy_classes()
+        chi.exponent = group.exponent()
+        chi.order = order
+        chi.powers = tuple(k % order for k in powers)
+        if len(chi.powers) != len(chi.classes):
+            raise GroupError("one value per conjugacy class expected")
+        if order % chi.exponent or chi.powers[0]:
+            raise GroupError("a linear character is 1 at the identity, "
+                             "at an order that the exponent divides")
+        chi.degree = 1
+        return chi
+
+    @cached_property
+    def values(self) -> tuple[Cyclo, ...]:
+        return tuple(Cyclo.zeta(self.order, k) for k in self.powers)
 
     def __eq__(self, other):
         return isinstance(other, Character) and self.values == other.values
@@ -148,7 +179,9 @@ class CharacterTable:
 
     Each distinct value gets a small id through its canonical key
     ``(order, num, den)`` at the common order of the table's values, and a
-    character is looked up by the tuple of its value ids.  The Galois
+    character is looked up by the tuple of its value ids.  A linear
+    character's keys, like its sort key and value numerators, come from
+    its powers, with no ``Cyclo`` value made.  The Galois
     action comes from the group's class power maps: sigma_k(chi)(g) =
     chi(g^k), a permutation of chi's values.  The trivial character sorts
     first, which is checked once here.
@@ -156,7 +189,13 @@ class CharacterTable:
 
     def __init__(self, group: FiniteGroup, chars, certificates):
         self.group = group
-        keys = [_char_sort_key(chi) for chi in chars]
+        dense: dict[int, list] = {}  # order n -> numerators of zeta_n^k, 0 <= k < n
+
+        def roots(n):
+            if n not in dense:
+                dense[n] = [Cyclo.zeta(n, k).num for k in range(n)]
+            return dense[n]
+        keys = [_char_sort_key(chi, roots) for chi in chars]
         order = sorted(range(len(chars)), key=keys.__getitem__)
         if not chars or keys[order[0]][0]:  # the first key's "not trivial"
             raise GroupError("no trivial character found")
@@ -165,11 +204,17 @@ class CharacterTable:
         self.exponent = group.exponent()
         # common order of all character values; value key -> value id; per
         # character the ids of its values, class by class
-        self.value_order = lcm(*(v.order for c in self.chars for v in c.values))
+        n = self.value_order = lcm(*(c.order for c in self.chars))
         self._value_ids: dict[tuple, int] = {}
-        self._rows = [tuple(self._value_ids.setdefault(key, len(self._value_ids))
-                            for key in self._value_keys(c.values))
-                      for c in self.chars]
+        self._rows = []
+        for c in self.chars:
+            if c.powers is None:
+                keys = self._value_keys(c.values)
+            else:
+                num, step = roots(n), n // c.order
+                keys = ((n, num[k * step], 1) for k in c.powers)
+            self._rows.append(tuple(self._value_ids.setdefault(key, len(self._value_ids))
+                                    for key in keys))
         self._index = {row: i for i, row in enumerate(self._rows)}
         self._memo = {}
 
@@ -234,8 +279,16 @@ class CharacterTable:
         ``value_order``.  Character values are algebraic integers, so the
         power-basis denominator is 1."""
         def build():
+            data = order_data(n)
             rows = []
             for chi in self.chars:
+                if chi.powers is not None:
+                    # zeta_N^k is zeta_n^j, j = k n / N: one basis vector
+                    # below phi(n), a reduced power from there on
+                    step = n // chi.order
+                    rows.append([((j, 1),) if j < data.phi else data.power_terms(j)
+                                 for j in (k * step for k in chi.powers)])
+                    continue
                 row = []
                 for v in chi.values:
                     w = v.lift(n)
@@ -366,36 +419,40 @@ class CharacterTable:
         return memo(self, "galois_fills", build)
 
 
-def _char_sort_key(chi: Character):
+def _char_sort_key(chi: Character, roots):
+    """(not trivial, degree, each value's (order, num, den)), a linear
+    character's from its powers with ``roots(n)`` the numerators of the
+    n-th roots of unity.  Character values are algebraic integers, so den
+    is 1 and the numerators order as the coefficients do."""
+    if chi.powers is not None:
+        num = roots(chi.order)
+        return (any(chi.powers), 1, tuple((chi.order, num[k], 1) for k in chi.powers))
     one = Cyclo.one()
     trivial = all(v == one for v in chi.values)
-    # character values are algebraic integers, so den is 1 and the
-    # numerators order as the coefficients do
     return (not trivial, chi.degree,
             tuple((v.order, v.num, v.den) for v in chi.values))
 
 
 def _abelian_table(group: FiniteGroup) -> CharacterTable:
     """Table of an abelian group straight from its linear characters, each
-    certified by (G, psi).  Certificate: |G| distinct characters, each
-    trivial at the identity and multiplicative on ``group.generators()``,
-    which makes each a homomorphism and the list all of Irr(G)."""
+    certified by (G, psi) and kept as its powers of zeta_E, E the
+    exponent.  Certificate: |G| distinct characters, each trivial at the
+    identity and multiplicative on ``group.generators()``, which makes
+    each a homomorphism and the list all of Irr(G)."""
     n, exp = group.order, group.exponent()
     elems = tuple(range(n))
     # per generator s, the column h -> hs of the table
     columns = [(s, [row[s] for row in group.table]) for s in group.generators()]
-    classes = group.conjugacy_classes()
     order, rows = linear_character_powers(group)
-    # a homomorphism into (1/order)Z/Z takes values of order dividing the
-    # exponent, so each of its powers is a multiple of order / exp
-    step = order // exp
-    roots = [Cyclo.zeta(exp, j) for j in range(exp)]
     chars, certs = [], []
     for a in rows:
         if a[0] or any((ah + a[s] - a[hs]) % order
                        for s, column in columns for ah, hs in zip(a, column)):
             raise InternalCheckError("abelian table: a linear character is not multiplicative")
-        chars.append(Character(group, [roots[a[c[0]] // step] for c in classes]))
+        # each element is its own class; a homomorphism into (1/order)Z/Z
+        # takes values of order dividing the exponent, so a[g] * exp is a
+        # multiple of order
+        chars.append(Character.linear(group, exp, [k * exp // order for k in a]))
         certs.append(MonomialCertificate(elems, order, dict(zip(elems, a))))
     table = CharacterTable(group, chars, certs)
     if len(chars) != n or len(table._index) != n:
@@ -425,7 +482,9 @@ def _induced_table(group: FiniteGroup) -> CharacterTable:
     times the sum of psi over the class members in U, kept as integer
     weights w_k on the powers of zeta_n, n = lcm(exponent, order of psi);
     it is irreducible exactly when <chi, chi> = 1, which in traces over Q
-    is sum_cls |cls| sum_{k,l} w_k w_l Tr(zeta_n^(k-l)) = |G| |U|^2 phi(n)."""
+    is sum_cls |cls| sum_{k,l} w_k w_l Tr(zeta_n^(k-l)) = |G| |U|^2 phi(n).
+    At U = G every psi is irreducible as it stands, and is kept as its
+    powers of zeta_n, the order its values would have."""
     found: list[Character] = []
     certs: list[MonomialCertificate] = []
     seen = set()
@@ -444,22 +503,27 @@ def _induced_table(group: FiniteGroup) -> CharacterTable:
         for row in rows:
             powers = dict(zip(u, row))
             _check_multiplicative(group, u, order, powers)
-            weights, norm = [], 0
-            for cls, members in zip(classes, inside):
-                w = [0] * n
-                for y in members:
-                    w[powers[y] * step] += size // len(cls)
-                terms = [(k, c) for k, c in enumerate(w) if c]
-                norm += len(cls) * sum(a * c * data.traces[(k - l) % n]
-                                       for k, a in terms for l, c in terms)
-                weights.append(w)
-            if norm != size * len(u) ** 2 * data.phi:
-                continue
-            chi = Character(group, [root_of_unity_sum(n, w) * Fraction(1, len(u))
-                                    for w in weights])
-            if chi.values in seen:
-                continue
-            seen.add(chi.values)
+            if len(u) == size:
+                # U = G: psi is its own induction, a linear character, kept
+                # as its powers of zeta_n
+                chi = Character.linear(group, n, [powers[c[0]] * step for c in classes])
+            else:
+                weights, norm = [], 0
+                for cls, members in zip(classes, inside):
+                    w = [0] * n
+                    for y in members:
+                        w[powers[y] * step] += size // len(cls)
+                    terms = [(k, c) for k, c in enumerate(w) if c]
+                    norm += len(cls) * sum(a * c * data.traces[(k - l) % n]
+                                           for k, a in terms for l, c in terms)
+                    weights.append(w)
+                if norm != size * len(u) ** 2 * data.phi:
+                    continue
+                chi = Character(group, [root_of_unity_sum(n, w) * Fraction(1, len(u))
+                                        for w in weights])
+                if chi.values in seen:
+                    continue
+                seen.add(chi.values)
             found.append(chi)
             certs.append(MonomialCertificate(u, order, powers))
             total += chi.degree ** 2

@@ -68,11 +68,65 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (float("inf"), float("-inf")):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True or key is False or key is None:
+        return _CONSTANTS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=1, sort_keys=True)``, byte for byte: the
+    form of every JSON report, with ``newline`` the line break and indent
+    of the value's nesting level.  ``json`` writes indented output with
+    its pure-Python encoder, which this writer outruns; it raises
+    TypeError where that encoder does."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + " "
+        return "{" + inner + ("," + inner).join(
+            [_ESCAPE(_json_key(k)) + ": " + _json_text(v, inner)
+             for k, v in sorted(value.items())]) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + " "
+        return "[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in value]) + newline + "]"
+    if value is True or value is False or value is None:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, fmt: str, out: str | None, text: str | None = None):
     if fmt == "text" and text is not None:
         rendered = text
     else:
-        rendered = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        rendered = _json_text(payload) + "\n"
     if out:
         try:
             with open(out, "w") as fh:
@@ -118,7 +172,8 @@ def cmd_check(args, fix: ExtensionFixture) -> int:
         timings[name] = time.perf_counter() - t0
     report = _report(args.fixture, fix, args.seed, verdicts,
                      timings if args.timings else None)
-    _emit(report, args.format, args.out, _render_text(report))
+    _emit(report, args.format, args.out,
+          _render_text(report) if args.format == "text" else None)
     return _exit_code(verdicts)
 
 

@@ -4,9 +4,13 @@ Fitting invariants of finite presentations, and annihilation checks.
 Reduced norms are computed through monomial representations, one per
 irreducible character, each stored as integer data: per group element and
 column, the row of its one nonzero entry and that entry's exponent as a
-root of unity.  A block matrix is built from that data with each entry
-added up in integers and reduced once.  Every star adjoint is verified
-against its defining identity before being returned.
+root of unity.  A linear character is its own 1 x 1 representation,
+read straight from its certificate (G, psi) and checked against the
+character's integer powers; only irreducibles of degree two or more are
+built on cosets and checked with ``fixed_point_trace``.  A block matrix
+is built from that data with each entry added up in integers and reduced
+once.  Every star adjoint is verified against its defining identity
+before being returned.
 
 Every matrix is over QG, since a ``GroupRingElement`` holds rational
 coefficients only.  The reduced norm of such a matrix is
@@ -57,12 +61,27 @@ class MonomialRepresentation:
 def monomial_representation(table: CharacterTable, chi_index: int) -> MonomialRepresentation:
     """The chi_index-th irreducible in monomial form, realized from the
     stored certificate (U, psi) on the left cosets x_i U; its trace is
-    checked against the character at every class."""
+    checked against the character at every class.  A linear character
+    has U = G and is psi itself, one 1 x 1 column per element, and its
+    check is in integers: zeta_N^p = zeta_n^k, for psi(g) = zeta_N^p and
+    the character's power k of zeta_n at g's class, exactly when
+    p n = k N mod N n."""
     def build():
         group = table.group
         cert = table.certificates[chi_index]
         chi = table.chars[chi_index]
         n, power = cert.order, cert.powers
+        classes = group.conjugacy_classes()
+        if chi.degree == 1:
+            # a proper U would give degree [G:U] > 1, the trace at 1
+            if len(cert.u_elems) != group.order:
+                raise InternalCheckError("monomial representation trace mismatch at element 0")
+            m = chi.order
+            for cls, k in zip(classes, chi.powers):
+                if (power[cls[0]] * m - k * n) % (n * m):
+                    raise InternalCheckError(
+                        f"monomial representation trace mismatch at element {cls[0]}")
+            return MonomialRepresentation(1, n, [((0, power[g]),) for g in range(group.order)])
         reps = group.coset_reps(cert.u_elems)
         # coset[h] = (i, k) for h = x_i * y with y in U and psi(y) = zeta_N^k
         coset = [None] * group.order
@@ -72,10 +91,8 @@ def monomial_representation(table: CharacterTable, chi_index: int) -> MonomialRe
         columns = [tuple(coset[group.mul(g, x)] for x in reps) for g in range(group.order)]
         # the trace must reproduce the character exactly at every class, in
         # (num, den) at the order the value is stored at
-        ids = group.class_index()
-        for cls in group.conjugacy_classes():
+        for cls, value in zip(classes, chi.values):
             g = cls[0]
-            value = chi.values[ids[g]]
             if value.order % n or \
                     (fixed_point_trace(columns[g], n, value.order), 1) != (value.num, value.den):
                 raise InternalCheckError(

@@ -157,6 +157,38 @@ def induced_table_by_groups(group: FiniteGroup) -> CharacterTable:
     )
 
 
+def cyclo_linear_table(group: FiniteGroup) -> CharacterTable:
+    """The table with every linear character built from Cyclo values, as
+    before the integer characters: an abelian group's as Cyclo.zeta powers
+    of zeta_E, E the exponent, lifted by the Character constructor; a
+    non-abelian group's by ``induced_table_by_groups``, which induces the
+    characters of U = G in Cyclo sums at lcm(E, order of psi)."""
+    if not group.is_abelian():
+        return induced_table_by_groups(group)
+    exp, elems = group.exponent(), tuple(range(group.order))
+    order, rows = linear_character_powers(group)
+    step = order // exp
+    roots = [Cyclo.zeta(exp, j) for j in range(exp)]
+    chars = [Character(group, [roots[a[c[0]] // step] for c in group.conjugacy_classes()])
+             for a in rows]
+    certs = [MonomialCertificate(elems, order, dict(zip(elems, a))) for a in rows]
+    return CharacterTable(group, chars, certs)
+
+
+def coset_columns(table: CharacterTable, i: int) -> tuple[int, int, list]:
+    """``(degree, order, columns)`` of the i-th monomial representation,
+    built on the left cosets of the certificate's U for every degree, as
+    before linear characters were read straight from the certificate."""
+    group, cert = table.group, table.certificates[i]
+    reps = group.coset_reps(cert.u_elems)
+    coset = [None] * group.order
+    for k, x in enumerate(reps):
+        for y in cert.u_elems:
+            coset[group.mul(x, y)] = (k, cert.powers[y])
+    return len(reps), cert.order, [tuple(coset[group.mul(g, x)] for x in reps)
+                                   for g in range(group.order)]
+
+
 def all_subgroups_by_closures(group: FiniteGroup) -> list[tuple[int, ...]]:
     """Every subgroup, sorted by decreasing order then lexicographically,
     found by extending each subgroup found by every element outside it."""

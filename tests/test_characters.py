@@ -15,8 +15,10 @@ from skv.cyclotomic import Cyclo, unit_generators
 from skv.errors import (ArithmeticDomainError, GroupError, InternalCheckError,
                         NotMonomialError)
 from skv.groups import FiniteGroup, _named_tables, named_group
+from skv.rednorm import monomial_representation
 
-from oracles import (contragredient_values, fraction_certificate_exps, fraction_exps,
+from oracles import (contragredient_values, coset_columns, cyclo_linear_table,
+                     fraction_certificate_exps, fraction_exps,
                      galois_equivariant_all_units, galois_equivariant_every_component,
                      galois_values,
                      induce_from_linear, induced_table_by_groups, inner,
@@ -448,3 +450,59 @@ def test_subgroup_linear_characters_match_their_own_groups(name):
         order, rows = linear_character_powers_by_quotient(sub)
         assert linear_character_powers(group, u) == (order, rows), u
 
+
+def _integer_character_groups():
+    """The abelian groups of ``_power_map_groups``, C2 x C6 and C128, and
+    every monomial non-abelian test group: the groups whose integer linear
+    characters are checked against the Cyclo-built ones."""
+    groups = {f"abelian of order {g.order}": g for g in _power_map_groups() if g.is_abelian()}
+    groups["C2xC6"] = FiniteGroup.direct_product(named_group("C2"), named_group("C6"))
+    groups["C128"] = FiniteGroup.cyclic(128)
+    groups.update((name, g) for name, g in MONOMIAL_GROUPS.items() if name != "SL(2,3)")
+    return groups
+
+
+INTEGER_CHARACTER_GROUPS = _integer_character_groups()
+
+
+def _assert_matches_the_cyclo_built_table(new, old):
+    assert [c.degree for c in new] == [c.degree for c in old]
+    assert all((c.powers is not None) == (c.degree == 1) for c in new)
+    assert all(c.powers is None for c in old)
+    assert [(c.u_elems, c.order, c.powers) for c in new.certificates] == \
+        [(c.u_elems, c.order, c.powers) for c in old.certificates]
+    assert new.value_order == old.value_order
+    for n in (new.value_order, 2 * new.value_order):
+        assert new.value_numerators(n) == old.value_numerators(n)
+    exp = new.exponent
+    units = [k for k in range(1, exp + 1) if gcd(k, exp) == 1]
+    assert [[new.galois_index(i, k) for k in units] for i in range(len(new))] == \
+        [[old.galois_index(i, k) for k in units] for i in range(len(old))]
+    for i in range(len(new)):
+        rep = monomial_representation(new, i)
+        assert (rep.degree, rep.order, rep.columns) == coset_columns(old, i)
+    # last, as reading them makes the values of the integer characters
+    assert [[(v.order, v.num, v.den) for v in c.values] for c in new] == \
+        [[(v.order, v.num, v.den) for v in c.values] for c in old]
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_CHARACTER_GROUPS))
+def test_integer_linear_characters_match_the_cyclo_built_ones(name):
+    group = INTEGER_CHARACTER_GROUPS[name]
+    _assert_matches_the_cyclo_built_table(irreducibles_monomial(group),
+                                          cyclo_linear_table(group))
+
+
+def test_shipped_tables_match_the_cyclo_built_ones(fixtures):
+    for fix in fixtures.values():
+        _assert_matches_the_cyclo_built_table(fix.table, cyclo_linear_table(fix.group))
+
+
+def test_building_a_table_reads_no_linear_character_values():
+    for group in (FiniteGroup.cyclic(46), MONOMIAL_GROUPS["S3xC6"]):
+        table = irreducibles_monomial(group)
+        for i in range(len(table)):
+            monomial_representation(table, i)
+        table.value_numerators(table.value_order)
+        table.galois_orbits()
+        assert not any("values" in vars(c) for c in table if c.degree == 1)

@@ -8,9 +8,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import skv
-from skv.cli import COMMANDS, build_parser, main
+from skv.cli import COMMANDS, _json_text, build_parser, main
 from skv.verify import SUITES
 
 from conftest import FIXTURE_NAMES, fixture_path, load_fixture_json
@@ -117,6 +121,48 @@ def test_timings_flag(capsys):
                            "--fixture", fixture_path("q"), "--timings")
     assert code == 0
     assert sorted(json.loads(out)["timings"]) == sorted(SUITES)
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=1, sort_keys=True)
+
+
+def test_json_writer_matches_json_dumps(capsys):
+    # a --timings report, with its floats, and hand-made values
+    samples = [json.loads(run_cli(capsys, "check", "all", "--fixture", fixture_path("q_i"),
+                                  "--timings")[1])]
+    samples += [
+        {}, [], (), "", 0, -7, 10 ** 30, -(10 ** 30), True, False, None,
+        0.1, -2.5e-07, 1e300, float("nan"), float("inf"), float("-inf"),
+        {"b": [], "a": {}, "c": [[{}], [[]]], "d": ({"x": (1, None)},)},
+        {"quote \" back \\ slash": "tab\t newline\n nul\x00 bell\x07",
+         "ä": "é ✓ 🜁 \u2028", "": ["", " "]},
+        {"z": {"y": {"x": [True, False, None, -1, 0.0, -0.0]}}},
+        {2: "int keys", -3: ""}, {1.5: "float keys", -0.5: ""}, {True: "bool keys", False: ""},
+        {None: "null key"},
+        [[[[[]]]], {"k": [{"k": [{}]}]}],
+    ]
+    for value in samples:
+        assert _json_text(value) == _dumps(value), value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30))
+def test_json_writer_matches_json_dumps_on_any_json_value(value):
+    assert _json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, b"bytes", object(), [1, {"a": 1j}], {"a": {"b": Fraction(1, 2)}},
+    {(1, 2): "tuple key"}, {1: "mixed", "a": "keys"}])
+def test_json_writer_raises_type_error_as_json_dumps_does(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+    with pytest.raises(TypeError):
+        _json_text(value)
 
 
 def test_single_suites_match_check_all(capsys):

@@ -144,3 +144,26 @@ def test_class_group_action_key_other_than_an_element_index_exits_3(tmp_path, ke
         code, out, err = _run_capped([*command, "--fixture", str(fixture)])
         assert code == 3 and not out, (command, code, err)
         assert repr(key) in err and err.count("\n") == 1, (command, err)
+
+
+@pytest.mark.parametrize("field, key, replaces", [
+    *(("muL", key, None) for key in ("01", " 1", "-0", "x", "22")),
+    ("cyclotomic", " 2", "2"), ("cyclotomic", "+3", None),
+    ("cyclotomic", "02", None), ("cyclotomic", "٢", None)])
+def test_mu_action_and_cyclotomic_map_key_other_than_its_decimal_exits_3(
+        tmp_path, field, key, replaces):
+    # the muL action was read only at the keys str(g), so "01", "x" or "22"
+    # beside them was ignored, and the cyclotomic map read every key with
+    # int(), so " 2" for "2", or "+3", "02" or an Arabic-Indic 2 beside the
+    # key it reads as, passed; only str(g), or str(a) for a unit a, is a key
+    obj = load_fixture_json("q_zeta23")
+    table = obj["muL"]["action"] if field == "muL" else obj["cyclotomic"]["map"]
+    table[key] = table["1"]
+    if replaces is not None:
+        del table[replaces]
+    fixture = tmp_path / "q_zeta23.json"
+    fixture.write_text(json.dumps(obj))
+    for command in COMMANDS:
+        code, out, err = _run_capped([*command, "--fixture", str(fixture)])
+        assert code == 3 and not out, (command, code, err)
+        assert repr(key) in err and err.count("\n") == 1, (command, err)

@@ -373,17 +373,50 @@ def test_apply_representation_matches_running_sum_exactly(case):
 
 
 def test_trace_check_fires_on_any_corrupted_value(fixtures):
-    # an abelian table and a non-abelian one: change one value of one
-    # character, class by class, on a fresh table each time
+    # on a fresh table each time, class by class: a character of degree 2
+    # with one value changed, and a linear character of an abelian and of
+    # a non-abelian table with one integer power changed, on the character
+    # or on its certificate's psi at the class's first element
+    def fresh(group, i):
+        table = irreducibles_monomial(group)
+        return table, table.chars[i], table.certificates[i]
+
+    def raises(table, i):
+        with pytest.raises(InternalCheckError, match="trace mismatch"):
+            monomial_representation(table, i)
+
     for name in ("q_zeta23", "s3c2"):
         group, shipped = fixtures[name].group, fixtures[name].table
-        i = max(range(len(shipped)), key=lambda j: (shipped[j].degree, j))
-        for c in range(len(group.conjugacy_classes())):
-            table = irreducibles_monomial(group)
-            chi = table.chars[i]
-            chi.values = tuple(v + 1 if k == c else v for k, v in enumerate(chi.values))
-            with pytest.raises(InternalCheckError, match="trace mismatch"):
-                monomial_representation(table, i)
+        classes = group.conjugacy_classes()
+        linear = max((j for j, chi in enumerate(shipped) if chi.degree == 1),
+                     key=lambda j: (shipped.certificates[j].order, j))
+        assert shipped.certificates[linear].order > 1
+        for c, cls in enumerate(classes):
+            table, chi, cert = fresh(group, linear)
+            chi.powers = tuple((k + 1) % chi.order if t == c else k
+                               for t, k in enumerate(chi.powers))
+            raises(table, linear)
+            table, chi, cert = fresh(group, linear)
+            cert.powers = {y: (k + 1) % cert.order if y == cls[0] else k
+                           for y, k in cert.powers.items()}
+            raises(table, linear)
+        if name == "s3c2":
+            i = max(range(len(shipped)), key=lambda j: (shipped[j].degree, j))
+            assert shipped[i].degree == 2
+            for c in range(len(classes)):
+                table, chi, _ = fresh(group, i)
+                chi.values = tuple(v + 1 if k == c else v for k, v in enumerate(chi.values))
+                raises(table, i)
+
+
+def test_linear_character_with_a_proper_certificate_subgroup_fails_the_trace_check(fixtures):
+    # psi on a proper U induces a character of degree [G:U], not 1
+    table = irreducibles_monomial(fixtures["s3c2"].group)
+    i = next(j for j, chi in enumerate(table) if chi.degree == 2)
+    j = next(j for j, chi in enumerate(table) if chi.degree == 1)
+    table.certificates[j] = table.certificates[i]
+    with pytest.raises(InternalCheckError, match="trace mismatch at element 0"):
+        monomial_representation(table, j)
 
 
 def test_sparse_trace_equals_the_dense_weights(fixtures):

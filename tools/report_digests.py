@@ -26,17 +26,27 @@ From the repository root:
 The presentations come from `fitting_matrices` and `random_presentation`
 in perfbench/run.py, which is imported read-only; the matrix files go to a
 temporary directory.
+
+`--against REV` does the whole byte-identity proof in one command: it
+extracts REV with `git archive` into a temporary directory, runs both
+digest lists of `PROOF_RUNS` there and in the working tree, prints every
+line that differs, and exits 1 if any does:
+
+    python3 tools/report_digests.py --against HEAD
 """
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import importlib.util
 import io
 import json
 import os
 import random
+import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -92,6 +102,40 @@ COMMAND_INVOCATIONS = [
     # the r < 0 admissibility: 3 divides w_2(Q) = 24 and 5 does not
     *(["check", "stickelberger", "--T", t, "--r", "-1"] for t in ("3", "5")),
 ]
+
+
+#: The two digest lists that show a change keeps every report byte-identical.
+PROOF_RUNS = [
+    ["--seeds", "0-39", "--ladder", "31,47,71,107", "--cli"],
+    ["--seeds", "0-39", "--fitting-ladder", "31,47", "--commands"],
+]
+
+
+def against(rev: str) -> int:
+    """Run ``PROOF_RUNS`` on ``rev`` and on the working tree, each list on
+    both trees at once; print the differing lines, and return 1 if there
+    are any, else 0."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                             capture_output=True, check=True).stdout
+    differ = False
+    with tempfile.TemporaryDirectory() as base:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base)
+        for argv in PROOF_RUNS:
+            runs = [subprocess.Popen(
+                [sys.executable, os.path.join(tree, "tools", "report_digests.py"), *argv],
+                cwd=tree, stdout=subprocess.PIPE, text=True) for tree in (base, ROOT)]
+            old, new = (run.communicate()[0].splitlines() for run in runs)
+            if any(run.returncode for run in runs):
+                print(f"[{' '.join(argv)}] exit codes {[run.returncode for run in runs]}")
+                differ = True
+            diff = list(difflib.unified_diff(old, new, rev, "working tree", n=0, lineterm=""))
+            print(f"[{' '.join(argv)}] {len(old)} lines at {rev}, {len(new)} in the "
+                  f"working tree, {'differing' if diff else 'identical'}")
+            for line in diff:
+                print(line)
+            differ = differ or bool(diff)
+    return 1 if differ else 0
 
 
 def perfbench_run():
@@ -162,7 +206,13 @@ def main(argv=None) -> int:
     parser.add_argument("--cli", action="store_true",
                         help="also digest skv's help screens and the bad "
                              "invocations in CLI_INVOCATIONS")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare the digests of PROOF_RUNS at the git revision "
+                             "REV with those of the working tree; the other options "
+                             "are then not read")
     args = parser.parse_args(argv)
+    if args.against:
+        return against(args.against)
     if args.cli:
         # argparse wraps help to the terminal width, which it reads here
         os.environ["COLUMNS"] = "80"
