@@ -45,7 +45,7 @@ class ThetaElement:
         }
         out["coefficients"] = {
             self.central.group.labels[g]: str(c)
-            for g, c in sorted(self.central.to_group_ring().coeffs.items())
+            for g, c in self.central.to_group_ring().items()
         }
         return out
 

@@ -1,9 +1,10 @@
 """Group rings over Q and their centres, with exact cyclotomic components.
 
 Every group-ring element lives in Q[G]: ``GroupRingElement`` stores
-``Fraction`` coefficients and rejects any other.  A central element is
-stored through its character components: the value of each irreducible
-character (normalized by degree) on the element.  This is the form in
+integer numerators over one denominator, in lowest terms, and its
+constructor rejects any coefficient that is not rational.  A central
+element is stored through its character components: the value of each
+irreducible character (normalized by degree) on the element.  This is the form in
 which integrality in a maximal order is checked, and it makes
 multiplication componentwise.
 
@@ -32,28 +33,45 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .characters import CharacterTable, irreducibles_monomial
 from .cyclotomic import Cyclo, order_data
 from .errors import CentralityError, GroupError, InternalCheckError
 from .groups import FiniteGroup, memo
 
-_ZERO = Fraction(0)
-
 
 class GroupRingElement:
-    """Sparse element of Q[G]: dict element index -> nonzero Fraction."""
+    """Element of Q[G] in lowest terms: the coefficient at g is
+    nums[g] / den, with one integer per group element in ``nums``, den > 0
+    and gcd(den, *nums) == 1.  Equality, hashing and integrality (den == 1)
+    read the pair directly.  Elements are not changed after construction."""
+
+    __slots__ = ("group", "nums", "den")
 
     def __init__(self, group: FiniteGroup, coeffs=None):
-        self.group = group
-        self.coeffs = {}
+        fracs = {}
         for g, c in (coeffs or {}).items():
             if not isinstance(c, (int, Fraction)):
                 raise GroupError(f"group-ring coefficient {c!r} is not rational: "
                                  "elements live over QG")
-            if c:
-                self.coeffs[int(g)] = Fraction(c)
+            if not 0 <= int(g) < group.order:
+                raise GroupError(f"{g!r} is no element index of a group of order {group.order}")
+            fracs[int(g)] = Fraction(c)
+        # over the lcm of the reduced denominators the pair is in lowest terms
+        self.group, self.den = group, lcm(*(c.denominator for c in fracs.values()))
+        nums = [0] * group.order
+        for g, c in fracs.items():
+            nums[g] = c.numerator * (self.den // c.denominator)
+        self.nums = tuple(nums)
+
+    @staticmethod
+    def _make(group: FiniteGroup, nums, den: int) -> "GroupRingElement":
+        """The element sum_g nums[g] g / den, for den > 0, in lowest terms."""
+        k = gcd(den, *nums)
+        elem = object.__new__(GroupRingElement)
+        elem.group, elem.nums, elem.den = group, tuple(a // k for a in nums), den // k
+        return elem
 
     @staticmethod
     def basis(group: FiniteGroup, g: int) -> "GroupRingElement":
@@ -68,51 +86,59 @@ class GroupRingElement:
         """Sum of the listed group elements (N_H for a subgroup H)."""
         return GroupRingElement(group, {g: 1 for g in elems})
 
-    def coeff(self, g: int) -> Fraction:
-        return self.coeffs.get(g, _ZERO)
+    def items(self) -> list:
+        """(g, coefficient) for each nonzero coefficient, in element order."""
+        return [(g, Fraction(a, self.den)) for g, a in enumerate(self.nums) if a]
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, 0) + c
-        return GroupRingElement(self.group, out)
+        self._compat(other)
+        nums = [a * other.den + b * self.den for a, b in zip(self.nums, other.nums)]
+        return GroupRingElement._make(self.group, nums, self.den * other.den)
 
     def __neg__(self):
-        return GroupRingElement(self.group, {g: -c for g, c in self.coeffs.items()})
+        return GroupRingElement._make(self.group, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, GroupRingElement):
-            return GroupRingElement(self.group, {g: c * other for g, c in self.coeffs.items()})
-        if other.group is not self.group and other.group.order != self.group.order:
-            raise GroupError("elements live over different groups")
-        out: dict[int, Fraction] = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                g = self.group.mul(a, b)
-                out[g] = out.get(g, 0) + ca * cb
-        return GroupRingElement(self.group, out)
+            other = GroupRingElement.scalar(self.group, other)
+        self._compat(other)
+        # an integer convolution over the nonzero entries of both factors
+        table = self.group.table
+        right = [(b, y) for b, y in enumerate(other.nums) if y]
+        out = [0] * self.group.order
+        for a, x in enumerate(self.nums):
+            if x:
+                row = table[a]
+                for b, y in right:
+                    out[row[b]] += x * y
+        return GroupRingElement._make(self.group, out, self.den * other.den)
 
     __rmul__ = __mul__
 
+    def _compat(self, other):
+        if other.group.table != self.group.table:
+            raise GroupError("elements live over different groups")
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.nums)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs.values())
+        return self.den == 1
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.den == other.den and self.nums == other.nums \
+            and self.group.table == other.group.table
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.nums, self.den))
 
     def __repr__(self):
-        parts = [f"({c})*{self.group.labels[g]}" for g, c in sorted(self.coeffs.items())]
+        parts = [f"({c})*{self.group.labels[g]}" for g, c in self.items()]
         return " + ".join(parts) if parts else "0"
 
 
@@ -180,16 +206,15 @@ class CentralElement:
         group = table.group
         ids = group.class_index()
         for cls in group.conjugacy_classes():
-            ref = x.coeff(cls[0])
             for g in cls[1:]:
-                if x.coeff(g) != ref:
+                if x.nums[g] != x.nums[cls[0]]:
                     raise CentralityError(
                         f"coefficients at conjugate elements {cls[0]} and {g} differ"
                     )
         comps = []
         for chi in table:
             acc = Cyclo.zero()
-            for g, c in x.coeffs.items():
+            for g, c in x.items():
                 acc = acc + chi.values[ids[g]] * c
             comps.append(acc * Fraction(1, chi.degree))
         return CentralElement(table, comps)
@@ -212,10 +237,10 @@ class CentralElement:
         back the component at r it gives back sigma_k of it at each filled
         j, which is the component there (see ``_gives_back``).
 
-        The coefficients are kept on the table per ``_key()``, each computed
-        component's exact ``(order, num, den)``, so each distinct input
-        runs the transform and its check once; every call returns a new
-        element.  The repeats come from ``check all``, whose suites transform
+        The element, which is immutable, is kept on the table per
+        ``_key()``, each computed component's exact ``(order, num, den)``,
+        so each distinct input runs the transform and its check once.  The
+        repeats come from ``check all``, whose suites transform
         the same thetas and sku elements again: in the theta report, the
         integrality checks, the annihilation check and the product
         coefficients.
@@ -226,10 +251,9 @@ class CentralElement:
                 raise InternalCheckError(
                     "group-ring coefficients do not give back the components: "
                     "the element is not in the centre of QG")
-            ids = self.group.class_index()
-            return {g: Fraction(nums[c], den) for g, c in enumerate(ids) if nums[c]}
-        key = ("to_group_ring", self._key())
-        return GroupRingElement(self.group, memo(self.table, key, build))
+            return GroupRingElement._make(
+                self.group, [nums[c] for c in self.group.class_index()], den)
+        return memo(self.table, ("to_group_ring", self._key()), build)
 
     def _key(self) -> tuple:
         """Each computed component's exact ``(order, num, den)``, and None
@@ -320,7 +344,8 @@ class CentralElement:
     __rmul__ = __mul__
 
     def _compat(self, other):
-        if other.table is not self.table and len(other.table) != len(self.table):
+        if other.table is not self.table and (other.group.table != self.group.table
+                                              or other.table.chars != self.table.chars):
             raise GroupError("central elements use different character tables")
 
     def sharp(self) -> "CentralElement":
@@ -468,14 +493,14 @@ def product_coefficients(x: CentralElement, h_elems, c_elems):
     out = {}
     for c in back_c.values():
         # per class of H: the sum of the coefficients at h * c over its h
-        sums = [(k, sum(a.coeff(group.mul(h, c)) for h in cls))
+        sums = [(k, sum(a.nums[group.mul(h, c)] for h in cls))
                 for k, cls in enumerate(sub_classes)]
         for i, chi in enumerate(tab_h):
             alpha = Cyclo.zero()
             for k, s in sums:
                 if s:
                     alpha = alpha + chi.values[k] * s
-            alpha = alpha * Fraction(1, chi.degree)
+            alpha = alpha * Fraction(1, chi.degree * a.den)
             out[(i, c)] = Cyclo.rational(alpha.to_fraction()) if alpha.is_rational() else alpha
     return out
 

@@ -12,8 +12,8 @@ is built from that data with each entry added up in integers and reduced
 once.  Every star adjoint is verified against its defining identity
 before being returned.
 
-Every matrix is over QG, since a ``GroupRingElement`` holds rational
-coefficients only.  The reduced norm of such a matrix is
+Every matrix is over QG, since a ``GroupRingElement`` holds integer
+numerators over one denominator.  The reduced norm of such a matrix is
 Galois-equivariant: its component at sigma_k(chi) is
 sigma_k of its component at chi.  So it is built by
 ``CentralElement.from_orbits`` on the table's fill map
@@ -136,19 +136,16 @@ def grm_is_integral(a) -> bool:
     return all(entry.is_integral() for row in a for entry in row)
 
 
-def grm_equal(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def apply_representation(rep: MonomialRepresentation, a):
     """Apply a representation of degree d entrywise to a matrix over QG of
     r rows, the longest with c entries, producing the blown-up (r d) x
     (c d) cyclotomic block matrix; row s of ``a`` becomes the d rows from
-    s * d on.  A block entry is the sum of q * zeta_N^k over its terms,
-    q a rational coefficient; it is added up as integer weights on the
-    L-th roots of unity, L the lcm of N / gcd(k, N) over the terms, and
-    reduced once, which gives the value and order of the running Cyclo
-    sum.  An entry with no terms is Cyclo.zero()."""
+    s * d on.  A block entry is the sum of (a / D) * zeta_N^k over its
+    terms, a an integer numerator and D the denominator of the matrix
+    entry; it is added up as integer weights on the L-th roots of unity,
+    L the lcm of N / gcd(k, N) over the terms, and reduced once, which
+    gives the value and order of the running Cyclo sum.  An entry with no
+    terms is Cyclo.zero()."""
     d, columns = rep.degree, rep.columns
     width = max(map(len, a), default=0) * d
     zero = Cyclo.zero()
@@ -156,22 +153,22 @@ def apply_representation(rep: MonomialRepresentation, a):
     for s, row in enumerate(a):
         for t, entry in enumerate(row):
             terms = {}  # (i, j) -> [(c, k), ...]
-            for g, c in entry.coeffs.items():
-                for j, (i, k) in enumerate(columns[g]):
-                    terms.setdefault((i, j), []).append((c, k))
+            for g, c in enumerate(entry.nums):
+                if c:
+                    for j, (i, k) in enumerate(columns[g]):
+                        terms.setdefault((i, j), []).append((c, k))
             for (i, j), block_terms in terms.items():
-                out[s * d + i][t * d + j] = _block_entry(block_terms, rep.order)
+                out[s * d + i][t * d + j] = _block_entry(block_terms, rep.order, entry.den)
     return out
 
 
-def _block_entry(terms, n: int) -> Cyclo:
-    """Sum of q * zeta_n^k over the (q, k) in terms, q rational, at the
-    lcm of the orders of the roots of unity."""
+def _block_entry(terms, n: int, den: int) -> Cyclo:
+    """Sum of (a / den) * zeta_n^k over the (a, k) in terms, a an integer,
+    at the lcm of the orders of the roots of unity."""
     order = lcm(*(n // gcd(k, n) for _, k in terms))
-    den = lcm(*(q.denominator for q, _ in terms))
     weights = [0] * order
-    for q, k in terms:
-        weights[k * order // n % order] += q.numerator * (den // q.denominator)
+    for a, k in terms:
+        weights[k * order // n % order] += a
     total = root_of_unity_sum(order, weights)
     return total if den == 1 else total * Fraction(1, den)
 
@@ -294,7 +291,7 @@ def star_adjoint(a, table: CharacterTable) -> StarAdjointResult:
     # global identity over the group ring
     nr_elem = norm.to_group_ring()
     target = [[nr_elem * entry for entry in row] for row in grm_identity(group, b)]
-    if not (grm_equal(mat_mul(adjoint, a), target) and grm_equal(mat_mul(a, adjoint), target)):
+    if not (mat_mul(adjoint, a) == target and mat_mul(a, adjoint) == target):
         raise InternalCheckError("star adjoint identity failed over the group ring")
     return StarAdjointResult(adjoint, norm)
 
@@ -402,19 +399,20 @@ class FiniteGModule:
         ]
 
     def act_group_ring(self, x: GroupRingElement, vec):
-        """Apply a group-ring element to a vector."""
+        """Apply a group-ring element to a vector.  Its denominator is the
+        lcm of its coefficients' reduced denominators, so it is invertible
+        mod each factor d exactly when every one of them is."""
         k = len(self.factors)
+        for d in self.factors:
+            if gcd(x.den, d) != 1:
+                raise FixtureError(f"coefficient denominator {x.den} not invertible mod {d}")
+        inverses = [pow(x.den, -1, d) for d in self.factors]
         out = [0] * k
-        for g, q in x.coeffs.items():
-            m = self.action[g]
-            for i in range(k):
-                d = self.factors[i]
-                if gcd(q.denominator, d) != 1:
-                    raise FixtureError(
-                        f"coefficient denominator {q.denominator} not invertible mod {d}"
-                    )
-                scal = (q.numerator * pow(q.denominator, -1, d)) % d if d > 1 else 0
-                out[i] = (out[i] + scal * sum(m[i][t] * vec[t] for t in range(k))) % d
+        for g, a in enumerate(x.nums):
+            if a:
+                m = self.action[g]
+                for i, (d, inv) in enumerate(zip(self.factors, inverses)):
+                    out[i] = (out[i] + a * inv * sum(m[i][t] * vec[t] for t in range(k))) % d
         return out
 
 

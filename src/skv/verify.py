@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 from typing import Callable, NamedTuple
 
 from .arithdata import (ExtensionFixture, PlaceSets, check_admissible,
@@ -71,28 +70,6 @@ def _integrality_failure(x: CentralElement, abelian: bool,
     if abelian and not (_is_exact_integral(x) if in_zg is None else in_zg):
         return {"failure": "abelian exact integrality"}
     return None
-
-
-def _zg_numerators(x: CentralElement) -> tuple[list[int], int]:
-    """The rational ZG coefficients of x, per group element, as integer
-    numerators over one denominator."""
-    elem = x.to_group_ring()
-    coeffs = [elem.coeff(g) for g in range(x.group.order)]
-    den = lcm(*(q.denominator for q in coeffs))
-    return [q.numerator * (den // q.denominator) for q in coeffs], den
-
-
-def _product_in_zg(x: GroupRingElement, nums: list[int], den: int) -> bool:
-    """Does x * (sum_g nums[g] g) / den have integer coefficients?  x has
-    rational coefficients; the coefficient at h is
-    sum_g x_g nums[g^-1 h] / den, summed in integers."""
-    group = x.group
-    terms = [(group.inverse(g), q) for g, q in x.coeffs.items()]
-    dx = lcm(*(q.denominator for _, q in terms))
-    terms = [(g, q.numerator * (dx // q.denominator)) for g, q in terms]
-    modulus = den * dx
-    return all(sum(c * nums[group.mul(g, h)] for g, c in terms) % modulus == 0
-               for h in range(group.order))
 
 
 def check_theorem_stickelberger_int(fix: ExtensionFixture, sets: PlaceSets) -> Verdict:
@@ -182,11 +159,11 @@ def _nr_candidates(n: int):
     values = (-1, 1)
     for g in range(n):
         for c in values:
-            yield {g: Fraction(c)}
+            yield {g: c}
     for a, b in itertools.combinations(range(n), 2):
         for ca in values:
             for cb in values:
-                yield {a: Fraction(ca), b: Fraction(cb)}
+                yield {a: ca, b: cb}
 
 
 def _bounded_nr_search(table: CharacterTable, target: CentralElement):
@@ -338,14 +315,13 @@ def check_negative_r(fix: ExtensionFixture, S, r: int) -> Verdict:
     # x * theta does: theta goes to the group ring once, not once per x.
     # ZG lies in the maximal order, so an x that passes is verified
     # without nr(x); only a failing x builds nr(x) * theta for its witness
-    theta_zg = _zg_numerators(th.central) if abelian else None
+    theta_zg = th.central.to_group_ring() if abelian else None
     witnesses = [{"w": data["w"]}]
     labels = fix.group.labels
     for x in data["generators"]:
         # report format: each coefficient written as "Cyclo(q)"
-        tag = " + ".join(f"Cyclo({c})*{labels[g]}"
-                         for g, c in sorted(x.coeffs.items()))
-        in_zg = _product_in_zg(x, *theta_zg) if abelian else None
+        tag = " + ".join(f"Cyclo({c})*{labels[g]}" for g, c in x.items())
+        in_zg = (x * theta_zg).is_integral() if abelian else None
         failure = None if in_zg else _integrality_failure(
             reduced_norm([[x]], fix.table) * th.central, abelian, in_zg)
         if failure is not None:

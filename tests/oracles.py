@@ -475,7 +475,7 @@ def mu_tate_annihilates(fix: ExtensionFixture, r: int, x: GroupRingElement) -> b
     data = mu_tate_annihilators(fix, r)
     w, act = data["w"], data["action"]
     total = 0
-    for g, q in x.coeffs.items():
+    for g, q in x.items():
         if q.denominator != 1:
             return False
         total = (total + q.numerator * act[g]) % w
@@ -675,7 +675,7 @@ class CycloGroupRingElement:
 
     @staticmethod
     def lift(x: GroupRingElement) -> "CycloGroupRingElement":
-        return CycloGroupRingElement(x.group, x.coeffs)
+        return CycloGroupRingElement(x.group, dict(x.items()))
 
     def to_rational(self) -> GroupRingElement:
         """The element of Q[G]; fails on a non-rational coefficient."""
@@ -708,9 +708,29 @@ class CycloGroupRingElement:
         return all(self.coeffs.get(g, zero) == other.coeffs.get(g, zero) for g in keys)
 
 
+def sparse_sum(x: dict, y: dict) -> dict:
+    """x + y for sparse maps g -> nonzero Fraction over Q[G]."""
+    out = dict(x)
+    for g, c in y.items():
+        out[g] = out.get(g, 0) + c
+    return {g: c for g, c in out.items() if c}
+
+
+def sparse_product(group: FiniteGroup, x: dict, y: dict) -> dict:
+    """x * y for sparse maps g -> nonzero Fraction over Q[G]: the double
+    loop over both supports, summed in Fractions, that GroupRingElement
+    replaced by an integer convolution over one denominator."""
+    out = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            g = group.mul(a, b)
+            out[g] = out.get(g, 0) + ca * cb
+    return {g: c for g, c in out.items() if c}
+
+
 def sharp(x: GroupRingElement) -> GroupRingElement:
     """The anti-involution g -> g^(-1) of Q[G], extended linearly."""
-    return GroupRingElement(x.group, {x.group.inverse(g): c for g, c in x.coeffs.items()})
+    return GroupRingElement(x.group, {x.group.inverse(g): c for g, c in x.items()})
 
 
 def conjugate(x: Cyclo) -> Cyclo:

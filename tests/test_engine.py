@@ -28,7 +28,7 @@ from oracles import local_product_per_character, run_all, theta_per_character
 
 def _coeffs(fix, theta):
     elem = theta.central.to_group_ring()
-    return {fix.group.labels[g]: c for g, c in elem.coeffs.items()}
+    return {fix.group.labels[g]: c for g, c in elem.items()}
 
 
 def test_theta_q_zeta3_oracle(fixtures):
@@ -99,7 +99,7 @@ def test_theta_monomial_from_fixture_sources(fixtures):
     th = theta_monomial(fix, PlaceSets(["inf"], []))
     assert th.provenance == "fixture:sources"
     elem = th.central.to_group_ring()
-    assert all(type(c) is Fraction for c in elem.coeffs.values()) and not elem.is_zero()
+    assert all(type(c) is Fraction for _, c in elem.items()) and not elem.is_zero()
     th5 = theta_monomial(fix, PlaceSets(["inf"], ["q5"]))
     assert th5.central != th.central
 
@@ -153,7 +153,7 @@ def test_sku_prime_generators_abelian_integral(fixtures):
     assert gs.generators and gs.truncated
     for tag, gen in gs.generators:
         elem = gen.to_group_ring()
-        assert all(type(c) is Fraction for c in elem.coeffs.values())
+        assert all(type(c) is Fraction for _, c in elem.items())
         assert elem.is_integral(), tag
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from skv.grouprings import (CentralElement, GroupRingElement, _product_pairing,
 
 from conftest import FIXTURE_NAMES, fixture_path, ladder_fixture_writer
 from oracles import (direct_sum, product_coefficients_by_rows, product_pairing_scan,
-                     run_all, sharp)
+                     run_all, sharp, sparse_product, sparse_sum)
 
 
 def test_group_ring_basic_algebra():
@@ -49,6 +50,30 @@ def test_sharp_is_an_anti_involution():
     assert sharp(x * y) == sharp(y) * sharp(x)
 
 
+def test_mixed_group_arithmetic_is_rejected():
+    c4 = FiniteGroup.cyclic(4)
+    v4 = FiniteGroup.direct_product(named_group("C2"), named_group("C2"))
+    for x, y in ((GroupRingElement.basis(c4, 1), GroupRingElement.basis(v4, 1)),
+                 (GroupRingElement.basis(v4, 1), GroupRingElement.basis(c4, 1))):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(GroupError, match="different groups"):
+                op(x, y)
+        assert x != y
+    # an equal multiplication table is the same group
+    twin = FiniteGroup(c4.table)
+    assert GroupRingElement.basis(c4, 1) * GroupRingElement.basis(twin, 1) \
+        == GroupRingElement.basis(c4, 2)
+    ca = CentralElement.from_group_ring(irreducibles_monomial(c4), GroupRingElement.basis(c4, 1))
+    cb = CentralElement.from_group_ring(irreducibles_monomial(v4), GroupRingElement.basis(v4, 1))
+    for a, b in ((ca, cb), (cb, ca)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(GroupError, match="different character tables"):
+                op(a, b)
+    same = CentralElement.from_group_ring(irreducibles_monomial(twin),
+                                          GroupRingElement.basis(twin, 1))
+    assert (ca * same).to_group_ring() == GroupRingElement.basis(c4, 2)
+
+
 def test_group_ring_hash_consistent_with_eq():
     c2 = named_group("C2")
     a = GroupRingElement(c2, {0: 1, 1: Fraction(0)})
@@ -66,12 +91,16 @@ def test_integrality_predicates():
 def test_group_ring_coefficients_are_rational():
     c2 = named_group("C2")
     assert all(type(c) is Fraction
-               for c in GroupRingElement(c2, {0: 2, 1: Fraction(1, 2)}).coeffs.values())
+               for _, c in GroupRingElement(c2, {0: 2, 1: Fraction(1, 2)}).items())
     for bad in (Cyclo.zeta(4), Cyclo.rational(2), 0.5, "1"):
         with pytest.raises(GroupError, match="over QG"):
             GroupRingElement(c2, {1: bad})
     with pytest.raises(GroupError, match="over QG"):
         GroupRingElement.basis(c2, 1) * Cyclo.zeta(4)
+    # an index outside the group neither wraps round nor passes
+    for g in (-1, 2):
+        with pytest.raises(GroupError, match="no element index"):
+            GroupRingElement(c2, {g: 1})
 
 
 def test_central_element_roundtrip():
@@ -296,6 +325,46 @@ def test_from_group_ring_is_a_ring_map_on_central_elements(xs, ys):
     assert CentralElement.from_group_ring(table, x + y) == cx + cy
 
 
+# -- integer numerators over one denominator against sparse Fractions -------
+
+
+SPARSE = st.dictionaries(st.integers(0, 21),
+                         st.fractions(min_value=-4, max_value=4, max_denominator=12),
+                         max_size=8)
+
+
+def _canonical(x: GroupRingElement) -> bool:
+    return x.den > 0 and gcd(x.den, *x.nums) == 1 and len(x.nums) == x.group.order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["S3", "D4", "Q8", "q_zeta23"]), SPARSE, SPARSE,
+       st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_group_ring_arithmetic_matches_sparse_fractions(fixtures, name, xs, ys, q):
+    group = fixtures[name].group if name in fixtures else named_group(name)
+    xs = {g % group.order: c for g, c in xs.items()}
+    ys = {g % group.order: c for g, c in ys.items()}
+    x, y = GroupRingElement(group, xs), GroupRingElement(group, ys)
+    # zero coefficients go to the constructor, the reference drops them
+    xs, ys = ({g: c for g, c in m.items() if c} for m in (xs, ys))
+    want = {"+": sparse_sum(xs, ys),
+            "-": sparse_sum(xs, {g: -c for g, c in ys.items()}),
+            "q*": {g: c * q for g, c in xs.items() if q},
+            "*": sparse_product(group, xs, ys)}
+    got = {"+": x + y, "-": x - y, "q*": q * x, "*": x * y}
+    for op, elem in got.items():
+        ref = GroupRingElement(group, want[op])
+        assert elem.items() == sorted(want[op].items()), op
+        assert _canonical(elem) and elem == ref and hash(elem) == hash(ref), op
+    assert x.items() == sorted(xs.items()) and _canonical(x)
+    assert (x == y) == (xs == ys)
+    assert x != y or hash(x) == hash(y)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    zero = x - x
+    assert zero.is_zero() and zero.is_integral() and zero.den == 1
+    assert zero == GroupRingElement(group) == x * 0 and (x * 0).den == 1
+
+
 # -- trace-form transform against the sum over every character -------------
 
 
@@ -329,7 +398,7 @@ def test_trace_form_matches_direct_sum_on_equivariant_inputs(fixtures, name, dat
     lifted = CentralElement(table, [c.lift(m * table.value_order) for c in cent.components])
     for elem in (cent, lifted):
         assert elem.to_group_ring() == x
-        assert direct_sum(elem) == {g: Cyclo.rational(q) for g, q in x.coeffs.items()}
+        assert direct_sum(elem) == {g: Cyclo.rational(q) for g, q in x.items()}
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,7 +417,7 @@ def test_to_group_ring_raises_on_non_equivariant_inputs(fixtures, name, data):
         assert any(not c.is_rational() for c in direct_sum(cent).values())
         return
     elem = cent.to_group_ring()
-    assert direct_sum(cent) == {g: Cyclo.rational(q) for g, q in elem.coeffs.items()}
+    assert direct_sum(cent) == {g: Cyclo.rational(q) for g, q in elem.items()}
     assert CentralElement.from_group_ring(table, elem) == cent
 
 
@@ -377,7 +446,7 @@ def test_round_trip_rejects_a_wrong_trace_form(fixtures, monkeypatch):
 
 
 def _exact(elem: GroupRingElement) -> dict:
-    return {g: (c.numerator, c.denominator) for g, c in elem.coeffs.items()}
+    return {g: (c.numerator, c.denominator) for g, c in elem.items()}
 
 
 def _rational_central(table) -> CentralElement:
@@ -388,18 +457,18 @@ def _rational_central(table) -> CentralElement:
     return CentralElement.from_group_ring(table, x)
 
 
-def test_to_group_ring_returns_a_new_element_on_every_call(fixtures):
+def test_to_group_ring_keeps_one_immutable_element_per_input(fixtures):
     for name in ("q_zeta23", "s3c2"):
         x = _rational_central(irreducibles_monomial(fixtures[name].group))
         first = x.to_group_ring()
+        assert type(first.nums) is tuple and type(first.den) is int
+        with pytest.raises(AttributeError):
+            first.coeffs = {}
         want = _exact(first)
-        first.coeffs[0] = Fraction(99)
-        del first.coeffs[max(first.coeffs)]
-        second = x.to_group_ring()
-        assert second is not first and second.coeffs is not first.coeffs
-        assert _exact(second) == want
-        second.coeffs.clear()
-        assert _exact(x.to_group_ring()) == want
+        again = _rational_central(irreducibles_monomial(fixtures[name].group))
+        for second in (x.to_group_ring(), again.to_group_ring()):
+            assert second == first and hash(second) == hash(first)
+            assert _exact(second) == want
 
 
 def test_to_group_ring_misses_on_one_changed_component_or_order(fixtures, monkeypatch):

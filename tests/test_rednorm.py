@@ -236,6 +236,13 @@ def test_module_group_ring_action():
     bad = GroupRingElement.scalar(c2, Fraction(1, 5))
     with pytest.raises(FixtureError):
         m.act_group_ring(bad, [1])
+    # denominators 2 and 3 over one denominator 6: invertible mod 5, not mod 3
+    mixed = GroupRingElement(c2, {0: Fraction(1, 2), 1: Fraction(2, 3)})
+    # 1/2 + (2/3) * 4 = 3 + 4 * 4 = 19 = 4 mod 5
+    assert m.act_group_ring(mixed, [1]) == [4]
+    m3 = FiniteGModule(c2, [3], {0: [[1]], 1: [[2]]})
+    with pytest.raises(FixtureError, match="not invertible mod 3"):
+        m3.act_group_ring(mixed, [1])
 
 
 def test_certified_h_elements_and_annihilation():
@@ -306,7 +313,7 @@ def _apply_by_running_sum(mats, a):
     out = [[Cyclo.zero() for _ in range(n)] for _ in range(n)]
     for s in range(b):
         for t in range(len(a[0])):
-            for g, c in a[s][t].coeffs.items():
+            for g, c in a[s][t].items():
                 rho = mats[g]
                 for i in range(d):
                     for j in range(d):
