@@ -273,25 +273,30 @@ class CharacterTable:
             return orbits
         return list(memo(self, "galois_orbits", build))
 
-    def value_numerators(self, n: int) -> list[list[tuple]]:
+    def value_numerators(self, n: int | None = None) -> list[list[tuple]]:
         """Per character, per class: the nonzero ``(index, numerator)``
         pairs of the value lifted to Q(zeta_n), for n a multiple of
-        ``value_order``.  Character values are algebraic integers, so the
-        power-basis denominator is 1."""
+        ``value_order``, or at the character's own ``order`` for n None.
+        Character values are algebraic integers, so the power-basis
+        denominator is 1."""
         def build():
-            data = order_data(n)
+            # every character at the common order (any abelian table):
+            # the rows at value_order, which the round trip also reads
+            if n is None and all(chi.order == self.value_order for chi in self.chars):
+                return self.value_numerators(self.value_order)
             rows = []
             for chi in self.chars:
+                m = chi.order if n is None else n
                 if chi.powers is not None:
-                    # zeta_N^k is zeta_n^j, j = k n / N: one basis vector
-                    # below phi(n), a reduced power from there on
-                    step = n // chi.order
+                    # zeta_N^k is zeta_m^j, j = k m / N: one basis vector
+                    # below phi(m), a reduced power from there on
+                    data, step = order_data(m), m // chi.order
                     rows.append([((j, 1),) if j < data.phi else data.power_terms(j)
                                  for j in (k * step for k in chi.powers)])
                     continue
                 row = []
                 for v in chi.values:
-                    w = v.lift(n)
+                    w = v.lift(m)
                     if w.den != 1:
                         raise InternalCheckError("character value is not an algebraic integer")
                     row.append(tuple((j, a) for j, a in enumerate(w.num) if a))

@@ -196,8 +196,10 @@ def theta_monomial(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
         for j in range(len(tab_c)):
             comps_sharp[pairing[(i, j)]] = vals[j]
     table.check_galois(comps_sharp, "theta_monomial")
-    sharp = CentralElement(table, comps_sharp)
-    central = sharp.sharp()
+    # the sharp convention: the component at chi is the source value at
+    # its contragredient
+    central = CentralElement.from_orbits(
+        table, lambda i: comps_sharp[table.contragredient_index(i)], "theta_monomial")
     _validate_parity(fix, central.computed, r, "theta_monomial", table.trivial_index())
     return ThetaElement(central, sets.S, sets.T, r, "fixture:sources")
 

@@ -23,10 +23,18 @@ computed components.
 coefficients.  It sums one trace per Galois orbit of characters, as
 integer dot products with the cached traces of roots of unity, and then
 checks the rational result by the forward transform, which must give back
-every component: every computed one, for an element that keeps the fill
-map, whose filled components then follow by Galois equivariance.  A tuple
-that is not Galois-equivariant is no element of the centre of Q[G], and
-fails that check with ``InternalCheckError``.
+every computed component; the filled ones then follow by Galois
+equivariance.  A tuple that is not Galois-equivariant is no element of
+the centre of Q[G], and fails that check with ``InternalCheckError``.
+
+The forward transform ``_forward`` is the one routine that takes a class
+function to its character components, x_chi = chi(1)^(-1) sum_C s_C
+chi(C) / d, for the sums s_C / d of its coefficients over each class C,
+with integers s_C and one denominator d: it sums integer numerators
+against the values of chi at chi's own order and reduces once.  The
+round trip of ``to_group_ring``, ``CentralElement.from_group_ring`` (and
+with it the idempotents ``idempotent_eps`` and ``minus_idempotent``) and,
+on the table of H, ``product_coefficients`` all go through it.
 """
 
 from __future__ import annotations
@@ -150,11 +158,10 @@ class CentralElement:
     ``to_group_ring`` needs an element of the centre of Q[G].
     ``fills`` is the table's ``galois_fills`` map for an element built by
     ``from_orbits`` (or a product or rational multiple of such elements),
-    and None otherwise.  ``computed`` holds the components, with None at
-    each filled character of an element that keeps the map; its
-    ``components`` are then made on first read, each filled j -> (r, k)
-    taking sigma_k of the component at r.  An element without the map
-    stores ``components`` as given, and ``computed`` is that tuple.
+    and the empty map for an element given every component.  ``computed``
+    holds the components, with None at each filled character; the
+    ``components`` are made on first read, each filled j -> (r, k) taking
+    sigma_k of the component at r.
     """
 
     def __init__(self, table: CharacterTable, components):
@@ -163,14 +170,11 @@ class CentralElement:
         comps = [c if isinstance(c, Cyclo) else Cyclo.rational(c) for c in components]
         if len(comps) != len(table):
             raise GroupError("one component per irreducible expected")
-        self.components = self.computed = tuple(comps)
-        self.fills = None
+        self.computed = tuple(comps)
+        self.fills = {}
 
     @cached_property
     def components(self) -> tuple:
-        # made on first read for an element that keeps the fill map; an
-        # element without it stores the tuple in __init__, which this
-        # non-data descriptor then never sees
         comps = list(self.computed)
         for j, (r, k) in self.fills.items():
             comps[j] = comps[r].galois(k)
@@ -203,21 +207,19 @@ class CentralElement:
 
     @staticmethod
     def from_group_ring(table: CharacterTable, x: GroupRingElement) -> "CentralElement":
-        group = table.group
-        ids = group.class_index()
-        for cls in group.conjugacy_classes():
+        """The components of a central x = sum_g a_g g, by the forward
+        transform ``_forward`` of its class sums, built by ``from_orbits``
+        with its Galois self-check."""
+        sums = []
+        for cls in table.group.conjugacy_classes():
             for g in cls[1:]:
                 if x.nums[g] != x.nums[cls[0]]:
                     raise CentralityError(
                         f"coefficients at conjugate elements {cls[0]} and {g} differ"
                     )
-        comps = []
-        for chi in table:
-            acc = Cyclo.zero()
-            for g, c in x.items():
-                acc = acc + chi.values[ids[g]] * c
-            comps.append(acc * Fraction(1, chi.degree))
-        return CentralElement(table, comps)
+            sums.append(len(cls) * x.nums[cls[0]])
+        return CentralElement.from_orbits(
+            table, lambda i: _forward(table, sums, x.den, i), "from_group_ring")
 
     def to_group_ring(self) -> GroupRingElement:
         """The element as sum_g a_g g, where
@@ -295,51 +297,28 @@ class CentralElement:
 
     def _gives_back(self, nums: list[int], den: int) -> bool:
         """Round trip: does the class function a_C = nums[C] / den have
-        exactly these components?  Each x_chi = chi(1)^(-1) sum_C |C| a_C
-        chi(C) is summed as integer numerators and normalised once.  The
-        filled characters of an element that keeps the fill map (None in
-        ``computed``) are skipped: a_C is rational, so x_j = sigma_k(x_r)
-        for j -> (r, k), and the component at j is sigma_k of the one at
-        r; this accepts exactly what the comparison at every character
-        accepts."""
-        table = self.table
-        order = table.value_order
-        size = order_data(order).phi
-        classes = self.group.conjugacy_classes()
-        weighted = [(c, len(cls) * nums[c]) for c, cls in enumerate(classes) if nums[c]]
-        for chi, row, want in zip(table, table.value_numerators(order), self.computed):
-            if want is None:
-                continue
-            acc = [0] * size
-            for c, a in weighted:
-                for b, v in row[c]:
-                    acc[b] += a * v
-            if Cyclo.from_numerators(order, acc, den * chi.degree) != want:
-                return False
-        return True
-
-    def __add__(self, other):
-        self._compat(other)
-        return CentralElement(self.table, [a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        self._compat(other)
-        return CentralElement(self.table, [a - b for a, b in zip(self.components, other.components)])
+        exactly these components, by ``_forward``?  The filled characters
+        of an element that keeps the fill map (None in ``computed``) are
+        skipped: a_C is rational, so x_j = sigma_k(x_r) for j -> (r, k),
+        and the component at j is sigma_k of the one at r; this accepts
+        exactly what the comparison at every character accepts."""
+        sums = [len(cls) * a for cls, a in zip(self.group.conjugacy_classes(), nums)]
+        return all(want is None or _forward(self.table, sums, den, i) == want
+                   for i, want in enumerate(self.computed))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            factors = [other] * len(self.computed)
-            # sigma_k fixes a rational factor
-            fills = None if isinstance(other, Cyclo) else self.fills
-        else:
+        if isinstance(other, CentralElement):
             self._compat(other)
-            fills = self.fills if other.fills is self.fills else None
-            factors = other.components if fills is None else other.computed
-        if fills is None:
-            return CentralElement(self.table, [a * b for a, b in zip(self.components, factors)])
-        # a product of elements with the fill map keeps it
-        products = [None if a is None else a * b for a, b in zip(self.computed, factors)]
-        return CentralElement._filled(self.table, products, fills)
+            # a product of elements with one fill map keeps it
+            keep = other.fills is self.fills
+            factors = other.computed if keep else other.components
+        else:
+            # sigma_k fixes a rational factor, not an irrational one
+            keep = not isinstance(other, Cyclo)
+            factors = [other] * len(self.computed)
+        own, fills = (self.computed, self.fills) if keep else (self.components, {})
+        return CentralElement._filled(
+            self.table, [None if a is None else a * b for a, b in zip(own, factors)], fills)
 
     __rmul__ = __mul__
 
@@ -348,23 +327,33 @@ class CentralElement:
                                               or other.table.chars != self.table.chars):
             raise GroupError("central elements use different character tables")
 
-    def sharp(self) -> "CentralElement":
-        """Image under g -> g^(-1): permutes components by contragredience."""
-        out = [None] * len(self.components)
-        for i, comp in enumerate(self.components):
-            out[self.table.contragredient_index(i)] = comp
-        return CentralElement(self.table, out)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
     def __eq__(self, other):
         if not isinstance(other, CentralElement):
             return NotImplemented
-        return (self - other).is_zero()
+        self._compat(other)
+        # one fill map: the filled components are images of equal ones
+        if other.fills is self.fills:
+            return self.computed == other.computed
+        return self.components == other.components
 
     def __repr__(self):
         return f"CentralElement({list(self.components)!r})"
+
+
+def _forward(table: CharacterTable, class_sums, den: int, i: int) -> Cyclo:
+    """The forward transform: the component chi_i(1)^(-1) sum_C s_C
+    chi_i(C) / den at the i-th character of ``table`` of the class function
+    whose coefficients over each class C add up to s_C / den, for integers
+    ``class_sums`` s_C.  It sums integer numerators against the values of
+    chi_i at its own order (``table.value_numerators()``), where the
+    component lies, and reduces once."""
+    chi = table[i]
+    acc = [0] * order_data(chi.order).phi
+    for s, terms in zip(class_sums, table.value_numerators()[i]):
+        if s:
+            for b, v in terms:
+                acc[b] += s * v
+    return Cyclo.from_numerators(chi.order, acc, den * chi.degree)
 
 
 def central_unit(table: CharacterTable) -> CentralElement:
@@ -386,13 +375,8 @@ def idempotent_eps(table: CharacterTable, h_elems) -> CentralElement:
         group = table.group
         if not group.is_subgroup(h) or not group.is_normal(h):
             raise GroupError("epsilon idempotent needs a normal subgroup")
-        ids = group.class_index()
-        comps = []
-        for chi in table:
-            deg = Cyclo.rational(chi.degree)
-            trivial_on_h = all(chi.values[ids[g]] == deg for g in h)
-            comps.append(Cyclo.one() if trivial_on_h else Cyclo.zero())
-        return CentralElement(table, comps)
+        return CentralElement.from_group_ring(
+            table, GroupRingElement(group, {g: Fraction(1, len(h)) for g in h}))
     return memo(table, ("idempotent_eps", h), build)
 
 
@@ -403,15 +387,12 @@ def minus_idempotent(table: CharacterTable, j: int) -> CentralElement:
         group = table.group
         if j == 0 or group.mul(j, j) != 0 or j not in group.center():
             raise GroupError("minus projection needs a central involution")
-        ids = group.class_index()
-        comps = []
-        for chi in table:
-            val = chi.values[ids[j]] * Fraction(1, chi.degree)
-            q = val.to_fraction()
-            if q not in (1, -1):
-                raise GroupError("character value at a central involution must be +-1")
-            comps.append(Cyclo.one() if q == -1 else Cyclo.zero())
-        return CentralElement(table, comps)
+        elem = CentralElement.from_group_ring(
+            table, GroupRingElement(group, {0: Fraction(1, 2), j: Fraction(-1, 2)}))
+        # the component (1 - chi(j)/chi(1))/2 is 0 or 1 exactly when chi(j) = +-chi(1)
+        if any(c is not None and c not in (0, 1) for c in elem.computed):
+            raise GroupError("character value at a central involution must be +-1")
+        return elem
     return memo(table, ("minus_idempotent", j), build)
 
 
@@ -485,7 +466,9 @@ def product_coefficients(x: CentralElement, h_elems, c_elems):
     x = sum_g a_g g in Q[G].  By orthogonality over C this is the row
     formula |C|^(-1) sum_lambda x_(chi lambda) lambda(c)^(-1), the
     coefficient at c of the element of Q(chi)[C] with components
-    x_(chi lambda).  A rational alpha is stored at order 1."""
+    x_(chi lambda).  It is ``_forward`` on the table of H, with the sums
+    of the a_(hc) over each class of H.  A rational alpha is stored at
+    order 1."""
     tab_h, _, _, back_h, back_c = _product_pairing(x.table, h_elems, c_elems)
     a = x.to_group_ring()
     group = x.group
@@ -493,14 +476,9 @@ def product_coefficients(x: CentralElement, h_elems, c_elems):
     out = {}
     for c in back_c.values():
         # per class of H: the sum of the coefficients at h * c over its h
-        sums = [(k, sum(a.nums[group.mul(h, c)] for h in cls))
-                for k, cls in enumerate(sub_classes)]
-        for i, chi in enumerate(tab_h):
-            alpha = Cyclo.zero()
-            for k, s in sums:
-                if s:
-                    alpha = alpha + chi.values[k] * s
-            alpha = alpha * Fraction(1, chi.degree * a.den)
+        sums = [sum(a.nums[group.mul(h, c)] for h in cls) for cls in sub_classes]
+        for i in range(len(tab_h)):
+            alpha = _forward(tab_h, sums, a.den, i)
             out[(i, c)] = Cyclo.rational(alpha.to_fraction()) if alpha.is_rational() else alpha
     return out
 

@@ -326,6 +326,67 @@ def product_coefficients_by_rows(x: CentralElement, h_elems, c_elems) -> dict:
     return out
 
 
+def from_group_ring_by_values(table: CharacterTable, x: GroupRingElement) -> list[Cyclo]:
+    """The components x_chi = chi(1)^(-1) sum_g a_g chi(g) of a central x,
+    summed in ``Cyclo`` values over the group elements, character by
+    character, where ``CentralElement.from_group_ring`` sums integer
+    numerators per class."""
+    ids = table.group.class_index()
+    comps = []
+    for chi in table:
+        acc = Cyclo.zero()
+        for g, c in x.items():
+            acc = acc + chi.values[ids[g]] * c
+        comps.append(acc * Fraction(1, chi.degree))
+    return comps
+
+
+def idempotent_eps_by_values(table: CharacterTable, h_elems) -> list[Cyclo]:
+    """The components of |H|^(-1) N_H for a normal subgroup H: 1 at each
+    character whose values on H all equal its degree, 0 elsewhere."""
+    ids = table.group.class_index()
+    comps = []
+    for chi in table:
+        deg = Cyclo.rational(chi.degree)
+        trivial_on_h = all(chi.values[ids[g]] == deg for g in h_elems)
+        comps.append(Cyclo.one() if trivial_on_h else Cyclo.zero())
+    return comps
+
+
+def minus_idempotent_by_values(table: CharacterTable, j: int) -> list[Cyclo]:
+    """The components of (1 - j)/2 for a central involution j: 1 at each
+    character with chi(j) = -chi(1), 0 where chi(j) = chi(1)."""
+    ids = table.group.class_index()
+    comps = []
+    for chi in table:
+        q = (chi.values[ids[j]] * Fraction(1, chi.degree)).to_fraction()
+        if q not in (1, -1):
+            raise GroupError("character value at a central involution must be +-1")
+        comps.append(Cyclo.one() if q == -1 else Cyclo.zero())
+    return comps
+
+
+def product_coefficients_by_values(x: CentralElement, h_elems, c_elems) -> dict:
+    """``product_coefficients`` as sums of ``Cyclo`` values over H: for chi
+    in Irr(H) and c in C, alpha_chi(c) = chi(1)^(-1) sum_(h in H) a_(hc)
+    chi(h), with a_g the coefficients of ``x.to_group_ring()``; a
+    non-rational alpha lies at the order of chi, a rational one at 1."""
+    tab_h, _, _, back_h, back_c = _product_pairing(x.table, h_elems, c_elems)
+    a = dict(x.to_group_ring().items())
+    ids = tab_h.group.class_index()
+    out = {}
+    for c in back_c.values():
+        for i, chi in enumerate(tab_h):
+            alpha = Cyclo.zero()
+            for k, h in back_h.items():
+                coeff = a.get(x.group.mul(h, c))
+                if coeff:
+                    alpha = alpha + chi.values[ids[k]] * coeff
+            alpha = alpha * Fraction(1, chi.degree)
+            out[(i, c)] = Cyclo.rational(alpha.to_fraction()) if alpha.is_rational() else alpha
+    return out
+
+
 def dense_trace(column, n: int, order: int) -> Cyclo:
     """Trace of a monomial matrix with the given columns, as a weight
     vector of length ``order`` on the roots of unity, reduced once."""

@@ -396,16 +396,18 @@ def test_check_all_q_zeta23_builds_each_local_product_and_transform_once(monkeyp
 
 
 def test_check_all_q_zeta23_makes_galois_images_only_for_the_reported_theta(monkeypatch):
-    # the only element whose filled components are read is the theta
-    # witness of theorem-stickelberger-int: 16 images, one per filled
-    # character; the other 120 calls are the self-checks, once per orbit
-    # (1856 calls when every element made its images and every check ran
-    # over every component)
+    # the only theta whose filled components are read is the witness of
+    # theorem-stickelberger-int: 16 images, one per filled character; the
+    # three idempotents, (1 - j)/2 and two epsilon_H, are read whole too,
+    # 48 images; the other 138 calls are the self-checks, once per orbit,
+    # 18 of them the idempotents' (1856 calls when every element made its
+    # images and every check ran over every component, before the
+    # idempotents were built per orbit)
     fix = ExtensionFixture(load_fixture_json("q_zeta23"))
     images = _counting(monkeypatch, Cyclo, "galois")
     assert [v.status for v in run_all(fix)] == ["verified"] * 5
     assert len(fix.table.galois_fills()) == 16
-    assert len(images) == 136
+    assert len(images) == 202
     thetas = [fix._memo[key].central for key in fix._memo if key[0] == "theta"]
     read = [x for x in thetas if "components" in vars(x)]
     assert len(thetas) > 1 and len(read) == 1 and read[0].fills

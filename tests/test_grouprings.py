@@ -1,7 +1,7 @@
 """Group rings, central elements, idempotents, maximal-order membership."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from skv import characters, grouprings
 from skv.arithdata import ExtensionFixture
-from skv.characters import irreducibles_monomial
+from skv.characters import Character, irreducibles_monomial
 from skv.cyclotomic import Cyclo
 from skv.engine import _product_split
 from skv.errors import CentralityError, GroupError, InternalCheckError
@@ -19,8 +19,10 @@ from skv.grouprings import (CentralElement, GroupRingElement, _product_pairing,
                             minus_idempotent, product_coefficients)
 
 from conftest import FIXTURE_NAMES, fixture_path, ladder_fixture_writer
-from oracles import (direct_sum, product_coefficients_by_rows, product_pairing_scan,
-                     run_all, sharp, sparse_product, sparse_sum)
+from oracles import (direct_sum, from_group_ring_by_values, idempotent_eps_by_values,
+                     minus_idempotent_by_values, product_coefficients_by_rows,
+                     product_coefficients_by_values, product_pairing_scan, run_all, sharp,
+                     sparse_product, sparse_sum)
 
 
 def test_group_ring_basic_algebra():
@@ -66,7 +68,7 @@ def test_mixed_group_arithmetic_is_rejected():
     ca = CentralElement.from_group_ring(irreducibles_monomial(c4), GroupRingElement.basis(c4, 1))
     cb = CentralElement.from_group_ring(irreducibles_monomial(v4), GroupRingElement.basis(v4, 1))
     for a, b in ((ca, cb), (cb, ca)):
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for op in (lambda a, b: a * b, lambda a, b: a == b):
             with pytest.raises(GroupError, match="different character tables"):
                 op(a, b)
     same = CentralElement.from_group_ring(irreducibles_monomial(twin),
@@ -134,14 +136,6 @@ def test_central_multiplication_is_componentwise():
         assert a * b == c
     # and it matches the group-ring product
     assert prod.to_group_ring() == x.to_group_ring() * y.to_group_ring()
-
-
-def test_central_sharp_matches_group_ring_sharp():
-    c6 = named_group("C6")
-    table = irreducibles_monomial(c6)
-    x = GroupRingElement(c6, {1: 3, 4: Fraction(-1, 2)})
-    cent = CentralElement.from_group_ring(table, x)
-    assert cent.sharp().to_group_ring() == sharp(x)
 
 
 def test_idempotent_eps():
@@ -299,6 +293,26 @@ def test_check_all_on_q_zeta23_builds_one_table_of_order_22(monkeypatch):
     assert builds.count(22) == 1
 
 
+def test_check_all_reads_linear_character_values_only_in_the_product_pairing(monkeypatch):
+    # the forward transform reads linear characters as integer powers; on
+    # s3c2 the 4 reads are the pairing's products chi * lambda, over the
+    # linear characters of H = S3 (2) and C = C2 (2)
+    reads = []
+    make = Character.__dict__["values"].func
+    counted = cached_property(lambda chi: reads.append(chi) or make(chi))
+    counted.__set_name__(Character, "values")
+    counts = {}
+    for name in FIXTURE_NAMES:
+        fix = ExtensionFixture.load(fixture_path(name))
+        monkeypatch.setattr(Character, "values", counted)
+        run_all(fix)
+        monkeypatch.undo()
+        counts[name] = len(reads)
+        assert all(chi.degree == 1 for chi in reads)
+        reads.clear()
+    assert counts == {name: 4 if name == "s3c2" else 0 for name in FIXTURE_NAMES}
+
+
 def test_product_pairing_reports_an_unmatched_product():
     group = named_group("S3xC2")
     table = irreducibles_monomial(group)
@@ -322,7 +336,8 @@ def test_from_group_ring_is_a_ring_map_on_central_elements(xs, ys):
     cx = CentralElement.from_group_ring(table, x)
     cy = CentralElement.from_group_ring(table, y)
     assert CentralElement.from_group_ring(table, x * y) == cx * cy
-    assert CentralElement.from_group_ring(table, x + y) == cx + cy
+    sums = CentralElement.from_group_ring(table, x + y)
+    assert all(s == a + b for s, a, b in zip(sums.components, cx.components, cy.components))
 
 
 # -- integer numerators over one denominator against sparse Fractions -------
@@ -523,7 +538,7 @@ def test_orbit_round_trip_answers_as_the_full_round_trip(tmp_path, monkeypatch):
     for fix in fields:
         for x in _transformed_by_check_all(fix, monkeypatch):
             full = CentralElement(x.table, x.components)
-            assert full.fills is None
+            assert full.fills == {} and None not in full.computed
             nums, den = x._orbit_traces()
             assert x._gives_back(nums, den) == full._gives_back(nums, den)
             for c in range(len(nums)):
@@ -570,3 +585,74 @@ def test_product_coefficients_match_the_row_formula(monkeypatch):
 
 def _orders(coeffs: dict) -> dict:
     return {k: (v.order, v.num, v.den) for k, v in coeffs.items()}
+
+
+# -- the one forward transform against sums of Cyclo values ----------------
+
+
+@lru_cache(maxsize=None)
+def _forward_test_table(name):
+    a4 = FiniteGroup.from_permutations([[1, 2, 0, 3], [1, 0, 3, 2]])
+    product = FiniteGroup.direct_product
+    groups = {"A4xC2": lambda: product(a4, named_group("C2")),
+              "Q8xC3": lambda: product(named_group("Q8"), FiniteGroup.cyclic(3)),
+              "S3xC6": lambda: product(named_group("S3"), FiniteGroup.cyclic(6)),
+              "C30": lambda: FiniteGroup.cyclic(30)}
+    return irreducibles_monomial(groups[name]())
+
+
+FORWARD_TABLES = FIXTURE_NAMES + ["A4xC2", "Q8xC3", "S3xC6", "C30"]
+
+
+def _forward_table(fixtures, name):
+    return fixtures[name].table if name in fixtures else _forward_test_table(name)
+
+
+def _split(group):
+    return detect_direct_product(group) or (tuple(range(group.order)), (0,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FORWARD_TABLES), st.data())
+def test_forward_transform_matches_sums_of_cyclo_values(fixtures, name, data):
+    table = _forward_table(fixtures, name)
+    group = table.group
+    classes = group.conjugacy_classes()
+    # a rational class function, hence an element of the center of Q[G]
+    values = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                                min_size=len(classes), max_size=len(classes)))
+    x = GroupRingElement(group, {g: q for q, cls in zip(values, classes) for g in cls})
+    cent = CentralElement.from_group_ring(table, x)
+    assert cent.fills is table.galois_fills()
+    assert list(cent.components) == from_group_ring_by_values(table, x)
+    assert cent.to_group_ring() == x
+    # the product coefficients: values by the row formula, and orders,
+    # which the membership witness reports, by the sums over H
+    h, c = _split(group)
+    coeffs = product_coefficients(cent, h, c)
+    rows = product_coefficients_by_rows(cent, h, c)
+    assert coeffs.keys() == rows.keys() and all(coeffs[k] == rows[k] for k in rows)
+    assert _orders(coeffs) == _orders(product_coefficients_by_values(cent, h, c))
+
+
+def test_idempotents_match_sums_of_cyclo_values(fixtures):
+    counts = {"eps": 0, "minus": 0}
+    for name in FORWARD_TABLES:
+        table = _forward_table(fixtures, name)
+        group = table.group
+        normal = [u for u in group.all_subgroups() if group.is_normal(u)]
+        involutions = [j for j in group.center() if j and group.mul(j, j) == 0]
+        counts["eps"] += len(normal)
+        counts["minus"] += len(involutions)
+        for u in normal:
+            eps = idempotent_eps(table, u)
+            assert eps.fills is table.galois_fills()
+            assert list(eps.components) == idempotent_eps_by_values(table, u)
+            assert eps.to_group_ring() == \
+                GroupRingElement.norm_element(group, u) * Fraction(1, len(u))
+        for j in involutions:
+            minus = minus_idempotent(table, j)
+            assert minus.fills is table.galois_fills()
+            assert list(minus.components) == minus_idempotent_by_values(table, j)
+            assert minus_idempotent(table, j) is minus
+    assert counts == {"eps": 58, "minus": 9}
