@@ -6,15 +6,26 @@ Exit codes: 0 all verified, 1 any falsified, 2 inconclusive-only failures,
 Reports use the "skvreport/1" schema and are byte-identical across runs
 with the same seed (timings are only included on request since they are
 not deterministic).
+
+``COMMANDS`` declares each command's arguments once, and two readers use
+it.  ``_read_args`` reads a plain command line straight from the table:
+the command, then each of its options at most once, as ``--flag value``
+or ``--flag=value``, and its positional.  Anything else (a help flag, an
+unknown or abbreviated option, ``--``, a value that starts with a dash
+other than a negative integer, a value that argparse would reject) goes
+to the argparse parser that ``build_parser`` builds from the same table,
+so help screens and usage errors are argparse's own.  argparse is
+imported only then: a plain command line does not pay for it.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 import time
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .arithdata import ExtensionFixture, PlaceSets
 from .cyclotomic import fraction_from_str
@@ -275,104 +286,179 @@ def cmd_fixtures_validate(args, fix: ExtensionFixture) -> int:
     return 0
 
 
-def _common(p):
-    p.add_argument("--fixture", required=True,
-                   help="path to a skvfix/1 JSON fixture")
-    p.add_argument("--out", default=None, help="write output to a file")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+class Option(NamedTuple):
+    """One argument of a command, as ``build_parser`` hands it to argparse
+    and as ``_read_args`` reads it.  ``convert`` is ``str``, ``int``,
+    ``_split`` or ``bool``, which marks a store-true flag; a ``flag``
+    without a leading dash is a positional."""
+    flag: str
+    dest: str
+    convert: Callable = str
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    help: str | None = None
 
 
-def _bound(p):
-    p.add_argument("--bound", type=int, default=2,
-                   help="truncation budget for searched sets")
+class Command(NamedTuple):
+    """A command's help line, its arguments in help order, the handler that
+    runs it on the parsed arguments and the fixture, and the name and help
+    line of its one subcommand, if it has one."""
+    help: str
+    options: tuple[Option, ...]
+    run: Callable
+    subcommand: tuple[str, str] | None = None
 
 
-def _labels(p, flag):
-    p.add_argument(flag, type=_split, default=None,
-                   help="comma-separated place labels")
+_COMMON = (
+    Option("--fixture", "fixture", required=True,
+           help="path to a skvfix/1 JSON fixture"),
+    Option("--out", "out", help="write output to a file"),
+    Option("--format", "format", default="json", choices=("json", "text")),
+)
+_BOUND = Option("--bound", "bound", int, 2,
+                help="truncation budget for searched sets")
+_S = Option("--S", "S", _split, help="comma-separated place labels")
+_T = _S._replace(flag="--T", dest="T")
+
+#: Each command, in help order.
+COMMANDS = {
+    "theta": Command("assemble and print theta_S^T(r)", (
+        *_COMMON, Option("--r", "r", int, 0), _S, _T), cmd_theta),
+    "check": Command("run a verdict suite", (
+        *_COMMON,
+        # None tells a given --bound from the default of 2, which a suite
+        # that never reads --bound must not be given
+        _BOUND._replace(default=None),
+        Option("--seed", "seed", int, 0,
+               help="copied into the report's seed field; no suite is random"),
+        Option("--timings", "timings", bool, False,
+               help="include (non-deterministic) timings in reports"),
+        Option("suite", "suite", choices=(*SUITES, "all")),
+        Option("--r", "r", int), _S, _T,
+        Option("--p", "p", int, help="p-local membership variant")), cmd_check),
+    "sku": Command("emit the truncated generator set",
+                   (*_COMMON, _BOUND, _S), cmd_sku),
+    "fitting": Command("Fitting generators of a presentation matrix", (
+        *_COMMON, Option("--matrix", "matrix", required=True,
+                         help="JSON file with a 'rows' presentation matrix")),
+        cmd_fitting),
+    "fixtures": Command("fixture tools", _COMMON, cmd_fixtures_validate,
+                        ("validate", "validate a fixture file")),
+}
 
 
-def _add_theta(sub):
-    p = sub.add_parser("theta", help="assemble and print theta_S^T(r)")
-    _common(p)
-    p.add_argument("--r", type=int, default=0)
-    _labels(p, "--S")
-    _labels(p, "--T")
-
-
-def _add_check(sub):
-    p = sub.add_parser("check", help="run a verdict suite")
-    _common(p)
-    _bound(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="copied into the report's seed field; "
-                        "no suite is random")
-    p.add_argument("--timings", action="store_true",
-                   help="include (non-deterministic) timings in reports")
-    p.add_argument("suite", choices=[*SUITES, "all"])
-    p.add_argument("--r", type=int, default=None)
-    _labels(p, "--S")
-    _labels(p, "--T")
-    p.add_argument("--p", type=int, default=None,
-                   help="p-local membership variant")
-    # None tells a given --bound from the default of 2, which a suite
-    # that never reads --bound must not be given
-    p.set_defaults(bound=None)
-
-
-def _add_sku(sub):
-    p = sub.add_parser("sku", help="emit the truncated generator set")
-    _common(p)
-    _bound(p)
-    _labels(p, "--S")
-
-
-def _add_fitting(sub):
-    p = sub.add_parser("fitting",
-                       help="Fitting generators of a presentation matrix")
-    _common(p)
-    p.add_argument("--matrix", required=True,
-                   help="JSON file with a 'rows' presentation matrix")
-
-
-def _add_fixtures(sub):
-    p = sub.add_parser("fixtures", help="fixture tools")
-    fx_sub = p.add_subparsers(dest="fixtures_command", required=True)
-    _common(fx_sub.add_parser("validate", help="validate a fixture file"))
-
-
-#: Each command, in help order, with the function that adds its subparser
-#: and the handler that runs it on the parsed arguments and the fixture.
-COMMANDS = {"theta": (_add_theta, cmd_theta), "check": (_add_check, cmd_check),
-            "sku": (_add_sku, cmd_sku), "fitting": (_add_fitting, cmd_fitting),
-            "fixtures": (_add_fixtures, cmd_fixtures_validate)}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser with every command's subparser, or with only
+def build_parser(command: str | None = None):
+    """The argparse parser with every command's subparser, or with only
     the subparser of ``command``.  Both print the same usage line, so a
     parse of arguments that start with ``command`` gives the same output
     and exit code either way."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="skv",
         description="Exact Stickelberger elements and integrality verdicts.")
     # the choices as the full parser lists them in its usage line
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (add, _) in COMMANDS.items():
-        if command in (None, name):
-            add(sub)
+    for name, spec in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=spec.help)
+        if spec.subcommand:
+            p = p.add_subparsers(dest=f"{name}_command", required=True).add_parser(
+                spec.subcommand[0], help=spec.subcommand[1])
+        for o in spec.options:
+            if o.convert is bool:
+                p.add_argument(o.flag, action="store_true", help=o.help)
+            elif o.flag.startswith("-"):
+                p.add_argument(o.flag, type=o.convert, default=o.default,
+                               choices=o.choices, required=o.required, help=o.help)
+            else:
+                p.add_argument(o.flag, choices=o.choices, help=o.help)
     return parser
+
+
+#: What ``_read_value`` returns for a value it leaves to argparse.
+_DECLINE = object()
+
+
+def _read_value(option: Option, text: str):
+    """``option``'s value from ``text`` as argparse converts it, or
+    ``_DECLINE`` where argparse might read ``text`` otherwise."""
+    if option.convert is int:
+        digits = text[1:] if text.startswith("-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            return _DECLINE
+    elif text.startswith("-"):
+        return _DECLINE
+    value = option.convert(text)
+    if option.choices is not None and value not in option.choices:
+        return _DECLINE
+    return value
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments that ``build_parser().parse_args(argv)`` returns, read
+    straight from ``COMMANDS``, for a plain command line: the command (and
+    subcommand) first, then each option once, as ``--flag value`` or
+    ``--flag=value``, and its positional.  None for anything else (a help
+    flag, an unknown or abbreviated option, ``--``, a value that starts
+    with a dash other than a negative integer, a value argparse would
+    reject), which ``main`` leaves to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    spec = COMMANDS[argv[0]]
+    read = {"command": argv[0]}
+    rest = argv[1:]
+    if spec.subcommand:
+        if not rest or rest[0] != spec.subcommand[0]:
+            return None
+        read[f"{argv[0]}_command"] = rest.pop(0)
+    flags = {o.flag: o for o in spec.options if o.flag.startswith("-")}
+    positionals = [o for o in spec.options if not o.flag.startswith("-")]
+    values = iter(rest)
+    for arg in values:
+        if not arg.startswith("-"):
+            if not positionals:
+                return None
+            option, text = positionals.pop(0), arg
+        else:
+            flag, eq, text = arg.partition("=")
+            option = flags.get(flag)
+            if option is None or option.dest in read:
+                return None
+            if option.convert is bool:
+                if eq:
+                    return None
+                read[option.dest] = True
+                continue
+            if not eq:
+                text = next(values, None)
+                if text is None:
+                    return None
+        value = _read_value(option, text)
+        if value is _DECLINE:
+            return None
+        read[option.dest] = value
+    for o in spec.options:
+        if o.dest not in read:
+            if o.required or not o.flag.startswith("-"):
+                return None
+            read[o.dest] = o.default
+    return SimpleNamespace(**read)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a parse that starts with a command only ever reads its subparser
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 3 if exc.code not in (0, None) else 0
+    args = _read_args(argv)
+    if args is None:
+        # a parse that starts with a command only ever reads its subparser
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 3 if exc.code not in (0, None) else 0
     if (getattr(args, "bound", None) or 0) < 0:
         sys.stderr.write(f"error: --bound must be non-negative, got {args.bound}\n")
         return 3
@@ -392,7 +478,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: internal: {exc!r}\n")
         return 4
     try:
-        return COMMANDS[args.command][1](args, fix)
+        return COMMANDS[args.command].run(args, fix)
     except FixtureError as exc:
         sys.stderr.write(f"error: fixture: {exc}\n")
         return 3

@@ -74,12 +74,12 @@ def _validate_parity(fix: ExtensionFixture, comps, r: int, context: str,
     member r."""
     if fix.j is None:
         return
-    odd = minus_idempotent(fix.table, fix.j).components
+    odd = minus_idempotent(fix.table, fix.j)
     n = 1 - r
     for i, comp in enumerate(comps):
         if comp is None:
             continue
-        even = odd[i].is_zero()
+        even = odd.component(i).is_zero()
         forced = (even and n % 2 == 1 and i != trivial_index) or \
                  (not even and n % 2 == 0)
         if forced and not comp.is_zero():
@@ -316,7 +316,7 @@ def theta_with_inertia_norms(fix: ExtensionFixture, J, sets: PlaceSets) -> Centr
     # characters have one kernel, so a filled component is tested at its
     # orbit's first member
     for i, comp in enumerate(factor.computed):
-        if comp is not None and eps.components[i].is_zero() and not comp.is_zero():
+        if comp is not None and eps.component(i).is_zero() and not comp.is_zero():
             raise InternalCheckError(
                 f"inertia norm product must vanish at character {i} "
                 "(kernel does not contain H_J)"

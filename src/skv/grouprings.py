@@ -180,6 +180,12 @@ class CentralElement:
             comps[j] = comps[r].galois(k)
         return tuple(comps)
 
+    def component(self, i: int) -> Cyclo:
+        """``components[i]``, read from ``computed`` where it is there, so
+        that an element built per orbit makes no sigma_k image for it."""
+        comp = self.computed[i]
+        return self.components[i] if comp is None else comp
+
     @staticmethod
     def from_orbits(table: CharacterTable, compute, context: str) -> "CentralElement":
         """The rational central element with component ``compute(i)`` at

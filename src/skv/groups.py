@@ -2,9 +2,10 @@
 
 Element 0 is always the identity.  A table is a tuple of row tuples of plain
 ints; every construction checks it in full (square shape, integer entries in
-range, identity, unique two-sided inverses, associativity over all triples)
-and caps the order at 128.  Subgroup search is exhaustive, which the cap keeps
-feasible, and class ids are computed once per group.
+range, identity, unique two-sided inverses, and associativity, by Light's
+test over a generating set) and caps the order at 128.  Subgroup search is
+exhaustive, which the cap keeps feasible, and class ids are computed once
+per group.
 
 ``FiniteGroup.generators`` is a greedy generating set S, and the checks
 that a map rho out of G is multiplicative run over it: rho(1) = 1 and
@@ -70,24 +71,33 @@ class FiniteGroup:
         inv = tuple(row.index(0) for row in tbl)
         if any(tbl[inv[a]][a] != 0 for a in range(n)):
             raise GroupError("left and right inverses disagree")
-        # associativity over all (a, b, c): row ab of the table must equal
-        # row b read through row a, i.e. (ab)c == a(bc) for every c; order 1
-        # is skipped, since itemgetter of one index returns a bare int
-        if n > 1:
-            for row_a in tbl:
-                for ab, row_b in zip(row_a, tbl):
-                    if tbl[ab] != itemgetter(*row_b)(row_a):
-                        raise GroupError("multiplication table is not associative")
+        self.table = tbl
+        self.inv = inv
+        self.order = n
+        self._memo = {}
+        self._check_associative()
         if labels is not None and len(labels) != n:
             raise GroupError(f"{len(labels)} labels given for a group of order {n}")
         if labels is not None and (not all(isinstance(x, str) for x in labels)
                                    or len(set(labels)) != n):
             raise GroupError("group labels must be distinct strings")
-        self.table = tbl
-        self.inv = inv
-        self.order = n
         self.labels = list(labels) if labels is not None else [f"g{i}" for i in range(n)]
-        self._memo = {}
+
+    def _check_associative(self):
+        """Raise GroupError unless (ab)c = a(bc) for all a, b, c.  The c
+        that satisfy it for all a, b are closed under products (Light's
+        test), so it is enough to check each c of a set whose products
+        reach every element: ``_greedy_generators`` is such a set without
+        any associativity assumed, since ``subgroup_closure`` only
+        multiplies on the right.  Per row a, (ab)c over every b is column
+        c read through row a, and a(bc) is row a read through column c."""
+        tbl = self.table
+        for c in self._greedy_generators():
+            column = tuple(row[c] for row in tbl)
+            through_column = itemgetter(*column)
+            for row_a in tbl:
+                if itemgetter(*row_a)(column) != through_column(row_a):
+                    raise GroupError("multiplication table is not associative")
 
     # -- construction ----------------------------------------------------
 
@@ -171,15 +181,18 @@ class FiniteGroup:
 
     def generators(self) -> tuple[int, ...]:
         """A generating set: each element, smallest first, that the
-        elements taken so far do not generate (empty for the trivial group)."""
-        def build():
-            gens, span = [], {0}
-            for g in range(self.order):
-                if g not in span:
-                    gens.append(g)
-                    span = set(self.subgroup_closure(gens))
-            return tuple(gens)
-        return memo(self, "generators", build)
+        elements taken so far do not generate (empty for the trivial group).
+        Each element is a product of them multiplied left to right, also
+        in a table not yet known to be associative."""
+        return memo(self, "generators", self._greedy_generators)
+
+    def _greedy_generators(self) -> tuple[int, ...]:
+        gens, span = [], {0}
+        for g in range(self.order):
+            if g not in span:
+                gens.append(g)
+                span = set(self.subgroup_closure(gens))
+        return tuple(gens)
 
     def class_index(self) -> tuple[int, ...]:
         """Class id per element; ids are assigned in order of minimal member."""
@@ -259,6 +272,9 @@ class FiniteGroup:
         return self.subgroup_closure(comms)
 
     def normal_closure(self, elems) -> tuple[int, ...]:
+        if self.is_abelian():
+            # every subgroup of an abelian group is normal
+            return self.subgroup_closure(elems)
         conj = {
             self.mul(self.mul(g, h), self.inv[g])
             for g in range(self.order)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from skv.arithdata import (ExtensionFixture, PlaceData, PlaceSets, local_factor,
                            mu_tate_annihilators)
@@ -814,3 +815,23 @@ def direct_sum(x: CentralElement) -> dict:
         if not acc.is_zero():
             coeffs[g] = acc
     return coeffs
+
+
+def check_associative_all_triples(group: FiniteGroup):
+    """``FiniteGroup._check_associative`` over every triple (a, b, c): row
+    ab of the table must equal row b read through row a, i.e. (ab)c =
+    a(bc) for every c; order 1 is skipped, since itemgetter of one index
+    returns a bare int."""
+    tbl = group.table
+    if group.order > 1:
+        for row_a in tbl:
+            for ab, row_b in zip(row_a, tbl):
+                if tbl[ab] != itemgetter(*row_b)(row_a):
+                    raise GroupError("multiplication table is not associative")
+
+
+def normal_closure_by_conjugates(group: FiniteGroup, elems) -> tuple[int, ...]:
+    """The subgroup generated by every conjugate g h g^-1 of every h in
+    ``elems``."""
+    return group.subgroup_closure({group.mul(group.mul(g, h), group.inverse(g))
+                                   for g in range(group.order) for h in elems})

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skv
-from skv.cli import COMMANDS, _json_text, build_parser, main
+from skv import cli
+from skv.cli import COMMANDS, _json_text, _read_args, build_parser, main
 from skv.verify import SUITES
 
 from conftest import FIXTURE_NAMES, fixture_path, load_fixture_json
@@ -702,13 +704,21 @@ def test_class_group_action_shape_and_entries_exit_3(tmp_path, capsys):
         assert what in err and err.count("\n") == 1, (matrix, err)
 
 
-def _cli_invocations():
-    """``CLI_INVOCATIONS`` from tools/report_digests.py."""
-    path = os.path.join(os.path.dirname(__file__), "..", "tools", "report_digests.py")
-    spec = importlib.util.spec_from_file_location("report_digests", path)
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _tool(name):
+    """tools/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "tools", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.CLI_INVOCATIONS
+    return module
+
+
+def _cli_invocations():
+    """``CLI_INVOCATIONS`` from tools/report_digests.py."""
+    return _tool("report_digests").CLI_INVOCATIONS
 
 
 def _parse(parser, argv):
@@ -732,3 +742,119 @@ def test_one_command_parser_prints_what_the_full_parser_does(monkeypatch):
             full = _parse(build_parser(), argv)
             assert _parse(build_parser(command), argv) == full, argv
             assert full[0] is not None, argv  # each one ends in help or an error
+
+
+_FLAGS = sorted({o.flag for spec in COMMANDS.values() for o in spec.options
+                 if o.flag.startswith("-")})
+_VALUES = ["q.json", "", "-1", "+2", "1_0", "\u0663", "two", "a,b", "yaml", "-",
+           "-x", "json", "text", "3", "007", "-0", "all", *SUITES]
+_PREFIXES = [[], ["nonsense"], *([name] for name in COMMANDS),
+             *(["check", suite] for suite in (*SUITES, "all")),
+             ["fixtures", "validate"]]
+
+
+def _plain_values(option) -> list[str]:
+    """Values that the option takes."""
+    if option.choices:
+        return list(option.choices)
+    if option.convert is int:
+        return ["3", "007", "-1", "-0"]
+    return ["q.json", "a,b", ""]
+
+
+@st.composite
+def _argvs(draw):
+    """Command lines near the plain grammar: a command, each of a few of
+    its own flags once with a value, as `--flag value` or `--flag=value`,
+    and at most one noise token anywhere (a help flag, `--`, an unknown,
+    abbreviated or repeated flag, a bare value, an `=` form)."""
+    prefix = draw(st.sampled_from(_PREFIXES))
+    spec = COMMANDS.get(prefix[0]) if prefix else None
+    own = [o for o in spec.options if o.flag.startswith("-")] if spec else []
+    value = st.sampled_from(_VALUES)
+    argv = [*prefix, *draw(st.sampled_from([[], ["--fixture", "q.json"]]))]
+    parts = st.lists(st.sampled_from(own).flatmap(lambda o: st.tuples(
+        st.just(o), value | st.sampled_from(_plain_values(o)), st.booleans())),
+        max_size=4, unique_by=lambda part: part[0].flag) if own else st.just([])
+    for option, text, joined in draw(parts):
+        argv.extend([f"{option.flag}={text}"] if joined else [option.flag, text])
+    flag = st.sampled_from([*_FLAGS, "--bogus", "--fix", "-h", "--help", "--"])
+    noise = st.one_of(flag, value, st.tuples(flag, value).map("=".join))
+    for token in draw(st.lists(noise, max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def _typed(namespace) -> dict:
+    # True == 1, so compare each value with its type
+    return {k: (type(v), v) for k, v in vars(namespace).items()}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_direct_reader_returns_what_argparse_does_or_declines(argv):
+    read = _read_args(argv)
+    if read is not None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            parsed = build_parser(argv[0]).parse_args(argv)
+        assert _typed(read) == _typed(parsed), argv
+
+
+def _one_entry_matrix(tmp_path):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"rows": [[{"0": "2", "1": "1"}]]}))
+    return matrix
+
+
+def _readme_examples(tmp_path):
+    """The `skv` lines of the README's command-line examples, with paths
+    from the repository root and m.json a one-entry presentation."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    matrix = _one_entry_matrix(tmp_path)
+    calls = []
+    for line in block.splitlines():
+        if line.startswith("skv "):
+            calls.append([str(matrix) if arg == "m.json" else
+                          os.path.join(ROOT, arg) if arg.startswith("src/") else arg
+                          for arg in shlex.split(line)[1:]])
+    return calls
+
+
+def test_direct_reader_prints_what_argparse_does(tmp_path, monkeypatch, capsys):
+    traffic = _tool("traffic")
+    calls = [argv for name in FIXTURE_NAMES
+             for argv in traffic.fixture_calls(fixture_path(name))]
+    examples = _readme_examples(tmp_path)
+    assert len(examples) == 6
+    calls += examples
+    # every one of them is a plain command line
+    assert all(_read_args(argv) is not None for argv in calls)
+    direct = [run_cli(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "_read_args", lambda argv: None)
+    assert [run_cli(capsys, *argv) for argv in calls] == direct
+
+
+def test_plain_calls_import_no_argparse(tmp_path, monkeypatch):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    matrix = _one_entry_matrix(tmp_path)
+    calls = [["check", "all", "--fixture", fixture_path("q")],
+             ["fitting", "--fixture", fixture_path("q_zeta3"), "--matrix", str(matrix)]]
+    probe = ("import contextlib, io, sys, skv.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    codes = [skv.cli.main(argv) for argv in {calls!r}]\n"
+             "print(codes, [m for m in ('argparse', 'gettext', 'locale') "
+             "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[0, 0] []"
+    # help still comes from argparse
+    monkeypatch.setenv("COLUMNS", "80")
+    helped = subprocess.run([sys.executable, "-m", "skv.cli", "check", "--help"],
+                            env=env, capture_output=True, text=True)
+    assert helped.returncode == 0
+    assert (0, helped.stdout, helped.stderr) == _parse(build_parser("check"),
+                                                       ["check", "--help"])

@@ -19,7 +19,7 @@ from skv.engine import (_validate_parity, inertia_norm_product, l_zero_sharp,
                         theta_monomial, theta_with_inertia_norms,
                         translated_place_labels, u_prime_generators,
                         u_prime_place_generators)
-from skv.grouprings import CentralElement, GroupRingElement
+from skv.grouprings import CentralElement, GroupRingElement, minus_idempotent
 from skv.verify import default_sets
 
 from conftest import fixture_path, ladder_fixture_writer, load_fixture_json
@@ -398,19 +398,20 @@ def test_check_all_q_zeta23_builds_each_local_product_and_transform_once(monkeyp
 def test_check_all_q_zeta23_makes_galois_images_only_for_the_reported_theta(monkeypatch):
     # the only theta whose filled components are read is the witness of
     # theorem-stickelberger-int: 16 images, one per filled character; the
-    # three idempotents, (1 - j)/2 and two epsilon_H, are read whole too,
-    # 48 images; the other 138 calls are the self-checks, once per orbit,
-    # 18 of them the idempotents' (1856 calls when every element made its
-    # images and every check ran over every component, before the
-    # idempotents were built per orbit)
+    # other 138 calls are the self-checks, once per orbit, 18 of them the
+    # idempotents'.  The three idempotents, (1 - j)/2 and two epsilon_H,
+    # are read only at computed characters (202 calls when they were read
+    # whole, 1856 when every element made its images and every check ran
+    # over every component, before the idempotents were built per orbit)
     fix = ExtensionFixture(load_fixture_json("q_zeta23"))
     images = _counting(monkeypatch, Cyclo, "galois")
     assert [v.status for v in run_all(fix)] == ["verified"] * 5
     assert len(fix.table.galois_fills()) == 16
-    assert len(images) == 202
+    assert len(images) == 154
     thetas = [fix._memo[key].central for key in fix._memo if key[0] == "theta"]
     read = [x for x in thetas if "components" in vars(x)]
     assert len(thetas) > 1 and len(read) == 1 and read[0].fills
+    assert "components" not in vars(minus_idempotent(fix.table, fix.j))
 
 
 def test_each_main_call_builds_its_own_memos(monkeypatch, capsys):

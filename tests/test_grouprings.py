@@ -163,6 +163,16 @@ def test_minus_idempotent():
         minus_idempotent(irreducibles_monomial(named_group("C3")), 1)
 
 
+def test_component_makes_no_image_for_a_computed_character():
+    fix = ExtensionFixture.load(fixture_path("q_zeta23"))
+    x = minus_idempotent(fix.table, fix.j)
+    computed = [i for i, c in enumerate(x.computed) if c is not None]
+    assert x.fills and len(computed) < len(x.computed)
+    assert [x.component(i) for i in computed] == [x.computed[i] for i in computed]
+    assert "components" not in vars(x)
+    assert [x.component(i) for i in range(len(x.computed))] == list(x.components)
+
+
 def test_membership_full_and_p_local():
     c2 = named_group("C2")
     table = irreducibles_monomial(c2)

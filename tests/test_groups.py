@@ -11,7 +11,8 @@ import skv
 from skv.errors import GroupError
 from skv.groups import FiniteGroup, detect_direct_product, memo, named_group
 
-from oracles import (all_subgroups_by_closures, monomial_test_groups, quotient,
+from oracles import (all_subgroups_by_closures, check_associative_all_triples,
+                     monomial_test_groups, normal_closure_by_conjugates, quotient,
                      subgroup_h_r)
 
 
@@ -53,6 +54,74 @@ def test_invalid_table_rejected():
             [4, 3, 1, 2, 0]]
     with pytest.raises(GroupError, match="not associative"):
         FiniteGroup(loop)
+
+
+def _loops(n):
+    """Every n x n Latin square whose row and column 0 are the identity:
+    the loops of order n, with the group tables among them."""
+    square = [[i if j == 0 else j if i == 0 else None for j in range(n)]
+              for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [list(row) for row in square]
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v not in square[i][:j] and all(square[r][j] != v for r in range(i)):
+                square[i][j] = v
+                yield from fill(k + 1)
+        square[i][j] = None
+
+    return list(fill(0))
+
+
+def _intercalate_switches(group):
+    """The group's table with one intercalate switched, for each one: rows
+    a, b and columns c, d with ac = bd and ad = bc, where the two values
+    trade places."""
+    t = group.table
+    for a, b in itertools.combinations(range(group.order), 2):
+        for c, d in itertools.combinations(range(group.order), 2):
+            if t[a][c] == t[b][d] and t[a][d] == t[b][c]:
+                switched = [list(row) for row in t]
+                switched[a][c] = switched[b][d] = t[a][d]
+                switched[a][d] = switched[b][c] = t[a][c]
+                yield switched
+
+
+def _outcome(table):
+    try:
+        FiniteGroup(table)
+    except GroupError as exc:
+        return str(exc)
+    return None
+
+
+def test_associativity_on_generators_matches_all_triples(monkeypatch):
+    loops = _loops(5)
+    switched = [t for group in (FiniteGroup.cyclic(4), named_group("C6"),
+                                FiniteGroup.direct_product(*[named_group("C2")] * 2),
+                                *map(named_group, ("S3", "D4", "Q8", "S3xC2")))
+                for t in _intercalate_switches(group)]
+    tables = loops + switched
+    on_generators = [_outcome(t) for t in tables]
+    monkeypatch.setattr(FiniteGroup, "_check_associative", check_associative_all_triples)
+    assert [_outcome(t) for t in tables] == on_generators
+    # 56 loops of order 5, of which the 6 tables of C5 are groups
+    assert len(loops) == 56 and on_generators[:56].count(None) == 6
+    non_associative = "multiplication table is not associative"
+    assert on_generators[:56].count(non_associative) > 0
+    assert on_generators[56:].count(non_associative) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=st.sampled_from([FiniteGroup.cyclic(22), *map(named_group, ("S3", "D4", "Q8", "S3xC2"))]),
+       data=st.data())
+def test_normal_closure_matches_the_conjugate_set_definition(group, data):
+    elems = data.draw(st.sets(st.integers(0, group.order - 1), max_size=4))
+    assert group.normal_closure(elems) == normal_closure_by_conjugates(group, elems)
 
 
 def test_element_orders_and_exponent():

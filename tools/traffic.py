@@ -128,28 +128,37 @@ class Tracer:
         return self.local_trace
 
 
+def fixture_calls(path: str) -> list[list[str]]:
+    """`check all`, the `COMMAND_INVOCATIONS` and each `check` suite with
+    each of `CHECK_VARIANTS` on one fixture file: --T takes an unramified
+    finite place, --p the least ramified residue characteristic (or 2)."""
+    from report_digests import COMMAND_INVOCATIONS
+    from skv.verify import SUITES
+
+    calls = [["check", "all", "--fixture", path]]
+    calls.extend([*command, "--fixture", path] for command in COMMAND_INVOCATIONS)
+    with open(path) as fh:
+        places = json.load(fh)["places"]
+    finite = [pl for pl in places if not pl.get("infinite")]
+    t = next(pl["label"] for pl in finite if not pl.get("ramified"))
+    p = str(min([pl["residueChar"] for pl in finite if pl.get("ramified")] or [2]))
+    for suite in SUITES:
+        for flags in CHECK_VARIANTS:
+            calls.append(["check", suite, "--fixture", path,
+                          *(f.format(t=t, p=p) for f in flags)])
+    return calls
+
+
 def invocations(work: str) -> list[list[str]]:
     """The fixed list of argument vectors; writes the files they read."""
     from make_fixtures import write_ladder_fixture
-    from report_digests import (CLI_INVOCATIONS, COMMAND_INVOCATIONS, FIXTURES,
-                                ladder_presentations, perfbench_run)
-    from skv.verify import SUITES
+    from report_digests import (CLI_INVOCATIONS, FIXTURES, ladder_presentations,
+                                perfbench_run)
 
     calls = [list(argv) for argv in CLI_INVOCATIONS]
     names = sorted(n[:-5] for n in os.listdir(FIXTURES) if n.endswith(".json"))
     for name in names:
-        path = os.path.join(FIXTURES, f"{name}.json")
-        calls.append(["check", "all", "--fixture", path])
-        calls.extend([*command, "--fixture", path] for command in COMMAND_INVOCATIONS)
-        with open(path) as fh:
-            places = json.load(fh)["places"]
-        finite = [pl for pl in places if not pl.get("infinite")]
-        t = next(pl["label"] for pl in finite if not pl.get("ramified"))
-        p = str(min([pl["residueChar"] for pl in finite if pl.get("ramified")] or [2]))
-        for suite in SUITES:
-            for flags in CHECK_VARIANTS:
-                calls.append(["check", suite, "--fixture", path,
-                              *(f.format(t=t, p=p) for f in flags)])
+        calls.extend(fixture_calls(os.path.join(FIXTURES, f"{name}.json")))
     for p in LADDER:
         calls.append(["check", "all", "--fixture", write_ladder_fixture(p, work)])
 
