@@ -1,25 +1,33 @@
 """Characters of finite groups.
 
-Linear characters are found by chain extension over the abelianization;
-general irreducibles come with monomial certificates: a pair (U, psi) of a
-subgroup and a linear character inducing the irreducible.  An abelian
-group's table is its linear characters, each certified by (G, psi) and
-checked to be a homomorphism, with no induction.  Every linear character
-of a table, abelian or not, is kept as integers: an order n and, per
-class, the power k of its value zeta_n^k; its ``Cyclo`` values are made
-only when read.  The table takes its sort keys, value ids and value
-numerators for such a character from those integers.  The values of the
-other irreducibles live in Q(zeta_E), E the group exponent, stored
-exactly.  A table finds Galois conjugates from the group's class power
-maps, sigma_k(chi)(g) = chi(g^k), as GAP's character table library does,
-and looks characters up by integer keys of their values.
+An abelian group's table comes from integer coordinates, with no chain
+extension: a basis G = Z/d_1 x ... x Z/d_k
+(``FiniteGroup.abelian_coordinates``) gives each element its coordinate
+vector x, and ``check_coordinates`` certifies that x is an isomorphism.
+Each dual vector a then gives the character chi_a(g) =
+zeta_E^(sum_i a_i x_i(g) E / d_i), E the exponent, certified by (G,
+chi_a), and sigma_k(chi_a) = chi_(k a) is the whole Galois action.
+
+A non-abelian group's linear characters are found by chain extension
+over the abelianization, and its other irreducibles come with monomial
+certificates: a pair (U, psi) of a subgroup and a linear character
+inducing the irreducible.  Every linear character of a table, abelian or
+not, is kept as integers: an order n and, per class, the power k of its
+value zeta_n^k; its ``Cyclo`` values are made only when read.  The table
+takes its sort keys, value ids and value numerators for such a character
+from those integers.  The values of the other irreducibles live in
+Q(zeta_E), stored exactly.  A non-abelian table finds Galois conjugates
+from the group's class power maps, sigma_k(chi)(g) = chi(g^k), as GAP's
+character table library does.  Every table looks characters up by
+integer keys of their values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import add, mod
 
 from .cyclotomic import (Cyclo, order_data, root_of_unity_sum, unit_generators,
                          unit_residues)
@@ -68,19 +76,15 @@ def chain_extension(elements, mul) -> tuple[int, list[dict]]:
     return n, chars
 
 
-def linear_character_powers(group: FiniteGroup, u_elems=None) -> tuple[int, list[list[int]]]:
-    """Linear characters of a subgroup U of ``group``, all of it by
-    default: ``(n, rows)`` with psi(y) = zeta_n^k for k = row[j] and y the
-    j-th element of sorted U, n the order of U's abelianization.  They
-    come from chain extension over sorted U on the group's own table when
-    U is abelian, and otherwise over the cosets of U' in U, each named by
-    its smallest element, and are inflated back to U."""
-    if u_elems is None:
-        u, abelian = list(range(group.order)), group.is_abelian()
-    else:
-        u = sorted(set(u_elems))
-        abelian = group.is_abelian_subset(u)
-    if abelian:
+def linear_character_powers(group: FiniteGroup, u_elems) -> tuple[int, list[list[int]]]:
+    """Linear characters of a subgroup U of ``group``: ``(n, rows)`` with
+    psi(y) = zeta_n^k for k = row[j] and y the j-th element of sorted U, n
+    the order of U's abelianization.  They come from chain extension over
+    sorted U on the group's own table when U is abelian, and otherwise
+    over the cosets of U' in U, each named by its smallest element, and
+    are inflated back to U."""
+    u = sorted(set(u_elems))
+    if group.is_abelian_subset(u):
         n, chars = chain_extension(u, group.mul)
         return n, [[c[y] for y in u] for c in chars]
     rows, derived = group.table, group.commutator_subgroup(u)
@@ -127,7 +131,7 @@ class Character:
         chi.classes = group.conjugacy_classes()
         chi.exponent = group.exponent()
         chi.order = order
-        chi.powers = tuple(k % order for k in powers)
+        chi.powers = tuple(map(order.__rmod__, powers))
         if len(chi.powers) != len(chi.classes):
             raise GroupError("one value per conjugacy class expected")
         if order % chi.exponent or chi.powers[0]:
@@ -168,7 +172,7 @@ class MonomialCertificate:
         q = gcd(order, *powers.values())
         self.u_elems = tuple(u_elems)
         self.order = order // q
-        self.powers = {y: k // q for y, k in powers.items()}
+        self.powers = dict(zip(powers, map(q.__rfloordiv__, powers.values())))
 
     def __repr__(self):
         return f"MonomialCertificate(U={self.u_elems})"
@@ -181,10 +185,11 @@ class CharacterTable:
     ``(order, num, den)`` at the common order of the table's values, and a
     character is looked up by the tuple of its value ids.  A linear
     character's keys, like its sort key and value numerators, come from
-    its powers, with no ``Cyclo`` value made.  The Galois
-    action comes from the group's class power maps: sigma_k(chi)(g) =
-    chi(g^k), a permutation of chi's values.  The trivial character sorts
-    first, which is checked once here.
+    its powers, with no ``Cyclo`` value made.  The Galois action comes
+    from the group's class power maps: sigma_k(chi)(g) = chi(g^k), a
+    permutation of chi's values.  The trivial character sorts first,
+    which is checked once here.  An abelian group's table is an
+    ``AbelianTable``.
     """
 
     def __init__(self, group: FiniteGroup, chars, certificates):
@@ -410,18 +415,19 @@ class CharacterTable:
                 r = orbit[0]
                 partner = next(j for j in (self.galois_index(r, g)
                                            for g in unit_generators(modulus)) if j != r)
-                cert = certs[r]
                 for k in unit_residues(modulus):
                     j = self.galois_index(r, k)
-                    if j in (r, partner) or j in fills:
-                        continue
-                    image = certs[j]
-                    if image.u_elems == cert.u_elems and image.order == cert.order and \
-                            image.powers == {y: k * p % cert.order
-                                             for y, p in cert.powers.items()}:
+                    if j not in (r, partner) and j not in fills and \
+                            self._certificate_is_image(certs[r], certs[j], k):
                         fills[j] = (r, k)
             return fills
         return memo(self, "galois_fills", build)
+
+    @staticmethod
+    def _certificate_is_image(cert, image, k) -> bool:
+        # the same subgroup and order, powers k * p mod N
+        return image.u_elems == cert.u_elems and image.order == cert.order and \
+            image.powers == {y: k * p % cert.order for y, p in cert.powers.items()}
 
 
 def _char_sort_key(chi: Character, roots):
@@ -438,45 +444,124 @@ def _char_sort_key(chi: Character, roots):
             tuple((v.order, v.num, v.den) for v in chi.values))
 
 
-def _abelian_table(group: FiniteGroup) -> CharacterTable:
-    """Table of an abelian group straight from its linear characters, each
-    certified by (G, psi) and kept as its powers of zeta_E, E the
-    exponent.  Certificate: |G| distinct characters, each trivial at the
-    identity and multiplicative on ``group.generators()``, which makes
-    each a homomorphism and the list all of Irr(G)."""
-    n, exp = group.order, group.exponent()
-    elems = tuple(range(n))
-    # per generator s, the column h -> hs of the table
-    columns = [(s, [row[s] for row in group.table]) for s in group.generators()]
-    order, rows = linear_character_powers(group)
-    chars, certs = [], []
-    for a in rows:
-        if a[0] or any((ah + a[s] - a[hs]) % order
-                       for s, column in columns for ah, hs in zip(a, column)):
-            raise InternalCheckError("abelian table: a linear character is not multiplicative")
-        # each element is its own class; a homomorphism into (1/order)Z/Z
-        # takes values of order dividing the exponent, so a[g] * exp is a
-        # multiple of order
-        chars.append(Character.linear(group, exp, [k * exp // order for k in a]))
-        certs.append(MonomialCertificate(elems, order, dict(zip(elems, a))))
-    table = CharacterTable(group, chars, certs)
-    if len(chars) != n or len(table._index) != n:
-        raise InternalCheckError(
-            f"abelian table: {len(table._index)} distinct of {len(chars)} "
-            f"linear characters for a group of order {n}")
-    return table
+def check_coordinates(group: FiniteGroup, orders, coords):
+    """Certificate of ``FiniteGroup.abelian_coordinates``: raise
+    InternalCheckError unless x: g -> coords[g] is a bijection of G onto
+    Z/d_1 x ... x Z/d_k (d_i = orders[i]) with x(g b_i) = x(g) + e_i for
+    every element g and every i, b_i the element with x(b_i) = e_i.  Then
+    x(1) = 0, since the z with x(z) = 0 has x(z b_i) = x(b_i), so z = 1;
+    and x is an isomorphism: the h with x(gh) = x(g) + x(h) for every g
+    contain 1 and are closed under right multiplication by each b_i, so
+    they contain every word in the b_i, and those words have every
+    coordinate vector, hence make up G.  So E, the exponent, is
+    lcm(d_i), every dual vector a gives a homomorphism chi_a(g) =
+    zeta_E^(sum_i a_i x_i(g) E / d_i), and the |G| of them are distinct,
+    so they are Irr(G)."""
+    n, k = group.order, len(orders)
+    # mixed-radix position of each vector, the last coordinate fastest
+    weights = [1] * k
+    for i in range(k - 2, -1, -1):
+        weights[i] = weights[i + 1] * orders[i + 1]
+    if prod(orders) != n or len(coords) != n or any(len(x) != k for x in coords):
+        raise InternalCheckError(f"abelian table: coordinates do not fit a group of order {n}")
+    pos = [sum(c % d * w for c, d, w in zip(x, orders, weights)) for x in coords]
+    at = {p: g for g, p in enumerate(pos)}
+    if len(at) != n:
+        raise InternalCheckError("abelian table: two elements share a coordinate vector")
+    for d, w in zip(orders, weights):
+        b, wrap = at[w], (d - 1) * w
+        if [pos[row[b]] for row in group.table] != \
+                [p - wrap if p // w % d == d - 1 else p + w for p in pos]:
+            raise InternalCheckError(
+                f"abelian table: multiplying by the basis element {b} does not "
+                "add its unit vector")
+
+
+class AbelianTable(CharacterTable):
+    """Table of an abelian group G = Z/d_1 x ... x Z/d_k from the integer
+    coordinates of ``FiniteGroup.abelian_coordinates``, whose certificate
+    is ``check_coordinates``.  The character chi_a of a dual vector a has
+    the power sum_i a_i x_i(g) E / d_i of zeta_E at g, E the exponent, and
+    is certified by (G, chi_a).  A character's row of value ids is its row
+    of powers, and its sort key ranks the E roots of unity once.  Galois
+    conjugation is sigma_k(chi_a) = chi_(k a), so ``galois_index``, the
+    orbits and the fills need no power map, and ``value_numerators`` reads
+    one table of the E powers."""
+
+    def __init__(self, group: FiniteGroup):
+        orders, coords = group.abelian_coordinates()
+        check_coordinates(group, orders, coords)
+        n, exp = group.order, group.exponent()
+        self.group, self.exponent, self.value_order = group, exp, exp
+        self._orders = orders
+        # rows of the dual vectors in lexicographic order, each the row of
+        # its predecessor plus that of a unit vector
+        duals, rows = [()], [(0,) * n]
+        for i, d in enumerate(orders):
+            step = exp // d
+            unit = [x[i] * step for x in coords]
+            grown_duals, grown_rows = [], []
+            for a, row in zip(duals, rows):
+                for t in range(d):
+                    if t:
+                        row = tuple(map(exp.__rmod__, map(add, row, unit)))
+                    grown_duals.append(a + (t,))
+                    grown_rows.append(row)
+            duals, rows = grown_duals, grown_rows
+        # zeta_E^k ranked by its numerators: a linear character's sort key
+        # (see ``_char_sort_key``) orders as its row of ranks
+        nums = [Cyclo.zeta(exp, k).num for k in range(exp)]
+        rank = [0] * exp
+        for r, k in enumerate(sorted(range(exp), key=nums.__getitem__)):
+            rank[k] = r
+        keys = [tuple(map(rank.__getitem__, row)) for row in rows]
+        order = [0] + sorted(range(1, n), key=keys.__getitem__)  # the trivial chi_0 first
+        elems = tuple(range(n))
+        self._rows = [rows[i] for i in order]
+        self._duals = [duals[i] for i in order]
+        self.chars = [Character.linear(group, exp, row) for row in self._rows]
+        self.certificates = [MonomialCertificate(elems, exp, dict(zip(elems, row)))
+                             for row in self._rows]
+        self._value_ids = {(exp, num, 1): k for k, num in enumerate(nums)}
+        self._index = {row: i for i, row in enumerate(self._rows)}
+        self._position = {a: i for i, a in enumerate(self._duals)}
+        self._memo = {}
+
+    def galois_index(self, i: int, k: int) -> int:
+        if gcd(k, self.exponent) != 1:
+            raise ArithmeticDomainError(
+                f"galois index {k} not coprime to the exponent {self.exponent}")
+        return self._position[tuple(map(mod, map(k.__mul__, self._duals[i]), self._orders))]
+
+    def value_numerators(self, n: int | None = None) -> list[list[tuple]]:
+        n = self.value_order if n is None else n
+
+        def build():
+            # zeta_E^k is zeta_n^j, j = k n / E: one basis vector below
+            # phi(n), a reduced power from there on
+            data = order_data(n)
+            terms = [((j, 1),) if j < data.phi else data.power_terms(j)
+                     for j in range(0, n, n // self.value_order)]
+            return [list(map(terms.__getitem__, row)) for row in self._rows]
+        return memo(self, ("value_numerators", n), build)
+
+    @staticmethod
+    def _certificate_is_image(cert, image, k) -> bool:
+        # chi_(k a) is certified by (G, chi_(k a)), whose powers are k times
+        # those of chi_a at the same order
+        return True
 
 
 def irreducibles_monomial(group: FiniteGroup) -> CharacterTable:
     """All irreducible characters with monomial certificates.
 
-    An abelian group takes its table straight from its linear characters.
-    Otherwise this enumerates subgroups largest first, inducing their
-    linear characters, and raises NotMonomialError if the sum of squared
-    degrees never reaches |G|.
+    An abelian group takes its table from its coordinates
+    (``AbelianTable``).  Otherwise this enumerates subgroups largest
+    first, inducing their linear characters, and raises NotMonomialError
+    if the sum of squared degrees never reaches |G|.
     """
     if group.is_abelian():
-        return _abelian_table(group)
+        return AbelianTable(group)
     return _induced_table(group)
 
 

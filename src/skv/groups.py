@@ -3,9 +3,8 @@
 Element 0 is always the identity.  A table is a tuple of row tuples of plain
 ints; every construction checks it in full (square shape, integer entries in
 range, identity, unique two-sided inverses, and associativity, by Light's
-test over a generating set) and caps the order at 128.  Subgroup search is
-exhaustive, which the cap keeps feasible, and class ids are computed once
-per group.
+test over a generating set) and caps the order at 1024.  Subgroup search
+is exhaustive, and class ids are computed once per group.
 
 ``FiniteGroup.generators`` is a greedy generating set S, and the checks
 that a map rho out of G is multiplicative run over it: rho(1) = 1 and
@@ -23,12 +22,12 @@ rednorm.FiniteGModule, which checks every pair otherwise).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import GroupError
 
-ORDER_CAP = 128
+ORDER_CAP = 1024
 
 
 def memo(owner, key, build):
@@ -75,6 +74,7 @@ class FiniteGroup:
         self.inv = inv
         self.order = n
         self._memo = {}
+        self._generators = self._greedy_generators()
         self._check_associative()
         if labels is not None and len(labels) != n:
             raise GroupError(f"{len(labels)} labels given for a group of order {n}")
@@ -92,7 +92,7 @@ class FiniteGroup:
         multiplies on the right.  Per row a, (ab)c over every b is column
         c read through row a, and a(bc) is row a read through column c."""
         tbl = self.table
-        for c in self._greedy_generators():
+        for c in self._generators:
             column = tuple(row[c] for row in tbl)
             through_column = itemgetter(*column)
             for row_a in tbl:
@@ -166,8 +166,18 @@ class FiniteGroup:
         return tuple(powers)
 
     def exponent(self) -> int:
-        return memo(self, "exponent",
-                    lambda: lcm(*(self.element_order(a) for a in range(self.order))))
+        def build():
+            # a walk over the powers of a gives the order m / gcd(m, j) of
+            # each a^j, m the order of a; each a not reached yet starts one
+            orders = [0] * self.order
+            for a in range(self.order):
+                if not orders[a]:
+                    powers = self._cyclic_powers(a)
+                    m = len(powers)
+                    for j, x in enumerate(powers):
+                        orders[x] = m // gcd(m, j)
+            return lcm(*orders)
+        return memo(self, "exponent", build)
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Classes in canonical order (sorted by minimal element, identity first)."""
@@ -183,20 +193,40 @@ class FiniteGroup:
         """A generating set: each element, smallest first, that the
         elements taken so far do not generate (empty for the trivial group).
         Each element is a product of them multiplied left to right, also
-        in a table not yet known to be associative."""
-        return memo(self, "generators", self._greedy_generators)
+        in a table not yet known to be associative.  Picked once, by the
+        constructor."""
+        return self._generators
 
     def _greedy_generators(self) -> tuple[int, ...]:
+        # span: left-to-right products of the generators so far, which in
+        # a group make up the subgroup they generate.  It grows only by the
+        # products that start with a new generator g: in a group, g <S> is
+        # <S> for S the generators with g among them
+        tbl = self.table
         gens, span = [], {0}
         for g in range(self.order):
-            if g not in span:
-                gens.append(g)
-                span = set(self.subgroup_closure(gens))
+            if g in span:
+                continue
+            gens.append(g)
+            span.add(g)
+            frontier = [g]
+            while frontier:
+                reached = []
+                for x in frontier:
+                    row = tbl[x]
+                    for s in gens:
+                        y = row[s]
+                        if y not in span:
+                            span.add(y)
+                            reached.append(y)
+                frontier = reached
         return tuple(gens)
 
     def class_index(self) -> tuple[int, ...]:
         """Class id per element; ids are assigned in order of minimal member."""
         def build():
+            if self.is_abelian():  # every element is its own class
+                return tuple(range(self.order))
             rows, inv = self.table, self.inv
             ids = [-1] * self.order
             next_id = 0
@@ -247,16 +277,66 @@ class FiniteGroup:
         return all(self.mul(a, b) in s for a in s for b in s)
 
     def is_normal(self, elems) -> bool:
-        s = set(elems)
-        return all(
-            self.mul(self.mul(g, h), self.inv[g]) in s for g in range(self.order) for h in s
-        )
+        """Whether ``elems`` is closed under conjugation, that is, a union
+        of conjugacy classes."""
+        ids, classes, counts = self.class_index(), self.conjugacy_classes(), {}
+        for h in set(elems):
+            counts[ids[h]] = counts.get(ids[h], 0) + 1
+        return all(len(classes[c]) == k for c, k in counts.items())
 
     def is_abelian_subset(self, elems) -> bool:
         return all(self.mul(a, b) == self.mul(b, a) for a in elems for b in elems)
 
     def is_abelian(self) -> bool:
-        return tuple(zip(*self.table)) == self.table
+        # generators that commute pairwise make every pair commute
+        def build():
+            tbl, gens = self.table, self._generators
+            return all(tbl[a][b] == tbl[b][a] for a in gens for b in gens)
+        return memo(self, "is_abelian", build)
+
+    def abelian_coordinates(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """For an abelian group, ``(orders, coords)``: a basis b_1, ..., b_k
+        with G = <b_1> x ... x <b_k>, b_i of order d_i = orders[i] and
+        d_(i+1) | d_i, and per element g its coordinate vector, g =
+        b_1^x_1 ... b_k^x_k with 0 <= x_i < d_i (Cohen, *A Course in
+        Computational Algebraic Number Theory*, 2.4: greedy with lifts).
+        Each step takes the first element g of largest order m modulo the
+        span H of the basis so far; g^m is in H with every coordinate a
+        multiple of m, and dividing them out lifts g to a b of order m
+        with <b> meeting H in 1.  The map is not checked here: a caller
+        that relies on it checks it (``characters.check_coordinates``)."""
+        def build():
+            tbl, n = self.table, self.order
+            coords: dict[int, tuple[int, ...]] = {0: ()}
+            orders, powers = [], []  # per basis element b_i: d_i, b_i^t for t < d_i
+            while len(coords) < n:
+                seen, m, g, top = set(coords), 0, None, None
+                for x in range(n):
+                    if x in seen:
+                        continue
+                    # x, x^2, ..., up to the first power that lies in H
+                    walk, y = [x], tbl[x][x]
+                    while y not in coords:
+                        walk.append(y)
+                        y = tbl[y][x]
+                    for w in walk:
+                        row = tbl[w]
+                        seen.update(row[h] for h in coords)
+                    if len(walk) + 1 > m:
+                        m, g, top = len(walk) + 1, x, y
+                # b = g times b_i^(-c_i / m) over g^m's coordinates c_i
+                b = g
+                for c, d, pw in zip(coords[top], orders, powers):
+                    b = tbl[b][pw[-c // m % d]]
+                pw = [0]
+                for _ in range(m - 1):
+                    pw.append(tbl[pw[-1]][b])
+                coords = {tbl[h][z]: c + (t,) for t, z in enumerate(pw)
+                          for h, c in coords.items()}
+                orders.append(m)
+                powers.append(pw)
+            return tuple(orders), tuple(coords[g] for g in range(n))
+        return memo(self, "abelian_coordinates", build)
 
     def center(self) -> tuple[int, ...]:
         columns = tuple(zip(*self.table))
@@ -351,29 +431,30 @@ def detect_direct_product(group: FiniteGroup):
 
     Returns (H_elems, C_elems) maximizing |C|, or None when only C = {1}
     works (callers then use the trivial C).  An abelian G is its own C,
-    with H = {1}, and needs no subgroup search.
+    with H = {1}, and needs no subgroup search.  Kept on the group.
     """
-    if group.is_abelian():
-        return ((0,), tuple(range(group.order))) if group.order > 1 else None
-    subs = group.all_subgroups()
-    normal = [s for s in subs if group.is_normal(s)]
-    best = None
-    for c in normal:
-        if not group.is_abelian_subset(c):
-            continue
-        for h in normal:
-            if len(h) * len(c) != group.order:
+    def build():
+        if group.is_abelian():
+            return ((0,), tuple(range(group.order))) if group.order > 1 else None
+        normal = [s for s in group.all_subgroups() if group.is_normal(s)]
+        best = None
+        for c in normal:
+            if not group.is_abelian_subset(c):
                 continue
-            if set(h) & set(c) != {0}:
-                continue
-            if not all(group.mul(a, b) == group.mul(b, a) for a in h for b in c):
-                continue
-            cand = (h, c)
-            if best is None or (len(c), c, h) > (len(best[1]), best[1], best[0]):
-                best = cand
-    if best is None or len(best[1]) == 1:
-        return None
-    return best
+            for h in normal:
+                if len(h) * len(c) != group.order:
+                    continue
+                if set(h) & set(c) != {0}:
+                    continue
+                if not all(group.mul(a, b) == group.mul(b, a) for a in h for b in c):
+                    continue
+                cand = (h, c)
+                if best is None or (len(c), c, h) > (len(best[1]), best[1], best[0]):
+                    best = cand
+        if best is None or len(best[1]) == 1:
+            return None
+        return best
+    return memo(group, "detect_direct_product", build)
 
 
 @lru_cache(maxsize=None)

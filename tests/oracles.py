@@ -6,6 +6,7 @@ or a helper no verdict needs; tests compare against them or exercise them.
 
 from __future__ import annotations
 
+import itertools
 import os
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,7 +20,7 @@ from skv.characters import (Character, CharacterTable, MonomialCertificate,
 from skv.cyclotomic import (Cyclo, _product, _scale, root_of_unity_sum, unit_generators,
                             unit_residues)
 from skv.engine import _dirichlet_for_table
-from skv.errors import FixtureError, GroupError, NotMonomialError
+from skv.errors import FixtureError, GroupError, InternalCheckError, NotMonomialError
 from skv.grouprings import CentralElement, GroupRingElement, _product_pairing
 from skv.groups import FiniteGroup
 from skv.linalg import char_poly, mat_add, mat_det, mat_identity, mat_mul, mat_scale
@@ -167,13 +168,57 @@ def cyclo_linear_table(group: FiniteGroup) -> CharacterTable:
     if not group.is_abelian():
         return induced_table_by_groups(group)
     exp, elems = group.exponent(), tuple(range(group.order))
-    order, rows = linear_character_powers(group)
+    order, rows = linear_character_powers(group, range(group.order))
     step = order // exp
     roots = [Cyclo.zeta(exp, j) for j in range(exp)]
     chars = [Character(group, [roots[a[c[0]] // step] for c in group.conjugacy_classes()])
              for a in rows]
     certs = [MonomialCertificate(elems, order, dict(zip(elems, a))) for a in rows]
     return CharacterTable(group, chars, certs)
+
+
+def check_abelian_characters(group: FiniteGroup, order: int, rows):
+    """The certificate of an abelian table before coordinates: |G|
+    distinct characters, each given by its powers of zeta_order at every
+    element, trivial at the identity and multiplicative on
+    ``group.generators()``, which makes each a homomorphism and the list
+    all of Irr(G).  Raises InternalCheckError as that table did."""
+    columns = [(s, [row[s] for row in group.table]) for s in group.generators()]
+    for a in rows:
+        if a[0] or any((ah + a[s] - a[hs]) % order
+                       for s, column in columns for ah, hs in zip(a, column)):
+            raise InternalCheckError("abelian table: a linear character is not multiplicative")
+    distinct = len({tuple(k % order for k in a) for a in rows})
+    if len(rows) != group.order or distinct != group.order:
+        raise InternalCheckError(
+            f"abelian table: {distinct} distinct of {len(rows)} "
+            f"linear characters for a group of order {group.order}")
+
+
+def abelian_table_by_chain_extension(group: FiniteGroup) -> CharacterTable:
+    """An abelian group's table as built before coordinates: the linear
+    characters by chain extension, ``check_abelian_characters``, and the
+    base table, whose Galois action reads the class power maps and whose
+    fills compare certificates."""
+    exp, elems = group.exponent(), tuple(range(group.order))
+    order, rows = linear_character_powers(group, range(group.order))
+    check_abelian_characters(group, order, rows)
+    chars = [Character.linear(group, exp, [k * exp // order for k in a]) for a in rows]
+    certs = [MonomialCertificate(elems, order, dict(zip(elems, a))) for a in rows]
+    return CharacterTable(group, chars, certs)
+
+
+def coordinate_characters(orders, coords) -> tuple[int, list[list[int]]]:
+    """``(L, rows)``: per dual vector a of Z/d_1 x ... x Z/d_k (d_i =
+    orders[i]), the powers of zeta_L, L = lcm(orders), of the class
+    function g -> zeta_L^(sum_i a_i x_i(g) L / d_i) for x = coords, with
+    each coordinate read mod d_i."""
+    big = lcm(*orders)
+    steps = [big // d for d in orders]
+    rows = [[sum(a_i * (x_i % d) * s for a_i, x_i, d, s in zip(a, x, orders, steps)) % big
+             for x in coords]
+            for a in itertools.product(*(range(d) for d in orders))]
+    return big, rows
 
 
 def coset_columns(table: CharacterTable, i: int) -> tuple[int, int, list]:
@@ -606,7 +651,7 @@ def relative_class_number_qzeta(p: int) -> Fraction:
 def linear_characters(group: FiniteGroup) -> list[list[Fraction]]:
     """Linear characters of any finite group, each as a list of Fraction
     exponents mod 1 indexed by group element."""
-    n, rows = linear_character_powers(group)
+    n, rows = linear_character_powers(group, range(group.order))
     return [[Fraction(k, n) for k in row] for row in rows]
 
 
@@ -835,3 +880,53 @@ def normal_closure_by_conjugates(group: FiniteGroup, elems) -> tuple[int, ...]:
     ``elems``."""
     return group.subgroup_closure({group.mul(group.mul(g, h), group.inverse(g))
                                    for g in range(group.order) for h in elems})
+
+
+def greedy_generators_by_closures(group: FiniteGroup) -> tuple[int, ...]:
+    """``FiniteGroup.generators`` as it was first built: each element,
+    smallest first, outside the closure of the generators so far, with the
+    closure recomputed from the identity for each one."""
+    gens, span = [], {0}
+    for g in range(group.order):
+        if g not in span:
+            gens.append(g)
+            span = set(group.subgroup_closure(gens))
+    return tuple(gens)
+
+
+def is_normal_by_conjugation(group: FiniteGroup, elems) -> bool:
+    """g h g^-1 lies in ``elems`` for every element g and every h in it."""
+    s = set(elems)
+    return all(group.mul(group.mul(g, h), group.inverse(g)) in s
+               for g in range(group.order) for h in s)
+
+
+def class_index_by_conjugation(group: FiniteGroup) -> tuple[int, ...]:
+    """Class id per element, in order of minimal member, from the
+    conjugates x g x^-1 of each element g not yet placed."""
+    ids, next_id = [-1] * group.order, 0
+    for g in range(group.order):
+        if ids[g] < 0:
+            for x in range(group.order):
+                ids[group.mul(group.mul(x, g), group.inverse(x))] = next_id
+            next_id += 1
+    return tuple(ids)
+
+
+def cyclic_product(*orders) -> FiniteGroup:
+    """Z/orders[0] x Z/orders[1] x ..., built by ``direct_product``."""
+    group = FiniteGroup.cyclic(orders[0])
+    for n in orders[1:]:
+        group = FiniteGroup.direct_product(group, FiniteGroup.cyclic(n))
+    return group
+
+
+def relabelled(group: FiniteGroup, rng) -> FiniteGroup:
+    """The same group with its non-identity elements renumbered by a
+    shuffle drawn from ``rng``."""
+    perm = [0] + rng.sample(range(1, group.order), group.order - 1)
+    table = [[0] * group.order for _ in range(group.order)]
+    for a, row in enumerate(group.table):
+        for b, ab in enumerate(row):
+            table[perm[a]][perm[b]] = perm[ab]
+    return FiniteGroup(table)

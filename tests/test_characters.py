@@ -8,8 +8,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skv.characters import (CharacterTable, _abelian_table, _check_multiplicative,
-                            _induced_table, irreducibles_monomial,
+from skv.characters import (AbelianTable, CharacterTable, _check_multiplicative,
+                            _induced_table, check_coordinates, irreducibles_monomial,
                             linear_character_powers)
 from skv.cyclotomic import Cyclo, unit_generators
 from skv.errors import (ArithmeticDomainError, GroupError, InternalCheckError,
@@ -17,13 +17,16 @@ from skv.errors import (ArithmeticDomainError, GroupError, InternalCheckError,
 from skv.groups import FiniteGroup, _named_tables, named_group
 from skv.rednorm import monomial_representation
 
-from oracles import (contragredient_values, coset_columns, cyclo_linear_table,
-                     fraction_certificate_exps, fraction_exps,
+from oracles import (abelian_table_by_chain_extension, check_abelian_characters,
+                     contragredient_values, coordinate_characters, coset_columns,
+                     cyclic_product, cyclo_linear_table, fraction_certificate_exps,
+                     fraction_exps,
                      galois_equivariant_all_units, galois_equivariant_every_component,
                      galois_values,
                      induce_from_linear, induced_table_by_groups, inner,
                      linear_character_powers_by_quotient, linear_characters,
-                     monomial_test_groups, powers_over_common_order, value_at)
+                     monomial_test_groups, powers_over_common_order, relabelled,
+                     value_at)
 
 
 def test_c6_linear_characters():
@@ -371,7 +374,7 @@ def test_abelian_table_equals_induced_table():
     groups = [g for g in _power_map_groups() if g.is_abelian()]
     groups.append(FiniteGroup.direct_product(named_group("C2"), named_group("C6")))
     for group in groups:
-        fast, induced = _abelian_table(group), _induced_table(group)
+        fast, induced = AbelianTable(group), _induced_table(group)
         assert [c.values for c in fast] == [c.values for c in induced]
         assert [(c.u_elems, fraction_exps(c)) for c in fast.certificates] == \
             [(c.u_elems, fraction_exps(c)) for c in induced.certificates]
@@ -380,17 +383,122 @@ def test_abelian_table_equals_induced_table():
 
 
 def test_abelian_table_certificate_rejects_bad_characters(monkeypatch):
-    group = named_group("C6")
-    order, good = linear_character_powers(group)
-    duplicated = good[:-1] + [good[0]]
-    shifted = [list(e) for e in good]
-    shifted[1][2] += 1  # chi(g2) times zeta_6
-    for rows, what in ((good[:-1], "distinct"), (duplicated, "distinct"),
-                       (shifted, "multiplicative")):
-        monkeypatch.setattr("skv.characters.linear_character_powers",
-                            lambda g, rows=rows: (order, rows))
-        with pytest.raises(InternalCheckError, match=what):
-            _abelian_table(group)
+    # the certificate is the coordinate check: corrupted coordinates of C6
+    # make the table raise before any character is built
+    group = FiniteGroup.cyclic(6)
+    orders, good = group.abelian_coordinates()
+    assert orders == (6,) and good == tuple((g,) for g in range(6))
+    swapped = list(good)
+    swapped[2], swapped[3] = good[3], good[2]
+    cases = [((6,), good[:-1], "do not fit"), ((2, 3), good, "do not fit"),
+             ((6,), good[:-1] + (good[1],), "share"),
+             ((6,), tuple(((x + 1) % 6,) for (x,) in good), "unit vector"),
+             ((6,), tuple(swapped), "unit vector")]
+    for coords in cases:
+        monkeypatch.setattr(group, "abelian_coordinates", lambda coords=coords: coords[:2])
+        with pytest.raises(InternalCheckError, match=coords[2]):
+            AbelianTable(group)
+
+
+def _abelian_test_groups(fixtures):
+    """Every shipped abelian group, C1, C2^7, C3 x C9, C128, and seeded
+    random products of cyclic groups, half of them renumbered."""
+    groups = {name: fix.group for name, fix in fixtures.items() if fix.group.is_abelian()}
+    groups.update(C1=named_group("C1"), C2_7=cyclic_product(*[2] * 7),
+                  C3xC9=cyclic_product(3, 9), C128=FiniteGroup.cyclic(128))
+    rng = random.Random(31)
+    for i in range(12):
+        orders = [rng.choice([2, 3, 4, 5, 6, 8, 9, 10, 12]) for _ in range(rng.randint(1, 3))]
+        group = cyclic_product(*orders)
+        if i % 2:
+            group = relabelled(group, rng)
+        groups["x".join(map(str, orders)) + ("'" if i % 2 else "")] = group
+    return groups
+
+
+def _coordinate_variants(orders, coords, rng):
+    """(what, orders, coords): the coordinates, recoded by automorphisms
+    and by a swap of the factors, and corrupted in every way that keeps
+    one vector in Z/d_1 x ... x Z/d_k per element."""
+    n, k = len(coords), len(orders)
+    yield "valid", orders, coords
+    units = [[u for u in range(1, d) if gcd(u, d) == 1] or [0] for d in orders]
+    for _ in range(2):
+        scale = [rng.choice(us) for us in units]
+        yield "automorphism", orders, tuple(tuple(u * c % d for u, c, d in zip(scale, x, orders))
+                                            for x in coords)
+    if k >= 2:
+        yield "factors swapped", orders[::-1], tuple(x[::-1] for x in coords)
+        # x_1 + f(the others) keeps every translation by the first basis
+        # element and breaks another's unless f is a homomorphism
+        shear = (lambda x: x[-1] * x[-2]) if k >= 3 else (lambda x: x[-1] * x[-1])
+        yield "sheared", orders, tuple(((x[0] + shear(x)) % orders[0],) + x[1:] for x in coords)
+    if n < 2:
+        return
+    for _ in range(3 if n <= 64 else 1):
+        g, h = rng.sample(range(n), 2)
+        wrong = list(coords)
+        wrong[g], wrong[h] = coords[h], coords[g]
+        yield "two swapped", orders, tuple(wrong)
+        wrong = list(coords)
+        i = rng.randrange(k)
+        wrong[g] = coords[g][:i] + ((coords[g][i] + rng.randrange(1, orders[i])) % orders[i],) + \
+            coords[g][i + 1:]
+        yield "one changed", orders, tuple(wrong)
+        shift = coords[rng.randrange(1, n)]
+        yield "shifted", orders, tuple(tuple((a + b) % d for a, b, d in zip(x, shift, orders))
+                                       for x in coords)
+        perm = rng.sample(range(n), n)
+        yield "permuted", orders, tuple(coords[perm[g]] for g in range(n))
+
+
+def _accepts(check, *args):
+    try:
+        check(*args)
+    except InternalCheckError:
+        return False
+    return True
+
+
+def test_coordinate_check_accepts_what_the_character_certificate_accepts(fixtures):
+    # the old certificate (|G| distinct characters, each trivial at 1 and
+    # multiplicative on the generators) on the characters chi_a of the
+    # coordinates answers as the coordinate check does
+    rng = random.Random(7)
+    outcomes = set()
+    for name, group in _abelian_test_groups(fixtures).items():
+        for what, orders, coords in _coordinate_variants(*group.abelian_coordinates(), rng):
+            new = _accepts(check_coordinates, group, orders, coords)
+            old = _accepts(check_abelian_characters, group, *coordinate_characters(orders, coords))
+            assert new == old, (name, what, orders)
+            outcomes.add((what, new))
+    assert {("valid", True), ("automorphism", True), ("factors swapped", True),
+            ("sheared", False), ("two swapped", False), ("one changed", False),
+            ("shifted", False), ("permuted", False)} <= outcomes
+
+
+def test_coordinate_table_equals_the_chain_extension_table(fixtures):
+    for name, group in _abelian_test_groups(fixtures).items():
+        new, old = AbelianTable(group), abelian_table_by_chain_extension(group)
+        assert [(c.order, c.powers) for c in new] == [(c.order, c.powers) for c in old], name
+        assert [(c.u_elems, c.order, c.powers) for c in new.certificates] == \
+            [(c.u_elems, c.order, c.powers) for c in old.certificates], name
+        exp = new.exponent
+        assert new.value_order == old.value_order == exp
+        units = [k for k in range(-1, exp + 1) if gcd(k, exp) == 1]
+        assert [[new.galois_index(i, k) for k in units] for i in range(len(new))] == \
+            [[old.galois_index(i, k) for k in units] for i in range(len(old))], name
+        assert new.galois_orbits() == old.galois_orbits()
+        assert new.galois_fills() == old.galois_fills()
+        assert new.galois_transversal(2 * exp) == old.galois_transversal(2 * exp)
+        for n in (None, exp, 2 * exp):
+            assert new.value_numerators(n) == old.value_numerators(n), (name, n)
+        assert all(new.index_of_values(c.values) == i for i, c in enumerate(old))
+        assert [i for i in range(len(new)) if new.contragredient_index(i) == i] == \
+            [i for i in range(len(old)) if old.contragredient_index(i) == i]
+        if exp > 1:
+            with pytest.raises(ArithmeticDomainError):
+                new.galois_index(0, exp)
 
 
 def test_integer_certificates_give_the_fraction_exponents(fixtures):

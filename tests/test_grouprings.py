@@ -296,8 +296,8 @@ def test_trivial_split_pairs_the_table_with_itself(monkeypatch):
 def test_check_all_on_q_zeta23_builds_one_table_of_order_22(monkeypatch):
     fix = ExtensionFixture.load(fixture_path("q_zeta23"))
     builds = []
-    build = characters._abelian_table
-    monkeypatch.setattr("skv.characters._abelian_table",
+    build = characters.AbelianTable
+    monkeypatch.setattr("skv.characters.AbelianTable",
                         lambda group: builds.append(group.order) or build(group))
     assert [v.status for v in run_all(fix)] == ["verified"] * 5
     assert builds.count(22) == 1

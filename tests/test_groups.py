@@ -3,6 +3,8 @@
 import ast
 import itertools
 import os
+import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,10 @@ from skv.errors import GroupError
 from skv.groups import FiniteGroup, detect_direct_product, memo, named_group
 
 from oracles import (all_subgroups_by_closures, check_associative_all_triples,
+                     class_index_by_conjugation, cyclic_product,
+                     greedy_generators_by_closures, is_normal_by_conjugation,
                      monomial_test_groups, normal_closure_by_conjugates, quotient,
-                     subgroup_h_r)
+                     relabelled, subgroup_h_r)
 
 
 NAMED_ORDERS = [("C1", 1), ("C2", 2), ("C3", 3), ("C6", 6),
@@ -241,6 +245,58 @@ def test_generators_generate_and_each_is_needed():
             assert g not in group.subgroup_closure(gens[:i])
     assert named_group("C1").generators() == ()
     assert FiniteGroup.cyclic(128).generators() == (1,)
+
+
+def _structure_test_groups():
+    """Named groups, the monomial test groups, C128, and abelian products
+    with their non-identity elements renumbered by a seeded shuffle."""
+    groups = [named_group(name) for name, _ in NAMED_ORDERS]
+    groups += list(monomial_test_groups().values()) + [FiniteGroup.cyclic(128)]
+    rng = random.Random(5)
+    for orders in ((2, 2, 2), (3, 9), (2, 6), (4, 4), (2, 3, 5)):
+        group = cyclic_product(*orders)
+        groups += [group, relabelled(group, rng)]
+    return groups
+
+
+def test_greedy_generators_match_the_closures_from_the_identity():
+    # the span grows by the new elements only; the constructor picks the
+    # set once, and generators() hands it out without the memo
+    for group in _structure_test_groups():
+        fresh = FiniteGroup(group.table)
+        assert fresh.generators() == greedy_generators_by_closures(group)
+        assert fresh._memo == {}
+
+
+def test_is_abelian_matches_the_transpose_and_is_kept():
+    for group in _structure_test_groups():
+        fresh = FiniteGroup(group.table)
+        assert fresh.is_abelian() == (tuple(zip(*group.table)) == group.table)
+        assert fresh._memo == {"is_abelian": fresh.is_abelian()}
+
+
+def test_exponent_and_class_ids_match_their_definitions():
+    for group in _structure_test_groups():
+        orders = [group.element_order(a) for a in range(group.order)]
+        assert group.exponent() == lcm(*orders)
+        assert group.class_index() == class_index_by_conjugation(group)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["S3", "D4", "Q8", "S3xC2", "C6"]), st.data())
+def test_is_normal_is_closure_under_conjugation(name, data):
+    group = named_group(name)
+    elems = data.draw(st.sets(st.integers(0, group.order - 1)))
+    assert group.is_normal(elems) == is_normal_by_conjugation(group, elems)
+    for sub in group.all_subgroups():
+        assert group.is_normal(sub) == is_normal_by_conjugation(group, sub)
+
+
+def test_direct_product_split_is_kept_on_the_group():
+    for group in _structure_test_groups():
+        split = detect_direct_product(group)
+        assert detect_direct_product(group) is split
+        assert group._memo["detect_direct_product"] is split
 
 
 def test_subgroup_h_r_parity():

@@ -1,7 +1,9 @@
-"""Scaling gates for the exact core at the group-order cap of 128, for
-the L-value layer at the conductor-ladder's largest field, Q(zeta_107), for
-the bounded nr-search on a non-abelian group of order 64, and for `check
-all` on the ladder fields Q(zeta_p) for p = 31, 47, 71 and 107."""
+"""Scaling gates for the exact core on the cyclic group of order 128, for
+the L-value layer at Q(zeta_107), for the bounded nr-search on a
+non-abelian group of order 64, and for `check all` on the ladder fields
+Q(zeta_p) for p = 31, 47, 71, 107, 257 and 521; and the pinned report of
+`check all` on Q(zeta_1021), whose group of order 1020 is near the
+group-order cap of 1024."""
 
 import contextlib
 import hashlib
@@ -101,7 +103,24 @@ LADDER_REPORTS = {
     47: (2, "277ca08b1a4a7fce310b022954b732d0e7fb2925049e7b0fd06fdbd55b0ed4ba"),
     71: (2, "9a02ceb1ed315d2dbb155c946cdc71effa7d5cb563bdcca5bb4c726a2fcfef52"),
     107: (2, "c979c771891ea1c47f2ab14b96df870be8aef57c7e84edba760eced7440ea525"),
+    257: (2, "aae0eacbeede0630ecab2638e8b97d4edc624d98d189c2001516f228845df3ea"),
+    521: (2, "2e20931d2af99dfbef4ac510b0b49b4490ab138b6eff73d8703eb3d1e422e5ed"),
 }
+
+#: The same for Q(zeta_1021), recorded when the group-order cap went from
+#: 128 to 1024 and before any change to the abelian character table.
+LADDER_1021_REPORT = (2, "b3e56c97342b9fb45cf66ac3b1872407bc19d4b3498c15ec7f8f0eaab63fd0af")
+
+
+def _check_all_on_ladder(write, p, directory):
+    """(exit code, stdout sha256) of `check all` on Q(zeta_p), and seconds."""
+    path = write(p, directory)
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        rc = main(["check", "all", "--fixture", path])
+    elapsed = time.perf_counter() - t0
+    return (rc, hashlib.sha256(out.getvalue().encode()).hexdigest()), elapsed
 
 
 @pytest.mark.slow
@@ -109,14 +128,19 @@ def test_check_all_on_the_ladder_fields(tmp_path):
     # `check all` on Q(zeta_107) took about 0.6 s on a 2-CPU x86-64 host,
     # against about 1.3 s when the fixture load built subgroup and quotient
     # groups, the trivial product split searched every subgroup and built
-    # a second table, and characters kept Fraction exponents
+    # a second table, and characters kept Fraction exponents; Q(zeta_521)
+    # took about 1.9 s when the group-order cap was lifted
     write = ladder_fixture_writer()
     for p, want in LADDER_REPORTS.items():
-        path = write(p, str(tmp_path))
-        out = io.StringIO()
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(out):
-            rc = main(["check", "all", "--fixture", path])
-        elapsed = time.perf_counter() - t0
-        assert (rc, hashlib.sha256(out.getvalue().encode()).hexdigest()) == want
-    assert elapsed < LIMIT_S, f"p = 107: {elapsed:.2f} s"
+        got, elapsed = _check_all_on_ladder(write, p, str(tmp_path))
+        assert got == want, p
+        assert elapsed < LIMIT_S, f"p = {p}: {elapsed:.2f} s"
+
+
+@pytest.mark.slow
+def test_check_all_on_q_zeta_1021(tmp_path):
+    # the report only; this took about 8 s on a 2-CPU x86-64 host when the
+    # cap was lifted, and about 3.5 s once abelian tables came from
+    # coordinates
+    got, _ = _check_all_on_ladder(ladder_fixture_writer(), 1021, str(tmp_path))
+    assert got == LADDER_1021_REPORT

@@ -18,7 +18,7 @@ and the sha256 of its stdout and of its stderr.  Run it at two commits and
 diff the outputs to show that a change keeps every report byte-identical.
 From the repository root:
 
-    python3 tools/report_digests.py --seeds 0-39 --ladder 31,47,71,107 --cli > digests.txt
+    python3 tools/report_digests.py --seeds 0-39 --ladder 31,47,71,107,257,521 --cli > digests.txt
     python3 tools/report_digests.py --seeds 0 --commands > digests.txt
     python3 tools/report_digests.py --seeds 0 --extra big.json > digests.txt
     python3 tools/report_digests.py --seeds 0-3 --fitting-ladder 31,47 > digests.txt
@@ -106,7 +106,7 @@ COMMAND_INVOCATIONS = [
 
 #: The two digest lists that show a change keeps every report byte-identical.
 PROOF_RUNS = [
-    ["--seeds", "0-39", "--ladder", "31,47,71,107", "--cli"],
+    ["--seeds", "0-39", "--ladder", "31,47,71,107,257,521", "--cli"],
     ["--seeds", "0-39", "--fitting-ladder", "31,47", "--commands"],
 ]
 
