@@ -70,25 +70,26 @@ THETA_SOURCE_FIELDS = {"schema": str, "chiIndex": int, "uElems": list[int],
                        "r": int, "provenance": str, "values": dict}
 
 
-def validate_theta_source(src):
+def validate_theta_source(src) -> dict[int, Cyclo]:
     """Shape check of one imported theta source (schema "skvtheta/1"):
-    everything ``engine.theta_monomial`` reads from it."""
+    everything ``engine.theta_monomial`` reads from it.  Returns its
+    values, parsed, by integer index."""
     _require_keys(src, THETA_SOURCE_FIELDS, set(THETA_SOURCE_FIELDS) - {"uElems"},
                   "theta source")
     if src["schema"] != "skvtheta/1":
         raise FixtureError(f"unsupported theta source schema {src['schema']!r}")
-    seen = set()
+    values = {}
     for j, v in src["values"].items():
         if not (isinstance(j, str) and DECIMAL_INDEX.fullmatch(j)):
             raise FixtureError(f"theta source values key {j!r} is not an integer index")
-        if int(j) in seen:
+        if int(j) in values:
             raise FixtureError(f"theta source values index {int(j)} given twice")
-        seen.add(int(j))
         try:
-            Cyclo.from_json(v)
+            values[int(j)] = Cyclo.from_json(v)
         except (SkvError, KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FixtureError(
                 f"theta source value {j}: not a cyclotomic number ({exc})") from None
+    return values
 
 
 def _is_prime(n: int) -> bool:
@@ -349,8 +350,8 @@ class ExtensionFixture:
             _check_places_against_map(self, f, mp)
             _check_mu_against_map(self)
         self.subextension_thetas = obj.get("subextensionThetas", [])
-        for src in self.subextension_thetas:
-            validate_theta_source(src)
+        # per theta source, its values parsed once, by integer index
+        self.theta_values = [validate_theta_source(src) for src in self.subextension_thetas]
         # the primes p declared to divide the class number of Q(zeta_p): one
         # integer or a list of them; type(k) is int also rejects bool
         flags = obj.get("clZetaPFlag")

@@ -6,7 +6,9 @@ extension: a basis G = Z/d_1 x ... x Z/d_k
 vector x, and ``check_coordinates`` certifies that x is an isomorphism.
 Each dual vector a then gives the character chi_a(g) =
 zeta_E^(sum_i a_i x_i(g) E / d_i), E the exponent, certified by (G,
-chi_a), and sigma_k(chi_a) = chi_(k a) is the whole Galois action.
+chi_a), and sigma_k(chi_a) = chi_(k a) is the whole Galois action.  The
+certificate keeps the dual vector a, and makes its dict of powers only
+when read.
 
 A non-abelian group's linear characters are found by chain extension
 over the abelianization, and its other irreducibles come with monomial
@@ -15,22 +17,23 @@ inducing the irreducible.  Every linear character of a table, abelian or
 not, is kept as integers: an order n and, per class, the power k of its
 value zeta_n^k; its ``Cyclo`` values are made only when read.  The table
 takes its sort keys, value ids and value numerators for such a character
-from those integers.  The values of the other irreducibles live in
-Q(zeta_E), stored exactly.  A non-abelian table finds Galois conjugates
-from the group's class power maps, sigma_k(chi)(g) = chi(g^k), as GAP's
-character table library does.  Every table looks characters up by
-integer keys of their values.
+from those integers.  The values of the other irreducibles are induced
+in integers: per class, weights on the powers of zeta_n, reduced modulo
+Phi_n and divided exactly by |U|, give the power-basis numerators of the
+value, stored exactly at order n; a candidate is compared with the
+characters found so far by its numerators at order |G|.  A non-abelian
+table finds Galois conjugates from the group's class power maps,
+sigma_k(chi)(g) = chi(g^k), as GAP's character table library does.
+Every table looks characters up by integer keys of their values.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import add, mod
 
-from .cyclotomic import (Cyclo, order_data, root_of_unity_sum, unit_generators,
-                         unit_residues)
+from .cyclotomic import Cyclo, order_data, unit_generators, unit_residues
 from .errors import (ArithmeticDomainError, GroupError, InternalCheckError,
                      NotMonomialError)
 from .groups import FiniteGroup, memo
@@ -176,6 +179,24 @@ class MonomialCertificate:
 
     def __repr__(self):
         return f"MonomialCertificate(U={self.u_elems})"
+
+
+class DualCertificate(MonomialCertificate):
+    """The certificate (G, chi_a) of an abelian table's character chi_a,
+    kept as its dual vector a (``dual``) and the row of its powers of
+    zeta_E on G, E the exponent.  Its order is that of a in
+    Z/d_1 x ... x Z/d_k, the lcm of the d_i / gcd(a_i, d_i), and the dict
+    of its |G| powers at that order is made on first read."""
+
+    def __init__(self, u_elems: tuple[int, ...], orders, dual, exponent: int, row):
+        self.u_elems = u_elems
+        self.dual = dual
+        self.order = lcm(*(d // gcd(a, d) for a, d in zip(dual, orders)))
+        self._step, self._row = exponent // self.order, row
+
+    @cached_property
+    def powers(self) -> dict[int, int]:
+        return dict(zip(self.u_elems, map(self._step.__rfloordiv__, self._row)))
 
 
 class CharacterTable:
@@ -520,8 +541,8 @@ class AbelianTable(CharacterTable):
         self._rows = [rows[i] for i in order]
         self._duals = [duals[i] for i in order]
         self.chars = [Character.linear(group, exp, row) for row in self._rows]
-        self.certificates = [MonomialCertificate(elems, exp, dict(zip(elems, row)))
-                             for row in self._rows]
+        self.certificates = [DualCertificate(elems, orders, a, exp, row)
+                             for a, row in zip(self._duals, self._rows)]
         self._value_ids = {(exp, num, 1): k for k, num in enumerate(nums)}
         self._index = {row: i for i, row in enumerate(self._rows)}
         self._position = {a: i for i, a in enumerate(self._duals)}
@@ -569,12 +590,17 @@ def _induced_table(group: FiniteGroup) -> CharacterTable:
     """Induce the linear characters of every subgroup U, largest first,
     each in chain-extension order, keeping each induced character that is
     irreducible and new.  Ind psi at the class of g is (|C_G(g)| / |U|)
-    times the sum of psi over the class members in U, kept as integer
-    weights w_k on the powers of zeta_n, n = lcm(exponent, order of psi);
-    it is irreducible exactly when <chi, chi> = 1, which in traces over Q
-    is sum_cls |cls| sum_{k,l} w_k w_l Tr(zeta_n^(k-l)) = |G| |U|^2 phi(n).
-    At U = G every psi is irreducible as it stands, and is kept as its
-    powers of zeta_n, the order its values would have."""
+    times the sum of psi over the class members in U, kept as sparse
+    integer weights w_k on the powers of zeta_n, n = lcm(exponent, order
+    of psi); it is irreducible exactly when <chi, chi> = 1, which in
+    traces over Q is sum_cls |cls| sum_{k,l} w_k w_l Tr(zeta_n^(k-l)) =
+    |G| |U|^2 phi(n).  Its values are then algebraic integers, so each
+    class's weights, reduced modulo Phi_n in integers, divide exactly by
+    |U| (``_induced_numerators``), and the value is stored at order n.  It
+    is new unless an earlier one has the same numerators at order |G|,
+    which every such n divides.  At U = G every psi is irreducible as it
+    stands, and is kept as its powers of zeta_n, the order its values
+    would have."""
     found: list[Character] = []
     certs: list[MonomialCertificate] = []
     seen = set()
@@ -600,20 +626,22 @@ def _induced_table(group: FiniteGroup) -> CharacterTable:
             else:
                 weights, norm = [], 0
                 for cls, members in zip(classes, inside):
-                    w = [0] * n
+                    w: dict[int, int] = {}
                     for y in members:
-                        w[powers[y] * step] += size // len(cls)
-                    terms = [(k, c) for k, c in enumerate(w) if c]
+                        k = powers[y] * step
+                        w[k] = w.get(k, 0) + size // len(cls)
                     norm += len(cls) * sum(a * c * data.traces[(k - l) % n]
-                                           for k, a in terms for l, c in terms)
+                                           for k, a in w.items() for l, c in w.items())
                     weights.append(w)
                 if norm != size * len(u) ** 2 * data.phi:
                     continue
-                chi = Character(group, [root_of_unity_sum(n, w) * Fraction(1, len(u))
-                                        for w in weights])
-                if chi.values in seen:
+                key = tuple(_induced_numerators(w, n, size, len(u)) for w in weights)
+                if key in seen:
                     continue
-                seen.add(chi.values)
+                seen.add(key)
+                nums = key if n == size else \
+                    [_induced_numerators(w, n, n, len(u)) for w in weights]
+                chi = Character(group, [Cyclo.from_numerators(n, num, 1) for num in nums])
             found.append(chi)
             certs.append(MonomialCertificate(u, order, powers))
             total += chi.degree ** 2
@@ -623,3 +651,14 @@ def _induced_table(group: FiniteGroup) -> CharacterTable:
         f"only {total} of {group.order} in the degree-square count; "
         "group admits non-monomial irreducibles"
     )
+
+
+def _induced_numerators(weights: dict[int, int], n: int, m: int, u: int) -> tuple[int, ...]:
+    """Power-basis numerators, over the denominator 1, of the algebraic
+    integer sum_k w_k zeta_n^k / u written in Q(zeta_m), for n | m: the
+    weights reduced modulo Phi_m, each divided exactly by u."""
+    step = m // n
+    num = order_data(m).numerators((k * step, w) for k, w in weights.items())
+    if gcd(u, *num) != u:
+        raise InternalCheckError("induced character value is not an algebraic integer")
+    return tuple(map(u.__rfloordiv__, num))

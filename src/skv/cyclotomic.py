@@ -136,6 +136,19 @@ class _OrderData:
                         tuple((j, r) for j, r in enumerate(self._last) if r))
         return self._terms[idx]
 
+    def numerators(self, terms) -> list[int]:
+        """Power-basis numerators of sum w * zeta_n^e over the pairs
+        (e, w) in ``terms``, 0 <= e < n and w an integer: each term is
+        added as its reduced power, and no vector of length n is built."""
+        phi, num = self.phi, [0] * self.phi
+        for e, w in terms:
+            if e < phi:
+                num[e] += w
+            else:
+                for j, r in self.power_terms(e):
+                    num[j] += w * r
+        return num
+
     @cached_property
     def traces(self) -> tuple[int, ...]:
         """Tr(zeta_n^k) over Q for 0 <= k < n: the Ramanujan sum
@@ -329,13 +342,7 @@ class Cyclo:
         k %= n
         z = data.zetas.get(k)
         if z is None:
-            c = [0] * data.phi
-            if k < data.phi:
-                c[k] = 1
-            else:
-                for j, r in data.power_terms(k):
-                    c[j] = r
-            z = data.zetas.setdefault(k, _make(n, c, 1))
+            z = data.zetas.setdefault(k, _make(n, data.numerators(((k, 1),)), 1))
         return z
 
     # -- structure ----------------------------------------------------

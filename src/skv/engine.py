@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .arithdata import (ExtensionFixture, GeneratorSet, PlaceSets,
                         delta_element, euler_element, generate_A_S)
-from .cyclotomic import Cyclo, unit_residues
+from .cyclotomic import unit_residues
 from .errors import FixtureError, InternalCheckError
 from .grouprings import (CentralElement, GroupRingElement, _product_pairing,
                          central_unit, idempotent_eps, minus_idempotent)
@@ -160,8 +160,8 @@ def theta_monomial(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
     table = fix.table
     tab_h, tab_c, pairing, back_h, _ = _product_pairing(table, h_elems, c_elems)
     by_chi: dict[int, list] = {}
-    for src in fix.subextension_thetas:
-        by_chi.setdefault(int(src["chiIndex"]), []).append(src)
+    for src, vals in zip(fix.subextension_thetas, fix.theta_values):
+        by_chi.setdefault(int(src["chiIndex"]), []).append((src, vals))
     comps_sharp = [None] * len(table)
     for i in range(len(tab_h)):
         cert = tab_h.certificates[i]
@@ -170,13 +170,13 @@ def theta_monomial(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
                           for u in cert.u_elems for c in c_elems})
         want_s = translated_place_labels(fix, m_elems, sets.S)
         want_t = translated_place_labels(fix, m_elems, sets.T)
-        src = None
-        for cand in by_chi.get(i, []):
+        src = vals = None
+        for cand, cand_vals in by_chi.get(i, []):
             if int(cand["r"]) != r:
                 continue
             if sorted(cand["sPrimeLabels"]) != want_s or sorted(cand["tPrimeLabels"]) != want_t:
                 continue
-            src = cand
+            src, vals = cand, cand_vals
             break
         if src is None:
             raise FixtureError(
@@ -188,7 +188,6 @@ def theta_monomial(fix: ExtensionFixture, sets: PlaceSets) -> ThetaElement:
                 f"source for H-character {i} declares subgroup {sorted(src['uElems'])}, "
                 f"certificate has {sorted(cert.u_elems)}"
             )
-        vals = {int(j): Cyclo.from_json(v) for j, v in src["values"].items()}
         if set(vals) != set(range(len(tab_c))):
             raise FixtureError(
                 f"source for H-character {i} must cover all {len(tab_c)} C-characters"

@@ -12,6 +12,13 @@ is built from that data with each entry added up in integers and reduced
 once.  Every star adjoint is verified against its defining identity
 before being returned.
 
+The minors of a Fitting invariant are row selections of one
+presentation: at each irreducible, the block of the whole presentation is
+built once, and ``linalg.selection_dets`` eliminates all selections of
+its rows together, so a pivot inverse or row update that several minors
+share is made once; every minor still gets the value and order that its
+own elimination gives.
+
 Every matrix is over QG, since a ``GroupRingElement`` holds integer
 numerators over one denominator.  The reduced norm of such a matrix is
 Galois-equivariant: its component at sigma_k(chi) is
@@ -39,7 +46,7 @@ from .cyclotomic import Cyclo, order_data, root_of_unity_sum
 from .errors import FixtureError, GroupError, InternalCheckError
 from .grouprings import CentralElement, GroupRingElement, central_unit
 from .groups import memo
-from .linalg import char_poly, mat_add, mat_det, mat_mul
+from .linalg import char_poly, mat_add, mat_det, mat_mul, selection_dets
 
 # -- monomial representations -------------------------------------------
 
@@ -109,18 +116,9 @@ def fixed_point_trace(column, n: int, order: int) -> tuple[int, ...]:
     Q(zeta_order) for n | order.  Each of these at most ``degree`` roots of
     unity is added as its reduced power; no vector of length ``order`` is
     built."""
-    data = order_data(order)
-    num = [0] * data.phi
     step = order // n
-    for j, (i, k) in enumerate(column):
-        if i == j:
-            e = k * step
-            if e < data.phi:
-                num[e] += 1
-            else:
-                for t, r in data.power_terms(e):
-                    num[t] += r
-    return tuple(num)
+    return tuple(order_data(order).numerators(
+        (k * step, 1) for j, (i, k) in enumerate(column) if i == j))
 
 
 # -- group-ring matrices --------------------------------------------------
@@ -187,7 +185,7 @@ def reduced_norm_component(a, table: CharacterTable, i: int) -> Cyclo:
 def reduced_norm(a, table: CharacterTable) -> CentralElement:
     """Reduced norm of a square matrix over QG, as a central element (one
     component per irreducible; see ``_represented``)."""
-    return _rows_norm(a, range(len(a)), _represented(a, table), table)
+    return _minor_norms(a, [range(len(a))], table)[0]
 
 
 def _represented(a, table: CharacterTable):
@@ -208,22 +206,30 @@ def _represented(a, table: CharacterTable):
     return blocks
 
 
-def _rows_norm(a, rows, blocks, table: CharacterTable) -> CentralElement:
+def _minor_norms(a, selections, table: CharacterTable) -> list[CentralElement]:
     """Reduced norm of the matrix made of the given rows of the matrix
-    ``a`` over QG, with ``blocks`` the ``_represented`` data of all of
-    ``a``: its component at an irreducible of degree d is the determinant
-    of the d rows from r * d on of that block, for each selected row r,
-    or sigma_k of the component at r for a filled character, made when
-    read.  The selection must be square, and its computed components must
-    pass the Galois self-check."""
-    if any(len(a[r]) != len(rows) for r in rows):
+    ``a`` over QG, for each selection of rows.  Each must be square.  At
+    an irreducible of degree d, the component is the determinant of the
+    d rows from r * d on of the ``_represented`` block of all of ``a``,
+    for each selected row r; one ``selection_dets`` call per character
+    gives those of every selection, and its row states last only for that
+    call.  At a filled character, the component is sigma_k of the one at
+    its orbit's first member, made when read.  The computed components of
+    each selection must pass the Galois self-check."""
+    selections = [tuple(rows) for rows in selections]
+    blocks = _represented(a, table)
+    if any(len(a[r]) != len(rows) for rows in selections for r in rows):
         raise GroupError("reduced norm requires a square matrix")
-
-    def det(i):
-        d, block = blocks[i]
-        return mat_det([block[r * d + j] for r in rows for j in range(d)])
-
-    return CentralElement.from_orbits(table, det, "reduced norm")
+    dets = []
+    for block in blocks:
+        if block is None:
+            dets.append(None)
+        else:
+            d, m = block
+            dets.append(selection_dets(m, [[r * d + j for r in rows for j in range(d)]
+                                           for rows in selections]))
+    return [CentralElement.from_orbits(table, lambda i, s=s: dets[i][s], "reduced norm")
+            for s in range(len(selections))]
 
 
 class StarAdjointResult:
@@ -313,8 +319,9 @@ class FittingInvariant:
 def fitting_of_presentation(h, table: CharacterTable) -> FittingInvariant:
     """Fitting invariant of the presentation matrix h over ZG (a rows, b
     columns, rows are relations): reduced norms of all b x b row
-    selections, each read off the blocks of the whole of h under every
-    irreducible."""
+    selections, in ``itertools.combinations`` order, read off the blocks
+    of the whole of h under every irreducible, with one elimination per
+    irreducible shared by all of them (``_minor_norms``)."""
     a = len(h)
     b = len(h[0]) if a else 0
     if not grm_is_integral(h):
@@ -322,9 +329,7 @@ def fitting_of_presentation(h, table: CharacterTable) -> FittingInvariant:
     if a < b:
         zero = CentralElement(table, [Cyclo.zero()] * len(table))
         return FittingInvariant([zero], quadratic=False, zero=True)
-    blocks = _represented(h, table)
-    gens = [_rows_norm(h, rows, blocks, table)
-            for rows in itertools.combinations(range(a), b)]
+    gens = _minor_norms(h, itertools.combinations(range(a), b), table)
     return FittingInvariant(gens, quadratic=(a == b), zero=False)
 
 

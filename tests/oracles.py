@@ -17,8 +17,8 @@ from skv.arithdata import (ExtensionFixture, PlaceData, PlaceSets, local_factor,
 from skv.characters import (Character, CharacterTable, MonomialCertificate,
                             _check_multiplicative, chain_extension, irreducibles_monomial,
                             linear_character_powers)
-from skv.cyclotomic import (Cyclo, _product, _scale, root_of_unity_sum, unit_generators,
-                            unit_residues)
+from skv.cyclotomic import (Cyclo, _product, _scale, order_data, root_of_unity_sum,
+                            unit_generators, unit_residues)
 from skv.engine import _dirichlet_for_table
 from skv.errors import FixtureError, GroupError, InternalCheckError, NotMonomialError
 from skv.grouprings import CentralElement, GroupRingElement, _product_pairing
@@ -26,8 +26,8 @@ from skv.groups import FiniteGroup
 from skv.linalg import char_poly, mat_add, mat_det, mat_identity, mat_mul, mat_scale
 from skv.lvalues import (BernoulliData, DirichletCharacter, L_at_nonpositive,
                          bernoulli_polynomial, characters_mod, euler_delta_factor)
-from skv.rednorm import (FiniteGModule, MonomialRepresentation, apply_representation,
-                         grm_identity, monomial_representation)
+from skv.rednorm import (FiniteGModule, MonomialRepresentation, _represented,
+                         apply_representation, grm_identity, monomial_representation)
 from skv.verify import SUITES, CheckOptions, Verdict
 
 
@@ -152,6 +152,67 @@ def induced_table_by_groups(group: FiniteGroup) -> CharacterTable:
             certs.append(MonomialCertificate(u, order, powers))
             total += chi.degree ** 2
             if total == group.order:
+                return CharacterTable(group, found, certs)
+    raise NotMonomialError(
+        f"only {total} of {group.order} in the degree-square count; "
+        "group admits non-monomial irreducibles"
+    )
+
+
+def induced_table_by_cyclo_values(group: FiniteGroup) -> CharacterTable:
+    """The induced table as built before its values came from integer
+    numerators: induce the linear characters of every subgroup U, largest
+    first, each in chain-extension order, keeping each induced character
+    that is irreducible and new, by its tuple of Cyclo values.  Ind psi at the class of g is (|C_G(g)| / |U|)
+    times the sum of psi over the class members in U, kept as integer
+    weights w_k on the powers of zeta_n, n = lcm(exponent, order of psi);
+    it is irreducible exactly when <chi, chi> = 1, which in traces over Q
+    is sum_cls |cls| sum_{k,l} w_k w_l Tr(zeta_n^(k-l)) = |G| |U|^2 phi(n).
+    At U = G every psi is irreducible as it stands, and is kept as its
+    powers of zeta_n, the order its values would have."""
+    found: list[Character] = []
+    certs: list[MonomialCertificate] = []
+    seen = set()
+    total = 0
+    size, exp, ids = group.order, group.exponent(), group.class_index()
+    classes = group.conjugacy_classes()
+    for u in group.all_subgroups():
+        if not group.is_subgroup(u):
+            raise GroupError("induction requires a subgroup")
+        inside = [[] for _ in classes]  # per class, its members in U
+        for y in u:
+            inside[ids[y]].append(y)
+        order, rows = linear_character_powers(group, u)
+        n = lcm(exp, order)
+        step, data = n // order, order_data(n)
+        for row in rows:
+            powers = dict(zip(u, row))
+            _check_multiplicative(group, u, order, powers)
+            if len(u) == size:
+                # U = G: psi is its own induction, a linear character, kept
+                # as its powers of zeta_n
+                chi = Character.linear(group, n, [powers[c[0]] * step for c in classes])
+            else:
+                weights, norm = [], 0
+                for cls, members in zip(classes, inside):
+                    w = [0] * n
+                    for y in members:
+                        w[powers[y] * step] += size // len(cls)
+                    terms = [(k, c) for k, c in enumerate(w) if c]
+                    norm += len(cls) * sum(a * c * data.traces[(k - l) % n]
+                                           for k, a in terms for l, c in terms)
+                    weights.append(w)
+                if norm != size * len(u) ** 2 * data.phi:
+                    continue
+                chi = Character(group, [root_of_unity_sum(n, w) * Fraction(1, len(u))
+                                        for w in weights])
+                if chi.values in seen:
+                    continue
+                seen.add(chi.values)
+            found.append(chi)
+            certs.append(MonomialCertificate(u, order, powers))
+            total += chi.degree ** 2
+            if total == size:
                 return CharacterTable(group, found, certs)
     raise NotMonomialError(
         f"only {total} of {group.order} in the degree-square count; "
@@ -474,6 +535,60 @@ def local_factor_matrix(fix: ExtensionFixture, place: PlaceData, chi_index: int,
 
 def mat_sub(a, b) -> list[list[Cyclo]]:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def det_by_elimination(a) -> Cyclo:
+    """``mat_det`` as it was before row selections shared their
+    elimination: one matrix, eliminated on its own, with the same pivot
+    search, swaps, rows to clear and 2x2 finish."""
+    n = len(a)
+    if n == 0:
+        return Cyclo.one()
+    if n == 1:
+        return Cyclo.zero() if a[0][0].is_zero() else a[0][0]
+    m = [row[:] for row in a]
+    det = Cyclo.one()
+    for col in range(n - 2):
+        pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+        if pivot is None:
+            return Cyclo.zero()
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col]
+        below = [r for r in range(col + 1, n) if not m[r][col].is_zero()]
+        if not below:
+            continue
+        inv = m[col][col].inverse()
+        for r in below:
+            factor = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] = m[r][c] - factor * m[col][c]
+    (p, b), (c, d) = m[n - 2][n - 2:], m[n - 1][n - 2:]
+    if p.is_zero():
+        if c.is_zero():
+            return Cyclo.zero()
+        (p, b), (c, d) = (c, d), (p, b)
+        det = -det
+    tail = p * d if c.is_zero() else p * d - c * b
+    return Cyclo.zero() if tail.is_zero() else det * tail
+
+
+def fitting_by_minors(h, table: CharacterTable) -> list[CentralElement]:
+    """The generators of ``fitting_of_presentation(h, table)`` as they were
+    computed before the minors shared one elimination per character: per
+    b x b row selection, in ``itertools.combinations`` order, its own
+    ``det_by_elimination`` of the selected rows of each character's block
+    of all of h, built by ``CentralElement.from_orbits``."""
+    b = len(h[0])
+    blocks = _represented(h, table)
+    gens = []
+    for rows in itertools.combinations(range(len(h)), b):
+        def det(i, rows=rows):
+            d, block = blocks[i]
+            return det_by_elimination([block[r * d + j] for r in rows for j in range(d)])
+        gens.append(CentralElement.from_orbits(table, det, "reduced norm"))
+    return gens
 
 
 def run_all(fix: ExtensionFixture,

@@ -8,22 +8,27 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skv.characters import (AbelianTable, CharacterTable, _check_multiplicative,
-                            _induced_table, check_coordinates, irreducibles_monomial,
-                            linear_character_powers)
+from skv.arithdata import ExtensionFixture
+from skv.characters import (AbelianTable, CharacterTable, MonomialCertificate,
+                            _check_multiplicative, _induced_table, check_coordinates,
+                            irreducibles_monomial, linear_character_powers)
 from skv.cyclotomic import Cyclo, unit_generators
 from skv.errors import (ArithmeticDomainError, GroupError, InternalCheckError,
                         NotMonomialError)
+from skv.engine import _dirichlet_for_table
+from skv.grouprings import GroupRingElement
 from skv.groups import FiniteGroup, _named_tables, named_group
-from skv.rednorm import monomial_representation
+from skv.rednorm import fitting_of_presentation, monomial_representation
 
+from conftest import load_fixture_json
 from oracles import (abelian_table_by_chain_extension, check_abelian_characters,
                      contragredient_values, coordinate_characters, coset_columns,
                      cyclic_product, cyclo_linear_table, fraction_certificate_exps,
                      fraction_exps,
                      galois_equivariant_all_units, galois_equivariant_every_component,
                      galois_values,
-                     induce_from_linear, induced_table_by_groups, inner,
+                     induce_from_linear, induced_table_by_cyclo_values,
+                     induced_table_by_groups, inner,
                      linear_character_powers_by_quotient, linear_characters,
                      monomial_test_groups, powers_over_common_order, relabelled,
                      value_at)
@@ -546,6 +551,74 @@ def test_non_monomial_group_fails_alike_on_both_paths():
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("only 12 of 24")
+
+
+def _table_or_error(build, group):
+    """Per character its order, degree, powers and exact values, and per
+    certificate its subgroup, order and powers; or the NotMonomialError
+    text."""
+    try:
+        table = build(group)
+    except NotMonomialError as exc:
+        return str(exc)
+    return ([(c.order, c.degree, c.powers, [(v.order, v.num, v.den) for v in c.values])
+             for c in table],
+            [(c.u_elems, c.order, c.powers) for c in table.certificates])
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_GROUPS))
+def test_induced_values_from_integer_weights_match_the_cyclo_sums(name):
+    # the same characters, values and orders, and the same certificates in
+    # the same order, as summing roots of unity in Cyclo and keeping a
+    # character by its tuple of Cyclo values; SL(2,3) fails alike
+    group = MONOMIAL_GROUPS[name]
+    new = _table_or_error(_induced_table, group)
+    assert new == _table_or_error(induced_table_by_cyclo_values, group)
+    assert isinstance(new, str) == (name == "SL(2,3)")
+
+
+def test_abelian_certificates_keep_the_dual_vector_and_make_powers_when_read(fixtures):
+    for name, group in _abelian_test_groups(fixtures).items():
+        table = AbelianTable(group)
+        certs = table.certificates
+        assert not any("powers" in vars(c) for c in certs), name
+        elems = tuple(range(group.order))
+        for cert, chi in zip(certs, table):
+            # the order of the dual vector is the order of the character
+            old = MonomialCertificate(elems, table.exponent, dict(zip(elems, chi.powers)))
+            assert (cert.u_elems, cert.order, cert.powers) == \
+                (old.u_elems, old.order, old.powers), name
+        assert [table.galois_index(i, 1) for i in range(len(table))] == \
+            [table._position[c.dual] for c in certs]
+    # fitting reads the powers of the computed characters only: 6 of 22
+    table = AbelianTable(fixtures["q_zeta23"].group)
+    h = [[GroupRingElement(table.group, {1: 1, 5: -2}), GroupRingElement(table.group, {0: 2})],
+         [GroupRingElement(table.group, {3: 1}), GroupRingElement(table.group, {2: -1})],
+         [GroupRingElement(table.group, {0: 1}), GroupRingElement(table.group, {7: 1})]]
+    fitting_of_presentation(h, table)
+    read = [i for i, c in enumerate(table.certificates) if "powers" in vars(c)]
+    assert read == [i for i in range(len(table)) if i not in table.galois_fills()]
+    assert len(read) == 6
+
+
+def test_abelian_certificates_give_the_dict_certificates_results(fixtures):
+    # monomial representations and Dirichlet characters read from the dual
+    # certificates equal those read from certificates with a dict of powers
+    for name in ("q", "q_i", "q_zeta3", "q_zeta23"):
+        fix, plain = (ExtensionFixture(load_fixture_json(name)) for _ in range(2))
+        table = fix.table
+        elems = tuple(range(table.group.order))
+        copy = object.__new__(AbelianTable)
+        copy.__dict__.update(vars(table), _memo={}, certificates=[
+            MonomialCertificate(elems, table.exponent, dict(zip(elems, chi.powers)))
+            for chi in table])
+        plain._memo["table"] = copy
+        for i in range(len(table)):
+            got, want = monomial_representation(table, i), monomial_representation(copy, i)
+            assert (got.degree, got.order, got.columns) == \
+                (want.degree, want.order, want.columns), (name, i)
+        assert [chi.key for chi in _dirichlet_for_table(fix)] == \
+            [chi.key for chi in _dirichlet_for_table(plain)], name
 
 
 @pytest.mark.parametrize("name", ["S4", "F20", "S3xC6", "D4xC2"])

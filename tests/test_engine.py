@@ -442,6 +442,22 @@ def test_check_all_takes_nr_of_each_inertia_norm_once_per_place(monkeypatch):
     assert len(calls) == 4
 
 
+def test_check_all_s3c2_parses_each_theta_source_value_once(monkeypatch, capsys):
+    # loading validates the 24 values of the fixture's theta sources and
+    # keeps them parsed; theta_monomial reads those (48 parses when it
+    # parsed the sources again)
+    calls = []
+    real = Cyclo.from_json
+    monkeypatch.setattr(Cyclo, "from_json",
+                        staticmethod(lambda obj: calls.append(obj) or real(obj)))
+    assert cli_main(["check", "all", "--fixture", fixture_path("s3c2")]) == 2
+    sources = load_fixture_json("s3c2")["subextensionThetas"]
+    assert len(calls) == sum(len(src["values"]) for src in sources) == 24
+    fix = ExtensionFixture(load_fixture_json("s3c2"))
+    assert fix.theta_values == [{int(j): real(v) for j, v in src["values"].items()}
+                                for src in sources]
+
+
 def test_non_multiplicative_cyclotomic_map_exits_3(tmp_path, capsys):
     obj = load_fixture_json("q_zeta23")
     mp = obj["cyclotomic"]["map"]

@@ -1,16 +1,18 @@
 """Exact dense linear algebra over the cyclotomic coefficient ring."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from skv.cyclotomic import Cyclo
+from skv.errors import ArithmeticDomainError
 from skv.linalg import (char_poly, mat_det, mat_identity, mat_mul, mat_scale,
-                        mat_trace)
+                        mat_trace, selection_dets)
 
-from oracles import mat_sub
+from oracles import det_by_elimination, mat_sub
 
 
 def _mat(rows):
@@ -239,3 +241,50 @@ def test_det_of_zero_entries_is_the_order_one_zero():
         # a rational 1x1 entry keeps the order it is stored at
         three = Cyclo.rational(3).lift(order)
         assert _key(mat_det([[three]])) == _key(three)
+
+
+@st.composite
+def block_row_selections(draw):
+    """(matrix, selections): a * d rows of b * d entries, d in {1, 2}, a
+    from b to b + 2, and every choice of b of its a blocks of d rows, as
+    a Fitting invariant takes them at an irreducible of degree d.  The
+    entries are mixed-order values, or rationals stored at a drawn order,
+    with zeros at every order among them."""
+    d = draw(st.sampled_from((1, 2)))
+    b = draw(st.integers(1, 4 if d == 1 else 3))
+    a = draw(st.integers(b, b + 2))
+    zeros = st.sampled_from(MIXED_ORDERS).map(Cyclo.zero)
+    if draw(st.booleans()):
+        values = st.builds(lambda q, n: Cyclo.rational(q).lift(n),
+                           st.sampled_from((-2, -1, Fraction(1, 2), 1, 3)),
+                           st.sampled_from(MIXED_ORDERS))
+    else:
+        values = mixed_order_entries()
+    entries = st.one_of(zeros, values, values)
+    m = [[draw(entries) for _ in range(b * d)] for _ in range(a * d)]
+    if draw(st.booleans()):
+        m[-1] = m[0][:]  # two equal rows
+    return m, [[r * d + j for r in rows for j in range(d)]
+               for rows in combinations(range(a), b)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_row_selections())
+def test_shared_elimination_matches_each_selection_on_its_own(case):
+    # value, order and normal form: the selections sharing their row states,
+    # in either order, give what each one's own elimination gives, new or
+    # as it was
+    m, selections = case
+    got = list(map(_key, selection_dets(m, selections)))
+    assert got == [_key(mat_det([m[r] for r in rows])) for rows in selections]
+    assert got == [_key(det_by_elimination([m[r] for r in rows])) for rows in selections]
+    assert list(map(_key, selection_dets(m, selections[::-1]))) == got[::-1]
+
+
+def test_selections_must_share_one_size():
+    m = _mat([[1, 2], [3, 4], [5, 6]])
+    assert selection_dets(m, []) == []
+    assert selection_dets(m, [[0, 1], [1, 2], [2, 0]]) == \
+        [Cyclo.rational(-2), Cyclo.rational(-2), Cyclo.rational(4)]
+    with pytest.raises(ArithmeticDomainError, match="one size"):
+        selection_dets(m, [[0, 1], [2]])

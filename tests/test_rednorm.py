@@ -13,7 +13,7 @@ from skv.cyclotomic import Cyclo
 from skv.errors import FixtureError, GroupError, InternalCheckError
 from skv.groups import named_group
 from skv.grouprings import CentralElement, GroupRingElement, central_unit
-from skv.linalg import char_poly, mat_det, mat_mul
+from skv.linalg import char_poly, mat_mul, selection_dets
 from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          apply_representation, certified_h_elements,
                          fitting_of_presentation, fixed_point_trace, grm_identity,
@@ -21,8 +21,9 @@ from skv.rednorm import (FiniteGModule, FittingInvariant, annihilation_check,
                          reduced_norm_component, star_adjoint)
 
 from conftest import fixture_path, ladder_fixture_writer
-from oracles import (dense_trace, fraction_exps, from_root_of_unity, monomial_matrix,
-                     sigma_inverse, sigma_isomorphism, star_adjoint_per_character)
+from oracles import (dense_trace, fitting_by_minors, fraction_exps, from_root_of_unity,
+                     monomial_matrix, sigma_inverse, sigma_isomorphism,
+                     star_adjoint_per_character)
 
 
 def _tables():
@@ -476,12 +477,72 @@ def test_fitting_equals_the_reduced_norm_of_each_minor(name):
                           for i in range(len(table)))]
 
 
+WIDE_SHAPES = [(a, b) for b in (1, 2, 3, 4) for a in (b, b + 1, b + 2)]
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "s3c2", "q_zeta23"])
+def test_fitting_equals_the_per_minor_elimination(name):
+    # every generator, component by component in (order, num, den), as
+    # each minor's own elimination gave it
+    table = DIFF_TABLES[name]
+    rng = random.Random(11)
+    for a, b in WIDE_SHAPES:
+        h = _sparse_presentation(table.group, a, b, rng)
+        got = fitting_of_presentation(h, table).generators
+        want = fitting_by_minors(h, table)
+        assert [_components(x) for x in got] == [_components(x) for x in want], (a, b)
+
+
+def test_fitting_inverts_each_shared_pivot_once(monkeypatch):
+    # a 4 x 3 presentation on s3c2 with random coefficients up to 10^6,
+    # whose blocks have no zero entry: every minor inverts each pivot but
+    # its last two.  At a linear character
+    # the minors (0, 1, 2), (0, 1, 3) and (0, 2, 3) share the pivot row 0
+    # and (1, 2, 3) takes row 1: 2 inverses, not 4.  At a character of
+    # degree 2 the first two minors share all four pivots, (0, 2, 3)
+    # shares two of them, and (1, 2, 3) shares none: 4 + 2 + 4 = 10, not 16
+    import skv.rednorm as rednorm
+    table = DIFF_TABLES["s3c2"]
+    group = table.group
+    rng = random.Random(4)
+    h = [[GroupRingElement(group, {g: rng.randint(1, 10 ** 6) for g in range(group.order)})
+          for _ in range(3)] for _ in range(4)]
+    inverses, per_character = [], []
+    real = Cyclo.inverse
+    monkeypatch.setattr(Cyclo, "inverse", lambda x: inverses.append(x) or real(x))
+
+    def counted(m, rows):
+        assert all(not x.is_zero() for row in m for x in row)
+        start = len(inverses)
+        dets = selection_dets(m, rows)
+        per_character.append(len(inverses) - start)
+        return dets
+
+    monkeypatch.setattr(rednorm, "selection_dets", counted)
+    fitting_of_presentation(h, table)
+    degrees = [chi.degree for chi in table]
+    assert not table.galois_fills() and degrees == [1, 1, 1, 1, 2, 2]
+    assert per_character == [2 if d == 1 else 10 for d in degrees]
+    # each minor on its own: 4 per linear character, 16 per degree 2
+    monkeypatch.setattr(rednorm, "selection_dets", selection_dets)
+    del inverses[:]
+    fitting_by_minors(h, table)
+    assert len(inverses) == 4 * 4 + 2 * 16
+
+
 def _det_calls(monkeypatch, h, table):
-    """The matrices that ``fitting_of_presentation(h, table)`` hands to
-    mat_det, in call order."""
+    """The determinants that ``fitting_of_presentation(h, table)`` takes
+    from ``selection_dets``, in call order: per computed character, one
+    per minor."""
     import skv.rednorm as rednorm
     calls = []
-    monkeypatch.setattr(rednorm, "mat_det", lambda m: calls.append(m) or mat_det(m))
+
+    def record(m, rows):
+        dets = selection_dets(m, rows)
+        calls.extend(dets)
+        return dets
+
+    monkeypatch.setattr(rednorm, "selection_dets", record)
     fitting_of_presentation(h, table)
     monkeypatch.undo()
     return calls
@@ -498,11 +559,11 @@ def test_fitting_galois_check_catches_one_corrupted_minor_component(name, monkey
         for target in range(calls):
             count = itertools.count()
 
-            def corrupted(m, target=target, count=count):
-                det = mat_det(m)
-                return det + Cyclo.zeta(4) if next(count) == target else det
+            def corrupted(m, rows, target=target, count=count):
+                return [det + Cyclo.zeta(4) if next(count) == target else det
+                        for det in selection_dets(m, rows)]
 
-            monkeypatch.setattr(rednorm, "mat_det", corrupted)
+            monkeypatch.setattr(rednorm, "selection_dets", corrupted)
             with pytest.raises(InternalCheckError, match="Galois"):
                 fitting_of_presentation(h, table)
             monkeypatch.undo()

@@ -6,7 +6,12 @@ adds `check all` on further fixture files, and `--ladder` on the ladder
 fields Q(zeta_p) that `tools/make_fixtures.py` writes to a temporary
 directory.  `--fitting-ladder` adds `fitting` on the group of such a
 field, C_(p-1), with perfbench's six presentation shapes (a x b for b in
-1..3 and a in {b, b + 1}) drawn by its generator for each seed.  `--cli`
+1..3 and a in {b, b + 1}) drawn by its generator for each seed.
+`--fitting-wide` adds `fitting` on perfbench's two groups, s3c2 and
+q_zeta23, with the twelve wider shapes a x b for b in 1..4 and a in
+{b, b + 1, b + 2} (`WIDE_SHAPES`), drawn by the same generator for each
+seed; there, unlike at a in {b, b + 1}, many minors share their first
+pivot rows.  `--cli`
 adds the command line itself: `skv --help`, each command's `--help` and a
 fixed list of bad invocations (`CLI_INVOCATIONS`), each with its exit code
 and the sha256 of its stdout and of its stderr, at a fixed help width of 80
@@ -22,15 +27,18 @@ From the repository root:
     python3 tools/report_digests.py --seeds 0 --commands > digests.txt
     python3 tools/report_digests.py --seeds 0 --extra big.json > digests.txt
     python3 tools/report_digests.py --seeds 0-3 --fitting-ladder 31,47 > digests.txt
+    python3 tools/report_digests.py --seeds 0-39 --fitting-wide > digests.txt
 
 The presentations come from `fitting_matrices` and `random_presentation`
 in perfbench/run.py, which is imported read-only; the matrix files go to a
 temporary directory.
 
 `--against REV` does the whole byte-identity proof in one command: it
-extracts REV with `git archive` into a temporary directory, runs both
-digest lists of `PROOF_RUNS` there and in the working tree, prints every
-line that differs, and exits 1 if any does:
+extracts REV with `git archive` into a temporary directory, runs each
+digest list of `PROOF_RUNS` there and in the working tree, prints every
+line that differs, and exits 1 if any does.  The working tree's copy of
+this tool runs on both trees, so a list added here is compared at REV
+too:
 
     python3 tools/report_digests.py --against HEAD
 """
@@ -44,6 +52,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -104,23 +113,28 @@ COMMAND_INVOCATIONS = [
 ]
 
 
-#: The two digest lists that show a change keeps every report byte-identical.
+#: The digest lists that show a change keeps every report byte-identical.
 PROOF_RUNS = [
     ["--seeds", "0-39", "--ladder", "31,47,71,107,257,521", "--cli"],
     ["--seeds", "0-39", "--fitting-ladder", "31,47", "--commands"],
+    ["--seeds", "0-39", "--fitting-wide"],
 ]
+
+#: Presentation shapes (a, b) of --fitting-wide.
+WIDE_SHAPES = [(a, b) for b in (1, 2, 3, 4) for a in (b, b + 1, b + 2)]
 
 
 def against(rev: str) -> int:
     """Run ``PROOF_RUNS`` on ``rev`` and on the working tree, each list on
-    both trees at once; print the differing lines, and return 1 if there
-    are any, else 0."""
+    both trees at once and by this file on both; print the differing
+    lines, and return 1 if there are any, else 0."""
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
                              capture_output=True, check=True).stdout
     differ = False
     with tempfile.TemporaryDirectory() as base:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(base)
+        shutil.copy(os.path.abspath(__file__), os.path.join(base, "tools", "report_digests.py"))
         for argv in PROOF_RUNS:
             runs = [subprocess.Popen(
                 [sys.executable, os.path.join(tree, "tools", "report_digests.py"), *argv],
@@ -154,6 +168,20 @@ def ladder_presentations(perfbench, p: int, seed: int):
     rng = random.Random(seed)
     return [perfbench.random_presentation(rng, p - 1, a, b)
             for b in (1, 2, 3) for a in (b, b + 1)]
+
+
+def wide_presentations(perfbench, seed: int):
+    """(group fixture, matrix) pairs: on each of perfbench's fitting
+    groups, one matrix of each of ``WIDE_SHAPES``, drawn as
+    ``fitting_matrices`` draws its six shapes."""
+    rng = random.Random(seed)
+    out = []
+    for name in perfbench.FITTING_GROUPS:
+        with open(os.path.join(FIXTURES, f"{name}.json")) as fh:
+            order = len(json.load(fh)["group"]["table"])
+        out.extend((name, perfbench.random_presentation(rng, order, a, b))
+                   for a, b in WIDE_SHAPES)
+    return out
 
 
 def digest_fitting(work: str, fixture: str, rows) -> str:
@@ -200,6 +228,9 @@ def main(argv=None) -> int:
     parser.add_argument("--fitting-ladder", type=prime_list, default=[], metavar="P,...",
                         help="odd primes p on whose ladder group C_(p-1) to "
                              "digest `fitting` for each seed")
+    parser.add_argument("--fitting-wide", action="store_true",
+                        help="also digest `fitting` on s3c2 and q_zeta23 with the "
+                             "shapes of WIDE_SHAPES for each seed")
     parser.add_argument("--commands", action="store_true",
                         help="also digest theta, sku, fixtures validate and "
                              "text check on every shipped fixture")
@@ -240,6 +271,12 @@ def main(argv=None) -> int:
                 fixture = os.path.join(FIXTURES, f"{group}.json")
                 print(f"fitting {seed} {i} {group} {digest_fitting(work, fixture, rows)}",
                       flush=True)
+        if args.fitting_wide:
+            for seed in args.seeds:
+                for i, (group, rows) in enumerate(wide_presentations(perfbench, seed)):
+                    fixture = os.path.join(FIXTURES, f"{group}.json")
+                    print(f"fitting-wide {seed} {i} {group} "
+                          f"{digest_fitting(work, fixture, rows)}", flush=True)
         for p in args.fitting_ladder:
             fixture = write_ladder_fixture(p, work)
             for seed in args.seeds:
