@@ -1,18 +1,19 @@
 """Characters of finite groups.
 
-An abelian group's table comes from integer coordinates, with no chain
-extension: a basis G = Z/d_1 x ... x Z/d_k
-(``FiniteGroup.abelian_coordinates``) gives each element its coordinate
-vector x, and ``check_coordinates`` certifies that x is an isomorphism.
-Each dual vector a then gives the character chi_a(g) =
-zeta_E^(sum_i a_i x_i(g) E / d_i), E the exponent, certified by (G,
-chi_a), and sigma_k(chi_a) = chi_(k a) is the whole Galois action.  The
-certificate keeps the dual vector a, and makes its dict of powers only
-when read.
+Every abelian group's characters come from integer coordinates: a basis
+G = Z/d_1 x ... x Z/d_k (``groups.abelian_coordinates``, on a bare
+multiplication table) gives each element its coordinate vector x, and
+``check_coordinates`` certifies that x is an isomorphism.  Each dual
+vector a then gives the character chi_a(g) =
+zeta_E^(sum_i a_i x_i(g) E / d_i), E the exponent (``dual_rows``).  An
+abelian group's table is these characters, certified by (G, chi_a), and
+sigma_k(chi_a) = chi_(k a) is its whole Galois action; the certificate
+keeps the dual vector a, and makes its dict of powers only when read.
 
-A non-abelian group's linear characters are found by chain extension
-over the abelianization, and its other irreducibles come with monomial
-certificates: a pair (U, psi) of a subgroup and a linear character
+A non-abelian group's linear characters, and those of each subgroup U
+it induces from, are the characters of U/U' found the same way
+(``linear_character_powers``), and its other irreducibles come with
+monomial certificates: a pair (U, psi) of a subgroup and a linear character
 inducing the irreducible.  Every linear character of a table, abelian or
 not, is kept as integers: an order n and, per class, the power k of its
 value zeta_n^k; its ``Cyclo`` values are made only when read.  The table
@@ -36,69 +37,63 @@ from operator import add, mod
 from .cyclotomic import Cyclo, order_data, unit_generators, unit_residues
 from .errors import (ArithmeticDomainError, GroupError, InternalCheckError,
                      NotMonomialError)
-from .groups import FiniteGroup, memo
-
-
-def chain_extension(elements, mul) -> tuple[int, list[dict]]:
-    """All homomorphisms of a finite abelian group into (1/n)Z/Z, n the
-    group order, which every element order divides: ``(n, chars)`` with
-    each character a dict from element to the integer k in [0, n) of its
-    value zeta_n^k, sorted by their values along ``elements``.
-    ``elements`` lists the group with the identity first and ``mul``
-    multiplies two of them; each homomorphism is extended from the
-    trivial subgroup one cyclic step at a time."""
-    n = len(elements)
-    one = elements[0]
-    covered = {one}
-    chars: list[dict] = [{one: 0}]
-    for g in elements[1:]:
-        if g in covered:
-            continue
-        # minimal m with g^m inside the current domain
-        m, power = 1, g
-        while power not in covered:
-            power = mul(power, g)
-            m += 1
-        extended = []
-        for chi in chars:
-            base = chi[power]  # chi(g^m), must equal m * t mod n
-            for i in range(m):
-                t = (base + i * n) // m
-                new = dict(chi)
-                shift = 0
-                gk = one
-                for _ in range(m - 1):
-                    gk = mul(gk, g)
-                    shift += t
-                    for h, v in chi.items():
-                        new[mul(h, gk)] = (v + shift) % n
-                extended.append(new)
-        chars = extended
-        covered = set(chars[0])
-    chars.sort(key=lambda c: tuple(c[g] for g in elements))
-    return n, chars
+from .groups import FiniteGroup, abelian_coordinates, memo
 
 
 def linear_character_powers(group: FiniteGroup, u_elems) -> tuple[int, list[list[int]]]:
     """Linear characters of a subgroup U of ``group``: ``(n, rows)`` with
     psi(y) = zeta_n^k for k = row[j] and y the j-th element of sorted U, n
-    the order of U's abelianization.  They come from chain extension over
-    sorted U on the group's own table when U is abelian, and otherwise
-    over the cosets of U' in U, each named by its smallest element, and
-    are inflated back to U."""
+    the order of U's abelianization, sorted by their rows.  They are the
+    characters of U/U' (``abelian_characters``) on a bare table of the
+    cosets, each named by its smallest element, inflated back to U; no
+    group is built.  Sorted along the cosets' smallest elements, they are
+    sorted along U, as each other element repeats the value of a coset
+    already passed."""
     u = sorted(set(u_elems))
-    if group.is_abelian_subset(u):
-        n, chars = chain_extension(u, group.mul)
-        return n, [[c[y] for y in u] for c in chars]
-    rows, derived = group.table, group.commutator_subgroup(u)
-    coset: dict[int, int] = {}  # element of U -> smallest element of its coset
+    rows = group.table
+    derived = (0,) if group.is_abelian_subset(u) else group.commutator_subgroup(u)
+    coset: dict[int, int] = {}  # element of U -> position of its coset
+    reps = []
     for y in u:
         if y not in coset:
             for z in derived:
-                coset[rows[y][z]] = y
-    reps = sorted(set(coset.values()))
-    n, chars = chain_extension(reps, lambda x, y: coset[rows[x][y]])
+                coset[rows[y][z]] = len(reps)
+            reps.append(y)
+    n, chars = abelian_characters([[coset[rows[x][y]] for y in reps] for x in reps])
     return n, [[c[coset[y]] for y in u] for c in chars]
+
+
+def abelian_characters(table) -> tuple[int, list[tuple[int, ...]]]:
+    """Every character of the abelian group with this multiplication
+    table, element 0 the identity: ``(n, rows)``, n the order and each row
+    the powers of zeta_n at the elements, sorted.  They are the rows of
+    ``dual_rows`` on the coordinates of ``groups.abelian_coordinates``,
+    which ``check_coordinates`` certifies."""
+    orders, coords = abelian_coordinates(table)
+    check_coordinates(table, orders, coords)
+    n = len(table)
+    return n, sorted(dual_rows(orders, coords, n)[1])
+
+
+def dual_rows(orders, coords, exp: int) -> tuple[list[tuple], list[tuple]]:
+    """``(duals, rows)``: the dual vectors a of Z/d_1 x ... x Z/d_k
+    (d_i = orders[i]) in lexicographic order, and per a the powers
+    sum_i a_i x_i(g) exp / d_i mod exp of zeta_exp at each element g, x =
+    coords, for exp a multiple of every d_i.  Each row is that of its
+    predecessor plus that of a unit vector."""
+    duals, rows = [()], [(0,) * len(coords)]
+    for i, d in enumerate(orders):
+        step = exp // d
+        unit = [x[i] * step for x in coords]
+        grown_duals, grown_rows = [], []
+        for a, row in zip(duals, rows):
+            for t in range(d):
+                if t:
+                    row = tuple(map(exp.__rmod__, map(add, row, unit)))
+                grown_duals.append(a + (t,))
+                grown_rows.append(row)
+        duals, rows = grown_duals, grown_rows
+    return duals, rows
 
 
 class Character:
@@ -465,20 +460,20 @@ def _char_sort_key(chi: Character, roots):
             tuple((v.order, v.num, v.den) for v in chi.values))
 
 
-def check_coordinates(group: FiniteGroup, orders, coords):
-    """Certificate of ``FiniteGroup.abelian_coordinates``: raise
-    InternalCheckError unless x: g -> coords[g] is a bijection of G onto
-    Z/d_1 x ... x Z/d_k (d_i = orders[i]) with x(g b_i) = x(g) + e_i for
-    every element g and every i, b_i the element with x(b_i) = e_i.  Then
-    x(1) = 0, since the z with x(z) = 0 has x(z b_i) = x(b_i), so z = 1;
-    and x is an isomorphism: the h with x(gh) = x(g) + x(h) for every g
-    contain 1 and are closed under right multiplication by each b_i, so
-    they contain every word in the b_i, and those words have every
-    coordinate vector, hence make up G.  So E, the exponent, is
+def check_coordinates(table, orders, coords):
+    """Certificate of ``groups.abelian_coordinates`` on the table of a
+    group G: raise InternalCheckError unless x: g -> coords[g] is a
+    bijection of G onto Z/d_1 x ... x Z/d_k (d_i = orders[i]) with
+    x(g b_i) = x(g) + e_i for every element g and every i, b_i the element
+    with x(b_i) = e_i.  Then x(1) = 0, since the z with x(z) = 0 has
+    x(z b_i) = x(b_i), so z = 1; and x is an isomorphism: the h with
+    x(gh) = x(g) + x(h) for every g contain 1 and are closed under right
+    multiplication by each b_i, so they contain every word in the b_i,
+    and those words have every coordinate vector, hence make up G.  So E, the exponent, is
     lcm(d_i), every dual vector a gives a homomorphism chi_a(g) =
     zeta_E^(sum_i a_i x_i(g) E / d_i), and the |G| of them are distinct,
     so they are Irr(G)."""
-    n, k = group.order, len(orders)
+    n, k = len(table), len(orders)
     # mixed-radix position of each vector, the last coordinate fastest
     weights = [1] * k
     for i in range(k - 2, -1, -1):
@@ -491,7 +486,7 @@ def check_coordinates(group: FiniteGroup, orders, coords):
         raise InternalCheckError("abelian table: two elements share a coordinate vector")
     for d, w in zip(orders, weights):
         b, wrap = at[w], (d - 1) * w
-        if [pos[row[b]] for row in group.table] != \
+        if [pos[row[b]] for row in table] != \
                 [p - wrap if p // w % d == d - 1 else p + w for p in pos]:
             raise InternalCheckError(
                 f"abelian table: multiplying by the basis element {b} does not "
@@ -502,33 +497,20 @@ class AbelianTable(CharacterTable):
     """Table of an abelian group G = Z/d_1 x ... x Z/d_k from the integer
     coordinates of ``FiniteGroup.abelian_coordinates``, whose certificate
     is ``check_coordinates``.  The character chi_a of a dual vector a has
-    the power sum_i a_i x_i(g) E / d_i of zeta_E at g, E the exponent, and
-    is certified by (G, chi_a).  A character's row of value ids is its row
-    of powers, and its sort key ranks the E roots of unity once.  Galois
-    conjugation is sigma_k(chi_a) = chi_(k a), so ``galois_index``, the
-    orbits and the fills need no power map, and ``value_numerators`` reads
-    one table of the E powers."""
+    the power sum_i a_i x_i(g) E / d_i of zeta_E at g, E the exponent
+    (``dual_rows``), and is certified by (G, chi_a).  A character's row of
+    value ids is its row of powers, and its sort key ranks the E roots of
+    unity once.  Galois conjugation is sigma_k(chi_a) = chi_(k a), so
+    ``galois_index``, the orbits and the fills need no power map, and
+    ``value_numerators`` reads one table of the E powers."""
 
     def __init__(self, group: FiniteGroup):
         orders, coords = group.abelian_coordinates()
-        check_coordinates(group, orders, coords)
+        check_coordinates(group.table, orders, coords)
         n, exp = group.order, group.exponent()
         self.group, self.exponent, self.value_order = group, exp, exp
         self._orders = orders
-        # rows of the dual vectors in lexicographic order, each the row of
-        # its predecessor plus that of a unit vector
-        duals, rows = [()], [(0,) * n]
-        for i, d in enumerate(orders):
-            step = exp // d
-            unit = [x[i] * step for x in coords]
-            grown_duals, grown_rows = [], []
-            for a, row in zip(duals, rows):
-                for t in range(d):
-                    if t:
-                        row = tuple(map(exp.__rmod__, map(add, row, unit)))
-                    grown_duals.append(a + (t,))
-                    grown_rows.append(row)
-            duals, rows = grown_duals, grown_rows
+        duals, rows = dual_rows(orders, coords, exp)
         # zeta_E^k ranked by its numerators: a linear character's sort key
         # (see ``_char_sort_key``) orders as its row of ranks
         nums = [Cyclo.zeta(exp, k).num for k in range(exp)]
@@ -588,11 +570,11 @@ def irreducibles_monomial(group: FiniteGroup) -> CharacterTable:
 
 def _induced_table(group: FiniteGroup) -> CharacterTable:
     """Induce the linear characters of every subgroup U, largest first,
-    each in chain-extension order, keeping each induced character that is
-    irreducible and new.  Ind psi at the class of g is (|C_G(g)| / |U|)
-    times the sum of psi over the class members in U, kept as sparse
-    integer weights w_k on the powers of zeta_n, n = lcm(exponent, order
-    of psi); it is irreducible exactly when <chi, chi> = 1, which in
+    each in the order of ``linear_character_powers``, keeping each induced
+    character that is irreducible and new.  Ind psi at the class of g is
+    (|C_G(g)| / |U|) times the sum of psi over the class members in U,
+    kept as sparse integer weights w_k on the powers of zeta_n,
+    n = lcm(exponent, order of psi); it is irreducible exactly when <chi, chi> = 1, which in
     traces over Q is sum_cls |cls| sum_{k,l} w_k w_l Tr(zeta_n^(k-l)) =
     |G| |U|^2 phi(n).  Its values are then algebraic integers, so each
     class's weights, reduced modulo Phi_n in integers, divide exactly by

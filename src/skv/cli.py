@@ -27,10 +27,10 @@ import time
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .arithdata import ExtensionFixture, PlaceSets
+from .arithdata import ExtensionFixture, PlaceSets, _require_keys
 from .cyclotomic import fraction_from_str
 from .engine import sku_prime_generators, theta
-from .errors import FixtureError, SkvError
+from .errors import ArithmeticDomainError, FixtureError, SkvError
 from .grouprings import GroupRingElement
 from .rednorm import fitting_of_presentation
 from .verify import (SUITES, CheckOptions, exceptional_prime_screening,
@@ -223,11 +223,8 @@ def _load_presentation(path: str, group) -> list[list[GroupRingElement]]:
                            f"{exc.strerror}") from None
     except ValueError as exc:
         raise FixtureError(f"presentation file {path} is not JSON: {exc}") from None
-    if not isinstance(data, dict) or "rows" not in data:
-        raise FixtureError("presentation file needs a 'rows' field")
+    _require_keys(data, {"rows": list[list]}, {"rows"}, "presentation file")
     rows = data["rows"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise FixtureError("presentation 'rows' must be a list of lists")
     width = len(rows[0]) if rows else 0
     h = []
     for i, row in enumerate(rows):
@@ -249,7 +246,7 @@ def _load_presentation(path: str, group) -> list[list[GroupRingElement]]:
                                        "given twice")
                 try:
                     coeffs[int(key)] = fraction_from_str(str(val))
-                except ValueError:
+                except (ValueError, ArithmeticDomainError):
                     raise FixtureError(f"presentation row {i}: coefficient {val!r} "
                                        "is not a rational") from None
             elems.append(GroupRingElement(group, coeffs))

@@ -534,15 +534,6 @@ def _coerce(value):
     return NotImplemented
 
 
-def root_of_unity_sum(order: int, weights) -> Cyclo:
-    """Sum of weights[k] * zeta_order^k, accumulated before a single reduction."""
-    data = order_data(order)
-    num, den = _over_common_denominator(weights)
-    if len(num) > order:
-        raise ArithmeticDomainError("weight vector longer than the order")
-    return _normal(order, _reduce_poly(num, data), den)
-
-
 # -- Rational serialization ("+-num/den", den omitted when 1) -----------
 
 # [0-9] and not \d, which also matches non-ASCII digits that int() reads

@@ -295,48 +295,8 @@ class FiniteGroup:
         return memo(self, "is_abelian", build)
 
     def abelian_coordinates(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """For an abelian group, ``(orders, coords)``: a basis b_1, ..., b_k
-        with G = <b_1> x ... x <b_k>, b_i of order d_i = orders[i] and
-        d_(i+1) | d_i, and per element g its coordinate vector, g =
-        b_1^x_1 ... b_k^x_k with 0 <= x_i < d_i (Cohen, *A Course in
-        Computational Algebraic Number Theory*, 2.4: greedy with lifts).
-        Each step takes the first element g of largest order m modulo the
-        span H of the basis so far; g^m is in H with every coordinate a
-        multiple of m, and dividing them out lifts g to a b of order m
-        with <b> meeting H in 1.  The map is not checked here: a caller
-        that relies on it checks it (``characters.check_coordinates``)."""
-        def build():
-            tbl, n = self.table, self.order
-            coords: dict[int, tuple[int, ...]] = {0: ()}
-            orders, powers = [], []  # per basis element b_i: d_i, b_i^t for t < d_i
-            while len(coords) < n:
-                seen, m, g, top = set(coords), 0, None, None
-                for x in range(n):
-                    if x in seen:
-                        continue
-                    # x, x^2, ..., up to the first power that lies in H
-                    walk, y = [x], tbl[x][x]
-                    while y not in coords:
-                        walk.append(y)
-                        y = tbl[y][x]
-                    for w in walk:
-                        row = tbl[w]
-                        seen.update(row[h] for h in coords)
-                    if len(walk) + 1 > m:
-                        m, g, top = len(walk) + 1, x, y
-                # b = g times b_i^(-c_i / m) over g^m's coordinates c_i
-                b = g
-                for c, d, pw in zip(coords[top], orders, powers):
-                    b = tbl[b][pw[-c // m % d]]
-                pw = [0]
-                for _ in range(m - 1):
-                    pw.append(tbl[pw[-1]][b])
-                coords = {tbl[h][z]: c + (t,) for t, z in enumerate(pw)
-                          for h, c in coords.items()}
-                orders.append(m)
-                powers.append(pw)
-            return tuple(orders), tuple(coords[g] for g in range(n))
-        return memo(self, "abelian_coordinates", build)
+        """``abelian_coordinates(self.table)``, kept on the group."""
+        return memo(self, "abelian_coordinates", lambda: abelian_coordinates(self.table))
 
     def center(self) -> tuple[int, ...]:
         columns = tuple(zip(*self.table))
@@ -424,6 +384,49 @@ class FiniteGroup:
                     assigned[m] = idx
                 out.append(tuple(members))
         return out
+
+
+def abelian_coordinates(table) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """For the multiplication table of an abelian group, element 0 the
+    identity, ``(orders, coords)``: a basis b_1, ..., b_k with
+    G = <b_1> x ... x <b_k>, b_i of order d_i = orders[i] and d_(i+1) | d_i,
+    and per element g its coordinate vector, g = b_1^x_1 ... b_k^x_k with
+    0 <= x_i < d_i (Cohen, *A Course in Computational Algebraic Number
+    Theory*, 2.4: greedy with lifts).  Each step takes the first element g
+    of largest order m modulo the span H of the basis so far; g^m is in H
+    with every coordinate a multiple of m, and dividing them out lifts g to
+    a b of order m with <b> meeting H in 1.  The map is not checked here:
+    a caller that relies on it checks it (``characters.check_coordinates``)."""
+    n = len(table)
+    coords: dict[int, tuple[int, ...]] = {0: ()}
+    orders, powers = [], []  # per basis element b_i: d_i, b_i^t for t < d_i
+    while len(coords) < n:
+        seen, m, g, top = set(coords), 0, None, None
+        for x in range(n):
+            if x in seen:
+                continue
+            # x, x^2, ..., up to the first power that lies in H
+            walk, y = [x], table[x][x]
+            while y not in coords:
+                walk.append(y)
+                y = table[y][x]
+            for w in walk:
+                row = table[w]
+                seen.update(row[h] for h in coords)
+            if len(walk) + 1 > m:
+                m, g, top = len(walk) + 1, x, y
+        # b = g times b_i^(-c_i / m) over g^m's coordinates c_i
+        b = g
+        for c, d, pw in zip(coords[top], orders, powers):
+            b = table[b][pw[-c // m % d]]
+        pw = [0]
+        for _ in range(m - 1):
+            pw.append(table[pw[-1]][b])
+        coords = {table[h][z]: c + (t,) for t, z in enumerate(pw)
+                  for h, c in coords.items()}
+        orders.append(m)
+        powers.append(pw)
+    return tuple(orders), tuple(coords[g] for g in range(n))
 
 
 def detect_direct_product(group: FiniteGroup):

@@ -1,11 +1,15 @@
 """Exact Dirichlet L-values at non-positive integers.
 
 A character's value chi(a) is the integer power k of zeta_N, N the order
-of chi.  L(1-n, chi) = -B_{n,chi}/n with generalized Bernoulli numbers
-evaluated through Bernoulli polynomials.  Only primitive characters are
-evaluated directly; S-truncation and T-modification multiply the
-primitive value by the product of its Euler and delta factors, one
-integer-weighted sum of powers of zeta_N (``euler_delta_factor``).
+of chi.  The characters mod f are those of the table of (Z/f)^x, from
+certified integer coordinates as for every abelian group
+(``characters.abelian_characters``).  L(1-n, chi) = -B_{n,chi}/n with
+generalized Bernoulli numbers evaluated through Bernoulli polynomials,
+as one sparse integer sum of powers of zeta_N.  Only primitive
+characters are evaluated directly; S-truncation and T-modification
+multiply the primitive value by the product of its Euler and delta
+factors, one integer-weighted sum of powers of zeta_N
+(``euler_delta_factor``).
 Values at r <= 0 only; leading terms at zeros are out of scope.
 """
 
@@ -15,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
-from .characters import chain_extension
-from .cyclotomic import Cyclo, root_of_unity_sum, unit_generators, unit_residues
+from .characters import abelian_characters
+from .cyclotomic import Cyclo, order_data, unit_generators, unit_residues
 from .errors import ArithmeticDomainError, FixtureError
 from .groups import memo
 
@@ -128,11 +132,14 @@ class DirichletCharacter:
 
 
 def characters_mod(f: int) -> list["DirichletCharacter"]:
-    """All Dirichlet characters mod f, by chain extension over the unit
-    group, each through the checked constructor."""
-    key = (lambda a: a % f) if f > 1 else (lambda a: 1)
-    n, chars = chain_extension(list(unit_residues(f)), lambda a, b: key(a * b))
-    return [DirichletCharacter(f, n, c) for c in chars]
+    """All Dirichlet characters mod f, sorted by their values along the
+    unit residues: the certified characters of the table of (Z/f)^x
+    (``abelian_characters``), each through the checked constructor."""
+    units = unit_residues(f)
+    pos = {a: i for i, a in enumerate(units)}
+    # mod 1 the one residue class is that of 1
+    n, rows = abelian_characters([[pos[a * b % f or 1] for b in units] for a in units])
+    return [DirichletCharacter(f, n, dict(zip(units, row))) for row in rows]
 
 
 def _divisors(n: int) -> list[int]:
@@ -158,13 +165,13 @@ def _bernoulli_sum(n: int, f: int, order: int, powers) -> Cyclo:
     # f D f^(n-1) B_n(a/f) = sum_j D c_j a^j f^(n-j) is an integer, with D
     # the common denominator of the coefficients c_j of B_n(x)
     scaled = [c * f ** (n - j) for j, c in enumerate(bn.scaled)]
-    weights = [0] * order
+    terms = []
     for a, k in powers:
         acc = 0
         for c in reversed(scaled):
             acc = acc * a + c
-        weights[k] += acc
-    return root_of_unity_sum(order, weights) * Fraction(1, f * bn.den)
+        terms.append((k, acc))
+    return Cyclo.from_numerators(order, order_data(order).numerators(terms), f * bn.den)
 
 
 def L_at_nonpositive(r: int, chi: DirichletCharacter) -> Cyclo:
@@ -186,7 +193,7 @@ def euler_delta_factor(r: int, chi: DirichletCharacter, S, T) -> Cyclo:
     """prod_{q in S} (1 - chi(q) q^(-r)) * prod_{q in T} (1 - chi(q) q^(1-r))
     for r <= 0 and disjoint sets S and T of rational primes, at the order N
     of chi.  With chi(q) = zeta_N^k, each factor shifts integer weights on
-    the powers of zeta_N by k, so the product is one ``root_of_unity_sum``;
+    the powers of zeta_N by k, so the product is one sum of them;
     a prime dividing the modulus has chi(q) = 0 and the factor 1.  For
     the primitive core of chi, S gives the Euler factors of L_S(r, chi)
     and T the delta factors of delta_T(r, conjugate chi), whose
@@ -205,7 +212,8 @@ def euler_delta_factor(r: int, chi: DirichletCharacter, S, T) -> Cyclo:
                 c = q ** e
                 # weights[j - k] wraps round to weights[j - k + n]
                 weights = [w - c * weights[j - k] for j, w in enumerate(weights)]
-    return root_of_unity_sum(n, weights)
+    terms = ((j, w) for j, w in enumerate(weights) if w)
+    return Cyclo.from_numerators(n, order_data(n).numerators(terms), 1)
 
 
 def L_ST(r: int, chi: DirichletCharacter, S, T) -> Cyclo:

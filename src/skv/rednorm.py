@@ -38,11 +38,10 @@ anywhere still fails it.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, lcm
 
 from .characters import CharacterTable
-from .cyclotomic import Cyclo, order_data, root_of_unity_sum
+from .cyclotomic import Cyclo, order_data
 from .errors import FixtureError, GroupError, InternalCheckError
 from .grouprings import CentralElement, GroupRingElement, central_unit
 from .groups import memo
@@ -164,11 +163,8 @@ def _block_entry(terms, n: int, den: int) -> Cyclo:
     """Sum of (a / den) * zeta_n^k over the (a, k) in terms, a an integer,
     at the lcm of the orders of the roots of unity."""
     order = lcm(*(n // gcd(k, n) for _, k in terms))
-    weights = [0] * order
-    for a, k in terms:
-        weights[k * order // n % order] += a
-    total = root_of_unity_sum(order, weights)
-    return total if den == 1 else total * Fraction(1, den)
+    num = order_data(order).numerators((k * order // n % order, a) for a, k in terms)
+    return Cyclo.from_numerators(order, num, den)
 
 
 # -- reduced norm and star adjoint ---------------------------------------

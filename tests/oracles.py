@@ -15,17 +15,17 @@ from operator import itemgetter
 from skv.arithdata import (ExtensionFixture, PlaceData, PlaceSets, local_factor,
                            mu_tate_annihilators)
 from skv.characters import (Character, CharacterTable, MonomialCertificate,
-                            _check_multiplicative, chain_extension, irreducibles_monomial,
-                            linear_character_powers)
-from skv.cyclotomic import (Cyclo, _product, _scale, order_data, root_of_unity_sum,
-                            unit_generators, unit_residues)
+                            _check_multiplicative, irreducibles_monomial)
+from skv.cyclotomic import (Cyclo, _normal, _over_common_denominator, _product, _reduce_poly,
+                            _scale, order_data, unit_generators, unit_residues)
 from skv.engine import _dirichlet_for_table
-from skv.errors import FixtureError, GroupError, InternalCheckError, NotMonomialError
+from skv.errors import (ArithmeticDomainError, FixtureError, GroupError, InternalCheckError,
+                        NotMonomialError)
 from skv.grouprings import CentralElement, GroupRingElement, _product_pairing
 from skv.groups import FiniteGroup
 from skv.linalg import char_poly, mat_add, mat_det, mat_identity, mat_mul, mat_scale
 from skv.lvalues import (BernoulliData, DirichletCharacter, L_at_nonpositive,
-                         bernoulli_polynomial, characters_mod, euler_delta_factor)
+                         bernoulli_polynomial, euler_delta_factor)
 from skv.rednorm import (FiniteGModule, MonomialRepresentation, _represented,
                          apply_representation, grm_identity, monomial_representation)
 from skv.verify import SUITES, CheckOptions, Verdict
@@ -75,6 +75,85 @@ def inner(chi: Character, psi: Character) -> Fraction:
         total = total + v * conjugate(w) * Fraction(len(cls))
     total = total * Fraction(1, chi.group.order)
     return total.to_fraction()
+
+
+def root_of_unity_sum(order: int, weights) -> Cyclo:
+    """Sum of weights[k] * zeta_order^k for a dense list of rational
+    weights, accumulated before a single reduction."""
+    num, den = _over_common_denominator(weights)
+    if len(num) > order:
+        raise ArithmeticDomainError("weight vector longer than the order")
+    return _normal(order, _reduce_poly(num, order_data(order)), den)
+
+
+def chain_extension(elements, mul) -> tuple[int, list[dict]]:
+    """All homomorphisms of a finite abelian group into (1/n)Z/Z, n the
+    group order, which every element order divides: ``(n, chars)`` with
+    each character a dict from element to the integer k in [0, n) of its
+    value zeta_n^k, sorted by their values along ``elements``.
+    ``elements`` lists the group with the identity first and ``mul``
+    multiplies two of them; each homomorphism is extended from the
+    trivial subgroup one cyclic step at a time."""
+    n = len(elements)
+    one = elements[0]
+    covered = {one}
+    chars: list[dict] = [{one: 0}]
+    for g in elements[1:]:
+        if g in covered:
+            continue
+        # minimal m with g^m inside the current domain
+        m, power = 1, g
+        while power not in covered:
+            power = mul(power, g)
+            m += 1
+        extended = []
+        for chi in chars:
+            base = chi[power]  # chi(g^m), must equal m * t mod n
+            for i in range(m):
+                t = (base + i * n) // m
+                new = dict(chi)
+                shift = 0
+                gk = one
+                for _ in range(m - 1):
+                    gk = mul(gk, g)
+                    shift += t
+                    for h, v in chi.items():
+                        new[mul(h, gk)] = (v + shift) % n
+                extended.append(new)
+        chars = extended
+        covered = set(chars[0])
+    chars.sort(key=lambda c: tuple(c[g] for g in elements))
+    return n, chars
+
+
+def linear_character_powers_by_chain_extension(group: FiniteGroup,
+                                               u_elems) -> tuple[int, list[list[int]]]:
+    """The linear characters of a subgroup U as ``(n, rows)``, in the
+    order and at the order n = |U/U'| of ``linear_character_powers``, by
+    chain extension over sorted U on the group's own table when U is
+    abelian, and otherwise over the cosets of U' in U, each named by its
+    smallest element, inflated back to U."""
+    u = sorted(set(u_elems))
+    if group.is_abelian_subset(u):
+        n, chars = chain_extension(u, group.mul)
+        return n, [[c[y] for y in u] for c in chars]
+    rows, derived = group.table, group.commutator_subgroup(u)
+    coset: dict[int, int] = {}  # element of U -> smallest element of its coset
+    for y in u:
+        if y not in coset:
+            for z in derived:
+                coset[rows[y][z]] = y
+    reps = sorted(set(coset.values()))
+    n, chars = chain_extension(reps, lambda x, y: coset[rows[x][y]])
+    return n, [[c[coset[y]] for y in u] for c in chars]
+
+
+def characters_mod_by_chain_extension(f: int) -> list[DirichletCharacter]:
+    """All Dirichlet characters mod f, in the order of ``characters_mod``,
+    by chain extension over the unit group."""
+    key = (lambda a: a % f) if f > 1 else (lambda a: 1)
+    n, chars = chain_extension(list(unit_residues(f)), lambda a, b: key(a * b))
+    return [DirichletCharacter(f, n, c) for c in chars]
 
 
 def quotient(group: FiniteGroup, normal_elems) -> tuple[FiniteGroup, list[int]]:
@@ -182,7 +261,7 @@ def induced_table_by_cyclo_values(group: FiniteGroup) -> CharacterTable:
         inside = [[] for _ in classes]  # per class, its members in U
         for y in u:
             inside[ids[y]].append(y)
-        order, rows = linear_character_powers(group, u)
+        order, rows = linear_character_powers_by_chain_extension(group, u)
         n = lcm(exp, order)
         step, data = n // order, order_data(n)
         for row in rows:
@@ -229,7 +308,7 @@ def cyclo_linear_table(group: FiniteGroup) -> CharacterTable:
     if not group.is_abelian():
         return induced_table_by_groups(group)
     exp, elems = group.exponent(), tuple(range(group.order))
-    order, rows = linear_character_powers(group, range(group.order))
+    order, rows = linear_character_powers_by_chain_extension(group, range(group.order))
     step = order // exp
     roots = [Cyclo.zeta(exp, j) for j in range(exp)]
     chars = [Character(group, [roots[a[c[0]] // step] for c in group.conjugacy_classes()])
@@ -262,7 +341,7 @@ def abelian_table_by_chain_extension(group: FiniteGroup) -> CharacterTable:
     base table, whose Galois action reads the class power maps and whose
     fills compare certificates."""
     exp, elems = group.exponent(), tuple(range(group.order))
-    order, rows = linear_character_powers(group, range(group.order))
+    order, rows = linear_character_powers_by_chain_extension(group, range(group.order))
     check_abelian_characters(group, order, rows)
     chars = [Character.linear(group, exp, [k * exp // order for k in a]) for a in rows]
     certs = [MonomialCertificate(elems, order, dict(zip(elems, a))) for a in rows]
@@ -757,7 +836,7 @@ def relative_class_number_qzeta(p: int) -> Fraction:
     prime): 2p times the product of -B_{1,chi}/2 = L(0, chi)/2 over the odd
     characters mod p."""
     val = Cyclo.rational(2 * p)
-    for chi in characters_mod(p):
+    for chi in characters_mod_by_chain_extension(p):
         if is_odd(chi):
             val = val * (L_at_nonpositive(0, chi) * Fraction(1, 2))
     return val.to_fraction()
@@ -766,7 +845,7 @@ def relative_class_number_qzeta(p: int) -> Fraction:
 def linear_characters(group: FiniteGroup) -> list[list[Fraction]]:
     """Linear characters of any finite group, each as a list of Fraction
     exponents mod 1 indexed by group element."""
-    n, rows = linear_character_powers(group, range(group.order))
+    n, rows = linear_character_powers_by_chain_extension(group, range(group.order))
     return [[Fraction(k, n) for k in row] for row in rows]
 
 

@@ -17,10 +17,10 @@ from skv.errors import (ArithmeticDomainError, GroupError, InternalCheckError,
                         NotMonomialError)
 from skv.engine import _dirichlet_for_table
 from skv.grouprings import GroupRingElement
-from skv.groups import FiniteGroup, _named_tables, named_group
+from skv.groups import FiniteGroup, _named_tables, abelian_coordinates, named_group
 from skv.rednorm import fitting_of_presentation, monomial_representation
 
-from conftest import load_fixture_json
+from conftest import FIXTURE_NAMES, load_fixture_json
 from oracles import (abelian_table_by_chain_extension, check_abelian_characters,
                      contragredient_values, coordinate_characters, coset_columns,
                      cyclic_product, cyclo_linear_table, fraction_certificate_exps,
@@ -29,8 +29,9 @@ from oracles import (abelian_table_by_chain_extension, check_abelian_characters,
                      galois_values,
                      induce_from_linear, induced_table_by_cyclo_values,
                      induced_table_by_groups, inner,
+                     linear_character_powers_by_chain_extension,
                      linear_character_powers_by_quotient, linear_characters,
-                     monomial_test_groups, powers_over_common_order, relabelled,
+                     monomial_test_groups, powers_over_common_order, quotient, relabelled,
                      value_at)
 
 
@@ -465,15 +466,29 @@ def _accepts(check, *args):
     return True
 
 
+def _abelianization_test_groups():
+    """U / U' for every subgroup U of S4 and of F20, each built as a group
+    from the bare table of its cosets."""
+    groups = {}
+    for name in ("S4", "F20"):
+        group = MONOMIAL_GROUPS[name]
+        for u in group.all_subgroups():
+            sub, _ = group.subgroup_as_group(u)
+            groups[f"{name} U = {u} / U'"] = quotient(sub, sub.commutator_subgroup())[0]
+    return groups
+
+
 def test_coordinate_check_accepts_what_the_character_certificate_accepts(fixtures):
     # the old certificate (|G| distinct characters, each trivial at 1 and
     # multiplicative on the generators) on the characters chi_a of the
-    # coordinates answers as the coordinate check does
+    # coordinates answers as the coordinate check does, on the tables of
+    # abelian groups and of abelianizations of subgroups
     rng = random.Random(7)
     outcomes = set()
-    for name, group in _abelian_test_groups(fixtures).items():
-        for what, orders, coords in _coordinate_variants(*group.abelian_coordinates(), rng):
-            new = _accepts(check_coordinates, group, orders, coords)
+    groups = {**_abelian_test_groups(fixtures), **_abelianization_test_groups()}
+    for name, group in groups.items():
+        for what, orders, coords in _coordinate_variants(*abelian_coordinates(group.table), rng):
+            new = _accepts(check_coordinates, group.table, orders, coords)
             old = _accepts(check_abelian_characters, group, *coordinate_characters(orders, coords))
             assert new == old, (name, what, orders)
             outcomes.add((what, new))
@@ -621,15 +636,29 @@ def test_abelian_certificates_give_the_dict_certificates_results(fixtures):
             [chi.key for chi in _dirichlet_for_table(plain)], name
 
 
-@pytest.mark.parametrize("name", ["S4", "F20", "S3xC6", "D4xC2"])
+def _subgroup_character_groups():
+    """Every group of ``monomial_test_groups()``, by its name, and every
+    shipped fixture's group, as its file name."""
+    groups = dict(MONOMIAL_GROUPS)
+    groups.update((f"{name}.json", FiniteGroup(load_fixture_json(name)["group"]["table"]))
+                  for name in FIXTURE_NAMES)
+    return groups
+
+
+SUBGROUP_CHARACTER_GROUPS = _subgroup_character_groups()
+
+
+@pytest.mark.parametrize("name", sorted(SUBGROUP_CHARACTER_GROUPS))
 def test_subgroup_linear_characters_match_their_own_groups(name):
-    # chain extension on the parent's table, over U or over U / U', gives
-    # the characters of U built as a group, in the same order
-    group = MONOMIAL_GROUPS[name]
+    # the certified characters of U / U' on a bare table are chain
+    # extension's on the parent's table, and those of U built as a group,
+    # in the same order
+    group = SUBGROUP_CHARACTER_GROUPS[name]
     for u in group.all_subgroups():
         sub, back = group.subgroup_as_group(u)
         order, rows = linear_character_powers_by_quotient(sub)
         assert linear_character_powers(group, u) == (order, rows), u
+        assert linear_character_powers_by_chain_extension(group, u) == (order, rows), u
 
 
 def _integer_character_groups():

@@ -511,7 +511,12 @@ def test_malformed_presentation_exits_3(tmp_path, capsys):
         "row_not_list": json.dumps({"rows": [{"0": "1"}]}),
         "entry_not_object": json.dumps({"rows": [["1"]]}),
         "bad_coefficient": json.dumps({"rows": [[{"0": "1.5"}]]}),
+        # raised ArithmeticDomainError past the row message
+        "zero_denominator": json.dumps({"rows": [[{"0": "1/0"}]]}),
         "no_rows": json.dumps([1]),
+        "missing_rows": json.dumps({}),
+        # used to exit 0, although fixtures reject unknown fields
+        "unknown_field": json.dumps({"rows": [[{"0": "1"}]], "x": 1}),
     }
     for name, text in cases.items():
         path = tmp_path / f"{name}.json"
@@ -549,6 +554,8 @@ def test_presentation_coefficients_parse_strictly(tmp_path, capsys):
                                  "--matrix", str(path))
         assert code == 3 and not out, (bad, err)
         assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
+        # every bad coefficient, "1/0" too, is named with its row
+        assert f"presentation row 0: coefficient {bad!r} is not a rational" in err, err
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"rows": [[{"0": "+2", "1": "-6/3"}]]}))
     code, _, err = run_cli(capsys, "fitting", "--fixture", fixture,

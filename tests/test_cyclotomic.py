@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skv.cyclotomic import (Cyclo, euler_phi, fraction_from_str, order_data,
-                            rational_str, root_of_unity_sum, unit_generators,
-                            unit_residues, unit_tower)
+                            rational_str, unit_generators, unit_residues, unit_tower)
 from skv.errors import ArithmeticDomainError
 
-from oracles import conjugate, from_root_of_unity, inverse_by_conjugates
+from oracles import conjugate, from_root_of_unity, inverse_by_conjugates, root_of_unity_sum
 
 
 def test_euler_phi_small_values():
@@ -112,6 +111,23 @@ def test_root_of_unity_sum_matches_direct_sum():
     direct = sum((Cyclo.zeta(4, k) * w for k, w in enumerate(weights)),
                  Cyclo.zero())
     assert root_of_unity_sum(4, weights) == direct
+
+
+def test_sparse_numerators_match_the_dense_root_of_unity_sum():
+    # sum w zeta_n^e over sparse terms, scaled by 1 / den, at every order
+    # up to 130: the same (order, num, den) as the dense weight vector
+    rng = random.Random(35)
+    for n in range(1, 131):
+        for _ in range(6):
+            terms = [(rng.randrange(n), rng.randint(-3, 3)) for _ in range(rng.randint(0, 8))]
+            den = rng.choice((1, 1, 2, 6, n))
+            weights = [0] * n
+            for e, w in terms:
+                weights[e] += w
+            dense = root_of_unity_sum(n, weights) * Fraction(1, den)
+            sparse = Cyclo.from_numerators(n, order_data(n).numerators(terms), den)
+            assert (sparse.order, sparse.num, sparse.den) == \
+                (dense.order, dense.num, dense.den), (n, terms, den)
 
 
 def test_fraction_string_roundtrip():

@@ -14,8 +14,8 @@ from skv.lvalues import (DirichletCharacter, L_at_nonpositive, L_ST,
                          bernoulli_polynomial, characters_mod,
                          generalized_bernoulli)
 
-from oracles import (bernoulli_eval, dirichlet_from_exps, euler_delta_by_primes,
-                     exponent_at, fraction_exps,
+from oracles import (bernoulli_eval, characters_mod_by_chain_extension,
+                     dirichlet_from_exps, euler_delta_by_primes, exponent_at, fraction_exps,
                      generalized_bernoulli_fractions, is_odd, is_trivial,
                      primitive_core_by_fractions, trivial_character)
 
@@ -81,6 +81,14 @@ def test_characters_mod_counts_and_orthogonality():
             total = sum((chi(a) for a in units), Cyclo.zero())
             want = Cyclo.rational(len(units)) if is_trivial(chi) else Cyclo.zero()
             assert total == want
+
+
+def test_characters_mod_matches_chain_extension():
+    # the certified characters of (Z/f)^x's table are chain extension's,
+    # value for value and in the same order
+    for f in range(1, 230):
+        assert [chi.key for chi in characters_mod(f)] == \
+            [chi.key for chi in characters_mod_by_chain_extension(f)], f
 
 
 def test_conductor_and_primitive_core():

@@ -11,7 +11,11 @@ field, C_(p-1), with perfbench's six presentation shapes (a x b for b in
 q_zeta23, with the twelve wider shapes a x b for b in 1..4 and a in
 {b, b + 1, b + 2} (`WIDE_SHAPES`), drawn by the same generator for each
 seed; there, unlike at a in {b, b + 1}, many minors share their first
-pivot rows.  `--cli`
+pivot rows.  `--fitting-groups` adds `fitting` with perfbench's six
+shapes on each non-abelian group of `FITTING_GROUP_PERMUTATIONS`, built
+here from permutations and written as a minimal fixture (its table, no
+places, a trivial muL), with the sha256 of stderr too: SL(2,3) is there
+for its error.  `--cli`
 adds the command line itself: `skv --help`, each command's `--help` and a
 fixed list of bad invocations (`CLI_INVOCATIONS`), each with its exit code
 and the sha256 of its stdout and of its stderr, at a fixed help width of 80
@@ -28,6 +32,7 @@ From the repository root:
     python3 tools/report_digests.py --seeds 0 --extra big.json > digests.txt
     python3 tools/report_digests.py --seeds 0-3 --fitting-ladder 31,47 > digests.txt
     python3 tools/report_digests.py --seeds 0-39 --fitting-wide > digests.txt
+    python3 tools/report_digests.py --seeds 0-1 --fitting-groups > digests.txt
 
 The presentations come from `fitting_matrices` and `random_presentation`
 in perfbench/run.py, which is imported read-only; the matrix files go to a
@@ -64,6 +69,7 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 from make_fixtures import write_ladder_fixture  # noqa: E402
 from skv.cli import main as skv_main  # noqa: E402
+from skv.groups import FiniteGroup  # noqa: E402
 
 FIXTURES = os.path.join(ROOT, "src", "skv", "fixtures")
 
@@ -118,7 +124,29 @@ PROOF_RUNS = [
     ["--seeds", "0-39", "--ladder", "31,47,71,107,257,521", "--cli"],
     ["--seeds", "0-39", "--fitting-ladder", "31,47", "--commands"],
     ["--seeds", "0-39", "--fitting-wide"],
+    ["--seeds", "0-1", "--fitting-groups"],
 ]
+
+#: Non-abelian groups of --fitting-groups: per name, permutation
+#: generators and the order of a cyclic factor (1 for none).  They are
+#: monomial of orders 6 to 36, but for SL(2,3), which is not monomial.
+FITTING_GROUP_PERMUTATIONS = {
+    "S3": ([[1, 2, 0], [1, 0, 2]], 1),
+    "D4": ([[1, 2, 3, 0], [0, 3, 2, 1]], 1),
+    "A4": ([[1, 2, 0, 3], [0, 2, 3, 1]], 1),
+    "S4": ([[1, 0, 2, 3], [1, 2, 3, 0]], 1),
+    "D5": ([[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]], 1),
+    "D6": ([[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]], 1),
+    # x -> x + 1 and x -> 2x on Z/5: the Frobenius group of order 20
+    "F20": ([[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]], 1),
+    "Q8": ([[1, 4, 7, 2, 5, 0, 3, 6], [2, 3, 4, 5, 6, 7, 0, 1]], 1),
+    "S3xC2": ([[1, 2, 0], [1, 0, 2]], 2),
+    "Q8xC3": ([[1, 4, 7, 2, 5, 0, 3, 6], [2, 3, 4, 5, 6, 7, 0, 1]], 3),
+    "S3xC6": ([[1, 2, 0], [1, 0, 2]], 6),
+    "D4xC2": ([[1, 2, 3, 0], [0, 3, 2, 1]], 2),
+    # the matrices (1 1; 0 1) and (1 0; 1 1) on the nonzero vectors of F_3^2
+    "SL(2,3)": ([[3, 7, 2, 6, 1, 5, 0, 4], [0, 1, 3, 4, 2, 7, 5, 6]], 1),
+}
 
 #: Presentation shapes (a, b) of --fitting-wide.
 WIDE_SHAPES = [(a, b) for b in (1, 2, 3, 4) for a in (b, b + 1, b + 2)]
@@ -162,12 +190,28 @@ def perfbench_run():
     return module
 
 
-def ladder_presentations(perfbench, p: int, seed: int):
-    """perfbench's six presentation shapes on C_(p-1), drawn as
-    ``fitting_matrices`` draws them for one group."""
+def shaped_presentations(perfbench, order: int, seed: int):
+    """perfbench's six presentation shapes on a group of this order, drawn
+    as ``fitting_matrices`` draws them for one group."""
     rng = random.Random(seed)
-    return [perfbench.random_presentation(rng, p - 1, a, b)
+    return [perfbench.random_presentation(rng, order, a, b)
             for b in (1, 2, 3) for a in (b, b + 1)]
+
+
+def write_group_fixture(name: str, work: str) -> tuple[str, int]:
+    """A minimal fixture of the group ``FITTING_GROUP_PERMUTATIONS[name]``:
+    its table, no places and a trivial muL; returns its path and the
+    group order."""
+    perms, cyclic = FITTING_GROUP_PERMUTATIONS[name]
+    group = FiniteGroup.direct_product(FiniteGroup.from_permutations(perms),
+                                       FiniteGroup.cyclic(cyclic))
+    fixture = {"schema": "skvfix/1", "name": name, "group": {"table": group.table},
+               "places": [],
+               "muL": {"order": 2, "action": {str(g): 1 for g in range(group.order)}}}
+    path = os.path.join(work, "group.json")
+    with open(path, "w") as fh:
+        json.dump(fixture, fh)
+    return path, group.order
 
 
 def wide_presentations(perfbench, seed: int):
@@ -184,11 +228,12 @@ def wide_presentations(perfbench, seed: int):
     return out
 
 
-def digest_fitting(work: str, fixture: str, rows) -> str:
+def digest_fitting(work: str, fixture: str, rows, digester=None) -> str:
+    """``digest`` (or ``digester``) of `fitting` on a matrix of these rows."""
     path = os.path.join(work, "m.json")
     with open(path, "w") as fh:
         json.dump({"rows": rows}, fh, sort_keys=True)
-    return digest(["fitting", "--fixture", fixture, "--matrix", path])
+    return (digester or digest)(["fitting", "--fixture", fixture, "--matrix", path])
 
 
 def digest(argv) -> str:
@@ -231,6 +276,9 @@ def main(argv=None) -> int:
     parser.add_argument("--fitting-wide", action="store_true",
                         help="also digest `fitting` on s3c2 and q_zeta23 with the "
                              "shapes of WIDE_SHAPES for each seed")
+    parser.add_argument("--fitting-groups", action="store_true",
+                        help="also digest `fitting` on the non-abelian groups of "
+                             "FITTING_GROUP_PERMUTATIONS for each seed")
     parser.add_argument("--commands", action="store_true",
                         help="also digest theta, sku, fixtures validate and "
                              "text check on every shipped fixture")
@@ -277,10 +325,16 @@ def main(argv=None) -> int:
                     fixture = os.path.join(FIXTURES, f"{group}.json")
                     print(f"fitting-wide {seed} {i} {group} "
                           f"{digest_fitting(work, fixture, rows)}", flush=True)
+        for name in FITTING_GROUP_PERMUTATIONS if args.fitting_groups else ():
+            fixture, order = write_group_fixture(name, work)
+            for seed in args.seeds:
+                for i, rows in enumerate(shaped_presentations(perfbench, order, seed)):
+                    print(f"fitting-groups {name} {seed} {i} "
+                          f"{digest_fitting(work, fixture, rows, cli_digest)}", flush=True)
         for p in args.fitting_ladder:
             fixture = write_ladder_fixture(p, work)
             for seed in args.seeds:
-                for i, rows in enumerate(ladder_presentations(perfbench, p, seed)):
+                for i, rows in enumerate(shaped_presentations(perfbench, p - 1, seed)):
                     print(f"fitting-ladder {p} {seed} {i} "
                           f"{digest_fitting(work, fixture, rows)}", flush=True)
     return 0
